@@ -216,7 +216,8 @@ def conjugate(model, no_invariance, seed, tol, cap, out):
         E = effectspace.build_effect_space(m)
         iso = composites.is_isomorphism_state(eta, E, E, tol=tol)
         doc["isomorphism_state"] = jsonable(vars(iso))
-        conj = composites.make_conjugate(m, gamma, eta)
+        conj = composites.conjugate_from_state(
+            m, gamma, eta, require_invariance=not no_invariance)
         derived = composites.spin_form_from_conjugate(conj, E, tol=tol)
         doc["derived_form"] = form_to_json(derived)
     _emit(dumps_canonical(doc), out)

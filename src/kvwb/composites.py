@@ -523,6 +523,12 @@ def make_conjugate(m: Model, gamma: Optional[dict[str, str]] = None,
     eta = find_conjugate_state(m, gamma, require_invariance, tol)
     if eta is None:
         return None
+    return conjugate_from_state(m, gamma, eta, require_invariance)
+
+
+def conjugate_from_state(m: Model, gamma: dict[str, str], eta: BipartiteState,
+                         require_invariance: bool = True) -> Conjugate:
+    """The conjugate system of a table `find_conjugate_state` returned."""
     notes = []
     if isinstance(m.states, QuantumBackend):
         notes.append("analytic maximally entangled construction")
@@ -605,7 +611,7 @@ def _flag_exact(B: BilinearForm, m: Model, E: OrderUnitSpace) -> None:
     gens = E.effect_cone.all_generators()
     worst, _ = pairwise_form_positivity([list(g) for g in gens], B.matrix)
     B.positive_on_cone = worst >= 0
-    B.invariant = check_unitarity(E.all_effect_actions(), B)
+    B.invariant = _invariance_flag(E, B)
     B.positive_definite = is_positive_definite(B.matrix)
 
 
@@ -621,8 +627,18 @@ def _flag_float(B: BilinearForm, m: Model, E: OrderUnitSpace,
     vs = [np.asarray(E.outcome_vectors[x]) for x in m.outcomes]
     B.positive_on_cone = all(float(a @ M @ b) >= -tol
                              for a in vs for b in vs)
-    B.invariant = check_unitarity(E.all_effect_actions(), B, tol)
+    B.invariant = _invariance_flag(E, B, tol)
     B.positive_definite = bool(np.linalg.eigvalsh(M).min() > tol)
+
+
+def _invariance_flag(E: OrderUnitSpace, B: BilinearForm,
+                     tol: float = 1e-9) -> Optional[bool]:
+    """Unitarity of the symmetries under B; None when B is singular, as a
+    table found without the invariance constraints can give."""
+    try:
+        return check_unitarity(E.all_effect_actions(), B, tol)
+    except ValueError:
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -728,7 +728,7 @@ def _np_nullspace(A: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
 
 def _exact_linear_stage(p: RecoveryProblem, idempotence: bool):
     """Rational solve of the same rows; returns (t0, nullspace columns)."""
-    from .linalg import nullspace, solve
+    from .linalg import solve_with_nullspace
     d = p.dim
     pairs, at = _pair_index(d)
     P = len(pairs)
@@ -785,10 +785,9 @@ def _exact_linear_stage(p: RecoveryProblem, idempotence: bool):
                         row[var(at(i, j), k)] += c
                 rows.append(row)
                 rhs.append(g[k])
-    t0 = solve(rows, rhs)
+    t0, null = solve_with_nullspace(rows, rhs)
     if t0 is None:
         return None, None, pairs
-    null = nullspace(rows)
     return t0, null, pairs
 
 

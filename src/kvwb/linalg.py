@@ -2,9 +2,14 @@
 
 Vectors are lists/tuples of Fraction; matrices are lists of row vectors.
 Everything here is dense and intended for desk-scale problems (dim <= ~30).
+Elimination (`rref`, and so `solve`, `nullspace`, `rank`, `inverse` and
+`column_space_basis`) runs over Python ints on primitive rows, in the
+fraction-free style of Bareiss (Math. Comp. 22, 1968), and divides into
+`Fraction`s only at the end; the rationals returned are the same.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -75,46 +80,62 @@ def mat_eq(A: Mat, B: Mat) -> bool:
     return A == B
 
 
+def _primitive(ints: list[int]) -> list[int]:
+    """Divide an integer row by the gcd of its entries; zero stays zero."""
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _primitive_row(row: Sequence) -> list[int]:
+    """The primitive integer row on the ray of a rational row."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (scale // x.denominator) for x in row])
+
+
 def rref(A: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    R = [row[:] for row in A]
-    if not R:
-        return R, []
+    """Reduced row echelon form.  Returns (R, pivot_columns).
+
+    Gauss-Jordan over the integers: every row is kept primitive (coprime
+    integer entries), a row is cleared by cross-multiplying it with the pivot
+    row, and only the final division by each pivot makes `Fraction`s.  The
+    RREF is unique, so the result equals that of rational elimination.
+    """
+    if not A:
+        return [], []
+    R = [_primitive_row(row) for row in A]
     nrows, ncols = len(R), len(R[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if R[i][c] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, nrows) if R[i][c]), None)
         if pivot_row is None:
             continue
         R[r], R[pivot_row] = R[pivot_row], R[r]
-        pv = R[r][c]
-        R[r] = [x / pv for x in R[r]]
+        prow = R[r]
+        pv = prow[c]
         for i in range(nrows):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+            f = R[i][c]
+            if i != r and f:
+                # the pivot row is zero left of c: there row i is only scaled
+                row = R[i]
+                new = [pv * x for x in row[:c]]
+                new += [pv * x - f * y for x, y in zip(row[c:], prow[c:])]
+                R[i] = _primitive(new)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return R, pivots
+    out = [[Fraction(x, row[c]) if x else ZERO for x in row]
+           for row, c in zip(R, pivots)]
+    out += [[ZERO] * ncols for _ in range(nrows - r)]
+    return out, pivots
 
 
 def rank(A: Mat) -> int:
     return len(rref(A)[1])
 
 
-def nullspace(A: Mat) -> list[Vec]:
-    """Basis of the right nullspace, one vector per free column, in column order."""
-    if not A:
-        return []
-    ncols = len(A[0])
-    R, pivots = rref(A)
+def _null_basis(R: Mat, pivots: list[int], ncols: int) -> list[Vec]:
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -127,22 +148,45 @@ def nullspace(A: Mat) -> list[Vec]:
     return basis
 
 
+def _augmented_solution(R: Mat, pivots: list[int], ncols: int) -> Vec | None:
+    """The solution read off the RREF of [A | b], or None if inconsistent."""
+    if pivots and pivots[-1] == ncols:      # pivot in the augmented column
+        return None
+    x = zeros(ncols)
+    for i, pc in enumerate(pivots):
+        x[pc] = R[i][ncols]
+    return x
+
+
+def nullspace(A: Mat) -> list[Vec]:
+    """Basis of the right nullspace, one vector per free column, in column order."""
+    if not A:
+        return []
+    R, pivots = rref(A)
+    return _null_basis(R, pivots, len(A[0]))
+
+
 def solve(A: Mat, b: Sequence[Fraction]) -> Vec | None:
     """One exact solution of A x = b, or None if inconsistent."""
     if not A:
         return [] if all(x == 0 for x in b) else None
-    ncols = len(A[0])
     aug = [row[:] + [bb] for row, bb in zip(A, b, strict=True)]
-    R, pivots = rref(aug)
-    for i, row in enumerate(R):
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
-    x = zeros(ncols)
-    for i, pc in enumerate(pivots):
-        if pc == ncols:      # pivot in the augmented column => inconsistent
-            return None
-        x[pc] = R[i][ncols]
-    return x
+    return _augmented_solution(*rref(aug), len(A[0]))
+
+
+def solve_with_nullspace(A: Mat, b: Sequence[Fraction]
+                         ) -> tuple[Vec | None, list[Vec]]:
+    """`solve(A, b)` and `nullspace(A)` from one elimination of [A | b].
+
+    When the system is consistent the left block of that RREF is rref(A), so
+    both results equal the separate calls; (None, []) when inconsistent.
+    """
+    if not A:
+        return solve(A, b), []
+    ncols = len(A[0])
+    R, pivots = rref([row[:] + [bb] for row, bb in zip(A, b, strict=True)])
+    x = _augmented_solution(R, pivots, ncols)
+    return x, [] if x is None else _null_basis(R, pivots, ncols)
 
 
 def inverse(A: Mat) -> Mat | None:

@@ -2,21 +2,32 @@
 
 Standard form: find x >= 0 with A x = b.  Always returns a certificate:
 either a feasible point or a Farkas vector y with yᵀA <= 0 and yᵀb > 0,
-both re-verifiable by direct substitution.
+both re-verified by direct substitution before they are returned; a failed
+re-check raises `CertificateError`, also under `python -O`.
+
+The tableau is the rational one, held as one integer row over one positive
+denominator per row, with integer pivoting as in lrs (Avis, 2000).  Bland's
+rule reads signs and the ratio test cross-multiplies, so the pivot sequence,
+point and Farkas vector equal those of `Fraction` arithmetic.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Mat, Vec, ZERO, ONE, dot, frac
 
-__all__ = ["LPResult", "solve_feasibility", "cone_membership", "convex_membership",
-           "free_feasibility"]
+__all__ = ["CertificateError", "LPResult", "solve_feasibility",
+           "cone_membership", "convex_membership", "free_feasibility"]
 
 
 class UnboundedError(Exception):
     pass
+
+
+class CertificateError(ArithmeticError):
+    """A feasibility certificate failed its re-check by exact substitution."""
 
 
 @dataclass
@@ -26,85 +37,130 @@ class LPResult:
     farkas: Vec | None = None      # y with yᵀA <= 0 and yᵀb > 0
 
 
-def solve_feasibility(A: Mat, b: Vec) -> LPResult:
-    """Decide {x >= 0 : A x = b} with exact arithmetic.
+def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
+    """Divide an integer row and its positive denominator by their gcd."""
+    g = math.gcd(den, *row)
+    if g > 1:
+        return [x // g for x in row], den // g
+    return row, den
 
-    Phase-one simplex on artificial variables, Bland's anti-cycling rule.
+
+def _phase_one(A: Mat, b: Vec) -> tuple[bool, Vec]:
+    """Phase-one simplex with Bland's rule on an integer tableau.
+
+    Each row of the rational tableau (constraints, then the reduced-cost
+    row) is held as integers over one positive denominator.  Bland's rule
+    reads only signs and the ratio test cross-multiplies, so the pivots are
+    those of the rational tableau.  Returns (True, point) or
+    (False, Farkas vector), unchecked.
     """
-    m = len(A)
-    if m == 0:
-        return LPResult(True, point=[])
-    n = len(A[0])
-
-    # orient rows so the right-hand side is nonnegative
-    signs = [ONE if bb >= 0 else -ONE for bb in b]
-    T = [[signs[i] * x for x in A[i]] + [signs[i] * b[i]] for i in range(m)]
-
-    # tableau columns: n structural + m artificial + rhs
-    for i in range(m):
-        art = [ONE if j == i else ZERO for j in range(m)]
-        T[i] = T[i][:n] + art + [T[i][n]]
-
-    basis = [n + i for i in range(m)]
+    m, n = len(A), len(A[0])
     ncols = n + m
-
-    # phase-one objective: minimize sum of artificials.
-    # reduced cost row: c_j - sum of rows for basic artificials.
-    cost = [ZERO] * (ncols + 1)
-    for j in range(ncols):
-        cost[j] = (ONE if j >= n else ZERO) - sum(T[i][j] for i in range(m))
-    cost[ncols] = -sum(T[i][ncols] for i in range(m))
+    # orient rows so the right-hand side is nonnegative; tableau columns are
+    # n structural + m artificial + rhs
+    signs = [1 if bb >= 0 else -1 for bb in b]
+    N: list[list[int]] = []
+    den: list[int] = []
+    for i in range(m):
+        scale = math.lcm(b[i].denominator, *(x.denominator for x in A[i]))
+        row = [signs[i] * x.numerator * (scale // x.denominator)
+               for x in A[i]]
+        row += [0] * m + [signs[i] * b[i].numerator * (scale // b[i].denominator)]
+        row[n + i] = scale
+        r, d = _reduce(row, scale)
+        N.append(r)
+        den.append(d)
+    # phase-one objective: minimize the sum of the artificials; its reduced
+    # cost row is minus the sum of the rows, zero on the artificials
+    common = math.lcm(*den)
+    cost = [-sum(N[i][j] * (common // den[i]) for i in range(m))
+            for j in range(n)] + [0] * m
+    cost.append(-sum(N[i][ncols] * (common // den[i]) for i in range(m)))
+    c, dc = _reduce(cost, common)
+    N.append(c)
+    den.append(dc)
+    basis = [n + i for i in range(m)]
 
     while True:
-        enter = None
-        for j in range(ncols):          # Bland: first improving column
-            if cost[j] < 0:
-                enter = j
-                break
+        cost = N[m]
+        enter = next((j for j in range(ncols) if cost[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][ncols] / T[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+            a = N[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # T[i][rhs]/T[i][enter] against the best ratio so far
+                lhs = N[i][ncols] * N[leave][enter]
+                rhs = N[leave][ncols] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise UnboundedError("phase-one objective unbounded; inconsistent tableau")
-        piv = T[leave][enter]
-        T[leave] = [x / piv for x in T[leave]]
-        for i in range(m):
-            if i != leave and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, T[leave])]
+        # the pivot row becomes N[leave] / N[leave][enter]
+        prow, piv = _reduce(N[leave], N[leave][enter])
+        N[leave], den[leave] = prow, piv
+        for i in range(m + 1):
+            f = N[i][enter]
+            if i != leave and f:
+                N[i], den[i] = _reduce(
+                    [piv * x - f * y for x, y in zip(N[i], prow)], den[i] * piv)
         basis[leave] = enter
 
-    objective = -cost[ncols]
-    if objective > 0:
-        # infeasible: extract Farkas vector from artificial reduced costs.
-        # y_i = (1 - cbar_{artificial i}) * sign_i
-        y = [(ONE - cost[n + i]) * signs[i] for i in range(m)]
-        # verify, defensively
-        for j in range(n):
-            col = sum(y[i] * A[i][j] for i in range(m))
-            assert col <= 0, "farkas certificate failed column check"
-        assert dot(y, b) > 0, "farkas certificate failed rhs check"
-        return LPResult(False, farkas=y)
-
+    cost, dc = N[m], den[m]
+    if cost[ncols] < 0:
+        # infeasible: y_i = (1 - cbar_{artificial i}) * sign_i
+        return False, [Fraction(signs[i] * (dc - cost[n + i]), dc)
+                       for i in range(m)]
     x = [ZERO] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            x[bi] = T[i][ncols]
-    # verify, defensively
-    for i in range(m):
-        assert dot(A[i], x) == b[i], "feasible point failed row check"
-    assert all(xx >= 0 for xx in x)
-    return LPResult(True, point=x)
+            x[bi] = Fraction(N[i][ncols], den[i])
+    return True, x
+
+
+def solve_feasibility(A: Mat, b: Vec) -> LPResult:
+    """Decide {x >= 0 : A x = b} with exact arithmetic.
+
+    Phase-one simplex on artificial variables, Bland's anti-cycling rule,
+    run on integer rows.  The certificate is re-checked by substitution in
+    `Fraction`s before it is returned.
+    """
+    if not A:
+        return LPResult(True, point=[])
+    feasible, cert = _phase_one(A, b)
+    if not feasible:
+        _check_farkas(A, b, cert)
+        return LPResult(False, farkas=cert)
+    _check_point(A, b, cert)
+    return LPResult(True, point=cert)
+
+
+def _check_point(A: Mat, b: Vec, x: Vec) -> None:
+    """Raise CertificateError unless x >= 0 and A x = b (exact substitution
+    over the support of x)."""
+    if len(x) != len(A[0]):
+        raise CertificateError("feasible point has the wrong length")
+    if not all(xx >= 0 for xx in x):
+        raise CertificateError("feasible point has a negative entry")
+    support = [j for j, xx in enumerate(x) if xx]
+    for row, bb in zip(A, b, strict=True):
+        if sum((row[j] * x[j] for j in support), ZERO) != bb:
+            raise CertificateError("feasible point failed row check")
+
+
+def _check_farkas(A: Mat, b: Vec, y: Vec) -> None:
+    """Raise CertificateError unless yᵀA <= 0 and yᵀb > 0 (exact
+    substitution over the support of y)."""
+    support = [i for i, yy in enumerate(y) if yy]
+    for j in range(len(A[0])):
+        if sum((y[i] * A[i][j] for i in support), ZERO) > 0:
+            raise CertificateError("farkas certificate failed column check")
+    if not dot(y, b) > 0:
+        raise CertificateError("farkas certificate failed rhs check")
 
 
 def cone_membership(v: Vec, generators: list[Vec]) -> LPResult:
@@ -165,7 +221,9 @@ def free_feasibility(ineqs: list[tuple[Vec, Fraction]],
         return LPResult(False, farkas=res.farkas)
     x = [res.point[j] - res.point[n + j] for j in range(n)]
     for (a, c) in ineqs:
-        assert sum(ai * xi for ai, xi in zip(a, x)) >= c
+        if sum(ai * xi for ai, xi in zip(a, x)) < c:
+            raise CertificateError("free point violates an inequality")
     for (a, c) in eqs:
-        assert sum(ai * xi for ai, xi in zip(a, x)) == c
+        if sum(ai * xi for ai, xi in zip(a, x)) != c:
+            raise CertificateError("free point violates an equality")
     return LPResult(True, point=x)

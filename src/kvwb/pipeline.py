@@ -293,7 +293,7 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
                 "inverse_positive": eta_iso.inverse_positive,
                 "failures": eta_iso.failures}
             if spin is not None:
-                conj = composites.make_conjugate(m, gamma, eta)
+                conj = composites.conjugate_from_state(m, gamma, eta)
                 derived = composites.spin_form_from_conjugate(conj, E, tol=tol)
                 if spin.kind == "exact":
                     dev = max(abs(a - b) for ra, rb in

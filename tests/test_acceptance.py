@@ -5,6 +5,7 @@ tolerance and runtime budget, so `pytest -v tests/test_acceptance.py`
 prints one pass/fail line per guarantee.
 """
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -254,6 +255,19 @@ def test_criterion_8_images():
         assert all(c.verdict != "image" for c in cands), name
 
 
+#: sha256 of `kvwb run NAME` on the exact polytope built-ins, recorded before
+#: the integer elimination and simplex kernels replaced the `Fraction` ones.
+#: The quantum built-ins are left out: their floats come from LAPACK.
+REPORT_SHA256 = {
+    "classical:2": "3b3042246fd502a8a8ce3fb3abd68d3b556737ae05f59da902f5dfdd3f0e0771",
+    "classical:3": "c5545b263f4286e312a5ce4556931058131d18067a01e17aba1696f3deaaddc3",
+    "classical:4": "5edda2e0a73675e050f1b632286407d257fea00256013b6247e0a823c84d3c19",
+    "classical:5": "ab5eabb0f5cb14fe8fe159a3e58d425ec5cb0cfe363fc566eae97ea7c9ef038a",
+    "squit": "de1601a04daa87cd23e205e2bb4d34bf747cea6c719f7cf1f92b444337d10808",
+    "squit:klein": "f275e383b25d299c868bcfc5ee86a623a2d99fe6b07e1706d298d711b9555b1a",
+}
+
+
 def test_criterion_9_byte_identical_reports():
     for name in builtin_names():
         outs = []
@@ -264,3 +278,6 @@ def test_criterion_9_byte_identical_reports():
             outs.append(proc.stdout)
         assert outs[0] == outs[1], name
         assert outs[0].strip(), name
+        if name in REPORT_SHA256:
+            assert hashlib.sha256(outs[0]).hexdigest() == REPORT_SHA256[name], name
+    assert set(REPORT_SHA256) <= set(builtin_names())

@@ -3,8 +3,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from kvwb.builtins import get_builtin
 from kvwb.cli import main
-from kvwb.serialize import dumps_canonical
+from kvwb.composites import Conjugate, spin_form_from_conjugate
+from kvwb.serialize import bipartite_from_json, dumps_canonical, form_to_json
 
 
 @pytest.fixture()
@@ -92,6 +94,20 @@ def test_conjugate_command(runner):
     assert blob["found"] is True
     assert blob["state"]["table"]["x0"]["x0"] == "1/2"
     assert blob["isomorphism_state"]["is_iso"] is False
+
+
+def test_conjugate_no_invariance_derives_from_the_printed_state(runner):
+    # without the invariance rows the LP finds a different, singular table
+    # on squit; the derived form must be the one that table induces
+    res = invoke(runner, "conjugate", "squit", "--no-invariance")
+    assert res.exit_code == 0
+    blob = json.loads(res.output)
+    m = get_builtin("squit")
+    eta = bipartite_from_json(blob["state"], m, m)
+    derived = spin_form_from_conjugate(Conjugate(m, blob["gamma"], eta))
+    assert blob["derived_form"] == form_to_json(derived)
+    assert blob["derived_form"]["flags"]["positive_definite"] is False
+    assert blob["derived_form"]["flags"]["invariant"] is None
 
 
 def test_image_lists_candidates(runner):

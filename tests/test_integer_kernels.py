@@ -1,0 +1,137 @@
+"""The integer kernels return exactly what the `Fraction` oracles return.
+
+`reference_kernels` holds the rational `rref` and Bland simplex that the
+integer versions replaced; equal outputs mean equal pivots, points and Farkas
+vectors, and so byte-identical reports.
+"""
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_kernels as oracle
+from kvwb.linalg import nullspace, rref, solve, solve_with_nullspace
+from kvwb.lp import solve_feasibility
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def systems(draw, max_rows=6, max_cols=6):
+    """A x = b with dependent rows, zero rows and rhs of either sign mixed in."""
+    n = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                         min_size=0, max_size=max_rows))
+    rhs = draw(st.lists(small, min_size=len(rows), max_size=len(rows)))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        c = draw(small)
+        rows.append([x + c * y for x, y in zip(rows[i], rows[j])])
+        # consistent or off by a constant: both feasible and infeasible LPs
+        rhs.append(rhs[i] + c * rhs[j] + draw(st.sampled_from([0, 0, 1, -1])))
+    for _ in range(draw(st.integers(0, 1))):
+        k = draw(st.integers(0, len(rows)))
+        rows.insert(k, [F(0)] * n)
+        rhs.insert(k, draw(st.sampled_from([F(0), F(1), F(-1)])))
+    return rows, rhs
+
+
+def assert_same_rref(A):
+    got = rref(A)
+    assert got == oracle.rref(A)
+    assert all(type(x) is F for row in got[0] for x in row)
+
+
+def assert_same_lp(A, b):
+    new, old = solve_feasibility(A, b), oracle.solve_feasibility(A, b)
+    assert (new.feasible, new.point, new.farkas) == \
+        (old.feasible, old.point, old.farkas)
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_rref_matches_oracle(system):
+    A, b = system
+    assert_same_rref(A)
+    assert_same_rref([row + [bb] for row, bb in zip(A, b)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_simplex_matches_oracle(system):
+    assert_same_lp(*system)
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+def test_one_elimination_gives_solve_and_nullspace(system):
+    A, b = system
+    x, null = solve_with_nullspace(A, b)
+    assert x == solve(A, b)
+    assert null == (nullspace(A) if x is not None else [])
+
+
+DEFICIENT = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1, 2), F(1, 3)]]
+
+
+@pytest.mark.parametrize("A", [
+    DEFICIENT,                                      # rank deficient
+    [[F(0)] * 3, [F(0), F(0), F(5, 7)], [F(0)] * 3],  # zero rows
+    [[F(0)] * 4] * 2,                               # zero matrix
+    [[F(-3, 4), F(1, 6)], [F(9, 8), F(-1, 4)]],     # singular, rational
+    [[], []],                                       # no columns
+])
+def test_rref_matches_oracle_on_edge_cases(A):
+    assert_same_rref(A)
+
+
+@pytest.mark.parametrize("A,b,feasible", [
+    (DEFICIENT, [F(6), F(12), F(5, 6)], True),       # rank deficient
+    (DEFICIENT, [F(6), F(13), F(5, 6)], False),      # inconsistent rows
+    ([[F(1), F(1)], [F(0), F(0)]], [F(1), F(0)], True),   # zero row
+    ([[F(1), F(1)], [F(0), F(0)]], [F(1), F(2)], False),  # 0 = 2
+    ([[F(1), F(-1)], [F(1, 2), F(1)]], [F(-2), F(-3, 2)], False),  # negative rhs
+    ([[F(1), F(-1)], [F(1, 2), F(1)]], [F(-1, 3), F(1)], True),
+])
+def test_simplex_matches_oracle_on_edge_cases(A, b, feasible):
+    assert solve_feasibility(A, b).feasible is feasible
+    assert_same_lp(A, b)
+
+
+def test_certificate_checks_survive_optimize_flag():
+    """Under `python -O` asserts vanish; a corrupted certificate must still
+    raise CertificateError from solve_feasibility and free_feasibility."""
+    script = textwrap.dedent("""
+        import sys
+        from fractions import Fraction as F
+        from kvwb import lp
+        assert False, "asserts must be off under -O"
+        A = [[F(1), F(1)]]
+
+        def corrupted(kernel):
+            def run(A, b):
+                feasible, cert = kernel(A, b)
+                return feasible, [c + 1 for c in cert]
+            return run
+
+        lp._phase_one = corrupted(lp._phase_one)
+        for rhs in (F(1), F(-1)):          # feasible point, Farkas vector
+            try:
+                lp.solve_feasibility(A, [rhs])
+            except lp.CertificateError:
+                pass
+            else:
+                sys.exit("corrupted certificate accepted for rhs %s" % rhs)
+        lp.solve_feasibility = lambda A, b: lp.LPResult(True, point=[F(0)] * 2)
+        try:
+            lp.free_feasibility([([F(1)], F(1))], [], 1)
+        except lp.CertificateError:
+            print("raised")
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout.strip() == "raised"

@@ -20,6 +20,21 @@ def test_regular_models_pass_every_stage(name):
     assert [s.name for s in rep.stages] == STAGE_ORDER
 
 
+@pytest.mark.parametrize("name", ["classical:3", "squit"])
+def test_conjugate_lp_is_solved_once(name, monkeypatch):
+    from kvwb import composites
+    calls = []
+    search = composites.find_conjugate_state
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return search(*args, **kw)
+
+    monkeypatch.setattr(composites, "find_conjugate_state", counted)
+    assert run(name).stage("conjugate").status == "pass"
+    assert len(calls) == 1
+
+
 def test_squit_fails_exactly_where_it_should():
     rep = run("squit")
     assert rep.failures == ["sharpness", "self-duality"]
