@@ -13,13 +13,13 @@ import numpy as np
 
 from . import quantum
 from .linalg import ONE, ZERO
-from .models import (DEFAULT_CAP, Model, PermutationGroup, PolytopeBackend,
+from .models import (Model, PermutationGroup, PolytopeBackend,
                      QuantumBackend, TestSpace, UnitaryGenerators)
 
 DEFAULT_SEED = 42
 
 
-def classical(n: int, cap: int = DEFAULT_CAP) -> Model:
+def classical(n: int) -> Model:
     """One n-outcome test, simplex states, full symmetric group."""
     if n < 2:
         raise ValueError("classical model needs at least 2 outcomes")
@@ -30,31 +30,31 @@ def classical(n: int, cap: int = DEFAULT_CAP) -> Model:
     cycle = tuple(list(range(1, n)) + [0])
     gens = (swap,) if n == 2 else (swap, cycle)
     return Model(f"classical:{n}", TestSpace(labels, (labels,)),
-                 PolytopeBackend(verts), PermutationGroup(gens, cap=cap))
+                 PolytopeBackend(verts), PermutationGroup(gens))
 
 
-def _square_bit(name: str, generators, cap: int) -> Model:
+def _square_bit(name: str, generators) -> Model:
     ts = TestSpace(("x0", "x1", "y0", "y1"), (("x0", "x1"), ("y0", "y1")))
     F = Fraction
     verts = ((F(1), F(0), F(1), F(0)), (F(0), F(1), F(1), F(0)),
              (F(1), F(0), F(0), F(1)), (F(0), F(1), F(0), F(1)))
     return Model(name, ts, PolytopeBackend(verts),
-                 PermutationGroup(generators, cap=cap))
+                 PermutationGroup(generators))
 
 
-def squit(cap: int = DEFAULT_CAP) -> Model:
+def squit() -> Model:
     """Square bit: two binary tests, square state space, dihedral symmetry."""
-    return _square_bit("squit", ((2, 3, 1, 0), (2, 3, 0, 1)), cap)
+    return _square_bit("squit", ((2, 3, 1, 0), (2, 3, 0, 1)))
 
 
-def squit_klein(cap: int = DEFAULT_CAP) -> Model:
+def squit_klein() -> Model:
     """Square bit with only the Klein four-group of symmetries.
 
     Small enough that outcome identifications can descend: collapsing the
     two blocks {x0,y0} and {x1,y1} is a congruence and produces a classical
     bit image, which the dihedral squit does not admit.
     """
-    return _square_bit("squit:klein", ((1, 0, 3, 2), (2, 3, 0, 1)), cap)
+    return _square_bit("squit:klein", ((1, 0, 3, 2), (2, 3, 0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +62,7 @@ def squit_klein(cap: int = DEFAULT_CAP) -> Model:
 
 def _quantum_model(name: str, fld: str, dim: int, frames: list[list],
                    frame_labels: list[list[str]], sample_perm_gens,
-                   seed: int, cap: int) -> Model:
+                   seed: int) -> Model:
     basis = quantum.hermitian_basis(dim, fld)
     outcome_matrices = {}
     tests = []
@@ -75,7 +75,7 @@ def _quantum_model(name: str, fld: str, dim: int, frames: list[list],
     gens = tuple(quantum.conjugation_action(quantum.random_unitary(dim, rng, fld),
                                             basis) for _ in range(2))
     group = UnitaryGenerators(matrices=gens, seed=seed)
-    sample = (PermutationGroup(tuple(sample_perm_gens), cap=cap)
+    sample = (PermutationGroup(tuple(sample_perm_gens))
               if sample_perm_gens else None)
     return Model(name, TestSpace(outcomes, tuple(tests)),
                  QuantumBackend(fld, dim, outcome_matrices, basis, builtin=True),
@@ -88,7 +88,7 @@ def _angle_projection(theta: float) -> np.ndarray:
     return v @ v.T
 
 
-def qubit_real(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP) -> Model:
+def qubit_real(seed: int = DEFAULT_SEED) -> Model:
     """Real two-level system: lines at 0/90 and 45/135 degrees."""
     t = np.pi / 4
     frames = [[_angle_projection(0.0), _angle_projection(2 * t)],
@@ -98,7 +98,7 @@ def qubit_real(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP) -> Model:
     # reflection in the a0 axis: b0 <-> b1
     perms = [(2, 3, 1, 0), (0, 1, 3, 2)]
     return _quantum_model("qubit:real", "real", 2, frames, labels, perms,
-                          seed, cap)
+                          seed)
 
 
 def _pauli_projections():
@@ -111,7 +111,7 @@ def _pauli_projections():
             "y+": (eye + sy) / 2, "y-": (eye - sy) / 2}
 
 
-def qubit_complex(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP) -> Model:
+def qubit_complex(seed: int = DEFAULT_SEED) -> Model:
     """Complex qubit sampled on the three Pauli frames (octahedron)."""
     P = _pauli_projections()
     frames = [[P["z+"], P["z-"]], [P["x+"], P["x-"]], [P["y+"], P["y-"]]]
@@ -120,10 +120,10 @@ def qubit_complex(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP) -> Model:
     rot_z = (0, 1, 4, 5, 3, 2)   # quarter turn about z: x->y, y->-x
     rot_x = (5, 4, 2, 3, 0, 1)   # quarter turn about x: y->z, z->-y
     return _quantum_model("qubit:complex", "complex", 2, frames, labels,
-                          [rot_z, rot_x], seed, cap)
+                          [rot_z, rot_x], seed)
 
 
-def qutrit_complex(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP) -> Model:
+def qutrit_complex(seed: int = DEFAULT_SEED) -> Model:
     """Complex three-level system sampled on six frames.
 
     The sample must span all 9 effect dimensions for the bipartite machinery
@@ -147,7 +147,7 @@ def qutrit_complex(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP) -> Model:
         labels += [[f"{tag}{i}" for i in range(3)],
                    [f"{tag}b{i}" for i in range(3)]]
     return _quantum_model("qutrit:complex", "complex", 3, frames, labels,
-                          None, seed, cap)
+                          None, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +166,13 @@ def builtin_names() -> list[str]:
     return [f"classical:{n}" for n in range(2, 6)] + list(BUILTIN_FACTORIES)
 
 
-def get_builtin(name: str, seed: int = DEFAULT_SEED,
-                cap: int = DEFAULT_CAP) -> Model:
+def get_builtin(name: str, seed: int = DEFAULT_SEED) -> Model:
     if name.startswith("classical:"):
-        return classical(int(name.split(":", 1)[1]), cap=cap)
+        return classical(int(name.split(":", 1)[1]))
     if name in ("squit", "squit:klein"):
-        return BUILTIN_FACTORIES[name](cap=cap)
+        return BUILTIN_FACTORIES[name]()
     if name in BUILTIN_FACTORIES:
-        return BUILTIN_FACTORIES[name](seed=seed, cap=cap)
+        return BUILTIN_FACTORIES[name](seed=seed)
     raise KeyError(f"unknown builtin {name!r}; known: {', '.join(builtin_names())}")
 
 

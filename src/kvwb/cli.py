@@ -3,12 +3,12 @@
 Every subcommand prints a canonical JSON document (sorted keys, no
 timestamps), so identical invocations produce byte-identical output;
 `--format md` renders the same content as markdown.  MODEL arguments accept a
-built-in name (see `kvwb run --list`) or a path to a model JSON file.
+built-in name (see `kvwb run --list`) or a path to a model JSON file; a model
+that cannot be loaded exits with code 3.
 """
 from __future__ import annotations
 
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -17,16 +17,23 @@ import click
 
 from . import composites, cones, effectspace, forms, jordan, models
 from .builtins import builtin_names, conjugation_bijection
-from .models import DEFAULT_CAP
 from .pipeline import EXPECT_TOKENS, run_pipeline
 from .serialize import (bipartite_to_json, cone_from_json, cone_to_json,
                         dumps_canonical, form_from_json, form_to_json,
                         jsonable, load_model, model_from_json)
 
 
-def _cap_default() -> int:
-    value = os.environ.get("KVWB_CAP", "").strip()
-    return int(value) if value else DEFAULT_CAP
+class LoadError(click.ClickException):
+    """A model file that is missing, not JSON, or not a valid model."""
+
+    exit_code = 3
+
+
+def _load(source: str, seed: int):
+    try:
+        return load_model(source, seed=seed)
+    except (OSError, ValueError, KeyError) as exc:
+        raise LoadError(f"cannot load model {source}: {exc}") from exc
 
 
 def _emit(doc: str, out: str | None) -> None:
@@ -43,9 +50,6 @@ seed_opt = click.option("--seed", default=42, show_default=True,
                         help="Seed for every randomized step.")
 tol_opt = click.option("--tol", default=1e-9, show_default=True,
                        help="Numerical tolerance for float checks.")
-cap_opt = click.option("--cap", default=None, type=int,
-                       help="Group-enumeration cap (default: KVWB_CAP "
-                            "environment variable, then 10^6).")
 out_opt = click.option("--out", default=None, type=click.Path(),
                        help="Write the document here instead of stdout.")
 
@@ -58,8 +62,8 @@ def main() -> None:
 # ---------------------------------------------------------------------------
 # pipeline
 
-def _pipeline(model, seed, tol, cap, expect=()):
-    m = load_model(model, seed=seed, cap=cap or _cap_default())
+def _pipeline(model, seed, tol, expect=()):
+    m = _load(model, seed)
     return run_pipeline(m, seed=seed, tol=tol, expect=expect)
 
 
@@ -77,9 +81,8 @@ def _pipeline(model, seed, tol, cap, expect=()):
               default="json", show_default=True)
 @seed_opt
 @tol_opt
-@cap_opt
 @out_opt
-def run(model, builtin, expect, list_builtins, fmt, seed, tol, cap, out):
+def run(model, builtin, expect, list_builtins, fmt, seed, tol, out):
     """Run the full analysis pipeline and exit 0 iff failures match --expect."""
     if list_builtins:
         click.echo("\n".join(builtin_names()))
@@ -88,7 +91,7 @@ def run(model, builtin, expect, list_builtins, fmt, seed, tol, cap, out):
     if not model:
         raise click.UsageError("give a MODEL argument or --builtin NAME")
     tokens = tuple(t.strip() for t in expect.split(",") if t.strip())
-    rep = _pipeline(model, seed, tol, cap, expect=tokens)
+    rep = _pipeline(model, seed, tol, expect=tokens)
     doc = rep.to_markdown() if fmt == "md" else dumps_canonical(rep.to_json())
     _emit(doc, out)
     if not rep.ok:
@@ -103,14 +106,13 @@ def run(model, builtin, expect, list_builtins, fmt, seed, tol, cap, out):
               default="json", show_default=True)
 @seed_opt
 @tol_opt
-@cap_opt
 @out_opt
-def report(model, builtin, fmt, seed, tol, cap, out):
+def report(model, builtin, fmt, seed, tol, out):
     """Emit the full pipeline report (json or md) without expectation gating."""
     model = model or builtin
     if not model:
         raise click.UsageError("give a MODEL argument or --builtin NAME")
-    rep = _pipeline(model, seed, tol, cap)
+    rep = _pipeline(model, seed, tol)
     doc = rep.to_markdown() if fmt == "md" else dumps_canonical(rep.to_json())
     _emit(doc, out)
 
@@ -124,9 +126,12 @@ def reverify(report_file):
     tolerance, and the expected failures, so the whole run is reproducible
     from the file alone.
     """
-    with open(report_file, encoding="utf-8") as fh:
-        saved = json.load(fh)
-    m = model_from_json(saved["model_spec"])
+    try:
+        with open(report_file, encoding="utf-8") as fh:
+            saved = json.load(fh)
+        m = model_from_json(saved["model_spec"])
+    except (ValueError, KeyError) as exc:
+        raise LoadError(f"cannot load report {report_file}: {exc}") from exc
     rep = run_pipeline(m, seed=saved["seed"], tol=saved["tol"],
                        expect=tuple(saved.get("expected_failures", [])))
     fresh = dumps_canonical(rep.to_json())
@@ -144,11 +149,10 @@ def reverify(report_file):
 @model_arg
 @seed_opt
 @tol_opt
-@cap_opt
 @out_opt
-def validate(model, seed, tol, cap, out):
+def validate(model, seed, tol, out):
     """Structural and probabilistic consistency of a model."""
-    m = load_model(model, seed=seed, cap=cap or _cap_default())
+    m = _load(model, seed)
     rep = models.validate_model(m, tol=tol)
     _emit(dumps_canonical({"model": m.name, "ok": rep.ok,
                            "problems": rep.problems, **jsonable(rep.data)}),
@@ -160,11 +164,15 @@ def validate(model, seed, tol, cap, out):
 @main.command()
 @model_arg
 @seed_opt
-@cap_opt
 @out_opt
-def bisym(model, seed, cap, out):
-    """Transitivity of the symmetry group on outcomes, tests, and pairs."""
-    m = load_model(model, seed=seed, cap=cap or _cap_default())
+def bisym(model, seed, out):
+    """Transitivity of the symmetry group on outcomes, tests, and pairs.
+
+    Exits 1 when the model is not fully bisymmetric, and 2 when that is
+    unknown: a sampled quantum model, or more than 10**6 ordered tests in
+    the orbit.
+    """
+    m = _load(model, seed)
     rep = models.check_bisymmetry(m)
     _emit(dumps_canonical({"model": m.name, **jsonable(vars(rep))}), out)
     if rep.fully_bisymmetric is not True:
@@ -175,15 +183,14 @@ def bisym(model, seed, cap, out):
 @model_arg
 @seed_opt
 @tol_opt
-@cap_opt
 @out_opt
-def spin(model, seed, tol, cap, out):
+def spin(model, seed, tol, out):
     """The orthogonalizing unit-normalized invariant form, with uniqueness."""
-    m = load_model(model, seed=seed, cap=cap or _cap_default())
+    m = _load(model, seed)
     E = effectspace.build_effect_space(m)
     acts = E.all_effect_actions()
-    rep = forms.check_spin_uniqueness(m, E, acts)
-    res = forms.find_orthogonalizing_spin_form(m, E, acts, tol=tol)
+    rep = forms.check_spin_uniqueness(m, E, acts, tol=tol)
+    res = rep.spin
     doc = {"model": m.name, "irreducible": rep.irreducible,
            "solution_space_dim": rep.solution_space_dim,
            "form_found": res.form is not None,
@@ -201,12 +208,11 @@ def spin(model, seed, tol, cap, out):
               help="Drop the symmetry-invariance constraints from the search.")
 @seed_opt
 @tol_opt
-@cap_opt
 @out_opt
-def conjugate(model, no_invariance, seed, tol, cap, out):
+def conjugate(model, no_invariance, seed, tol, out):
     """Search for a conjugate bipartite state (uniform diagonal, conditionals
     in the cone both ways, symmetry-invariant)."""
-    m = load_model(model, seed=seed, cap=cap or _cap_default())
+    m = _load(model, seed)
     gamma = conjugation_bijection(m, tol=tol)
     eta = composites.find_conjugate_state(
         m, gamma=gamma, require_invariance=not no_invariance, tol=tol)
@@ -230,11 +236,10 @@ def conjugate(model, no_invariance, seed, tol, cap, out):
 @click.option("--max-outcomes", default=8, show_default=True,
               help="Skip models with more outcomes than this.")
 @seed_opt
-@cap_opt
 @out_opt
-def image(model, max_outcomes, seed, cap, out):
+def image(model, max_outcomes, seed, out):
     """Enumerate surjective morphism candidates onto smaller models."""
-    m = load_model(model, seed=seed, cap=cap or _cap_default())
+    m = _load(model, seed)
     cands = models.find_nontrivial_images(m, max_outcomes=max_outcomes)
     doc = {"model": m.name, "candidates": [jsonable(vars(c)) for c in cands]}
     _emit(dumps_canonical(doc), out)
@@ -243,7 +248,7 @@ def image(model, max_outcomes, seed, cap, out):
 # ---------------------------------------------------------------------------
 # cone subcommands
 
-def _cone_inputs(source, form_path, seed, tol, cap):
+def _cone_inputs(source, form_path, seed, tol):
     """(cone, pairing matrix, effect space or None) from a model or cone file."""
     try:
         with open(source, encoding="utf-8") as fh:
@@ -259,7 +264,7 @@ def _cone_inputs(source, form_path, seed, tol, cap):
         else:
             B = None                     # standard dot-product pairing
         return K, B, None, f"cone file {source}"
-    m = load_model(source, seed=seed, cap=cap or _cap_default())
+    m = _load(source, seed)
     E = effectspace.build_effect_space(m)
     if E.kind != "exact":
         return None, None, (m, E), m.name
@@ -294,11 +299,10 @@ def cone() -> None:
 @form_opt
 @seed_opt
 @tol_opt
-@cap_opt
 @out_opt
-def cone_dual(source, form_path, seed, tol, cap, out):
+def cone_dual(source, form_path, seed, tol, out):
     """Generators of the dual cone under the pairing form."""
-    K, B, quantum_pair, name = _cone_inputs(source, form_path, seed, tol, cap)
+    K, B, quantum_pair, name = _cone_inputs(source, form_path, seed, tol)
     if quantum_pair is not None:
         raise click.ClickException(
             "sampled quantum cones have no exact dual enumeration; "
@@ -312,11 +316,10 @@ def cone_dual(source, form_path, seed, tol, cap, out):
 @form_opt
 @seed_opt
 @tol_opt
-@cap_opt
 @out_opt
-def cone_selfdual(source, form_path, seed, tol, cap, out):
+def cone_selfdual(source, form_path, seed, tol, out):
     """Is the cone its own dual under the pairing form?"""
-    K, B, quantum_pair, name = _cone_inputs(source, form_path, seed, tol, cap)
+    K, B, quantum_pair, name = _cone_inputs(source, form_path, seed, tol)
     if quantum_pair is not None:
         m, _E = quantum_pair
         rep = run_pipeline(m, seed=seed, tol=tol)
@@ -346,11 +349,10 @@ def cone_selfdual(source, form_path, seed, tol, cap, out):
               help="Largest extreme-ray count to attempt the bijection search.")
 @seed_opt
 @tol_opt
-@cap_opt
 @out_opt
-def cone_weak(source, form_path, ray_cap, seed, tol, cap, out):
+def cone_weak(source, form_path, ray_cap, seed, tol, out):
     """Search for an order isomorphism onto the dual (weak self-duality)."""
-    K, B, quantum_pair, name = _cone_inputs(source, form_path, seed, tol, cap)
+    K, B, quantum_pair, name = _cone_inputs(source, form_path, seed, tol)
     if quantum_pair is not None:
         raise click.ClickException(
             "sampled quantum cones have no exact ray enumeration; "
@@ -371,9 +373,9 @@ def jordan_group() -> None:
     """Recover, verify, and identify order-unit products."""
 
 
-def _recovered(model, seed, tol, cap):
+def _recovered(model, seed, tol):
     from .pipeline import _recovery_problem
-    m = load_model(model, seed=seed, cap=cap or _cap_default())
+    m = _load(model, seed)
     E = effectspace.build_effect_space(m)
     acts = E.all_effect_actions()
     res = forms.find_orthogonalizing_spin_form(m, E, acts, tol=tol)
@@ -388,11 +390,10 @@ def _recovered(model, seed, tol, cap):
 @model_arg
 @seed_opt
 @tol_opt
-@cap_opt
 @out_opt
-def jordan_recover(model, seed, tol, cap, out):
+def jordan_recover(model, seed, tol, out):
     """Recover the bilinear product pinned by unit, form, and symmetries."""
-    m, res = _recovered(model, seed, tol, cap)
+    m, res = _recovered(model, seed, tol)
     doc = {"model": m.name,
            "linear_solution_dim": res.linear_solution_dim,
            "residual": res.residual, "seeds_agree": res.seeds_agree,
@@ -445,11 +446,10 @@ def jordan_verify(kind, samples, seed, tol, out):
 @model_arg
 @seed_opt
 @tol_opt
-@cap_opt
 @out_opt
-def jordan_identify(model, seed, tol, cap, out):
+def jordan_identify(model, seed, tol, out):
     """Recover a model's product and list the catalog algebras matching it."""
-    m, res = _recovered(model, seed, tol, cap)
+    m, res = _recovered(model, seed, tol)
     if res.algebra is None:
         _emit(dumps_canonical({"model": m.name, "candidates": [],
                                "notes": res.notes}), out)

@@ -16,11 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .effectspace import OrderUnitSpace
-from .linalg import (Mat, Vec, ONE, ZERO, dot, frac, is_positive_definite,
+from .linalg import (Vec, ONE, ZERO, dot, frac, is_positive_definite,
                      is_symmetric, mat_mul, mat_vec, nullspace, np_nullspace,
-                     np_rref, rank, solve, transpose)
+                     np_rref, rank, transpose)
 from .lp import free_feasibility
-from .models import CapExceeded, PermutationGroup
 
 TRI_STATE = Optional[bool]          # True / False / None = unchecked
 
@@ -118,29 +117,27 @@ def _pairing_row(x, y, dim: int, exact: bool):
 # ---------------------------------------------------------------------------
 # invariant forms
 
-def invariant_symmetric_forms(E: OrderUnitSpace, actions=None,
-                              restrict_to: str = "full") -> list[BilinearForm]:
-    """Basis of symmetric forms with M_g^T B M_g = B for every generator.
-
-    Invariance under the generators extends to the whole generated group,
-    since the invariance condition is multiplicative in g.  With
-    restrict_to="u_perp" the system is solved for forms on the orthogonal
-    complement of the unit (taken w.r.t. an averaged positive form).
-    """
-    if restrict_to not in ("full", "u_perp"):
-        raise ValueError("restrict_to must be 'full' or 'u_perp'")
-    acts = actions if actions is not None else E.all_effect_actions()
-    exact = E.kind == "exact"
-    if restrict_to == "u_perp":
-        acts = [restricted_action(E, M) for M in acts]
-        dim = E.dim - 1
-    else:
-        dim = E.dim
-
+def _invariance_system(acts, dim: int, exact: bool) -> list:
+    """Rows of M^T S M = S for every action M, over packed unknowns s_{ij}."""
     rows = []
     for M in acts:
         rows.extend(_invariance_rows(M if exact else np.asarray(M, float),
                                      dim, exact))
+    return rows
+
+
+def invariant_symmetric_forms(E: OrderUnitSpace, actions=None
+                              ) -> list[BilinearForm]:
+    """Basis of symmetric forms with M_g^T B M_g = B for every generator.
+
+    Invariance under the generators extends to the whole generated group,
+    since the invariance condition is multiplicative in g, so the basis is
+    one nullspace over the generator rows.
+    """
+    acts = actions if actions is not None else E.all_effect_actions()
+    exact = E.kind == "exact"
+    dim = E.dim
+    rows = _invariance_system(acts, dim, exact)
     if exact:
         basis = nullspace(rows) if rows else _full_symmetric_basis(dim)
         out = [BilinearForm(_unpack(v, dim, True), "exact", invariant=True)
@@ -161,98 +158,16 @@ def _full_symmetric_basis(dim: int) -> list[Vec]:
     return [[ONE if k == t else ZERO for k in range(n)] for t in range(n)]
 
 
-def u_perp_basis(E: OrderUnitSpace, pd_form: Optional[BilinearForm] = None):
-    """Deterministic basis of {a : B_pd(a, u) = 0}."""
-    if E.kind == "exact":
-        B = pd_form.matrix if pd_form is not None else average_form(
-            BilinearForm(_identity_mat(E.dim), "exact"), E).matrix
-        row = mat_vec(B, list(E.u))
-        return nullspace([row])
-    B = pd_form.matrix if pd_form is not None else np.eye(E.dim)
-    row = np.asarray(B) @ np.asarray(E.u, dtype=float)
-    null = np_nullspace(row.reshape(1, -1))
-    return np_rref(null)
-
-
-def restricted_action(E: OrderUnitSpace, M, pd_form=None):
-    """Action matrix on u-perp coordinates (the subspace is invariant)."""
-    V = u_perp_basis(E, pd_form)
-    if E.kind == "exact":
-        cols = transpose([list(v) for v in V])       # dim x (dim-1)
-        out_cols = []
-        for v in V:
-            img = mat_vec(M, list(v))
-            c = solve(cols, img)
-            if c is None:
-                raise ValueError("u-perp is not invariant under the action")
-            out_cols.append(c)
-        return transpose(out_cols)
-    V = np.asarray(V, dtype=float)                    # rows are basis vectors
-    M = np.asarray(M, dtype=float)
-    G = V @ V.T
-    return np.linalg.solve(G, V @ M @ V.T)
-
-
-def _identity_mat(dim: int) -> Mat:
-    return [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
-
-
-def average_form(B0: BilinearForm, E: OrderUnitSpace,
-                 cap: int = 10**6) -> BilinearForm:
-    """Group-average of a form: exact sum over an enumerable matrix group,
-    or the Frobenius-nearest invariant form for generator-presented groups."""
-    acts = E.all_effect_actions()
-    if B0.kind == "exact" and E.kind == "exact":
-        els = _matrix_group(acts, cap)
-        dim = E.dim
-        total = [[ZERO] * dim for _ in range(dim)]
-        for M in els:
-            term = mat_mul(transpose([list(r) for r in M]),
-                           mat_mul(B0.matrix, [list(r) for r in M]))
-            for i in range(dim):
-                for j in range(dim):
-                    total[i][j] += term[i][j]
-        n = len(els)
-        avg = [[x / n for x in r] for r in total]
-        return BilinearForm(avg, "exact", invariant=True,
-                            positive_definite=B0.positive_definite)
-    basis = invariant_symmetric_forms(E, restrict_to="full")
-    if not basis:
-        raise ValueError("no invariant forms to project onto")
-    mats = [np.asarray(f.matrix, dtype=float) for f in basis]
-    flat = np.array([m.ravel() for m in mats])
-    q, _ = np.linalg.qr(flat.T)
-    b0 = np.asarray(B0.matrix, dtype=float).ravel()
-    proj = q @ (q.T @ b0)
-    return BilinearForm(proj.reshape(np.asarray(B0.matrix).shape), "float",
-                        invariant=True)
-
-
-def _matrix_group(generators, cap: int):
-    """BFS closure of exact matrices under multiplication."""
-    def key(M):
-        return tuple(tuple(r) for r in M)
-
-    gens = [[list(r) for r in M] for M in generators]
-    if not gens:
-        return [_identity_mat(1)]
-    dim = len(gens[0])
-    ident = _identity_mat(dim)
-    els = {key(ident): ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for A in frontier:
-            for g in gens:
-                B = mat_mul(g, A)
-                k = key(B)
-                if k not in els:
-                    els[k] = B
-                    new.append(B)
-                    if len(els) > cap:
-                        raise CapExceeded(f"matrix group exceeded cap {cap}")
-        frontier = new
-    return list(els.values())
+def _fixed_covector_dim(acts, dim: int, exact: bool) -> int:
+    """Dimension of {w : M^T w = w for every action M}."""
+    if not acts:
+        return dim
+    if exact:
+        rows = [[M[k][i] - (ONE if k == i else ZERO) for k in range(dim)]
+                for M in acts for i in range(dim)]
+        return dim - rank(rows)
+    rows = np.vstack([np.asarray(M, float).T - np.eye(dim) for M in acts])
+    return np_nullspace(rows).shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +180,18 @@ def is_irreducible(E: OrderUnitSpace, actions=None) -> bool:
     invariant positive form, so a reducible action admits at least two
     independent invariant symmetric forms on u-perp; irreducible real
     representations of every type admit exactly one *symmetric* one.
+
+    The count is taken from the generators alone.  The unit is fixed, so
+    V = Ru + W with W an invariant complement.  The invariant symmetric
+    forms on V are those on Ru (one), the products of Ru with the fixed
+    covectors of W, and those on W; the fixed covectors of V are one on Ru
+    plus those of W.  Hence the number of invariant symmetric forms on W
+    is dim{invariant forms on V} - dim{w : M^T w = w}: two nullspaces over
+    the generator rows, with no complement chosen.
     """
-    forms = invariant_symmetric_forms(E, actions=actions, restrict_to="u_perp")
-    return len(forms) == 1
+    acts = actions if actions is not None else E.all_effect_actions()
+    n_forms = len(invariant_symmetric_forms(E, actions=acts))
+    return n_forms - _fixed_covector_dim(acts, E.dim, E.kind == "exact") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +227,7 @@ def find_orthogonalizing_spin_form(m, E: OrderUnitSpace,
         if (b, a) not in pairs:
             pairs.add((a, b))
 
-    rows = []
-    for M in acts:
-        rows.extend(_invariance_rows(M if exact else np.asarray(M, float),
-                                     dim, exact))
+    rows = _invariance_system(acts, dim, exact)
     for a, b in sorted(pairs):
         va, vb = E.outcome_vectors[a], E.outcome_vectors[b]
         rows.append(_pairing_row(list(va), list(vb), dim, exact))
@@ -395,24 +316,28 @@ class SpinUniquenessReport:
     positive_definite: Optional[bool]
     hypothesis_met: bool
     consistent: bool
+    spin: SpinFormResult             # the search the verdict rests on
     notes: list[str] = field(default_factory=list)
 
 
-def check_spin_uniqueness(m, E: OrderUnitSpace, actions=None) -> SpinUniquenessReport:
+def check_spin_uniqueness(m, E: OrderUnitSpace, actions=None,
+                          tol: float = 1e-9) -> SpinUniquenessReport:
     """Uniqueness + inner-product statement, instantiated on one model.
 
     On an irreducible model there is at most one orthogonalizing SPIN form,
     and if it exists it is positive definite.  Reducible models leave the
-    statement silent ("hypothesis not met").
+    statement silent ("hypothesis not met").  The spin-form search runs
+    once; its result is returned as `spin`.
     """
     irr = is_irreducible(E, actions=actions)
-    res = find_orthogonalizing_spin_form(m, E, actions=actions)
+    res = find_orthogonalizing_spin_form(m, E, actions=actions, tol=tol)
     notes = list(res.notes)
     if not irr:
         return SpinUniquenessReport(irr, res.solution_space_dim,
                                     res.form is not None,
                                     res.form.positive_definite if res.form else None,
                                     hypothesis_met=False, consistent=True,
+                                    spin=res,
                                     notes=notes + ["hypothesis not met: "
                                                    "model is reducible"])
     ok = res.solution_space_dim <= 1
@@ -422,7 +347,7 @@ def check_spin_uniqueness(m, E: OrderUnitSpace, actions=None) -> SpinUniquenessR
     return SpinUniquenessReport(irr, res.solution_space_dim,
                                 res.form is not None, pd,
                                 hypothesis_met=True, consistent=ok,
-                                notes=notes)
+                                spin=res, notes=notes)
 
 
 # ---------------------------------------------------------------------------

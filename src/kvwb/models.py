@@ -6,6 +6,7 @@ the quantum backend keeps operator payloads and works in floats.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -18,15 +19,13 @@ from .lp import cone_membership, solve_feasibility
 
 Perm = tuple[int, ...]
 
-DEFAULT_CAP = 10**6
+#: Largest orbit of ordered tests that `check_bisymmetry` explores before it
+#: leaves full bi-symmetry unknown.
+ORBIT_LIMIT = 10**6
 
 
 class ModelError(ValueError):
     """Raised when a model or morphism violates a structural requirement."""
-
-
-class CapExceeded(RuntimeError):
-    """Group enumeration exceeded the configured cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -44,29 +43,12 @@ def perm_inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def mulclose(generators: tuple[Perm, ...], cap: int = DEFAULT_CAP) -> list[Perm]:
-    """BFS closure of a set of permutations under composition."""
-    if not generators:
-        return []
-    n = len(generators[0])
-    els = {tuple(range(n))}
-    frontier = list(els)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in generators:
-                b = perm_compose(g, a)
-                if b not in els:
-                    els.add(b)
-                    new.append(b)
-                    if len(els) > cap:
-                        raise CapExceeded(f"group enumeration exceeded cap {cap}")
-        frontier = new
-    return sorted(els)
+def orbit(seed, act, generators, limit: Optional[int] = None) -> set:
+    """Orbit of `seed` under the maps act(g, -) for each generator g.
 
-
-def orbit(seed, act, generators) -> set:
-    """Orbit of `seed` under the maps act(g, -) for each generator g."""
+    With a `limit` the search stops as soon as more than `limit` points are
+    found, and the partial orbit it returns has `limit + 1` points.
+    """
     seen = {seed}
     frontier = [seed]
     while frontier:
@@ -77,6 +59,8 @@ def orbit(seed, act, generators) -> set:
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
+                    if limit is not None and len(seen) > limit:
+                        return seen
         frontier = nxt
     return seen
 
@@ -86,24 +70,10 @@ class PermutationGroup:
     """Finite symmetry group presented by outcome permutations."""
 
     generators: tuple[Perm, ...]
-    cap: int = DEFAULT_CAP
-
-    def elements(self) -> list[Perm]:
-        return _enumerate_cached(self.generators, self.cap)
 
     @property
     def kind(self) -> str:
         return "permutation"
-
-
-_ENUM_CACHE: dict[tuple, list[Perm]] = {}
-
-
-def _enumerate_cached(gens: tuple[Perm, ...], cap: int) -> list[Perm]:
-    key = (gens, cap)
-    if key not in _ENUM_CACHE:
-        _ENUM_CACHE[key] = mulclose(gens, cap)
-    return _ENUM_CACHE[key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,6 +329,14 @@ class BisymmetryReport:
 
 
 def check_bisymmetry(m: Model) -> BisymmetryReport:
+    """Orbit counts of the generators on pure states, tests and pairs, and
+    full bi-symmetry: transitivity on ordered tests.
+
+    The group is never enumerated.  Full bi-symmetry holds exactly when the
+    orbit of test 0, read as an ordered tuple of outcomes, reaches all
+    `#tests * rank!` orderings of tests; past `ORBIT_LIMIT` ordered tests it
+    is left unknown (`None`) with a note.
+    """
     if isinstance(m.states, QuantumBackend):
         if m.states.builtin:
             note = ("analytic rule for the standard quantum model: the unitary "
@@ -381,23 +359,18 @@ def check_bisymmetry(m: Model) -> BisymmetryReport:
     pairs = [(ts.index(a), ts.index(b)) for a, b in distinguishable_pairs(m)]
     pair_orbits = _orbit_count(pairs, lambda g, p: (g[p[0]], g[p[1]]), gens)
 
+    # the test orbit above already raised if a generator leaves the catalog,
+    # so this orbit stays inside the orderings of tests
+    ordered = orbit(tuple(ts.index(x) for x in ts.tests[0]),
+                    lambda g, t: tuple(map(g.__getitem__, t)), gens,
+                    limit=ORBIT_LIMIT)
     fully: Optional[bool] = None
-    try:
-        els = m.group.elements() or [tuple(range(len(m.outcomes)))]
-        fully = True
-        for E in ts.tests:
-            for F in ts.tests:
-                e_idx = [ts.index(x) for x in E]
-                for f_perm in itertools.permutations([ts.index(y) for y in F]):
-                    if not any(all(g[a] == b for a, b in zip(e_idx, f_perm)) for g in els):
-                        fully = False
-                        break
-                if fully is False:
-                    break
-            if fully is False:
-                break
-    except CapExceeded:
-        notes.append("group enumeration hit the cap; full bi-symmetry left unknown")
+    if len(ordered) > ORBIT_LIMIT:
+        notes.append(f"orbit of ordered tests exceeds {ORBIT_LIMIT}; "
+                     "full bi-symmetry left unknown")
+    else:
+        n_tests = len({frozenset(t) for t in ts.tests})
+        fully = len(ordered) == n_tests * math.factorial(m.rank)
 
     return BisymmetryReport(
         pure_state_transitive=vert_orbits == 1,
@@ -578,13 +551,9 @@ def image_model(m: Model, outcome_map: dict[str, str],
 
     tgt = Model(name or f"{m.name}/image", TestSpace(tuple(y_labels), tuple(y_tests)),
                 PolytopeBackend(tuple(verts)),
-                PermutationGroup(tuple(gen_images), cap=_cap_of(m)))
+                PermutationGroup(tuple(gen_images)))
     mor = Morphism(m, tgt, dict(outcome_map), tuple(gen_images))
     return tgt, mor
-
-
-def _cap_of(m: Model) -> int:
-    return m.group.cap if isinstance(m.group, PermutationGroup) else DEFAULT_CAP
 
 
 def _stable_unique(it) -> list:

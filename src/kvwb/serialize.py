@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .models import (Model, PermutationGroup, PolytopeBackend, QuantumBackend,
-                     TestSpace, UnitaryGenerators)
+from .models import (Model, ModelError, PermutationGroup, PolytopeBackend,
+                     QuantumBackend, TestSpace, UnitaryGenerators)
 from . import quantum
 
 
@@ -94,8 +94,7 @@ def model_to_json(m: Model) -> dict:
         out["group"] = {"kind": "permutation",
                         "generators": [{m.outcomes[i]: m.outcomes[g[i]]
                                         for i in range(len(m.outcomes))}
-                                       for g in m.group.generators],
-                        "cap": m.group.cap}
+                                       for g in m.group.generators]}
     else:
         ug: UnitaryGenerators = m.group
         out["group"] = {"kind": "unitary", "seed": ug.seed,
@@ -107,12 +106,17 @@ def model_to_json(m: Model) -> dict:
         out["sample_symmetries"] = {
             "generators": [{m.outcomes[i]: m.outcomes[g[i]]
                             for i in range(len(m.outcomes))}
-                           for g in m.sample_symmetries.generators],
-            "cap": m.sample_symmetries.cap}
+                           for g in m.sample_symmetries.generators]}
     return out
 
 
-def model_from_json(data: dict, cap: int | None = None) -> Model:
+def model_from_json(data: dict) -> Model:
+    """Build a model from its JSON object.
+
+    A generator that is not a full outcome mapping raises `ModelError`
+    naming its field, e.g. `group.generators[0]: no image for outcome 'b'`.
+    A `"cap"` key, written by older versions, is ignored.
+    """
     outcomes = tuple(data["outcomes"])
     tests = tuple(tuple(t) for t in data["tests"])
     ts = TestSpace(outcomes, tests)
@@ -131,13 +135,27 @@ def model_from_json(data: dict, cap: int | None = None) -> Model:
     else:
         raise ValueError(f"unknown states kind {st['kind']!r}")
 
-    def perm_of(mapping) -> tuple:
-        return tuple(pos[mapping[x]] for x in outcomes)
+    def perms_of(mappings, path: str) -> tuple:
+        out = []
+        for k, mapping in enumerate(mappings):
+            where = f"{path}[{k}]"
+            if not isinstance(mapping, dict):
+                raise ModelError(f"{where}: expected an object mapping "
+                                 "outcomes to outcomes")
+            images = []
+            for x in outcomes:
+                if x not in mapping:
+                    raise ModelError(f"{where}: no image for outcome {x!r}")
+                if mapping[x] not in pos:
+                    raise ModelError(f"{where}: image {mapping[x]!r} of "
+                                     f"outcome {x!r} is not an outcome")
+                images.append(pos[mapping[x]])
+            out.append(tuple(images))
+        return tuple(out)
 
     g = data["group"]
     if g["kind"] == "permutation":
-        group = PermutationGroup(tuple(perm_of(mp) for mp in g["generators"]),
-                                 cap=cap or g.get("cap", 10**6))
+        group = PermutationGroup(perms_of(g["generators"], "group.generators"))
     elif g["kind"] == "unitary":
         group = UnitaryGenerators(
             matrices=tuple(np.array(M, dtype=float) for M in g["matrices"]),
@@ -146,21 +164,20 @@ def model_from_json(data: dict, cap: int | None = None) -> Model:
         raise ValueError(f"unknown group kind {g['kind']!r}")
     sample = None
     if "sample_symmetries" in data:
-        ss = data["sample_symmetries"]
-        sample = PermutationGroup(tuple(perm_of(mp) for mp in ss["generators"]),
-                                  cap=cap or ss.get("cap", 10**6))
+        sample = PermutationGroup(perms_of(
+            data["sample_symmetries"]["generators"],
+            "sample_symmetries.generators"))
     return Model(data.get("name", "model"), ts, backend, group,
                  sample_symmetries=sample)
 
 
-def load_model(source: str, seed: int = 42, cap: int | None = None) -> Model:
+def load_model(source: str, seed: int = 42) -> Model:
     """A built-in name, or a path to a model JSON file."""
     from .builtins import builtin_names, get_builtin
-    from .models import DEFAULT_CAP
     if source in builtin_names():
-        return get_builtin(source, seed=seed, cap=cap or DEFAULT_CAP)
+        return get_builtin(source, seed=seed)
     with open(source, encoding="utf-8") as fh:
-        return model_from_json(json.load(fh), cap=cap)
+        return model_from_json(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

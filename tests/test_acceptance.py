@@ -255,16 +255,17 @@ def test_criterion_8_images():
         assert all(c.verdict != "image" for c in cands), name
 
 
-#: sha256 of `kvwb run NAME` on the exact polytope built-ins, recorded before
-#: the integer elimination and simplex kernels replaced the `Fraction` ones.
+#: sha256 of `kvwb run NAME` on the exact polytope built-ins.  Each report
+#: equals the one the `Fraction` kernels and the group-enumerating checks
+#: produced, with the retired `"cap"` key dropped from `model_spec.group`.
 #: The quantum built-ins are left out: their floats come from LAPACK.
 REPORT_SHA256 = {
-    "classical:2": "3b3042246fd502a8a8ce3fb3abd68d3b556737ae05f59da902f5dfdd3f0e0771",
-    "classical:3": "c5545b263f4286e312a5ce4556931058131d18067a01e17aba1696f3deaaddc3",
-    "classical:4": "5edda2e0a73675e050f1b632286407d257fea00256013b6247e0a823c84d3c19",
-    "classical:5": "ab5eabb0f5cb14fe8fe159a3e58d425ec5cb0cfe363fc566eae97ea7c9ef038a",
-    "squit": "de1601a04daa87cd23e205e2bb4d34bf747cea6c719f7cf1f92b444337d10808",
-    "squit:klein": "f275e383b25d299c868bcfc5ee86a623a2d99fe6b07e1706d298d711b9555b1a",
+    "classical:2": "0279f266b3daccfeac84d9984305899c63fe1821dcc6adadbc9ea9638ac0ef18",
+    "classical:3": "2a5aadab5ff5ed1c970b8b3a821d19c7eeb1f4e4ce092aa2b4d217be38c2b098",
+    "classical:4": "4474c84554ccadf44660f032590461a91890a564949e7e48bf106e8b326cc4cf",
+    "classical:5": "4878c4c1d5d22c178029e03cce2be7a1757b51bd04deb135b617e850d63db4f6",
+    "squit": "3f4bbc665f926082d4a22e35a834b3c0c3384618eb31986a6db89704e07b0fde",
+    "squit:klein": "be83beeb3d3a936b2da4c83c6c8cb419f063eb260a6c840ef34fa3e01f816919",
 }
 
 

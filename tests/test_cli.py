@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from kvwb import forms
 from kvwb.builtins import get_builtin
 from kvwb.cli import main
 from kvwb.composites import Conjugate, spin_form_from_conjugate
@@ -155,13 +156,6 @@ def test_jordan_subcommands(runner):
     assert "ComplexHerm(2)~SpinFactor(3)" in json.loads(res.output)["candidates"]
 
 
-def test_cap_env_is_honoured(runner):
-    res = invoke(runner, "bisym", "classical:4", env={"KVWB_CAP": "5"})
-    blob = json.loads(res.output)
-    assert blob["fully_bisymmetric"] is None
-    assert res.exit_code == 2
-
-
 def test_model_file_input(runner, tmp_path):
     res = invoke(runner, "report", "classical:3")
     spec = json.loads(res.output)["model_spec"]
@@ -169,3 +163,83 @@ def test_model_file_input(runner, tmp_path):
     mfile.write_text(dumps_canonical(spec))
     res2 = invoke(runner, "run", str(mfile))
     assert res2.exit_code == 0
+
+
+def test_spin_solves_the_form_system_once(runner, monkeypatch):
+    calls = []
+    search = forms.find_orthogonalizing_spin_form
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(forms, "find_orthogonalizing_spin_form", counted)
+    res = invoke(runner, "spin", "classical:3")
+    assert res.exit_code == 0
+    assert calls == ["classical:3"]
+
+
+def _model_file(tmp_path, edit):
+    spec = json.loads(invoke(CliRunner(), "report", "qubit:real").output
+                      )["model_spec"]
+    edit(spec)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def _drop_image(spec):
+    del spec["sample_symmetries"]["generators"][1]["b1"]
+
+
+def _bad_label(spec):
+    spec["sample_symmetries"]["generators"][0]["a0"] = "zz"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_image, "sample_symmetries.generators[1]: no image for outcome 'b1'"),
+    (_bad_label, "sample_symmetries.generators[0]: image 'zz' of outcome "
+                 "'a0' is not an outcome"),
+])
+def test_malformed_model_file_exits_3(runner, tmp_path, edit, message):
+    path = _model_file(tmp_path, edit)
+    for cmd in ("run", "bisym", "image"):
+        res = runner.invoke(main, [cmd, path])
+        assert res.exit_code == 3, cmd
+        assert message in res.output
+
+
+def test_missing_model_file_exits_3(runner, tmp_path):
+    res = runner.invoke(main, ["run", str(tmp_path / "absent.json")])
+    assert res.exit_code == 3
+    assert "cannot load model" in res.output
+
+
+def test_reverify_of_a_malformed_model_spec_exits_3(runner, tmp_path):
+    rpt = tmp_path / "squit.json"
+    invoke(runner, "report", "squit", "--out", str(rpt))
+    data = json.loads(rpt.read_text())
+    data["model_spec"]["group"]["generators"][0] = {"x0": "x1"}
+    rpt.write_text(dumps_canonical(data))
+    res = runner.invoke(main, ["reverify", str(rpt)])
+    assert res.exit_code == 3
+    assert "group.generators[0]: no image for outcome 'x1'" in res.output
+    rpt.write_text("not json")
+    assert runner.invoke(main, ["reverify", str(rpt)]).exit_code == 3
+
+
+def _commands(group, path=()):
+    for name, cmd in group.commands.items():
+        if hasattr(cmd, "commands"):
+            yield from _commands(cmd, path + (name,))
+        else:
+            yield path + (name,)
+
+
+def test_no_command_takes_an_enumeration_cap(runner):
+    cmds = list(_commands(main))
+    assert len(cmds) == 14
+    for cmd in cmds:
+        res = invoke(runner, *cmd, "--help")
+        assert res.exit_code == 0, cmd
+        assert "--cap" not in res.output, cmd

@@ -5,12 +5,13 @@ import pytest
 from kvwb.builtins import classical, get_builtin, squit, squit_klein
 from kvwb.lp import cone_membership
 from kvwb.models import TestSpace as TSpace
-from kvwb.models import (CapExceeded, Model, ModelError, PermutationGroup,
+from kvwb.models import (ORBIT_LIMIT, Model, ModelError, PermutationGroup,
                          PolytopeBackend, assess_all_candidates,
                          check_bisymmetry, distinguishable, find_nontrivial_images,
-                         image_model, is_sharp, models_isomorphic, mulclose,
+                         image_model, is_sharp, models_isomorphic,
                          perm_compose, perm_inverse, pullback_state,
                          set_partitions, validate_model, validate_morphism)
+from reference_groups import mulclose
 
 
 def paired_classical4():
@@ -28,12 +29,6 @@ def paired_classical4():
 def test_mulclose_s3():
     gens = ((1, 0, 2), (0, 2, 1))
     assert len(mulclose(gens)) == 6
-
-
-def test_mulclose_cap():
-    gens = ((1, 0, 2), (0, 2, 1))
-    with pytest.raises(CapExceeded):
-        mulclose(gens, cap=3)
 
 
 def test_perm_algebra():
@@ -72,14 +67,26 @@ def test_bisymmetry_verdicts():
     assert check_bisymmetry(squit_klein()).bisymmetric is False
 
 
-def test_bisymmetry_cap_gives_unknown():
-    # orbit counting works generator-wise, so the three transitivity verdicts
-    # survive a tiny cap; only the exhaustive pair check goes unknown
-    m = classical(5, cap=3)
-    rep = check_bisymmetry(m)
+def test_bisymmetry_orbit_limit_gives_unknown():
+    # 10! orderings of the one test exceed the orbit limit; the three
+    # transitivity verdicts are still decided, only full bi-symmetry is not
+    assert ORBIT_LIMIT == 10**6
+    rep = check_bisymmetry(classical(10))
     assert rep.bisymmetric is True
     assert rep.fully_bisymmetric is None
-    assert any("cap" in n for n in rep.notes)
+    assert any(str(ORBIT_LIMIT) in n for n in rep.notes)
+
+
+def test_bisymmetry_decided_below_the_orbit_limit():
+    # a transposition alone: an orbit of two orderings, decided at once
+    c = classical(10)
+    swap = (1, 0) + tuple(range(2, 10))
+    m = Model("classical:10/swap", c.testspace, c.states,
+              PermutationGroup((swap,)))
+    rep = check_bisymmetry(m)
+    assert rep.fully_bisymmetric is False
+    assert rep.notes == []
+    assert check_bisymmetry(classical(8)).fully_bisymmetric is True
 
 
 def test_sharpness():

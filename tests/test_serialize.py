@@ -7,7 +7,7 @@ from kvwb.composites import make_conjugate
 from kvwb.cones import cone
 from kvwb.effectspace import build_effect_space
 from kvwb.forms import find_orthogonalizing_spin_form
-from kvwb.models import models_isomorphic, validate_model
+from kvwb.models import ModelError, models_isomorphic, validate_model
 from kvwb.serialize import (bipartite_from_json, bipartite_to_json,
                             cone_from_json, cone_to_json, dumps_canonical,
                             form_from_json, form_to_json, frac_str,
@@ -79,3 +79,36 @@ def test_cone_round_trip():
     K2 = cone_from_json(cone_to_json(K))
     assert K2.generators == K.generators
     assert dumps_canonical(cone_to_json(K2)) == dumps_canonical(cone_to_json(K))
+
+
+def test_old_model_files_with_a_cap_key_still_load():
+    for name in ("squit", "qubit:complex"):
+        m = get_builtin(name)
+        data = model_to_json(m)
+        assert "cap" not in data["group"]
+        assert "cap" not in data.get("sample_symmetries", {})
+        old = model_to_json(m)
+        old["group"]["cap"] = 5
+        if "sample_symmetries" in old:
+            old["sample_symmetries"]["cap"] = 5
+        assert model_to_json(model_from_json(old)) == data
+
+
+@pytest.mark.parametrize("block, generator, message", [
+    ("group", {"x0": "x1"}, "group.generators[0]: no image for outcome 'x1'"),
+    ("group", {"x0": "x1", "x1": "x0", "y0": "y1", "y1": "q"},
+     "group.generators[0]: image 'q' of outcome 'y1' is not an outcome"),
+    ("group", ["x1", "x0", "y0", "y1"],
+     "group.generators[0]: expected an object mapping outcomes to outcomes"),
+    ("sample_symmetries", {"x0": "x0"},
+     "sample_symmetries.generators[0]: no image for outcome 'x1'"),
+    ("sample_symmetries", {"x0": "x0", "x1": "x1", "y0": "y0", "y1": "z"},
+     "sample_symmetries.generators[0]: image 'z' of outcome 'y1' is not "
+     "an outcome"),
+])
+def test_malformed_generator_names_its_field(block, generator, message):
+    data = model_to_json(get_builtin("squit"))
+    data.setdefault(block, {"generators": []})["generators"].insert(0, generator)
+    with pytest.raises(ModelError) as err:
+        model_from_json(data)
+    assert str(err.value) == message
