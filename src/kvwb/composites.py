@@ -125,8 +125,7 @@ def _conditional_in_cone(other: Model, vec, tol: float):
                                 [list(p) for p in other.states.vertices])
         return res.feasible, None if res.feasible else "outside state polytope"
     qb: QuantumBackend = other.states
-    rows = np.array([qb.basis.to_coords(qb.outcome_matrices[y])
-                     for y in other.outcomes])
+    rows = qb.outcome_coords(other.outcomes)
     sol, res, rk, _ = np.linalg.lstsq(rows, np.asarray(vec, float), rcond=None)
     resid = float(np.abs(rows @ sol - np.asarray(vec, float)).max())
     if resid > tol:

@@ -167,8 +167,8 @@ def _build_exact(m: Model) -> OrderUnitSpace:
 def _build_float(m: Model) -> OrderUnitSpace:
     qb: QuantumBackend = m.states
     basis = qb.basis
-    coords = {x: basis.to_coords(qb.outcome_matrices[x]) for x in m.outcomes}
-    stacked = np.array([coords[x] for x in m.outcomes])
+    stacked = qb.outcome_coords(m.outcomes)
+    coords = dict(zip(m.outcomes, stacked))
     span = int(np.linalg.matrix_rank(stacked, tol=1e-9))
     notes = []
     if span < basis.space_dim:

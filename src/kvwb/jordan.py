@@ -17,7 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import (ONE, ZERO, Mat, Vec, frac, is_positive_definite)
+from .linalg import (ONE, ZERO, Mat, Vec, frac, is_positive_definite,
+                     solve_with_nullspace)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +366,7 @@ def cone_of_squares_membership(J: JordanAlgebra, a, tol: float = 1e-9) -> bool:
     # No structural description (e.g. a recovered product): fall back to the
     # spectral test — an element lies in the closed cone of squares exactly
     # when its eigenvalues are nonnegative.
-    eigs, _ = spectral_decomposition(J, np.asarray(a, dtype=float))
+    eigs = _eigenvalues(J, np.asarray(a, dtype=float))
     return min(eigs) >= -max(tol, 1e-7)
 
 
@@ -410,14 +411,9 @@ def generic_rank(J: JordanAlgebra, seed: int = 42, trials: int = 5) -> int:
     return best
 
 
-def spectral_decomposition(J: JordanAlgebra, w, tol: float = 1e-8):
-    """Eigenvalues and spectral idempotents of w via its minimal polynomial.
-
-    Power associativity makes the subalgebra generated by w commutative and
-    associative, so Lagrange interpolation on Jordan powers produces the
-    spectral projections.
-    """
-    w = np.asarray(w, float)
+def _eigenvalues(J: JordanAlgebra, w: np.ndarray) -> np.ndarray:
+    """Sorted roots of the minimal polynomial of w, near-coincident ones
+    merged into one node (their mean)."""
     deg = minimal_polynomial_degree(J, w)
     pows = jordan_powers(J, w, deg)
     M = np.array(pows[:deg]).T
@@ -429,9 +425,7 @@ def spectral_decomposition(J: JordanAlgebra, w, tol: float = 1e-8):
                               f"(imag {np.abs(roots.imag).max():.2e})")
     lams = np.sort(roots.real)
     # Lagrange interpolation is badly conditioned when eigenvalues are close,
-    # so nearly coincident roots are merged into one node first, and every
-    # projector is then purified with f <- 3f^2 - 2f^3 (quadratic convergence
-    # to the idempotent with the same spectral support).
+    # so nearly coincident roots are merged into one node.
     scale = max(1.0, float(np.abs(lams).max()))
     clusters: list[list[float]] = []
     for l in lams:
@@ -439,7 +433,20 @@ def spectral_decomposition(J: JordanAlgebra, w, tol: float = 1e-8):
             clusters[-1].append(float(l))
         else:
             clusters.append([float(l)])
-    reps = np.array([sum(c) / len(c) for c in clusters])
+    return np.array([sum(c) / len(c) for c in clusters])
+
+
+def spectral_decomposition(J: JordanAlgebra, w, tol: float = 1e-8):
+    """Eigenvalues and spectral idempotents of w via its minimal polynomial.
+
+    Power associativity makes the subalgebra generated by w commutative and
+    associative, so Lagrange interpolation on Jordan powers, over the merged
+    eigenvalue nodes, produces the spectral projections; each projector is
+    then purified with f <- 3f^2 - 2f^3 (quadratic convergence to the
+    idempotent with the same spectral support).
+    """
+    w = np.asarray(w, float)
+    reps = _eigenvalues(J, w)
     idems = []
     for i, li in enumerate(reps):
         f = J.unit_float()
@@ -467,7 +474,7 @@ def jordan_sqrt(J: JordanAlgebra, w, tol: float = 1e-9) -> np.ndarray:
     negativity screen.
     """
     w = np.asarray(w, float)
-    lams, _ = spectral_decomposition(J, w)
+    lams = _eigenvalues(J, w)
     if lams.min() < -1e-6:
         raise ArithmeticError(f"element not in the cone (eig {lams.min():.2e})")
     scale = max(1.0, float(np.abs(w).max()))
@@ -653,61 +660,84 @@ def _pair_index(d: int):
     return pairs, at
 
 
-def _linear_rows_float(p: RecoveryProblem, idempotence: bool):
+_fracs = np.frompyfunc(frac, 1, 1)
+
+
+def _linear_rows(p: RecoveryProblem, idempotence: bool, exact: bool):
+    """Matrix and right-hand side of the linear Jordan-product constraints.
+
+    The unknown t[at(i, j) * d + k] is the e_k coordinate of e_i ∘ e_j.  Each
+    block (unit law, B-associativity, G-equivariance, idempotence) lays out
+    the columns and values of its rows by broadcasting, row by row and term
+    by term, and one `np.add.at` accumulates them in that order, so a column
+    that several terms of a row hit gets the same float sum as a loop over
+    the terms.  With `exact` the rational inputs are used and the matrix
+    holds Fractions (object dtype); otherwise it is a float matrix.
+    """
     d = p.dim
     pairs, at = _pair_index(d)
-    P = len(pairs)
-    nvar = P * d
-    rows, rhs = [], []
+    AT = np.array([[at(i, j) for j in range(d)] for i in range(d)],
+                  dtype=np.intp)
 
-    def var(pk, k):
-        return pk * d + k
+    def given(x, x_exact):
+        return x_exact if exact and x_exact is not None else x
 
-    u = np.asarray(p.u, float)
-    for j in range(d):                                   # unit: u ∘ e_j = e_j
-        for k in range(d):
-            row = np.zeros(nvar)
-            for i in range(d):
-                row[var(at(i, j), k)] += u[i]
-            rows.append(row)
-            rhs.append(1.0 if j == k else 0.0)
-    B = np.asarray(p.B, float)
-    for i in range(d):                                   # B-associativity
-        for j in range(d):
-            for k in range(j, d):
-                row = np.zeros(nvar)
-                for m in range(d):
-                    row[var(at(i, j), m)] += B[m][k]
-                    row[var(at(i, k), m)] -= B[m][j]
-                rows.append(row)
-                rhs.append(0.0)
-    for M in p.actions:                                  # G-equivariance
-        M = np.asarray(M, float)
-        for i in range(d):
-            for j in range(i, d):
-                for k in range(d):
-                    row = np.zeros(nvar)
-                    for m in range(d):
-                        row[var(at(i, j), m)] += M[k][m]
-                    for a in range(d):
-                        for b in range(d):
-                            row[var(at(a, b), k)] -= M[a][i] * M[b][j]
-                    rows.append(row)
-                    rhs.append(0.0)
+    if exact:
+        def num(x):
+            return _fracs(np.array(x, dtype=object))
+        zero, one = ZERO, ONE
+    else:
+        def num(x):
+            return np.asarray(x, float)
+        zero, one = 0.0, 1.0
+    u, B = num(given(p.u, p.u_exact)), num(given(p.B, p.B_exact))
+    ar = np.arange(d)
+    iu, ju = np.triu_indices(d)
+    R = len(iu)
+    rows, cols, vals, rhs = [], [], [], []
+
+    def add(c, v, b):
+        """Append rows with right-hand side b: columns c shaped (row axes,
+        term axes), values v broadcast to that shape."""
+        n0 = sum(map(len, rhs))
+        rows.append(np.repeat(np.arange(n0, n0 + len(b)), c.size // len(b)))
+        cols.append(c.ravel())
+        vals.append(np.broadcast_to(v, c.shape).ravel())
+        rhs.append(b)
+
+    # unit law u ∘ e_j = e_j: row (j, k), term i
+    add(AT[:, None, :] * d + ar[:, None],
+        u, np.where(np.eye(d, dtype=bool).ravel(), one, zero))
+    # B-associativity B(e_i ∘ e_j, e_k) = B(e_j, e_i ∘ e_k):
+    # row (i, j ≤ k), terms m then sign
+    add(np.stack([AT[:, iu, None] * d + ar, AT[:, ju, None] * d + ar],
+                 axis=-1),
+        np.stack([B[:, ju].T, -B[:, iu].T], axis=-1),
+        np.full(d * R, zero))
+    # G-equivariance M(e_i ∘ e_j) = M e_i ∘ M e_j: row (i ≤ j, k),
+    # terms m, then (a, b)
+    c_m = np.broadcast_to(AT[iu, ju, None, None] * d + ar, (R, d, d))
+    c_ab = np.broadcast_to((AT * d).ravel() + ar[:, None], (R, d, d * d))
+    for M in given(p.actions, p.actions_exact):
+        M = num(M)
+        v_ab = -(M[:, iu].T[:, :, None] * M[:, ju].T[:, None, :])
+        add(np.concatenate([c_m, c_ab], axis=-1),
+            np.concatenate([np.broadcast_to(M, (R, d, d)),
+                            np.broadcast_to(v_ab.reshape(R, 1, d * d),
+                                            (R, d, d * d))], axis=-1),
+            np.full(R * d, zero))
+    # idempotence g ∘ g = g: row k, terms i ≤ j
     if idempotence:
-        for g in p.outcome_vectors:                      # g ∘ g = g
-            g = np.asarray(g, float)
-            for k in range(d):
-                row = np.zeros(nvar)
-                for i in range(d):
-                    for j in range(i, d):
-                        coeff = g[i] * g[j]
-                        if i != j:
-                            coeff *= 2
-                        row[var(at(i, j), k)] += coeff
-                rows.append(row)
-                rhs.append(g[k])
-    return np.array(rows), np.array(rhs), pairs
+        for g in given(p.outcome_vectors, p.outcome_vectors_exact):
+            g = num(g)
+            prod = g[iu] * g[ju]
+            add(AT[iu, ju] * d + ar[:, None],
+                np.where(iu != ju, prod * 2, prod), g)
+    b = np.concatenate(rhs)
+    A = np.full((len(b), len(pairs) * d), zero, dtype=b.dtype)
+    np.add.at(A, (np.concatenate(rows), np.concatenate(cols)),
+              np.concatenate(vals))
+    return A, b
 
 
 def _tensor_from_packed(t, d: int, pairs) -> np.ndarray:
@@ -718,77 +748,21 @@ def _tensor_from_packed(t, d: int, pairs) -> np.ndarray:
     return T
 
 
-def _np_nullspace(A: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
-    if A.size == 0:
-        return np.eye(A.shape[1])
-    _, s, vt = np.linalg.svd(A, full_matrices=True)
-    nz = (s > rtol * (s[0] if len(s) else 1.0)).sum()
-    return vt[nz:].T
+def _solve_float(A: np.ndarray, b: np.ndarray):
+    """Least-squares solution and nullspace basis (columns) of A t = b.
 
-
-def _exact_linear_stage(p: RecoveryProblem, idempotence: bool):
-    """Rational solve of the same rows; returns (t0, nullspace columns)."""
-    from .linalg import solve_with_nullspace
-    d = p.dim
-    pairs, at = _pair_index(d)
-    P = len(pairs)
-    nvar = P * d
-    rows, rhs = [], []
-
-    def var(pk, k):
-        return pk * d + k
-
-    u = [frac(x) for x in (p.u_exact if p.u_exact is not None else p.u)]
-    B = ([[frac(x) for x in r] for r in p.B_exact]
-         if p.B_exact is not None else [[frac(x) for x in r] for r in p.B])
-    for j in range(d):
-        for k in range(d):
-            row = [ZERO] * nvar
-            for i in range(d):
-                row[var(at(i, j), k)] += u[i]
-            rows.append(row)
-            rhs.append(ONE if j == k else ZERO)
-    for i in range(d):
-        for j in range(d):
-            for k in range(j, d):
-                row = [ZERO] * nvar
-                for m in range(d):
-                    row[var(at(i, j), m)] += B[m][k]
-                    row[var(at(i, k), m)] -= B[m][j]
-                rows.append(row)
-                rhs.append(ZERO)
-    for M in (p.actions_exact if p.actions_exact is not None else p.actions):
-        M = [[frac(x) for x in r] for r in M]
-        for i in range(d):
-            for j in range(i, d):
-                for k in range(d):
-                    row = [ZERO] * nvar
-                    for m in range(d):
-                        row[var(at(i, j), m)] += M[k][m]
-                    for a in range(d):
-                        for b in range(d):
-                            row[var(at(a, b), k)] -= M[a][i] * M[b][j]
-                    rows.append(row)
-                    rhs.append(ZERO)
-    if idempotence:
-        for g in (p.outcome_vectors_exact
-                  if p.outcome_vectors_exact is not None
-                  else p.outcome_vectors):
-            g = [frac(x) for x in g]
-            for k in range(d):
-                row = [ZERO] * nvar
-                for i in range(d):
-                    for j in range(i, d):
-                        c = g[i] * g[j]
-                        if i != j:
-                            c *= 2
-                        row[var(at(i, j), k)] += c
-                rows.append(row)
-                rhs.append(g[k])
-    t0, null = solve_with_nullspace(rows, rhs)
-    if t0 is None:
-        return None, None, pairs
-    return t0, null, pairs
+    The rank is read off the singular values `lstsq` returns, with the rule
+    s > 1e-9 * s[0]; only a short rank pays for a thin SVD.  A has at least
+    as many rows as columns, so the thin `vt` is square.  (None, None) when
+    the system is inconsistent.
+    """
+    t0, _, _, s = np.linalg.lstsq(A, b, rcond=None)
+    if float(np.abs(A @ t0 - b).max()) > 1e-7:
+        return None, None
+    rank = int((s > 1e-9 * s[0]).sum())
+    if rank == A.shape[1]:
+        return t0, np.zeros((A.shape[1], 0))
+    return t0, np.linalg.svd(A, full_matrices=False)[2][rank:].T
 
 
 def _identity_residual_vec(T: np.ndarray, samples) -> np.ndarray:
@@ -812,9 +786,13 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42,
     symmetry actions, and — by default — idempotence of the supplied
     outcome/cone generators (sharp extreme effects can only be primitive
     idempotents in a compatible algebra; without this the linear stage can
-    stay underdetermined).  Quadratic stage: Gauss-Newton on the Jordan
-    identity residual from several seeds; agreement of all seeds is the
-    desk-scale uniqueness certificate.
+    stay underdetermined).  One builder, `_linear_rows`, makes these rows
+    for both paths; only the solve differs: exact problems eliminate once
+    over the rationals, float problems make one least-squares solve and read
+    the nullity off its singular values, computing a nullspace basis (thin
+    SVD) only when the nullity is positive.  Quadratic stage: Gauss-Newton
+    on the Jordan identity residual from several seeds; agreement of all
+    seeds is the desk-scale uniqueness certificate.
     """
     gates: dict = {}
     notes: list = []
@@ -829,27 +807,21 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42,
     gates["unit_interior_heuristic"] = all(
         float(np.asarray(g, float) @ B @ u) > 1e-12 for g in p.cone_generators)
 
+    pairs, at = _pair_index(d)
+    A, b = _linear_rows(p, enforce_outcome_idempotence, p.exact)
     if p.exact:
-        t0x, nullx, pairs = _exact_linear_stage(p, enforce_outcome_idempotence)
-        if t0x is None:
-            gates["linear_stage"] = False
-            return RecoveryResult(None, -1, np.inf, None, [], gates,
-                                  ["linear constraints inconsistent"], seed)
-        nullity = len(nullx)
-        t0 = np.array([float(v) for v in t0x])
+        t0x, nullx = solve_with_nullspace(A.tolist(), b.tolist())
+        t0 = None if t0x is None else np.array([float(v) for v in t0x])
         N = (np.array([[float(v) for v in col] for col in nullx]).T
-             if nullity else np.zeros((len(t0), 0)))
-        exact_solution = t0x if nullity == 0 else None
+             if nullx else np.zeros((A.shape[1], 0)))
     else:
-        A, b, pairs = _linear_rows_float(p, enforce_outcome_idempotence)
-        t0, res, rk, _ = np.linalg.lstsq(A, b, rcond=None)
-        if float(np.abs(A @ t0 - b).max()) > 1e-7:
-            gates["linear_stage"] = False
-            return RecoveryResult(None, -1, np.inf, None, [], gates,
-                                  ["linear constraints inconsistent"], seed)
-        N = _np_nullspace(A)
-        nullity = N.shape[1]
-        exact_solution = None
+        t0, N = _solve_float(A, b)
+    if t0 is None:
+        gates["linear_stage"] = False
+        return RecoveryResult(None, -1, np.inf, None, [], gates,
+                              ["linear constraints inconsistent"], seed)
+    nullity = N.shape[1]
+    exact_solution = t0x if p.exact and nullity == 0 else None
     gates["linear_stage"] = True
 
     rng = np.random.default_rng(seed)
@@ -939,7 +911,7 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42,
     unit = ([frac(x) for x in (p.u_exact if p.u_exact is not None else p.u)]
             if exact_solution is not None else list(u))
     if exact_solution is not None:
-        tensor = [[[exact_solution[_pk_at(pairs, i, j) * d + k]
+        tensor = [[[exact_solution[at(i, j) * d + k]
                     for k in range(d)] for j in range(d)] for i in range(d)]
         J = JordanAlgebra("Recovered", d, unit, tensor, True)
         notes.append("tensor is exact (rational linear stage, zero nullity)")
@@ -950,12 +922,6 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42,
         notes.append("recovered tensor failed an acceptance gate")
     return RecoveryResult(J if ok else None, nullity, residual_star,
                           seeds_agree, seed_residuals, gates, notes, seed)
-
-
-def _pk_at(pairs, i, j):
-    if i > j:
-        i, j = j, i
-    return pairs.index((i, j))
 
 
 # ---------------------------------------------------------------------------

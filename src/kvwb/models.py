@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -148,6 +148,18 @@ class QuantumBackend:
     outcome_matrices: dict[str, np.ndarray]
     basis: quantum.HermitianBasis
     builtin: bool = False
+    _coords: dict = field(default_factory=dict, init=False, repr=False)
+
+    def outcome_coords(self, outcomes) -> np.ndarray:
+        """Read-only matrix whose rows are the basis coordinates of the
+        outcome matrices, in the given order; built once per order."""
+        key = tuple(outcomes)
+        if key not in self._coords:
+            C = np.array([self.basis.to_coords(self.outcome_matrices[x])
+                          for x in key])
+            C.setflags(write=False)
+            self._coords[key] = C
+        return self._coords[key]
 
     @property
     def kind(self) -> str:
@@ -750,10 +762,10 @@ def _quantum_pullback_feasible(m: Model, omap) -> tuple[bool, str]:
 
     # unknowns: beta (ny), rho coords (sd); tr(rho P_x) = beta(omap(x)); test sums = 1
     rows, rhs = [], []
-    for x in m.outcomes:
+    for x, coords in zip(m.outcomes, qb.outcome_coords(m.outcomes)):
         coeff = np.zeros(ny + sd)
         coeff[yidx[omap[x]]] = -1.0
-        coeff[ny:] = qb.basis.to_coords(qb.outcome_matrices[x])
+        coeff[ny:] = coords
         rows.append(coeff)
         rhs.append(0.0)
     for F in y_tests:

@@ -1,12 +1,17 @@
 """Reference oracles: the `Fraction` kernels that `kvwb.linalg.rref` and
-`kvwb.lp.solve_feasibility` replaced with integer elimination.
+`kvwb.lp.solve_feasibility` replaced with integer elimination, and the
+loop-built constraint rows and full-SVD nullspace that
+`kvwb.jordan._linear_rows` and `kvwb.jordan._solve_float` replaced.
 
-Slow and obviously correct; the property tests require the integer kernels
-to return exactly what these return.
+Slow and obviously correct; the property tests require the fast kernels to
+return exactly what these return.
 """
 from __future__ import annotations
 
-from kvwb.linalg import Mat, Vec, ZERO, ONE, dot
+import numpy as np
+
+from kvwb.jordan import RecoveryProblem, _pair_index
+from kvwb.linalg import Mat, Vec, ZERO, ONE, dot, frac
 from kvwb.lp import LPResult, UnboundedError
 
 
@@ -119,3 +124,129 @@ def solve_feasibility(A: Mat, b: Vec) -> LPResult:
         assert dot(A[i], x) == b[i], "feasible point failed row check"
     assert all(xx >= 0 for xx in x)
     return LPResult(True, point=x)
+
+
+def linear_rows_float(p: RecoveryProblem, idempotence: bool):
+    d = p.dim
+    pairs, at = _pair_index(d)
+    P = len(pairs)
+    nvar = P * d
+    rows, rhs = [], []
+
+    def var(pk, k):
+        return pk * d + k
+
+    u = np.asarray(p.u, float)
+    for j in range(d):                                   # unit: u ∘ e_j = e_j
+        for k in range(d):
+            row = np.zeros(nvar)
+            for i in range(d):
+                row[var(at(i, j), k)] += u[i]
+            rows.append(row)
+            rhs.append(1.0 if j == k else 0.0)
+    B = np.asarray(p.B, float)
+    for i in range(d):                                   # B-associativity
+        for j in range(d):
+            for k in range(j, d):
+                row = np.zeros(nvar)
+                for m in range(d):
+                    row[var(at(i, j), m)] += B[m][k]
+                    row[var(at(i, k), m)] -= B[m][j]
+                rows.append(row)
+                rhs.append(0.0)
+    for M in p.actions:                                  # G-equivariance
+        M = np.asarray(M, float)
+        for i in range(d):
+            for j in range(i, d):
+                for k in range(d):
+                    row = np.zeros(nvar)
+                    for m in range(d):
+                        row[var(at(i, j), m)] += M[k][m]
+                    for a in range(d):
+                        for b in range(d):
+                            row[var(at(a, b), k)] -= M[a][i] * M[b][j]
+                    rows.append(row)
+                    rhs.append(0.0)
+    if idempotence:
+        for g in p.outcome_vectors:                      # g ∘ g = g
+            g = np.asarray(g, float)
+            for k in range(d):
+                row = np.zeros(nvar)
+                for i in range(d):
+                    for j in range(i, d):
+                        coeff = g[i] * g[j]
+                        if i != j:
+                            coeff *= 2
+                        row[var(at(i, j), k)] += coeff
+                rows.append(row)
+                rhs.append(g[k])
+    return np.array(rows), np.array(rhs), pairs
+
+
+def exact_linear_rows(p: RecoveryProblem, idempotence: bool):
+    """The rational rows and right-hand side, before the solve."""
+    d = p.dim
+    pairs, at = _pair_index(d)
+    P = len(pairs)
+    nvar = P * d
+    rows, rhs = [], []
+
+    def var(pk, k):
+        return pk * d + k
+
+    u = [frac(x) for x in (p.u_exact if p.u_exact is not None else p.u)]
+    B = ([[frac(x) for x in r] for r in p.B_exact]
+         if p.B_exact is not None else [[frac(x) for x in r] for r in p.B])
+    for j in range(d):
+        for k in range(d):
+            row = [ZERO] * nvar
+            for i in range(d):
+                row[var(at(i, j), k)] += u[i]
+            rows.append(row)
+            rhs.append(ONE if j == k else ZERO)
+    for i in range(d):
+        for j in range(d):
+            for k in range(j, d):
+                row = [ZERO] * nvar
+                for m in range(d):
+                    row[var(at(i, j), m)] += B[m][k]
+                    row[var(at(i, k), m)] -= B[m][j]
+                rows.append(row)
+                rhs.append(ZERO)
+    for M in (p.actions_exact if p.actions_exact is not None else p.actions):
+        M = [[frac(x) for x in r] for r in M]
+        for i in range(d):
+            for j in range(i, d):
+                for k in range(d):
+                    row = [ZERO] * nvar
+                    for m in range(d):
+                        row[var(at(i, j), m)] += M[k][m]
+                    for a in range(d):
+                        for b in range(d):
+                            row[var(at(a, b), k)] -= M[a][i] * M[b][j]
+                    rows.append(row)
+                    rhs.append(ZERO)
+    if idempotence:
+        for g in (p.outcome_vectors_exact
+                  if p.outcome_vectors_exact is not None
+                  else p.outcome_vectors):
+            g = [frac(x) for x in g]
+            for k in range(d):
+                row = [ZERO] * nvar
+                for i in range(d):
+                    for j in range(i, d):
+                        c = g[i] * g[j]
+                        if i != j:
+                            c *= 2
+                        row[var(at(i, j), k)] += c
+                rows.append(row)
+                rhs.append(g[k])
+    return rows, rhs, pairs
+
+
+def np_nullspace_full_svd(A: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
+    if A.size == 0:
+        return np.eye(A.shape[1])
+    _, s, vt = np.linalg.svd(A, full_matrices=True)
+    nz = (s > rtol * (s[0] if len(s) else 1.0)).sum()
+    return vt[nz:].T

@@ -215,6 +215,23 @@ def test_missing_model_file_exits_3(runner, tmp_path):
     assert "cannot load model" in res.output
 
 
+def test_run_accepts_any_classical_size(runner):
+    from kvwb.pipeline import run_pipeline
+    res = invoke(runner, "run", "classical:6")
+    assert res.exit_code == 0
+    want = dumps_canonical(run_pipeline(get_builtin("classical:6")).to_json())
+    assert res.output == want
+
+
+@pytest.mark.parametrize("name", ["classical:x", "classical:1", "classical:",
+                                  "classical:-4"])
+def test_malformed_classical_size_exits_3(runner, name):
+    res = runner.invoke(main, ["run", name])
+    assert res.exit_code == 3
+    assert "needs an integer n >= 2" in res.output
+    assert "No such file" not in res.output
+
+
 def test_reverify_of_a_malformed_model_spec_exits_3(runner, tmp_path):
     rpt = tmp_path / "squit.json"
     invoke(runner, "report", "squit", "--out", str(rpt))

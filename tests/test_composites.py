@@ -161,3 +161,31 @@ def test_homogeneity_honest_when_uncovered():
     rep = homogeneity_report(m, [c.eta], [[F(1, 6), F(2, 6), F(3, 6)]])
     assert not rep.verified_on_samples
     assert rep.uncovered
+
+
+def test_quantum_outcome_coordinates_are_converted_once(monkeypatch):
+    from kvwb.quantum import HermitianBasis
+    m = get_builtin("qutrit:complex")
+    qb = m.states
+    want = np.array([qb.basis.to_coords(qb.outcome_matrices[x])
+                     for x in m.outcomes])
+    calls = []
+    to_coords = HermitianBasis.to_coords
+
+    def spy(self, H):
+        if any(H is P for P in qb.outcome_matrices.values()):
+            calls.append(1)
+        return to_coords(self, H)
+
+    monkeypatch.setattr(HermitianBasis, "to_coords", spy)
+    E = build_effect_space(m)
+    eta = find_conjugate_state(m, conjugation_bijection(m))
+    assert eta is not None and validate_bipartite(eta).ok
+    # one conversion per outcome for the effect space, and no more for the
+    # 2 x 18 conditionals of each validation
+    assert len(calls) == len(m.outcomes)
+    C = qb.outcome_coords(m.outcomes)
+    assert C is qb.outcome_coords(m.outcomes) and not C.flags.writeable
+    assert np.array_equal(C, want)
+    assert all(np.array_equal(E.outcome_vectors[x], want[i])
+               for i, x in enumerate(m.outcomes))

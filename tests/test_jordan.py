@@ -108,6 +108,28 @@ def test_jordan_sqrt_squares_back():
     assert cone_of_squares_membership(J, s)
 
 
+def test_jordan_sqrt_needs_eigenvalues_only(monkeypatch):
+    """The root and the eigenvalue screen build no spectral idempotents,
+    and the root is the same as when they were built."""
+    J = real_symmetric(3)
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal(J.dim)
+    w = jordan_product(J, a, a) + 0.1 * np.asarray(J.unit, dtype=float)
+    import kvwb.jordan as jordan_module
+    eigs, _ = spectral_decomposition(J, w)
+    s = jordan_sqrt(J, w)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectral idempotents built")
+
+    monkeypatch.setattr(jordan_module, "spectral_decomposition", refuse)
+    assert np.array_equal(jordan_sqrt(J, w), s)
+    assert np.array_equal(jordan_module._eigenvalues(J, w), eigs)
+    # a tensor without a structural description takes the spectral test
+    recovered = JordanAlgebra("Recovered", J.dim, J.unit, J.np_tensor, False)
+    assert cone_of_squares_membership(recovered, w)
+
+
 def test_cone_of_squares_membership():
     J = spin_factor(3)
     assert cone_of_squares_membership(J, np.asarray(J.unit, dtype=float))
