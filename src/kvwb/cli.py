@@ -454,9 +454,9 @@ def jordan_identify(model, seed, tol, out):
         _emit(dumps_canonical({"model": m.name, "candidates": [],
                                "notes": res.notes}), out)
         sys.exit(1)
-    cands = jordan.identify_algebra(res.algebra, seed=seed)
-    doc = {"model": m.name, "dim": res.algebra.dim,
-           "rank": jordan.generic_rank(res.algebra, seed=seed),
+    rank = jordan.generic_rank(res.algebra, seed=seed)
+    cands = jordan.algebra_candidates(res.algebra.dim, rank)
+    doc = {"model": m.name, "dim": res.algebra.dim, "rank": rank,
            "candidates": cands,
            "ambiguous": len(cands) > 1}
     _emit(dumps_canonical(doc), out)

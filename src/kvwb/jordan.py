@@ -346,6 +346,8 @@ CATALOG = {
 # cone of squares membership
 
 def cone_of_squares_membership(J: JordanAlgebra, a, tol: float = 1e-9) -> bool:
+    if not _has_cone_formula(J):
+        return _value(_in_cone_many(J, np.asarray(a, dtype=float)[None], tol)[0])
     if J.kind.startswith("DirectSum"):
         parts, offs = J.params["parts"], J.params["offsets"]
         return all(cone_of_squares_membership(
@@ -360,14 +362,26 @@ def cone_of_squares_membership(J: JordanAlgebra, a, tol: float = 1e-9) -> bool:
     if J.kind == "RealSym(1)":
         return (frac(a[0]) >= 0 if isinstance(a[0], (Fraction, int))
                 else float(a[0]) >= -tol)
-    if "basis" in J.params:
-        M = _reconstruct(J, a)
-        return float(np.linalg.eigvalsh(M).min()) >= -tol
-    # No structural description (e.g. a recovered product): fall back to the
-    # spectral test — an element lies in the closed cone of squares exactly
-    # when its eigenvalues are nonnegative.
-    eigs = _eigenvalues(J, np.asarray(a, dtype=float))
-    return min(eigs) >= -max(tol, 1e-7)
+    M = _reconstruct(J, a)
+    return float(np.linalg.eigvalsh(M).min()) >= -tol
+
+
+def _has_cone_formula(J: JordanAlgebra) -> bool:
+    """Whether J's kind describes its cone of squares directly.  Without
+    one (e.g. a recovered product) membership falls back to the spectral
+    test: an element lies in the closed cone of squares exactly when its
+    eigenvalues are nonnegative."""
+    return (J.kind.startswith(("DirectSum", "SpinFactor"))
+            or J.kind == "RealSym(1)" or "basis" in J.params)
+
+
+def _in_cone_many(J: JordanAlgebra, A: np.ndarray, tol: float) -> list:
+    """`cone_of_squares_membership` of each row of A, or the error the
+    spectral test raised on that row."""
+    if _has_cone_formula(J):
+        return [cone_of_squares_membership(J, a, tol) for a in A]
+    return [e if isinstance(e, Exception) else min(e) >= -max(tol, 1e-7)
+            for e in _eigenvalues_many(J, A)]
 
 
 def _reconstruct(J: JordanAlgebra, a) -> np.ndarray:
@@ -379,45 +393,82 @@ def _reconstruct(J: JordanAlgebra, a) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # spectral machinery (tensor-only, works for any kind)
-
-def jordan_powers(J: JordanAlgebra, a, upto: int) -> list[np.ndarray]:
-    out = [J.unit_float(), np.asarray(a, float)]
-    for _ in range(upto - 1):
-        out.append(np.einsum("i,j,ijk->k", np.asarray(a, float), out[-1],
-                             J.np_tensor))
-    return out
-
-
-def minimal_polynomial_degree(J: JordanAlgebra, a, tol: float = 1e-8) -> int:
-    pows = jordan_powers(J, a, J.dim)
-    for k in range(1, J.dim + 1):
-        M = np.array(pows[:k + 1])
-        if np.linalg.matrix_rank(M, tol=tol * max(1.0, np.abs(M).max())) <= k:
-            return k
-    return J.dim
+#
+# The kernels work on a stack of elements, one per row, and give each row
+# the same floats the one-element functions below give it: every stacked
+# numpy call used here (einsum with a leading row axis, solve, svd, matmul)
+# does per row what its unstacked form does.  A row that fails holds its
+# exception in place of its result, so a caller can replay the rows in
+# order and stop where a row-by-row loop would have stopped.
 
 
-def generic_rank(J: JordanAlgebra, seed: int = 42, trials: int = 5) -> int:
-    """Degree of the minimal polynomial of a generic element.
+def _value(result):
+    """A kernel's per-row result, raised when it is an exception."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-    For a Euclidean Jordan algebra this is the rank; several random draws
-    guard against an unlucky non-generic sample (the max is generic).
+
+def _stacked(f, *stacks) -> list:
+    """f over stacked arrays, as a list of per-row results.  When the stacked
+    call raises LinAlgError, f runs row by row and each failing row holds
+    its LinAlgError."""
+    try:
+        return list(f(*stacks))
+    except np.linalg.LinAlgError:
+        out = []
+        for row in zip(*stacks):
+            try:
+                out.append(f(*row))
+            except np.linalg.LinAlgError as e:
+                out.append(e)
+        return out
+
+
+def _degrees_and_powers(J: JordanAlgebra, W: np.ndarray, tol: float = 1e-8):
+    """Minimal-polynomial degree and Jordan powers of each row w of W.
+
+    The powers are u, w, w∘w, w∘(w∘w), ...; the degree is the least k with
+    rank[u, w, ..., w^k] <= k, the rank cut at tol * max(1, max |entry|) of
+    that prefix.  Each step makes one stacked product for the rows still
+    open and one stacked rank, and the powers stop once every row has its
+    degree.  Returns (degrees, powers): degrees a list of ints (a
+    LinAlgError for a row whose rank failed), powers shaped (rows, dim + 1,
+    dim) with row n filled up to w^degree.
     """
-    rng = np.random.default_rng(seed)
-    best = 0
-    for _ in range(trials):
-        a = rng.standard_normal(J.dim)
-        best = max(best, minimal_polynomial_degree(J, a))
-    return best
+    W = np.asarray(W, float)
+    T, d = J.np_tensor, J.dim
+    pows = np.empty((len(W), d + 1, d))
+    pows[:, 0] = J.unit_float()
+    pows[:, 1] = W
+    degs: list = [d] * len(W)
+    open_rows = np.arange(len(W))
+    for k in range(1, d + 1):
+        if not open_rows.size:
+            break
+        M = pows[open_rows, :k + 1]
+        # fmax, like max(1.0, x), passes over a NaN
+        cut = tol * np.fmax(1.0, np.abs(M).max(axis=(1, 2)))
+        still = []
+        for n, r in zip(open_rows, _stacked(np.linalg.matrix_rank, M, cut)):
+            if isinstance(r, Exception):
+                degs[n] = r
+            elif r <= k:
+                degs[n] = k
+            else:
+                still.append(n)
+        open_rows = np.array(still, dtype=np.intp)
+        if open_rows.size and k < d:
+            pows[open_rows, k + 1] = np.einsum(
+                "ni,nj,ijk->nk", W[open_rows], pows[open_rows, k], T)
+    return degs, pows
 
 
-def _eigenvalues(J: JordanAlgebra, w: np.ndarray) -> np.ndarray:
-    """Sorted roots of the minimal polynomial of w, near-coincident ones
-    merged into one node (their mean)."""
-    deg = minimal_polynomial_degree(J, w)
-    pows = jordan_powers(J, w, deg)
-    M = np.array(pows[:deg]).T
-    coeffs, *_ = np.linalg.lstsq(M, pows[deg], rcond=None)
+def _merged_roots(P: np.ndarray) -> np.ndarray:
+    """Sorted roots of the monic polynomial with P[deg] = sum c_k P[k] over
+    k < deg, near-coincident ones merged into one node (their mean)."""
+    deg = len(P) - 1
+    coeffs, *_ = np.linalg.lstsq(P[:deg].T, P[deg], rcond=None)
     poly = np.concatenate([[1.0], -coeffs[::-1]])     # monic, high power first
     roots = np.roots(poly)
     if np.abs(roots.imag).max(initial=0.0) > 1e-6:
@@ -436,6 +487,94 @@ def _eigenvalues(J: JordanAlgebra, w: np.ndarray) -> np.ndarray:
     return np.array([sum(c) / len(c) for c in clusters])
 
 
+def _eigenvalues_many(J: JordanAlgebra, W: np.ndarray) -> list:
+    """Merged eigenvalues of each row of W (see `_eigenvalues`), or the
+    ArithmeticError or LinAlgError that row raises.  The degrees and powers
+    are stacked; the least-squares fit and the roots go row by row."""
+    degs, pows = _degrees_and_powers(J, W)
+    out = []
+    for deg, P in zip(degs, pows):
+        try:
+            out.append(_merged_roots(P[:_value(deg) + 1]))
+        except (ArithmeticError, np.linalg.LinAlgError) as e:
+            out.append(e)
+    return out
+
+
+def _sqrt_many(J: JordanAlgebra, W: np.ndarray) -> list:
+    """Square root of each row of W (see `jordan_sqrt`), or the error that
+    row raises: ArithmeticError for a complex or negative eigenvalue or a
+    stalled iteration, LinAlgError for a singular L_s.
+
+    Each Babylonian step is one stacked L_s, one stacked solve and one
+    stacked square over the rows that have not converged yet.
+    """
+    W = np.asarray(W, float)
+    T, u = J.np_tensor, J.unit_float()
+    out = _eigenvalues_many(J, W)
+    S = np.empty_like(W)
+    scale = np.empty(len(W))
+    err = np.full(len(W), np.inf)
+    running = []
+    for n, lams in enumerate(out):
+        if isinstance(lams, Exception):
+            continue
+        if lams.min() < -1e-6:
+            out[n] = ArithmeticError(
+                f"element not in the cone (eig {lams.min():.2e})")
+            continue
+        scale[n] = max(1.0, float(np.abs(W[n]).max()))
+        S[n] = np.sqrt(max(float(lams.max()), 1e-12)) * u
+        running.append(n)
+    rows = np.array(running, dtype=np.intp)
+    for _ in range(80):
+        if not rows.size:
+            break
+        steps = _stacked(np.linalg.solve, np.einsum("ni,ijk->nkj", S[rows], T),
+                         W[rows, :, None])
+        solved = np.array([not isinstance(x, Exception) for x in steps])
+        for n, x in zip(rows[~solved], itertools.compress(steps, ~solved)):
+            out[n] = x
+        rows = rows[solved]
+        if not rows.size:
+            break
+        X = np.array(list(itertools.compress(steps, solved)))[..., 0]
+        S[rows] = 0.5 * (S[rows] + X)
+        err[rows] = np.abs(np.einsum("ni,nj,ijk->nk", S[rows], S[rows], T)
+                           - W[rows]).max(axis=1)
+        rows = rows[~(err[rows] <= 1e-12 * scale[rows])]
+    for n, r in enumerate(out):
+        if isinstance(r, Exception):
+            continue
+        out[n] = (ArithmeticError(
+            f"square root iteration stalled (error {err[n]:.2e})")
+            if err[n] > 1e-7 * scale[n] else S[n])
+    return out
+
+
+def minimal_polynomial_degree(J: JordanAlgebra, a, tol: float = 1e-8) -> int:
+    degs, _ = _degrees_and_powers(J, np.asarray(a, float)[None], tol)
+    return _value(degs[0])
+
+
+def generic_rank(J: JordanAlgebra, seed: int = 42, trials: int = 5) -> int:
+    """Degree of the minimal polynomial of a generic element.
+
+    For a Euclidean Jordan algebra this is the rank; several random draws
+    guard against an unlucky non-generic sample (the max is generic).
+    """
+    rng = np.random.default_rng(seed)
+    A = np.array([rng.standard_normal(J.dim) for _ in range(trials)])
+    degs, _ = _degrees_and_powers(J, A.reshape(trials, J.dim))
+    return max((_value(k) for k in degs), default=0)
+
+
+def _eigenvalues(J: JordanAlgebra, w: np.ndarray) -> np.ndarray:
+    """Sorted roots of the minimal polynomial of w, near-coincident ones
+    merged into one node (their mean)."""
+    return _value(_eigenvalues_many(J, np.asarray(w, float)[None])[0])
+
+
 def spectral_decomposition(J: JordanAlgebra, w, tol: float = 1e-8):
     """Eigenvalues and spectral idempotents of w via its minimal polynomial.
 
@@ -447,6 +586,11 @@ def spectral_decomposition(J: JordanAlgebra, w, tol: float = 1e-8):
     """
     w = np.asarray(w, float)
     reps = _eigenvalues(J, w)
+    return reps, _idempotents(J, w, reps)
+
+
+def _idempotents(J: JordanAlgebra, w: np.ndarray, reps) -> list:
+    """Spectral idempotents of w over its merged eigenvalues `reps`."""
     idems = []
     for i, li in enumerate(reps):
         f = J.unit_float()
@@ -460,35 +604,22 @@ def spectral_decomposition(J: JordanAlgebra, w, tol: float = 1e-8):
             f3 = np.einsum("i,j,ijk->k", f, f2, J.np_tensor)
             f = 3.0 * f2 - 2.0 * f3
         idems.append(f)
-    return reps, idems
+    return idems
 
 
 def jordan_sqrt(J: JordanAlgebra, w, tol: float = 1e-9) -> np.ndarray:
     """Square root of an interior element.
 
     Babylonian iteration s <- (s + L_s^{-1} w) / 2, seeded at sqrt(lam_max)
-    times the unit.  The iterates stay in the associative subalgebra
-    generated by w, where the recursion is the scalar one per eigenvalue,
-    so convergence needs no spectral projectors — only the (possibly
-    ill-conditioned) eigenvalues themselves, used for the seed and the
-    negativity screen.
+    times the unit, until |s∘s - w| <= 1e-12 max(1, |w|) or 80 steps; a
+    residual above 1e-7 max(1, |w|) then raises ArithmeticError, and so
+    does an eigenvalue below -1e-6.  The iterates stay in the associative
+    subalgebra generated by w, where the recursion is the scalar one per
+    eigenvalue, so convergence needs no spectral projectors — only the
+    (possibly ill-conditioned) eigenvalues themselves, used for the seed
+    and the negativity screen.
     """
-    w = np.asarray(w, float)
-    lams = _eigenvalues(J, w)
-    if lams.min() < -1e-6:
-        raise ArithmeticError(f"element not in the cone (eig {lams.min():.2e})")
-    scale = max(1.0, float(np.abs(w).max()))
-    s = np.sqrt(max(float(lams.max()), 1e-12)) * J.unit_float()
-    err = np.inf
-    for _ in range(80):
-        s = 0.5 * (s + np.linalg.solve(J.left_mult(s), w))
-        err = float(np.abs(np.einsum("i,j,ijk->k", s, s, J.np_tensor)
-                           - w).max())
-        if err <= 1e-12 * scale:
-            break
-    if err > 1e-7 * scale:
-        raise ArithmeticError(f"square root iteration stalled (error {err:.2e})")
-    return s
+    return _value(_sqrt_many(J, np.asarray(w, float)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +659,18 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
                           seed: int = 42, tol: float = 1e-9
                           ) -> SymmetricConeReport:
     """Gate order: Jordan axioms, formal reality, self-duality samples,
-    homogeneity witnesses.  A failed axiom gate stops the later checks."""
+    homogeneity witnesses.  A failed axiom gate stops the later checks.
+
+    Gates 3 and 4 draw all their samples first, in the order a sample loop
+    would, and then work on the stack: one product per power for every
+    square, eigenvalue and root (`_eigenvalues_many`, `_sqrt_many`), one
+    P(w^{1/2}) = 2 L_s^2 - L_{s∘s} per sample for both the unit and the
+    image of a square.  Gate 4 then replays the samples in order, so the
+    report is the sample loop's: the first error of a square root or of a
+    spectral membership test ends the gate with the cone-preservation
+    failures found before it, and an error that is not an ArithmeticError
+    escapes where the loop would have raised it.
+    """
     rep = SymmetricConeReport(ok=False, seed=seed)
     rng = np.random.default_rng(seed)
     d = J.dim
@@ -575,15 +717,19 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
 
     # gate 3: self-duality samples — squares pair non-negatively, and the
     # spectral idempotents of random elements pair non-negatively too
+    T, u = J.np_tensor, J.unit_float()
+    X, Y = np.empty((sample_count, d)), np.empty((sample_count, d))
+    for n in range(sample_count):
+        X[n], Y[n] = rng.standard_normal(d), rng.standard_normal(d)
+    X2 = np.einsum("ni,nj,ijk->nk", X, X, T)
+    Y2 = np.einsum("ni,nj,ijk->nk", Y, Y, T)
+    Z = X2[::10] + 0.1 * u
+    spectra = _eigenvalues_many(J, Z)
     min_pair = np.inf
-    for _ in range(sample_count):
-        x = rng.standard_normal(d)
-        y = rng.standard_normal(d)
-        x2 = np.einsum("i,j,ijk->k", x, x, J.np_tensor)
-        y2 = np.einsum("i,j,ijk->k", y, y, J.np_tensor)
-        min_pair = min(min_pair, float(x2 @ Gf @ y2))
-        if _ % 10 == 0:
-            _, idems = spectral_decomposition(J, x2 + 0.1 * J.unit_float())
+    for n in range(sample_count):
+        min_pair = min(min_pair, float(X2[n] @ Gf @ Y2[n]))
+        if n % 10 == 0:
+            idems = _idempotents(J, Z[n // 10], _value(spectra[n // 10]))
             for p, q in itertools.combinations(idems, 2):
                 min_pair = min(min_pair, float(p @ Gf @ q))
     rep.min_pairing = min_pair
@@ -592,24 +738,38 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
         rep.failures.append({"gate": "self-duality", "min_pairing": min_pair})
         return rep
 
-    # gate 4: homogeneity witnesses P(w^{1/2}) e = w on random interior w
+    # gate 4: homogeneity witnesses P(w^{1/2}) e = w on random interior w,
+    # and P(w^{1/2}) keeps squares in the cone.  The samples are stacked;
+    # the loop below replays them in order and stops at the first error.
+    shift = np.empty(sample_count)
+    for n in range(sample_count):
+        X[n], shift[n], Y[n] = (rng.standard_normal(d), rng.random(),
+                                rng.standard_normal(d))
+    W = np.einsum("ni,nj,ijk->nk", X, X, T) + (0.2 + shift)[:, None] * u
+    roots = _sqrt_many(J, W)
+    stop = next((n for n, s in enumerate(roots) if isinstance(s, Exception)),
+                sample_count)
+    S = np.array(roots[:stop]).reshape(stop, d)
+    La = np.einsum("ni,ijk->nkj", S, T)
+    P = 2 * (La @ La) - np.einsum(
+        "ni,ijk->nkj", np.einsum("ni,nj,ijk->nk", S, S, T), T)
+    got = P @ u
+    Y2 = np.einsum("ni,nj,ijk->nk", Y[:stop], Y[:stop], T)
+    inside = _in_cone_many(J, (P @ Y2[..., None])[..., 0], 1e-7)
+    error = roots[stop] if stop < sample_count else None
     worst_h = 0.0
-    u = J.unit_float()
-    try:
-        for _ in range(sample_count):
-            x = rng.standard_normal(d)
-            w = np.einsum("i,j,ijk->k", x, x, J.np_tensor) + \
-                (0.2 + rng.random()) * u
-            s = jordan_sqrt(J, w)
-            got = quadratic_rep(J, s) @ u
-            worst_h = max(worst_h, float(np.abs(got - w).max()))
-            y = rng.standard_normal(d)
-            y2 = np.einsum("i,j,ijk->k", y, y, J.np_tensor)
-            mapped = quadratic_rep(J, s) @ y2
-            if not cone_of_squares_membership(J, mapped, tol=1e-7):
-                rep.failures.append({"gate": "homogeneity-cone-preservation"})
-    except ArithmeticError as e:
-        rep.failures.append({"gate": "homogeneity-spectral", "error": str(e)})
+    for n in range(stop):
+        worst_h = max(worst_h, float(np.abs(got[n] - W[n]).max()))
+        if isinstance(inside[n], Exception):
+            error = inside[n]
+            break
+        if not inside[n]:
+            rep.failures.append({"gate": "homogeneity-cone-preservation"})
+    if error is not None:
+        if not isinstance(error, ArithmeticError):
+            raise error
+        rep.failures.append({"gate": "homogeneity-spectral",
+                             "error": str(error)})
         rep.homogeneity_ok = False
         return rep
     rep.max_homogeneity_error = worst_h
@@ -954,11 +1114,15 @@ def _simple_classes(max_dim: int):
 def identify_algebra(J: JordanAlgebra, seed: int = 42) -> list[str]:
     """Candidate catalog kinds matching (dim, rank); ambiguities all listed.
 
-    Rank is the minimal-polynomial degree of a generic element; candidates
-    are direct sums of simple classes whose dimensions and ranks add up.
+    Rank is the minimal-polynomial degree of a generic element; see
+    `algebra_candidates`.
     """
-    d = J.dim
-    r = generic_rank(J, seed=seed)
+    return algebra_candidates(J.dim, generic_rank(J, seed=seed))
+
+
+def algebra_candidates(d: int, r: int) -> list[str]:
+    """Direct sums of simple classes whose dimensions add up to d and whose
+    ranks add up to r, as sorted canonical names."""
     simples = _simple_classes(d)
     found: set = set()
 

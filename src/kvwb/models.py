@@ -651,10 +651,21 @@ class ImageCandidate:
 
 
 def find_nontrivial_images(m: Model, max_outcomes: int = 8) -> list[ImageCandidate]:
-    """Exhaust all outcome identifications and report which give genuine images.
+    """The candidates of `assess_all_candidates` that give genuine images."""
+    return [c for c in assess_all_candidates(m, max_outcomes)
+            if c.verdict == "image"]
 
-    Quantum models use their finite sample symmetries as the group and the
-    density-matrix pullback condition for state feasibility.
+
+def assess_all_candidates(m: Model, max_outcomes: int = 8) -> list[ImageCandidate]:
+    """Exhaust all outcome identifications and give each a verdict.
+
+    A verdict is "image", or the reason the identification gives none:
+    "not-a-congruence", "unequal-image-tests", "trivial-image",
+    "empty-states" (polytope), or for quantum models "no-consistent-pullback",
+    "negative-probability", "no-psd-pullback" and "psd-pullback-unknown"
+    (the grid search for a PSD pullback missed, which does not show that
+    none exists).  Quantum models use their finite sample symmetries as the
+    group and the density-matrix pullback condition for state feasibility.
     """
     labels = list(m.outcomes)
     if len(labels) > max_outcomes:
@@ -662,32 +673,10 @@ def find_nontrivial_images(m: Model, max_outcomes: int = 8) -> list[ImageCandida
     group = m.sample_symmetries if isinstance(m.states, QuantumBackend) else m.group
     if group is None or not isinstance(group, PermutationGroup):
         raise ModelError("image search needs a finite outcome symmetry group")
-
-    results: list[ImageCandidate] = []
-    for part in set_partitions(labels):
-        if all(len(b) == 1 for b in part):
-            continue                      # bijective relabelling: trivial
-        blocks = tuple(tuple(sorted(b)) for b in sorted(part, key=lambda b: sorted(b)[0]))
-        omap = {}
-        for bi, b in enumerate(blocks):
-            for x in b:
-                omap[x] = f"c{bi}"
-        cand = _assess_candidate(m, group, blocks, omap)
-        if cand is not None:
-            results.append(cand)
-    return [c for c in results if c.verdict == "image"]
-
-
-def assess_all_candidates(m: Model, max_outcomes: int = 8) -> list[ImageCandidate]:
-    """Like find_nontrivial_images but keeps the rejected candidates too."""
-    labels = list(m.outcomes)
-    if len(labels) > max_outcomes:
-        raise ModelError(f"image search capped at {max_outcomes} outcomes")
-    group = m.sample_symmetries if isinstance(m.states, QuantumBackend) else m.group
     out = []
     for part in set_partitions(labels):
         if all(len(b) == 1 for b in part):
-            continue
+            continue                      # bijective relabelling: trivial
         blocks = tuple(tuple(sorted(b)) for b in sorted(part, key=lambda b: sorted(b)[0]))
         omap = {}
         for bi, b in enumerate(blocks):
@@ -751,8 +740,10 @@ def _polytope_pullback_feasible(m: Model, omap) -> bool:
     return solve_feasibility(A, b).feasible
 
 
-def _quantum_pullback_feasible(m: Model, omap) -> tuple[bool, str]:
-    """Feasibility of a density-matrix pullback for an identification map."""
+def _quantum_pullback_feasible(m: Model, omap) -> tuple[Optional[bool], str]:
+    """(feasible, verdict) of a density-matrix pullback for an
+    identification map; feasible is None, with the verdict
+    "psd-pullback-unknown", when the PSD search cannot decide."""
     qb: QuantumBackend = m.states
     y_labels = _stable_unique(omap[x] for x in m.outcomes)
     y_tests = _stable_unique(tuple(_stable_unique(omap[x] for x in E)) for E in m.tests)
@@ -785,6 +776,8 @@ def _quantum_pullback_feasible(m: Model, omap) -> tuple[bool, str]:
     # for dim 2 the minimum-Bloch-norm point decides PSD feasibility outright
     null = np_nullspace_f(A)
     best = _min_trace_distance_psd(qb, sol, null, ny)
+    if best is None:
+        return None, "psd-pullback-unknown"
     if best:
         if any(b_val < -1e-9 for b_val in sol[:ny]):
             return False, "negative-probability"
@@ -798,7 +791,14 @@ def np_nullspace_f(A: np.ndarray) -> np.ndarray:
 
 
 def _min_trace_distance_psd(qb: QuantumBackend, sol: np.ndarray,
-                            null: np.ndarray, ny: int) -> bool:
+                            null: np.ndarray, ny: int) -> Optional[bool]:
+    """Whether the affine set sol + span(null) holds a PSD density matrix.
+
+    Without null directions the one point decides.  Otherwise a 21-point
+    grid per direction, coefficients in [-1, 1], is searched: True when a
+    grid point is PSD, None (unknown) when the grid misses, since a PSD
+    point may lie off the grid.
+    """
     import itertools as it
     base = qb.basis.from_coords(sol[ny:])
     if null.shape[0] == 0:
@@ -812,7 +812,7 @@ def _min_trace_distance_psd(qb: QuantumBackend, sol: np.ndarray,
         best = max(best, float(np.linalg.eigvalsh(M).min()))
         if best >= -1e-9:
             return True
-    return False
+    return None
 
 
 # ---------------------------------------------------------------------------

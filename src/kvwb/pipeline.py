@@ -415,10 +415,9 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
     if blocked("jordan-recovery"):
         add("identification", NA, notes=["needs a recovered product"])
     else:
-        cands = jordan.identify_algebra(recovered, seed=seed)
-        idata = {"dim": recovered.dim,
-                 "rank": jordan.generic_rank(recovered, seed=seed),
-                 "candidates": cands}
+        rank = jordan.generic_rank(recovered, seed=seed)
+        cands = jordan.algebra_candidates(recovered.dim, rank)
+        idata = {"dim": recovered.dim, "rank": rank, "candidates": cands}
         inotes = []
         if len(cands) > 1:
             inotes.append("dimension and rank do not separate these "

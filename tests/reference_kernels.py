@@ -1,17 +1,27 @@
 """Reference oracles: the `Fraction` kernels that `kvwb.linalg.rref` and
 `kvwb.lp.solve_feasibility` replaced with integer elimination, and the
 loop-built constraint rows and full-SVD nullspace that
-`kvwb.jordan._linear_rows` and `kvwb.jordan._solve_float` replaced.
+`kvwb.jordan._linear_rows` and `kvwb.jordan._solve_float` replaced, and the
+one-element spectral functions and symmetric-cone check that the stacked
+kernels of `kvwb.jordan` (`_degrees_and_powers`, `_eigenvalues_many`,
+`_sqrt_many`) replaced.
 
 Slow and obviously correct; the property tests require the fast kernels to
 return exactly what these return.
 """
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 
-from kvwb.jordan import RecoveryProblem, _pair_index
-from kvwb.linalg import Mat, Vec, ZERO, ONE, dot, frac
+from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
+                         _identity_residual, _pair_index,
+                         _random_rational_vec, _reconstruct, quadratic_rep,
+                         trace_form_gram)
+from kvwb.linalg import (Mat, Vec, ZERO, ONE, dot, frac,
+                         is_positive_definite)
 from kvwb.lp import LPResult, UnboundedError
 
 
@@ -250,3 +260,238 @@ def np_nullspace_full_svd(A: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     _, s, vt = np.linalg.svd(A, full_matrices=True)
     nz = (s > rtol * (s[0] if len(s) else 1.0)).sum()
     return vt[nz:].T
+
+
+# ---------------------------------------------------------------------------
+# one-element spectral functions and the symmetric-cone check
+
+def cone_of_squares_membership(J: JordanAlgebra, a, tol: float = 1e-9) -> bool:
+    if J.kind.startswith("DirectSum"):
+        parts, offs = J.params["parts"], J.params["offsets"]
+        return all(cone_of_squares_membership(
+            p, list(a)[o:o + p.dim], tol) for p, o in zip(parts, offs))
+    if J.kind.startswith("SpinFactor"):
+        n = J.params["n"]
+        x, s = list(a)[:n], a[n]
+        if all(isinstance(v, (Fraction, int)) for v in a):
+            return frac(s) >= 0 and frac(s) ** 2 >= sum(frac(v) ** 2 for v in x)
+        return float(s) >= -tol and float(s) ** 2 + tol >= sum(
+            float(v) ** 2 for v in x)
+    if J.kind == "RealSym(1)":
+        return (frac(a[0]) >= 0 if isinstance(a[0], (Fraction, int))
+                else float(a[0]) >= -tol)
+    if "basis" in J.params:
+        M = _reconstruct(J, a)
+        return float(np.linalg.eigvalsh(M).min()) >= -tol
+    # No structural description (e.g. a recovered product): fall back to the
+    # spectral test — an element lies in the closed cone of squares exactly
+    # when its eigenvalues are nonnegative.
+    eigs = _eigenvalues(J, np.asarray(a, dtype=float))
+    return min(eigs) >= -max(tol, 1e-7)
+
+
+def jordan_powers(J: JordanAlgebra, a, upto: int) -> list[np.ndarray]:
+    out = [J.unit_float(), np.asarray(a, float)]
+    for _ in range(upto - 1):
+        out.append(np.einsum("i,j,ijk->k", np.asarray(a, float), out[-1],
+                             J.np_tensor))
+    return out
+
+
+def minimal_polynomial_degree(J: JordanAlgebra, a, tol: float = 1e-8) -> int:
+    pows = jordan_powers(J, a, J.dim)
+    for k in range(1, J.dim + 1):
+        M = np.array(pows[:k + 1])
+        if np.linalg.matrix_rank(M, tol=tol * max(1.0, np.abs(M).max())) <= k:
+            return k
+    return J.dim
+
+
+def generic_rank(J: JordanAlgebra, seed: int = 42, trials: int = 5) -> int:
+    """Degree of the minimal polynomial of a generic element.
+
+    For a Euclidean Jordan algebra this is the rank; several random draws
+    guard against an unlucky non-generic sample (the max is generic).
+    """
+    rng = np.random.default_rng(seed)
+    best = 0
+    for _ in range(trials):
+        a = rng.standard_normal(J.dim)
+        best = max(best, minimal_polynomial_degree(J, a))
+    return best
+
+
+def _eigenvalues(J: JordanAlgebra, w: np.ndarray) -> np.ndarray:
+    """Sorted roots of the minimal polynomial of w, near-coincident ones
+    merged into one node (their mean)."""
+    deg = minimal_polynomial_degree(J, w)
+    pows = jordan_powers(J, w, deg)
+    M = np.array(pows[:deg]).T
+    coeffs, *_ = np.linalg.lstsq(M, pows[deg], rcond=None)
+    poly = np.concatenate([[1.0], -coeffs[::-1]])     # monic, high power first
+    roots = np.roots(poly)
+    if np.abs(roots.imag).max(initial=0.0) > 1e-6:
+        raise ArithmeticError("complex eigenvalues in a formally real algebra "
+                              f"(imag {np.abs(roots.imag).max():.2e})")
+    lams = np.sort(roots.real)
+    # Lagrange interpolation is badly conditioned when eigenvalues are close,
+    # so nearly coincident roots are merged into one node.
+    scale = max(1.0, float(np.abs(lams).max()))
+    clusters: list[list[float]] = []
+    for l in lams:
+        if clusters and l - clusters[-1][-1] <= 1e-6 * scale:
+            clusters[-1].append(float(l))
+        else:
+            clusters.append([float(l)])
+    return np.array([sum(c) / len(c) for c in clusters])
+
+
+def spectral_decomposition(J: JordanAlgebra, w, tol: float = 1e-8):
+    """Eigenvalues and spectral idempotents of w via its minimal polynomial.
+
+    Power associativity makes the subalgebra generated by w commutative and
+    associative, so Lagrange interpolation on Jordan powers, over the merged
+    eigenvalue nodes, produces the spectral projections; each projector is
+    then purified with f <- 3f^2 - 2f^3 (quadratic convergence to the
+    idempotent with the same spectral support).
+    """
+    w = np.asarray(w, float)
+    reps = _eigenvalues(J, w)
+    idems = []
+    for i, li in enumerate(reps):
+        f = J.unit_float()
+        for j, lj in enumerate(reps):
+            if i == j:
+                continue
+            f = (np.einsum("i,j,ijk->k", f, w - lj * J.unit_float(),
+                           J.np_tensor)) / (li - lj)
+        for _ in range(2):
+            f2 = np.einsum("i,j,ijk->k", f, f, J.np_tensor)
+            f3 = np.einsum("i,j,ijk->k", f, f2, J.np_tensor)
+            f = 3.0 * f2 - 2.0 * f3
+        idems.append(f)
+    return reps, idems
+
+
+def jordan_sqrt(J: JordanAlgebra, w, tol: float = 1e-9) -> np.ndarray:
+    """Square root of an interior element.
+
+    Babylonian iteration s <- (s + L_s^{-1} w) / 2, seeded at sqrt(lam_max)
+    times the unit.  The iterates stay in the associative subalgebra
+    generated by w, where the recursion is the scalar one per eigenvalue,
+    so convergence needs no spectral projectors — only the (possibly
+    ill-conditioned) eigenvalues themselves, used for the seed and the
+    negativity screen.
+    """
+    w = np.asarray(w, float)
+    lams = _eigenvalues(J, w)
+    if lams.min() < -1e-6:
+        raise ArithmeticError(f"element not in the cone (eig {lams.min():.2e})")
+    scale = max(1.0, float(np.abs(w).max()))
+    s = np.sqrt(max(float(lams.max()), 1e-12)) * J.unit_float()
+    err = np.inf
+    for _ in range(80):
+        s = 0.5 * (s + np.linalg.solve(J.left_mult(s), w))
+        err = float(np.abs(np.einsum("i,j,ijk->k", s, s, J.np_tensor)
+                           - w).max())
+        if err <= 1e-12 * scale:
+            break
+    if err > 1e-7 * scale:
+        raise ArithmeticError(f"square root iteration stalled (error {err:.2e})")
+    return s
+
+
+def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
+                          seed: int = 42, tol: float = 1e-9
+                          ) -> SymmetricConeReport:
+    """Gate order: Jordan axioms, formal reality, self-duality samples,
+    homogeneity witnesses.  A failed axiom gate stops the later checks."""
+    rep = SymmetricConeReport(ok=False, seed=seed)
+    rng = np.random.default_rng(seed)
+    d = J.dim
+
+    # gate 1: axioms (exact where the tensor is exact)
+    if J.exact:
+        comm = all(J.tensor[i][j] == J.tensor[j][i]
+                   for i in range(d) for j in range(d))
+        unit_ok = all(J.product(J.unit, [ONE if t == j else ZERO
+                                         for t in range(d)])
+                      == [ONE if t == j else ZERO for t in range(d)]
+                      for j in range(d))
+        worst = max(_identity_residual(J, _random_rational_vec(rng, d),
+                                       _random_rational_vec(rng, d))
+                    for _ in range(max(10, sample_count // 5)))
+        ident = worst == 0
+    else:
+        T = J.np_tensor
+        comm = float(np.abs(T - T.transpose(1, 0, 2)).max()) <= tol
+        u = J.unit_float()
+        unit_ok = float(np.abs(J.left_mult(u) - np.eye(d)).max()) <= 1e-8
+        worst = max(_identity_residual(J, rng.standard_normal(d),
+                                       rng.standard_normal(d))
+                    for _ in range(max(10, sample_count // 5)))
+        ident = worst <= 1e-8
+    rep.commutative_ok, rep.unit_ok, rep.identity_ok = comm, unit_ok, ident
+    if not (comm and unit_ok and ident):
+        rep.failures.append({"gate": "jordan-axioms",
+                             "identity_residual": (str(worst) if J.exact
+                                                   else float(worst))})
+        return rep
+
+    # gate 2: formal reality via the trace form
+    G = trace_form_gram(J)
+    if J.exact:
+        rep.trace_form_pd = is_positive_definite(G)
+    else:
+        rep.trace_form_pd = bool(np.linalg.eigvalsh(np.asarray(G)).min() > tol)
+    if not rep.trace_form_pd:
+        rep.failures.append({"gate": "trace-form-pd"})
+        return rep
+    Gf = np.array([[float(G[i][j]) for j in range(d)] for i in range(d)]) \
+        if J.exact else np.asarray(G)
+
+    # gate 3: self-duality samples — squares pair non-negatively, and the
+    # spectral idempotents of random elements pair non-negatively too
+    min_pair = np.inf
+    for _ in range(sample_count):
+        x = rng.standard_normal(d)
+        y = rng.standard_normal(d)
+        x2 = np.einsum("i,j,ijk->k", x, x, J.np_tensor)
+        y2 = np.einsum("i,j,ijk->k", y, y, J.np_tensor)
+        min_pair = min(min_pair, float(x2 @ Gf @ y2))
+        if _ % 10 == 0:
+            _, idems = spectral_decomposition(J, x2 + 0.1 * J.unit_float())
+            for p, q in itertools.combinations(idems, 2):
+                min_pair = min(min_pair, float(p @ Gf @ q))
+    rep.min_pairing = min_pair
+    rep.self_duality_ok = min_pair >= -tol
+    if not rep.self_duality_ok:
+        rep.failures.append({"gate": "self-duality", "min_pairing": min_pair})
+        return rep
+
+    # gate 4: homogeneity witnesses P(w^{1/2}) e = w on random interior w
+    worst_h = 0.0
+    u = J.unit_float()
+    try:
+        for _ in range(sample_count):
+            x = rng.standard_normal(d)
+            w = np.einsum("i,j,ijk->k", x, x, J.np_tensor) + \
+                (0.2 + rng.random()) * u
+            s = jordan_sqrt(J, w)
+            got = quadratic_rep(J, s) @ u
+            worst_h = max(worst_h, float(np.abs(got - w).max()))
+            y = rng.standard_normal(d)
+            y2 = np.einsum("i,j,ijk->k", y, y, J.np_tensor)
+            mapped = quadratic_rep(J, s) @ y2
+            if not cone_of_squares_membership(J, mapped, tol=1e-7):
+                rep.failures.append({"gate": "homogeneity-cone-preservation"})
+    except ArithmeticError as e:
+        rep.failures.append({"gate": "homogeneity-spectral", "error": str(e)})
+        rep.homogeneity_ok = False
+        return rep
+    rep.max_homogeneity_error = worst_h
+    rep.homogeneity_ok = worst_h <= 1e-9 and not any(
+        f.get("gate") == "homogeneity-cone-preservation"
+        for f in rep.failures)
+    rep.ok = bool(rep.homogeneity_ok)
+    return rep

@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from kvwb.builtins import classical, get_builtin, squit, squit_klein
+from kvwb import models
 from kvwb.lp import cone_membership
 from kvwb.models import TestSpace as TSpace
 from kvwb.models import (ORBIT_LIMIT, Model, ModelError, PermutationGroup,
@@ -161,6 +163,43 @@ def test_quantum_builtins_have_no_nontrivial_images():
         verdicts = {c.verdict for c in assess_all_candidates(m)}
         assert verdicts <= {"not-a-congruence", "trivial-image",
                             "unequal-image-tests"}
+
+
+def test_image_search_needs_a_finite_group():
+    m = get_builtin("qubit:real")
+    m = Model(m.name, m.testspace, m.states, m.group)     # no sample group
+    for search in (find_nontrivial_images, assess_all_candidates):
+        with pytest.raises(ModelError, match="finite outcome symmetry group"):
+            search(m)
+
+
+def qubit_pullback(base, direction):
+    """(backend, point, nullspace rows) of a one-outcome qubit pullback."""
+    qb = get_builtin("qubit:real").states
+    coords = [np.concatenate([[0.0], qb.basis.to_coords(np.diag(v))])
+              for v in (base, direction)]
+    return qb, coords[0], np.array([coords[1]])
+
+
+def test_psd_grid_miss_is_unknown_not_no():
+    """diag(1, -1.5) + c diag(0, 1) is PSD only for c >= 1.5, off the grid
+    over [-1, 1]: the search cannot say that no PSD pullback exists."""
+    qb, sol, null = qubit_pullback([1.0, -1.5], [0.0, 1.0])
+    assert models._min_trace_distance_psd(qb, sol, null, 1) is None
+    qb, sol, null = qubit_pullback([1.0, -0.5], [0.0, 1.0])
+    assert models._min_trace_distance_psd(qb, sol, null, 1) is True
+    qb, sol, _ = qubit_pullback([1.0, -0.5], [0.0, 1.0])
+    assert models._min_trace_distance_psd(qb, sol, np.zeros((0, 4)), 1) is False
+
+
+def test_unknown_psd_search_gives_its_own_verdict(monkeypatch):
+    m = get_builtin("qubit:real")
+    omap = {x: x for x in m.outcomes}
+    assert models._quantum_pullback_feasible(m, omap) == (True, "")
+    monkeypatch.setattr(models, "_min_trace_distance_psd",
+                        lambda *args: None)
+    assert models._quantum_pullback_feasible(m, omap) == (
+        None, "psd-pullback-unknown")
 
 
 def test_torn_fibre_raises():

@@ -35,6 +35,21 @@ def test_conjugate_lp_is_solved_once(name, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ["classical:3", "qubit:complex"])
+def test_rank_is_computed_once(name, monkeypatch):
+    from kvwb import jordan
+    calls = []
+    rank = jordan.generic_rank
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return rank(*args, **kw)
+
+    monkeypatch.setattr(jordan, "generic_rank", counted)
+    assert run(name).stage("identification").status == "pass"
+    assert len(calls) == 1
+
+
 def test_squit_fails_exactly_where_it_should():
     rep = run("squit")
     assert rep.failures == ["sharpness", "self-duality"]
