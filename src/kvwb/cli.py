@@ -188,8 +188,7 @@ def spin(model, seed, tol, out):
     """The orthogonalizing unit-normalized invariant form, with uniqueness."""
     m = _load(model, seed)
     E = effectspace.build_effect_space(m)
-    acts = E.all_effect_actions()
-    rep = forms.check_spin_uniqueness(m, E, acts, tol=tol)
+    rep = forms.check_spin_uniqueness(m, E, tol=tol)
     res = rep.spin
     doc = {"model": m.name, "irreducible": rep.irreducible,
            "solution_space_dim": rep.solution_space_dim,
@@ -238,9 +237,17 @@ def conjugate(model, no_invariance, seed, tol, out):
 @seed_opt
 @out_opt
 def image(model, max_outcomes, seed, out):
-    """Enumerate surjective morphism candidates onto smaller models."""
+    """Enumerate surjective morphism candidates onto smaller models.
+
+    Exits 2 without searching when the model has more outcomes than
+    --max-outcomes or no finite outcome symmetry group.
+    """
     m = _load(model, seed)
-    cands = models.find_nontrivial_images(m, max_outcomes=max_outcomes)
+    try:
+        cands = models.find_nontrivial_images(m, max_outcomes=max_outcomes)
+    except models.ModelError as exc:
+        click.echo(f"{m.name}: {exc} (search not run)", err=True)
+        sys.exit(2)
     doc = {"model": m.name, "candidates": [jsonable(vars(c)) for c in cands]}
     _emit(dumps_canonical(doc), out)
 
@@ -268,13 +275,12 @@ def _cone_inputs(source, form_path, seed, tol):
     E = effectspace.build_effect_space(m)
     if E.kind != "exact":
         return None, None, (m, E), m.name
-    K = cones.cone(E.cone_generators)
+    K = E.effect_cone
     if form_path:
         with open(form_path, encoding="utf-8") as fh:
             B = form_from_json(json.load(fh)).matrix
     else:
-        res = forms.find_orthogonalizing_spin_form(
-            m, E, E.all_effect_actions(), tol=tol)
+        res = forms.find_orthogonalizing_spin_form(m, E, tol=tol)
         if res.form is None:
             raise click.ClickException(
                 "no invariant form found; pass one with --form")
@@ -357,9 +363,7 @@ def cone_weak(source, form_path, ray_cap, seed, tol, out):
         raise click.ClickException(
             "sampled quantum cones have no exact ray enumeration; "
             "use `kvwb run` for the analytic argument")
-    if B is None:
-        B = [[Fraction(i == j) for j in range(K.dim)] for i in range(K.dim)]
-    rep = cones.is_weakly_self_dual(K, B, cap=ray_cap)
+    rep = cones.is_weakly_self_dual(K, cones.dual_cone(K, B), cap=ray_cap)
     _emit(dumps_canonical({"source": name, **jsonable(vars(rep))}), out)
     if rep.status != "yes":
         sys.exit(1 if rep.status == "no" else 2)
@@ -377,12 +381,11 @@ def _recovered(model, seed, tol):
     from .pipeline import _recovery_problem
     m = _load(model, seed)
     E = effectspace.build_effect_space(m)
-    acts = E.all_effect_actions()
-    res = forms.find_orthogonalizing_spin_form(m, E, acts, tol=tol)
+    res = forms.find_orthogonalizing_spin_form(m, E, tol=tol)
     if res.form is None or not all(res.form.flag_summary().values()):
         raise click.ClickException("no invariant form in good standing; "
                                    "recovery needs one")
-    prob = _recovery_problem(m, E, res.form, tol)
+    prob = _recovery_problem(E, res.form, tol)
     return m, jordan.recover_jordan_product(prob, seed=seed)
 
 

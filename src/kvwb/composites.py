@@ -10,19 +10,17 @@ reproduces the unique orthogonalizing invariant form.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .cones import dual_cone, pairwise_form_positivity
-from .effectspace import OrderUnitSpace, build_effect_space, cone_membership
-from .forms import BilinearForm, check_unitarity, is_irreducible
-from .linalg import (ONE, ZERO, Mat, Vec, column_space_basis, dot, frac,
-                     inverse, mat_mul, mat_vec, rank, solve, transpose)
-from .lp import LPResult, convex_membership, solve_feasibility
+from .effectspace import OrderUnitSpace, build_effect_space
+from .forms import BilinearForm, certify_flags, check_unitarity
+from .linalg import (ONE, ZERO, Vec, column_space_basis, dot, frac, inverse,
+                     mat_mul, mat_vec, rank, solve, transpose)
+from .lp import convex_membership, solve_feasibility
 from .models import Model, PermutationGroup, PolytopeBackend, QuantumBackend
 
 
@@ -315,9 +313,9 @@ def is_isomorphism_state(w: BipartiteState,
 
     Exact models: the map must be invertible, send every effect-cone
     generator into the dual cone of the partner (checked generator against
-    generator), and its inverse must send every dual-cone generator (from
-    the double-description dual) back into the effect cone, with LP
-    certificates.  Quantum samples are tested against the analytic
+    generator), and its inverse must send every generator of the partner's
+    dual effect cone (computed once per effect space) back into the effect
+    cone, with LP certificates.  Quantum samples are tested against the analytic
     positive-semidefinite cone, which the sampled cone generates.
     """
     E_A = E_A or build_effect_space(w.A)
@@ -339,9 +337,8 @@ def is_isomorphism_state(w: BipartiteState,
                     fwd = False
                     failures.append({"stage": "forward", "generator": list(g),
                                      "against": v, "value": dot(f, v)})
-        dualB = dual_cone(E_B.effect_cone)
         inv = True
-        for d in dualB.all_generators():
+        for d in E_B.dual_effect_cone.all_generators():
             res = E_A.effect_cone.contains(mat_vec(W_inv, list(d)))
             if not res.feasible:
                 inv = False
@@ -547,7 +544,8 @@ def spin_form_from_conjugate(c: Conjugate,
     The table fixes B on outcome pairs; the extension solves against a
     maximal independent family and then re-verifies every pair, raising
     with the violating pair if the table does not respect an effect-vector
-    dependency.  All five flags are certified on the result.
+    dependency.  `certify_flags` sets four flags on the result and
+    `invariant` is the unitarity of the symmetries under it.
     """
     m = c.model
     E = E or build_effect_space(m)
@@ -577,57 +575,23 @@ def spin_form_from_conjugate(c: Conjugate,
                     raise CompositeError(
                         "table violates an effect dependency at pair "
                         f"({x!r},{y!r})", witness=(x, y))
-        _flag_exact(B, m, E)
-        return B
-
-    C = np.array([E.outcome_vectors[x] for x in basis], float).T
-    C_inv = np.linalg.inv(C)
-    T_bb = np.array([[vals[(x, y)] for y in basis] for x in basis], float)
-    S = C_inv.T @ T_bb @ C_inv
-    S = (S + S.T) / 2
-    B = BilinearForm(S, "float")
-    worst = 0.0
-    for x in outs:
-        for y in outs:
-            err = abs(B.value(E.outcome_vectors[x], E.outcome_vectors[y])
-                      - vals[(x, y)])
-            worst = max(worst, err)
-            if err > tol:
-                raise CompositeError(
-                    "table violates an effect dependency at pair "
-                    f"({x!r},{y!r}) (error {err:.2e})", witness=(x, y))
-    _flag_float(B, m, E, tol)
-    return B
-
-
-def _flag_exact(B: BilinearForm, m: Model, E: OrderUnitSpace) -> None:
-    from .linalg import is_positive_definite
-    from .models import distinguishable_pairs
-    B.normalized = B.value(E.u, E.u) == 1
-    B.orthogonalizing = all(
-        B.value(E.outcome_vectors[x], E.outcome_vectors[y]) == 0
-        for x, y in distinguishable_pairs(m))
-    gens = E.effect_cone.all_generators()
-    worst, _ = pairwise_form_positivity([list(g) for g in gens], B.matrix)
-    B.positive_on_cone = worst >= 0
-    B.invariant = _invariance_flag(E, B)
-    B.positive_definite = is_positive_definite(B.matrix)
-
-
-def _flag_float(B: BilinearForm, m: Model, E: OrderUnitSpace,
-                tol: float) -> None:
-    from .models import distinguishable_pairs
-    M = np.asarray(B.matrix)
-    u = np.asarray(E.u, float)
-    B.normalized = abs(float(u @ M @ u) - 1.0) <= tol
-    B.orthogonalizing = all(
-        abs(B.value(E.outcome_vectors[x], E.outcome_vectors[y])) <= tol
-        for x, y in distinguishable_pairs(m))
-    vs = [np.asarray(E.outcome_vectors[x]) for x in m.outcomes]
-    B.positive_on_cone = all(float(a @ M @ b) >= -tol
-                             for a in vs for b in vs)
+    else:
+        C = np.array([E.outcome_vectors[x] for x in basis], float).T
+        C_inv = np.linalg.inv(C)
+        T_bb = np.array([[vals[(x, y)] for y in basis] for x in basis], float)
+        S = C_inv.T @ T_bb @ C_inv
+        B = BilinearForm((S + S.T) / 2, "float")
+        for x in outs:
+            for y in outs:
+                err = abs(B.value(E.outcome_vectors[x], E.outcome_vectors[y])
+                          - vals[(x, y)])
+                if err > tol:
+                    raise CompositeError(
+                        "table violates an effect dependency at pair "
+                        f"({x!r},{y!r}) (error {err:.2e})", witness=(x, y))
+    certify_flags(B, E, tol)
     B.invariant = _invariance_flag(E, B, tol)
-    B.positive_definite = bool(np.linalg.eigvalsh(M).min() > tol)
+    return B
 
 
 def _invariance_flag(E: OrderUnitSpace, B: BilinearForm,
@@ -635,7 +599,7 @@ def _invariance_flag(E: OrderUnitSpace, B: BilinearForm,
     """Unitarity of the symmetries under B; None when B is singular, as a
     table found without the invariance constraints can give."""
     try:
-        return check_unitarity(E.all_effect_actions(), B, tol)
+        return check_unitarity(E.actions, B, tol)
     except ValueError:
         return None
 
@@ -652,15 +616,17 @@ class HomogeneityReport:
     notes: list = field(default_factory=list)
 
 
-def homogeneity_report(m: Model, witnesses: list[BipartiteState],
+def homogeneity_report(E: OrderUnitSpace, witnesses: list[BipartiteState],
                        samples: list, tol: float = 1e-9) -> HomogeneityReport:
-    """Which sampled interior states are marginals of isomorphism states?
+    """Which sampled interior states of E's model are marginals of
+    isomorphism states?
 
     A hypothesis-checking report, not a proof of homogeneity: each witness
-    is verified to be an isomorphism state, its marginal computed, and each
-    sample matched against the verified marginals.
+    (a bipartite state of the model with itself) is verified to be an
+    isomorphism state on E, its marginal computed, and each sample matched
+    against the verified marginals.
     """
-    E = build_effect_space(m)
+    m = E.model
     exact = E.kind == "exact"
     witness_ok, margs = [], []
     for w in witnesses:

@@ -282,16 +282,17 @@ class WeakSelfDualityReport:
     notes: list[str] = field(default_factory=list)
 
 
-def is_weakly_self_dual(K: PolyhedralCone, form: Mat,
+def is_weakly_self_dual(K: PolyhedralCone, D: PolyhedralCone,
                         cap: int = 12) -> WeakSelfDualityReport:
     """Search for invertible M with M(extreme rays of K) = extreme rays of
-    the form-dual, ray by ray with positive scalars.
+    D = `dual_cone(K, form)`, ray by ray with positive scalars.
 
-    Such an M restricts to an order isomorphism of K onto its dual, which is
-    exactly weak self-duality; conversely any linear order isomorphism
-    permutes extreme rays, so the search is exhaustive for pointed cones.
+    D is passed in so a dual already computed (by `is_self_dual`, say) is
+    reused.  Such an M restricts to an order isomorphism of K onto its dual,
+    which is exactly weak self-duality; conversely any linear order
+    isomorphism permutes extreme rays, so the search is exhaustive for
+    pointed cones.
     """
-    D = dual_cone(K, form)
     notes: list[str] = []
     if D.lineality or not is_pointed(K):
         return WeakSelfDualityReport("unknown", dual=D, notes=[

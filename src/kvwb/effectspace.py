@@ -10,18 +10,17 @@ orthonormal operator basis instead and stay in floats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import quantum
-from .cones import PolyhedralCone, cone
-from .linalg import (Mat, Vec, ONE, ZERO, column_space_basis, dot, frac,
-                     mat_mul, mat_vec, rank, solve, transpose)
+from .cones import PolyhedralCone, cone, dual_cone
+from .linalg import (Mat, Vec, ONE, ZERO, column_space_basis, frac, mat_mul,
+                     mat_vec, solve, transpose)
 from .models import (Model, Morphism, PermutationGroup, PolytopeBackend,
-                     QuantumBackend, UnitaryGenerators, act_on_state,
-                     perm_inverse, state_tuple)
+                     QuantumBackend, act_on_state, perm_inverse)
 
 
 class EffectSpaceError(ValueError):
@@ -30,7 +29,12 @@ class EffectSpaceError(ValueError):
 
 @dataclass(eq=False)
 class OrderUnitSpace:
-    """Coordinates for the span of a model's outcome effects."""
+    """Coordinates for the span of a model's outcome effects.
+
+    The one analysis context of a model: the symmetry actions and the dual
+    effect cone are derived from it on first use and kept, so every stage
+    shares them.
+    """
 
     model: Model
     kind: str                                   # "exact" | "float"
@@ -44,9 +48,6 @@ class OrderUnitSpace:
     collapse: list[tuple[str, str]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def outcome_matrix(self) -> list:
-        return [self.outcome_vectors[x] for x in self.model.outcomes]
-
     @property
     def cone_generators(self) -> list:
         """Outcome vectors, deduplicated — the generators of the effect cone."""
@@ -59,33 +60,6 @@ class OrderUnitSpace:
                 seen.add(key)
                 out.append(self.outcome_vectors[x])
         return out
-
-    # ---- states as dual vectors -------------------------------------------
-    def state_coords(self, state) -> object:
-        """Coefficients of a state against the coordinate frame.
-
-        Exact models expand the state over the basis extreme states; the
-        pairing <effect, state> is then the plain dot product of coordinates.
-        """
-        if self.kind == "exact":
-            if isinstance(state, dict):
-                state = state_tuple(self.model, state)
-            cols = [list(self.model.states.vertices[i]) for i in self.basis_states]
-            A = transpose(cols)
-            c = solve(A, list(state))
-            if c is None:
-                raise EffectSpaceError("state lies outside the span of the "
-                                       "extreme states")
-            return c
-        rho = state if isinstance(state, np.ndarray) else np.asarray(state)
-        if rho.ndim == 2:
-            return self.basis.to_coords(rho)
-        return rho
-
-    def pair(self, effect, state_vec) -> object:
-        if self.kind == "exact":
-            return dot(list(effect), list(state_vec))
-        return float(np.dot(np.asarray(effect), np.asarray(state_vec)))
 
     # ---- symmetries as matrices -------------------------------------------
     def effect_action(self, g) -> object:
@@ -118,6 +92,16 @@ class OrderUnitSpace:
         if isinstance(m.group, PermutationGroup):
             return [self.effect_action(g) for g in m.group.generators]
         return list(m.group.matrices)
+
+    @cached_property
+    def actions(self) -> tuple:
+        """Effect-space matrices of the symmetry generators, computed once."""
+        return tuple(self.all_effect_actions())
+
+    @cached_property
+    def dual_effect_cone(self) -> PolyhedralCone:
+        """{v : v.g >= 0 for every effect}, computed once; exact spaces only."""
+        return dual_cone(self.effect_cone)
 
 
 def build_effect_space(m: Model) -> OrderUnitSpace:

@@ -10,16 +10,17 @@ admits cone positivity) is an inner product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
+from .cones import pairwise_form_positivity
 from .effectspace import OrderUnitSpace
-from .linalg import (Vec, ONE, ZERO, dot, frac, is_positive_definite,
-                     is_symmetric, mat_mul, mat_vec, nullspace, np_nullspace,
-                     np_rref, rank, transpose)
+from .linalg import (Vec, ONE, ZERO, dot, is_positive_definite, is_symmetric,
+                     mat_mul, mat_vec, nullspace, np_nullspace, np_rref, rank,
+                     transpose)
 from .lp import free_feasibility
+from .models import distinguishable_pairs
 
 TRI_STATE = Optional[bool]          # True / False / None = unchecked
 
@@ -126,18 +127,16 @@ def _invariance_system(acts, dim: int, exact: bool) -> list:
     return rows
 
 
-def invariant_symmetric_forms(E: OrderUnitSpace, actions=None
-                              ) -> list[BilinearForm]:
+def invariant_symmetric_forms(E: OrderUnitSpace) -> list[BilinearForm]:
     """Basis of symmetric forms with M_g^T B M_g = B for every generator.
 
     Invariance under the generators extends to the whole generated group,
     since the invariance condition is multiplicative in g, so the basis is
     one nullspace over the generator rows.
     """
-    acts = actions if actions is not None else E.all_effect_actions()
     exact = E.kind == "exact"
     dim = E.dim
-    rows = _invariance_system(acts, dim, exact)
+    rows = _invariance_system(E.actions, dim, exact)
     if exact:
         basis = nullspace(rows) if rows else _full_symmetric_basis(dim)
         out = [BilinearForm(_unpack(v, dim, True), "exact", invariant=True)
@@ -173,7 +172,7 @@ def _fixed_covector_dim(acts, dim: int, exact: bool) -> int:
 # ---------------------------------------------------------------------------
 # irreducibility
 
-def is_irreducible(E: OrderUnitSpace, actions=None) -> bool:
+def is_irreducible(E: OrderUnitSpace) -> bool:
     """Exactly one invariant symmetric form on u-perp, up to scale.
 
     For a finite or compact group every invariant subspace carries an
@@ -189,9 +188,9 @@ def is_irreducible(E: OrderUnitSpace, actions=None) -> bool:
     is dim{invariant forms on V} - dim{w : M^T w = w}: two nullspaces over
     the generator rows, with no complement chosen.
     """
-    acts = actions if actions is not None else E.all_effect_actions()
-    n_forms = len(invariant_symmetric_forms(E, actions=acts))
-    return n_forms - _fixed_covector_dim(acts, E.dim, E.kind == "exact") == 1
+    n_forms = len(invariant_symmetric_forms(E))
+    return n_forms - _fixed_covector_dim(E.actions, E.dim,
+                                         E.kind == "exact") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +204,7 @@ class SpinFormResult:
     basis: list = field(default_factory=list)        # homogeneous solution basis
 
 
-def find_orthogonalizing_spin_form(m, E: OrderUnitSpace,
-                                   actions=None, tol: float = 1e-9
+def find_orthogonalizing_spin_form(m, E: OrderUnitSpace, tol: float = 1e-9
                                    ) -> SpinFormResult:
     """Solve {symmetric, invariant, zero on distinguishable pairs}, then
     normalize B(u,u)=1 and demand positivity on cone generator pairs.
@@ -214,11 +212,9 @@ def find_orthogonalizing_spin_form(m, E: OrderUnitSpace,
     Returns the homogeneous solution dimension as the uniqueness certificate
     (1 means unique up to scale) and a form when the normalized slice meets
     the positivity constraints; positivity on generator pairs is sufficient
-    for positivity on the whole cone by bilinearity.
+    for positivity on the whole cone by bilinearity.  The flags of the form
+    are set by `certify_flags`; `invariant` holds by construction.
     """
-    from .models import distinguishable_pairs
-
-    acts = actions if actions is not None else E.all_effect_actions()
     exact = E.kind == "exact"
     dim = E.dim
 
@@ -227,7 +223,7 @@ def find_orthogonalizing_spin_form(m, E: OrderUnitSpace,
         if (b, a) not in pairs:
             pairs.add((a, b))
 
-    rows = _invariance_system(acts, dim, exact)
+    rows = _invariance_system(E.actions, dim, exact)
     for a, b in sorted(pairs):
         va, vb = E.outcome_vectors[a], E.outcome_vectors[b]
         rows.append(_pairing_row(list(va), list(vb), dim, exact))
@@ -261,7 +257,7 @@ def find_orthogonalizing_spin_form(m, E: OrderUnitSpace,
         S = [[sum(c * mats[k][i][j] for k, c in enumerate(res.point))
               for j in range(dim)] for i in range(dim)]
         form = BilinearForm(S, "exact", invariant=True)
-        _certify_exact(form, m, E, pairs)
+        certify_flags(form, E, tol)
         return SpinFormResult(form, h, [], basis=mats)
 
     if h > 1:
@@ -274,35 +270,49 @@ def find_orthogonalizing_spin_form(m, E: OrderUnitSpace,
         return SpinFormResult(None, h, ["candidate form is degenerate on the "
                                         "unit"], basis=mats)
     S = S / uu
-    form = BilinearForm(S, "float", invariant=True)
     worst = min(float(np.asarray(g) @ S @ np.asarray(gj))
                 for gi, g in enumerate(gens) for gj in gens[gi:])
     if worst < -tol:
         return SpinFormResult(None, h, [f"normalized form fails cone "
                                         f"positivity ({worst:.3e})"],
                               basis=mats)
-    form.positive_on_cone = True
-    form.normalized = True
-    form.orthogonalizing = all(
-        abs(form.value(E.outcome_vectors[a], E.outcome_vectors[b])) <= tol
-        for a, b in pairs) if pairs else True
+    form = BilinearForm(S, "float", invariant=True)
+    certify_flags(form, E, tol)
     ev = float(np.linalg.eigvalsh(S).min())
-    form.positive_definite = ev > tol
     return SpinFormResult(form, h, [f"minimum eigenvalue {ev:.6e}"],
                           basis=mats)
 
 
-def _certify_exact(form: BilinearForm, m, E, pairs) -> None:
-    u = list(E.u)
-    form.normalized = dot(mat_vec(form.matrix, u), u) == 1
-    form.orthogonalizing = all(
-        form.value(E.outcome_vectors[a], E.outcome_vectors[b]) == 0
-        for a, b in pairs)
-    gens = E.cone_generators
-    form.positive_on_cone = all(
-        form.value(g, h) >= 0
-        for i, g in enumerate(gens) for h in gens[i:])
-    form.positive_definite = is_positive_definite(form.matrix)
+def certify_flags(form: BilinearForm, E: OrderUnitSpace,
+                  tol: float = 1e-9) -> None:
+    """Set the normalized, orthogonalizing, positive_on_cone and
+    positive_definite flags of `form` on the effect space `E`.
+
+    Exact forms are compared exactly, float forms within `tol`.  Positivity
+    on the cone is checked on every pair of cone generators (the effect-cone
+    generators, or every outcome vector of a float space), which suffices by
+    bilinearity.  `invariant` is left to the caller: the spin search holds it
+    by construction, and a derived form has it checked by unitarity.
+    """
+    vecs = E.outcome_vectors
+    pairs = distinguishable_pairs(E.model)
+    if form.kind == "exact":
+        form.normalized = form.value(E.u, E.u) == 1
+        form.orthogonalizing = all(form.value(vecs[a], vecs[b]) == 0
+                                   for a, b in pairs)
+        worst, _ = pairwise_form_positivity(E.cone_generators, form.matrix)
+        form.positive_on_cone = worst >= 0
+        form.positive_definite = is_positive_definite(form.matrix)
+        return
+    M = np.asarray(form.matrix)
+    u = np.asarray(E.u, float)
+    form.normalized = abs(float(u @ M @ u) - 1.0) <= tol
+    form.orthogonalizing = all(abs(form.value(vecs[a], vecs[b])) <= tol
+                               for a, b in pairs)
+    gens = [np.asarray(vecs[x]) for x in E.model.outcomes]
+    form.positive_on_cone = all(float(a @ M @ b) >= -tol
+                                for a in gens for b in gens)
+    form.positive_definite = bool(np.linalg.eigvalsh(M).min() > tol)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +330,7 @@ class SpinUniquenessReport:
     notes: list[str] = field(default_factory=list)
 
 
-def check_spin_uniqueness(m, E: OrderUnitSpace, actions=None,
+def check_spin_uniqueness(m, E: OrderUnitSpace,
                           tol: float = 1e-9) -> SpinUniquenessReport:
     """Uniqueness + inner-product statement, instantiated on one model.
 
@@ -329,8 +339,8 @@ def check_spin_uniqueness(m, E: OrderUnitSpace, actions=None,
     statement silent ("hypothesis not met").  The spin-form search runs
     once; its result is returned as `spin`.
     """
-    irr = is_irreducible(E, actions=actions)
-    res = find_orthogonalizing_spin_form(m, E, actions=actions, tol=tol)
+    irr = is_irreducible(E)
+    res = find_orthogonalizing_spin_form(m, E, tol=tol)
     notes = list(res.notes)
     if not irr:
         return SpinUniquenessReport(irr, res.solution_space_dim,

@@ -215,14 +215,12 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
         E = None
         add("effect-space", FAIL, {"error": str(exc)})
 
-    actions = E.all_effect_actions() if E is not None else []
-
     # -- irreducibility -----------------------------------------------------
     if blocked("effect-space"):
         add("irreducibility", NA, notes=["needs the effect space"])
         irr = None
     else:
-        irr = forms.is_irreducible(E, actions)
+        irr = forms.is_irreducible(E)
         add("irreducibility", PASS if irr else FAIL,
             {"irreducible": irr,
              "meaning": "exactly one invariant symmetric form on the "
@@ -233,7 +231,7 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
     if blocked("effect-space"):
         add("spin-form", NA, notes=["needs the effect space"])
     else:
-        sres = forms.find_orthogonalizing_spin_form(m, E, actions, tol=tol)
+        sres = forms.find_orthogonalizing_spin_form(m, E, tol=tol)
         flags = sres.form.flag_summary() if sres.form is not None else {}
         if sres.form is not None and all(flags.values()):
             spin = sres.form
@@ -256,7 +254,7 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
     if blocked("spin-form"):
         add("unitarity", NA, notes=["needs the invariant form"])
     else:
-        uok = forms.check_unitarity(actions, spin, tol=tol)
+        uok = forms.check_unitarity(E.actions, spin, tol=tol)
         add("unitarity", PASS if uok else FAIL,
             {"all_generators_unitary": uok,
              "meaning": "M^T B M = B for every symmetry generator"})
@@ -313,16 +311,14 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
     if blocked("spin-form"):
         add("self-duality", NA, notes=["needs the invariant form"])
     elif E.kind == "exact":
-        K = cones.cone(E.cone_generators)
-        rep = cones.is_self_dual(K, spin.matrix)
-        add("self-duality", PASS if rep.self_dual else FAIL,
-            {"self_dual": rep.self_dual,
-             "pairwise_min": rep.pairwise_min,
-             "pairwise_argmin": rep.pairwise_argmin,
-             "dual_generators": [list(g) for g in rep.dual.all_generators()],
-             "failures": rep.failures},
+        sdrep = cones.is_self_dual(E.effect_cone, spin.matrix)
+        add("self-duality", PASS if sdrep.self_dual else FAIL,
+            {"self_dual": sdrep.self_dual,
+             "pairwise_min": sdrep.pairwise_min,
+             "pairwise_argmin": sdrep.pairwise_argmin,
+             "dual_generators": [list(g) for g in sdrep.dual.all_generators()],
+             "failures": sdrep.failures},
             ["exact double-description computation of the dual cone"])
-        sd_ok = rep.self_dual
     else:
         # sampled + analytic: pair the sampled effects under the form, and
         # certify the full cone analytically when the form is the trace
@@ -349,14 +345,12 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
              "analytic certificate: the form equals the normalized trace "
              "pairing, under which the positive-semidefinite cone is "
              "self-dual"])
-        sd_ok = ok
 
     # -- weak self-duality ------------------------------------------------------
     if blocked("spin-form"):
         add("weak-self-duality", NA, notes=["needs the invariant form"])
     elif E.kind == "exact":
-        K = cones.cone(E.cone_generators)
-        wrep = cones.is_weakly_self_dual(K, spin.matrix)
+        wrep = cones.is_weakly_self_dual(E.effect_cone, sdrep.dual)
         wst = {"yes": PASS, "no": FAIL, "unknown": UNKNOWN}[wrep.status]
         add("weak-self-duality", wst,
             {"status": wrep.status, "map": wrep.map,
@@ -377,7 +371,7 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
         add("homogeneity", NA, notes=["needs the effect space"])
     else:
         wits, samples = _homogeneity_inputs(m, eta)
-        hrep = composites.homogeneity_report(m, wits, samples, tol=tol)
+        hrep = composites.homogeneity_report(E, wits, samples, tol=tol)
         hst = PASS if (hrep.verified_on_samples and all(hrep.witness_ok)) \
             else UNKNOWN
         add("homogeneity", hst,
@@ -392,7 +386,7 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
         add("jordan-recovery", NA,
             notes=["needs a self-dual cone and the invariant form"])
     else:
-        prob = _recovery_problem(m, E, spin, tol)
+        prob = _recovery_problem(E, spin, tol)
         res = jordan.recover_jordan_product(prob, seed=seed)
         ok = (res.algebra is not None and res.residual is not None
               and res.residual <= 1e-8 and res.seeds_agree is True
@@ -428,8 +422,7 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
                           spin_form=spin, recovered=recovered)
 
 
-def _recovery_problem(m: models.Model, E, spin, tol: float
-                      ) -> jordan.RecoveryProblem:
+def _recovery_problem(E, spin, tol: float) -> jordan.RecoveryProblem:
     """Assemble recovery inputs from the verified pipeline prerequisites."""
     gens = E.cone_generators
     if E.kind == "exact":
@@ -443,28 +436,26 @@ def _recovery_problem(m: models.Model, E, spin, tol: float
             vv = [Fraction(float(x)) + slack * b for x, b in zip(v, uvec)]
             return E.effect_cone.contains(vv).feasible
 
-        acts = E.all_effect_actions()
         return jordan.RecoveryProblem(
             dim=E.dim,
             B=np.array([[float(x) for x in row] for row in spin.matrix]),
             u=np.array([float(x) for x in E.u]),
             cone_generators=[np.array([float(x) for x in g]) for g in gens],
             actions=[np.array([[float(x) for x in row] for row in M])
-                     for M in acts],
+                     for M in E.actions],
             outcome_vectors=[np.array([float(x) for x in g]) for g in gens],
             cone_membership=membership,
             exact=True,
             B_exact=[[frac(x) for x in row] for row in spin.matrix],
             u_exact=[frac(x) for x in E.u],
             actions_exact=[[[frac(x) for x in row] for row in M]
-                           for M in acts],
+                           for M in E.actions],
             outcome_vectors_exact=[[frac(x) for x in g] for g in gens])
     membership = lambda v: effectspace.cone_membership(E, v, tol).feasible
-    acts = [np.asarray(M, float) for M in E.all_effect_actions()]
     return jordan.RecoveryProblem(
         dim=E.dim, B=np.asarray(spin.matrix, float),
         u=np.asarray(E.u, float),
         cone_generators=[np.asarray(g, float) for g in gens],
-        actions=acts,
+        actions=[np.asarray(M, float) for M in E.actions],
         outcome_vectors=[np.asarray(g, float) for g in gens],
         cone_membership=membership, exact=False)

@@ -4,7 +4,8 @@ loop-built constraint rows and full-SVD nullspace that
 `kvwb.jordan._linear_rows` and `kvwb.jordan._solve_float` replaced, and the
 one-element spectral functions and symmetric-cone check that the stacked
 kernels of `kvwb.jordan` (`_degrees_and_powers`, `_eigenvalues_many`,
-`_sqrt_many`) replaced.
+`_sqrt_many`) replaced, and the four SPIN-flag setters that
+`kvwb.forms.certify_flags` replaced.
 
 Slow and obviously correct; the property tests require the fast kernels to
 return exactly what these return.
@@ -16,12 +17,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from kvwb.composites import _invariance_flag
+from kvwb.cones import pairwise_form_positivity
 from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
                          _identity_residual, _pair_index,
                          _random_rational_vec, _reconstruct, quadratic_rep,
                          trace_form_gram)
 from kvwb.linalg import (Mat, Vec, ZERO, ONE, dot, frac,
-                         is_positive_definite)
+                         is_positive_definite, mat_vec)
 from kvwb.lp import LPResult, UnboundedError
 
 
@@ -495,3 +498,62 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
         for f in rep.failures)
     rep.ok = bool(rep.homogeneity_ok)
     return rep
+
+
+# ---------------------------------------------------------------------------
+# SPIN flags, as four near-copies set them before `forms.certify_flags`
+
+
+def _certify_exact(form, m, E, pairs) -> None:
+    u = list(E.u)
+    form.normalized = dot(mat_vec(form.matrix, u), u) == 1
+    form.orthogonalizing = all(
+        form.value(E.outcome_vectors[a], E.outcome_vectors[b]) == 0
+        for a, b in pairs)
+    gens = E.cone_generators
+    form.positive_on_cone = all(
+        form.value(g, h) >= 0
+        for i, g in enumerate(gens) for h in gens[i:])
+    form.positive_definite = is_positive_definite(form.matrix)
+
+
+def spin_float_flags(form, E, pairs, S, tol: float) -> None:
+    """The flag block of the float branch of
+    `find_orthogonalizing_spin_form`, run after its positivity test on the
+    normalized matrix S passed."""
+    form.positive_on_cone = True
+    form.normalized = True
+    form.orthogonalizing = all(
+        abs(form.value(E.outcome_vectors[a], E.outcome_vectors[b])) <= tol
+        for a, b in pairs) if pairs else True
+    ev = float(np.linalg.eigvalsh(S).min())
+    form.positive_definite = ev > tol
+
+
+def _flag_exact(B, m, E) -> None:
+    from kvwb.linalg import is_positive_definite
+    from kvwb.models import distinguishable_pairs
+    B.normalized = B.value(E.u, E.u) == 1
+    B.orthogonalizing = all(
+        B.value(E.outcome_vectors[x], E.outcome_vectors[y]) == 0
+        for x, y in distinguishable_pairs(m))
+    gens = E.effect_cone.all_generators()
+    worst, _ = pairwise_form_positivity([list(g) for g in gens], B.matrix)
+    B.positive_on_cone = worst >= 0
+    B.invariant = _invariance_flag(E, B)
+    B.positive_definite = is_positive_definite(B.matrix)
+
+
+def _flag_float(B, m, E, tol: float) -> None:
+    from kvwb.models import distinguishable_pairs
+    M = np.asarray(B.matrix)
+    u = np.asarray(E.u, float)
+    B.normalized = abs(float(u @ M @ u) - 1.0) <= tol
+    B.orthogonalizing = all(
+        abs(B.value(E.outcome_vectors[x], E.outcome_vectors[y])) <= tol
+        for x, y in distinguishable_pairs(m))
+    vs = [np.asarray(E.outcome_vectors[x]) for x in m.outcomes]
+    B.positive_on_cone = all(float(a @ M @ b) >= -tol
+                             for a in vs for b in vs)
+    B.invariant = _invariance_flag(E, B, tol)
+    B.positive_definite = bool(np.linalg.eigvalsh(M).min() > tol)

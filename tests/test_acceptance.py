@@ -65,7 +65,7 @@ def test_criterion_1_invariant_form_unique_and_positive():
     with budget(10):
         for name in REGULAR:
             m, E, res = spin_of(name)
-            rep = check_spin_uniqueness(m, E, E.all_effect_actions())
+            rep = check_spin_uniqueness(m, E)
             assert rep.irreducible is True, name
             assert rep.solution_space_dim == 1, name
             assert res.form is not None and res.form.positive_definite, name
@@ -154,7 +154,8 @@ def test_criterion_4_weak_self_duality_contrast():
     assert rep.stage("self-duality").status == "fail"
     assert rep.stage("weak-self-duality").status == "pass"
     m, E, res = spin_of("squit")
-    w = is_weakly_self_dual(cone(E.cone_generators), res.form.matrix)
+    K = cone(E.cone_generators)
+    w = is_weakly_self_dual(K, dual_cone(K, res.form.matrix))
     assert w.status == "yes"
     assert w.map is not None and w.bijection is not None
 
@@ -206,7 +207,7 @@ def test_criterion_7_product_recovery():
         m = get_builtin("classical:3")
         E = build_effect_space(m)
         spin = find_orthogonalizing_spin_form(m, E).form
-        res = recover_jordan_product(_recovery_problem(m, E, spin, 1e-9))
+        res = recover_jordan_product(_recovery_problem(E, spin, 1e-9))
         assert res.linear_solution_dim == 0 and res.seeds_agree
         for i in range(3):
             for j in range(3):
@@ -217,7 +218,7 @@ def test_criterion_7_product_recovery():
         m = get_builtin("qubit:complex")
         E = build_effect_space(m)
         spin = find_orthogonalizing_spin_form(m, E).form
-        res = recover_jordan_product(_recovery_problem(m, E, spin, 1e-9))
+        res = recover_jordan_product(_recovery_problem(E, spin, 1e-9))
         assert res.seeds_agree
         basis, d = E.basis, E.dim
         orc = np.zeros((d, d, d))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -7,7 +8,9 @@ from kvwb import forms
 from kvwb.builtins import get_builtin
 from kvwb.cli import main
 from kvwb.composites import Conjugate, spin_form_from_conjugate
-from kvwb.serialize import bipartite_from_json, dumps_canonical, form_to_json
+from kvwb.models import Model
+from kvwb.serialize import (bipartite_from_json, dumps_canonical, form_to_json,
+                            model_to_json)
 
 
 @pytest.fixture()
@@ -117,6 +120,25 @@ def test_image_lists_candidates(runner):
     blob = json.loads(res.output)
     kinds = {c["verdict"] for c in blob["candidates"]}
     assert "image" in kinds
+
+
+@pytest.mark.parametrize("args, message", [
+    (["qutrit:complex"], "image search capped at 8 outcomes"),
+    (["squit", "--max-outcomes", "3"], "image search capped at 3 outcomes"),
+    ([None], "image search needs a finite outcome symmetry group"),
+])
+def test_image_outside_its_scope_exits_2(runner, tmp_path, args, message):
+    if args == [None]:                     # qubit:real without sample group
+        m = get_builtin("qubit:real")
+        path = tmp_path / "no-group.json"
+        path.write_text(dumps_canonical(model_to_json(
+            Model(m.name, m.testspace, m.states, m.group))))
+        args = [str(path)]
+    res = runner.invoke(main, ["image", *args])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1
+    assert message in res.stderr and "search not run" in res.stderr
 
 
 def test_cone_subcommands(runner, tmp_path):
@@ -260,3 +282,51 @@ def test_no_command_takes_an_enumeration_cap(runner):
         res = invoke(runner, *cmd, "--help")
         assert res.exit_code == 0, cmd
         assert "--cap" not in res.output, cmd
+
+
+#: sha256 and exit code of single-stage commands whose code paths share the
+#: effect space's actions, dual cone and flag certifier, recorded before they
+#: did: the spin search, the conjugate and its derived form, the dual and the
+#: (weak) self-duality of the effect cone, and the recovery inputs.
+CLI_SHA256 = {
+    ("spin", "classical:3"):
+        (0, "0ada15f30c1261aa5abdc036d09772e6980b81792c7f728fba07242fd74dad96"),
+    ("conjugate", "classical:3"):
+        (0, "55cb19b5fbc8e445784be0d19436b3d60afc161ca397aa3e90384d286412fb60"),
+    ("conjugate", "classical:3", "--no-invariance"):
+        (0, "55cb19b5fbc8e445784be0d19436b3d60afc161ca397aa3e90384d286412fb60"),
+    ("spin", "squit"):
+        (0, "cdd413a24618cef719db26498be2e05f9c10aa70ab5e8aaa2b3e478dd51705dc"),
+    ("conjugate", "squit"):
+        (0, "ba2e8b4a39dd9eda343288efacf8325159612f7a9ccbdbae2cc82d2d20d2138d"),
+    ("conjugate", "squit", "--no-invariance"):
+        (0, "de6183a6a9fa7b5792c1eac751dba6e3eb1cdff9efad599f5c66a110d05573b4"),
+    ("spin", "squit:klein"):
+        (1, "b38fc13b6f8c50e87567897ccd27784afb3963497b4e215a7b672809e5522d42"),
+    ("conjugate", "squit:klein"):
+        (0, "85a2dfd80bf7ce33385107e0a31271b919388e6af5f3cbd9d4ad7b7a2bd0934f"),
+    ("conjugate", "squit:klein", "--no-invariance"):
+        (0, "85a2dfd80bf7ce33385107e0a31271b919388e6af5f3cbd9d4ad7b7a2bd0934f"),
+    ("cone", "dual", "classical:3"):
+        (0, "e470a7348e538974385a6dde75535611d8bb2782a4b468cd386a2434d0348231"),
+    ("cone", "selfdual", "classical:3"):
+        (0, "7875ac23dcc63f0bb7feda75500ab894e2f924ffbb4be76792ad3c510998ce93"),
+    ("cone", "weak", "classical:3"):
+        (0, "ec22b9c120650a36855fc3508453259165ddc9319aedbae9974f07506e0d7a7d"),
+    ("cone", "dual", "squit"):
+        (0, "9d40a4f547e62f63eb2e1a2b5b817c55474e1ee1d00b8fd9d517ddbafbb3c5e6"),
+    ("cone", "selfdual", "squit"):
+        (1, "f0b6c3da25f197386f6f3791c8bb4515ff62f8f007d8a632065adf2ff7463101"),
+    ("cone", "weak", "squit"):
+        (0, "d773c07e751c3c2635ad1b01210a6d41c7210a3d91ec56f36ab68c2535a2f068"),
+    ("jordan", "recover", "classical:3"):
+        (0, "a370f70f0b3e392f11f065dbafa6b4ef1d2bef492abf9a062bd3559ce46a6388"),
+}
+
+
+@pytest.mark.parametrize("args", list(CLI_SHA256), ids=" ".join)
+def test_single_stage_commands_keep_their_bytes(runner, args):
+    res = invoke(runner, *args)
+    code, digest = CLI_SHA256[args]
+    assert res.exit_code == code
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest

@@ -149,7 +149,7 @@ def test_homogeneity_on_classical():
     samples = [[F(1, 3)] * 3, [F(1, 6), F(2, 6), F(3, 6)]]
     witnesses = [c.eta] + [diag_table(m, dict(zip(m.outcomes, s)))
                            for s in samples]
-    rep = homogeneity_report(m, witnesses, samples)
+    rep = homogeneity_report(build_effect_space(m), witnesses, samples)
     assert all(rep.witness_ok)
     assert rep.verified_on_samples
     assert not rep.uncovered
@@ -158,7 +158,8 @@ def test_homogeneity_on_classical():
 def test_homogeneity_honest_when_uncovered():
     m = classical(3)
     c = make_conjugate(m)
-    rep = homogeneity_report(m, [c.eta], [[F(1, 6), F(2, 6), F(3, 6)]])
+    rep = homogeneity_report(build_effect_space(m), [c.eta],
+                             [[F(1, 6), F(2, 6), F(3, 6)]])
     assert not rep.verified_on_samples
     assert rep.uncovered
 

@@ -109,7 +109,7 @@ def test_weak_self_duality_of_square_cone():
     sq = cone([[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]])
     B = identity(3)
     assert not is_self_dual(sq, B).self_dual
-    rep = is_weakly_self_dual(sq, B)
+    rep = is_weakly_self_dual(sq, dual_cone(sq, B))
     assert rep.status == "yes"
     T = rep.map
     chk = is_order_isomorphism(T, sq, dual_cone(sq, B))

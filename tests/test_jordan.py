@@ -149,7 +149,7 @@ def recovery_inputs(name):
     m = get_builtin(name)
     E = build_effect_space(m)
     spin = find_orthogonalizing_spin_form(m, E).form
-    return _recovery_problem(m, E, spin, 1e-9)
+    return _recovery_problem(E, spin, 1e-9)
 
 
 def test_recovery_classical_is_exact():
@@ -169,7 +169,7 @@ def test_recovery_qubit_matches_the_operator_product():
     m = get_builtin("qubit:complex")
     E = build_effect_space(m)
     spin = find_orthogonalizing_spin_form(m, E).form
-    p = _recovery_problem(m, E, spin, 1e-9)
+    p = _recovery_problem(E, spin, 1e-9)
     res = recover_jordan_product(p)
     assert res.linear_solution_dim == 0
     assert res.seeds_agree and res.algebra is not None

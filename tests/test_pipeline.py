@@ -35,6 +35,36 @@ def test_conjugate_lp_is_solved_once(name, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ["classical:4", "squit"])
+def test_effect_space_parts_are_computed_once(name, monkeypatch):
+    """One effect space, one set of actions, and two double descriptions:
+    the form dual of the self-duality stage, reused for weak self-duality,
+    and the unpaired dual of the effect cone, shared by every isomorphism
+    check."""
+    from kvwb import cones, effectspace
+    calls = {"build": 0, "actions": 0, "dd": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kw):
+            calls[key] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    # every build_effect_space goes through one of these module globals,
+    # whichever namespace imported build_effect_space itself
+    for builder in ("_build_exact", "_build_float"):
+        monkeypatch.setattr(effectspace, builder,
+                            counted("build", getattr(effectspace, builder)))
+    monkeypatch.setattr(
+        effectspace.OrderUnitSpace, "all_effect_actions",
+        counted("actions", effectspace.OrderUnitSpace.all_effect_actions))
+    monkeypatch.setattr(cones, "halfspace_cone_rays",
+                        counted("dd", cones.halfspace_cone_rays))
+    rep = run(name)
+    assert rep.stage("homogeneity").status != "not-applicable"
+    assert calls == {"build": 1, "actions": 1, "dd": 2}
+
+
 @pytest.mark.parametrize("name", ["classical:3", "qubit:complex"])
 def test_rank_is_computed_once(name, monkeypatch):
     from kvwb import jordan

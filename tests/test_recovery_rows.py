@@ -26,7 +26,7 @@ def builtin_problem(name):
     m = get_builtin(name)
     E = build_effect_space(m)
     spin = find_orthogonalizing_spin_form(m, E).form
-    return _recovery_problem(m, E, spin, 1e-9)
+    return _recovery_problem(E, spin, 1e-9)
 
 
 def assert_same_floats(new, old):

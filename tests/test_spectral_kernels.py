@@ -40,7 +40,7 @@ def recovered(name):
     m = get_builtin(name)
     E = build_effect_space(m)
     spin = find_orthogonalizing_spin_form(m, E).form
-    return recover_jordan_product(_recovery_problem(m, E, spin, 1e-9)).algebra
+    return recover_jordan_product(_recovery_problem(E, spin, 1e-9)).algebra
 
 
 def spectral_only(J):
