@@ -1,4 +1,5 @@
-"""Built-in models: classical simplices, the square bit, and quantum samples.
+"""Built-in models: classical simplices, the square bit, the hypercube
+(gbit) state spaces, and quantum samples.
 
 Quantum models are finite samples of maximal measurement frames; every
 sample here is closed under entrywise conjugation so conjugate searches
@@ -7,6 +8,7 @@ stay inside the model, and each ships a finite outcome-permutation group
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +32,27 @@ def classical(n: int) -> Model:
     cycle = tuple(list(range(1, n)) + [0])
     gens = (swap,) if n == 2 else (swap, cycle)
     return Model(f"classical:{n}", TestSpace(labels, (labels,)),
+                 PolytopeBackend(verts), PermutationGroup(gens))
+
+
+def gbit(k: int) -> Model:
+    """Barrett's box world: k binary tests, states the cube [0,1]^k, and the
+    hyperoctahedral group, generated by a flip of test 0, a cycle of the
+    tests and a swap of tests 0 and 1.  `gbit(2)` is the square bit."""
+    if k < 2:
+        raise ValueError("gbit model needs at least 2 tests")
+    labels = tuple(f"t{i}_{b}" for i in range(k) for b in (0, 1))
+    tests = tuple(labels[2 * i:2 * i + 2] for i in range(k))
+    # test 0 varies fastest, as in the square bit's vertex order
+    verts = tuple(tuple(ONE if bits[i] == b else ZERO
+                        for i in range(k) for b in (0, 1))
+                  for bits in (p[::-1] for p in
+                               itertools.product((0, 1), repeat=k)))
+    flip = tuple([1, 0] + list(range(2, 2 * k)))
+    swap = tuple([2, 3, 0, 1] + list(range(4, 2 * k)))
+    cycle = tuple(2 * ((i + 1) % k) + b for i in range(k) for b in (0, 1))
+    gens = (flip, swap) if k == 2 else (flip, swap, cycle)
+    return Model(f"gbit:{k}", TestSpace(labels, tests),
                  PolytopeBackend(verts), PermutationGroup(gens))
 
 
@@ -169,6 +192,8 @@ def builtin_names() -> list[str]:
 def get_builtin(name: str, seed: int = DEFAULT_SEED) -> Model:
     if name.startswith("classical:"):
         return classical(int(name.split(":", 1)[1]))
+    if name.startswith("gbit:"):
+        return gbit(int(name.split(":", 1)[1]))
     if name in ("squit", "squit:klein"):
         return BUILTIN_FACTORIES[name]()
     if name in BUILTIN_FACTORIES:

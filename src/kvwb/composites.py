@@ -10,6 +10,7 @@ reproduces the unique orthogonalizing invariant form.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -18,10 +19,12 @@ import numpy as np
 
 from .effectspace import OrderUnitSpace, build_effect_space
 from .forms import BilinearForm, certify_flags, check_unitarity
-from .linalg import (ONE, ZERO, Vec, column_space_basis, dot, frac, inverse,
+from .linalg import (ONE, ZERO, column_space_basis, dot, frac, inverse,
                      mat_mul, mat_vec, rank, solve, transpose)
-from .lp import convex_membership, solve_feasibility
-from .models import Model, PermutationGroup, PolytopeBackend, QuantumBackend
+from .lp import (LPResult, check_certificate, convex_membership,
+                 solve_feasibility)
+from .models import (Model, PermutationGroup, PolytopeBackend, QuantumBackend,
+                     orbit, vertex_permutation)
 
 
 class CompositeError(ValueError):
@@ -398,11 +401,36 @@ def find_conjugate_state(m: Model, gamma: Optional[dict[str, str]] = None,
                          tol: float = 1e-9) -> Optional[BipartiteState]:
     """Search for a conjugate table: uniform diagonal 1/rank, valid joint.
 
-    Polytope models run an exact rational feasibility LP whose variables are
-    the table entries plus conic coefficients expressing every conditional
-    over the state polytope's vertices; infeasibility is certified, so a
-    ``None`` is an answer, not a failure.  Quantum samples instead construct
-    the maximally entangled table analytically and verify it.
+    Quantum samples construct the maximally entangled table analytically
+    and verify it.  Polytope models solve an exact rational feasibility LP.
+    Its unknowns, all nonnegative, are the table entries t(x, y) and the
+    conic coefficients mu[x][v] and nu[y][v] that write the row conditional
+    of x and the column conditional of y over the vertices v of the state
+    polytope.  Its rows normalize every product test, tie each conditional
+    to its coefficients, and set the diagonal t(x, gamma(x)) to 1/rank.
+
+    With `require_invariance`, a generator g acts on outcomes as g on the
+    first factor and as h = gamma g gamma^-1 on the second, and on vertices
+    through `act_on_state`; so it permutes the unknowns and maps the set of
+    rows onto itself.  An invariant solution is constant on each orbit of
+    the unknowns under the generators (`models.orbit`, no group is
+    enumerated), so the LP has one column per orbit, and rows that become
+    equal are merged.  Averaging any solution over the group gives an
+    invariant one, so the reduced LP is feasible exactly when some table,
+    invariant or not, exists.  Without `require_invariance` every orbit is
+    one unknown and the LP is the full one.
+
+    Both answers are certified against the full, unreduced system by exact
+    substitution (`lp.check_certificate`):
+
+    * feasible: every unknown takes its orbit's value and the expanded
+      point is checked row by row; it is invariant by construction;
+    * infeasible: each reduced Farkas multiplier is spread evenly over the
+      full rows that reduce to its row.  That set of rows is G-invariant,
+      so the lifted vector y is, and yᵀA takes one value on the columns of
+      an orbit; those values add up to the reduced column, which is <= 0,
+      and yᵀb equals the reduced yᵀb > 0.  So ``None`` is an answer, not a
+      failure: no conjugate table exists at all.
     """
     gamma = gamma or {x: x for x in m.outcomes}
     _check_gamma(m, gamma)
@@ -412,69 +440,99 @@ def find_conjugate_state(m: Model, gamma: Optional[dict[str, str]] = None,
 
     outs = list(m.outcomes)
     nO = len(outs)
-    verts = [list(v) for v in m.states.vertices]
+    verts = m.states.vertices
     nV = len(verts)
     pos = {x: i for i, x in enumerate(outs)}
+    mu0 = nO * nO                  # mu[x][v]: row-conditional coefficients
+    nu0 = mu0 + nO * nV            # nu[y][v]: column-conditional coefficients
+    nvar = nu0 + nO * nV
 
-    def it(x, y):
-        return pos[x] * nO + pos[y]
-
-    n_t = nO * nO
-    mu0 = n_t                      # mu[x][v]: row-conditional coefficients
-    nu0 = n_t + nO * nV            # nu[y][v]: column-conditional coefficients
-    nvar = n_t + 2 * nO * nV
-    rows: list[Vec] = []
+    rows: list[dict[int, Fraction]] = []     # sparse: {unknown: coefficient}
     rhs: list[Fraction] = []
-
-    def add(row, b):
-        rows.append(row)
-        rhs.append(frac(b))
-
     for E in m.tests:
         for F in m.tests:
-            row = [ZERO] * nvar
-            for x in E:
-                for y in F:
-                    row[it(x, y)] = ONE
-            add(row, 1)
+            rows.append({pos[x] * nO + pos[y]: ONE for x in E for y in F})
+            rhs.append(ONE)
+    for i in range(nO):
+        for j in range(nO):
+            rows.append({i * nO + j: ONE,
+                         **{mu0 + i * nV + v: -p[j]
+                            for v, p in enumerate(verts) if p[j]}})
+            rows.append({i * nO + j: ONE,
+                         **{nu0 + j * nV + v: -p[i]
+                            for v, p in enumerate(verts) if p[i]}})
+            rhs += [ZERO, ZERO]
     for x in outs:
-        for y in outs:
-            row = [ZERO] * nvar
-            row[it(x, y)] = ONE
-            for v in range(nV):
-                row[mu0 + pos[x] * nV + v] = -verts[v][pos[y]]
-            add(row, 0)
-            row = [ZERO] * nvar
-            row[it(x, y)] = ONE
-            for v in range(nV):
-                row[nu0 + pos[y] * nV + v] = -verts[v][pos[x]]
-            add(row, 0)
-    for x in outs:
-        row = [ZERO] * nvar
-        row[it(x, gamma[x])] = ONE
-        add(row, Fraction(1, n))
-    if require_invariance and isinstance(m.group, PermutationGroup):
-        gamma_inv = {v: k for k, v in gamma.items()}
-        seen = set()
-        for g in m.group.generators:
-            for x in outs:
-                for y in outs:
-                    gx = outs[g[pos[x]]]
-                    gy = gamma[outs[g[pos[gamma_inv[y]]]]]
-                    a, b = it(gx, gy), it(x, y)
-                    if a == b or (min(a, b), max(a, b)) in seen:
-                        continue
-                    seen.add((min(a, b), max(a, b)))
-                    row = [ZERO] * nvar
-                    row[a] += ONE
-                    row[b] -= ONE
-                    add(row, 0)
+        rows.append({pos[x] * nO + pos[gamma[x]]: ONE})
+        rhs.append(Fraction(1, n))
 
-    res = solve_feasibility(rows, rhs)
+    orbit_of = list(range(nvar))
+    if require_invariance and isinstance(m.group, PermutationGroup):
+        orbit_of = _unknown_orbits(m, gamma, pos, mu0, nu0, nvar)
+    ncols = max(orbit_of) + 1
+
+    merged: dict = {}
+    row_class = []                 # full row -> index of its reduced row
+    for row, b in zip(rows, rhs):
+        red: dict[int, Fraction] = {}
+        for j, a in row.items():
+            red[orbit_of[j]] = red.get(orbit_of[j], ZERO) + a
+        row_class.append(merged.setdefault((tuple(sorted(red.items())), b),
+                                           len(merged)))
+    A = []
+    for items, _ in merged:
+        dense = [ZERO] * ncols
+        for o, a in items:
+            dense[o] = a
+        A.append(dense)
+    res = solve_feasibility(A, [b for _, b in merged])
+
     if not res.feasible:
+        size = Counter(row_class)
+        farkas = [res.farkas[k] / size[k] for k in row_class]
+        check_certificate(rows, rhs, nvar, LPResult(False, farkas=farkas))
         return None
-    table = {(x, y): res.point[it(x, y)] for x in outs for y in outs}
+    point = [res.point[o] for o in orbit_of]
+    check_certificate(rows, rhs, nvar, LPResult(True, point=point))
+    table = {(x, y): point[pos[x] * nO + pos[y]] for x in outs for y in outs}
     return BipartiteState(m, m, table)
+
+
+def _unknown_orbits(m: Model, gamma: dict[str, str], pos: dict[str, int],
+                    mu0: int, nu0: int, nvar: int) -> list[int]:
+    """Orbit index of each unknown of the conjugate LP under the generators,
+    numbered in order of first appearance."""
+    outs = m.outcomes
+    nO, nV = len(outs), len(m.states.vertices)
+    gamma_inv = {y: x for x, y in gamma.items()}
+    actions = []
+    for g in m.group.generators:
+        h = tuple(pos[gamma[outs[g[pos[gamma_inv[y]]]]]] for y in outs)
+        sg, sh = vertex_permutation(m, g), vertex_permutation(m, h)
+        if sg is None or sh is None:
+            raise CompositeError(f"generator {g} or its conjugate under gamma "
+                                 "does not permute the extreme states")
+        actions.append((g, h, sg, sh))
+
+    def act(a, j):
+        g, h, sg, sh = a
+        if j < mu0:
+            x, y = divmod(j, nO)
+            return g[x] * nO + h[y]
+        if j < nu0:
+            x, v = divmod(j - mu0, nV)
+            return mu0 + g[x] * nV + sh[v]
+        y, v = divmod(j - nu0, nV)
+        return nu0 + h[y] * nV + sg[v]
+
+    orbit_of = [-1] * nvar
+    count = 0
+    for j in range(nvar):
+        if orbit_of[j] < 0:
+            for k in orbit(j, act, actions):
+                orbit_of[k] = count
+            count += 1
+    return orbit_of
 
 
 def _entangled_eta(m: Model, gamma: dict[str, str],
@@ -529,7 +587,8 @@ def conjugate_from_state(m: Model, gamma: dict[str, str], eta: BipartiteState,
     if isinstance(m.states, QuantumBackend):
         notes.append("analytic maximally entangled construction")
     elif require_invariance:
-        notes.append("invariance imposed as LP equalities on generator pairs")
+        notes.append("invariance imposed by one LP unknown per generator "
+                     "orbit of the unknowns")
     return Conjugate(m, gamma, eta, notes)
 
 
@@ -616,7 +675,7 @@ class HomogeneityReport:
     notes: list = field(default_factory=list)
 
 
-def homogeneity_report(E: OrderUnitSpace, witnesses: list[BipartiteState],
+def homogeneity_report(E: OrderUnitSpace, witnesses: list,
                        samples: list, tol: float = 1e-9) -> HomogeneityReport:
     """Which sampled interior states of E's model are marginals of
     isomorphism states?
@@ -624,17 +683,21 @@ def homogeneity_report(E: OrderUnitSpace, witnesses: list[BipartiteState],
     A hypothesis-checking report, not a proof of homogeneity: each witness
     (a bipartite state of the model with itself) is verified to be an
     isomorphism state on E, its marginal computed, and each sample matched
-    against the verified marginals.
+    against the verified marginals.  A witness given as a pair (state,
+    `IsomorphismStateReport`) brings the verdict already taken on E with
+    `tol`, as the pipeline's conjugate stage does for eta, and is not
+    checked again.
     """
     m = E.model
     exact = E.kind == "exact"
     witness_ok, margs = [], []
     for w in witnesses:
+        w, rep = w if isinstance(w, tuple) else (w, None)
         if w.A is not m or w.B is not m:
             witness_ok.append(False)
             margs.append(None)
             continue
-        rep = is_isomorphism_state(w, E, E, tol)
+        rep = rep or is_isomorphism_state(w, E, E, tol)
         witness_ok.append(rep.is_iso)
         margs.append(marginal(w, "A") if rep.is_iso else None)
     covered, uncovered = [], []

@@ -19,7 +19,8 @@ from fractions import Fraction
 from .linalg import Mat, Vec, ZERO, ONE, dot, frac
 
 __all__ = ["CertificateError", "LPResult", "solve_feasibility",
-           "cone_membership", "convex_membership", "free_feasibility"]
+           "check_certificate", "cone_membership", "convex_membership",
+           "free_feasibility"]
 
 
 class UnboundedError(Exception):
@@ -132,33 +133,41 @@ def solve_feasibility(A: Mat, b: Vec) -> LPResult:
     if not A:
         return LPResult(True, point=[])
     feasible, cert = _phase_one(A, b)
-    if not feasible:
-        _check_farkas(A, b, cert)
-        return LPResult(False, farkas=cert)
-    _check_point(A, b, cert)
-    return LPResult(True, point=cert)
+    res = (LPResult(True, point=cert) if feasible
+           else LPResult(False, farkas=cert))
+    check_certificate([{j: a for j, a in enumerate(row) if a} for row in A],
+                      b, len(A[0]), res)
+    return res
 
 
-def _check_point(A: Mat, b: Vec, x: Vec) -> None:
-    """Raise CertificateError unless x >= 0 and A x = b (exact substitution
-    over the support of x)."""
-    if len(x) != len(A[0]):
-        raise CertificateError("feasible point has the wrong length")
-    if not all(xx >= 0 for xx in x):
-        raise CertificateError("feasible point has a negative entry")
-    support = [j for j, xx in enumerate(x) if xx]
-    for row, bb in zip(A, b, strict=True):
-        if sum((row[j] * x[j] for j in support), ZERO) != bb:
-            raise CertificateError("feasible point failed row check")
+def check_certificate(rows: list[dict[int, Fraction]], b: Vec, ncols: int,
+                      res: LPResult) -> None:
+    """Re-check `res` against {x >= 0 : A x = b} by exact substitution, row
+    i of A given sparsely as {column: coefficient}: raise CertificateError
+    unless the point is nonnegative with A x = b, or the Farkas vector has
+    yᵀA <= 0 and yᵀb > 0.
 
-
-def _check_farkas(A: Mat, b: Vec, y: Vec) -> None:
-    """Raise CertificateError unless yᵀA <= 0 and yᵀb > 0 (exact
-    substitution over the support of y)."""
-    support = [i for i, yy in enumerate(y) if yy]
-    for j in range(len(A[0])):
-        if sum((y[i] * A[i][j] for i in support), ZERO) > 0:
-            raise CertificateError("farkas certificate failed column check")
+    `solve_feasibility` checks its own answers with it; callers check with
+    it certificates that were not found on this system, such as ones lifted
+    from a reduced LP.
+    """
+    if res.feasible:
+        x = res.point
+        if len(x) != ncols or not all(xx >= 0 for xx in x):
+            raise CertificateError("feasible point is not a nonnegative "
+                                   f"vector of length {ncols}")
+        for row, bb in zip(rows, b, strict=True):
+            if sum((a * x[j] for j, a in row.items()), ZERO) != bb:
+                raise CertificateError("feasible point failed row check")
+        return
+    y = res.farkas
+    cols = [ZERO] * ncols
+    for yy, row in zip(y, rows, strict=True):
+        if yy:
+            for j, a in row.items():
+                cols[j] += yy * a
+    if any(c > 0 for c in cols):
+        raise CertificateError("farkas certificate failed column check")
     if not dot(y, b) > 0:
         raise CertificateError("farkas certificate failed rhs check")
 

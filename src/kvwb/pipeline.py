@@ -129,17 +129,18 @@ def _barycenter(vertices) -> list:
     return [sum(col, Fraction(0)) / n for col in zip(*vertices)]
 
 
-def _homogeneity_inputs(m: models.Model, eta):
+def _homogeneity_inputs(m: models.Model, eta, eta_iso):
     """Deterministic interior samples plus whatever witnesses we can build.
 
     Single-test polytope models get one diagonal witness per sample (the
     table supported on the diagonal with the sample as its profile), which
     covers the sample whenever the diagonal map is an order isomorphism.
-    Everything else relies on the conjugate state's marginal.
+    Everything else relies on the conjugate state's marginal; eta comes
+    with the conjugate stage's isomorphism verdict, so it is checked once.
     """
     witnesses = []
     if eta is not None:
-        witnesses.append(eta)
+        witnesses.append((eta, eta_iso))
     if isinstance(m.states, models.PolytopeBackend):
         bary = _barycenter(m.states.vertices)
         samples = [bary]
@@ -370,7 +371,7 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
     if blocked("effect-space"):
         add("homogeneity", NA, notes=["needs the effect space"])
     else:
-        wits, samples = _homogeneity_inputs(m, eta)
+        wits, samples = _homogeneity_inputs(m, eta, eta_iso)
         hrep = composites.homogeneity_report(E, wits, samples, tol=tol)
         hst = PASS if (hrep.verified_on_samples and all(hrep.witness_ok)) \
             else UNKNOWN

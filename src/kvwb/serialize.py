@@ -172,15 +172,15 @@ def model_from_json(data: dict) -> Model:
 
 
 def load_model(source: str, seed: int = 42) -> Model:
-    """A built-in name, `classical:<n>` for any integer n >= 2, or a path to
-    a model JSON file."""
+    """A built-in name, `classical:<n>` or `gbit:<n>` for any integer n >= 2,
+    or a path to a model JSON file."""
     from .builtins import builtin_names, get_builtin
     if source in builtin_names():
         return get_builtin(source, seed=seed)
-    if source.startswith("classical:"):
-        n = source.split(":", 1)[1]
+    family, _, n = source.partition(":")
+    if family in ("classical", "gbit"):
         if not (n.isascii() and n.isdigit() and int(n) >= 2):
-            raise ValueError(f"classical:<n> needs an integer n >= 2, "
+            raise ValueError(f"{family}:<n> needs an integer n >= 2, "
                              f"not {n!r}")
         return get_builtin(source, seed=seed)
     with open(source, encoding="utf-8") as fh:

@@ -5,7 +5,11 @@ loop-built constraint rows and full-SVD nullspace that
 one-element spectral functions and symmetric-cone check that the stacked
 kernels of `kvwb.jordan` (`_degrees_and_powers`, `_eigenvalues_many`,
 `_sqrt_many`) replaced, and the four SPIN-flag setters that
-`kvwb.forms.certify_flags` replaced.
+`kvwb.forms.certify_flags` replaced, and the conjugate search over the full
+LP with invariance rows that `kvwb.composites.find_conjugate_state` replaced
+with one unknown per generator orbit (verbatim, but for calling the integer
+`kvwb.lp.solve_feasibility` by its module name: this module's own
+`solve_feasibility` is the slower `Fraction` oracle, which returns the same).
 
 Slow and obviously correct; the property tests require the fast kernels to
 return exactly what these return.
@@ -14,10 +18,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
-from kvwb.composites import _invariance_flag
+from kvwb.composites import (BipartiteState, _check_gamma, _entangled_eta,
+                             _invariance_flag)
 from kvwb.cones import pairwise_form_positivity
 from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
                          _identity_residual, _pair_index,
@@ -25,7 +31,9 @@ from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
                          trace_form_gram)
 from kvwb.linalg import (Mat, Vec, ZERO, ONE, dot, frac,
                          is_positive_definite, mat_vec)
+from kvwb import lp
 from kvwb.lp import LPResult, UnboundedError
+from kvwb.models import Model, PermutationGroup, QuantumBackend
 
 
 def rref(A: Mat) -> tuple[Mat, list[int]]:
@@ -557,3 +565,87 @@ def _flag_float(B, m, E, tol: float) -> None:
                              for a in vs for b in vs)
     B.invariant = _invariance_flag(E, B, tol)
     B.positive_definite = bool(np.linalg.eigvalsh(M).min() > tol)
+
+
+def find_conjugate_state(m: Model, gamma: Optional[dict[str, str]] = None,
+                         require_invariance: bool = True,
+                         tol: float = 1e-9) -> Optional[BipartiteState]:
+    """Search for a conjugate table: uniform diagonal 1/rank, valid joint.
+
+    Polytope models run an exact rational feasibility LP whose variables are
+    the table entries plus conic coefficients expressing every conditional
+    over the state polytope's vertices; infeasibility is certified, so a
+    ``None`` is an answer, not a failure.  Quantum samples instead construct
+    the maximally entangled table analytically and verify it.
+    """
+    gamma = gamma or {x: x for x in m.outcomes}
+    _check_gamma(m, gamma)
+    n = len(m.tests[0])
+    if isinstance(m.states, QuantumBackend):
+        return _entangled_eta(m, gamma, tol)
+
+    outs = list(m.outcomes)
+    nO = len(outs)
+    verts = [list(v) for v in m.states.vertices]
+    nV = len(verts)
+    pos = {x: i for i, x in enumerate(outs)}
+
+    def it(x, y):
+        return pos[x] * nO + pos[y]
+
+    n_t = nO * nO
+    mu0 = n_t                      # mu[x][v]: row-conditional coefficients
+    nu0 = n_t + nO * nV            # nu[y][v]: column-conditional coefficients
+    nvar = n_t + 2 * nO * nV
+    rows: list[Vec] = []
+    rhs: list[Fraction] = []
+
+    def add(row, b):
+        rows.append(row)
+        rhs.append(frac(b))
+
+    for E in m.tests:
+        for F in m.tests:
+            row = [ZERO] * nvar
+            for x in E:
+                for y in F:
+                    row[it(x, y)] = ONE
+            add(row, 1)
+    for x in outs:
+        for y in outs:
+            row = [ZERO] * nvar
+            row[it(x, y)] = ONE
+            for v in range(nV):
+                row[mu0 + pos[x] * nV + v] = -verts[v][pos[y]]
+            add(row, 0)
+            row = [ZERO] * nvar
+            row[it(x, y)] = ONE
+            for v in range(nV):
+                row[nu0 + pos[y] * nV + v] = -verts[v][pos[x]]
+            add(row, 0)
+    for x in outs:
+        row = [ZERO] * nvar
+        row[it(x, gamma[x])] = ONE
+        add(row, Fraction(1, n))
+    if require_invariance and isinstance(m.group, PermutationGroup):
+        gamma_inv = {v: k for k, v in gamma.items()}
+        seen = set()
+        for g in m.group.generators:
+            for x in outs:
+                for y in outs:
+                    gx = outs[g[pos[x]]]
+                    gy = gamma[outs[g[pos[gamma_inv[y]]]]]
+                    a, b = it(gx, gy), it(x, y)
+                    if a == b or (min(a, b), max(a, b)) in seen:
+                        continue
+                    seen.add((min(a, b), max(a, b)))
+                    row = [ZERO] * nvar
+                    row[a] += ONE
+                    row[b] -= ONE
+                    add(row, 0)
+
+    res = lp.solve_feasibility(rows, rhs)
+    if not res.feasible:
+        return None
+    table = {(x, y): res.point[it(x, y)] for x in outs for y in outs}
+    return BipartiteState(m, m, table)

@@ -2,10 +2,12 @@
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from kvwb.linalg import dot, mat, vec
-from kvwb.lp import (cone_membership, convex_membership, free_feasibility,
+from kvwb.lp import (CertificateError, LPResult, check_certificate,
+                     cone_membership, convex_membership, free_feasibility,
                      solve_feasibility)
 
 
@@ -34,6 +36,21 @@ def test_infeasible_farkas_substitutes():
     res = solve_feasibility(A, b)
     assert not res.feasible
     check_farkas(A, b, res.farkas)
+
+
+@pytest.mark.parametrize("res", [
+    LPResult(True, point=[F(1), F(-1)]),        # negative entry
+    LPResult(True, point=[F(1)]),               # wrong length
+    LPResult(True, point=[F(1, 2), F(0)]),      # row sum 1/2, not 1
+    LPResult(False, farkas=[F(1, 2)]),          # column sum 1/2 > 0
+    LPResult(False, farkas=[F(-1)]),            # yᵀb = -1
+])
+def test_check_certificate_rejects_a_wrong_certificate(res):
+    """x0 + 2 x1 = 1 over sparse rows: each certificate breaks one check."""
+    rows, b = [{0: F(1), 1: F(2)}], [F(1)]
+    check_certificate(rows, b, 2, LPResult(True, point=[F(1), F(0)]))
+    with pytest.raises(CertificateError):
+        check_certificate(rows, b, 2, res)
 
 
 def test_negative_rhs_infeasible():

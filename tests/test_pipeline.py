@@ -65,6 +65,37 @@ def test_effect_space_parts_are_computed_once(name, monkeypatch):
     assert calls == {"build": 1, "actions": 1, "dd": 2}
 
 
+@pytest.mark.parametrize("name, calls", [("classical:4", 3), ("squit", 1)])
+def test_eta_is_checked_once(name, calls, monkeypatch):
+    """The homogeneity stage takes the conjugate stage's verdict on eta;
+    only the diagonal witnesses of a one-test model are checked there."""
+    from kvwb import composites
+    states = []
+    check = composites.is_isomorphism_state
+
+    def counted(w, *args, **kw):
+        states.append(w)
+        return check(w, *args, **kw)
+
+    monkeypatch.setattr(composites, "is_isomorphism_state", counted)
+    assert run(name).stage("homogeneity").status != "not-applicable"
+    assert len(states) == len({id(w) for w in states}) == calls
+
+
+def test_gbit_2_is_the_square_bit():
+    def statuses(name):
+        return [(s.name, s.status) for s in run(name).stages]
+    assert statuses("gbit:2") == statuses("squit")
+
+
+@pytest.mark.parametrize("name", ["gbit:3", "gbit:4"])
+def test_hypercubes_have_a_conjugate_but_no_self_duality(name):
+    rep = run(name)
+    assert rep.stage("sharpness").status == "fail"
+    assert rep.stage("conjugate").status == "pass"
+    assert rep.stage("self-duality").status == "fail"
+
+
 @pytest.mark.parametrize("name", ["classical:3", "qubit:complex"])
 def test_rank_is_computed_once(name, monkeypatch):
     from kvwb import jordan
