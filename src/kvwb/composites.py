@@ -431,6 +431,17 @@ def find_conjugate_state(m: Model, gamma: Optional[dict[str, str]] = None,
       an orbit; those values add up to the reduced column, which is <= 0,
       and yᵀb equals the reduced yᵀb > 0.  So ``None`` is an answer, not a
       failure: no conjugate table exists at all.
+
+    A returned table passes every check of `validate_bipartite`, so callers
+    need not run it again.  On polytope models the checked point covers
+    them row by row: the table keys are the outcome product by
+    construction; the normalization rows make each product test sum to 1;
+    the tie rows write the row conditional of x as sum_v mu[x][v]·v and the
+    column conditional of y as sum_v nu[y][v]·v with nonnegative
+    coefficients, so each is in the cone over the states (its mass is the
+    sum of its coefficients, and it is 0 only when they all are); every
+    table entry is a nonnegative unknown.  On quantum samples
+    `_entangled_eta` runs `validate_bipartite` itself.
     """
     gamma = gamma or {x: x for x in m.outcomes}
     _check_gamma(m, gamma)

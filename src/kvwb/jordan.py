@@ -11,6 +11,7 @@ Jordan identity by Gauss-Newton from several seeds.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -18,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .linalg import (ONE, ZERO, Mat, Vec, frac, is_positive_definite,
-                     solve_with_nullspace)
+                     solve_with_nullspace, sparse_int_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -820,22 +821,39 @@ def _pair_index(d: int):
     return pairs, at
 
 
-_fracs = np.frompyfunc(frac, 1, 1)
+def _integer_block(x) -> tuple[int, np.ndarray]:
+    """(s, s·x) for a rational block x and its common denominator s, the
+    integers as an object array of Python ints."""
+    X = np.array(x, dtype=object)
+    fs = [frac(v) for v in X.flat]
+    s = math.lcm(*(f.denominator for f in fs))
+    return s, np.array([f.numerator * (s // f.denominator) for f in fs],
+                       dtype=object).reshape(X.shape)
 
 
 def _linear_rows(p: RecoveryProblem, idempotence: bool, exact: bool):
-    """Matrix and right-hand side of the linear Jordan-product constraints.
+    """The linear Jordan-product constraints A t = b.
 
     The unknown t[at(i, j) * d + k] is the e_k coordinate of e_i ∘ e_j.  Each
     block (unit law, B-associativity, G-equivariance, idempotence) lays out
     the columns and values of its rows by broadcasting, row by row and term
-    by term, and one `np.add.at` accumulates them in that order, so a column
-    that several terms of a row hit gets the same float sum as a loop over
-    the terms.  With `exact` the rational inputs are used and the matrix
-    holds Fractions (object dtype); otherwise it is a float matrix.
+    by term.  On the float path one `np.add.at` accumulates them in that
+    order into the matrix A, so a column that several terms of a row hit
+    gets the same float sum as a loop over the terms; the result is (A, b).
+
+    With `exact` the rational inputs are used, each block scaled to integers
+    by its common denominator: s_u·u with right-hand side s_u·δ, s_B·B, and
+    per action M_int = s_M·M, its linear term times s_M and its quadratic
+    term M_int ⊗ M_int, so the row is s_M² times the rational one; per
+    outcome g_int = s_g·g, right-hand side s_g·g_int.  The triples are
+    summed into sparse rows of Python ints, {column: value} with the
+    right-hand side in column `ncols`, and entries that cancel to 0 are left
+    out; the result is (rows, ncols), row for row the rational system up to
+    a positive factor per row.
     """
     d = p.dim
     pairs, at = _pair_index(d)
+    ncols = len(pairs) * d
     AT = np.array([[at(i, j) for j in range(d)] for i in range(d)],
                   dtype=np.intp)
 
@@ -843,14 +861,13 @@ def _linear_rows(p: RecoveryProblem, idempotence: bool, exact: bool):
         return x_exact if exact and x_exact is not None else x
 
     if exact:
-        def num(x):
-            return _fracs(np.array(x, dtype=object))
-        zero, one = ZERO, ONE
+        num, dtype = _integer_block, object
     else:
         def num(x):
-            return np.asarray(x, float)
-        zero, one = 0.0, 1.0
-    u, B = num(given(p.u, p.u_exact)), num(given(p.B, p.B_exact))
+            return 1.0, np.asarray(x, float)
+        dtype = float
+    s_u, u = num(given(p.u, p.u_exact))
+    _, B = num(given(p.B, p.B_exact))
     ar = np.arange(d)
     iu, ju = np.triu_indices(d)
     R = len(iu)
@@ -866,37 +883,44 @@ def _linear_rows(p: RecoveryProblem, idempotence: bool, exact: bool):
         rhs.append(b)
 
     # unit law u ∘ e_j = e_j: row (j, k), term i
-    add(AT[:, None, :] * d + ar[:, None],
-        u, np.where(np.eye(d, dtype=bool).ravel(), one, zero))
+    delta = np.zeros(d * d, dtype)
+    delta[::d + 1] = s_u
+    add(AT[:, None, :] * d + ar[:, None], u, delta)
     # B-associativity B(e_i ∘ e_j, e_k) = B(e_j, e_i ∘ e_k):
     # row (i, j ≤ k), terms m then sign
     add(np.stack([AT[:, iu, None] * d + ar, AT[:, ju, None] * d + ar],
                  axis=-1),
         np.stack([B[:, ju].T, -B[:, iu].T], axis=-1),
-        np.full(d * R, zero))
+        np.zeros(d * R, dtype))
     # G-equivariance M(e_i ∘ e_j) = M e_i ∘ M e_j: row (i ≤ j, k),
     # terms m, then (a, b)
     c_m = np.broadcast_to(AT[iu, ju, None, None] * d + ar, (R, d, d))
     c_ab = np.broadcast_to((AT * d).ravel() + ar[:, None], (R, d, d * d))
     for M in given(p.actions, p.actions_exact):
-        M = num(M)
+        s_M, M = num(M)
         v_ab = -(M[:, iu].T[:, :, None] * M[:, ju].T[:, None, :])
         add(np.concatenate([c_m, c_ab], axis=-1),
-            np.concatenate([np.broadcast_to(M, (R, d, d)),
+            np.concatenate([np.broadcast_to(M * s_M, (R, d, d)),
                             np.broadcast_to(v_ab.reshape(R, 1, d * d),
                                             (R, d, d * d))], axis=-1),
-            np.full(R * d, zero))
+            np.zeros(R * d, dtype))
     # idempotence g ∘ g = g: row k, terms i ≤ j
     if idempotence:
         for g in given(p.outcome_vectors, p.outcome_vectors_exact):
-            g = num(g)
+            s_g, g = num(g)
             prod = g[iu] * g[ju]
             add(AT[iu, ju] * d + ar[:, None],
-                np.where(iu != ju, prod * 2, prod), g)
+                np.where(iu != ju, prod * 2, prod), g * s_g)
     b = np.concatenate(rhs)
-    A = np.full((len(b), len(pairs) * d), zero, dtype=b.dtype)
-    np.add.at(A, (np.concatenate(rows), np.concatenate(cols)),
-              np.concatenate(vals))
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    if exact:
+        out = sparse_int_rows(rows, cols, vals, len(b))
+        for row, bb in zip(out, b.tolist()):
+            if bb:
+                row[ncols] = bb
+        return out, ncols
+    A = np.zeros((len(b), ncols))
+    np.add.at(A, (rows, cols), vals)
     return A, b
 
 
@@ -947,10 +971,12 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42,
     outcome/cone generators (sharp extreme effects can only be primitive
     idempotents in a compatible algebra; without this the linear stage can
     stay underdetermined).  One builder, `_linear_rows`, makes these rows
-    for both paths; only the solve differs: exact problems eliminate once
-    over the rationals, float problems make one least-squares solve and read
-    the nullity off its singular values, computing a nullspace basis (thin
-    SVD) only when the nullity is positive.  Quadratic stage: Gauss-Newton
+    for both paths; only the solve differs: exact problems get sparse
+    integer rows and eliminate them once (`linalg.solve_with_nullspace`,
+    leftmost pivots, so the solution and null basis are those of the RREF),
+    float problems make one least-squares solve and read the nullity off its
+    singular values, computing a nullspace basis (thin SVD) only when the
+    nullity is positive.  Quadratic stage: Gauss-Newton
     on the Jordan identity residual from several seeds; agreement of all
     seeds is the desk-scale uniqueness certificate.
     """
@@ -968,14 +994,15 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42,
         float(np.asarray(g, float) @ B @ u) > 1e-12 for g in p.cone_generators)
 
     pairs, at = _pair_index(d)
-    A, b = _linear_rows(p, enforce_outcome_idempotence, p.exact)
     if p.exact:
-        t0x, nullx = solve_with_nullspace(A.tolist(), b.tolist())
+        t0x, nullx = solve_with_nullspace(
+            *_linear_rows(p, enforce_outcome_idempotence, True))
         t0 = None if t0x is None else np.array([float(v) for v in t0x])
         N = (np.array([[float(v) for v in col] for col in nullx]).T
-             if nullx else np.zeros((A.shape[1], 0)))
+             if nullx else np.zeros((len(pairs) * d, 0)))
     else:
-        t0, N = _solve_float(A, b)
+        t0, N = _solve_float(*_linear_rows(p, enforce_outcome_idempotence,
+                                           False))
     if t0 is None:
         gates["linear_stage"] = False
         return RecoveryResult(None, -1, np.inf, None, [], gates,

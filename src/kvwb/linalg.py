@@ -1,11 +1,17 @@
 """Exact rational linear algebra over `fractions.Fraction`, plus float helpers.
 
-Vectors are lists/tuples of Fraction; matrices are lists of row vectors.
-Everything here is dense and intended for desk-scale problems (dim <= ~30).
-Elimination (`rref`, and so `solve`, `nullspace`, `rank`, `inverse` and
+Vectors are lists/tuples of Fraction; matrices are lists of row vectors,
+dense and intended for desk-scale problems (dim <= ~30).  Elimination
+(`rref`, and so `solve`, `nullspace`, `rank`, `inverse` and
 `column_space_basis`) runs over Python ints on primitive rows, in the
 fraction-free style of Bareiss (Math. Comp. 22, 1968), and divides into
 `Fraction`s only at the end; the rationals returned are the same.
+
+`solve_with_nullspace` is the one sparse kernel: it takes integer rows as
+{column: int} dicts, the kind Jordan recovery builds (mostly zeros), and
+eliminates them fraction-free on leftmost pivots, choosing the shortest
+row holding each pivot column (Markowitz's row choice, as in Davis,
+*Direct Methods for Sparse Linear Systems*, 2006).
 """
 from __future__ import annotations
 
@@ -174,19 +180,99 @@ def solve(A: Mat, b: Sequence[Fraction]) -> Vec | None:
     return _augmented_solution(*rref(aug), len(A[0]))
 
 
-def solve_with_nullspace(A: Mat, b: Sequence[Fraction]
-                         ) -> tuple[Vec | None, list[Vec]]:
-    """`solve(A, b)` and `nullspace(A)` from one elimination of [A | b].
+SparseRow = dict[int, int]
 
-    When the system is consistent the left block of that RREF is rref(A), so
-    both results equal the separate calls; (None, []) when inconsistent.
+
+def sparse_int_rows(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                    nrows: int) -> list[SparseRow]:
+    """The `nrows` sparse rows {column: int} whose (i, j) entry is the sum
+    of the integer `vals` at the triples with rows == i and cols == j;
+    entries that sum to 0 are left out."""
+    out: list[SparseRow] = [{} for _ in range(nrows)]
+    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        out[r][c] = out[r].get(c, 0) + v
+    return [{c: v for c, v in row.items() if v} for row in out]
+
+
+def _primitive_sparse(row: SparseRow) -> SparseRow:
+    """Divide a sparse integer row by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
+
+
+def _cleared(row: SparseRow, prow: SparseRow, c: int) -> SparseRow:
+    """The primitive row on pv·row - row[c]·prow, which is 0 at column c."""
+    pv, f = prow[c], row[c]
+    new = {k: pv * v for k, v in row.items()}
+    for k, y in prow.items():
+        v = new.get(k, 0) - f * y
+        if v:
+            new[k] = v
+        else:
+            del new[k]
+    return _primitive_sparse(new)
+
+
+def solve_with_nullspace(rows: Sequence[SparseRow], ncols: int
+                         ) -> tuple[Vec | None, list[Vec]]:
+    """`solve(A, b)` and `nullspace(A)` from one sparse elimination of [A | b].
+
+    Row i of [A | b] is `rows[i]`, a dict {column: nonzero int} in which
+    column `ncols` holds the right-hand side.  Fraction-free Gauss-Jordan on
+    primitive integer rows: the columns are taken in ascending order, so the
+    pivot columns are those of the RREF; the pivot row of a column is the
+    shortest active row holding it (Markowitz's row choice, ties to the
+    lower index), and only the active rows holding that column are updated.
+    Back substitution, last pivot first, then clears each pivot column from
+    the pivot rows above it, which gives the RREF rows up to their scale.
+    The RREF is unique, so the result is the dense one's: the solution read
+    off it and one null vector per free column, in column order; (None, [])
+    when a pivot falls on the right-hand side.
     """
-    if not A:
-        return solve(A, b), []
-    ncols = len(A[0])
-    R, pivots = rref([row[:] + [bb] for row, bb in zip(A, b, strict=True)])
-    x = _augmented_solution(R, pivots, ncols)
-    return x, [] if x is None else _null_basis(R, pivots, ncols)
+    active: dict[int, SparseRow] = {}
+    holders: list[set[int]] = [set() for _ in range(ncols + 1)]
+    for i, r in enumerate(rows):
+        if r:
+            active[i] = _primitive_sparse(r)
+            for k in r:
+                holders[k].add(i)
+    echelon: list[tuple[int, SparseRow]] = []     # (pivot column, row)
+    for c in range(ncols + 1):
+        if not holders[c]:
+            continue
+        if c == ncols:
+            return None, []
+        p = min(holders[c], key=lambda i: (len(active[i]), i))
+        prow = active.pop(p)
+        for k in prow:
+            holders[k].discard(p)
+        for i in list(holders[c]):
+            old = active[i]
+            active[i] = new = _cleared(old, prow, c)
+            for k in old.keys() - new.keys():
+                holders[k].discard(i)
+            for k in new.keys() - old.keys():
+                holders[k].add(i)
+        echelon.append((c, prow))
+    for j in range(len(echelon) - 1, 0, -1):
+        c, prow = echelon[j]
+        for i in range(j):
+            ci, row = echelon[i]
+            if c in row:
+                echelon[i] = ci, _cleared(row, prow, c)
+    pivots = {c for c, _ in echelon}
+    x = zeros(ncols)
+    basis = {fc: zeros(ncols) for fc in range(ncols) if fc not in pivots}
+    for fc, v in basis.items():
+        v[fc] = ONE
+    for c, row in echelon:
+        pv = row[c]
+        for k, v in row.items():
+            if k == ncols:
+                x[c] = Fraction(v, pv)
+            elif k != c:
+                basis[k][c] = Fraction(-v, pv)
+    return x, list(basis.values())
 
 
 def inverse(A: Mat) -> Mat | None:

@@ -1,5 +1,6 @@
 """Reference oracles: the `Fraction` kernels that `kvwb.linalg.rref` and
-`kvwb.lp.solve_feasibility` replaced with integer elimination, and the
+`kvwb.lp.solve_feasibility` replaced with integer elimination, and the dense
+`solve_with_nullspace` that the sparse one of `kvwb.linalg` replaced, and the
 loop-built constraint rows and full-SVD nullspace that
 `kvwb.jordan._linear_rows` and `kvwb.jordan._solve_float` replaced, and the
 one-element spectral functions and symmetric-cone check that the stacked
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,9 +30,10 @@ from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
                          _identity_residual, _pair_index,
                          _random_rational_vec, _reconstruct, quadratic_rep,
                          trace_form_gram)
-from kvwb.linalg import (Mat, Vec, ZERO, ONE, dot, frac,
-                         is_positive_definite, mat_vec)
-from kvwb import lp
+from kvwb.linalg import (Mat, Vec, ZERO, ONE, _augmented_solution,
+                         _null_basis, dot, frac, is_positive_definite,
+                         mat_vec, solve)
+from kvwb import linalg, lp
 from kvwb.lp import LPResult, UnboundedError
 from kvwb.models import Model, PermutationGroup, QuantumBackend
 
@@ -64,6 +66,24 @@ def rref(A: Mat) -> tuple[Mat, list[int]]:
         if r == nrows:
             break
     return R, pivots
+
+
+def solve_with_nullspace(A: Mat, b: Sequence[Fraction]
+                         ) -> tuple[Vec | None, list[Vec]]:
+    """`solve(A, b)` and `nullspace(A)` from one elimination of [A | b].
+
+    When the system is consistent the left block of that RREF is rref(A), so
+    both results equal the separate calls; (None, []) when inconsistent.
+    The elimination is the dense integer `kvwb.linalg.rref`, which the
+    tests hold to `rref` above; it is fast enough for `classical:6`.
+    """
+    if not A:
+        return solve(A, b), []
+    ncols = len(A[0])
+    R, pivots = linalg.rref([row[:] + [bb]
+                             for row, bb in zip(A, b, strict=True)])
+    x = _augmented_solution(R, pivots, ncols)
+    return x, [] if x is None else _null_basis(R, pivots, ncols)
 
 
 def solve_feasibility(A: Mat, b: Vec) -> LPResult:

@@ -1,19 +1,23 @@
 """The integer kernels return exactly what the `Fraction` oracles return.
 
 `reference_kernels` holds the rational `rref` and Bland simplex that the
-integer versions replaced; equal outputs mean equal pivots, points and Farkas
-vectors, and so byte-identical reports.
+integer versions replaced, and the dense `solve_with_nullspace` that the
+sparse one replaced; equal outputs mean equal pivots, points, Farkas vectors
+and null bases, and so byte-identical reports.
 """
+import math
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as oracle
-from kvwb.linalg import nullspace, rref, solve, solve_with_nullspace
+from kvwb.linalg import (nullspace, rref, solve, solve_with_nullspace,
+                         sparse_int_rows)
 from kvwb.lp import solve_feasibility
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -65,13 +69,64 @@ def test_simplex_matches_oracle(system):
     assert_same_lp(*system)
 
 
+def sparse_rows(A, b):
+    """[A | b] as sparse integer rows, each row times its common denominator."""
+    out = []
+    for row, bb in zip(A, b):
+        full = row + [bb]
+        s = math.lcm(*(x.denominator for x in full))
+        out.append({k: int(x * s) for k, x in enumerate(full) if x})
+    return out
+
+
 @settings(max_examples=100, deadline=None)
 @given(systems())
 def test_one_elimination_gives_solve_and_nullspace(system):
     A, b = system
-    x, null = solve_with_nullspace(A, b)
+    x, null = solve_with_nullspace(sparse_rows(A, b), len(A[0]) if A else 0)
     assert x == solve(A, b)
     assert null == (nullspace(A) if x is not None else [])
+    assert (x, null) == oracle.solve_with_nullspace(A, b)
+
+
+def dense_sum(rows, cols, vals, shape):
+    """The augmented matrix [A | b] whose entries sum the triples."""
+    M = [[F(0)] * shape[1] for _ in range(shape[0])]
+    for r, c, v in zip(rows, cols, vals):
+        M[r][c] += v
+    return [row[:-1] for row in M], [row[-1] for row in M]
+
+
+BIG = 2**70          # beyond int64: the triples hold Python ints
+
+
+@pytest.mark.parametrize("triples,shape", [
+    # explicit zeros and entries that cancel, one of them past int64
+    ([(0, 0, 2), (0, 0, -2), (0, 1, 0), (0, 1, 3), (0, 2, 6),
+      (1, 0, BIG), (1, 1, 1), (1, 0, -BIG), (1, 2, 0)], (2, 3)),
+    # repeated (row, col) triples that add up
+    ([(0, 0, 1), (0, 0, 1), (0, 1, 1), (1, 1, 2), (1, 1, 2), (1, 2, 8),
+      (0, 2, 4)], (2, 3)),
+    # empty rows between the others
+    ([(1, 0, 1), (1, 3, 5), (3, 1, 2), (3, 2, -2)], (5, 4)),
+    # a row that holds only its right-hand side: 0 = 1
+    ([(0, 0, 1), (0, 1, 1), (1, 2, 1)], (2, 3)),
+    # rank deficient: row 1 is twice row 0, row 2 is 0
+    ([(0, 0, 1), (0, 1, 2), (0, 2, 3), (0, 3, 6), (1, 0, 2), (1, 1, 4),
+      (1, 2, 6), (1, 3, 12), (2, 1, 1), (2, 1, -1)], (3, 4)),
+    # no columns: consistent, then inconsistent
+    ([(0, 0, 0), (1, 0, 0)], (2, 1)),
+    ([(0, 0, 0), (1, 0, 3)], (2, 1)),
+])
+def test_sparse_kernel_matches_the_dense_oracle_on_edge_cases(triples, shape):
+    r, c, v = zip(*triples)
+    rows = sparse_int_rows(np.array(r), np.array(c),
+                           np.array(v, dtype=object), shape[0])
+    A, b = dense_sum(r, c, v, shape)
+    assert rows == sparse_rows(A, b)
+    assert all(type(x) is int for row in rows for x in row.values())
+    assert solve_with_nullspace(rows, shape[1] - 1) == \
+        oracle.solve_with_nullspace(A, b)
 
 
 DEFICIENT = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1, 2), F(1, 3)]]

@@ -1,7 +1,8 @@
 import pytest
 
 from kvwb.builtins import builtin_names, get_builtin
-from kvwb.pipeline import STAGE_ORDER, run_pipeline
+from kvwb.models import PolytopeBackend
+from kvwb.pipeline import STAGE_ORDER, conjugation_bijection, run_pipeline
 from kvwb.serialize import dumps_canonical, model_from_json, model_to_json
 
 GOOD = ["classical:2", "classical:3", "classical:4", "classical:5",
@@ -80,6 +81,35 @@ def test_eta_is_checked_once(name, calls, monkeypatch):
     monkeypatch.setattr(composites, "is_isomorphism_state", counted)
     assert run(name).stage("homogeneity").status != "not-applicable"
     assert len(states) == len({id(w) for w in states}) == calls
+
+
+@pytest.mark.parametrize("name, calls", [("classical:4", 0), ("squit", 0),
+                                         ("qubit:real", 1)])
+def test_eta_is_validated_only_by_its_search(name, calls, monkeypatch):
+    """The conjugate stage reports `valid_bipartite` from the certificate of
+    `find_conjugate_state`; only the quantum construction validates eta."""
+    from kvwb import composites
+    seen = []
+    validate = composites.validate_bipartite
+
+    def counted(w, *args, **kw):
+        seen.append(w)
+        return validate(w, *args, **kw)
+
+    monkeypatch.setattr(composites, "validate_bipartite", counted)
+    stage = run(name).stage("conjugate")
+    assert stage.status == "pass" and stage.data["valid_bipartite"] is True
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("name", [
+    n for n in builtin_names()
+    if isinstance(get_builtin(n).states, PolytopeBackend)] + ["gbit:3"])
+def test_certified_eta_is_a_valid_bipartite_state(name):
+    from kvwb import composites
+    m = get_builtin(name)
+    eta = composites.find_conjugate_state(m, gamma=conjugation_bijection(m))
+    assert composites.validate_bipartite(eta).ok
 
 
 def test_gbit_2_is_the_square_bit():

@@ -1,9 +1,11 @@
 """The vectorized constraint builder of Jordan recovery equals the loops.
 
 `reference_kernels` keeps the term-by-term loops that built the linear
-constraint rows (float and rational) and the full-SVD nullspace; the float
-matrices must agree bit for bit, signed zeros included, and the rational ones
-entry for entry.
+constraint rows (float and rational), the dense exact solve and the full-SVD
+nullspace.  The float matrices must agree bit for bit, signed zeros
+included.  The exact rows are sparse integer rows, each the rational row
+times one nonzero factor, and their solve must give the dense solve's
+solution and null basis exactly.
 """
 from fractions import Fraction as F
 
@@ -15,8 +17,10 @@ import reference_kernels as oracle
 from kvwb.builtins import get_builtin
 from kvwb.effectspace import build_effect_space
 from kvwb.forms import find_orthogonalizing_spin_form
+from kvwb import linalg
 from kvwb.jordan import (RecoveryProblem, _linear_rows, _solve_float,
                          recover_jordan_product)
+from kvwb.linalg import solve_with_nullspace
 from kvwb.pipeline import _recovery_problem
 
 QUANTUM = ["qubit:real", "qubit:complex", "qutrit:complex"]
@@ -43,11 +47,19 @@ def assert_same_float_rows(p, idempotence):
 
 
 def assert_same_exact_rows(p, idempotence):
-    A, b = _linear_rows(p, idempotence, exact=True)
+    rows, ncols = _linear_rows(p, idempotence, exact=True)
     A0, b0, _ = oracle.exact_linear_rows(p, idempotence)
-    assert A.tolist() == A0 and b.tolist() == b0
-    assert all(type(x) is F for row in A.tolist() for x in row)
-    assert all(type(x) is F for x in b.tolist())
+    assert len(rows) == len(A0) and ncols == len(A0[0])
+    for row, a, bb in zip(rows, A0, b0):
+        want = {k: x for k, x in enumerate(a + [bb]) if x}
+        assert row.keys() == want.keys()
+        assert all(type(x) is int for x in row.values())
+        if want:
+            k = next(iter(want))
+            scale = row[k] / want[k]
+            assert all(row[j] == scale * want[j] for j in want)
+    assert solve_with_nullspace(rows, ncols) == \
+        oracle.solve_with_nullspace(A0, b0)
 
 
 def signed_permutation(rng, d):
@@ -108,6 +120,24 @@ def test_exact_rows_match_the_loops(data, d, n_actions, n_outcomes,
     assert_same_exact_rows(p, idempotence)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d=st.integers(2, 4), n_actions=st.integers(1, 2),
+       idempotence=st.booleans())
+def test_exact_rows_with_rational_actions_match_the_loops(data, d, n_actions,
+                                                          idempotence):
+    """Actions with denominators, so each equivariance row is scaled by
+    s_M² and its linear and quadratic terms must scale alike."""
+    mat = st.lists(st.lists(small, min_size=d, max_size=d),
+                   min_size=d, max_size=d)
+    vec = st.lists(small, min_size=d, max_size=d)
+    p = RecoveryProblem(
+        dim=d, B=np.zeros((d, d)), u=np.zeros(d), cone_generators=[],
+        exact=True, B_exact=data.draw(mat), u_exact=data.draw(vec),
+        actions_exact=[data.draw(mat) for _ in range(n_actions)],
+        outcome_vectors_exact=[data.draw(vec)])
+    assert_same_exact_rows(p, idempotence)
+
+
 @pytest.mark.parametrize("name", QUANTUM)
 @pytest.mark.parametrize("idempotence", [True, False])
 def test_quantum_builtin_rows_match_the_loops(name, idempotence):
@@ -120,6 +150,46 @@ def test_classical_builtin_rows_match_the_loops(name):
     assert p.exact
     assert_same_exact_rows(p, True)
     assert_same_float_rows(p, True)
+
+
+CLASSICAL = [f"classical:{n}" for n in range(2, 7)]
+
+
+@pytest.mark.parametrize("name", CLASSICAL)
+@pytest.mark.parametrize("idempotence", [True, False])
+def test_classical_recovery_systems_match_the_dense_solve(name, idempotence):
+    """Idempotence pins the product (nullity 0); without it every
+    `classical:n` but n = 2 keeps a one-dimensional family (nullity 1)."""
+    p = builtin_problem(name)
+    rows, ncols = _linear_rows(p, idempotence, exact=True)
+    A0, b0, _ = oracle.exact_linear_rows(p, idempotence)
+    x, null = solve_with_nullspace(rows, ncols)
+    assert (x, null) == oracle.solve_with_nullspace(A0, b0)
+    assert len(null) == (0 if idempotence or name == "classical:2" else 1)
+
+
+def test_exact_recovery_makes_no_dense_rref(monkeypatch):
+    p = builtin_problem("classical:4")
+    assert p.exact
+    calls = []
+    rref = linalg.rref
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return rref(*args, **kw)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    res = recover_jordan_product(p)
+    assert res.algebra is not None and res.algebra.exact
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", CLASSICAL)
+def test_exact_recovery_rows_are_sparse(name):
+    """Fewer than two nonzeros per row, right-hand sides included: the
+    dense layout would hold rows x (columns + 1) entries."""
+    rows, _ = _linear_rows(builtin_problem(name), True, exact=True)
+    assert sum(map(len, rows)) < 2 * len(rows)
 
 
 def test_positive_nullity_basis_spans_the_full_svd_nullspace():
