@@ -19,8 +19,7 @@ import numpy as np
 
 from .effectspace import OrderUnitSpace, build_effect_space
 from .forms import BilinearForm, certify_flags, check_unitarity
-from .linalg import (ONE, ZERO, column_space_basis, dot, frac, inverse,
-                     mat_mul, mat_vec, rank, solve, transpose)
+from .linalg import ONE, ZERO, _Kind, dot
 from .lp import (LPResult, check_certificate, convex_membership,
                  solve_feasibility)
 from .models import (Model, PermutationGroup, PolytopeBackend, QuantumBackend,
@@ -99,8 +98,7 @@ def conditional(w: BipartiteState, x: str, side: str = "A") -> Conditional:
             raise CompositeError(f"unknown outcome {x!r} of {w.B.name}")
         vec, other = w.column(x), w.A
     mass = sum(vec[other.testspace.index(y)] for y in other.tests[0])
-    zero = (mass == 0) if w.kind == "exact" else abs(mass) <= 1e-12
-    if zero:
+    if _Kind(w.kind, 1e-12).is_zero(mass):
         return Conditional(vec, mass, True, None)
     return Conditional(vec, mass, False, [v / mass for v in vec])
 
@@ -146,12 +144,11 @@ def validate_bipartite(w: BipartiteState, tol: float = 1e-9) -> BipartiteReport:
     if set(w.table) != want:
         return BipartiteReport(False, ["table keys do not cover the outcome "
                                        "product exactly"])
-    exact = w.kind == "exact"
+    K = _Kind(w.kind, tol)
     for E in w.A.tests:
         for F in w.B.tests:
             s = sum(w.table[(x, y)] for x in E for y in F)
-            bad = (s != 1) if exact else abs(s - 1) > tol
-            if bad:
+            if not K.is_zero(s - 1):
                 problems.append(f"product test {E}x{F} sums to {s}, not 1")
     for x in w.A.outcomes:
         ok, why = _conditional_in_cone(w.B, w.row(x), tol)
@@ -165,10 +162,9 @@ def validate_bipartite(w: BipartiteState, tol: float = 1e-9) -> BipartiteReport:
             problems.append(f"conditional on second-factor {y!r}: {why}")
         elif why:
             notes.append(f"conditional on second-factor {y!r}: {why}")
-    if exact:
-        neg = [(k, v) for k, v in w.table.items() if v < 0]
-        if neg:
-            problems.append(f"negative entries: {neg[:3]}")
+    neg = [(k, v) for k, v in w.table.items() if v < -K.tol]
+    if neg:
+        problems.append(f"negative entries: {neg[:3]}")
     return BipartiteReport(not problems, problems, notes)
 
 
@@ -180,7 +176,7 @@ class OmegaHat:
     """Matrix W with (W a) . b = omega-value, for effect coords a, b.
 
     Functionals on the partner's effect space are stored as coefficient
-    vectors against its coordinates, so ``pair`` is a plain dot product.
+    vectors against its coordinates, so pairing is a plain dot product.
     """
 
     matrix: object
@@ -188,33 +184,20 @@ class OmegaHat:
     target: OrderUnitSpace
     kind: str
 
-    def apply(self, a) -> list:
-        if self.kind == "exact":
-            return mat_vec(self.matrix, list(a))
-        return list(np.asarray(self.matrix) @ np.asarray(a, float))
-
-    def pair(self, a, b):
-        if self.kind == "exact":
-            return dot(self.apply(a), list(b))
-        return float(np.dot(self.apply(a), np.asarray(b, float)))
-
     def rank(self) -> int:
-        if self.kind == "exact":
-            return rank(self.matrix)
-        return int(np.linalg.matrix_rank(np.asarray(self.matrix), tol=1e-9))
+        K = _Kind(self.kind)
+        return K.rank(K.array(self.matrix))
 
 
 def _basis_outcomes(E: OrderUnitSpace) -> list[str]:
-    cols = transpose([[frac(c) for c in E.outcome_vectors[x]]
-                      for x in E.model.outcomes]) if E.kind == "exact" else None
-    if E.kind == "exact":
-        return [E.model.outcomes[i] for i in column_space_basis(cols)]
-    M = np.array([E.outcome_vectors[x] for x in E.model.outcomes], float)
+    """The first maximal independent family of outcome vectors, in outcome
+    order: each outcome is kept when it raises the rank of those kept."""
+    K = _Kind(E.kind)
     picked, idx = [], []
-    for i in range(len(M)):
-        trial = picked + [M[i]]
-        if np.linalg.matrix_rank(np.array(trial), tol=1e-9) == len(trial):
-            picked.append(M[i])
+    for i, x in enumerate(E.model.outcomes):
+        trial = picked + [E.outcome_vectors[x]]
+        if K.rank(K.array(trial)) == len(trial):
+            picked = trial
             idx.append(i)
         if len(picked) == E.dim:
             break
@@ -233,66 +216,44 @@ def omega_hat(w: BipartiteState, E_A: Optional[OrderUnitSpace] = None,
     assembled into one matrix on a maximal independent family of source
     effects.  Both stages re-verify every outcome, and a dependency of
     outcome vectors that the table fails to respect raises with the
-    violating outcome as witness.
+    violating outcome as witness.  Values are compared with the kind's zero
+    tolerance: exactly, or within `tol`.
     """
     E_A = E_A or build_effect_space(w.A)
     E_B = E_B or build_effect_space(w.B)
     if E_A.kind != E_B.kind:
         raise CompositeError("mixed exact/float bipartite states unsupported")
-    exact = E_A.kind == "exact"
+    K = _Kind(E_A.kind, tol)
 
     basis_B = _basis_outcomes(E_B)
     basis_A = _basis_outcomes(E_A)
-    duals: dict[str, list] = {}
-    if exact:
-        Yb = [list(E_B.outcome_vectors[y]) for y in basis_B]   # rows
-        for x in w.A.outcomes:
-            rhs = [w.table[(x, y)] for y in basis_B]
-            wx = solve(Yb, [frac(r) for r in rhs])
-            if wx is None:
-                raise CompositeError("table row unsolvable against the "
-                                     f"partner frame at outcome {x!r}",
-                                     witness=x)
-            duals[x] = wx
-            for y in w.B.outcomes:
-                if dot(wx, list(E_B.outcome_vectors[y])) != w.table[(x, y)]:
-                    raise CompositeError(
-                        f"table violates an effect dependency: row {x!r} is "
-                        f"inconsistent at outcome {y!r}", witness=(x, y))
-        C = transpose([list(E_A.outcome_vectors[x]) for x in basis_A])
-        C_inv = inverse(C)
-        W = mat_mul(transpose([duals[x] for x in basis_A]), C_inv)
-        for x in w.A.outcomes:
-            if mat_vec(W, list(E_A.outcome_vectors[x])) != duals[x]:
-                raise CompositeError(
-                    f"table violates an effect dependency: outcome {x!r} is "
-                    "not consistent with the independent family", witness=x)
-        return OmegaHat(W, E_A, E_B, "exact")
-
-    Yb = np.array([E_B.outcome_vectors[y] for y in basis_B], float)
+    Yb = K.array([E_B.outcome_vectors[y] for y in basis_B])   # rows
+    VB = K.array([E_B.outcome_vectors[y] for y in w.B.outcomes])
+    duals: dict[str, np.ndarray] = {}
     for x in w.A.outcomes:
-        rhs = np.array([w.table[(x, y)] for y in basis_B], float)
-        wx = np.linalg.solve(Yb, rhs)
+        wx = K.solve(Yb, K.array([w.table[(x, y)] for y in basis_B]))
+        if wx is None:
+            raise CompositeError("table row unsolvable against the "
+                                 f"partner frame at outcome {x!r}",
+                                 witness=x)
         duals[x] = wx
-        for y in w.B.outcomes:
-            err = abs(float(wx @ np.asarray(E_B.outcome_vectors[y]))
-                      - w.table[(x, y)])
-            if err > tol:
+        for y, vy in zip(w.B.outcomes, VB):
+            err = abs(wx @ vy - w.table[(x, y)])
+            if not K.is_zero(err):
                 raise CompositeError(
                     f"table violates an effect dependency: row {x!r} is "
-                    f"inconsistent at outcome {y!r} (error {err:.2e})",
+                    f"inconsistent at outcome {y!r} (error {float(err):.2e})",
                     witness=(x, y))
-    C = np.array([E_A.outcome_vectors[x] for x in basis_A], float).T
-    W = np.array([duals[x] for x in basis_A], float).T @ np.linalg.inv(C)
+    C = K.array([E_A.outcome_vectors[x] for x in basis_A]).T
+    W = K.array([duals[x] for x in basis_A]).T @ K.inverse(C)
     for x in w.A.outcomes:
-        err = float(np.abs(W @ np.asarray(E_A.outcome_vectors[x])
-                           - duals[x]).max())
-        if err > tol:
+        err = np.max(np.abs(W @ K.array(E_A.outcome_vectors[x]) - duals[x]))
+        if not K.is_zero(err):
             raise CompositeError(
                 f"table violates an effect dependency: outcome {x!r} is not "
-                f"consistent with the independent family (error {err:.2e})",
-                witness=x)
-    return OmegaHat(W, E_A, E_B, "float")
+                f"consistent with the independent family (error "
+                f"{float(err):.2e})", witness=x)
+    return OmegaHat(K.native(W), E_A, E_B, E_A.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -314,27 +275,30 @@ def is_isomorphism_state(w: BipartiteState,
                          tol: float = 1e-9) -> IsomorphismStateReport:
     """Does the induced map carry the effect cone onto the dual cone?
 
-    Exact models: the map must be invertible, send every effect-cone
-    generator into the dual cone of the partner (checked generator against
-    generator), and its inverse must send every generator of the partner's
-    dual effect cone (computed once per effect space) back into the effect
-    cone, with LP certificates.  Quantum samples are tested against the analytic
-    positive-semidefinite cone, which the sampled cone generates.
+    The map must be invertible (of full rank, for either kind).  Exact
+    models: it must send every effect-cone generator into the dual cone of
+    the partner (checked generator against generator), and its inverse must
+    send every generator of the partner's dual effect cone (computed once
+    per effect space) back into the effect cone, with LP certificates.
+    Quantum samples are tested against the analytic positive-semidefinite
+    cone, which the sampled cone generates.
     """
     E_A = E_A or build_effect_space(w.A)
     E_B = E_B or build_effect_space(w.B)
     oh = omega_hat(w, E_A, E_B, tol=tol)
+    K = _Kind(oh.kind, tol)
+    W = K.array(oh.matrix)
+    if W.shape[0] != W.shape[1] or K.rank(W) < len(W):
+        return IsomorphismStateReport(False, False, None, None,
+                                      ["matrix is singular"])
+    W_inv = K.inverse(W)
     failures, notes = [], []
 
-    if oh.kind == "exact":
-        W_inv = inverse(oh.matrix)
-        if W_inv is None:
-            return IsomorphismStateReport(False, False, None, None,
-                                          ["matrix is singular"])
+    if K.exact:
         gens_B = [list(g) for g in E_B.effect_cone.all_generators()]
         fwd = True
         for g in E_A.effect_cone.all_generators():
-            f = oh.apply(g)
+            f = W @ K.array(g)
             for v in gens_B:
                 if dot(f, v) < 0:
                     fwd = False
@@ -342,7 +306,7 @@ def is_isomorphism_state(w: BipartiteState,
                                      "against": v, "value": dot(f, v)})
         inv = True
         for d in E_B.dual_effect_cone.all_generators():
-            res = E_A.effect_cone.contains(mat_vec(W_inv, list(d)))
+            res = E_A.effect_cone.contains(list(W_inv @ K.array(d)))
             if not res.feasible:
                 inv = False
                 failures.append({"stage": "inverse", "generator": list(d),
@@ -350,13 +314,8 @@ def is_isomorphism_state(w: BipartiteState,
         ok = fwd and inv
         return IsomorphismStateReport(ok, True, fwd, inv, failures, notes)
 
-    W = np.asarray(oh.matrix, float)
-    if np.linalg.matrix_rank(W, tol=tol) < W.shape[0] or W.shape[0] != W.shape[1]:
-        return IsomorphismStateReport(False, False, None, None,
-                                      ["matrix is singular"])
     notes.append("quantum membership tested against the analytic "
                  "positive-semidefinite cone generated by the sample")
-    W_inv = np.linalg.inv(W)
     fwd = True
     for x in w.A.outcomes:
         f = W @ np.asarray(E_A.outcome_vectors[x])
@@ -612,53 +571,35 @@ def spin_form_from_conjugate(c: Conjugate,
     """Bilinear form B(x,y) = eta(x, gamma(y)), extended to coordinates.
 
     The table fixes B on outcome pairs; the extension solves against a
-    maximal independent family and then re-verifies every pair, raising
-    with the violating pair if the table does not respect an effect-vector
+    maximal independent family and then re-verifies every pair at once
+    with the Gram matrix V B V^T of the outcome vectors, raising with the
+    first violating pair if the table does not respect an effect-vector
     dependency.  `certify_flags` sets four flags on the result and
     `invariant` is the unitarity of the symmetries under it.
     """
     m = c.model
     E = E or build_effect_space(m)
-    exact = E.kind == "exact"
+    K = _Kind(E.kind, tol)
     outs = list(m.outcomes)
-    vals = {(x, y): c.eta.table[(x, c.gamma[y])] for x in outs for y in outs}
-    basis = _basis_outcomes(E)
-
-    if exact:
-        C = transpose([list(E.outcome_vectors[x]) for x in basis])
-        C_inv = inverse(C)
-        T_bb = [[frac(vals[(x, y)]) for y in basis] for x in basis]
-        S = mat_mul(mat_mul(transpose(C_inv), T_bb), C_inv)
-        Ssym = [[(S[i][j] + S[j][i]) / 2 for j in range(len(S))]
-                for i in range(len(S))]
-        asym = any(S[i][j] != S[j][i] for i in range(len(S))
-                   for j in range(len(S)))
-        B = BilinearForm(Ssym, "exact")
-        for x in outs:
-            for y in outs:
-                if B.value(E.outcome_vectors[x], E.outcome_vectors[y]) != vals[(x, y)]:
-                    if asym:
-                        raise CompositeError(
-                            "table is asymmetric and does not extend to a "
-                            f"symmetric form; pair ({x!r},{y!r}) fails after "
-                            "averaging", witness=(x, y))
-                    raise CompositeError(
-                        "table violates an effect dependency at pair "
-                        f"({x!r},{y!r})", witness=(x, y))
-    else:
-        C = np.array([E.outcome_vectors[x] for x in basis], float).T
-        C_inv = np.linalg.inv(C)
-        T_bb = np.array([[vals[(x, y)] for y in basis] for x in basis], float)
-        S = C_inv.T @ T_bb @ C_inv
-        B = BilinearForm((S + S.T) / 2, "float")
-        for x in outs:
-            for y in outs:
-                err = abs(B.value(E.outcome_vectors[x], E.outcome_vectors[y])
-                          - vals[(x, y)])
-                if err > tol:
-                    raise CompositeError(
-                        "table violates an effect dependency at pair "
-                        f"({x!r},{y!r}) (error {err:.2e})", witness=(x, y))
+    T = K.array([[c.eta.table[(x, c.gamma[y])] for y in outs] for x in outs])
+    at = [outs.index(x) for x in _basis_outcomes(E)]
+    C_inv = K.inverse(K.array([E.outcome_vectors[outs[i]] for i in at]).T)
+    S = C_inv.T @ T[np.ix_(at, at)] @ C_inv
+    B = BilinearForm(K.native((S + S.T) / 2), E.kind)
+    V = K.array([E.outcome_vectors[x] for x in outs])
+    err = np.abs(V @ K.array(B.matrix) @ V.T - T)
+    bad = np.argwhere(~(err <= K.tol))
+    if len(bad):
+        i, j = bad[0]
+        x, y = outs[i], outs[j]
+        if not K.is_zero(S - S.T):
+            raise CompositeError(
+                "table is asymmetric and does not extend to a symmetric "
+                f"form; pair ({x!r},{y!r}) fails after averaging",
+                witness=(x, y))
+        raise CompositeError(
+            "table violates an effect dependency at pair "
+            f"({x!r},{y!r}) (error {float(err[i, j]):.2e})", witness=(x, y))
     certify_flags(B, E, tol)
     B.invariant = _invariance_flag(E, B, tol)
     return B
@@ -700,7 +641,7 @@ def homogeneity_report(E: OrderUnitSpace, witnesses: list,
     checked again.
     """
     m = E.model
-    exact = E.kind == "exact"
+    K = _Kind(E.kind, tol)
     witness_ok, margs = [], []
     for w in witnesses:
         w, rep = w if isinstance(w, tuple) else (w, None)
@@ -713,18 +654,8 @@ def homogeneity_report(E: OrderUnitSpace, witnesses: list,
         margs.append(marginal(w, "A") if rep.is_iso else None)
     covered, uncovered = [], []
     for i, s in enumerate(samples):
-        s_vec = list(s)
-        hit = None
-        for j, mg in enumerate(margs):
-            if mg is None:
-                continue
-            if exact and all(frac(a) == frac(b) for a, b in zip(mg, s_vec)):
-                hit = j
-                break
-            if not exact and max(abs(float(a) - float(b))
-                                 for a, b in zip(mg, s_vec)) <= tol:
-                hit = j
-                break
+        hit = next((j for j, mg in enumerate(margs) if mg is not None
+                    and K.is_zero(K.array(mg) - K.array(s))), None)
         covered.append(hit)
         if hit is None:
             uncovered.append(i)

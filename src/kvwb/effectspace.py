@@ -99,6 +99,13 @@ class OrderUnitSpace:
         return tuple(self.all_effect_actions())
 
     @cached_property
+    def invariance_rows(self):
+        """Rows of M^T S M = S over packed symmetric S for every action,
+        built once for the forms that need them (`forms.invariance_rows`)."""
+        from .forms import invariance_rows
+        return invariance_rows(self.actions, self.dim, self.kind)
+
+    @cached_property
     def dual_effect_cone(self) -> PolyhedralCone:
         """{v : v.g >= 0 for every effect}, computed once; exact spaces only."""
         return dual_cone(self.effect_cone)

@@ -14,11 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import pairwise_form_positivity
 from .effectspace import OrderUnitSpace
-from .linalg import (Vec, ONE, ZERO, dot, is_positive_definite, is_symmetric,
-                     mat_mul, mat_vec, nullspace, np_nullspace, np_rref, rank,
-                     transpose)
+from .linalg import ONE, ZERO, _Kind, is_positive_definite, is_symmetric
 from .lp import free_feasibility
 from .models import distinguishable_pairs
 
@@ -50,9 +47,8 @@ class BilinearForm:
         return len(self.matrix)
 
     def value(self, a, b):
-        if self.kind == "exact":
-            return dot(mat_vec(self.matrix, list(a)), list(b))
-        return float(np.asarray(a) @ self.matrix @ np.asarray(b))
+        K = _Kind(self.kind)
+        return K.array(a) @ K.array(self.matrix) @ K.array(b)
 
     def flag_summary(self) -> dict:
         return {"positive_on_cone": self.positive_on_cone,
@@ -65,67 +61,46 @@ class BilinearForm:
 # ---------------------------------------------------------------------------
 # packed symmetric coordinates
 
-def _pack_index(dim: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(dim) for j in range(i, dim)]
+def _packed_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row r: the coefficients of X[r]^T S Y[r] over the packed unknowns
+    s_ij (i <= j, in `np.triu_indices` order) of a symmetric S.
 
-
-def _unpack(vec, dim: int, exact: bool):
-    pairs = _pack_index(dim)
-    if exact:
-        S = [[ZERO] * dim for _ in range(dim)]
-    else:
-        S = np.zeros((dim, dim))
-    for v, (i, j) in zip(vec, pairs):
-        S[i][j] = v
-        if exact:
-            S[j][i] = v
-        else:
-            S[j, i] = v
-    return S
-
-
-def _invariance_rows(M, dim: int, exact: bool):
-    """Rows of (M^T S M - S) = 0 over packed symmetric unknowns s_{ij}."""
-    pairs = _pack_index(dim)
-    pos = {p: k for k, p in enumerate(pairs)}
-    rows = []
-    for a in range(dim):
-        for b in range(a, dim):
-            row = [ZERO] * len(pairs) if exact else np.zeros(len(pairs))
-            for k in range(dim):
-                for l in range(dim):
-                    coeff = M[k][a] * M[l][b] if exact else M[k, a] * M[l, b]
-                    i, j = (k, l) if k <= l else (l, k)
-                    row[pos[(i, j)]] += coeff
-            row[pos[(a, b)]] -= 1 if exact else 1.0
-            rows.append(row)
+    The coefficient of s_ij is 0 + X[r,i] Y[r,j] + X[r,j] Y[r,i] (the last
+    term only when i < j), summed in that order for every kind.
+    """
+    iu, ju = np.triu_indices(X.shape[1])
+    P = X[:, :, None] * Y[:, None, :]
+    rows = P[:, iu, ju] + 0
+    off = iu != ju
+    rows[:, off] += P[:, ju[off], iu[off]]
     return rows
 
 
-def _pairing_row(x, y, dim: int, exact: bool):
-    """Row computing x^T S y over packed symmetric unknowns."""
-    pairs = _pack_index(dim)
-    pos = {p: k for k, p in enumerate(pairs)}
-    row = [ZERO] * len(pairs) if exact else np.zeros(len(pairs))
-    for k in range(dim):
-        for l in range(dim):
-            coeff = x[k] * y[l]
-            i, j = (k, l) if k <= l else (l, k)
-            row[pos[(i, j)]] += coeff
-    return row
+def invariance_rows(actions, dim: int, kind: str) -> np.ndarray:
+    """Rows of M^T S M = S for every action M, over the packed unknowns:
+    row (a, b) is the pairing of columns a and b of M, less s_ab."""
+    K = _Kind(kind)
+    iu, ju = np.triu_indices(dim)
+    blocks = [K.zeros((0, len(iu)))]
+    for M in actions:
+        cols = K.array(M).T
+        rows = _packed_rows(cols[iu], cols[ju])
+        rows[np.diag_indices(len(iu))] -= 1
+        blocks.append(rows)
+    return np.concatenate(blocks)
+
+
+def _unpack(v, dim: int, K: _Kind):
+    """The symmetric matrix with packed entries v, in the kind's container."""
+    iu, ju = np.triu_indices(dim)
+    S = K.zeros((dim, dim))
+    S[iu, ju] = v
+    S[ju, iu] = v
+    return K.native(S)
 
 
 # ---------------------------------------------------------------------------
 # invariant forms
-
-def _invariance_system(acts, dim: int, exact: bool) -> list:
-    """Rows of M^T S M = S for every action M, over packed unknowns s_{ij}."""
-    rows = []
-    for M in acts:
-        rows.extend(_invariance_rows(M if exact else np.asarray(M, float),
-                                     dim, exact))
-    return rows
-
 
 def invariant_symmetric_forms(E: OrderUnitSpace) -> list[BilinearForm]:
     """Basis of symmetric forms with M_g^T B M_g = B for every generator.
@@ -134,39 +109,16 @@ def invariant_symmetric_forms(E: OrderUnitSpace) -> list[BilinearForm]:
     since the invariance condition is multiplicative in g, so the basis is
     one nullspace over the generator rows.
     """
-    exact = E.kind == "exact"
-    dim = E.dim
-    rows = _invariance_system(E.actions, dim, exact)
-    if exact:
-        basis = nullspace(rows) if rows else _full_symmetric_basis(dim)
-        out = [BilinearForm(_unpack(v, dim, True), "exact", invariant=True)
-               for v in basis]
-    else:
-        if rows:
-            null = np_nullspace(np.array(rows))
-            null = np_rref(null) if null.shape[0] else null
-        else:
-            null = np.eye(dim * (dim + 1) // 2)
-        out = [BilinearForm(_unpack(v, dim, False), "float", invariant=True)
-               for v in null]
-    return out
+    K = _Kind(E.kind)
+    return [BilinearForm(_unpack(v, E.dim, K), E.kind, invariant=True)
+            for v in K.nullspace(E.invariance_rows)]
 
 
-def _full_symmetric_basis(dim: int) -> list[Vec]:
-    n = dim * (dim + 1) // 2
-    return [[ONE if k == t else ZERO for k in range(n)] for t in range(n)]
-
-
-def _fixed_covector_dim(acts, dim: int, exact: bool) -> int:
+def _fixed_covector_dim(E: OrderUnitSpace) -> int:
     """Dimension of {w : M^T w = w for every action M}."""
-    if not acts:
-        return dim
-    if exact:
-        rows = [[M[k][i] - (ONE if k == i else ZERO) for k in range(dim)]
-                for M in acts for i in range(dim)]
-        return dim - rank(rows)
-    rows = np.vstack([np.asarray(M, float).T - np.eye(dim) for M in acts])
-    return np_nullspace(rows).shape[0]
+    K = _Kind(E.kind)
+    rows = [K.array(M).T - K.eye(E.dim) for M in E.actions]
+    return len(K.nullspace(np.concatenate([K.zeros((0, E.dim)), *rows])))
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +140,7 @@ def is_irreducible(E: OrderUnitSpace) -> bool:
     is dim{invariant forms on V} - dim{w : M^T w = w}: two nullspaces over
     the generator rows, with no complement chosen.
     """
-    n_forms = len(invariant_symmetric_forms(E))
-    return n_forms - _fixed_covector_dim(E.actions, E.dim,
-                                         E.kind == "exact") == 1
+    return len(invariant_symmetric_forms(E)) - _fixed_covector_dim(E) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -212,51 +162,41 @@ def find_orthogonalizing_spin_form(m, E: OrderUnitSpace, tol: float = 1e-9
     Returns the homogeneous solution dimension as the uniqueness certificate
     (1 means unique up to scale) and a form when the normalized slice meets
     the positivity constraints; positivity on generator pairs is sufficient
-    for positivity on the whole cone by bilinearity.  The flags of the form
-    are set by `certify_flags`; `invariant` holds by construction.
+    for positivity on the whole cone by bilinearity.  An exact space finds
+    the form by an LP over the whole solution space; a float one refuses a
+    solution space of dimension above one.  The flags of the form are set
+    by `certify_flags`; `invariant` holds by construction.
     """
-    exact = E.kind == "exact"
+    K = _Kind(E.kind, tol)
     dim = E.dim
 
     pairs = set()
     for a, b in distinguishable_pairs(m):
         if (b, a) not in pairs:
             pairs.add((a, b))
-
-    rows = _invariance_system(E.actions, dim, exact)
-    for a, b in sorted(pairs):
-        va, vb = E.outcome_vectors[a], E.outcome_vectors[b]
-        rows.append(_pairing_row(list(va), list(vb), dim, exact))
-
-    if exact:
-        basis = nullspace(rows) if rows else _full_symmetric_basis(dim)
-    else:
-        null = np_nullspace(np.array(rows))
-        basis = list(np_rref(null)) if null.shape[0] else []
+    pairs = sorted(pairs)
+    X = K.array([E.outcome_vectors[a] for a, _ in pairs]).reshape(-1, dim)
+    Y = K.array([E.outcome_vectors[b] for _, b in pairs]).reshape(-1, dim)
+    basis = K.nullspace(np.concatenate([E.invariance_rows,
+                                        _packed_rows(X, Y)]))
     h = len(basis)
     if h == 0:
         return SpinFormResult(None, 0, ["only the zero form satisfies the "
                                         "linear constraints"])
 
-    mats = [_unpack(v, dim, exact) for v in basis]
-    u = list(E.u)
-    gens = [list(g) for g in (E.cone_generators if exact
-                              else [E.outcome_vectors[x] for x in m.outcomes])]
-
-    if exact:
-        uvals = [dot(mat_vec(S, u), u) for S in mats]
-        ineqs = []
-        for i in range(len(gens)):
-            for j in range(i, len(gens)):
-                coeffs = [dot(mat_vec(S, gens[i]), gens[j]) for S in mats]
-                ineqs.append((coeffs, ZERO))
-        res = free_feasibility(ineqs, [(uvals, ONE)], h)
+    mats = [_unpack(v, dim, K) for v in basis]
+    if K.exact:
+        Ms = [K.array(S) for S in mats]
+        G, U = K.array(E.cone_generators), K.array(E.u)
+        grams = [G @ M @ G.T for M in Ms]
+        ineqs = [([Gs[i, j] for Gs in grams], ZERO)
+                 for i in range(len(G)) for j in range(i, len(G))]
+        res = free_feasibility(ineqs, [([U @ M @ U for M in Ms], ONE)], h)
         if not res.feasible:
             return SpinFormResult(None, h, ["no cone-positive form on the "
                                             "normalized slice"])
-        S = [[sum(c * mats[k][i][j] for k, c in enumerate(res.point))
-              for j in range(dim)] for i in range(dim)]
-        form = BilinearForm(S, "exact", invariant=True)
+        S = sum(c * M for c, M in zip(res.point, Ms))
+        form = BilinearForm(K.native(S), "exact", invariant=True)
         certify_flags(form, E, tol)
         return SpinFormResult(form, h, [], basis=mats)
 
@@ -264,13 +204,15 @@ def find_orthogonalizing_spin_form(m, E: OrderUnitSpace, tol: float = 1e-9
         return SpinFormResult(None, h, [
             f"float search found a {h}-dimensional candidate space; "
             "refusing to pick a form numerically"], basis=mats)
-    S = np.asarray(mats[0], dtype=float)
-    uu = float(np.asarray(u) @ S @ np.asarray(u))
+    u = np.asarray(E.u, dtype=float)
+    S = mats[0]
+    uu = float(u @ S @ u)
     if abs(uu) < tol:
         return SpinFormResult(None, h, ["candidate form is degenerate on the "
                                         "unit"], basis=mats)
     S = S / uu
-    worst = min(float(np.asarray(g) @ S @ np.asarray(gj))
+    gens = [np.asarray(E.outcome_vectors[x]) for x in m.outcomes]
+    worst = min(float(g @ S @ gj)
                 for gi, g in enumerate(gens) for gj in gens[gi:])
     if worst < -tol:
         return SpinFormResult(None, h, [f"normalized form fails cone "
@@ -288,31 +230,29 @@ def certify_flags(form: BilinearForm, E: OrderUnitSpace,
     """Set the normalized, orthogonalizing, positive_on_cone and
     positive_definite flags of `form` on the effect space `E`.
 
-    Exact forms are compared exactly, float forms within `tol`.  Positivity
-    on the cone is checked on every pair of cone generators (the effect-cone
-    generators, or every outcome vector of a float space), which suffices by
-    bilinearity.  `invariant` is left to the caller: the spin search holds it
-    by construction, and a derived form has it checked by unitarity.
+    Values are compared with the kind's zero tolerance: exactly, or within
+    `tol`.  One Gram matrix V S V^T of the outcome vectors answers the
+    distinguishable pairs and positivity on the cone, which the outcome
+    vectors generate, so their pairs suffice by bilinearity.  Positive
+    definiteness is Sylvester's criterion when exact and the least
+    eigenvalue otherwise.  `invariant` is left to the caller: the spin
+    search holds it by construction, and a derived form has it checked by
+    unitarity.
     """
-    vecs = E.outcome_vectors
+    K = _Kind(form.kind, tol)
+    M = K.array(form.matrix)
+    u = K.array(E.u)
+    form.normalized = K.is_zero(u @ M @ u - 1)
+    outs = E.model.outcomes
+    V = K.array([E.outcome_vectors[x] for x in outs])
+    G = V @ M @ V.T
+    at = {x: i for i, x in enumerate(outs)}
     pairs = distinguishable_pairs(E.model)
-    if form.kind == "exact":
-        form.normalized = form.value(E.u, E.u) == 1
-        form.orthogonalizing = all(form.value(vecs[a], vecs[b]) == 0
-                                   for a, b in pairs)
-        worst, _ = pairwise_form_positivity(E.cone_generators, form.matrix)
-        form.positive_on_cone = worst >= 0
-        form.positive_definite = is_positive_definite(form.matrix)
-        return
-    M = np.asarray(form.matrix)
-    u = np.asarray(E.u, float)
-    form.normalized = abs(float(u @ M @ u) - 1.0) <= tol
-    form.orthogonalizing = all(abs(form.value(vecs[a], vecs[b])) <= tol
-                               for a, b in pairs)
-    gens = [np.asarray(vecs[x]) for x in E.model.outcomes]
-    form.positive_on_cone = all(float(a @ M @ b) >= -tol
-                                for a in gens for b in gens)
-    form.positive_definite = bool(np.linalg.eigvalsh(M).min() > tol)
+    form.orthogonalizing = K.is_zero(G[[at[a] for a, _ in pairs],
+                                       [at[b] for _, b in pairs]])
+    form.positive_on_cone = bool(G.min() >= -K.tol)
+    form.positive_definite = (is_positive_definite(form.matrix) if K.exact
+                              else bool(np.linalg.eigvalsh(M).min() > tol))
 
 
 # ---------------------------------------------------------------------------
@@ -365,22 +305,11 @@ def check_spin_uniqueness(m, E: OrderUnitSpace,
 
 def check_unitarity(actions, B: BilinearForm, tol: float = 1e-9) -> bool:
     """Every symmetry is B-unitary: its B-adjoint equals its inverse,
-    i.e. M^T B M = B for each generator."""
-    if B.kind == "exact":
-        from .linalg import det
-        if det(B.matrix) == 0:
-            raise ValueError("unitarity check needs an invertible form")
-        for M in actions:
-            Mm = [list(r) for r in M]
-            lhs = mat_mul(transpose(Mm), mat_mul(B.matrix, Mm))
-            if lhs != B.matrix:
-                return False
-        return True
-    Bm = np.asarray(B.matrix, dtype=float)
-    if abs(np.linalg.det(Bm)) < tol:
+    i.e. M^T B M = B for each generator.  B must be invertible, which the
+    kind's rank decides: a determinant test would depend on the scale of B
+    (det(I/n) on n² dimensions is n^(-n²))."""
+    K = _Kind(B.kind, tol)
+    Bm = K.array(B.matrix)
+    if K.rank(Bm) < len(Bm):
         raise ValueError("unitarity check needs an invertible form")
-    for M in actions:
-        Mm = np.asarray(M, dtype=float)
-        if np.abs(Mm.T @ Bm @ Mm - Bm).max() > tol:
-            return False
-    return True
+    return all(K.is_zero(M.T @ Bm @ M - Bm) for M in map(K.array, actions))

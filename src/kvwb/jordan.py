@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import (ONE, ZERO, Mat, Vec, frac, is_positive_definite,
+from .linalg import (ONE, ZERO, frac, is_positive_definite,
                      solve_with_nullspace, sparse_int_rows)
 
 
@@ -786,18 +786,21 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
 
 @dataclass
 class RecoveryProblem:
+    """Recovery inputs of one kind: rationals (`Fraction` entries) when
+    exact, floats otherwise."""
+
     dim: int
-    B: np.ndarray                        # PD orthogonalizing form (float)
-    u: np.ndarray
+    B: object                            # PD orthogonalizing form
+    u: object
     cone_generators: list
     actions: list = field(default_factory=list)
     outcome_vectors: list = field(default_factory=list)
     cone_membership: Optional[Callable] = None
-    exact: bool = False                  # inputs rational -> exact linear stage
-    B_exact: Optional[Mat] = None
-    u_exact: Optional[Vec] = None
-    actions_exact: Optional[list] = None
-    outcome_vectors_exact: Optional[list] = None
+
+    @property
+    def exact(self) -> bool:
+        """Rational inputs: the linear stage runs exactly."""
+        return np.asarray(self.B).dtype == object
 
 
 @dataclass
@@ -837,11 +840,12 @@ def _linear_rows(p: RecoveryProblem, idempotence: bool, exact: bool):
     The unknown t[at(i, j) * d + k] is the e_k coordinate of e_i ∘ e_j.  Each
     block (unit law, B-associativity, G-equivariance, idempotence) lays out
     the columns and values of its rows by broadcasting, row by row and term
-    by term.  On the float path one `np.add.at` accumulates them in that
-    order into the matrix A, so a column that several terms of a row hit
-    gets the same float sum as a loop over the terms; the result is (A, b).
+    by term.  On the float path the inputs are read as floats and one
+    `np.add.at` accumulates the terms in that order into the matrix A, so a
+    column that several terms of a row hit gets the same float sum as a loop
+    over the terms; the result is (A, b).
 
-    With `exact` the rational inputs are used, each block scaled to integers
+    With `exact` the inputs must be rationals, each block scaled to integers
     by its common denominator: s_u·u with right-hand side s_u·δ, s_B·B, and
     per action M_int = s_M·M, its linear term times s_M and its quadratic
     term M_int ⊗ M_int, so the row is s_M² times the rational one; per
@@ -857,17 +861,14 @@ def _linear_rows(p: RecoveryProblem, idempotence: bool, exact: bool):
     AT = np.array([[at(i, j) for j in range(d)] for i in range(d)],
                   dtype=np.intp)
 
-    def given(x, x_exact):
-        return x_exact if exact and x_exact is not None else x
-
     if exact:
         num, dtype = _integer_block, object
     else:
         def num(x):
             return 1.0, np.asarray(x, float)
         dtype = float
-    s_u, u = num(given(p.u, p.u_exact))
-    _, B = num(given(p.B, p.B_exact))
+    s_u, u = num(p.u)
+    _, B = num(p.B)
     ar = np.arange(d)
     iu, ju = np.triu_indices(d)
     R = len(iu)
@@ -896,7 +897,7 @@ def _linear_rows(p: RecoveryProblem, idempotence: bool, exact: bool):
     # terms m, then (a, b)
     c_m = np.broadcast_to(AT[iu, ju, None, None] * d + ar, (R, d, d))
     c_ab = np.broadcast_to((AT * d).ravel() + ar[:, None], (R, d, d * d))
-    for M in given(p.actions, p.actions_exact):
+    for M in p.actions:
         s_M, M = num(M)
         v_ab = -(M[:, iu].T[:, :, None] * M[:, ju].T[:, None, :])
         add(np.concatenate([c_m, c_ab], axis=-1),
@@ -906,7 +907,7 @@ def _linear_rows(p: RecoveryProblem, idempotence: bool, exact: bool):
             np.zeros(R * d, dtype))
     # idempotence g ∘ g = g: row k, terms i ≤ j
     if idempotence:
-        for g in given(p.outcome_vectors, p.outcome_vectors_exact):
+        for g in p.outcome_vectors:
             s_g, g = num(g)
             prod = g[iu] * g[ju]
             add(AT[iu, ju] * d + ar[:, None],
@@ -978,7 +979,8 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42,
     singular values, computing a nullspace basis (thin SVD) only when the
     nullity is positive.  Quadratic stage: Gauss-Newton
     on the Jordan identity residual from several seeds; agreement of all
-    seeds is the desk-scale uniqueness certificate.
+    seeds is the desk-scale uniqueness certificate, and it runs on the
+    inputs read as floats, whatever their kind.
     """
     gates: dict = {}
     notes: list = []
@@ -1095,8 +1097,8 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42,
     else:
         notes.append("no cone membership oracle supplied; square gate skipped")
 
-    unit = ([frac(x) for x in (p.u_exact if p.u_exact is not None else p.u)]
-            if exact_solution is not None else list(u))
+    unit = ([frac(x) for x in p.u] if exact_solution is not None
+            else list(u))
     if exact_solution is not None:
         tensor = [[[exact_solution[at(i, j) * d + k]
                     for k in range(d)] for j in range(d)] for i in range(d)]

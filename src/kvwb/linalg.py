@@ -12,12 +12,16 @@ fraction-free style of Bareiss (Math. Comp. 22, 1968), and divides into
 eliminates them fraction-free on leftmost pivots, choosing the shortest
 row holding each pivot column (Markowitz's row choice, as in Davis,
 *Direct Methods for Sparse Linear Systems*, 2006).
+
+`_Kind` lets one body serve exact and float data: it holds numbers of one
+kind in numpy arrays (`Fraction` objects, or floats) and gives that kind's
+solve, inverse, rank, nullspace and zero tolerance (0 exact, `tol` float).
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -419,3 +423,70 @@ def to_float_matrix(A: Mat) -> np.ndarray:
 
 def from_float_matrix(A: np.ndarray, limit: int = 10**6) -> Mat:
     return [[Fraction(x).limit_denominator(limit) for x in row] for row in A]
+
+
+# ---------------------------------------------------------------------------
+# one body for both kinds
+
+_as_fractions = np.frompyfunc(frac, 1, 1)
+
+
+class _Kind:
+    """The operations of one kind of number, "exact" or "float".
+
+    Values travel as numpy arrays, of `Fraction` objects when exact, so
+    `@`, `.T` and broadcasting read the same for both kinds; the exact
+    kernels above get lists of `Fraction` rows.  The float operations are
+    the numpy calls the float code makes, so its results keep their bits.
+    """
+
+    def __init__(self, kind: str, tol: float = 1e-9):
+        self.exact = kind == "exact"
+        self.tol = 0 if self.exact else tol          # the zero tolerance
+
+    def array(self, x) -> np.ndarray:
+        if self.exact:
+            return _as_fractions(np.array(x, dtype=object))
+        return np.asarray(x, dtype=float)
+
+    def native(self, A: np.ndarray):
+        """Exact arrays as (nested) lists of `Fraction`; float arrays as is."""
+        return A.tolist() if self.exact else A
+
+    def zeros(self, shape) -> np.ndarray:
+        return self.array(np.zeros(shape, dtype=int))
+
+    def eye(self, n: int) -> np.ndarray:
+        return self.array(np.eye(n, dtype=int))
+
+    def is_zero(self, x) -> bool:
+        """Every entry of x within the zero tolerance (True when empty)."""
+        return not np.size(x) or bool(np.max(np.abs(x)) <= self.tol)
+
+    def solve(self, A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+        """The solution of a square system A x = b (None: exact, singular)."""
+        if self.exact:
+            x = solve(A.tolist(), b.tolist())
+            return None if x is None else np.array(x, dtype=object)
+        return np.linalg.solve(A, b)
+
+    def inverse(self, A: np.ndarray) -> Optional[np.ndarray]:
+        if self.exact:
+            inv = inverse(A.tolist())
+            return None if inv is None else np.array(inv, dtype=object)
+        return np.linalg.inv(A)
+
+    def rank(self, A: np.ndarray) -> int:
+        if self.exact:
+            return rank(A.tolist())
+        return int(np.linalg.matrix_rank(A, tol=self.tol))
+
+    def nullspace(self, A: np.ndarray) -> np.ndarray:
+        """Rows spanning {x : A x = 0}, in reduced row echelon order; the
+        identity when A has no rows."""
+        n = A.shape[1]
+        if self.exact:
+            basis = nullspace(A.tolist()) if len(A) else identity(n)
+            return np.array(basis, dtype=object).reshape(len(basis), n)
+        null = np_nullspace(A)
+        return np_rref(null) if len(null) else null

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import composites, cones, effectspace, forms, jordan, models
 from .builtins import conjugation_bijection
-from .linalg import frac
+from .linalg import _Kind
 from .serialize import dumps_canonical, model_to_json
 
 PASS = "pass"
@@ -294,17 +294,11 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
             if spin is not None:
                 conj = composites.conjugate_from_state(m, gamma, eta)
                 derived = composites.spin_form_from_conjugate(conj, E, tol=tol)
-                if spin.kind == "exact":
-                    dev = max(abs(a - b) for ra, rb in
-                              zip(derived.matrix, spin.matrix)
-                              for a, b in zip(ra, rb))
-                    agree = dev == 0
-                else:
-                    dev = float(np.max(np.abs(np.asarray(derived.matrix)
-                                              - np.asarray(spin.matrix))))
-                    agree = dev <= tol
+                K = _Kind(spin.kind, tol)
+                dev = np.max(np.abs(K.array(derived.matrix)
+                                    - K.array(spin.matrix)))
                 cdata["derived_form_flags"] = derived.flag_summary()
-                cdata["derived_matches_invariant_form"] = agree
+                cdata["derived_matches_invariant_form"] = K.is_zero(dev)
                 cdata["derived_form_deviation"] = dev
             add("conjugate", PASS, cdata, cnotes)
 
@@ -424,39 +418,22 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
 
 
 def _recovery_problem(E, spin, tol: float) -> jordan.RecoveryProblem:
-    """Assemble recovery inputs from the verified pipeline prerequisites."""
+    """Assemble recovery inputs from the verified pipeline prerequisites:
+    rationals on an exact effect space, floats otherwise."""
     gens = E.cone_generators
     if E.kind == "exact":
         # Membership questions arrive as floats from the numeric probes;
         # answer them exactly after absorbing rounding noise into a
         # tol-sized multiple of the order unit (interior direction).
         slack = Fraction(tol).limit_denominator(10**12)
-        uvec = [frac(x) for x in E.u]
 
         def membership(v):
-            vv = [Fraction(float(x)) + slack * b for x, b in zip(v, uvec)]
+            vv = [Fraction(float(x)) + slack * b for x, b in zip(v, E.u)]
             return E.effect_cone.contains(vv).feasible
-
-        return jordan.RecoveryProblem(
-            dim=E.dim,
-            B=np.array([[float(x) for x in row] for row in spin.matrix]),
-            u=np.array([float(x) for x in E.u]),
-            cone_generators=[np.array([float(x) for x in g]) for g in gens],
-            actions=[np.array([[float(x) for x in row] for row in M])
-                     for M in E.actions],
-            outcome_vectors=[np.array([float(x) for x in g]) for g in gens],
-            cone_membership=membership,
-            exact=True,
-            B_exact=[[frac(x) for x in row] for row in spin.matrix],
-            u_exact=[frac(x) for x in E.u],
-            actions_exact=[[[frac(x) for x in row] for row in M]
-                           for M in E.actions],
-            outcome_vectors_exact=[[frac(x) for x in g] for g in gens])
-    membership = lambda v: effectspace.cone_membership(E, v, tol).feasible
+    else:
+        def membership(v):
+            return effectspace.cone_membership(E, v, tol).feasible
     return jordan.RecoveryProblem(
-        dim=E.dim, B=np.asarray(spin.matrix, float),
-        u=np.asarray(E.u, float),
-        cone_generators=[np.asarray(g, float) for g in gens],
-        actions=[np.asarray(M, float) for M in E.actions],
-        outcome_vectors=[np.asarray(g, float) for g in gens],
-        cone_membership=membership, exact=False)
+        dim=E.dim, B=spin.matrix, u=E.u, cone_generators=gens,
+        actions=list(E.actions), outcome_vectors=gens,
+        cone_membership=membership)

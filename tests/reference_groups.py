@@ -15,11 +15,11 @@ from typing import Optional
 import numpy as np
 
 from kvwb.effectspace import OrderUnitSpace
-from kvwb.forms import (BilinearForm, _full_symmetric_basis, _invariance_rows,
-                        invariant_symmetric_forms)
+from kvwb.forms import BilinearForm, invariant_symmetric_forms
 from kvwb.linalg import (Mat, ONE, ZERO, mat_mul, mat_vec, np_nullspace,
                          np_rref, nullspace, solve, transpose)
 from kvwb.models import Model, Perm, perm_compose
+from reference_kernels import _full_symmetric_basis, _invariance_rows
 
 
 def mulclose(generators: tuple[Perm, ...]) -> list[Perm]:

@@ -6,7 +6,9 @@ loop-built constraint rows and full-SVD nullspace that
 one-element spectral functions and symmetric-cone check that the stacked
 kernels of `kvwb.jordan` (`_degrees_and_powers`, `_eigenvalues_many`,
 `_sqrt_many`) replaced, and the four SPIN-flag setters that
-`kvwb.forms.certify_flags` replaced, and the conjugate search over the full
+`kvwb.forms.certify_flags` replaced, and the loops over packed symmetric
+unknowns (`_unpack`, `_invariance_rows`, `_pairing_row`) that the broadcast
+`kvwb.forms._packed_rows` replaced, and the conjugate search over the full
 LP with invariance rows that `kvwb.composites.find_conjugate_state` replaced
 with one unknown per generator orbit (verbatim, but for calling the integer
 `kvwb.lp.solve_feasibility` by its module name: this module's own
@@ -235,9 +237,8 @@ def exact_linear_rows(p: RecoveryProblem, idempotence: bool):
     def var(pk, k):
         return pk * d + k
 
-    u = [frac(x) for x in (p.u_exact if p.u_exact is not None else p.u)]
-    B = ([[frac(x) for x in r] for r in p.B_exact]
-         if p.B_exact is not None else [[frac(x) for x in r] for r in p.B])
+    u = [frac(x) for x in p.u]
+    B = [[frac(x) for x in r] for r in p.B]
     for j in range(d):
         for k in range(d):
             row = [ZERO] * nvar
@@ -254,7 +255,7 @@ def exact_linear_rows(p: RecoveryProblem, idempotence: bool):
                     row[var(at(i, k), m)] -= B[m][j]
                 rows.append(row)
                 rhs.append(ZERO)
-    for M in (p.actions_exact if p.actions_exact is not None else p.actions):
+    for M in p.actions:
         M = [[frac(x) for x in r] for r in M]
         for i in range(d):
             for j in range(i, d):
@@ -268,9 +269,7 @@ def exact_linear_rows(p: RecoveryProblem, idempotence: bool):
                     rows.append(row)
                     rhs.append(ZERO)
     if idempotence:
-        for g in (p.outcome_vectors_exact
-                  if p.outcome_vectors_exact is not None
-                  else p.outcome_vectors):
+        for g in p.outcome_vectors:
             g = [frac(x) for x in g]
             for k in range(d):
                 row = [ZERO] * nvar
@@ -526,6 +525,65 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
         for f in rep.failures)
     rep.ok = bool(rep.homogeneity_ok)
     return rep
+
+
+# ---------------------------------------------------------------------------
+# packed symmetric rows, as the loops of `forms` built them before the
+# broadcast builder `forms._packed_rows`
+
+def _pack_index(dim: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(dim) for j in range(i, dim)]
+
+
+def _unpack(vec, dim: int, exact: bool):
+    pairs = _pack_index(dim)
+    if exact:
+        S = [[ZERO] * dim for _ in range(dim)]
+    else:
+        S = np.zeros((dim, dim))
+    for v, (i, j) in zip(vec, pairs):
+        S[i][j] = v
+        if exact:
+            S[j][i] = v
+        else:
+            S[j, i] = v
+    return S
+
+
+def _invariance_rows(M, dim: int, exact: bool):
+    """Rows of (M^T S M - S) = 0 over packed symmetric unknowns s_{ij}."""
+    pairs = _pack_index(dim)
+    pos = {p: k for k, p in enumerate(pairs)}
+    rows = []
+    for a in range(dim):
+        for b in range(a, dim):
+            row = [ZERO] * len(pairs) if exact else np.zeros(len(pairs))
+            for k in range(dim):
+                for l in range(dim):
+                    coeff = M[k][a] * M[l][b] if exact else M[k, a] * M[l, b]
+                    i, j = (k, l) if k <= l else (l, k)
+                    row[pos[(i, j)]] += coeff
+            row[pos[(a, b)]] -= 1 if exact else 1.0
+            rows.append(row)
+    return rows
+
+
+def _pairing_row(x, y, dim: int, exact: bool):
+    """Row computing x^T S y over packed symmetric unknowns."""
+    pairs = _pack_index(dim)
+    pos = {p: k for k, p in enumerate(pairs)}
+    row = [ZERO] * len(pairs) if exact else np.zeros(len(pairs))
+    for k in range(dim):
+        for l in range(dim):
+            coeff = x[k] * y[l]
+            i, j = (k, l) if k <= l else (l, k)
+            row[pos[(i, j)]] += coeff
+    return row
+
+
+def _full_symmetric_basis(dim: int) -> list[Vec]:
+    n = dim * (dim + 1) // 2
+    return [[ONE if k == t else ZERO for k in range(n)] for t in range(n)]
 
 
 # ---------------------------------------------------------------------------

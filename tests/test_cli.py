@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -333,3 +336,30 @@ def test_single_stage_commands_keep_their_bytes(runner, args):
     code, digest = CLI_SHA256[args]
     assert res.exit_code == code
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+
+#: sha256 of single-stage commands on quantum samples with one BLAS thread,
+#: recorded before the exact and float code paths shared one body: the
+#: derived form of the conjugate, the spin search and the recovered product
+#: print float matrices, which must keep every bit.
+FLOAT_CLI_SHA256 = {
+    ("conjugate", "qubit:real"):
+        "ce70244a42c230f554adf5f8ffced15f4ce4a81ffb92e6b612c5c41de2212a7c",
+    ("conjugate", "qubit:complex"):
+        "7ab0f16f347813ddb0fe901ade6ad07be7be6d925b3966de7e0a217be6e542d6",
+    ("conjugate", "qutrit:complex"):
+        "7f9f1a7934f28c858959490922d6a40085a0a89ecc534b227f6e9e452e3b38c1",
+    ("spin", "qutrit:complex"):
+        "a72fc062b5727f6cc68a9e1781e3f975193c45a4a9a011986d8413903a6f041e",
+    ("jordan", "recover", "qubit:complex"):
+        "923cac509b4447de01eea555dbcbed2cde31bf28760d9363c9142d2ae5012866",
+}
+
+
+@pytest.mark.parametrize("args", list(FLOAT_CLI_SHA256), ids=" ".join)
+def test_float_single_stage_commands_keep_their_bytes(args):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "kvwb.cli", *args],
+                          capture_output=True, check=False, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == FLOAT_CLI_SHA256[args]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from kvwb.builtins import classical, conjugation_bijection, get_builtin, squit
-from kvwb.composites import (BipartiteState, CompositeError, conditional,
+from kvwb.composites import (BipartiteState, CompositeError, Conjugate,
+                             conditional,
                              find_conjugate_state, homogeneity_report,
                              is_isomorphism_state, make_conjugate, marginal,
                              omega_hat, product_state, spin_form_from_conjugate,
@@ -127,6 +128,42 @@ def test_omega_hat_rank():
     c = make_conjugate(m)
     oh = omega_hat(c.eta)
     assert oh.rank() == 3
+
+
+def bumped(name, x, y):
+    """The conjugate table of a model with entry (x, y) raised a little."""
+    m = get_builtin(name)
+    E = build_effect_space(m)
+    gamma = conjugation_bijection(m)
+    table = dict(find_conjugate_state(m, gamma).table)
+    table[(x, y)] += F(1, 7) if E.kind == "exact" else 1e-3
+    return E, Conjugate(m, gamma, BipartiteState(m, m, table))
+
+
+SQUARES = [("squit", ("x0", "x1", "y1")), ("qubit:real", ("a0", "a1", "b1"))]
+
+
+@pytest.mark.parametrize("name, outs", SQUARES)
+def test_table_breaking_an_effect_dependency_is_refused(name, outs):
+    """x0 + x1 = y0 + y1 on the square and on the real qubit; the first
+    three outcomes frame the effect space, so the bumped entry at
+    (x0, y1) is caught at that pair, by both kinds."""
+    x0, _, y1 = outs
+    E, c = bumped(name, x0, y1)
+    for build in (lambda: omega_hat(c.eta, E, E),
+                  lambda: spin_form_from_conjugate(c, E)):
+        with pytest.raises(CompositeError, match="effect dependency") as exc:
+            build()
+        assert exc.value.witness == (x0, y1)
+
+
+@pytest.mark.parametrize("name, outs", SQUARES)
+def test_asymmetric_table_is_named_as_such(name, outs):
+    x0, x1, _ = outs
+    E, c = bumped(name, x0, x1)
+    with pytest.raises(CompositeError, match="asymmetric") as exc:
+        spin_form_from_conjugate(c, E)
+    assert exc.value.witness == (x0, x1)
 
 
 def test_bad_gamma_rejected():

@@ -3,10 +3,11 @@
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 
 from kvwb.builtins import classical, get_builtin, squit, squit_klein
 from kvwb.effectspace import build_effect_space
-from kvwb.forms import (check_spin_uniqueness, check_unitarity,
+from kvwb.forms import (BilinearForm, check_spin_uniqueness, check_unitarity,
                         find_orthogonalizing_spin_form, invariant_symmetric_forms,
                         is_irreducible)
 from kvwb.linalg import dot, mat_vec
@@ -116,3 +117,48 @@ def test_invariant_form_space_dims():
     E = build_effect_space(squit())
     sols = invariant_symmetric_forms(E)
     assert len(sols) >= 1
+
+
+def test_unitarity_invertibility_does_not_depend_on_scale():
+    """det(I/4) on 16 dimensions is 4^-16 ≈ 2.3e-10, below the tolerance;
+    the rank says the form is invertible."""
+    assert check_unitarity([], BilinearForm(np.eye(16) / 4, "float"))
+
+
+def test_unitarity_refuses_a_singular_form():
+    for B in (BilinearForm(np.diag([1.0, 1e-12]), "float"),
+              BilinearForm([[F(1), F(0)], [F(0), F(0)]], "exact")):
+        with pytest.raises(ValueError, match="invertible form"):
+            check_unitarity([], B)
+
+
+def ququart_complex(seed=42):
+    """A complex four-level sample, built as `qutrit:complex` is: the
+    computational frame, one real frame and three conjugate pairs of
+    complex frames, which span all 16 effect dimensions."""
+    from kvwb import quantum
+    from kvwb.builtins import _quantum_model
+    rng = np.random.default_rng(seed + 1)
+    eye = np.eye(4, dtype=complex)
+    Wm = quantum.random_unitary(4, rng, "real").astype(complex)
+    frames = [[quantum.projection(eye[:, i]) for i in range(4)],
+              [quantum.projection(Wm[:, i]) for i in range(4)]]
+    labels = [[f"c{i}" for i in range(4)], [f"r{i}" for i in range(4)]]
+    for tag in "vwx":
+        Vm = quantum.random_unitary(4, rng, "complex")
+        frame = [quantum.projection(Vm[:, i]) for i in range(4)]
+        frames += [frame, [P.conj() for P in frame]]
+        labels += [[f"{tag}{i}" for i in range(4)],
+                   [f"{tag}b{i}" for i in range(4)]]
+    return _quantum_model("ququart:complex", "complex", 4, frames, labels,
+                          None, seed)
+
+
+def test_four_level_form_is_unitary_for_the_symmetries():
+    m = ququart_complex()
+    E, res = spin(m)
+    assert E.dim == E.span_dim == 16
+    assert res.solution_space_dim == 1
+    assert all(res.form.flag_summary().values())
+    assert np.abs(res.form.matrix - np.eye(16) / 4).max() < 1e-9
+    assert check_unitarity(E.actions, res.form)

@@ -112,3 +112,32 @@ def test_np_nullspace_orthogonal_to_rows():
 def test_transpose_involution():
     A = mat([[1, 2, 3], [4, 5, 6]])
     assert transpose(transpose(A)) == A
+
+
+def test_exact_kind_holds_fractions_only():
+    from kvwb.linalg import _Kind
+    K = _Kind("exact")
+    A = K.array([[1, 0], [F(1, 2), 2]])
+    assert all(type(x) is F for x in A.flat)
+    assert all(type(x) is F for x in K.native(A @ A)[1])
+    with pytest.raises(TypeError):
+        K.array([0.5])
+
+
+def test_zero_tolerance_is_zero_when_exact():
+    from kvwb.linalg import _Kind
+    assert _Kind("exact", tol=1e-3).tol == 0
+    assert not _Kind("exact", tol=1e-3).is_zero(_Kind("exact").array(
+        [F(0), F(1, 10**12)]))
+    assert _Kind("float", tol=1e-9).is_zero(np.array([0.0, -1e-10]))
+    assert not _Kind("float", tol=1e-9).is_zero(np.array([2e-9]))
+    assert _Kind("float").is_zero(np.zeros(0))
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_kind_nullspace_of_no_rows_is_the_identity(kind):
+    from kvwb.linalg import _Kind
+    K = _Kind(kind)
+    N = K.nullspace(K.zeros((0, 3)))
+    assert N.shape == (3, 3) and K.is_zero(N - K.eye(3))
+    assert K.rank(N) == 3 and len(K.nullspace(N)) == 0

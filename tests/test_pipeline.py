@@ -210,3 +210,37 @@ def test_quantum_report_embeds_model_spec():
     assert blob["model_spec"]["states"]["kind"] == "quantum"
     assert blob["model"]["name"] == "qubit:complex"
     assert blob["model"]["backend"] == "quantum"
+
+
+@pytest.mark.parametrize("name", ["classical:4", "qutrit:complex"])
+def test_invariance_rows_are_built_once(name, monkeypatch):
+    """Irreducibility and the spin search share the effect space's rows."""
+    from kvwb import forms
+    calls = []
+    build = forms.invariance_rows
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return build(*args, **kw)
+
+    monkeypatch.setattr(forms, "invariance_rows", counted)
+    rep = run(name)
+    assert rep.stage("spin-form").status == "pass"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["classical:4", "squit", "qubit:complex"])
+def test_pair_checks_make_no_per_pair_form_values(name, monkeypatch):
+    """The flag and derived-form pair checks read one Gram matrix."""
+    from kvwb import forms
+    calls = []
+    value = forms.BilinearForm.value
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return value(self, a, b)
+
+    monkeypatch.setattr(forms.BilinearForm, "value", counted)
+    rep = run(name)
+    assert rep.stage("conjugate").status == "pass"
+    assert calls == []

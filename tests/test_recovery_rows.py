@@ -62,6 +62,16 @@ def assert_same_exact_rows(p, idempotence):
         oracle.solve_with_nullspace(A0, b0)
 
 
+def test_problem_carries_one_set_of_inputs():
+    """No parallel `*_exact` fields: the kind is read off the inputs."""
+    import dataclasses
+    names = {f.name for f in dataclasses.fields(RecoveryProblem)}
+    assert "exact" not in names and not any(n.endswith("_exact")
+                                            for n in names)
+    assert builtin_problem("classical:3").exact
+    assert not builtin_problem("qubit:real").exact
+
+
 def signed_permutation(rng, d):
     M = np.zeros((d, d))
     M[np.arange(d), rng.permutation(d)] = rng.choice([-1.0, 1.0], size=d)
@@ -89,6 +99,7 @@ def test_float_rows_match_the_loops(d, n_actions, n_outcomes, idempotence,
           for _ in range(n_outcomes)]
     p = RecoveryProblem(dim=d, B=B, u=u, cone_generators=[],
                         actions=actions, outcome_vectors=gs)
+    assert not p.exact
     assert_same_float_rows(p, idempotence)
 
 
@@ -97,10 +108,9 @@ small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), d=st.integers(2, 5), n_actions=st.integers(0, 3),
-       n_outcomes=st.integers(0, 3), idempotence=st.booleans(),
-       in_exact_fields=st.booleans())
+       n_outcomes=st.integers(0, 3), idempotence=st.booleans())
 def test_exact_rows_match_the_loops(data, d, n_actions, n_outcomes,
-                                    idempotence, in_exact_fields):
+                                    idempotence):
     vec = st.lists(small, min_size=d, max_size=d)
     B = data.draw(st.lists(vec, min_size=d, max_size=d))
     u = data.draw(vec)
@@ -109,14 +119,9 @@ def test_exact_rows_match_the_loops(data, d, n_actions, n_outcomes,
     actions = [[[F(int(perm[r] == c)) for c in range(d)] for r in range(d)]
                for perm in perms]
     gs = data.draw(st.lists(vec, min_size=n_outcomes, max_size=n_outcomes))
-    if in_exact_fields:
-        p = RecoveryProblem(dim=d, B=np.zeros((d, d)), u=np.zeros(d),
-                            cone_generators=[], exact=True, B_exact=B,
-                            u_exact=u, actions_exact=actions,
-                            outcome_vectors_exact=gs)
-    else:       # rational inputs in the plain fields, `*_exact` left unset
-        p = RecoveryProblem(dim=d, B=B, u=u, cone_generators=[],
-                            actions=actions, outcome_vectors=gs, exact=True)
+    p = RecoveryProblem(dim=d, B=B, u=u, cone_generators=[],
+                        actions=actions, outcome_vectors=gs)
+    assert p.exact
     assert_same_exact_rows(p, idempotence)
 
 
@@ -131,10 +136,9 @@ def test_exact_rows_with_rational_actions_match_the_loops(data, d, n_actions,
                    min_size=d, max_size=d)
     vec = st.lists(small, min_size=d, max_size=d)
     p = RecoveryProblem(
-        dim=d, B=np.zeros((d, d)), u=np.zeros(d), cone_generators=[],
-        exact=True, B_exact=data.draw(mat), u_exact=data.draw(vec),
-        actions_exact=[data.draw(mat) for _ in range(n_actions)],
-        outcome_vectors_exact=[data.draw(vec)])
+        dim=d, B=data.draw(mat), u=data.draw(vec), cone_generators=[],
+        actions=[data.draw(mat) for _ in range(n_actions)],
+        outcome_vectors=[data.draw(vec)])
     assert_same_exact_rows(p, idempotence)
 
 
