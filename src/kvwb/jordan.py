@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .linalg import (ONE, ZERO, frac, is_positive_definite,
                      solve_with_nullspace, sparse_int_rows)
@@ -96,6 +97,7 @@ class JordanAlgebra:
 
     def __post_init__(self):
         self._np_tensor = None
+        self._unit_float = None
 
     @property
     def np_tensor(self) -> np.ndarray:
@@ -134,7 +136,12 @@ class JordanAlgebra:
         return np.einsum("i,ijk->kj", np.asarray(a, float), self.np_tensor)
 
     def unit_float(self) -> np.ndarray:
-        return np.asarray([float(v) for v in self.unit])
+        """The unit as floats, built once and read-only: every caller gets
+        the same array."""
+        if self._unit_float is None:
+            self._unit_float = np.asarray([float(v) for v in self.unit])
+            self._unit_float.flags.writeable = False
+        return self._unit_float
 
 
 def jordan_product(J: JordanAlgebra, a, b):
@@ -397,10 +404,11 @@ def _reconstruct(J: JordanAlgebra, a) -> np.ndarray:
 #
 # The kernels work on a stack of elements, one per row, and give each row
 # the same floats the one-element functions below give it: every stacked
-# numpy call used here (einsum with a leading row axis, solve, svd, matmul)
-# does per row what its unstacked form does.  A row that fails holds its
-# exception in place of its result, so a caller can replay the rows in
-# order and stop where a row-by-row loop would have stopped.
+# numpy call used here (einsum with a leading row axis, solve, svd, matmul,
+# eigvals, and the gufunc behind np.linalg.lstsq) does per row what its
+# unstacked form does.  A row that fails holds its exception in place of its
+# result, so a caller can replay the rows in order and stop where a
+# row-by-row loop would have stopped.
 
 
 def _value(result):
@@ -465,13 +473,72 @@ def _degrees_and_powers(J: JordanAlgebra, W: np.ndarray, tol: float = 1e-8):
     return degs, pows
 
 
-def _merged_roots(P: np.ndarray) -> np.ndarray:
-    """Sorted roots of the monic polynomial with P[deg] = sum c_k P[k] over
-    k < deg, near-coincident ones merged into one node (their mean)."""
-    deg = len(P) - 1
-    coeffs, *_ = np.linalg.lstsq(P[:deg].T, P[deg], rcond=None)
-    poly = np.concatenate([[1.0], -coeffs[::-1]])     # monic, high power first
-    roots = np.roots(poly)
+def _raise_lstsq(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`np.linalg.lstsq(A, b, rcond=None)[0]` for a stack of A and of
+    vectors b, as one call of the gufunc that lstsq itself calls, with its
+    rcond, signature and errstate."""
+    with np.errstate(call=_raise_lstsq, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x = _umath_linalg.lstsq(A, b[..., None],
+                                np.finfo(float).eps * max(A.shape[-2:]),
+                                signature="ddd->ddid")[0]
+    return x[..., 0]
+
+
+def _minimal_polynomials(pows: np.ndarray, degs: list) -> list:
+    """Coefficients c of each row's minimal polynomial, w^k = sum c_i w^i
+    over i < k with k = degs[n], fitted to the powers pows[n] as
+    `np.linalg.lstsq(pows[n, :k].T, pows[n, k], rcond=None)[0]`: one
+    stacked fit per degree.  A row whose degree is an exception keeps it; a
+    row whose fit fails holds its LinAlgError."""
+    out = list(degs)
+    for k in {deg for deg in degs if not isinstance(deg, Exception)}:
+        rows = [n for n, deg in enumerate(degs) if deg == k]
+        P = pows[rows]
+        for n, c in zip(rows, _stacked(_lstsq, P[:, :k].transpose(0, 2, 1),
+                                       P[:, k])):
+            out[n] = c
+    return out
+
+
+def _roots_many(coeffs: list) -> list:
+    """`np.roots` of each row's monic polynomial x^k - sum c_i x^i, or the
+    exception the row holds or raises.
+
+    As in np.roots, the trailing zero coefficients are stripped, the roots
+    of the rest are the eigenvalues of its companion matrix, and one zero
+    root is appended per stripped coefficient; the companion matrices of one
+    size go to one stacked `eigvals`.
+    """
+    out = list(coeffs)
+    by_size: dict = {}
+    for n, c in enumerate(coeffs):
+        if not isinstance(c, Exception):
+            poly = np.concatenate([[1.0], -c[::-1]])  # monic, high power first
+            size = int(np.flatnonzero(poly)[-1])
+            by_size.setdefault(size, []).append((n, poly[:size + 1]))
+    for size, group in by_size.items():
+        rows, polys = zip(*group)
+        roots = [np.array([])] * len(rows)
+        if size:
+            polys = np.array(polys)
+            C = np.zeros((len(rows), size, size))
+            C[:, np.arange(1, size), np.arange(size - 1)] = 1.0
+            C[:, 0] = -polys[:, 1:] / polys[:, :1]
+            roots = _stacked(np.linalg.eigvals, C)
+        for n, r in zip(rows, roots):
+            out[n] = r if isinstance(r, Exception) else np.hstack(
+                (r, np.zeros(len(coeffs[n]) - size, r.dtype)))
+    return out
+
+
+def _merged(roots: np.ndarray) -> np.ndarray:
+    """Sorted real roots, near-coincident ones merged into one node (their
+    mean); ArithmeticError when a root is complex."""
     if np.abs(roots.imag).max(initial=0.0) > 1e-6:
         raise ArithmeticError("complex eigenvalues in a formally real algebra "
                               f"(imag {np.abs(roots.imag).max():.2e})")
@@ -490,15 +557,17 @@ def _merged_roots(P: np.ndarray) -> np.ndarray:
 
 def _eigenvalues_many(J: JordanAlgebra, W: np.ndarray) -> list:
     """Merged eigenvalues of each row of W (see `_eigenvalues`), or the
-    ArithmeticError or LinAlgError that row raises.  The degrees and powers
-    are stacked; the least-squares fit and the roots go row by row."""
+    ArithmeticError or LinAlgError that row raises.  The degrees and powers,
+    the minimal-polynomial fits and the roots are stacked; only the merge
+    goes row by row."""
     degs, pows = _degrees_and_powers(J, W)
-    out = []
-    for deg, P in zip(degs, pows):
-        try:
-            out.append(_merged_roots(P[:_value(deg) + 1]))
-        except (ArithmeticError, np.linalg.LinAlgError) as e:
-            out.append(e)
+    out = _roots_many(_minimal_polynomials(pows, degs))
+    for n, roots in enumerate(out):
+        if not isinstance(roots, Exception):
+            try:
+                out[n] = _merged(roots)
+            except ArithmeticError as e:
+                out[n] = e
     return out
 
 
@@ -647,13 +716,15 @@ def _random_rational_vec(rng, d) -> list:
             for _ in range(d)]
 
 
-def _identity_residual(J: JordanAlgebra, a, b):
-    a2 = J.product(a, a)
-    lhs = J.product(a2, J.product(b, a))
-    rhs = J.product(J.product(a2, b), a)
-    if J.exact and isinstance(lhs[0], Fraction):
-        return max(abs(x - y) for x, y in zip(lhs, rhs))
-    return float(np.abs(np.asarray(lhs, float) - np.asarray(rhs, float)).max())
+def _jordan_defects(T: np.ndarray, A: np.ndarray, B: np.ndarray
+                    ) -> np.ndarray:
+    """(a²)∘(b∘a) − (a²∘b)∘a for each row a of A and row b of B, under the
+    product of the tensor T: floats, or Python ints (object arrays), which
+    stay exact."""
+    def prod(x, y):
+        return np.einsum("ni,nj,ijk->nk", x, y, T)
+    A2 = prod(A, A)
+    return prod(A2, prod(B, A)) - prod(prod(A2, B), A)
 
 
 def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
@@ -662,40 +733,54 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
     """Gate order: Jordan axioms, formal reality, self-duality samples,
     homogeneity witnesses.  A failed axiom gate stops the later checks.
 
-    Gates 3 and 4 draw all their samples first, in the order a sample loop
-    would, and then work on the stack: one product per power for every
-    square, eigenvalue and root (`_eigenvalues_many`, `_sqrt_many`), one
+    Every gate draws all its samples first, in the order a sample loop
+    would, and then works on the stack.  Gate 1 evaluates the Jordan
+    identity (a²)∘(b∘a) = (a²∘b)∘a with one stacked product per step: on an
+    exact tensor over Python ints (tensor, unit and each sample scaled by
+    its common denominator), so the worst residual is the exact `Fraction`
+    of a loop over rationals.  Gates 3 and 4 make one product per power for
+    every square, eigenvalue and root (`_eigenvalues_many`, `_sqrt_many`:
+    one least-squares fit of the minimal polynomials per degree, one
+    `eigvals` of their companion matrices per size), and one
     P(w^{1/2}) = 2 L_s^2 - L_{s∘s} per sample for both the unit and the
-    image of a square.  Gate 4 then replays the samples in order, so the
-    report is the sample loop's: the first error of a square root or of a
-    spectral membership test ends the gate with the cone-preservation
-    failures found before it, and an error that is not an ArithmeticError
-    escapes where the loop would have raised it.
+    image of a square.  Gate 4 then replays the samples in order, so the report is the sample loop's:
+    the first error of a square root or of a spectral membership test ends
+    the gate with the cone-preservation failures found before it, and an
+    error that is not an ArithmeticError escapes where the loop would have
+    raised it.
     """
     rep = SymmetricConeReport(ok=False, seed=seed)
     rng = np.random.default_rng(seed)
     d = J.dim
 
     # gate 1: axioms (exact where the tensor is exact)
+    pairs = max(10, sample_count // 5)
     if J.exact:
-        comm = all(J.tensor[i][j] == J.tensor[j][i]
-                   for i in range(d) for j in range(d))
-        unit_ok = all(J.product(J.unit, [ONE if t == j else ZERO
-                                         for t in range(d)])
-                      == [ONE if t == j else ZERO for t in range(d)]
-                      for j in range(d))
-        worst = max(_identity_residual(J, _random_rational_vec(rng, d),
-                                       _random_rational_vec(rng, d))
-                    for _ in range(max(10, sample_count // 5)))
+        # T = D·tensor, u = s_u·unit and each sample a = s_a·a', b = s_b·b'
+        # on integers, so the defect of (a', b') is that of (a, b) over
+        # D³·s_a³·s_b
+        D, T = _integer_block(J.tensor)
+        s_u, u = _integer_block(J.unit)
+        comm = bool((T == T.transpose(1, 0, 2)).all())
+        unit_ok = bool((np.einsum("i,ijk->jk", u, T)
+                        == s_u * D * np.eye(d, dtype=object)).all())
+        scales, AB = zip(*(_integer_block(_random_rational_vec(rng, d))
+                           for _ in range(2 * pairs)))    # a_0, b_0, a_1, ...
+        AB = np.array(AB, dtype=object)
+        defects = np.abs(_jordan_defects(T, AB[0::2], AB[1::2])).max(axis=1)
+        worst = max(Fraction(int(m), D ** 3 * s_a ** 3 * s_b) for m, s_a, s_b
+                    in zip(defects, scales[0::2], scales[1::2]))
         ident = worst == 0
     else:
         T = J.np_tensor
         comm = float(np.abs(T - T.transpose(1, 0, 2)).max()) <= tol
         u = J.unit_float()
         unit_ok = float(np.abs(J.left_mult(u) - np.eye(d)).max()) <= 1e-8
-        worst = max(_identity_residual(J, rng.standard_normal(d),
-                                       rng.standard_normal(d))
-                    for _ in range(max(10, sample_count // 5)))
+        A, B = np.empty((pairs, d)), np.empty((pairs, d))
+        for n in range(pairs):
+            A[n], B[n] = rng.standard_normal(d), rng.standard_normal(d)
+        worst = max(map(float,
+                        np.abs(_jordan_defects(T, A, B)).max(axis=1)))
         ident = worst <= 1e-8
     rep.commutative_ok, rep.unit_ok, rep.identity_ok = comm, unit_ok, ident
     if not (comm and unit_ok and ident):

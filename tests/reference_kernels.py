@@ -5,8 +5,12 @@ loop-built constraint rows and full-SVD nullspace that
 `kvwb.jordan._linear_rows` and `kvwb.jordan._solve_float` replaced, and the
 one-element spectral functions and symmetric-cone check that the stacked
 kernels of `kvwb.jordan` (`_degrees_and_powers`, `_eigenvalues_many`,
-`_sqrt_many`) replaced, and the four SPIN-flag setters that
-`kvwb.forms.certify_flags` replaced, and the loops over packed symmetric
+`_sqrt_many`) replaced, and the per-row least-squares fit and `np.roots`
+(`_merged_roots`, `_eigenvalues_many`) that the stacked fit and companion
+`eigvals` replaced, and the `Fraction` Jordan-identity residual
+(`_identity_residual`) that the integer gate 1 of
+`kvwb.jordan.verify_symmetric_cone` replaced, and the four SPIN-flag setters
+that `kvwb.forms.certify_flags` replaced, and the loops over packed symmetric
 unknowns (`_unpack`, `_invariance_rows`, `_pairing_row`) that the broadcast
 `kvwb.forms._packed_rows` replaced, and the conjugate search over the full
 LP with invariance rows that `kvwb.composites.find_conjugate_state` replaced
@@ -29,9 +33,9 @@ from kvwb.composites import (BipartiteState, _check_gamma, _entangled_eta,
                              _invariance_flag)
 from kvwb.cones import pairwise_form_positivity
 from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
-                         _identity_residual, _pair_index,
-                         _random_rational_vec, _reconstruct, quadratic_rep,
-                         trace_form_gram)
+                         _degrees_and_powers, _pair_index,
+                         _random_rational_vec, _reconstruct, _value,
+                         quadratic_rep, trace_form_gram)
 from kvwb.linalg import (Mat, Vec, ZERO, ONE, _augmented_solution,
                          _null_basis, dot, frac, is_positive_definite,
                          mat_vec, solve)
@@ -429,6 +433,52 @@ def jordan_sqrt(J: JordanAlgebra, w, tol: float = 1e-9) -> np.ndarray:
     if err > 1e-7 * scale:
         raise ArithmeticError(f"square root iteration stalled (error {err:.2e})")
     return s
+
+
+def _merged_roots(P: np.ndarray) -> np.ndarray:
+    """Sorted roots of the monic polynomial with P[deg] = sum c_k P[k] over
+    k < deg, near-coincident ones merged into one node (their mean)."""
+    deg = len(P) - 1
+    coeffs, *_ = np.linalg.lstsq(P[:deg].T, P[deg], rcond=None)
+    poly = np.concatenate([[1.0], -coeffs[::-1]])     # monic, high power first
+    roots = np.roots(poly)
+    if np.abs(roots.imag).max(initial=0.0) > 1e-6:
+        raise ArithmeticError("complex eigenvalues in a formally real algebra "
+                              f"(imag {np.abs(roots.imag).max():.2e})")
+    lams = np.sort(roots.real)
+    # Lagrange interpolation is badly conditioned when eigenvalues are close,
+    # so nearly coincident roots are merged into one node.
+    scale = max(1.0, float(np.abs(lams).max()))
+    clusters: list[list[float]] = []
+    for l in lams:
+        if clusters and l - clusters[-1][-1] <= 1e-6 * scale:
+            clusters[-1].append(float(l))
+        else:
+            clusters.append([float(l)])
+    return np.array([sum(c) / len(c) for c in clusters])
+
+
+def _eigenvalues_many(J: JordanAlgebra, W: np.ndarray) -> list:
+    """Merged eigenvalues of each row of W (see `_eigenvalues`), or the
+    ArithmeticError or LinAlgError that row raises.  The degrees and powers
+    are stacked; the least-squares fit and the roots go row by row."""
+    degs, pows = _degrees_and_powers(J, W)
+    out = []
+    for deg, P in zip(degs, pows):
+        try:
+            out.append(_merged_roots(P[:_value(deg) + 1]))
+        except (ArithmeticError, np.linalg.LinAlgError) as e:
+            out.append(e)
+    return out
+
+
+def _identity_residual(J: JordanAlgebra, a, b):
+    a2 = J.product(a, a)
+    lhs = J.product(a2, J.product(b, a))
+    rhs = J.product(J.product(a2, b), a)
+    if J.exact and isinstance(lhs[0], Fraction):
+        return max(abs(x - y) for x, y in zip(lhs, rhs))
+    return float(np.abs(np.asarray(lhs, float) - np.asarray(rhs, float)).max())
 
 
 def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,

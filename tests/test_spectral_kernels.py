@@ -2,28 +2,32 @@
 one-element code they replaced.
 
 `reference_kernels` keeps the old `minimal_polynomial_degree`,
-`jordan_powers`, `_eigenvalues`, `jordan_sqrt` and `verify_symmetric_cone`.
+`jordan_powers`, `_eigenvalues`, `jordan_sqrt` and `verify_symmetric_cone`,
+and the per-row fit and `np.roots` of the old `_eigenvalues_many`.
 Every float must agree bit for bit, signed zeros included; a row that fails
 must fail with the same exception type and message, and the check must stop
 where the old sample loop stopped.
 """
 import dataclasses
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.linalg import _umath_linalg
 
 import reference_kernels as oracle
+from kvwb import jordan
 from kvwb.builtins import get_builtin
 from kvwb.effectspace import build_effect_space
 from kvwb.forms import find_orthogonalizing_spin_form
-from kvwb.jordan import (JordanAlgebra, _degrees_and_powers,
-                         _eigenvalues, _eigenvalues_many, _sqrt_many,
-                         _stacked, classical_algebra, complex_hermitian,
-                         generic_rank, jordan_sqrt, minimal_polynomial_degree,
-                         quaternionic_hermitian, real_symmetric,
-                         recover_jordan_product, spin_factor,
+from kvwb.jordan import (JordanAlgebra, _degrees_and_powers, _eigenvalues,
+                         _eigenvalues_many, _minimal_polynomials, _roots_many,
+                         _sqrt_many, _stacked, classical_algebra,
+                         complex_hermitian, generic_rank, jordan_sqrt,
+                         minimal_polynomial_degree, quaternionic_hermitian,
+                         real_symmetric, recover_jordan_product, spin_factor,
                          verify_symmetric_cone)
 from kvwb.pipeline import _recovery_problem
 
@@ -152,8 +156,10 @@ def test_degrees_and_powers_match_the_one_element_code(case):
 @given(stacks())
 def test_eigenvalues_match_the_one_element_code(case):
     J, W = case
-    for w, lams in zip(W, _eigenvalues_many(J, W)):
+    for w, lams, old in zip(W, _eigenvalues_many(J, W),
+                            oracle._eigenvalues_many(J, W)):
         assert_same(lams, outcome(oracle._eigenvalues, J, w))
+        assert_same(lams, old)
         assert_same(outcome(_eigenvalues, J, w), lams)
 
 
@@ -235,7 +241,8 @@ def test_mislabelled_tensor_fails_inside_gate_4_as_before():
     assert_same_report(rep, oracle.verify_symmetric_cone(K, sample_count=30))
 
 
-ROOTS = np.roots
+ROOTS, EIGVALS = np.roots, np.linalg.eigvals
+TAGGED = {"complex": lambda r: r + 1e-3j, "negative": lambda r: r - 100.0}
 
 
 def tagged_roots(tags):
@@ -246,9 +253,34 @@ def tagged_roots(tags):
         tag = tags.get(np.asarray(poly).tobytes())
         if tag == "linalg":
             raise np.linalg.LinAlgError("tagged")
-        out = ROOTS(poly)
-        return {"complex": out + 1e-3j, "negative": out - 100.0}.get(tag, out)
+        return TAGGED.get(tag, lambda r: r)(ROOTS(poly))
     return roots
+
+
+def tagged_eigvals(tags):
+    """np.linalg.eigvals, except on the matrices in `tags` (keyed by their
+    bytes), with the tags of `tagged_roots`.  A "linalg" matrix makes the
+    whole call raise, a stacked one too, so the stack is retried row by
+    row."""
+    def eigvals(A):
+        A = np.asarray(A)
+        found = [tags.get(m.tobytes()) for m in A.reshape(-1, *A.shape[-2:])]
+        if "linalg" in found:
+            raise np.linalg.LinAlgError("tagged")
+        out = EIGVALS(A)
+        return np.array([TAGGED.get(tag, lambda r: r)(r) for r, tag in
+                         zip(out.reshape(len(found), -1), found)]
+                        ).reshape(out.shape)
+    return eigvals
+
+
+def companion(poly):
+    """The companion matrix np.roots hands to eigvals for poly."""
+    nz = np.flatnonzero(poly)
+    p = poly[nz[0]:nz[-1] + 1]
+    A = np.diag(np.ones(len(p) - 2), -1)
+    A[0, :] = -p[1:] / p[0]
+    return A
 
 
 def gate_4_polynomials(J, monkeypatch):
@@ -257,7 +289,7 @@ def gate_4_polynomials(J, monkeypatch):
     seen = []
 
     def record(poly):
-        seen.append(np.asarray(poly).tobytes())
+        seen.append(np.array(poly))
         return ROOTS(poly)
     monkeypatch.setattr(np, "roots", record)
     oracle.verify_symmetric_cone(J, sample_count=20)
@@ -278,15 +310,185 @@ def test_gate_4_failures_stop_where_the_sample_loop_stopped(tags,
                                                             monkeypatch):
     """Failures planted on chosen square roots (even positions) and
     membership tests (odd positions) give the same report, or the same
-    escaping LinAlgError, as the old loop."""
+    escaping LinAlgError, as the old loop.  The old check meets a tag in
+    np.roots, keyed by the polynomial; the stacked one meets it in eigvals,
+    keyed by the companion matrix np.roots makes of that polynomial."""
     J = recovered("qutrit:complex")
     polys = gate_4_polynomials(J, monkeypatch)
     monkeypatch.setattr(np, "roots", tagged_roots(
-        {polys[i]: tag for i, tag in tags.items()}))
+        {polys[i].tobytes(): tag for i, tag in tags.items()}))
     old = outcome(oracle.verify_symmetric_cone, J, 20)
+    monkeypatch.setattr(np, "roots", ROOTS)
+    monkeypatch.setattr(np.linalg, "eigvals", tagged_eigvals(
+        {companion(polys[i]).tobytes(): tag for i, tag in tags.items()}))
     new = outcome(verify_symmetric_cone, J, 20)
     if isinstance(old, Exception):
         assert_same(new, old)
     else:
         assert old.failures and not old.ok
         assert_same_report(new, old)
+
+
+def lstsq_row(P, k):
+    """The per-row fit the stacked one replaced."""
+    return np.linalg.lstsq(P[:k].T, P[k], rcond=None)[0]
+
+
+def roots_row(c):
+    """The per-row np.roots the stacked companion eigvals replaced."""
+    return np.roots(np.concatenate([[1.0], -c[::-1]]))
+
+
+def assert_same_roots(new, old):
+    """Bitwise equal roots; a stacked eigvals may return complex where the
+    per-row one returns real, so the real and imaginary parts are compared
+    apart."""
+    if isinstance(old, Exception):
+        assert_same(new, old)
+        return
+    assert_same(np.real(new), np.real(old))
+    assert_same(np.imag(new), np.imag(old))
+
+
+@st.composite
+def fit_stacks(draw):
+    """Jordan powers of mixed degrees: generic rows (their roots are mostly
+    complex), rows whose fitted constant coefficient is exactly 0.0 (the
+    unit orthogonal to the other powers), nearly rank-deficient rows (where
+    the rcond cut decides) and rows with a NaN."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 10))
+    pows = rng.standard_normal((n, d + 1, d))
+    degs = [draw(st.integers(1, d)) for _ in range(n)]
+    for row, k in enumerate(degs):
+        kind = draw(st.sampled_from(["generic", "zero-constant",
+                                     "near-rank-deficient", "nan"]))
+        if kind == "near-rank-deficient" and k > 1:
+            pows[row, k - 1] = pows[row, 0] + 1e-15 * rng.standard_normal(d)
+        elif kind == "zero-constant":
+            pows[row, 0] = np.eye(d)[0]
+            pows[row, 1:, 0] = 0.0
+        elif kind == "nan":
+            pows[row, draw(st.integers(0, k)), draw(st.integers(0, d - 1))] \
+                = np.nan
+    return pows, degs
+
+
+@settings(max_examples=200, deadline=None)
+@given(fit_stacks())
+def test_stacked_fit_and_roots_are_the_per_row_calls(case):
+    pows, degs = case
+    fits = _minimal_polynomials(pows, degs)
+    for P, k, c in zip(pows, degs, fits):
+        assert_same(c, outcome(lstsq_row, P, k))
+    for c, r in zip(fits, _roots_many(fits)):
+        assert_same_roots(r, c if isinstance(c, Exception)
+                          else outcome(roots_row, c))
+
+
+@st.composite
+def coefficient_stacks(draw):
+    """Coefficient rows of mixed degrees, some with trailing zero
+    coefficients (+0.0 or -0.0, up to all of them) and some not finite."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        c = rng.standard_normal(draw(st.integers(1, 6)))
+        c[:draw(st.integers(0, len(c)))] = draw(st.sampled_from([0.0, -0.0]))
+        if draw(st.integers(0, 9)) == 0:
+            c[draw(st.integers(0, len(c) - 1))] = draw(
+                st.sampled_from([np.nan, np.inf]))
+        rows.append(c)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficient_stacks())
+def test_stacked_roots_are_np_roots(coeffs):
+    for c, r in zip(coeffs, _roots_many(coeffs)):
+        assert_same_roots(r, outcome(roots_row, c))
+
+
+def test_the_fit_stacks_reach_every_case():
+    """The cases the two tests above are meant to meet do occur."""
+    rng = np.random.default_rng(1)
+    pows = rng.standard_normal((4, 5, 4))
+    pows[1, 0], pows[1, 1:, 0] = np.eye(4)[0], 0.0
+    pows[2, 1, 2] = np.nan
+    fits = _minimal_polynomials(pows, [3, 3, 2, 4])
+    assert fits[1][0] == 0.0
+    assert str(fits[2]) == "SVD did not converge in Linear Least Squares"
+    roots = _roots_many(fits)
+    assert len(roots[1]) == 3 and roots[1][-1] == 0.0
+    assert any(np.abs(np.imag(r)).max() > 1e-3 for r in roots
+               if not isinstance(r, Exception))
+
+
+def perturbed(J, draw, exact):
+    """J, or J with one entry of its tensor (and, half the time, its mirror)
+    moved by a small amount: rational on an exact tensor, float otherwise."""
+    d = J.dim
+    T = [[list(cell) for cell in row] for row in J.tensor] if exact \
+        else J.np_tensor.copy()
+    if draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, d - 1)) for _ in range(3))
+        step = (Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+                if exact else draw(st.floats(1e-6, 1.0)))
+        T[i][j][k] += step
+        if draw(st.booleans()) and i != j:
+            T[j][i][k] += step
+    return JordanAlgebra("Recovered", d, J.unit, T, exact)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, len(CATALOG) - 1), seed=st.integers(0, 2**32 - 1),
+       sample_count=st.integers(0, 60), exact=st.booleans(), data=st.data())
+def test_gate_1_matches_the_fraction_residual(k, seed, sample_count, exact,
+                                              data):
+    """On the catalog and on perturbed tensors, which fail gate 1, the
+    integer gate gives the old report, and its residual is the worst
+    `Fraction` residual of the old sample loop; the stacked float gate gives
+    the old report on float tensors."""
+    J = perturbed(CATALOG[k], data.draw, exact)
+    new = verify_symmetric_cone(J, sample_count, seed)
+    assert_same_report(new, oracle.verify_symmetric_cone(J, sample_count,
+                                                         seed))
+    if exact:
+        rng = np.random.default_rng(seed)
+        worst = max(oracle._identity_residual(
+            J, oracle._random_rational_vec(rng, J.dim),
+            oracle._random_rational_vec(rng, J.dim))
+            for _ in range(max(10, sample_count // 5)))
+        assert new.identity_ok == (worst == 0)
+        if worst:
+            assert new.failures[0]["identity_residual"] == str(worst)
+
+
+@pytest.mark.parametrize("name", ["classical:5", "qutrit:complex"])
+def test_the_check_makes_no_per_row_fit_roots_or_product(name, monkeypatch):
+    """One fit per degree of each stacked eigenvalue call, no np.roots and
+    no `JordanAlgebra.product` (gate 1 runs on integer or float stacks)."""
+    J = recovered(name)
+    assert J.exact == (name == "classical:5")
+    calls, fits = [0], []
+    spectra, product, lstsq = (jordan._eigenvalues_many,
+                               JordanAlgebra.product, _umath_linalg.lstsq)
+
+    def count_spectra(*args):
+        calls[0] += 1
+        return spectra(*args)
+
+    def count_fits(A, *args, **kwargs):
+        fits.append((calls[0], A.shape[-1]))
+        return lstsq(A, *args, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("unexpected per-row call")
+    monkeypatch.setattr(jordan, "_eigenvalues_many", count_spectra)
+    monkeypatch.setattr(_umath_linalg, "lstsq", count_fits)
+    monkeypatch.setattr(np, "roots", refuse)
+    monkeypatch.setattr(JordanAlgebra, "product", refuse)
+    assert verify_symmetric_cone(J).ok
+    assert calls[0] >= 2 and fits
+    assert len(fits) == len(set(fits))
