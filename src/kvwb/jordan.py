@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .linalg import (ONE, ZERO, frac, is_positive_definite,
+from .linalg import (ONE, ZERO, _Kind, frac, is_positive_definite,
                      solve_with_nullspace, sparse_int_rows)
 
 
@@ -900,13 +900,15 @@ class RecoveryResult:
     seed: int = 42
 
 
-def _pair_index(d: int):
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    where = {p: k for k, p in enumerate(pairs)}
-
-    def at(i, j):
-        return where[(i, j) if i <= j else (j, i)]
-    return pairs, at
+def _triple_index(d: int) -> np.ndarray:
+    """idx[i, j, k]: the column of S[i, j, k], one per sorted triple
+    i ≤ j ≤ k, in lexicographic order, whatever the order of i, j, k."""
+    trip = np.array(list(itertools.combinations_with_replacement(range(d), 3)),
+                    dtype=np.intp).reshape(-1, 3)
+    idx = np.empty((d, d, d), dtype=np.intp)
+    for perm in itertools.permutations(range(3)):
+        idx[tuple(trip[:, perm].T)] = np.arange(len(trip))
+    return idx
 
 
 def _integer_block(x) -> tuple[int, np.ndarray]:
@@ -919,42 +921,49 @@ def _integer_block(x) -> tuple[int, np.ndarray]:
                        dtype=object).reshape(X.shape)
 
 
-def _linear_rows(p: RecoveryProblem, idempotence: bool, exact: bool):
-    """The linear Jordan-product constraints A t = b.
+def _scaled(K: _Kind, x) -> tuple:
+    """(s, s·x): rationals as integers over their common denominator s,
+    floats as they are with s = 1.0."""
+    return _integer_block(x) if K.exact else (1.0, np.asarray(x, float))
 
-    The unknown t[at(i, j) * d + k] is the e_k coordinate of e_i ∘ e_j.  Each
-    block (unit law, B-associativity, G-equivariance, idempotence) lays out
-    the columns and values of its rows by broadcasting, row by row and term
-    by term.  On the float path the inputs are read as floats and one
-    `np.add.at` accumulates the terms in that order into the matrix A, so a
-    column that several terms of a row hit gets the same float sum as a loop
-    over the terms; the result is (A, b).
 
-    With `exact` the inputs must be rationals, each block scaled to integers
-    by its common denominator: s_u·u with right-hand side s_u·δ, s_B·B, and
-    per action M_int = s_M·M, its linear term times s_M and its quadratic
-    term M_int ⊗ M_int, so the row is s_M² times the rational one; per
-    outcome g_int = s_g·g, right-hand side s_g·g_int.  The triples are
-    summed into sparse rows of Python ints, {column: value} with the
-    right-hand side in column `ncols`, and entries that cancel to 0 are left
-    out; the result is (rows, ncols), row for row the rational system up to
-    a positive factor per row.
+def _inverse(K: _Kind, B: np.ndarray) -> np.ndarray:
+    """B⁻¹; on rationals from one sparse elimination of [s·B | -s·I], whose
+    null vector on the free column d + k is (B⁻¹e_k, e_k)."""
+    if not K.exact:
+        return np.linalg.inv(B)
+    s, Bn = _integer_block(B)
+    d = len(Bn)
+    rows = [{**{j: v for j, v in enumerate(r) if v}, d + i: -s}
+            for i, r in enumerate(Bn.tolist())]
+    return np.array([v[:d] for v in solve_with_nullspace(rows, 2 * d)[1]],
+                    dtype=object).T
+
+
+def _cubic_rows(p: RecoveryProblem, idempotence: bool, K: _Kind):
+    """The linear constraints A s = b on the cubic form S(x, y, z) =
+    B(x ∘ y, z), totally symmetric for an associative B: the unknown
+    s[idx[i, j, k]] is one entry per sorted triple i ≤ j ≤ k.
+
+    With T[i, j, :] = B⁻ᵀ S[i, j, :] the coordinates of e_i ∘ e_j, the
+    blocks are the unit law Σᵢ uᵢ S[i, j, k] = B[j, k] (row (j, k), term i);
+    equivariance BᵀMB⁻ᵀ S[i, j, :] = Σ_ab M[a, i] M[b, j] S[a, b, :] (row
+    (i ≤ j, k), terms m, then (a, b)); and idempotence
+    Σ g_i g_j S[i, j, :] = Bᵀg (row k, terms i ≤ j).  Columns and values
+    are laid out by broadcasting; on floats one `np.add.at` accumulates them
+    into A, and the result is (A, b).  Rational inputs are scaled to
+    integers (`_scaled`), each row times the product of its scales, and the
+    triples are summed into sparse rows of Python ints, {column: value}
+    with the right-hand side in column `ncols`, zeros left out; the result
+    is (rows, ncols), the rational rows up to a positive factor each.
     """
     d = p.dim
-    pairs, at = _pair_index(d)
-    ncols = len(pairs) * d
-    AT = np.array([[at(i, j) for j in range(d)] for i in range(d)],
-                  dtype=np.intp)
-
-    if exact:
-        num, dtype = _integer_block, object
-    else:
-        def num(x):
-            return 1.0, np.asarray(x, float)
-        dtype = float
-    s_u, u = num(p.u)
-    _, B = num(p.B)
-    ar = np.arange(d)
+    idx = _triple_index(d)
+    ncols = d * (d + 1) * (d + 2) // 6
+    dtype = object if K.exact else float
+    B = K.array(p.B)
+    s_B, Bn = _scaled(K, B)
+    s_Bi, Bin = _scaled(K, _inverse(K, B))
     iu, ju = np.triu_indices(d)
     R = len(iu)
     rows, cols, vals, rhs = [], [], [], []
@@ -968,38 +977,30 @@ def _linear_rows(p: RecoveryProblem, idempotence: bool, exact: bool):
         vals.append(np.broadcast_to(v, c.shape).ravel())
         rhs.append(b)
 
-    # unit law u ∘ e_j = e_j: row (j, k), term i
-    delta = np.zeros(d * d, dtype)
-    delta[::d + 1] = s_u
-    add(AT[:, None, :] * d + ar[:, None], u, delta)
-    # B-associativity B(e_i ∘ e_j, e_k) = B(e_j, e_i ∘ e_k):
-    # row (i, j ≤ k), terms m then sign
-    add(np.stack([AT[:, iu, None] * d + ar, AT[:, ju, None] * d + ar],
-                 axis=-1),
-        np.stack([B[:, ju].T, -B[:, iu].T], axis=-1),
-        np.zeros(d * R, dtype))
-    # G-equivariance M(e_i ∘ e_j) = M e_i ∘ M e_j: row (i ≤ j, k),
-    # terms m, then (a, b)
-    c_m = np.broadcast_to(AT[iu, ju, None, None] * d + ar, (R, d, d))
-    c_ab = np.broadcast_to((AT * d).ravel() + ar[:, None], (R, d, d * d))
+    s_u, u = _scaled(K, p.u)
+    add(idx.transpose(1, 2, 0).reshape(d * d, d), u * s_B,
+        (Bn * s_u).ravel())
+    c_m = np.broadcast_to(idx[iu, ju][:, None, :], (R, d, d))
+    c_ab = np.broadcast_to(idx.reshape(d * d, d).T, (R, d, d * d))
     for M in p.actions:
-        s_M, M = num(M)
+        s_M, M = _scaled(K, M)
         v_ab = -(M[:, iu].T[:, :, None] * M[:, ju].T[:, None, :])
         add(np.concatenate([c_m, c_ab], axis=-1),
-            np.concatenate([np.broadcast_to(M * s_M, (R, d, d)),
-                            np.broadcast_to(v_ab.reshape(R, 1, d * d),
+            np.concatenate([np.broadcast_to(Bn.T @ M @ Bin.T * s_M,
+                                            (R, d, d)),
+                            np.broadcast_to(v_ab.reshape(R, 1, d * d)
+                                            * (s_B * s_Bi),
                                             (R, d, d * d))], axis=-1),
             np.zeros(R * d, dtype))
-    # idempotence g ∘ g = g: row k, terms i ≤ j
     if idempotence:
         for g in p.outcome_vectors:
-            s_g, g = num(g)
-            prod = g[iu] * g[ju]
-            add(AT[iu, ju] * d + ar[:, None],
-                np.where(iu != ju, prod * 2, prod), g * s_g)
+            s_g, g = _scaled(K, g)
+            prod = g[iu] * g[ju] * s_B
+            add(idx[iu, ju].T, np.where(iu != ju, prod * 2, prod),
+                Bn.T @ g * s_g)
     b = np.concatenate(rhs)
     rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    if exact:
+    if K.exact:
         out = sparse_int_rows(rows, cols, vals, len(b))
         for row, bb in zip(out, b.tolist()):
             if bb:
@@ -1010,21 +1011,13 @@ def _linear_rows(p: RecoveryProblem, idempotence: bool, exact: bool):
     return A, b
 
 
-def _tensor_from_packed(t, d: int, pairs) -> np.ndarray:
-    T = np.zeros((d, d, d))
-    for pk, (i, j) in enumerate(pairs):
-        T[i, j] = t[pk * d:(pk + 1) * d]
-        T[j, i] = T[i, j]
-    return T
-
-
 def _solve_float(A: np.ndarray, b: np.ndarray):
     """Least-squares solution and nullspace basis (columns) of A t = b.
 
     The rank is read off the singular values `lstsq` returns, with the rule
-    s > 1e-9 * s[0]; only a short rank pays for a thin SVD.  A has at least
-    as many rows as columns, so the thin `vt` is square.  (None, None) when
-    the system is inconsistent.
+    s > 1e-9 * s[0]; only a short rank pays for an SVD, a thin one when A
+    has at least as many rows as columns (then `vt` is square) and a full
+    one otherwise.  (None, None) when the system is inconsistent.
     """
     t0, _, _, s = np.linalg.lstsq(A, b, rcond=None)
     if float(np.abs(A @ t0 - b).max()) > 1e-7:
@@ -1032,7 +1025,36 @@ def _solve_float(A: np.ndarray, b: np.ndarray):
     rank = int((s > 1e-9 * s[0]).sum())
     if rank == A.shape[1]:
         return t0, np.zeros((A.shape[1], 0))
-    return t0, np.linalg.svd(A, full_matrices=False)[2][rank:].T
+    vt = np.linalg.svd(A, full_matrices=len(A) < A.shape[1])[2]
+    return t0, vt[rank:].T
+
+
+def _linear_stage(p: RecoveryProblem, idempotence: bool
+                  ) -> Optional[np.ndarray]:
+    """The solutions of `_cubic_rows` lifted to product tensors,
+    T[i, j, :] = B⁻ᵀ S[i, j, :], stacked on a last axis: one solution, then
+    a basis of the homogeneous ones; None when the rows are inconsistent."""
+    K = _Kind("exact" if p.exact else "float")
+    if K.exact:
+        x, null = solve_with_nullspace(*_cubic_rows(p, idempotence, K))
+        X = None if x is None else K.array([x] + null).T
+    else:
+        s0, N = _solve_float(*_cubic_rows(p, idempotence, K))
+        X = None if s0 is None else np.column_stack([s0, N])
+    if X is None:
+        return None
+    d = p.dim
+    iu, ju = np.triu_indices(d)
+    S = X[_triple_index(d)[iu, ju]]                  # (pairs, k, columns)
+    R, _, c = S.shape
+    s_Bi, Bin = _scaled(K, _inverse(K, K.array(p.B)))
+    s_S, S = _scaled(K, S.transpose(1, 0, 2).reshape(d, R * c))
+    Tp = K.array(Bin.T @ S) / (s_Bi * s_S)
+    Tp = Tp.reshape(d, R, c).transpose(1, 0, 2)
+    T = K.zeros((d, d, d, c))
+    T[iu, ju] = Tp
+    T[ju, iu] = Tp
+    return T
 
 
 def _identity_residual_vec(T: np.ndarray, samples) -> np.ndarray:
@@ -1051,21 +1073,23 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42,
                            tol: float = 1e-8) -> RecoveryResult:
     """Solve the linear Jordan-product constraints, then polish the identity.
 
-    Linear stage: commutativity (built into the parametrization), the unit
-    law, associativity of the given form, equivariance under the given
+    Linear stage, on the cubic form S(x, y, z) = B(x ∘ y, z): commutativity
+    and associativity of the given form make S totally symmetric, so it has
+    one unknown per sorted triple, d(d+1)(d+2)/6 in all, and neither needs
+    a row.  The rows are the unit law, equivariance under the given
     symmetry actions, and — by default — idempotence of the supplied
     outcome/cone generators (sharp extreme effects can only be primitive
     idempotents in a compatible algebra; without this the linear stage can
-    stay underdetermined).  One builder, `_linear_rows`, makes these rows
-    for both paths; only the solve differs: exact problems get sparse
-    integer rows and eliminate them once (`linalg.solve_with_nullspace`,
-    leftmost pivots, so the solution and null basis are those of the RREF),
-    float problems make one least-squares solve and read the nullity off its
-    singular values, computing a nullspace basis (thin SVD) only when the
-    nullity is positive.  Quadratic stage: Gauss-Newton
-    on the Jordan identity residual from several seeds; agreement of all
-    seeds is the desk-scale uniqueness certificate, and it runs on the
-    inputs read as floats, whatever their kind.
+    stay underdetermined).  One builder, `_cubic_rows`, makes them for both
+    paths; only the solve differs: exact problems get sparse integer rows
+    and eliminate them once (`linalg.solve_with_nullspace`), float problems
+    make one least-squares solve and read the nullity off its singular
+    values, computing a nullspace basis (thin SVD) only when the nullity is
+    positive.  The particular solution and the null basis are lifted to
+    product tensors, T[i, j, :] = B⁻ᵀ S[i, j, :], by one product.  Quadratic
+    stage: Gauss-Newton on the Jordan identity residual from several seeds;
+    agreement of all seeds is the desk-scale uniqueness certificate, and it
+    runs on the inputs read as floats, whatever their kind.
     """
     gates: dict = {}
     notes: list = []
@@ -1080,22 +1104,14 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42,
     gates["unit_interior_heuristic"] = all(
         float(np.asarray(g, float) @ B @ u) > 1e-12 for g in p.cone_generators)
 
-    pairs, at = _pair_index(d)
-    if p.exact:
-        t0x, nullx = solve_with_nullspace(
-            *_linear_rows(p, enforce_outcome_idempotence, True))
-        t0 = None if t0x is None else np.array([float(v) for v in t0x])
-        N = (np.array([[float(v) for v in col] for col in nullx]).T
-             if nullx else np.zeros((len(pairs) * d, 0)))
-    else:
-        t0, N = _solve_float(*_linear_rows(p, enforce_outcome_idempotence,
-                                           False))
-    if t0 is None:
+    T = _linear_stage(p, enforce_outcome_idempotence)
+    if T is None:
         gates["linear_stage"] = False
         return RecoveryResult(None, -1, np.inf, None, [], gates,
                               ["linear constraints inconsistent"], seed)
-    nullity = N.shape[1]
-    exact_solution = t0x if p.exact and nullity == 0 else None
+    T0, N = np.asarray(T[..., 0], float), np.asarray(T[..., 1:], float)
+    nullity = N.shape[-1]
+    exact_solution = T[..., 0].tolist() if p.exact and nullity == 0 else None
     gates["linear_stage"] = True
 
     rng = np.random.default_rng(seed)
@@ -1103,8 +1119,7 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42,
              for _ in range(3 * d)]
 
     def tensor_at(theta):
-        return _tensor_from_packed(t0 + (N @ theta if nullity else 0.0),
-                                   d, pairs)
+        return T0 + (N @ theta if nullity else 0.0)
 
     def residual(theta):
         return _identity_residual_vec(tensor_at(theta), probe)
@@ -1185,9 +1200,7 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42,
     unit = ([frac(x) for x in p.u] if exact_solution is not None
             else list(u))
     if exact_solution is not None:
-        tensor = [[[exact_solution[at(i, j) * d + k]
-                    for k in range(d)] for j in range(d)] for i in range(d)]
-        J = JordanAlgebra("Recovered", d, unit, tensor, True)
+        J = JordanAlgebra("Recovered", d, unit, exact_solution, True)
         notes.append("tensor is exact (rational linear stage, zero nullity)")
     else:
         J = JordanAlgebra("Recovered", d, list(u), T_star, False)

@@ -61,18 +61,6 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), ZERO)
 
 
-def vadd(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return [x + y for x, y in zip(a, b, strict=True)]
-
-
-def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return [x - y for x, y in zip(a, b, strict=True)]
-
-
-def vscale(c: Fraction, a: Sequence[Fraction]) -> Vec:
-    return [c * x for x in a]
-
-
 def mat_vec(A: Mat, x: Sequence[Fraction]) -> Vec:
     return [dot(row, x) for row in A]
 
@@ -84,10 +72,6 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
 
 def transpose(A: Mat) -> Mat:
     return [list(col) for col in zip(*A)] if A else []
-
-
-def mat_eq(A: Mat, B: Mat) -> bool:
-    return A == B
 
 
 def _primitive(ints: list[int]) -> list[int]:

@@ -197,10 +197,6 @@ class Model:
         return dict(zip(self.outcomes, v, strict=True))
 
 
-def state_tuple(m: Model, values: dict[str, Fraction]) -> tuple[Fraction, ...]:
-    return tuple(frac(values[x]) for x in m.outcomes)
-
-
 def act_on_state(g: Perm, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """(g.alpha)(x) = alpha(g^{-1} x)."""
     ginv = perm_inverse(g)
@@ -866,21 +862,3 @@ def models_isomorphic(m1: Model, m2: Model) -> Optional[dict[str, str]]:
         return None
 
     return extend({}, list(m1.outcomes))
-
-
-def check_image_closure(catalog: list[Model], f: Morphism) -> dict:
-    """Is the image of f isomorphic to a catalog member?"""
-    rep = validate_morphism(f)
-    if not rep.ok:
-        raise ModelError("morphism invalid: " + "; ".join(rep.problems))
-    if not rep.surjective:
-        raise ModelError("image closure is about surjective morphisms")
-    img, _ = image_model(f.source, f.outcome_map)
-    for member in catalog:
-        try:
-            iso = models_isomorphic(img, member)
-        except ModelError:
-            continue
-        if iso is not None:
-            return {"closed": True, "match": member.name, "relabelling": iso}
-    return {"closed": False, "match": None, "relabelling": None}

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import composites, cones, effectspace, forms, jordan, models
 from .builtins import conjugation_bijection
-from .linalg import _Kind
+from .linalg import _Kind, dot
 from .serialize import dumps_canonical, model_to_json
 
 PASS = "pass"
@@ -424,12 +424,17 @@ def _recovery_problem(E, spin, tol: float) -> jordan.RecoveryProblem:
     if E.kind == "exact":
         # Membership questions arrive as floats from the numeric probes;
         # answer them exactly after absorbing rounding noise into a
-        # tol-sized multiple of the order unit (interior direction).
+        # tol-sized multiple of the order unit (interior direction).  The
+        # cone is closed, K = K**, so v is in K exactly when it pairs
+        # nonnegatively with every ray of the (cached) dual cone and to zero
+        # with its lineality.
         slack = Fraction(tol).limit_denominator(10**12)
 
         def membership(v):
             vv = [Fraction(float(x)) + slack * b for x, b in zip(v, E.u)]
-            return E.effect_cone.contains(vv).feasible
+            D = E.dual_effect_cone
+            return (all(dot(f, vv) >= 0 for f in D.generators)
+                    and all(dot(l, vv) == 0 for l in D.lineality))
     else:
         def membership(v):
             return effectspace.cone_membership(E, v, tol).feasible

@@ -2,7 +2,11 @@
 `kvwb.lp.solve_feasibility` replaced with integer elimination, and the dense
 `solve_with_nullspace` that the sparse one of `kvwb.linalg` replaced, and the
 loop-built constraint rows and full-SVD nullspace that
-`kvwb.jordan._linear_rows` and `kvwb.jordan._solve_float` replaced, and the
+`kvwb.jordan._linear_rows` and `kvwb.jordan._solve_float` replaced, and that
+vectorized `_linear_rows` itself, over the full product tensor with
+B-associativity rows, which the cubic-form rows of
+`kvwb.jordan._cubic_rows` replaced, and the one-LP-per-probe membership of
+the exact squares gate (`squares_membership`), and the
 one-element spectral functions and symmetric-cone check that the stacked
 kernels of `kvwb.jordan` (`_degrees_and_powers`, `_eigenvalues_many`,
 `_sqrt_many`) replaced, and the per-row least-squares fit and `np.roots`
@@ -33,12 +37,12 @@ from kvwb.composites import (BipartiteState, _check_gamma, _entangled_eta,
                              _invariance_flag)
 from kvwb.cones import pairwise_form_positivity
 from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
-                         _degrees_and_powers, _pair_index,
+                         _degrees_and_powers, _integer_block,
                          _random_rational_vec, _reconstruct, _value,
                          quadratic_rep, trace_form_gram)
 from kvwb.linalg import (Mat, Vec, ZERO, ONE, _augmented_solution,
                          _null_basis, dot, frac, is_positive_definite,
-                         mat_vec, solve)
+                         mat_vec, solve, sparse_int_rows)
 from kvwb import linalg, lp
 from kvwb.lp import LPResult, UnboundedError
 from kvwb.models import Model, PermutationGroup, QuantumBackend
@@ -171,6 +175,122 @@ def solve_feasibility(A: Mat, b: Vec) -> LPResult:
         assert dot(A[i], x) == b[i], "feasible point failed row check"
     assert all(xx >= 0 for xx in x)
     return LPResult(True, point=x)
+
+
+# ---------------------------------------------------------------------------
+# Jordan recovery over the full product tensor: the vectorized builder with
+# B-associativity rows that `kvwb.jordan._cubic_rows` replaced (verbatim),
+# its packing helpers, and the loops it replaced in turn
+
+def _pair_index(d: int):
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    where = {p: k for k, p in enumerate(pairs)}
+
+    def at(i, j):
+        return where[(i, j) if i <= j else (j, i)]
+    return pairs, at
+
+
+def _linear_rows(p: RecoveryProblem, idempotence: bool, exact: bool):
+    """The linear Jordan-product constraints A t = b.
+
+    The unknown t[at(i, j) * d + k] is the e_k coordinate of e_i ∘ e_j.  Each
+    block (unit law, B-associativity, G-equivariance, idempotence) lays out
+    the columns and values of its rows by broadcasting, row by row and term
+    by term.  On the float path the inputs are read as floats and one
+    `np.add.at` accumulates the terms in that order into the matrix A, so a
+    column that several terms of a row hit gets the same float sum as a loop
+    over the terms; the result is (A, b).
+
+    With `exact` the inputs must be rationals, each block scaled to integers
+    by its common denominator: s_u·u with right-hand side s_u·δ, s_B·B, and
+    per action M_int = s_M·M, its linear term times s_M and its quadratic
+    term M_int ⊗ M_int, so the row is s_M² times the rational one; per
+    outcome g_int = s_g·g, right-hand side s_g·g_int.  The triples are
+    summed into sparse rows of Python ints, {column: value} with the
+    right-hand side in column `ncols`, and entries that cancel to 0 are left
+    out; the result is (rows, ncols), row for row the rational system up to
+    a positive factor per row.
+    """
+    d = p.dim
+    pairs, at = _pair_index(d)
+    ncols = len(pairs) * d
+    AT = np.array([[at(i, j) for j in range(d)] for i in range(d)],
+                  dtype=np.intp)
+
+    if exact:
+        num, dtype = _integer_block, object
+    else:
+        def num(x):
+            return 1.0, np.asarray(x, float)
+        dtype = float
+    s_u, u = num(p.u)
+    _, B = num(p.B)
+    ar = np.arange(d)
+    iu, ju = np.triu_indices(d)
+    R = len(iu)
+    rows, cols, vals, rhs = [], [], [], []
+
+    def add(c, v, b):
+        """Append rows with right-hand side b: columns c shaped (row axes,
+        term axes), values v broadcast to that shape."""
+        n0 = sum(map(len, rhs))
+        rows.append(np.repeat(np.arange(n0, n0 + len(b)), c.size // len(b)))
+        cols.append(c.ravel())
+        vals.append(np.broadcast_to(v, c.shape).ravel())
+        rhs.append(b)
+
+    # unit law u ∘ e_j = e_j: row (j, k), term i
+    delta = np.zeros(d * d, dtype)
+    delta[::d + 1] = s_u
+    add(AT[:, None, :] * d + ar[:, None], u, delta)
+    # B-associativity B(e_i ∘ e_j, e_k) = B(e_j, e_i ∘ e_k):
+    # row (i, j ≤ k), terms m then sign
+    add(np.stack([AT[:, iu, None] * d + ar, AT[:, ju, None] * d + ar],
+                 axis=-1),
+        np.stack([B[:, ju].T, -B[:, iu].T], axis=-1),
+        np.zeros(d * R, dtype))
+    # G-equivariance M(e_i ∘ e_j) = M e_i ∘ M e_j: row (i ≤ j, k),
+    # terms m, then (a, b)
+    c_m = np.broadcast_to(AT[iu, ju, None, None] * d + ar, (R, d, d))
+    c_ab = np.broadcast_to((AT * d).ravel() + ar[:, None], (R, d, d * d))
+    for M in p.actions:
+        s_M, M = num(M)
+        v_ab = -(M[:, iu].T[:, :, None] * M[:, ju].T[:, None, :])
+        add(np.concatenate([c_m, c_ab], axis=-1),
+            np.concatenate([np.broadcast_to(M * s_M, (R, d, d)),
+                            np.broadcast_to(v_ab.reshape(R, 1, d * d),
+                                            (R, d, d * d))], axis=-1),
+            np.zeros(R * d, dtype))
+    # idempotence g ∘ g = g: row k, terms i ≤ j
+    if idempotence:
+        for g in p.outcome_vectors:
+            s_g, g = num(g)
+            prod = g[iu] * g[ju]
+            add(AT[iu, ju] * d + ar[:, None],
+                np.where(iu != ju, prod * 2, prod), g * s_g)
+    b = np.concatenate(rhs)
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    if exact:
+        out = sparse_int_rows(rows, cols, vals, len(b))
+        for row, bb in zip(out, b.tolist()):
+            if bb:
+                row[ncols] = bb
+        return out, ncols
+    A = np.zeros((len(b), ncols))
+    np.add.at(A, (rows, cols), vals)
+    return A, b
+
+
+def squares_membership(E, tol: float):
+    """The exact squares-gate membership of `kvwb.pipeline._recovery_problem`
+    before it read the dual cone's rays: one phase-one LP per probe."""
+    slack = Fraction(tol).limit_denominator(10**12)
+
+    def membership(v):
+        vv = [Fraction(float(x)) + slack * b for x, b in zip(v, E.u)]
+        return E.effect_cone.contains(vv).feasible
+    return membership
 
 
 def linear_rows_float(p: RecoveryProblem, idempotence: bool):

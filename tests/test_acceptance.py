@@ -287,13 +287,14 @@ def test_criterion_9_byte_identical_reports():
 
 
 #: sha256 of `kvwb run NAME` on the quantum built-ins with one BLAS thread,
-#: recorded before the symmetric-cone check was stacked over its samples.
-#: LAPACK's results depend on its thread count, so the digests hold for one
-#: thread only (with two, `qutrit:complex` gives 76f5dd5e...).
+#: recorded when recovery moved to the symmetric cubic form: against the
+#: full-tensor rows only float residuals and errors changed, each by under
+#: 1e-12.  LAPACK's results depend on its thread count, so the digests hold
+#: for one thread only (with two, `qutrit:complex` gives 1b05ea45...).
 QUANTUM_REPORT_SHA256 = {
-    "qubit:real": "5a86fe56ff1e5f2afd06e6f3eaf24eeed107c6865e0e17e8c0b18d00af2c75bc",
-    "qubit:complex": "2775328fe1ca9c93d65ff643d9d92bf43cf109e76df2ff2175b021a2428c35da",
-    "qutrit:complex": "c0933abb6156d2d05ccc8923fe0f880c0ed8da6878eabf218b410a64a0789962",
+    "qubit:real": "c79b967f904fb6ffa7522f73c71f650e083200f0576119d138cd3faba00fafd8",
+    "qubit:complex": "134ff5f3793b9d192057c4942c4b71af433d031d26c76982acc5d6ca5a96af84",
+    "qutrit:complex": "ccba1446d9c21b8545f3da5ac03347a328bf2e522b7cfa8eec4821b016ed2e43",
 }
 
 

@@ -244,3 +244,99 @@ def test_pair_checks_make_no_per_pair_form_values(name, monkeypatch):
     rep = run(name)
     assert rep.stage("conjugate").status == "pass"
     assert calls == []
+
+
+def probes(E, rng):
+    """Cone points, points just outside by less and by more than the slack
+    of the exact gate, and points with negative conic coefficients."""
+    import numpy as np
+    G = np.array([[float(x) for x in g] for g in E.cone_generators])
+    u = np.array([float(x) for x in E.u])
+    out = [g for g in G]
+    for _ in range(40):
+        c = rng.uniform(-0.3, 1, len(G)) * (rng.random(len(G)) < 0.6)
+        out.append(c @ G)
+        out.append(c @ G - rng.choice([1e-11, 1e-9, 1e-6]) * u)
+    out += [rng.standard_normal(len(u)) for _ in range(20)]
+    return out
+
+
+@pytest.mark.parametrize("name", ["classical:3", "classical:5", "squit",
+                                  "squit:klein", "gbit:3", "gbit:4"])
+def test_exact_squares_gate_matches_the_lp(name):
+    """Membership by the dual cone's rays gives the phase-one LP's verdict
+    on every probe: K = K** for the closed effect cone."""
+    import numpy as np
+    import reference_kernels as oracle
+    from kvwb.effectspace import build_effect_space
+    from kvwb.forms import find_orthogonalizing_spin_form
+    from kvwb.pipeline import _recovery_problem
+    m = get_builtin(name)
+    E = build_effect_space(m)
+    spin = find_orthogonalizing_spin_form(m, E).form
+    gate = _recovery_problem(E, spin, 1e-9).cone_membership
+    lp = oracle.squares_membership(E, 1e-9)
+    verdicts = [gate(v) for v in probes(E, np.random.default_rng(1))]
+    assert verdicts == [lp(v) for v in probes(E, np.random.default_rng(1))]
+    assert True in verdicts and False in verdicts
+
+
+def test_exact_squares_gate_reads_the_lineality():
+    """A cone that is not full-dimensional: its dual has a lineality, and
+    membership needs l·v = 0 on it as well as f·v >= 0 on the rays."""
+    from fractions import Fraction as F
+    from types import SimpleNamespace
+    import numpy as np
+    import reference_kernels as oracle
+    from kvwb.cones import cone, dual_cone
+    from kvwb.pipeline import _recovery_problem
+    K = cone([[1, 1, 0], [1, 0, 1]])
+    E = SimpleNamespace(kind="exact", dim=3, u=[F(2), F(1), F(1)],
+                        effect_cone=K, cone_generators=list(K.generators),
+                        dual_effect_cone=dual_cone(K), actions=())
+    assert E.dual_effect_cone.lineality
+    gate = _recovery_problem(E, SimpleNamespace(matrix=None), 1e-9) \
+        .cone_membership
+    lp = oracle.squares_membership(E, 1e-9)
+    rng = np.random.default_rng(3)
+    vs = [rng.uniform(-0.2, 1, 2) @ np.array([[1, 1, 0], [1, 0, 1]])
+          for _ in range(20)] + [rng.standard_normal(3) for _ in range(20)]
+    verdicts = [gate(v) for v in vs]
+    assert verdicts == [lp(v) for v in vs]
+    assert True in verdicts and False in verdicts
+
+
+#: `cones.dual_cone` calls per run, as many as when the exact squares gate
+#: solved one LP per probe instead of reading the effect space's dual cone.
+DUAL_CONE_CALLS = {
+    **{name: 2 for name in ["classical:2", "classical:3", "classical:4",
+                            "classical:5", "classical:6", "squit",
+                            "gbit:3", "gbit:4", "gbit:5", "gbit:6"]},
+    **{name: 0 for name in ["squit:klein", "qubit:real", "qubit:complex",
+                            "qutrit:complex"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_CONE_CALLS))
+def test_squares_gate_adds_no_dual_cone(name, monkeypatch):
+    from kvwb import cones, effectspace, jordan
+    calls, in_recovery = [], []
+    dual, recover = cones.dual_cone, jordan.recover_jordan_product
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return dual(*args, **kw)
+
+    def recovery(*args, **kw):
+        before = len(calls)
+        res = recover(*args, **kw)
+        in_recovery.append(len(calls) - before)
+        return res
+
+    monkeypatch.setattr(cones, "dual_cone", counted)
+    monkeypatch.setattr(effectspace, "dual_cone", counted)
+    monkeypatch.setattr(jordan, "recover_jordan_product", recovery)
+    run(name)
+    assert len(calls) == DUAL_CONE_CALLS[name]
+    assert not any(in_recovery)
+    assert set(builtin_names()) <= set(DUAL_CONE_CALLS)

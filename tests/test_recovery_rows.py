@@ -1,29 +1,41 @@
-"""The vectorized constraint builder of Jordan recovery equals the loops.
+"""The cubic-form recovery rows solve to the product-tensor rows' solutions.
 
-`reference_kernels` keeps the term-by-term loops that built the linear
-constraint rows (float and rational), the dense exact solve and the full-SVD
-nullspace.  The float matrices must agree bit for bit, signed zeros
-included.  The exact rows are sparse integer rows, each the rational row
-times one nonzero factor, and their solve must give the dense solve's
-solution and null basis exactly.
+`kvwb.jordan._cubic_rows` parametrizes the product by the totally symmetric
+cubic form S(x, y, z) = B(x ∘ y, z), one unknown per sorted triple and no
+B-associativity rows; `_linear_stage` solves those rows and lifts the
+solutions to tensors, T[i, j, :] = B⁻ᵀ S[i, j, :].  `reference_kernels`
+keeps the builder it replaced, `_linear_rows`, over the full tensor with
+B-associativity rows, and the loops and dense solve that builder replaced.
+For an invertible B both systems have one solution set, so each test asks
+for the old nullity and for a particular solution and null basis that give
+the old tensor and span the old tensor subspace: exactly on rationals,
+within 1e-12 on floats.  Inconsistent problems (an asymmetric form, or
+symmetries and idempotents no product satisfies) must be inconsistent in
+both.
 """
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import reference_kernels as oracle
 from kvwb.builtins import get_builtin
 from kvwb.effectspace import build_effect_space
 from kvwb.forms import find_orthogonalizing_spin_form
 from kvwb import linalg
-from kvwb.jordan import (RecoveryProblem, _linear_rows, _solve_float,
-                         recover_jordan_product)
-from kvwb.linalg import solve_with_nullspace
+from kvwb.jordan import (RecoveryProblem, _cubic_rows, _linear_stage,
+                         _solve_float, recover_jordan_product)
+from kvwb.linalg import _Kind, solve_with_nullspace
 from kvwb.pipeline import _recovery_problem
 
 QUANTUM = ["qubit:real", "qubit:complex", "qutrit:complex"]
+FLOAT, EXACT = _Kind("float"), _Kind("exact")
 
 
 def builtin_problem(name):
@@ -33,33 +45,63 @@ def builtin_problem(name):
     return _recovery_problem(E, spin, 1e-9)
 
 
-def assert_same_floats(new, old):
-    assert new.shape == old.shape
-    assert np.array_equal(new, old)
-    assert np.array_equal(np.signbit(new), np.signbit(old))
+def as_floats(p):
+    return RecoveryProblem(
+        dim=p.dim, B=np.asarray(p.B, float), u=np.asarray(p.u, float),
+        cone_generators=[],
+        actions=[np.asarray(M, float) for M in p.actions],
+        outcome_vectors=[np.asarray(g, float) for g in p.outcome_vectors])
 
 
-def assert_same_float_rows(p, idempotence):
-    A, b = _linear_rows(p, idempotence, exact=False)
-    A0, b0, _ = oracle.linear_rows_float(p, idempotence)
-    assert_same_floats(A, A0)
-    assert_same_floats(b, b0)
+def unpacked(cols, d, exact):
+    """Tensors (d, d, d, columns) of solutions packed as the old builder
+    packs them, t[at(i, j) * d + k] = T[i, j, k]."""
+    pairs, _ = oracle._pair_index(d)
+    T = np.zeros((d, d, d, len(cols)), dtype=object if exact else float)
+    for c, t in enumerate(cols):
+        for pk, (i, j) in enumerate(pairs):
+            T[i, j, :, c] = T[j, i, :, c] = t[pk * d:(pk + 1) * d]
+    return T
 
 
-def assert_same_exact_rows(p, idempotence):
-    rows, ncols = _linear_rows(p, idempotence, exact=True)
-    A0, b0, _ = oracle.exact_linear_rows(p, idempotence)
-    assert len(rows) == len(A0) and ncols == len(A0[0])
-    for row, a, bb in zip(rows, A0, b0):
-        want = {k: x for k, x in enumerate(a + [bb]) if x}
-        assert row.keys() == want.keys()
-        assert all(type(x) is int for x in row.values())
-        if want:
-            k = next(iter(want))
-            scale = row[k] / want[k]
-            assert all(row[j] == scale * want[j] for j in want)
-    assert solve_with_nullspace(rows, ncols) == \
-        oracle.solve_with_nullspace(A0, b0)
+def old_tensors(p, idempotence):
+    """The solutions of the tensor rows: one solution, then a null basis.
+    Float rows come from the loops, which the old builder matched bit for
+    bit."""
+    if p.exact:
+        x, null = solve_with_nullspace(
+            *oracle._linear_rows(p, idempotence, True))
+        return None if x is None else unpacked([x] + null, p.dim, True)
+    t0, N = _solve_float(*oracle.linear_rows_float(p, idempotence)[:2])
+    return None if t0 is None else unpacked([t0, *N.T], p.dim, False)
+
+
+def assert_same_solutions(p, idempotence, old=None):
+    new = _linear_stage(p, idempotence)
+    if old is None:
+        old = old_tensors(p, idempotence)
+    assert (new is None) == (old is None)
+    if new is None:
+        return
+    assert new.shape == old.shape                     # the same nullity
+    n, o = (x.reshape(-1, x.shape[-1]) for x in (new, old))
+    nullity = n.shape[1] - 1
+    if p.exact:
+        assert all(type(x) is F for x in n.flat)
+        if nullity == 0:
+            assert n.tolist() == o.tolist()
+            return
+        span = [list(c) for c in o[:, 1:].T]
+        assert linalg.rank(span + [list(c) for c in n[:, 1:].T]) == nullity
+        assert linalg.rank(span + [list(n[:, 0] - o[:, 0])]) == nullity
+        return
+    if nullity == 0:
+        assert np.abs(n - o).max() <= 1e-12
+        return
+    Qo, Qn = (np.linalg.qr(x[:, 1:])[0] for x in (o, n))
+    assert np.abs(Qo @ Qo.T - Qn @ Qn.T).max() <= 1e-12
+    diff = n[:, 0] - o[:, 0]
+    assert np.abs(diff - Qo @ (Qo.T @ diff)).max() <= 1e-12
 
 
 def test_problem_carries_one_set_of_inputs():
@@ -72,6 +114,11 @@ def test_problem_carries_one_set_of_inputs():
     assert not builtin_problem("qubit:real").exact
 
 
+# Random problems with solutions: a spin factor with unit t·e_0, its form
+# c·I, symmetries fixing e_0 and idempotents t(e_0 ± v)/2, all carried to
+# other coordinates by an invertible P.  With `skew` an antisymmetric part
+# is added to B, and no product has that form.
+
 def signed_permutation(rng, d):
     M = np.zeros((d, d))
     M[np.arange(d), rng.permutation(d)] = rng.choice([-1.0, 1.0], size=d)
@@ -83,77 +130,121 @@ def orthogonal(rng, d):
     return q
 
 
+def fixing_e0(M0):
+    M = np.eye(len(M0) + 1, dtype=M0.dtype)
+    M[1:, 1:] = M0
+    return M
+
+
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(2, 5), n_actions=st.integers(0, 3),
        n_outcomes=st.integers(0, 3), idempotence=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
+       skew=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_float_rows_match_the_loops(d, n_actions, n_outcomes, idempotence,
-                                    seed):
+                                    skew, seed):
     rng = np.random.default_rng(seed)
-    B = rng.standard_normal((d, d))
-    B[rng.random((d, d)) < 0.3] = 0.0          # zeros, so products give -0.0
-    u = rng.standard_normal(d) * (rng.random(d) < 0.7)
-    actions = [orthogonal(rng, d) if rng.random() < 0.5
-               else signed_permutation(rng, d) for _ in range(n_actions)]
-    gs = [rng.standard_normal(d) * (rng.random(d) < 0.7)
-          for _ in range(n_outcomes)]
-    p = RecoveryProblem(dim=d, B=B, u=u, cone_generators=[],
-                        actions=actions, outcome_vectors=gs)
+    P = orthogonal(rng, d) @ np.diag(rng.uniform(1, 2, d)) @ orthogonal(rng, d)
+    Pi = np.linalg.inv(P)
+    c, t = rng.uniform(0.5, 2), rng.uniform(0.5, 2) * rng.choice([-1, 1])
+    B = c * P.T @ P
+    if skew:
+        K = rng.standard_normal((d, d))
+        B = B + K - K.T
+    actions = [Pi @ fixing_e0(orthogonal(rng, d - 1) if rng.random() < 0.5
+                              else signed_permutation(rng, d - 1)) @ P
+               for _ in range(n_actions)]
+    gs = []
+    for _ in range(n_outcomes):
+        v = rng.standard_normal(d)
+        v[0] = 0
+        g0 = t / 2 * (np.eye(d)[0] + v / np.linalg.norm(v))
+        gs.append(Pi @ g0)
+    p = RecoveryProblem(dim=d, B=B, u=Pi @ (t * np.eye(d)[0]),
+                        cone_generators=[], actions=actions,
+                        outcome_vectors=gs)
     assert not p.exact
-    assert_same_float_rows(p, idempotence)
+    assert_same_solutions(p, idempotence)
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 
 
+def invertible(data, d):
+    P = data.draw(st.lists(st.lists(small, min_size=d, max_size=d),
+                           min_size=d, max_size=d))
+    Pi = linalg.inverse(P)
+    assume(Pi is not None)
+    return np.array(P, dtype=object), np.array(Pi, dtype=object)
+
+
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), d=st.integers(2, 5), n_actions=st.integers(0, 3),
-       n_outcomes=st.integers(0, 3), idempotence=st.booleans())
+@given(data=st.data(), d=st.integers(2, 4), n_actions=st.integers(0, 3),
+       n_outcomes=st.integers(0, 3), idempotence=st.booleans(),
+       skew=st.booleans())
 def test_exact_rows_match_the_loops(data, d, n_actions, n_outcomes,
-                                    idempotence):
-    vec = st.lists(small, min_size=d, max_size=d)
-    B = data.draw(st.lists(vec, min_size=d, max_size=d))
-    u = data.draw(vec)
-    perms = data.draw(st.lists(st.permutations(range(d)),
-                               min_size=n_actions, max_size=n_actions))
-    actions = [[[F(int(perm[r] == c)) for c in range(d)] for r in range(d)]
-               for perm in perms]
-    gs = data.draw(st.lists(vec, min_size=n_outcomes, max_size=n_outcomes))
-    p = RecoveryProblem(dim=d, B=B, u=u, cone_generators=[],
-                        actions=actions, outcome_vectors=gs)
+                                    idempotence, skew):
+    P, Pi = invertible(data, d)
+    positive = st.fractions(min_value=F(1, 5), max_value=3,
+                            max_denominator=5)
+    c, t = data.draw(positive), data.draw(positive) * data.draw(
+        st.sampled_from([-1, 1]))
+    B = c * P.T @ P
+    if skew:
+        i, j = data.draw(st.permutations(range(d)))[:2]
+        B[i, j] += 1
+        B[j, i] -= 1
+    e = np.eye(d, dtype=int).astype(object)
+    actions = []
+    for perm in data.draw(st.lists(st.permutations(range(d - 1)),
+                                   min_size=n_actions, max_size=n_actions)):
+        M0 = np.zeros((d - 1, d - 1), dtype=int)
+        M0[np.arange(d - 1), perm] = data.draw(
+            st.lists(st.sampled_from([-1, 1]), min_size=d - 1,
+                     max_size=d - 1))
+        actions.append((Pi @ fixing_e0(M0.astype(object)) @ P).tolist())
+    gs = [(Pi @ (t / 2 * (e[0] + s * e[i]))).tolist()
+          for i, s in data.draw(st.lists(
+              st.tuples(st.integers(1, d - 1), st.sampled_from([-1, 1])),
+              min_size=n_outcomes, max_size=n_outcomes))]
+    p = RecoveryProblem(dim=d, B=B.tolist(), u=(Pi @ (t * e[0])).tolist(),
+                        cone_generators=[], actions=actions,
+                        outcome_vectors=gs)
     assert p.exact
-    assert_same_exact_rows(p, idempotence)
+    assert_same_solutions(p, idempotence)
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), d=st.integers(2, 4), n_actions=st.integers(1, 2),
+@given(data=st.data(), d=st.integers(2, 4), n_actions=st.integers(0, 2),
        idempotence=st.booleans())
 def test_exact_rows_with_rational_actions_match_the_loops(data, d, n_actions,
                                                           idempotence):
-    """Actions with denominators, so each equivariance row is scaled by
-    s_M² and its linear and quadratic terms must scale alike."""
+    """Unstructured rational inputs: any invertible form (mostly
+    asymmetric), actions with denominators and any outcome, so each
+    equivariance row has a dense BᵀMB⁻ᵀ and is scaled by its denominators;
+    such problems are mostly inconsistent, and must be so in both."""
     mat = st.lists(st.lists(small, min_size=d, max_size=d),
                    min_size=d, max_size=d)
     vec = st.lists(small, min_size=d, max_size=d)
+    B, _ = invertible(data, d)
     p = RecoveryProblem(
-        dim=d, B=data.draw(mat), u=data.draw(vec), cone_generators=[],
+        dim=d, B=B.tolist(), u=data.draw(vec), cone_generators=[],
         actions=[data.draw(mat) for _ in range(n_actions)],
         outcome_vectors=[data.draw(vec)])
-    assert_same_exact_rows(p, idempotence)
+    assert_same_solutions(p, idempotence)
 
 
 @pytest.mark.parametrize("name", QUANTUM)
 @pytest.mark.parametrize("idempotence", [True, False])
 def test_quantum_builtin_rows_match_the_loops(name, idempotence):
-    assert_same_float_rows(builtin_problem(name), idempotence)
+    assert_same_solutions(builtin_problem(name), idempotence)
 
 
 @pytest.mark.parametrize("name", ["classical:3", "classical:4"])
 def test_classical_builtin_rows_match_the_loops(name):
     p = builtin_problem(name)
     assert p.exact
-    assert_same_exact_rows(p, True)
-    assert_same_float_rows(p, True)
+    assert_same_solutions(p, True)
+    assert_same_solutions(as_floats(p), True)
 
 
 CLASSICAL = [f"classical:{n}" for n in range(2, 7)]
@@ -165,10 +256,10 @@ def test_classical_recovery_systems_match_the_dense_solve(name, idempotence):
     """Idempotence pins the product (nullity 0); without it every
     `classical:n` but n = 2 keeps a one-dimensional family (nullity 1)."""
     p = builtin_problem(name)
-    rows, ncols = _linear_rows(p, idempotence, exact=True)
     A0, b0, _ = oracle.exact_linear_rows(p, idempotence)
-    x, null = solve_with_nullspace(rows, ncols)
-    assert (x, null) == oracle.solve_with_nullspace(A0, b0)
+    x, null = oracle.solve_with_nullspace(A0, b0)
+    assert_same_solutions(p, idempotence,
+                          old=unpacked([x] + null, p.dim, True))
     assert len(null) == (0 if idempotence or name == "classical:2" else 1)
 
 
@@ -190,16 +281,21 @@ def test_exact_recovery_makes_no_dense_rref(monkeypatch):
 
 @pytest.mark.parametrize("name", CLASSICAL)
 def test_exact_recovery_rows_are_sparse(name):
-    """Fewer than two nonzeros per row, right-hand sides included: the
-    dense layout would hold rows x (columns + 1) entries."""
-    rows, _ = _linear_rows(builtin_problem(name), True, exact=True)
-    assert sum(map(len, rows)) < 2 * len(rows)
+    """Few nonzeros per row, right-hand sides included, and fewer in all
+    than the tensor rows held: the dense layout would hold rows x
+    (columns + 1) entries."""
+    p = builtin_problem(name)
+    rows, ncols = _cubic_rows(p, True, EXACT)
+    old, old_ncols = oracle._linear_rows(p, True, True)
+    d = p.dim
+    assert ncols == d * (d + 1) * (d + 2) // 6 < old_ncols
+    assert sum(map(len, rows)) < min(3 * len(rows), sum(map(len, old)))
 
 
 def test_positive_nullity_basis_spans_the_full_svd_nullspace():
     p = builtin_problem("qubit:complex")
     p.actions = []
-    A, b = _linear_rows(p, False, exact=False)
+    A, b = _cubic_rows(p, False, FLOAT)
     t0, N = _solve_float(A, b)
     N0 = oracle.np_nullspace_full_svd(A)
     assert t0 is not None and N.shape == N0.shape and N.shape[1] > 0
@@ -211,7 +307,7 @@ def test_positive_nullity_basis_spans_the_full_svd_nullspace():
 
 
 def test_full_rank_float_stage_returns_an_empty_basis():
-    A, b = _linear_rows(builtin_problem("qubit:real"), True, exact=False)
+    A, b = _cubic_rows(builtin_problem("qubit:real"), True, FLOAT)
     t0, N = _solve_float(A, b)
     assert N.shape == (A.shape[1], 0)
     assert oracle.np_nullspace_full_svd(A).shape == N.shape
@@ -231,3 +327,56 @@ def test_qutrit_recovery_builds_no_full_svd(monkeypatch):
     res = recover_jordan_product(p)
     assert res.algebra is not None and res.linear_solution_dim == 0
     assert not [c for c in calls if c[1] and c[2]], calls
+
+
+def test_qutrit_recovery_makes_one_lstsq_on_the_cubic_form(monkeypatch):
+    """d = 9: one least-squares solve over the 165 = 9·10·11/6 entries of
+    the cubic form, and no system over the 405 = 9·9·10/2 tensor entries."""
+    lstsq, zeros = np.linalg.lstsq, np.zeros
+    solves, arrays = [], []
+
+    def spy_lstsq(a, *args, **kwargs):
+        solves.append(np.shape(a))
+        return lstsq(a, *args, **kwargs)
+
+    def spy_zeros(shape, *args, **kwargs):
+        arrays.append(np.shape(zeros(shape)))
+        return zeros(shape, *args, **kwargs)
+
+    p = builtin_problem("qutrit:complex")
+    monkeypatch.setattr(np.linalg, "lstsq", spy_lstsq)
+    monkeypatch.setattr(np, "zeros", spy_zeros)
+    res = recover_jordan_product(p)
+    assert res.algebra is not None and res.linear_solution_dim == 0
+    assert [s[1] for s in solves] == [165]
+    matrices = [s for s in arrays if len(s) == 2]
+    assert (1053, 165) in matrices
+    assert not [s for s in matrices if s[1] == 405], matrices
+
+
+def test_four_level_complex_sample_passes_every_stage():
+    """The 4-level complex sample (d = 16, 816 cubic-form unknowns) through
+    the whole pipeline with one BLAS thread, inside a 2 s budget."""
+    script = (
+        "import json, time\n"
+        "from tests.test_forms import ququart_complex\n"
+        "from kvwb.pipeline import run_pipeline\n"
+        "m = ququart_complex()\n"
+        "t = time.perf_counter()\n"
+        "rep = run_pipeline(m)\n"
+        "t = time.perf_counter() - t\n"
+        "ident = rep.stage('identification').data\n"
+        "print(json.dumps({'statuses': [s.status for s in rep.stages],\n"
+        "                  'dim': ident.get('dim'), 'rank': ident.get('rank'),\n"
+        "                  'seconds': t}))\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(root / "src"), str(root), str(root / "tests")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          check=False, env=env, cwd=root, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["statuses"] == ["pass"] * 13
+    assert (out["dim"], out["rank"]) == (16, 4)
+    assert out["seconds"] < 2, f"run_pipeline took {out['seconds']:.2f} s"
