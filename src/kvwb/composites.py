@@ -19,7 +19,8 @@ import numpy as np
 
 from .effectspace import OrderUnitSpace, build_effect_space
 from .forms import BilinearForm, certify_flags, check_unitarity
-from .linalg import ONE, ZERO, _Kind, dot
+from .cones import separating_functional
+from .linalg import ONE, ZERO, _Kind
 from .lp import (LPResult, check_certificate, convex_membership,
                  solve_feasibility)
 from .models import (Model, PermutationGroup, PolytopeBackend, QuantumBackend,
@@ -189,71 +190,52 @@ class OmegaHat:
         return K.rank(K.array(self.matrix))
 
 
-def _basis_outcomes(E: OrderUnitSpace) -> list[str]:
-    """The first maximal independent family of outcome vectors, in outcome
-    order: each outcome is kept when it raises the rank of those kept."""
-    K = _Kind(E.kind)
-    picked, idx = [], []
-    for i, x in enumerate(E.model.outcomes):
-        trial = picked + [E.outcome_vectors[x]]
-        if K.rank(K.array(trial)) == len(trial):
-            picked = trial
-            idx.append(i)
-        if len(picked) == E.dim:
-            break
-    if len(picked) < E.dim:
-        raise CompositeError("sampled outcomes do not span the effect space")
-    return [E.model.outcomes[i] for i in idx]
-
-
 def omega_hat(w: BipartiteState, E_A: Optional[OrderUnitSpace] = None,
               E_B: Optional[OrderUnitSpace] = None,
               tol: float = 1e-9) -> OmegaHat:
     """The linear map sending the effect of x to the functional omega(x, .).
 
-    Built in two stages: each table row is solved for a dual vector against
-    the partner's outcome frame, then the per-outcome dual vectors are
-    assembled into one matrix on a maximal independent family of source
-    effects.  Both stages re-verify every outcome, and a dependency of
-    outcome vectors that the table fails to respect raises with the
-    violating outcome as witness.  Values are compared with the kind's zero
-    tolerance: exactly, or within `tol`.
+    Three products on the outcome frames (`OrderUnitSpace.outcome_frame`),
+    on integers over common denominators when exact: the dual vectors of
+    the table rows, their residuals against every partner outcome, and W
+    from the duals of the source frame.  Each stage re-verifies every
+    outcome, and a dependency of outcome vectors that the table fails to
+    respect raises with the first violating (x, y), or x, as witness.
+    Values are compared exactly, or within `tol`.
     """
     E_A = E_A or build_effect_space(w.A)
     E_B = E_B or build_effect_space(w.B)
     if E_A.kind != E_B.kind:
         raise CompositeError("mixed exact/float bipartite states unsupported")
     K = _Kind(E_A.kind, tol)
+    fA, fB = E_A.outcome_frame, E_B.outcome_frame
+    (s_ia, Ia), (s_va, VA) = fA.inverse, fA.vectors
+    (s_ib, Ib), (s_vb, VB) = fB.inverse, fB.vectors
 
-    basis_B = _basis_outcomes(E_B)
-    basis_A = _basis_outcomes(E_A)
-    Yb = K.array([E_B.outcome_vectors[y] for y in basis_B])   # rows
-    VB = K.array([E_B.outcome_vectors[y] for y in w.B.outcomes])
-    duals: dict[str, np.ndarray] = {}
-    for x in w.A.outcomes:
-        wx = K.solve(Yb, K.array([w.table[(x, y)] for y in basis_B]))
-        if wx is None:
-            raise CompositeError("table row unsolvable against the "
-                                 f"partner frame at outcome {x!r}",
-                                 witness=x)
-        duals[x] = wx
-        for y, vy in zip(w.B.outcomes, VB):
-            err = abs(wx @ vy - w.table[(x, y)])
-            if not K.is_zero(err):
-                raise CompositeError(
-                    f"table violates an effect dependency: row {x!r} is "
-                    f"inconsistent at outcome {y!r} (error {float(err):.2e})",
-                    witness=(x, y))
-    C = K.array([E_A.outcome_vectors[x] for x in basis_A]).T
-    W = K.array([duals[x] for x in basis_A]).T @ K.inverse(C)
-    for x in w.A.outcomes:
-        err = np.max(np.abs(W @ K.array(E_A.outcome_vectors[x]) - duals[x]))
-        if not K.is_zero(err):
-            raise CompositeError(
-                f"table violates an effect dependency: outcome {x!r} is not "
-                f"consistent with the independent family (error "
-                f"{float(err):.2e})", witness=x)
-    return OmegaHat(K.native(W), E_A, E_B, E_A.kind)
+    s_t, T = K.scaled([w.row(x) for x in w.A.outcomes])
+    D = T[:, fB.at] @ Ib                        # s_t·s_ib · duals, one per row
+    R = D @ VB.T - T * (s_ib * s_vb)            # s·(duals paired - table)
+    s = s_t * s_ib * s_vb
+    bad = np.argwhere(np.abs(R) > K.tol * s)
+    if len(bad):
+        i, j = bad[0]
+        x, y = w.A.outcomes[i], w.B.outcomes[j]
+        raise CompositeError(
+            f"table violates an effect dependency: row {x!r} is "
+            f"inconsistent at outcome {y!r} (error {abs(R[i, j]) / s:.2e})",
+            witness=(x, y))
+    W = D[fA.at].T @ Ia                         # s_w · W
+    s_w = s_t * s_ib * s_ia
+    err = np.abs(VA @ W.T - D * (s_ia * s_va)).max(axis=1)
+    s = s_w * s_va
+    bad = np.flatnonzero(err > K.tol * s)
+    if len(bad):
+        x = w.A.outcomes[bad[0]]
+        raise CompositeError(
+            f"table violates an effect dependency: outcome {x!r} is not "
+            f"consistent with the independent family (error "
+            f"{err[bad[0]] / s:.2e})", witness=x)
+    return OmegaHat(K.native(K.array(W) / s_w), E_A, E_B, E_A.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +258,15 @@ def is_isomorphism_state(w: BipartiteState,
     """Does the induced map carry the effect cone onto the dual cone?
 
     The map must be invertible (of full rank, for either kind).  Exact
-    models: it must send every effect-cone generator into the dual cone of
-    the partner (checked generator against generator), and its inverse must
-    send every generator of the partner's dual effect cone (computed once
-    per effect space) back into the effect cone, with LP certificates.
+    models, on integers over common denominators:
+
+    * forward: v·Wg >= 0 for every effect-cone generator g and partner
+      generator v, all pairings from one product, failures in (g, v) order;
+    * inverse: W⁻¹ sends every generator d of the partner's dual effect cone
+      into the effect cone, the dual of `E_A.dual_effect_cone`: one product
+      with its generators decides every d, and only a d sent outside gets
+      a membership LP, its Farkas vector the `separator`.
+
     Quantum samples are tested against the analytic positive-semidefinite
     cone, which the sampled cone generates.
     """
@@ -295,43 +282,40 @@ def is_isomorphism_state(w: BipartiteState,
     failures, notes = [], []
 
     if K.exact:
-        gens_B = [list(g) for g in E_B.effect_cone.all_generators()]
-        fwd = True
-        for g in E_A.effect_cone.all_generators():
-            f = W @ K.array(g)
-            for v in gens_B:
-                if dot(f, v) < 0:
-                    fwd = False
-                    failures.append({"stage": "forward", "generator": list(g),
-                                     "against": v, "value": dot(f, v)})
-        inv = True
-        for d in E_B.dual_effect_cone.all_generators():
-            res = E_A.effect_cone.contains(list(W_inv @ K.array(d)))
-            if not res.feasible:
-                inv = False
-                failures.append({"stage": "inverse", "generator": list(d),
-                                 "separator": res.farkas})
-        ok = fwd and inv
-        return IsomorphismStateReport(ok, True, fwd, inv, failures, notes)
-
-    notes.append("quantum membership tested against the analytic "
-                 "positive-semidefinite cone generated by the sample")
-    fwd = True
-    for x in w.A.outcomes:
-        f = W @ np.asarray(E_A.outcome_vectors[x])
-        H = E_B.basis.from_coords(f)
-        lo = float(np.linalg.eigvalsh((H + H.conj().T) / 2).min())
-        if lo < -tol:
-            fwd = False
-            failures.append({"stage": "forward", "outcome": x, "min_eig": lo})
-    inv = True
-    for y in w.B.outcomes:
-        g = W_inv @ np.asarray(E_B.outcome_vectors[y])
-        H = E_A.basis.from_coords(g)
-        lo = float(np.linalg.eigvalsh((H + H.conj().T) / 2).min())
-        if lo < -tol:
-            inv = False
-            failures.append({"stage": "inverse", "outcome": y, "min_eig": lo})
+        gens_A = E_A.effect_cone.all_generators()
+        gens_B = E_B.effect_cone.all_generators()
+        (s_a, GA), (s_b, GB) = (E_A.effect_cone.scaled_generators,
+                                E_B.effect_cone.scaled_generators)
+        s_w, Wn = K.scaled(W)
+        P = GA @ Wn.T @ GB.T                    # s · (v · W g)
+        for i, j in np.argwhere(P < 0):
+            failures.append({"stage": "forward", "generator": gens_A[i],
+                             "against": gens_B[j],
+                             "value": Fraction(P[i, j], s_a * s_b * s_w)})
+        duals = E_B.dual_effect_cone.all_generators()
+        inside = E_A.dual_effect_cone.dual_contains(
+            K.scaled(W_inv)[1] @ E_B.dual_effect_cone.scaled_generators[1].T)
+        for d, ok in zip(duals, inside):
+            if not ok:
+                failures.append({"stage": "inverse", "generator": d,
+                                 "separator": separating_functional(
+                                     E_A.effect_cone,
+                                     list(W_inv @ K.array(d)))})
+    else:
+        notes.append("quantum membership tested against the analytic "
+                     "positive-semidefinite cone generated by the sample")
+        for stage, M, E_x, E_y, outs in (
+                ("forward", W, E_A, E_B, w.A.outcomes),
+                ("inverse", W_inv, E_B, E_A, w.B.outcomes)):
+            for x in outs:
+                H = E_y.basis.from_coords(
+                    M @ np.asarray(E_x.outcome_vectors[x]))
+                lo = float(np.linalg.eigvalsh((H + H.conj().T) / 2).min())
+                if lo < -tol:
+                    failures.append({"stage": stage, "outcome": x,
+                                     "min_eig": lo})
+    stages = {f["stage"] for f in failures}
+    fwd, inv = "forward" not in stages, "inverse" not in stages
     return IsomorphismStateReport(fwd and inv, True, fwd, inv, failures, notes)
 
 
@@ -570,10 +554,11 @@ def spin_form_from_conjugate(c: Conjugate,
                              tol: float = 1e-9) -> BilinearForm:
     """Bilinear form B(x,y) = eta(x, gamma(y)), extended to coordinates.
 
-    The table fixes B on outcome pairs; the extension solves against a
-    maximal independent family and then re-verifies every pair at once
-    with the Gram matrix V B V^T of the outcome vectors, raising with the
-    first violating pair if the table does not respect an effect-vector
+    The table fixes B on outcome pairs; the extension solves against the
+    outcome frame (`OrderUnitSpace.outcome_frame`), on integers over common
+    denominators when exact, and then re-verifies every pair at once with
+    the Gram matrix V B V^T of the outcome vectors, raising with the first
+    violating pair if the table does not respect an effect-vector
     dependency.  `certify_flags` sets four flags on the result and
     `invariant` is the unitarity of the symmetries under it.
     """
@@ -581,14 +566,17 @@ def spin_form_from_conjugate(c: Conjugate,
     E = E or build_effect_space(m)
     K = _Kind(E.kind, tol)
     outs = list(m.outcomes)
-    T = K.array([[c.eta.table[(x, c.gamma[y])] for y in outs] for x in outs])
-    at = [outs.index(x) for x in _basis_outcomes(E)]
-    C_inv = K.inverse(K.array([E.outcome_vectors[outs[i]] for i in at]).T)
-    S = C_inv.T @ T[np.ix_(at, at)] @ C_inv
-    B = BilinearForm(K.native((S + S.T) / 2), E.kind)
-    V = K.array([E.outcome_vectors[x] for x in outs])
-    err = np.abs(V @ K.array(B.matrix) @ V.T - T)
-    bad = np.argwhere(~(err <= K.tol))
+    frame = E.outcome_frame
+    (s_i, Ci), (s_v, V) = frame.inverse, frame.vectors
+    s_t, T = K.scaled([[c.eta.table[(x, c.gamma[y])] for y in outs]
+                       for x in outs])
+    S = Ci.T @ T[np.ix_(frame.at, frame.at)] @ Ci   # s_t·s_i² · S
+    s = 2 * s_t * s_i * s_i                         # S + Sᵀ = s·B
+    B = BilinearForm(K.native(K.array(S + S.T) / s), E.kind)
+    # s_v²·s · (V B Vᵀ - T); float scales are 1.0 and 2.0, exact in binary
+    err = np.abs(V @ (S + S.T) @ V.T - T * (2 * s_i * s_i * s_v * s_v))
+    s *= s_v * s_v
+    bad = np.argwhere(~(err <= K.tol * s))
     if len(bad):
         i, j = bad[0]
         x, y = outs[i], outs[j]
@@ -599,7 +587,7 @@ def spin_form_from_conjugate(c: Conjugate,
                 witness=(x, y))
         raise CompositeError(
             "table violates an effect dependency at pair "
-            f"({x!r},{y!r}) (error {float(err[i, j]):.2e})", witness=(x, y))
+            f"({x!r},{y!r}) (error {err[i, j] / s:.2e})", witness=(x, y))
     certify_flags(B, E, tol)
     B.invariant = _invariance_flag(E, B, tol)
     return B

@@ -1,20 +1,26 @@
 """Polyhedral cones over the rationals.
 
 Dual cones are computed by an incremental double-description sweep with
-combinatorial adjacency; inclusion questions reduce to exact feasibility
-LPs, so every verdict here ships with a checkable certificate (conic
-coefficients one way, a separating functional the other).
+combinatorial adjacency.  K = K**, so with the dual of K at hand membership
+in K is one integer product with the dual's generators (`dual_contains`);
+only a vector found outside gets an exact feasibility LP, for its separating
+functional.  With no dual at hand (`cone_equal`, `is_positive_map`) each
+question is one LP.  Every verdict ships with a checkable certificate.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Optional
 
-from .linalg import Mat, Vec, ZERO, ONE, dot, mat_vec, rank, det, frac
-from .lp import LPResult, cone_membership, free_feasibility
+import numpy as np
+
+from .linalg import (Mat, Vec, ZERO, ONE, _integer_block, dot, mat_vec, rank,
+                     det, frac)
+from .lp import CertificateError, LPResult, cone_membership, free_feasibility
 
 
 def ray_primitive(v: Vec) -> tuple[Fraction, ...]:
@@ -57,6 +63,29 @@ class PolyhedralCone:
 
     def contains(self, v: Vec) -> LPResult:
         return cone_membership(list(v), self.all_generators())
+
+    @cached_property
+    def scaled_generators(self) -> tuple[int, np.ndarray]:
+        """(s, s·G), G with rows `all_generators()`, integers over their
+        common denominator s; computed once."""
+        gens = self.all_generators()
+        return _integer_block(np.array(gens, dtype=object)
+                              .reshape(len(gens), self.dim))
+
+    def dual_contains(self, V: np.ndarray) -> np.ndarray:
+        """Is each column v of V in the dual of this cone, g·v >= 0 for
+        every generator g?  V may hold positive multiples of the columns."""
+        return (self.scaled_generators[1] @ V >= 0).all(axis=0)
+
+
+def separating_functional(K: PolyhedralCone, v: Vec) -> Vec:
+    """The membership LP's separating functional for a v found outside K by
+    `dual_contains`; an LP that finds v inside raises `CertificateError`."""
+    res = K.contains(v)
+    if res.feasible:
+        raise CertificateError(f"vector {list(v)} is outside the cone by its "
+                               "dual's rays but inside by the LP")
+    return res.farkas
 
 
 def cone(generators) -> PolyhedralCone:
@@ -250,8 +279,10 @@ def pairwise_form_positivity(gens: list[Vec], form: Mat
     return best, arg
 
 
-def is_self_dual(K: PolyhedralCone, form: Mat) -> SelfDualityReport:
-    """K == {v : B(v, K) >= 0}?  Exact, with certificates both ways."""
+def is_self_dual(K: PolyhedralCone, form: Mat,
+                 K_dual: Optional[PolyhedralCone] = None) -> SelfDualityReport:
+    """K == {v : B(v, K) >= 0}?  Exact, with certificates both ways; the
+    B-dual's rays are tested against K_dual = `dual_cone(K)`, if given."""
     D = dual_cone(K, form)
     gens = [list(g) for g in K.all_generators()]
     pmin, parg = pairwise_form_positivity(gens, form)
@@ -259,11 +290,12 @@ def is_self_dual(K: PolyhedralCone, form: Mat) -> SelfDualityReport:
     if pmin < 0:
         failures.append({"kind": "cone-not-in-dual",
                          "pair": parg, "value": pmin})
-    for g in D.all_generators():
-        res = K.contains(g)
-        if not res.feasible:
-            failures.append({"kind": "dual-ray-outside-cone",
-                             "ray": list(g), "separating": res.farkas})
+    K_dual = K_dual if K_dual is not None else dual_cone(K)
+    inside = K_dual.dual_contains(D.scaled_generators[1].T)
+    for g, ok in zip(D.all_generators(), inside):
+        if not ok:
+            failures.append({"kind": "dual-ray-outside-cone", "ray": g,
+                             "separating": separating_functional(K, g)})
     return SelfDualityReport(self_dual=not failures, dual=D,
                              pairwise_min=pmin, pairwise_argmin=parg,
                              failures=failures)

@@ -11,20 +11,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import quantum
 from .cones import PolyhedralCone, cone, dual_cone
-from .linalg import (Mat, Vec, ONE, ZERO, column_space_basis, frac, mat_mul,
-                     mat_vec, solve, transpose)
+from .linalg import (Mat, Vec, ONE, ZERO, _Kind, column_space_basis, frac,
+                     mat_mul, mat_vec, solve, transpose)
 from .models import (Model, Morphism, PermutationGroup, PolytopeBackend,
                      QuantumBackend, act_on_state, perm_inverse)
 
 
 class EffectSpaceError(ValueError):
     pass
+
+
+class OutcomeFrame(NamedTuple):
+    """Positions `at` of the first maximal independent family of outcome
+    effects; (s, s·M) by `_Kind.scaled` for M the inverse of the matrix with
+    their vectors as columns and for M with every outcome vector as a row."""
+
+    at: list[int]
+    inverse: tuple
+    vectors: tuple
 
 
 @dataclass(eq=False)
@@ -104,6 +114,22 @@ class OrderUnitSpace:
         built once for the forms that need them (`forms.invariance_rows`)."""
         from .forms import invariance_rows
         return invariance_rows(self.actions, self.dim, self.kind)
+
+    @cached_property
+    def outcome_frame(self) -> OutcomeFrame:
+        """Built once: an outcome joins the family when it raises its rank."""
+        K = _Kind(self.kind)
+        V = K.array([self.outcome_vectors[x] for x in self.model.outcomes])
+        at: list[int] = []
+        for i in range(len(V)):
+            if K.rank(V[at + [i]]) == len(at) + 1:
+                at.append(i)
+            if len(at) == self.dim:
+                break
+        else:
+            raise EffectSpaceError("sampled outcomes do not span the effect "
+                                   "space")
+        return OutcomeFrame(at, K.scaled(K.inverse(V[at].T)), K.scaled(V))
 
     @cached_property
     def dual_effect_cone(self) -> PolyhedralCone:
@@ -218,27 +244,23 @@ def linearize_morphism(f: Morphism, E_A: Optional[OrderUnitSpace] = None,
                        E_B: Optional[OrderUnitSpace] = None) -> LinearMap:
     """The linear extension of x-effect -> image-outcome-effect.
 
-    Defined on a maximal independent family of source effects, then certified
-    on every remaining outcome: the matrix must send each source outcome
-    vector to the outcome vector of its image, exactly.  Raises with the
-    violating outcome when the assignment has no consistent linear extension.
+    Defined on the source's outcome frame (`OrderUnitSpace.outcome_frame`),
+    then certified on every outcome: the matrix must send each source
+    outcome vector to the outcome vector of its image, exactly.  Raises with
+    the violating outcome when the assignment has no consistent linear
+    extension.
     """
     A = E_A or build_effect_space(f.source)
     B = E_B or build_effect_space(f.target)
     if A.kind != "exact" or B.kind != "exact":
         raise EffectSpaceError("morphism linearization is exact-only")
 
-    src_cols = transpose([list(A.outcome_vectors[x]) for x in f.source.outcomes])
-    basis_pos = column_space_basis(src_cols)       # outcome indices framing E(A)
-    basis_outcomes = [f.source.outcomes[i] for i in basis_pos]
-    C = transpose([list(A.outcome_vectors[x]) for x in basis_outcomes])
-    from .linalg import inverse
-    C_inv = inverse(C)
-    if C_inv is None:
-        raise EffectSpaceError("effect vectors of the basis outcomes are singular")
+    frame = A.outcome_frame
+    s, C_inv = frame.inverse
+    basis_outcomes = [A.model.outcomes[i] for i in frame.at]
     W = transpose([list(B.outcome_vectors[f.outcome_map[x]])
                    for x in basis_outcomes])
-    M = mat_mul(W, C_inv)
+    M = mat_mul(W, [[frac(v) / s for v in row] for row in C_inv.tolist()])
 
     witnesses = []
     for x in f.source.outcomes:

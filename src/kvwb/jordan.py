@@ -11,7 +11,6 @@ Jordan identity by Gauss-Newton from several seeds.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -19,8 +18,9 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .linalg import (ONE, ZERO, _Kind, frac, is_positive_definite,
-                     solve_with_nullspace, sparse_int_rows)
+from .linalg import (ONE, ZERO, _integer_block, _Kind, frac,
+                     is_positive_definite, solve_with_nullspace,
+                     sparse_int_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -911,22 +911,6 @@ def _triple_index(d: int) -> np.ndarray:
     return idx
 
 
-def _integer_block(x) -> tuple[int, np.ndarray]:
-    """(s, s·x) for a rational block x and its common denominator s, the
-    integers as an object array of Python ints."""
-    X = np.array(x, dtype=object)
-    fs = [frac(v) for v in X.flat]
-    s = math.lcm(*(f.denominator for f in fs))
-    return s, np.array([f.numerator * (s // f.denominator) for f in fs],
-                       dtype=object).reshape(X.shape)
-
-
-def _scaled(K: _Kind, x) -> tuple:
-    """(s, s·x): rationals as integers over their common denominator s,
-    floats as they are with s = 1.0."""
-    return _integer_block(x) if K.exact else (1.0, np.asarray(x, float))
-
-
 def _inverse(K: _Kind, B: np.ndarray) -> np.ndarray:
     """B⁻¹; on rationals from one sparse elimination of [s·B | -s·I], whose
     null vector on the free column d + k is (B⁻¹e_k, e_k)."""
@@ -952,7 +936,7 @@ def _cubic_rows(p: RecoveryProblem, idempotence: bool, K: _Kind):
     Σ g_i g_j S[i, j, :] = Bᵀg (row k, terms i ≤ j).  Columns and values
     are laid out by broadcasting; on floats one `np.add.at` accumulates them
     into A, and the result is (A, b).  Rational inputs are scaled to
-    integers (`_scaled`), each row times the product of its scales, and the
+    integers (`_Kind.scaled`), each row times the product of its scales, and the
     triples are summed into sparse rows of Python ints, {column: value}
     with the right-hand side in column `ncols`, zeros left out; the result
     is (rows, ncols), the rational rows up to a positive factor each.
@@ -962,8 +946,8 @@ def _cubic_rows(p: RecoveryProblem, idempotence: bool, K: _Kind):
     ncols = d * (d + 1) * (d + 2) // 6
     dtype = object if K.exact else float
     B = K.array(p.B)
-    s_B, Bn = _scaled(K, B)
-    s_Bi, Bin = _scaled(K, _inverse(K, B))
+    s_B, Bn = K.scaled(B)
+    s_Bi, Bin = K.scaled(_inverse(K, B))
     iu, ju = np.triu_indices(d)
     R = len(iu)
     rows, cols, vals, rhs = [], [], [], []
@@ -977,13 +961,13 @@ def _cubic_rows(p: RecoveryProblem, idempotence: bool, K: _Kind):
         vals.append(np.broadcast_to(v, c.shape).ravel())
         rhs.append(b)
 
-    s_u, u = _scaled(K, p.u)
+    s_u, u = K.scaled(p.u)
     add(idx.transpose(1, 2, 0).reshape(d * d, d), u * s_B,
         (Bn * s_u).ravel())
     c_m = np.broadcast_to(idx[iu, ju][:, None, :], (R, d, d))
     c_ab = np.broadcast_to(idx.reshape(d * d, d).T, (R, d, d * d))
     for M in p.actions:
-        s_M, M = _scaled(K, M)
+        s_M, M = K.scaled(M)
         v_ab = -(M[:, iu].T[:, :, None] * M[:, ju].T[:, None, :])
         add(np.concatenate([c_m, c_ab], axis=-1),
             np.concatenate([np.broadcast_to(Bn.T @ M @ Bin.T * s_M,
@@ -994,7 +978,7 @@ def _cubic_rows(p: RecoveryProblem, idempotence: bool, K: _Kind):
             np.zeros(R * d, dtype))
     if idempotence:
         for g in p.outcome_vectors:
-            s_g, g = _scaled(K, g)
+            s_g, g = K.scaled(g)
             prod = g[iu] * g[ju] * s_B
             add(idx[iu, ju].T, np.where(iu != ju, prod * 2, prod),
                 Bn.T @ g * s_g)
@@ -1047,8 +1031,8 @@ def _linear_stage(p: RecoveryProblem, idempotence: bool
     iu, ju = np.triu_indices(d)
     S = X[_triple_index(d)[iu, ju]]                  # (pairs, k, columns)
     R, _, c = S.shape
-    s_Bi, Bin = _scaled(K, _inverse(K, K.array(p.B)))
-    s_S, S = _scaled(K, S.transpose(1, 0, 2).reshape(d, R * c))
+    s_Bi, Bin = K.scaled(_inverse(K, K.array(p.B)))
+    s_S, S = K.scaled(S.transpose(1, 0, 2).reshape(d, R * c))
     Tp = K.array(Bin.T @ S) / (s_Bi * s_S)
     Tp = Tp.reshape(d, R, c).transpose(1, 0, 2)
     T = K.zeros((d, d, d, c))

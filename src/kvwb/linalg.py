@@ -15,7 +15,8 @@ row holding each pivot column (Markowitz's row choice, as in Davis,
 
 `_Kind` lets one body serve exact and float data: it holds numbers of one
 kind in numpy arrays (`Fraction` objects, or floats) and gives that kind's
-solve, inverse, rank, nullspace and zero tolerance (0 exact, `tol` float).
+integer scaling, inverse, rank, nullspace and zero tolerance (0 exact, `tol`
+float).
 """
 from __future__ import annotations
 
@@ -123,6 +124,16 @@ def rref(A: Mat) -> tuple[Mat, list[int]]:
            for row, c in zip(R, pivots)]
     out += [[ZERO] * ncols for _ in range(nrows - r)]
     return out, pivots
+
+
+def _integer_block(x) -> tuple[int, np.ndarray]:
+    """(s, s·x) for a rational block x and its common denominator s, the
+    integers as an object array of Python ints."""
+    X = np.array(x, dtype=object)
+    fs = [frac(v) for v in X.flat]
+    s = math.lcm(*(f.denominator for f in fs))
+    return s, np.array([f.numerator * (s // f.denominator) for f in fs],
+                       dtype=object).reshape(X.shape)
 
 
 def rank(A: Mat) -> int:
@@ -437,6 +448,11 @@ class _Kind:
         """Exact arrays as (nested) lists of `Fraction`; float arrays as is."""
         return A.tolist() if self.exact else A
 
+    def scaled(self, x) -> tuple:
+        """(s, s·x): rationals as integers over their common denominator s,
+        floats as they are with s = 1.0."""
+        return _integer_block(x) if self.exact else (1.0, np.asarray(x, float))
+
     def zeros(self, shape) -> np.ndarray:
         return self.array(np.zeros(shape, dtype=int))
 
@@ -446,13 +462,6 @@ class _Kind:
     def is_zero(self, x) -> bool:
         """Every entry of x within the zero tolerance (True when empty)."""
         return not np.size(x) or bool(np.max(np.abs(x)) <= self.tol)
-
-    def solve(self, A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-        """The solution of a square system A x = b (None: exact, singular)."""
-        if self.exact:
-            x = solve(A.tolist(), b.tolist())
-            return None if x is None else np.array(x, dtype=object)
-        return np.linalg.solve(A, b)
 
     def inverse(self, A: np.ndarray) -> Optional[np.ndarray]:
         if self.exact:
@@ -472,5 +481,4 @@ class _Kind:
         if self.exact:
             basis = nullspace(A.tolist()) if len(A) else identity(n)
             return np.array(basis, dtype=object).reshape(len(basis), n)
-        null = np_nullspace(A)
-        return np_rref(null) if len(null) else null
+        return np_nullspace(A)

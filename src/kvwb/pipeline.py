@@ -15,7 +15,7 @@ import numpy as np
 
 from . import composites, cones, effectspace, forms, jordan, models
 from .builtins import conjugation_bijection
-from .linalg import _Kind, dot
+from .linalg import _integer_block, _Kind
 from .serialize import dumps_canonical, model_to_json
 
 PASS = "pass"
@@ -306,7 +306,8 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
     if blocked("spin-form"):
         add("self-duality", NA, notes=["needs the invariant form"])
     elif E.kind == "exact":
-        sdrep = cones.is_self_dual(E.effect_cone, spin.matrix)
+        sdrep = cones.is_self_dual(E.effect_cone, spin.matrix,
+                                   E.dual_effect_cone)
         add("self-duality", PASS if sdrep.self_dual else FAIL,
             {"self_dual": sdrep.self_dual,
              "pairwise_min": sdrep.pairwise_min,
@@ -426,15 +427,14 @@ def _recovery_problem(E, spin, tol: float) -> jordan.RecoveryProblem:
         # answer them exactly after absorbing rounding noise into a
         # tol-sized multiple of the order unit (interior direction).  The
         # cone is closed, K = K**, so v is in K exactly when it pairs
-        # nonnegatively with every ray of the (cached) dual cone and to zero
-        # with its lineality.
+        # nonnegatively with every generator of the (cached) dual cone,
+        # one integer product on the dyadic rationals scaled to integers.
         slack = Fraction(tol).limit_denominator(10**12)
 
         def membership(v):
             vv = [Fraction(float(x)) + slack * b for x, b in zip(v, E.u)]
-            D = E.dual_effect_cone
-            return (all(dot(f, vv) >= 0 for f in D.generators)
-                    and all(dot(l, vv) == 0 for l in D.lineality))
+            return bool(E.dual_effect_cone.dual_contains(
+                _integer_block(vv)[1][:, None])[0])
     else:
         def membership(v):
             return effectspace.cone_membership(E, v, tol).feasible

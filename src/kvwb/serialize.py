@@ -110,34 +110,50 @@ def model_to_json(m: Model) -> dict:
     return out
 
 
+def _required(obj, where: str, key: str | None = None):
+    """obj[key] for the required field at JSON path `where` of a model file,
+    key defaulting to the last name in it; a missing one raises `ModelError`
+    naming the path."""
+    key = where.rpartition(".")[2] if key is None else key
+    if not isinstance(obj, dict) or key not in obj:
+        raise ModelError(f"{where}: missing")
+    return obj[key]
+
+
 def model_from_json(data: dict) -> Model:
     """Build a model from its JSON object.
 
-    A generator that is not a full outcome mapping raises `ModelError`
-    naming its field, e.g. `group.generators[0]: no image for outcome 'b'`.
+    A missing required field raises `ModelError` naming its JSON path, e.g.
+    `states.extreme: missing`, and so does a generator that is not a full
+    outcome mapping, e.g. `group.generators[0]: no image for outcome 'b'`.
     A `"cap"` key, written by older versions, is ignored.
     """
-    outcomes = tuple(data["outcomes"])
-    tests = tuple(tuple(t) for t in data["tests"])
+    outcomes = tuple(_required(data, "outcomes"))
+    tests = tuple(tuple(t) for t in _required(data, "tests"))
     ts = TestSpace(outcomes, tests)
     pos = {x: i for i, x in enumerate(outcomes)}
-    st = data["states"]
-    if st["kind"] == "polytope":
+    st = _required(data, "states")
+    kind = _required(st, "states.kind")
+    if kind == "polytope":
         verts = tuple(tuple(parse_frac(v.get(x, "0")) for x in outcomes)
-                      for v in st["extreme"])
+                      for v in _required(st, "states.extreme"))
         backend = PolytopeBackend(verts)
-    elif st["kind"] == "quantum":
-        mats = {x: _complex_mat_load(st["outcome_matrices"][x])
+    elif kind == "quantum":
+        given = _required(st, "states.outcome_matrices")
+        mats = {x: _complex_mat_load(_required(
+                    given, f"states.outcome_matrices[{x!r}]", x))
                 for x in outcomes}
-        basis = quantum.hermitian_basis(st["dim"], st["field"])
-        backend = QuantumBackend(st["field"], st["dim"], mats, basis,
+        dim = _required(st, "states.dim")
+        field = _required(st, "states.field")
+        basis = quantum.hermitian_basis(dim, field)
+        backend = QuantumBackend(field, dim, mats, basis,
                                  builtin=bool(st.get("builtin", False)))
     else:
-        raise ValueError(f"unknown states kind {st['kind']!r}")
+        raise ValueError(f"unknown states kind {kind!r}")
 
-    def perms_of(mappings, path: str) -> tuple:
+    def perms_of(parent, path: str) -> tuple:
         out = []
-        for k, mapping in enumerate(mappings):
+        for k, mapping in enumerate(_required(parent, path)):
             where = f"{path}[{k}]"
             if not isinstance(mapping, dict):
                 raise ModelError(f"{where}: expected an object mapping "
@@ -153,20 +169,21 @@ def model_from_json(data: dict) -> Model:
             out.append(tuple(images))
         return tuple(out)
 
-    g = data["group"]
-    if g["kind"] == "permutation":
-        group = PermutationGroup(perms_of(g["generators"], "group.generators"))
-    elif g["kind"] == "unitary":
+    g = _required(data, "group")
+    kind = _required(g, "group.kind")
+    if kind == "permutation":
+        group = PermutationGroup(perms_of(g, "group.generators"))
+    elif kind == "unitary":
         group = UnitaryGenerators(
-            matrices=tuple(np.array(M, dtype=float) for M in g["matrices"]),
+            matrices=tuple(np.array(M, dtype=float) for M in
+                           _required(g, "group.matrices")),
             seed=g.get("seed", 0), note=g.get("note", ""))
     else:
-        raise ValueError(f"unknown group kind {g['kind']!r}")
+        raise ValueError(f"unknown group kind {kind!r}")
     sample = None
     if "sample_symmetries" in data:
-        sample = PermutationGroup(perms_of(
-            data["sample_symmetries"]["generators"],
-            "sample_symmetries.generators"))
+        sample = PermutationGroup(perms_of(data["sample_symmetries"],
+                                           "sample_symmetries.generators"))
     return Model(data.get("name", "model"), ts, backend, group,
                  sample_symmetries=sample)
 

@@ -20,7 +20,12 @@ unknowns (`_unpack`, `_invariance_rows`, `_pairing_row`) that the broadcast
 LP with invariance rows that `kvwb.composites.find_conjugate_state` replaced
 with one unknown per generator orbit (verbatim, but for calling the integer
 `kvwb.lp.solve_feasibility` by its module name: this module's own
-`solve_feasibility` is the slower `Fraction` oracle, which returns the same).
+`solve_feasibility` is the slower `Fraction` oracle, which returns the same),
+and the `Fraction` `omega_hat` (one solve per table row, with its
+`_basis_outcomes`), the per-ray-LP `is_isomorphism_state` and the per-ray-LP
+`is_self_dual` that the integer products on the outcome frames and the
+cached dual cones of `kvwb.composites` and `kvwb.cones` replaced (verbatim,
+but for `_solve`, the `_Kind.solve` they called).
 
 Slow and obviously correct; the property tests require the fast kernels to
 return exactly what these return.
@@ -33,14 +38,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from kvwb.composites import (BipartiteState, _check_gamma, _entangled_eta,
-                             _invariance_flag)
-from kvwb.cones import pairwise_form_positivity
+from kvwb.composites import (BipartiteState, CompositeError,
+                             IsomorphismStateReport, OmegaHat, _check_gamma,
+                             _entangled_eta, _invariance_flag)
+from kvwb.cones import SelfDualityReport, dual_cone, pairwise_form_positivity
+from kvwb.effectspace import OrderUnitSpace, build_effect_space
 from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
                          _degrees_and_powers, _integer_block,
                          _random_rational_vec, _reconstruct, _value,
                          quadratic_rep, trace_form_gram)
-from kvwb.linalg import (Mat, Vec, ZERO, ONE, _augmented_solution,
+from kvwb.linalg import (Mat, Vec, ZERO, ONE, _augmented_solution, _Kind,
                          _null_basis, dot, frac, is_positive_definite,
                          mat_vec, solve, sparse_int_rows)
 from kvwb import linalg, lp
@@ -897,3 +904,164 @@ def find_conjugate_state(m: Model, gamma: Optional[dict[str, str]] = None,
         return None
     table = {(x, y): res.point[it(x, y)] for x in outs for y in outs}
     return BipartiteState(m, m, table)
+
+
+def _solve(K: _Kind, A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+    """The solution of a square system A x = b (None: exact, singular); the
+    `_Kind.solve` that the oracles below called."""
+    if K.exact:
+        x = solve(A.tolist(), b.tolist())
+        return None if x is None else np.array(x, dtype=object)
+    return np.linalg.solve(A, b)
+
+
+def _basis_outcomes(E: OrderUnitSpace) -> list[str]:
+    """The first maximal independent family of outcome vectors, in outcome
+    order: each outcome is kept when it raises the rank of those kept."""
+    K = _Kind(E.kind)
+    picked, idx = [], []
+    for i, x in enumerate(E.model.outcomes):
+        trial = picked + [E.outcome_vectors[x]]
+        if K.rank(K.array(trial)) == len(trial):
+            picked = trial
+            idx.append(i)
+        if len(picked) == E.dim:
+            break
+    if len(picked) < E.dim:
+        raise CompositeError("sampled outcomes do not span the effect space")
+    return [E.model.outcomes[i] for i in idx]
+
+
+def omega_hat(w: BipartiteState, E_A: Optional[OrderUnitSpace] = None,
+              E_B: Optional[OrderUnitSpace] = None,
+              tol: float = 1e-9) -> OmegaHat:
+    """The linear map sending the effect of x to the functional omega(x, .).
+
+    Built in two stages: each table row is solved for a dual vector against
+    the partner's outcome frame, then the per-outcome dual vectors are
+    assembled into one matrix on a maximal independent family of source
+    effects.  Both stages re-verify every outcome, and a dependency of
+    outcome vectors that the table fails to respect raises with the
+    violating outcome as witness.  Values are compared with the kind's zero
+    tolerance: exactly, or within `tol`.
+    """
+    E_A = E_A or build_effect_space(w.A)
+    E_B = E_B or build_effect_space(w.B)
+    if E_A.kind != E_B.kind:
+        raise CompositeError("mixed exact/float bipartite states unsupported")
+    K = _Kind(E_A.kind, tol)
+
+    basis_B = _basis_outcomes(E_B)
+    basis_A = _basis_outcomes(E_A)
+    Yb = K.array([E_B.outcome_vectors[y] for y in basis_B])   # rows
+    VB = K.array([E_B.outcome_vectors[y] for y in w.B.outcomes])
+    duals: dict[str, np.ndarray] = {}
+    for x in w.A.outcomes:
+        wx = _solve(K, Yb, K.array([w.table[(x, y)] for y in basis_B]))
+        if wx is None:
+            raise CompositeError("table row unsolvable against the "
+                                 f"partner frame at outcome {x!r}",
+                                 witness=x)
+        duals[x] = wx
+        for y, vy in zip(w.B.outcomes, VB):
+            err = abs(wx @ vy - w.table[(x, y)])
+            if not K.is_zero(err):
+                raise CompositeError(
+                    f"table violates an effect dependency: row {x!r} is "
+                    f"inconsistent at outcome {y!r} (error {float(err):.2e})",
+                    witness=(x, y))
+    C = K.array([E_A.outcome_vectors[x] for x in basis_A]).T
+    W = K.array([duals[x] for x in basis_A]).T @ K.inverse(C)
+    for x in w.A.outcomes:
+        err = np.max(np.abs(W @ K.array(E_A.outcome_vectors[x]) - duals[x]))
+        if not K.is_zero(err):
+            raise CompositeError(
+                f"table violates an effect dependency: outcome {x!r} is not "
+                f"consistent with the independent family (error "
+                f"{float(err):.2e})", witness=x)
+    return OmegaHat(K.native(W), E_A, E_B, E_A.kind)
+
+
+def is_isomorphism_state(w: BipartiteState,
+                         E_A: Optional[OrderUnitSpace] = None,
+                         E_B: Optional[OrderUnitSpace] = None,
+                         tol: float = 1e-9) -> IsomorphismStateReport:
+    """Does the induced map carry the effect cone onto the dual cone?
+
+    The map must be invertible (of full rank, for either kind).  Exact
+    models: it must send every effect-cone generator into the dual cone of
+    the partner (checked generator against generator), and its inverse must
+    send every generator of the partner's dual effect cone (computed once
+    per effect space) back into the effect cone, with LP certificates.
+    Quantum samples are tested against the analytic positive-semidefinite
+    cone, which the sampled cone generates.
+    """
+    E_A = E_A or build_effect_space(w.A)
+    E_B = E_B or build_effect_space(w.B)
+    oh = omega_hat(w, E_A, E_B, tol=tol)
+    K = _Kind(oh.kind, tol)
+    W = K.array(oh.matrix)
+    if W.shape[0] != W.shape[1] or K.rank(W) < len(W):
+        return IsomorphismStateReport(False, False, None, None,
+                                      ["matrix is singular"])
+    W_inv = K.inverse(W)
+    failures, notes = [], []
+
+    if K.exact:
+        gens_B = [list(g) for g in E_B.effect_cone.all_generators()]
+        fwd = True
+        for g in E_A.effect_cone.all_generators():
+            f = W @ K.array(g)
+            for v in gens_B:
+                if dot(f, v) < 0:
+                    fwd = False
+                    failures.append({"stage": "forward", "generator": list(g),
+                                     "against": v, "value": dot(f, v)})
+        inv = True
+        for d in E_B.dual_effect_cone.all_generators():
+            res = E_A.effect_cone.contains(list(W_inv @ K.array(d)))
+            if not res.feasible:
+                inv = False
+                failures.append({"stage": "inverse", "generator": list(d),
+                                 "separator": res.farkas})
+        ok = fwd and inv
+        return IsomorphismStateReport(ok, True, fwd, inv, failures, notes)
+
+    notes.append("quantum membership tested against the analytic "
+                 "positive-semidefinite cone generated by the sample")
+    fwd = True
+    for x in w.A.outcomes:
+        f = W @ np.asarray(E_A.outcome_vectors[x])
+        H = E_B.basis.from_coords(f)
+        lo = float(np.linalg.eigvalsh((H + H.conj().T) / 2).min())
+        if lo < -tol:
+            fwd = False
+            failures.append({"stage": "forward", "outcome": x, "min_eig": lo})
+    inv = True
+    for y in w.B.outcomes:
+        g = W_inv @ np.asarray(E_B.outcome_vectors[y])
+        H = E_A.basis.from_coords(g)
+        lo = float(np.linalg.eigvalsh((H + H.conj().T) / 2).min())
+        if lo < -tol:
+            inv = False
+            failures.append({"stage": "inverse", "outcome": y, "min_eig": lo})
+    return IsomorphismStateReport(fwd and inv, True, fwd, inv, failures, notes)
+
+
+def is_self_dual(K, form: Mat) -> SelfDualityReport:
+    """K == {v : B(v, K) >= 0}?  Exact, with certificates both ways."""
+    D = dual_cone(K, form)
+    gens = [list(g) for g in K.all_generators()]
+    pmin, parg = pairwise_form_positivity(gens, form)
+    failures = []
+    if pmin < 0:
+        failures.append({"kind": "cone-not-in-dual",
+                         "pair": parg, "value": pmin})
+    for g in D.all_generators():
+        res = K.contains(g)
+        if not res.feasible:
+            failures.append({"kind": "dual-ray-outside-cone",
+                             "ray": list(g), "separating": res.farkas})
+    return SelfDualityReport(self_dual=not failures, dual=D,
+                             pairwise_min=pmin, pairwise_argmin=parg,
+                             failures=failures)

@@ -204,8 +204,8 @@ def test_spin_solves_the_form_system_once(runner, monkeypatch):
     assert calls == ["classical:3"]
 
 
-def _model_file(tmp_path, edit):
-    spec = json.loads(invoke(CliRunner(), "report", "qubit:real").output
+def _model_file(tmp_path, edit, name="qubit:real"):
+    spec = json.loads(invoke(CliRunner(), "report", name).output
                       )["model_spec"]
     edit(spec)
     path = tmp_path / "model.json"
@@ -232,6 +232,31 @@ def test_malformed_model_file_exits_3(runner, tmp_path, edit, message):
         res = runner.invoke(main, [cmd, path])
         assert res.exit_code == 3, cmd
         assert message in res.output
+
+
+@pytest.mark.parametrize("name, path", [
+    ("squit", "outcomes"), ("squit", "tests"), ("squit", "states"),
+    ("squit", "states.kind"), ("squit", "states.extreme"),
+    ("squit", "group"), ("squit", "group.kind"),
+    ("squit", "group.generators"),
+    ("qubit:real", "states.outcome_matrices"),
+    ("qubit:real", "states.outcome_matrices['a1']"),
+    ("qubit:real", "states.dim"), ("qubit:real", "states.field"),
+    ("qubit:real", "sample_symmetries.generators"),
+    ("qutrit:complex", "group.matrices"),
+])
+def test_missing_model_field_is_named_by_its_path(runner, tmp_path, name,
+                                                  path):
+    def drop(spec):
+        *parents, key = path.replace("['", ".").replace("']", "").split(".")
+        for p in parents:
+            spec = spec[p]
+        del spec[key]
+
+    res = runner.invoke(main, ["run", _model_file(tmp_path, drop, name)])
+    assert res.exit_code == 3
+    assert f"cannot load model {tmp_path / 'model.json'}: {path}: missing" \
+        in res.output
 
 
 def test_missing_model_file_exits_3(runner, tmp_path):
