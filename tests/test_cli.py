@@ -383,10 +383,41 @@ FLOAT_CLI_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("args", list(FLOAT_CLI_SHA256), ids=" ".join)
-def test_float_single_stage_commands_keep_their_bytes(args):
+def _one_thread_digest(args):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-m", "kvwb.cli", *args],
                           capture_output=True, check=False, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout).hexdigest() == FLOAT_CLI_SHA256[args]
+    return hashlib.sha256(proc.stdout).hexdigest()
+
+
+@pytest.mark.parametrize("args", list(FLOAT_CLI_SHA256), ids=" ".join)
+def test_float_single_stage_commands_keep_their_bytes(args):
+    assert _one_thread_digest(args) == FLOAT_CLI_SHA256[args]
+
+
+#: sha256 of the catalog commands with one BLAS thread, recorded while the
+#: catalog algebras were still built by loops over `Fraction` pairs: the
+#: symmetric-cone report of catalog algebras and a direct sum, and the
+#: identification of a recovered product, exact and float.
+CATALOG_CLI_SHA256 = {
+    ("jordan", "verify", "RealSym(3)"):
+        "372f7a4f90b6780e7326e69bd9876474efde78b3b76037be4584dd1d99c34a08",
+    ("jordan", "verify", "ComplexHerm(2)"):
+        "d0dcb0d76007e57e0dd28b95c0e0edbf6379094f03e1d92acc0380d46b8f37c3",
+    ("jordan", "verify", "QuatHerm(2)"):
+        "7dade7b92934fe31d46504e2bce2a027a2fe10c8cb2fed01905ea7a425812223",
+    ("jordan", "verify", "SpinFactor(4)"):
+        "16bdf9042b501a1e54fbc567a482c3e334960d53b3ba8baf2ffbf777c41b52ac",
+    ("jordan", "verify", "RealSym(1)+SpinFactor(3)"):
+        "b6370d3a324455481f89d0cc27c3542aa69da3521d55730ab17cc9aa7792d06a",
+    ("jordan", "identify", "classical:3"):
+        "ed64e9d611beef67c05b4546130d646d9b88f3f4dcb65d31a6cb839f9b05aa63",
+    ("jordan", "identify", "qubit:complex"):
+        "31f0a0cfd6881578dc062446b5f4797e33cb0cdcabd41864a29fe936511004d6",
+}
+
+
+@pytest.mark.parametrize("args", list(CATALOG_CLI_SHA256), ids=" ".join)
+def test_catalog_commands_keep_their_bytes(args):
+    assert _one_thread_digest(args) == CATALOG_CLI_SHA256[args]
