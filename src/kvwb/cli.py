@@ -32,7 +32,7 @@ class LoadError(click.ClickException):
 def _load(source: str, seed: int):
     try:
         return load_model(source, seed=seed)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise LoadError(f"cannot load model {source}: {exc}") from exc
 
 
@@ -130,7 +130,7 @@ def reverify(report_file):
         with open(report_file, encoding="utf-8") as fh:
             saved = json.load(fh)
         m = model_from_json(saved["model_spec"])
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise LoadError(f"cannot load report {report_file}: {exc}") from exc
     rep = run_pipeline(m, seed=saved["seed"], tol=saved["tol"],
                        expect=tuple(saved.get("expected_failures", [])))
@@ -404,7 +404,7 @@ def jordan_recover(model, seed, tol, out):
            "tensor": (jsonable(res.algebra.tensor)
                       if res.algebra is not None else None)}
     _emit(dumps_canonical(doc), out)
-    if res.algebra is None or not res.seeds_agree:
+    if res.algebra is None:
         sys.exit(1)
 
 

@@ -2,11 +2,13 @@
 
 The catalog covers the classical families at desk scale — real symmetric,
 complex hermitian, quaternionic hermitian (as doubled complex blocks), spin
-factors, and direct sums — with exact rational product tensors.  The
+factors, and direct sums — with exact rational product tensors, built from
+integer (real, imaginary) basis arrays by a few stacked products.  The
 recovery solver goes the other way: given a cone, a positive-definite
 orthogonalizing form, a unit, and symmetry generators, it solves the linear
-constraints a Jordan product must satisfy and then polishes the quadratic
-Jordan identity by Gauss-Newton from several seeds.
+constraints a Jordan product must satisfy.  A unique solution is checked
+against the Jordan identity and the acceptance gates; a family of solutions
+is reported as such, and no product is picked from it.
 """
 from __future__ import annotations
 
@@ -18,71 +20,20 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .linalg import (ONE, ZERO, _integer_block, _Kind, frac,
+from .linalg import (ONE, _integer_block, _Kind, frac,
                      is_positive_definite, solve_with_nullspace,
                      sparse_int_rows)
 
 
 # ---------------------------------------------------------------------------
-# exact complex matrices as (real, imaginary) rational pairs
-
-def _zmat(n):
-    z = [[Fraction(0)] * n for _ in range(n)]
-    return z
-
-
-def _cm(re=None, im=None, n=None):
-    if re is None:
-        re = _zmat(n)
-    if im is None:
-        im = _zmat(len(re))
-    return (re, im)
-
-
-def _cm_add(A, B):
-    n = len(A[0])
-    return ([[A[0][i][j] + B[0][i][j] for j in range(n)] for i in range(n)],
-            [[A[1][i][j] + B[1][i][j] for j in range(n)] for i in range(n)])
-
-
-def _cm_scale(c, A):
-    n = len(A[0])
-    return ([[c * A[0][i][j] for j in range(n)] for i in range(n)],
-            [[c * A[1][i][j] for j in range(n)] for i in range(n)])
-
-
-def _cm_mul(A, B):
-    n = len(A[0])
-    re = [[sum(A[0][i][k] * B[0][k][j] - A[1][i][k] * B[1][k][j]
-               for k in range(n)) for j in range(n)] for i in range(n)]
-    im = [[sum(A[0][i][k] * B[1][k][j] + A[1][i][k] * B[0][k][j]
-               for k in range(n)) for j in range(n)] for i in range(n)]
-    return (re, im)
-
-
-def _cm_dagger(A):
-    n = len(A[0])
-    return ([[A[0][j][i] for j in range(n)] for i in range(n)],
-            [[-A[1][j][i] for j in range(n)] for i in range(n)])
-
-
-def _cm_hs(A, B):
-    """Real Hilbert-Schmidt pairing Re tr(A^dagger B) — exact."""
-    n = len(A[0])
-    Ad = _cm_dagger(A)
-    tot = Fraction(0)
-    for i in range(n):
-        for k in range(n):
-            tot += Ad[0][i][k] * B[0][k][i] - Ad[1][i][k] * B[1][k][i]
-    return tot
-
-
-def _cm_to_numpy(A) -> np.ndarray:
-    return (np.array(A[0], dtype=float) + 1j * np.array(A[1], dtype=float))
-
-
-# ---------------------------------------------------------------------------
 # the algebra type
+
+_EXACT, _FLOAT = _Kind("exact"), _Kind("float")
+
+
+def _rational(a) -> bool:
+    return all(isinstance(v, (Fraction, int)) for v in a)
+
 
 @dataclass(eq=False)
 class JordanAlgebra:
@@ -97,39 +48,29 @@ class JordanAlgebra:
 
     def __post_init__(self):
         self._np_tensor = None
+        self._exact_tensor = None
         self._unit_float = None
 
     @property
     def np_tensor(self) -> np.ndarray:
         if self._np_tensor is None:
-            if self.exact:
-                d = self.dim
-                self._np_tensor = np.array(
-                    [[[float(self.tensor[i][j][k]) for k in range(d)]
-                      for j in range(d)] for i in range(d)])
-            else:
-                self._np_tensor = np.asarray(self.tensor, dtype=float)
+            self._np_tensor = np.asarray(self.tensor, dtype=float)
         return self._np_tensor
 
+    def _tensor_array(self, K: _Kind) -> np.ndarray:
+        """The tensor as an array of K's numbers, built once per kind."""
+        if not K.exact:
+            return self.np_tensor
+        if self._exact_tensor is None:
+            self._exact_tensor = K.array(self.tensor)
+        return self._exact_tensor
+
     def product(self, a, b):
-        if self.exact and all(isinstance(v, (Fraction, int)) for v in a) \
-                and all(isinstance(v, (Fraction, int)) for v in b):
-            d = self.dim
-            out = [Fraction(0)] * d
-            for i in range(d):
-                if a[i] == 0:
-                    continue
-                for j in range(d):
-                    if b[j] == 0:
-                        continue
-                    c = frac(a[i]) * frac(b[j])
-                    row = self.tensor[i][j]
-                    for k in range(d):
-                        if row[k]:
-                            out[k] += c * row[k]
-            return out
-        return np.einsum("i,j,ijk->k", np.asarray(a, float),
-                         np.asarray(b, float), self.np_tensor)
+        """a∘b: a list of `Fraction`s when the algebra, a and b are exact,
+        a float array otherwise."""
+        K = _EXACT if self.exact and _rational(a) and _rational(b) else _FLOAT
+        return K.native(np.einsum("i,j,ijk->k", K.array(a), K.array(b),
+                                  self._tensor_array(K)))
 
     def left_mult(self, a) -> np.ndarray:
         """Matrix of b -> a∘b (float)."""
@@ -156,160 +97,102 @@ def quadratic_rep(J: JordanAlgebra, a) -> np.ndarray:
 
 
 def trace_form_gram(J: JordanAlgebra):
-    """Gram matrix of (a,b) -> tr L_{a∘b} on the coordinate basis."""
-    d = J.dim
-    if J.exact:
-        G = [[Fraction(0)] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(i, d):
-                prod = J.tensor[i][j]
-                # trace of L_prod: sum_k (e_prod ∘ e_k)_k
-                tot = Fraction(0)
-                for m in range(d):
-                    if prod[m] == 0:
-                        continue
-                    for k in range(d):
-                        tot += prod[m] * J.tensor[m][k][k]
-                G[i][j] = G[j][i] = tot
-        return G
-    T = J.np_tensor
-    tr_L = np.einsum("mkk->m", T)       # trace of L_{e_m}
-    G = np.einsum("ijm,m->ij", T, tr_L)
-    return (G + G.T) / 2
+    """Gram matrix of (a,b) -> tr L_{a∘b} on the coordinate basis,
+    symmetrized: nested `Fraction` lists on an exact algebra, a float array
+    otherwise."""
+    K = _EXACT if J.exact else _FLOAT
+    T = J._tensor_array(K)
+    G = np.einsum("ijm,m->ij", T, np.einsum("mkk->m", T))
+    return K.native((G + G.T) / 2)
 
 
 # ---------------------------------------------------------------------------
 # catalog constructors
 
-def _matrix_kind(kind: str, n: int, basis_cm: list, labels: list
+def _exact_algebra(kind: str, unit, tensor, **params) -> JordanAlgebra:
+    """An exact algebra from integer or rational arrays, its unit and
+    tensor kept as nested `Fraction` lists."""
+    return JordanAlgebra(kind, len(unit), _EXACT.native(_EXACT.array(unit)),
+                         _EXACT.native(_EXACT.array(tensor)), True, params)
+
+
+def _matrix_kind(kind: str, n: int, basis: np.ndarray, labels: list
                  ) -> JordanAlgebra:
     """Common path: exact tensor from symmetrized products over a basis
-    orthogonal under the real Hilbert-Schmidt pairing."""
-    d = len(basis_cm)
-    norms = [_cm_hs(B, B) for B in basis_cm]
-    half = Fraction(1, 2)
+    orthogonal under the real Hilbert-Schmidt pairing Re tr(A† B), the sum
+    of the products of the real and of the imaginary parts.  `basis` holds
+    the (real, imaginary) integer parts of each element, shaped
+    (d, 2, m, m)."""
+    d, m = len(basis), basis.shape[-1]
+    R, I = basis[:, 0], basis[:, 1]
+    P = np.stack([R[:, None] @ R - I[:, None] @ I,      # e_i e_j, (re, im)
+                  R[:, None] @ I + I[:, None] @ R], axis=2)
+    flat = basis.reshape(d, -1)
+    norms = (flat * flat).sum(axis=1).astype(object)
+    ident = np.stack([np.eye(m, dtype=int), np.zeros((m, m), dtype=int)])
+    tensor = _EXACT.array((P + P.swapaxes(0, 1)).reshape(d, d, -1) @ flat.T)
+    return _exact_algebra(kind, _EXACT.array(flat @ ident.ravel()) / norms,
+                          tensor / (2 * norms),
+                          n=n, basis=basis, labels=labels)
 
-    def expand(X):
-        return [_cm_hs(basis_cm[k], X) / norms[k] for k in range(d)]
 
-    tensor = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            prod = _cm_scale(half, _cm_add(_cm_mul(basis_cm[i], basis_cm[j]),
-                                           _cm_mul(basis_cm[j], basis_cm[i])))
-            row.append(expand(prod))
-        tensor.append(row)
-    ident = _cm(re=[[ONE if i == j else ZERO for j in range(len(basis_cm[0][0]))]
-                    for i in range(len(basis_cm[0][0]))])
-    unit = expand(ident)
-    return JordanAlgebra(kind, d, unit, tensor, True,
-                         params={"n": n, "basis": basis_cm, "labels": labels})
+#: The off-diagonal units q of each family as (real, imaginary) integer
+#: blocks; quaternions are doubled into 2 x 2 complex blocks.
+_UNITS = {
+    "RealSym": [("S", [[[1]], [[0]]])],
+    "ComplexHerm": [("S", [[[1]], [[0]]]), ("A", [[[0]], [[1]]])],
+    "QuatHerm": [("Q1", [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]),
+                 ("Qi", [[[0, 0], [0, 0]], [[1, 0], [0, -1]]]),
+                 ("Qj", [[[0, 1], [-1, 0]], [[0, 0], [0, 0]]]),
+                 ("Qk", [[[0, 0], [0, 0]], [[0, 1], [1, 0]]])],
+}
+
+
+def _hermitian(family: str, n: int) -> JordanAlgebra:
+    """Hermitian n x n matrices over the family's field: the basis is E_ii
+    (the identity block at (i, i)), then, for each pair i < j and unit q,
+    q at block (i, j) and its conjugate transpose at block (j, i)."""
+    units = [(name, np.array(q)) for name, q in _UNITS[family]]
+    b = units[0][1].shape[-1]
+    blocks = [slice(b * i, b * i + b) for i in range(n)]
+    basis, labels = [], []
+    for i in range(n):
+        X = np.zeros((2, b * n, b * n), dtype=int)
+        X[0, blocks[i], blocks[i]] = np.eye(b, dtype=int)
+        basis.append(X)
+        labels.append(f"E{i}{i}")
+    for i, j in itertools.combinations(range(n), 2):
+        for name, q in units:
+            X = np.zeros((2, b * n, b * n), dtype=int)
+            X[:, blocks[i], blocks[j]] = q
+            X[:, blocks[j], blocks[i]] = q.swapaxes(1, 2) * [[[1]], [[-1]]]
+            basis.append(X)
+            labels.append(f"{name}{i}{j}")
+    return _matrix_kind(f"{family}({n})", n, np.array(basis), labels)
 
 
 def real_symmetric(n: int) -> JordanAlgebra:
     """Symmetric n x n real matrices with the symmetrized product."""
-    basis, labels = [], []
-    for i in range(n):
-        re = _zmat(n)
-        re[i][i] = ONE
-        basis.append(_cm(re=re))
-        labels.append(f"E{i}{i}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            re = _zmat(n)
-            re[i][j] = re[j][i] = ONE
-            basis.append(_cm(re=re))
-            labels.append(f"S{i}{j}")
-    return _matrix_kind(f"RealSym({n})", n, basis, labels)
+    return _hermitian("RealSym", n)
 
 
 def complex_hermitian(n: int) -> JordanAlgebra:
     """Hermitian n x n complex matrices with the symmetrized product."""
-    basis, labels = [], []
-    for i in range(n):
-        re = _zmat(n)
-        re[i][i] = ONE
-        basis.append(_cm(re=re))
-        labels.append(f"E{i}{i}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            re = _zmat(n)
-            re[i][j] = re[j][i] = ONE
-            basis.append(_cm(re=re))
-            labels.append(f"S{i}{j}")
-            im = _zmat(n)
-            im[i][j] = ONE
-            im[j][i] = -ONE
-            basis.append(_cm(im=im, n=n))
-            labels.append(f"A{i}{j}")
-    return _matrix_kind(f"ComplexHerm({n})", n, basis, labels)
-
-
-def _quat_block(q: str, n: int, i: int, j: int):
-    """Hermitian matrix with quaternion unit q at (i,j), conjugate at (j,i),
-    embedded as a 2n x 2n complex matrix."""
-    re, im = _zmat(2 * n), _zmat(2 * n)
-    # block (i,j) gets the 2x2 image of q; block (j,i) its conjugate-transpose
-    r, c = 2 * i, 2 * j
-    if q == "1":
-        re[r][c] = re[r + 1][c + 1] = ONE
-        re[c][r] = re[c + 1][r + 1] = ONE
-    elif q == "i":
-        im[r][c] = ONE
-        im[r + 1][c + 1] = -ONE
-        im[c][r] = -ONE
-        im[c + 1][r + 1] = ONE
-    elif q == "j":
-        re[r][c + 1] = ONE
-        re[r + 1][c] = -ONE
-        re[c + 1][r] = ONE
-        re[c][r + 1] = -ONE
-    elif q == "k":
-        im[r][c + 1] = ONE
-        im[r + 1][c] = ONE
-        im[c + 1][r] = -ONE
-        im[c][r + 1] = -ONE
-    return (re, im)
+    return _hermitian("ComplexHerm", n)
 
 
 def quaternionic_hermitian(n: int) -> JordanAlgebra:
     """Hermitian n x n quaternionic matrices, doubled into complex blocks."""
-    basis, labels = [], []
-    for i in range(n):
-        re = _zmat(2 * n)
-        re[2 * i][2 * i] = re[2 * i + 1][2 * i + 1] = ONE
-        basis.append(_cm(re=re))
-        labels.append(f"E{i}{i}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            for q in "1ijk":
-                basis.append(_quat_block(q, n, i, j))
-                labels.append(f"Q{q}{i}{j}")
-    return _matrix_kind(f"QuatHerm({n})", n, basis, labels)
+    return _hermitian("QuatHerm", n)
 
 
 def spin_factor(n: int) -> JordanAlgebra:
     """R^n + R with (x,s)∘(y,t) = (t x + s y, <x,y> + s t); unit (0,1)."""
-    d = n + 1
-    tensor = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            out = [Fraction(0)] * d
-            if i < n and j < n:
-                out[n] = ONE if i == j else ZERO
-            elif i == n and j == n:
-                out[n] = ONE
-            elif i == n:
-                out[j] = ONE
-            else:
-                out[i] = ONE
-            row.append(out)
-        tensor.append(row)
-    unit = [Fraction(0)] * n + [ONE]
-    return JordanAlgebra(f"SpinFactor({n})", d, unit, tensor, True,
-                         params={"n": n})
+    d, i = n + 1, np.arange(n)
+    T = np.zeros((d, d, d), dtype=int)
+    T[i, i, n] = T[n, i, i] = T[i, n, i] = T[n, n, n] = 1
+    return _exact_algebra(f"SpinFactor({n})", np.eye(d, dtype=int)[n], T,
+                          n=n)
 
 
 def real_line() -> JordanAlgebra:
@@ -320,21 +203,13 @@ def real_line() -> JordanAlgebra:
 def direct_sum(parts: list[JordanAlgebra]) -> JordanAlgebra:
     if not all(p.exact for p in parts):
         raise ValueError("direct sums are built from exact catalog algebras")
-    offs, d = [], 0
-    for p in parts:
-        offs.append(d)
-        d += p.dim
-    tensor = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    unit = [Fraction(0)] * d
+    *offs, d = itertools.accumulate((p.dim for p in parts), initial=0)
+    T, unit = _EXACT.zeros((d, d, d)), _EXACT.zeros(d)
     for p, o in zip(parts, offs):
-        for i in range(p.dim):
-            unit[o + i] = p.unit[i]
-            for j in range(p.dim):
-                for k in range(p.dim):
-                    tensor[o + i][o + j][o + k] = p.tensor[i][j][k]
+        s = slice(o, o + p.dim)
+        T[s, s, s], unit[s] = p._tensor_array(_EXACT), _EXACT.array(p.unit)
     kind = "DirectSum(" + ", ".join(p.kind for p in parts) + ")"
-    return JordanAlgebra(kind, d, unit, tensor, True,
-                         params={"parts": parts, "offsets": offs})
+    return _exact_algebra(kind, unit, T, parts=parts, offsets=offs)
 
 
 def classical_algebra(n: int) -> JordanAlgebra:
@@ -363,7 +238,7 @@ def cone_of_squares_membership(J: JordanAlgebra, a, tol: float = 1e-9) -> bool:
     if J.kind.startswith("SpinFactor"):
         n = J.params["n"]
         x, s = list(a)[:n], a[n]
-        if all(isinstance(v, (Fraction, int)) for v in a):
+        if _rational(a):
             return frac(s) >= 0 and frac(s) ** 2 >= sum(frac(v) ** 2 for v in x)
         return float(s) >= -tol and float(s) ** 2 + tol >= sum(
             float(v) ** 2 for v in x)
@@ -393,8 +268,8 @@ def _in_cone_many(J: JordanAlgebra, A: np.ndarray, tol: float) -> list:
 
 
 def _reconstruct(J: JordanAlgebra, a) -> np.ndarray:
-    mats = J.params.setdefault(
-        "np_basis", [_cm_to_numpy(B) for B in J.params["basis"]])
+    basis = J.params["basis"]
+    mats = J.params.setdefault("np_basis", basis[:, 0] + 1j * basis[:, 1])
     M = sum(float(c) * B for c, B in zip(a, mats))
     return (M + M.conj().T) / 2
 
@@ -798,8 +673,7 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
     if not rep.trace_form_pd:
         rep.failures.append({"gate": "trace-form-pd"})
         return rep
-    Gf = np.array([[float(G[i][j]) for j in range(d)] for i in range(d)]) \
-        if J.exact else np.asarray(G)
+    Gf = np.asarray(G, dtype=float)
 
     # gate 3: self-duality samples — squares pair non-negatively, and the
     # spectral idempotents of random elements pair non-negatively too
@@ -890,11 +764,13 @@ class RecoveryProblem:
 
 @dataclass
 class RecoveryResult:
+    """`seeds_agree` is True when the linear stage pins the product and None
+    when it does not; reports print it under that name."""
+
     algebra: Optional[JordanAlgebra]
     linear_solution_dim: int
     residual: float
     seeds_agree: Optional[bool]
-    seed_residuals: list
     gates: dict
     notes: list = field(default_factory=list)
     seed: int = 42
@@ -924,7 +800,7 @@ def _inverse(K: _Kind, B: np.ndarray) -> np.ndarray:
                     dtype=object).T
 
 
-def _cubic_rows(p: RecoveryProblem, idempotence: bool, K: _Kind):
+def _cubic_rows(p: RecoveryProblem, K: _Kind):
     """The linear constraints A s = b on the cubic form S(x, y, z) =
     B(x ∘ y, z), totally symmetric for an associative B: the unknown
     s[idx[i, j, k]] is one entry per sorted triple i ≤ j ≤ k.
@@ -976,12 +852,11 @@ def _cubic_rows(p: RecoveryProblem, idempotence: bool, K: _Kind):
                                             * (s_B * s_Bi),
                                             (R, d, d * d))], axis=-1),
             np.zeros(R * d, dtype))
-    if idempotence:
-        for g in p.outcome_vectors:
-            s_g, g = K.scaled(g)
-            prod = g[iu] * g[ju] * s_B
-            add(idx[iu, ju].T, np.where(iu != ju, prod * 2, prod),
-                Bn.T @ g * s_g)
+    for g in p.outcome_vectors:
+        s_g, g = K.scaled(g)
+        prod = g[iu] * g[ju] * s_B
+        add(idx[iu, ju].T, np.where(iu != ju, prod * 2, prod),
+            Bn.T @ g * s_g)
     b = np.concatenate(rhs)
     rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
     if K.exact:
@@ -1013,17 +888,16 @@ def _solve_float(A: np.ndarray, b: np.ndarray):
     return t0, vt[rank:].T
 
 
-def _linear_stage(p: RecoveryProblem, idempotence: bool
-                  ) -> Optional[np.ndarray]:
+def _linear_stage(p: RecoveryProblem) -> Optional[np.ndarray]:
     """The solutions of `_cubic_rows` lifted to product tensors,
     T[i, j, :] = B⁻ᵀ S[i, j, :], stacked on a last axis: one solution, then
     a basis of the homogeneous ones; None when the rows are inconsistent."""
-    K = _Kind("exact" if p.exact else "float")
+    K = _EXACT if p.exact else _FLOAT
     if K.exact:
-        x, null = solve_with_nullspace(*_cubic_rows(p, idempotence, K))
+        x, null = solve_with_nullspace(*_cubic_rows(p, K))
         X = None if x is None else K.array([x] + null).T
     else:
-        s0, N = _solve_float(*_cubic_rows(p, idempotence, K))
+        s0, N = _solve_float(*_cubic_rows(p, K))
         X = None if s0 is None else np.column_stack([s0, N])
     if X is None:
         return None
@@ -1041,39 +915,30 @@ def _linear_stage(p: RecoveryProblem, idempotence: bool
     return T
 
 
-def _identity_residual_vec(T: np.ndarray, samples) -> np.ndarray:
-    out = []
-    for a, b in samples:
-        a2 = np.einsum("i,j,ijk->k", a, a, T)
-        lhs = np.einsum("i,j,ijk->k", a2, np.einsum("i,j,ijk->k", b, a, T), T)
-        rhs = np.einsum("i,j,ijk->k", np.einsum("i,j,ijk->k", a2, b, T), a, T)
-        out.append(lhs - rhs)
-    return np.concatenate(out)
+def recover_jordan_product(p: RecoveryProblem, seed: int = 42
+                           ) -> RecoveryResult:
+    """The Jordan product pinned by the linear constraints, or none.
 
+    The constraints are linear in the cubic form S(x, y, z) = B(x ∘ y, z):
+    commutativity and associativity of the given form make S totally
+    symmetric, so it has one unknown per sorted triple, d(d+1)(d+2)/6 in
+    all, and neither needs a row.  The rows are the unit law, equivariance
+    under the given symmetry actions, and idempotence of the supplied
+    outcome vectors (sharp extreme effects can only be primitive idempotents
+    in a compatible algebra; a problem with `outcome_vectors=[]` has no such
+    rows).  One builder, `_cubic_rows`, makes them for both kinds; only the
+    solve differs: exact problems get sparse integer rows and eliminate them
+    once (`linalg.solve_with_nullspace`), float problems make one
+    least-squares solve and read the nullity off its singular values.  The
+    solution is lifted to a product tensor, T[i, j, :] = B⁻ᵀ S[i, j, :], by
+    one product.
 
-def recover_jordan_product(p: RecoveryProblem, seed: int = 42,
-                           seeds: int = 8,
-                           enforce_outcome_idempotence: bool = True,
-                           tol: float = 1e-8) -> RecoveryResult:
-    """Solve the linear Jordan-product constraints, then polish the identity.
-
-    Linear stage, on the cubic form S(x, y, z) = B(x ∘ y, z): commutativity
-    and associativity of the given form make S totally symmetric, so it has
-    one unknown per sorted triple, d(d+1)(d+2)/6 in all, and neither needs
-    a row.  The rows are the unit law, equivariance under the given
-    symmetry actions, and — by default — idempotence of the supplied
-    outcome/cone generators (sharp extreme effects can only be primitive
-    idempotents in a compatible algebra; without this the linear stage can
-    stay underdetermined).  One builder, `_cubic_rows`, makes them for both
-    paths; only the solve differs: exact problems get sparse integer rows
-    and eliminate them once (`linalg.solve_with_nullspace`), float problems
-    make one least-squares solve and read the nullity off its singular
-    values, computing a nullspace basis (thin SVD) only when the nullity is
-    positive.  The particular solution and the null basis are lifted to
-    product tensors, T[i, j, :] = B⁻ᵀ S[i, j, :], by one product.  Quadratic
-    stage: Gauss-Newton on the Jordan identity residual from several seeds;
-    agreement of all seeds is the desk-scale uniqueness certificate, and it
-    runs on the inputs read as floats, whatever their kind.
+    A positive nullity leaves a family of products that the constraints do
+    not tell apart: the result then holds no algebra, rather than one picked
+    from the family.  A unique solution must pass the gates: the Jordan
+    identity on 3·d seeded float probes (residual at most 1e-8), a positive
+    definite trace form, and, given a membership oracle, squares of 20
+    seeded probes in the cone.  An exact problem gives an exact algebra.
     """
     gates: dict = {}
     notes: list = []
@@ -1082,90 +947,40 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42,
     eig = np.linalg.eigvalsh((B + B.T) / 2)
     gates["form_pd"] = bool(eig.min() > 0)
     if not gates["form_pd"]:
-        return RecoveryResult(None, -1, np.inf, None, [], gates,
+        return RecoveryResult(None, -1, np.inf, None, gates,
                               ["form not positive definite"], seed)
     u = np.asarray(p.u, float)
     gates["unit_interior_heuristic"] = all(
         float(np.asarray(g, float) @ B @ u) > 1e-12 for g in p.cone_generators)
 
-    T = _linear_stage(p, enforce_outcome_idempotence)
+    T = _linear_stage(p)
     if T is None:
         gates["linear_stage"] = False
-        return RecoveryResult(None, -1, np.inf, None, [], gates,
+        return RecoveryResult(None, -1, np.inf, None, gates,
                               ["linear constraints inconsistent"], seed)
-    T0, N = np.asarray(T[..., 0], float), np.asarray(T[..., 1:], float)
-    nullity = N.shape[-1]
-    exact_solution = T[..., 0].tolist() if p.exact and nullity == 0 else None
     gates["linear_stage"] = True
+    nullity = T.shape[-1] - 1
+    if nullity:
+        return RecoveryResult(None, nullity, np.inf, None, gates, [
+            f"linear constraints leave a {nullity}-parameter family of "
+            "products; none is picked"], seed)
+    notes.append("linear stage already determined the tensor; uniqueness "
+                 "certified by the rank of the constraint system")
+    T_star = np.asarray(T[..., 0], float) + 0.0    # no negative zeros
 
     rng = np.random.default_rng(seed)
-    probe = [(rng.standard_normal(d), rng.standard_normal(d))
-             for _ in range(3 * d)]
-
-    def tensor_at(theta):
-        return T0 + (N @ theta if nullity else 0.0)
-
-    def residual(theta):
-        return _identity_residual_vec(tensor_at(theta), probe)
-
-    solutions, seed_residuals = [], []
-    if nullity == 0:
-        r = float(np.abs(residual(np.zeros(0))).max())
-        solutions.append(np.zeros(0))
-        seed_residuals.append(r)
-        notes.append("linear stage already determined the tensor; uniqueness "
-                     "certified by the rank of the constraint system")
-    else:
-        for s in range(seeds):
-            srng = np.random.default_rng(seed + 1000 * (s + 1))
-            theta = srng.standard_normal(nullity) * 0.5
-            for _ in range(60):
-                r = residual(theta)
-                Jac = np.empty((len(r), nullity))
-                h = 1e-6
-                for k in range(nullity):
-                    dtheta = np.zeros(nullity)
-                    dtheta[k] = h
-                    Jac[:, k] = (residual(theta + dtheta) - r) / h
-                step, *_ = np.linalg.lstsq(Jac, -r, rcond=None)
-                lam = 1.0
-                base = float(r @ r)
-                while lam > 1e-6:
-                    cand = theta + lam * step
-                    rc = residual(cand)
-                    if float(rc @ rc) < base:
-                        break
-                    lam /= 2
-                theta = theta + lam * step
-                if float(np.linalg.norm(lam * step)) <= 1e-12:
-                    break
-            solutions.append(theta)
-            seed_residuals.append(float(np.abs(residual(theta)).max()))
-
-    best = int(np.argmin(seed_residuals))
-    theta_star = solutions[best]
-    residual_star = seed_residuals[best]
-    T_star = tensor_at(theta_star)
-    if nullity == 0:
-        seeds_agree = True       # every seed collapses to the same full-rank solution
-    else:
-        good = [sol for sol, r in zip(solutions, seed_residuals) if r <= tol]
-        tensors = [tensor_at(sol) for sol in good]
-        seeds_agree = len(good) == len(solutions) and all(
-            float(np.abs(t - T_star).max()) <= tol for t in tensors)
-        if good and not seeds_agree:
-            notes.append("seeds reached distinct low-residual tensors: "
-                         "non-uniqueness witness against the hypotheses")
-
-    gates["identity_residual"] = residual_star
-    gates["identity_ok"] = residual_star <= tol
+    X, Y = np.empty((3 * d, d)), np.empty((3 * d, d))
+    for n in range(3 * d):
+        X[n], Y[n] = rng.standard_normal(d), rng.standard_normal(d)
+    residual = float(np.abs(_jordan_defects(T_star, X, Y)).max())
+    gates["identity_residual"] = residual
+    gates["identity_ok"] = residual <= 1e-8
     if not gates["identity_ok"]:
-        return RecoveryResult(None, nullity, residual_star, seeds_agree,
-                              seed_residuals, gates,
+        return RecoveryResult(None, 0, residual, True, gates,
                               notes + ["no PD-trace Jordan solution found; "
                                        "hypotheses likely unmet"], seed)
 
-    # acceptance gates on the polished tensor
+    # acceptance gates on the tensor
     G = np.einsum("ijm,m->ij", T_star, np.einsum("mkk->m", T_star))
     gates["trace_form_pd"] = bool(
         np.linalg.eigvalsh((G + G.T) / 2).min() > 1e-10)
@@ -1181,18 +996,17 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42,
     else:
         notes.append("no cone membership oracle supplied; square gate skipped")
 
-    unit = ([frac(x) for x in p.u] if exact_solution is not None
-            else list(u))
-    if exact_solution is not None:
-        J = JordanAlgebra("Recovered", d, unit, exact_solution, True)
+    if p.exact:
+        J = JordanAlgebra("Recovered", d, [frac(x) for x in p.u],
+                          T[..., 0].tolist(), True)
         notes.append("tensor is exact (rational linear stage, zero nullity)")
     else:
         J = JordanAlgebra("Recovered", d, list(u), T_star, False)
     ok = gates["trace_form_pd"] and sq_ok
     if not ok:
         notes.append("recovered tensor failed an acceptance gate")
-    return RecoveryResult(J if ok else None, nullity, residual_star,
-                          seeds_agree, seed_residuals, gates, notes, seed)
+    return RecoveryResult(J if ok else None, 0, residual, True, gates, notes,
+                          seed)
 
 
 # ---------------------------------------------------------------------------

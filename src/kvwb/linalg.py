@@ -329,52 +329,9 @@ def is_positive_definite(A: Mat) -> bool:
     return True
 
 
-def is_positive_semidefinite(A: Mat) -> bool:
-    """Exact PSD test by pivoted symmetric elimination."""
-    n = len(A)
-    if not is_symmetric(A):
-        return False
-    M = [row[:] for row in A]
-    rows = list(range(n))
-    k = 0
-    while k < len(rows):
-        # find a nonzero diagonal pivot among remaining rows
-        piv_idx = None
-        for i in range(k, len(rows)):
-            if M[rows[i]][rows[i]] > 0:
-                piv_idx = i
-                break
-            if M[rows[i]][rows[i]] < 0:
-                return False
-        if piv_idx is None:
-            # all remaining diagonal entries are 0: PSD requires the whole block be 0
-            for i in range(k, len(rows)):
-                for j in range(k, len(rows)):
-                    if M[rows[i]][rows[j]] != 0:
-                        return False
-            return True
-        rows[k], rows[piv_idx] = rows[piv_idx], rows[k]
-        rk = rows[k]
-        piv = M[rk][rk]
-        for i in range(k + 1, len(rows)):
-            ri = rows[i]
-            if M[ri][rk] != 0:
-                f = M[ri][rk] / piv
-                for j in range(n):
-                    M[ri][j] -= f * M[rk][j]
-                for j in range(n):
-                    M[j][ri] -= f * M[j][rk]
-        k += 1
-    return True
-
-
 def column_space_basis(A: Mat) -> list[int]:
     """Indices of the first maximal linearly independent subset of columns."""
     return rref(A)[1]
-
-
-def gram(vectors: Sequence[Sequence[Fraction]], B: Mat) -> Mat:
-    return [[dot(v, mat_vec(B, w)) for w in vectors] for v in vectors]
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +367,6 @@ def np_rref(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
                 R[k] = R[k] - R[k, c] * R[r]
         r += 1
     return R[:r] if r else R[:0]
-
-
-def to_float_matrix(A: Mat) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in A], dtype=float)
-
-
-def from_float_matrix(A: np.ndarray, limit: int = 10**6) -> Mat:
-    return [[Fraction(x).limit_denominator(limit) for x in row] for row in A]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import quantum
-from .linalg import ONE, ZERO, frac
+from .linalg import ONE, ZERO, frac, np_nullspace
 from .lp import cone_membership, solve_feasibility
 
 Perm = tuple[int, ...]
@@ -770,7 +770,7 @@ def _quantum_pullback_feasible(m: Model, omap) -> tuple[Optional[bool], str]:
         return False, "no-consistent-pullback"
     # minimum-norm completion within the affine solution set, then a PSD check;
     # for dim 2 the minimum-Bloch-norm point decides PSD feasibility outright
-    null = np_nullspace_f(A)
+    null = np_nullspace(A)
     best = _min_trace_distance_psd(qb, sol, null, ny)
     if best is None:
         return None, "psd-pullback-unknown"
@@ -779,11 +779,6 @@ def _quantum_pullback_feasible(m: Model, omap) -> tuple[Optional[bool], str]:
             return False, "negative-probability"
         return True, ""
     return False, "no-psd-pullback"
-
-
-def np_nullspace_f(A: np.ndarray) -> np.ndarray:
-    from .linalg import np_nullspace
-    return np_nullspace(A)
 
 
 def _min_trace_distance_psd(qb: QuantumBackend, sol: np.ndarray,

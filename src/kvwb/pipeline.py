@@ -384,9 +384,10 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
     else:
         prob = _recovery_problem(E, spin, tol)
         res = jordan.recover_jordan_product(prob, seed=seed)
-        ok = (res.algebra is not None and res.residual is not None
-              and res.residual <= 1e-8 and res.seeds_agree is True
-              and all(v for v in res.gates.values()))
+        # an algebra comes back only through every gate of the recovery;
+        # the unit's interior heuristic is the one it does not enforce
+        ok = (res.algebra is not None
+              and res.gates["unit_interior_heuristic"])
         rdata = {"linear_solution_dim": res.linear_solution_dim,
                  "residual": res.residual, "seeds_agree": res.seeds_agree,
                  "gates": res.gates, "exact": prob.exact}
@@ -399,7 +400,9 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
                 "max_homogeneity_error": vrep3.max_homogeneity_error,
                 "min_self_duality_pairing": vrep3.min_pairing}
             ok = ok and vrep3.ok
-        add("jordan-recovery", PASS if ok else FAIL, rdata, res.notes)
+        # a family of products left by the linear stage decides nothing
+        add("jordan-recovery", PASS if ok else
+            UNKNOWN if res.linear_solution_dim > 0 else FAIL, rdata, res.notes)
 
     # -- identification ---------------------------------------------------------
     if blocked("jordan-recovery"):

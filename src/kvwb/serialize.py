@@ -120,23 +120,44 @@ def _required(obj, where: str, key: str | None = None):
     return obj[key]
 
 
+def _as_list(value, where: str) -> list:
+    """value, which must be a JSON list; anything else raises `ModelError`
+    naming its path."""
+    if not isinstance(value, list):
+        raise ModelError(f"{where}: expected a list")
+    return value
+
+
+def _list(obj, where: str) -> list:
+    """The required list-valued field at path `where`."""
+    return _as_list(_required(obj, where), where)
+
+
 def model_from_json(data: dict) -> Model:
     """Build a model from its JSON object.
 
     A missing required field raises `ModelError` naming its JSON path, e.g.
-    `states.extreme: missing`, and so does a generator that is not a full
-    outcome mapping, e.g. `group.generators[0]: no image for outcome 'b'`.
+    `states.extreme: missing`, and so does a list-valued field that is not
+    a list, e.g. `tests[1]: expected a list`, or a generator that is not a
+    full outcome mapping, e.g. `group.generators[0]: no image for outcome
+    'b'`.
     A `"cap"` key, written by older versions, is ignored.
     """
-    outcomes = tuple(_required(data, "outcomes"))
-    tests = tuple(tuple(t) for t in _required(data, "tests"))
+    outcomes = tuple(_list(data, "outcomes"))
+    tests = tuple(tuple(_as_list(t, f"tests[{k}]"))
+                  for k, t in enumerate(_list(data, "tests")))
     ts = TestSpace(outcomes, tests)
     pos = {x: i for i, x in enumerate(outcomes)}
     st = _required(data, "states")
     kind = _required(st, "states.kind")
     if kind == "polytope":
+        extreme = _list(st, "states.extreme")
+        for k, v in enumerate(extreme):
+            if not isinstance(v, dict):
+                raise ModelError(f"states.extreme[{k}]: expected an object "
+                                 "mapping outcomes to probabilities")
         verts = tuple(tuple(parse_frac(v.get(x, "0")) for x in outcomes)
-                      for v in _required(st, "states.extreme"))
+                      for v in extreme)
         backend = PolytopeBackend(verts)
     elif kind == "quantum":
         given = _required(st, "states.outcome_matrices")
@@ -153,7 +174,7 @@ def model_from_json(data: dict) -> Model:
 
     def perms_of(parent, path: str) -> tuple:
         out = []
-        for k, mapping in enumerate(_required(parent, path)):
+        for k, mapping in enumerate(_list(parent, path)):
             where = f"{path}[{k}]"
             if not isinstance(mapping, dict):
                 raise ModelError(f"{where}: expected an object mapping "
@@ -176,7 +197,7 @@ def model_from_json(data: dict) -> Model:
     elif kind == "unitary":
         group = UnitaryGenerators(
             matrices=tuple(np.array(M, dtype=float) for M in
-                           _required(g, "group.matrices")),
+                           _list(g, "group.matrices")),
             seed=g.get("seed", 0), note=g.get("note", ""))
     else:
         raise ValueError(f"unknown group kind {kind!r}")

@@ -25,7 +25,11 @@ and the `Fraction` `omega_hat` (one solve per table row, with its
 `_basis_outcomes`), the per-ray-LP `is_isomorphism_state` and the per-ray-LP
 `is_self_dual` that the integer products on the outcome frames and the
 cached dual cones of `kvwb.composites` and `kvwb.cones` replaced (verbatim,
-but for `_solve`, the `_Kind.solve` they called).
+but for `_solve`, the `_Kind.solve` they called), and the catalog of
+`kvwb.jordan` built by loops over (real, imaginary) `Fraction` pairs, with
+the `Fraction` loops of `JordanAlgebra.product` (`loop_product`) and
+`trace_form_gram` (`loop_trace_form_gram`), that integer basis arrays and
+one `_Kind` body each replaced (verbatim, but for those two names).
 
 Slow and obviously correct; the property tests require the fast kernels to
 return exactly what these return.
@@ -1065,3 +1069,275 @@ def is_self_dual(K, form: Mat) -> SelfDualityReport:
     return SelfDualityReport(self_dual=not failures, dual=D,
                              pairwise_min=pmin, pairwise_argmin=parg,
                              failures=failures)
+
+
+# ---------------------------------------------------------------------------
+# the catalog built by loops over (real, imaginary) `Fraction` pairs, and the
+# `Fraction` loops of `JordanAlgebra.product` and `trace_form_gram`
+
+def _zmat(n):
+    z = [[Fraction(0)] * n for _ in range(n)]
+    return z
+
+
+def _cm(re=None, im=None, n=None):
+    if re is None:
+        re = _zmat(n)
+    if im is None:
+        im = _zmat(len(re))
+    return (re, im)
+
+
+def _cm_add(A, B):
+    n = len(A[0])
+    return ([[A[0][i][j] + B[0][i][j] for j in range(n)] for i in range(n)],
+            [[A[1][i][j] + B[1][i][j] for j in range(n)] for i in range(n)])
+
+
+def _cm_scale(c, A):
+    n = len(A[0])
+    return ([[c * A[0][i][j] for j in range(n)] for i in range(n)],
+            [[c * A[1][i][j] for j in range(n)] for i in range(n)])
+
+
+def _cm_mul(A, B):
+    n = len(A[0])
+    re = [[sum(A[0][i][k] * B[0][k][j] - A[1][i][k] * B[1][k][j]
+               for k in range(n)) for j in range(n)] for i in range(n)]
+    im = [[sum(A[0][i][k] * B[1][k][j] + A[1][i][k] * B[0][k][j]
+               for k in range(n)) for j in range(n)] for i in range(n)]
+    return (re, im)
+
+
+def _cm_dagger(A):
+    n = len(A[0])
+    return ([[A[0][j][i] for j in range(n)] for i in range(n)],
+            [[-A[1][j][i] for j in range(n)] for i in range(n)])
+
+
+def _cm_hs(A, B):
+    """Real Hilbert-Schmidt pairing Re tr(A^dagger B) — exact."""
+    n = len(A[0])
+    Ad = _cm_dagger(A)
+    tot = Fraction(0)
+    for i in range(n):
+        for k in range(n):
+            tot += Ad[0][i][k] * B[0][k][i] - Ad[1][i][k] * B[1][k][i]
+    return tot
+
+
+def _cm_to_numpy(A) -> np.ndarray:
+    return (np.array(A[0], dtype=float) + 1j * np.array(A[1], dtype=float))
+
+
+def loop_product(self: JordanAlgebra, a, b):
+    if self.exact and all(isinstance(v, (Fraction, int)) for v in a) \
+            and all(isinstance(v, (Fraction, int)) for v in b):
+        d = self.dim
+        out = [Fraction(0)] * d
+        for i in range(d):
+            if a[i] == 0:
+                continue
+            for j in range(d):
+                if b[j] == 0:
+                    continue
+                c = frac(a[i]) * frac(b[j])
+                row = self.tensor[i][j]
+                for k in range(d):
+                    if row[k]:
+                        out[k] += c * row[k]
+        return out
+    return np.einsum("i,j,ijk->k", np.asarray(a, float),
+                     np.asarray(b, float), self.np_tensor)
+
+
+def loop_trace_form_gram(J: JordanAlgebra):
+    """Gram matrix of (a,b) -> tr L_{a∘b} on the coordinate basis."""
+    d = J.dim
+    if J.exact:
+        G = [[Fraction(0)] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                prod = J.tensor[i][j]
+                # trace of L_prod: sum_k (e_prod ∘ e_k)_k
+                tot = Fraction(0)
+                for m in range(d):
+                    if prod[m] == 0:
+                        continue
+                    for k in range(d):
+                        tot += prod[m] * J.tensor[m][k][k]
+                G[i][j] = G[j][i] = tot
+        return G
+    T = J.np_tensor
+    tr_L = np.einsum("mkk->m", T)       # trace of L_{e_m}
+    G = np.einsum("ijm,m->ij", T, tr_L)
+    return (G + G.T) / 2
+
+
+def _matrix_kind(kind: str, n: int, basis_cm: list, labels: list
+                 ) -> JordanAlgebra:
+    """Common path: exact tensor from symmetrized products over a basis
+    orthogonal under the real Hilbert-Schmidt pairing."""
+    d = len(basis_cm)
+    norms = [_cm_hs(B, B) for B in basis_cm]
+    half = Fraction(1, 2)
+
+    def expand(X):
+        return [_cm_hs(basis_cm[k], X) / norms[k] for k in range(d)]
+
+    tensor = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            prod = _cm_scale(half, _cm_add(_cm_mul(basis_cm[i], basis_cm[j]),
+                                           _cm_mul(basis_cm[j], basis_cm[i])))
+            row.append(expand(prod))
+        tensor.append(row)
+    ident = _cm(re=[[ONE if i == j else ZERO for j in range(len(basis_cm[0][0]))]
+                    for i in range(len(basis_cm[0][0]))])
+    unit = expand(ident)
+    return JordanAlgebra(kind, d, unit, tensor, True,
+                         params={"n": n, "basis": basis_cm, "labels": labels})
+
+
+def real_symmetric(n: int) -> JordanAlgebra:
+    """Symmetric n x n real matrices with the symmetrized product."""
+    basis, labels = [], []
+    for i in range(n):
+        re = _zmat(n)
+        re[i][i] = ONE
+        basis.append(_cm(re=re))
+        labels.append(f"E{i}{i}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            re = _zmat(n)
+            re[i][j] = re[j][i] = ONE
+            basis.append(_cm(re=re))
+            labels.append(f"S{i}{j}")
+    return _matrix_kind(f"RealSym({n})", n, basis, labels)
+
+
+def complex_hermitian(n: int) -> JordanAlgebra:
+    """Hermitian n x n complex matrices with the symmetrized product."""
+    basis, labels = [], []
+    for i in range(n):
+        re = _zmat(n)
+        re[i][i] = ONE
+        basis.append(_cm(re=re))
+        labels.append(f"E{i}{i}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            re = _zmat(n)
+            re[i][j] = re[j][i] = ONE
+            basis.append(_cm(re=re))
+            labels.append(f"S{i}{j}")
+            im = _zmat(n)
+            im[i][j] = ONE
+            im[j][i] = -ONE
+            basis.append(_cm(im=im, n=n))
+            labels.append(f"A{i}{j}")
+    return _matrix_kind(f"ComplexHerm({n})", n, basis, labels)
+
+
+def _quat_block(q: str, n: int, i: int, j: int):
+    """Hermitian matrix with quaternion unit q at (i,j), conjugate at (j,i),
+    embedded as a 2n x 2n complex matrix."""
+    re, im = _zmat(2 * n), _zmat(2 * n)
+    # block (i,j) gets the 2x2 image of q; block (j,i) its conjugate-transpose
+    r, c = 2 * i, 2 * j
+    if q == "1":
+        re[r][c] = re[r + 1][c + 1] = ONE
+        re[c][r] = re[c + 1][r + 1] = ONE
+    elif q == "i":
+        im[r][c] = ONE
+        im[r + 1][c + 1] = -ONE
+        im[c][r] = -ONE
+        im[c + 1][r + 1] = ONE
+    elif q == "j":
+        re[r][c + 1] = ONE
+        re[r + 1][c] = -ONE
+        re[c + 1][r] = ONE
+        re[c][r + 1] = -ONE
+    elif q == "k":
+        im[r][c + 1] = ONE
+        im[r + 1][c] = ONE
+        im[c + 1][r] = -ONE
+        im[c][r + 1] = -ONE
+    return (re, im)
+
+
+def quaternionic_hermitian(n: int) -> JordanAlgebra:
+    """Hermitian n x n quaternionic matrices, doubled into complex blocks."""
+    basis, labels = [], []
+    for i in range(n):
+        re = _zmat(2 * n)
+        re[2 * i][2 * i] = re[2 * i + 1][2 * i + 1] = ONE
+        basis.append(_cm(re=re))
+        labels.append(f"E{i}{i}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            for q in "1ijk":
+                basis.append(_quat_block(q, n, i, j))
+                labels.append(f"Q{q}{i}{j}")
+    return _matrix_kind(f"QuatHerm({n})", n, basis, labels)
+
+
+def spin_factor(n: int) -> JordanAlgebra:
+    """R^n + R with (x,s)∘(y,t) = (t x + s y, <x,y> + s t); unit (0,1)."""
+    d = n + 1
+    tensor = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            out = [Fraction(0)] * d
+            if i < n and j < n:
+                out[n] = ONE if i == j else ZERO
+            elif i == n and j == n:
+                out[n] = ONE
+            elif i == n:
+                out[j] = ONE
+            else:
+                out[i] = ONE
+            row.append(out)
+        tensor.append(row)
+    unit = [Fraction(0)] * n + [ONE]
+    return JordanAlgebra(f"SpinFactor({n})", d, unit, tensor, True,
+                         params={"n": n})
+
+
+def real_line() -> JordanAlgebra:
+    return JordanAlgebra("RealSym(1)", 1, [ONE], [[[ONE]]], True,
+                         params={"n": 1})
+
+
+def direct_sum(parts: list[JordanAlgebra]) -> JordanAlgebra:
+    if not all(p.exact for p in parts):
+        raise ValueError("direct sums are built from exact catalog algebras")
+    offs, d = [], 0
+    for p in parts:
+        offs.append(d)
+        d += p.dim
+    tensor = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    unit = [Fraction(0)] * d
+    for p, o in zip(parts, offs):
+        for i in range(p.dim):
+            unit[o + i] = p.unit[i]
+            for j in range(p.dim):
+                for k in range(p.dim):
+                    tensor[o + i][o + j][o + k] = p.tensor[i][j][k]
+    kind = "DirectSum(" + ", ".join(p.kind for p in parts) + ")"
+    return JordanAlgebra(kind, d, unit, tensor, True,
+                         params={"parts": parts, "offsets": offs})
+
+
+def classical_algebra(n: int) -> JordanAlgebra:
+    """R^n with the componentwise product."""
+    return direct_sum([real_line() for _ in range(n)])
+
+
+CATALOG = {
+    "RealSym": real_symmetric,
+    "ComplexHerm": complex_hermitian,
+    "QuatHerm": quaternionic_hermitian,
+    "SpinFactor": spin_factor,
+}

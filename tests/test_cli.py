@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -257,6 +258,38 @@ def test_missing_model_field_is_named_by_its_path(runner, tmp_path, name,
     assert res.exit_code == 3
     assert f"cannot load model {tmp_path / 'model.json'}: {path}: missing" \
         in res.output
+
+
+@pytest.mark.parametrize("name, path, message", [
+    ("classical:2", "outcomes", "expected a list"),
+    ("classical:2", "tests", "expected a list"),
+    ("classical:2", "tests[0]", "expected a list"),
+    ("classical:2", "states.extreme", "expected a list"),
+    ("classical:2", "states.extreme[0]", "expected an object"),
+    ("classical:2", "group.generators", "expected a list"),
+    ("qubit:real", "sample_symmetries.generators", "expected a list"),
+    ("qutrit:complex", "group.matrices", "expected a list"),
+])
+def test_mistyped_model_field_is_named_by_its_path(runner, tmp_path, name,
+                                                   path, message):
+    """A field of the wrong type (here the number 5) exits 3 with its path,
+    from a model file and from a saved report alike."""
+    report = json.loads(invoke(runner, "report", name).output)
+    *parents, key = [int(k) if k.isdigit() else k
+                     for k in re.findall(r"[^.\[\]]+", path)]
+    spec = report["model_spec"]
+    for k in parents:
+        spec = spec[k]
+    spec[key] = 5
+    model, saved = tmp_path / "model.json", tmp_path / "report.json"
+    model.write_text(json.dumps(report["model_spec"]))
+    saved.write_text(json.dumps(report))
+    res = runner.invoke(main, ["run", str(model)])
+    assert res.exit_code == 3
+    assert f"cannot load model {model}: {path}: {message}" in res.output
+    res = runner.invoke(main, ["reverify", str(saved)])
+    assert res.exit_code == 3
+    assert f"cannot load report {saved}: {path}: {message}" in res.output
 
 
 def test_missing_model_file_exits_3(runner, tmp_path):

@@ -1,18 +1,22 @@
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+import reference_kernels as oracle
 from kvwb.builtins import classical, get_builtin
 from kvwb.effectspace import build_effect_space
 from kvwb.forms import find_orthogonalizing_spin_form
-from kvwb.jordan import (JordanAlgebra, RecoveryProblem, classical_algebra,
-                         complex_hermitian, cone_of_squares_membership,
-                         direct_sum, generic_rank, identify_algebra,
-                         jordan_product, jordan_sqrt, minimal_polynomial_degree,
-                         quaternionic_hermitian, real_symmetric,
-                         recover_jordan_product, spectral_decomposition,
-                         spin_factor, verify_symmetric_cone)
+from kvwb import jordan
+from kvwb.jordan import (JordanAlgebra, RecoveryProblem, _reconstruct,
+                         classical_algebra, complex_hermitian,
+                         cone_of_squares_membership, direct_sum, generic_rank,
+                         identify_algebra, jordan_product, jordan_sqrt,
+                         minimal_polynomial_degree, quaternionic_hermitian,
+                         real_symmetric, recover_jordan_product,
+                         spectral_decomposition, spin_factor, trace_form_gram,
+                         verify_symmetric_cone)
 from kvwb.linalg import frac
 from kvwb.pipeline import _recovery_problem
 
@@ -141,6 +145,54 @@ def test_minimal_polynomial_degree():
     assert minimal_polynomial_degree(J, np.asarray(J.unit, dtype=float)) == 1
 
 
+def assert_same_algebra(J, ref):
+    """Equal tensors, units and trace forms as nested `Fraction` lists, the
+    same float tensor, and the loops' products of rational and of float
+    vectors."""
+    assert (J.kind, J.dim, J.params.get("labels")) == \
+        (ref.kind, ref.dim, ref.params.get("labels"))
+    assert type(J.tensor) is list and type(J.unit) is list
+    assert all(type(x) is F for x in J.unit)
+    assert all(type(x) is F for row in J.tensor for c in row for x in c)
+    assert (J.tensor, J.unit) == (ref.tensor, ref.unit)
+    assert trace_form_gram(J) == oracle.loop_trace_form_gram(ref)
+    d = J.dim
+    assert J.np_tensor.tobytes() == np.array(
+        [[[float(ref.tensor[i][j][k]) for k in range(d)] for j in range(d)]
+         for i in range(d)]).tobytes()
+    a = [F(k, 3) - 1 for k in range(d)]
+    b = [F(1, k + 2) for k in range(d)]
+    got = J.product(a, b)
+    assert type(got) is list and all(type(x) is F for x in got)
+    assert got == oracle.loop_product(ref, a, b)
+    af = [float(x) for x in a]
+    assert J.product(af, b).tobytes() == \
+        oracle.loop_product(ref, af, b).tobytes()
+
+
+@pytest.mark.parametrize("family, n", [
+    *((f, n) for f in ("RealSym", "ComplexHerm", "QuatHerm") for n in (1, 2, 3)),
+    ("SpinFactor", 1), ("SpinFactor", 2), ("SpinFactor", 5)])
+def test_catalog_matches_the_loop_construction(family, n):
+    J, ref = jordan.CATALOG[family](n), oracle.CATALOG[family](n)
+    assert_same_algebra(J, ref)
+    if "basis" in ref.params:
+        x = [F(k + 1, 4) for k in range(J.dim)]
+        want = sum(float(c) * oracle._cm_to_numpy(B)
+                   for c, B in zip(x, ref.params["basis"]))
+        assert _reconstruct(J, x).tobytes() == ((want + want.conj().T) / 2
+                                                ).tobytes()
+
+
+def test_direct_sums_match_the_loop_construction():
+    J = direct_sum([real_symmetric(2), spin_factor(3), quaternionic_hermitian(2)])
+    ref = oracle.direct_sum([oracle.real_symmetric(2), oracle.spin_factor(3),
+                             oracle.quaternionic_hermitian(2)])
+    assert_same_algebra(J, ref)
+    assert J.params["offsets"] == ref.params["offsets"] == [0, 3, 7]
+    assert_same_algebra(classical_algebra(4), oracle.classical_algebra(4))
+
+
 # ---------------------------------------------------------------------------
 # recovery
 
@@ -223,13 +275,15 @@ def test_recovery_in_transported_coordinates():
 
 
 def test_recovery_reports_nonuniqueness_honestly():
-    """Dropping the outcome-idempotence equations leaves a one-parameter
-    family on the classical triangle; the result must say so, not pick one."""
-    p = recovery_inputs("classical:3")
-    res = recover_jordan_product(p, enforce_outcome_idempotence=False)
+    """Without outcome vectors, so with no idempotence rows, a
+    one-parameter family is left on the classical triangle; the result must
+    say so, not pick one."""
+    p = dataclasses.replace(recovery_inputs("classical:3"), outcome_vectors=[])
+    res = recover_jordan_product(p)
     assert res.linear_solution_dim == 1
-    assert res.seeds_agree is False
+    assert res.seeds_agree is None
     assert res.algebra is None
+    assert "none is picked" in res.notes[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from kvwb.builtins import builtin_names, get_builtin
@@ -340,3 +342,32 @@ def test_squares_gate_adds_no_dual_cone(name, monkeypatch):
     assert len(calls) == DUAL_CONE_CALLS[name]
     assert not any(in_recovery)
     assert set(builtin_names()) <= set(DUAL_CONE_CALLS)
+
+
+@pytest.mark.parametrize("name", builtin_names() + ["classical:6"])
+def test_recovery_is_pinned_by_its_linear_stage(name):
+    """Every model that reaches recovery leaves no family of products, so
+    its product is the linear stage's one solution."""
+    stage = run(name).stage("jordan-recovery")
+    if stage.status != "not-applicable":
+        assert stage.status == "pass"
+        assert stage.data["linear_solution_dim"] == 0
+
+
+def test_a_family_of_products_is_unknown(monkeypatch):
+    """Recovery without idempotence rows leaves a one-parameter family on
+    classical:3; the stage then decides nothing, and identification waits."""
+    from kvwb import jordan
+    recover = jordan.recover_jordan_product
+
+    def without_outcomes(p, seed=42):
+        return recover(dataclasses.replace(p, outcome_vectors=[]), seed=seed)
+
+    monkeypatch.setattr(jordan, "recover_jordan_product", without_outcomes)
+    rep = run("classical:3")
+    stage = rep.stage("jordan-recovery")
+    assert stage.status == "unknown"
+    assert stage.data["linear_solution_dim"] == 1
+    assert stage.data["seeds_agree"] is None
+    assert rep.stage("identification").status == "not-applicable"
+    assert rep.failures == []

@@ -13,6 +13,7 @@ within 1e-12 on floats.  Inconsistent problems (an asymmetric form, or
 symmetries and idempotents no product satisfies) must be inconsistent in
 both.
 """
+import dataclasses
 import json
 import os
 import subprocess
@@ -76,8 +77,13 @@ def old_tensors(p, idempotence):
     return None if t0 is None else unpacked([t0, *N.T], p.dim, False)
 
 
+def without_outcomes(p):
+    """The problem with no idempotence rows."""
+    return dataclasses.replace(p, outcome_vectors=[])
+
+
 def assert_same_solutions(p, idempotence, old=None):
-    new = _linear_stage(p, idempotence)
+    new = _linear_stage(p if idempotence else without_outcomes(p))
     if old is None:
         old = old_tensors(p, idempotence)
     assert (new is None) == (old is None)
@@ -285,7 +291,7 @@ def test_exact_recovery_rows_are_sparse(name):
     than the tensor rows held: the dense layout would hold rows x
     (columns + 1) entries."""
     p = builtin_problem(name)
-    rows, ncols = _cubic_rows(p, True, EXACT)
+    rows, ncols = _cubic_rows(p, EXACT)
     old, old_ncols = oracle._linear_rows(p, True, True)
     d = p.dim
     assert ncols == d * (d + 1) * (d + 2) // 6 < old_ncols
@@ -293,21 +299,22 @@ def test_exact_recovery_rows_are_sparse(name):
 
 
 def test_positive_nullity_basis_spans_the_full_svd_nullspace():
-    p = builtin_problem("qubit:complex")
-    p.actions = []
-    A, b = _cubic_rows(p, False, FLOAT)
+    p = dataclasses.replace(without_outcomes(builtin_problem("qubit:complex")),
+                            actions=[])
+    A, b = _cubic_rows(p, FLOAT)
     t0, N = _solve_float(A, b)
     N0 = oracle.np_nullspace_full_svd(A)
     assert t0 is not None and N.shape == N0.shape and N.shape[1] > 0
     # equal orthogonal projectors: the two orthonormal bases span one space
     assert np.abs(N @ N.T - N0 @ N0.T).max() < 1e-9
     assert np.abs(A @ N).max() < 1e-9
-    res = recover_jordan_product(p, enforce_outcome_idempotence=False)
+    res = recover_jordan_product(p)
     assert res.linear_solution_dim == N.shape[1]
+    assert res.algebra is None
 
 
 def test_full_rank_float_stage_returns_an_empty_basis():
-    A, b = _cubic_rows(builtin_problem("qubit:real"), True, FLOAT)
+    A, b = _cubic_rows(builtin_problem("qubit:real"), FLOAT)
     t0, N = _solve_float(A, b)
     assert N.shape == (A.shape[1], 0)
     assert oracle.np_nullspace_full_svd(A).shape == N.shape

@@ -1,0 +1,20 @@
+"""Checks on the package source itself."""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "kvwb"
+
+
+def assert_statements(directory: Path) -> list:
+    """`file:line` of every `assert` statement in the modules of a
+    directory."""
+    return [f"{path.name}:{node.lineno}"
+            for path in sorted(directory.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assert)]
+
+
+def test_package_has_no_assert_statement():
+    """Checks are real raises, so they still run under `python -O`."""
+    assert list(SRC.glob("*.py"))
+    assert assert_statements(SRC) == []
