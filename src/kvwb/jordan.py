@@ -48,7 +48,7 @@ class JordanAlgebra:
 
     def __post_init__(self):
         self._np_tensor = None
-        self._exact_tensor = None
+        self._int_tensor = None
         self._unit_float = None
 
     @property
@@ -57,20 +57,23 @@ class JordanAlgebra:
             self._np_tensor = np.asarray(self.tensor, dtype=float)
         return self._np_tensor
 
-    def _tensor_array(self, K: _Kind) -> np.ndarray:
-        """The tensor as an array of K's numbers, built once per kind."""
+    def _scaled_tensor(self, K: _Kind) -> tuple:
+        """`K.scaled` of the tensor, (s, s·tensor): integers over their
+        common denominator s when exact, floats with s = 1.0; built once."""
         if not K.exact:
-            return self.np_tensor
-        if self._exact_tensor is None:
-            self._exact_tensor = K.array(self.tensor)
-        return self._exact_tensor
+            return 1.0, self.np_tensor
+        if self._int_tensor is None:
+            self._int_tensor = K.scaled(self.tensor)
+        return self._int_tensor
 
     def product(self, a, b):
         """a∘b: a list of `Fraction`s when the algebra, a and b are exact,
         a float array otherwise."""
         K = _EXACT if self.exact and _rational(a) and _rational(b) else _FLOAT
-        return K.native(np.einsum("i,j,ijk->k", K.array(a), K.array(b),
-                                  self._tensor_array(K)))
+        s, T = self._scaled_tensor(K)
+        (s_a, a), (s_b, b) = K.scaled(a), K.scaled(b)
+        return K.native(K.array(np.einsum("i,j,ijk->k", a, b, T))
+                        / (s_a * s_b * s))
 
     def left_mult(self, a) -> np.ndarray:
         """Matrix of b -> a∘b (float)."""
@@ -101,9 +104,9 @@ def trace_form_gram(J: JordanAlgebra):
     symmetrized: nested `Fraction` lists on an exact algebra, a float array
     otherwise."""
     K = _EXACT if J.exact else _FLOAT
-    T = J._tensor_array(K)
+    s, T = J._scaled_tensor(K)
     G = np.einsum("ijm,m->ij", T, np.einsum("mkk->m", T))
-    return K.native((G + G.T) / 2)
+    return K.native(K.array(G + G.T) / (2 * s * s))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +210,7 @@ def direct_sum(parts: list[JordanAlgebra]) -> JordanAlgebra:
     T, unit = _EXACT.zeros((d, d, d)), _EXACT.zeros(d)
     for p, o in zip(parts, offs):
         s = slice(o, o + p.dim)
-        T[s, s, s], unit[s] = p._tensor_array(_EXACT), _EXACT.array(p.unit)
+        T[s, s, s], unit[s] = _EXACT.array(p.tensor), _EXACT.array(p.unit)
     kind = "DirectSum(" + ", ".join(p.kind for p in parts) + ")"
     return _exact_algebra(kind, unit, T, parts=parts, offsets=offs)
 
@@ -634,7 +637,7 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
         # T = D·tensor, u = s_u·unit and each sample a = s_a·a', b = s_b·b'
         # on integers, so the defect of (a', b') is that of (a, b) over
         # D³·s_a³·s_b
-        D, T = _integer_block(J.tensor)
+        D, T = J._scaled_tensor(_EXACT)
         s_u, u = _integer_block(J.unit)
         comm = bool((T == T.transpose(1, 0, 2)).all())
         unit_ok = bool((np.einsum("i,ijk->jk", u, T)
@@ -764,12 +767,13 @@ class RecoveryProblem:
 
 @dataclass
 class RecoveryResult:
-    """`seeds_agree` is True when the linear stage pins the product and None
-    when it does not; reports print it under that name."""
+    """`residual` is None when no tensor was fitted.  `seeds_agree` is True
+    when the linear stage pins the product and None when it does not;
+    reports print it under that name."""
 
     algebra: Optional[JordanAlgebra]
     linear_solution_dim: int
-    residual: float
+    residual: Optional[float]
     seeds_agree: Optional[bool]
     gates: dict
     notes: list = field(default_factory=list)
@@ -947,7 +951,7 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42
     eig = np.linalg.eigvalsh((B + B.T) / 2)
     gates["form_pd"] = bool(eig.min() > 0)
     if not gates["form_pd"]:
-        return RecoveryResult(None, -1, np.inf, None, gates,
+        return RecoveryResult(None, -1, None, None, gates,
                               ["form not positive definite"], seed)
     u = np.asarray(p.u, float)
     gates["unit_interior_heuristic"] = all(
@@ -956,12 +960,12 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42
     T = _linear_stage(p)
     if T is None:
         gates["linear_stage"] = False
-        return RecoveryResult(None, -1, np.inf, None, gates,
+        return RecoveryResult(None, -1, None, None, gates,
                               ["linear constraints inconsistent"], seed)
     gates["linear_stage"] = True
     nullity = T.shape[-1] - 1
     if nullity:
-        return RecoveryResult(None, nullity, np.inf, None, gates, [
+        return RecoveryResult(None, nullity, None, None, gates, [
             f"linear constraints leave a {nullity}-parameter family of "
             "products; none is picked"], seed)
     notes.append("linear stage already determined the tensor; uniqueness "

@@ -284,6 +284,22 @@ def test_recovery_reports_nonuniqueness_honestly():
     assert res.seeds_agree is None
     assert res.algebra is None
     assert "none is picked" in res.notes[-1]
+    assert res.residual is None
+
+
+def test_recovery_without_a_fit_has_no_residual():
+    """A form that is not positive definite, or constraints that no product
+    meets (e = (1, 0) and 2e both idempotent), fit no tensor."""
+    for p, note in [
+        (RecoveryProblem(dim=2, B=-np.eye(2), u=np.ones(2),
+                         cone_generators=[]), "form not positive definite"),
+        (RecoveryProblem(dim=2, B=np.eye(2), u=np.ones(2), cone_generators=[],
+                         outcome_vectors=[np.array([1.0, 0.0]),
+                                          np.array([2.0, 0.0])]),
+         "linear constraints inconsistent")]:
+        res = recover_jordan_product(p)
+        assert (res.algebra, res.linear_solution_dim, res.residual,
+                res.notes) == (None, -1, None, [note])
 
 
 # ---------------------------------------------------------------------------

@@ -369,5 +369,6 @@ def test_a_family_of_products_is_unknown(monkeypatch):
     assert stage.status == "unknown"
     assert stage.data["linear_solution_dim"] == 1
     assert stage.data["seeds_agree"] is None
+    assert stage.data["residual"] is None    # no Infinity in the report
     assert rep.stage("identification").status == "not-applicable"
     assert rep.failures == []
