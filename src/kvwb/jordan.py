@@ -32,6 +32,7 @@ _EXACT, _FLOAT = _Kind("exact"), _Kind("float")
 
 
 def _rational(a) -> bool:
+    """Whether every entry of a is a Python int or a `Fraction`."""
     return all(isinstance(v, (Fraction, int)) for v in a)
 
 
