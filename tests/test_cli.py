@@ -416,11 +416,11 @@ FLOAT_CLI_SHA256 = {
 }
 
 
-def _one_thread_digest(args):
+def _one_thread_digest(args, code=0):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-m", "kvwb.cli", *args],
                           capture_output=True, check=False, env=env)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return hashlib.sha256(proc.stdout).hexdigest()
 
 
@@ -454,3 +454,30 @@ CATALOG_CLI_SHA256 = {
 @pytest.mark.parametrize("args", list(CATALOG_CLI_SHA256), ids=" ".join)
 def test_catalog_commands_keep_their_bytes(args):
     assert _one_thread_digest(args) == CATALOG_CLI_SHA256[args]
+
+
+#: sha256 and exit code of commands on exact models with one BLAS thread,
+#: recorded while the invariant-form checks still multiplied `Fraction`s:
+#: the flags of spin and derived forms (an indefinite, non-invariant one
+#: without the invariance constraints), pairwise minima and the dual rays
+#: outside the cone all print here.
+FORM_CLI_SHA256 = {
+    ("run", "classical:6"):
+        (0, "23862fb7be4112db3b678ba8a55f4b012b4637111d4c98e4d49ca656468f960e"),
+    ("run", "gbit:3"):
+        (1, "0fedbe6eabfb3ae6907eb472e7f1eead12463e906fed87011b944e5596814485"),
+    ("run", "gbit:4"):
+        (1, "421b62b742155a506cf98a2a560a707d2bd2c2ade9168eec7e96cfa8995631eb"),
+    ("spin", "gbit:3"):
+        (0, "664fce34139ef435a92f3f1b19ad07168cbd685806f15625c286179565ca0aae"),
+    ("conjugate", "gbit:3"):
+        (0, "380c60b096347bfdaeef70d7ecf81250d7ef1266dcf82dd5d184721004cead70"),
+    ("conjugate", "gbit:3", "--no-invariance"):
+        (0, "471d55acffc883d60af18282dba5baef5dd33ca46893684d764e60270da948bb"),
+}
+
+
+@pytest.mark.parametrize("args", list(FORM_CLI_SHA256), ids=" ".join)
+def test_form_check_commands_keep_their_bytes(args):
+    code, digest = FORM_CLI_SHA256[args]
+    assert _one_thread_digest(args, code) == digest
