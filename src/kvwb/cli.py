@@ -419,6 +419,9 @@ def _algebra_from_name(name: str) -> jordan.JordanAlgebra:
             raise click.ClickException(
                 f"cannot parse {token!r}; expected e.g. RealSym(3), "
                 f"SpinFactor(4), or sums like RealSym(1)+SpinFactor(4)")
+        if mt.group(1) != "SpinFactor" and int(mt.group(2)) == 0:
+            raise click.ClickException(
+                f"cannot build {token!r}: a matrix family needs size 1 or more")
         parts.append(jordan.CATALOG[mt.group(1)](int(mt.group(2))))
     return parts[0] if len(parts) == 1 else jordan.direct_sum(parts)
 

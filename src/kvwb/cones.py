@@ -13,28 +13,18 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from typing import Optional
 
 import numpy as np
 
-from .linalg import (Mat, Vec, ZERO, ONE, _integer_block, dot, mat_vec, rank,
-                     det, frac)
+from .linalg import (Mat, Vec, ZERO, ONE, _integer_block, _primitive_row, dot,
+                     mat_vec, rank, det, frac)
 from .lp import CertificateError, LPResult, cone_membership, free_feasibility
 
 
 def ray_primitive(v: Vec) -> tuple[Fraction, ...]:
     """Canonical representative of a ray: integer entries, gcd 1, sign kept."""
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
-    if g == 0:
-        return tuple(ZERO for _ in v)
-    return tuple(frac(n // g) for n in ints)
+    return tuple(map(Fraction, _primitive_row(v)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +61,13 @@ class PolyhedralCone:
         gens = self.all_generators()
         return _integer_block(np.array(gens, dtype=object)
                               .reshape(len(gens), self.dim))
+
+    @cached_property
+    def pointed(self) -> bool:
+        """`is_pointed`, computed once."""
+        gens = [(list(g), ONE) for g in self.generators]
+        return not self.lineality and (
+            not gens or free_feasibility(gens, [], self.dim).feasible)
 
     def dual_contains(self, V: np.ndarray) -> np.ndarray:
         """Is each column v of V in the dual of this cone, g·v >= 0 for
@@ -180,11 +177,19 @@ def _dedup(rays):
     return [(v, seen[v]) for v in order]
 
 
+def _form_images(K: PolyhedralCone, form: Mat) -> tuple[int, np.ndarray]:
+    """(s, C): row i of C is s·(form g_i) for the generators g_i of
+    `K.all_generators()`, integers over one denominator s."""
+    s_g, G = K.scaled_generators
+    s_f, F = _integer_block(form)
+    return s_g * s_f, G @ F.T
+
+
 def dual_cone(K: PolyhedralCone, form: Mat | None = None) -> PolyhedralCone:
-    """{v : <v, g> >= 0 for all g in K}, pairing via `form` if given."""
-    constraints = []
-    for g in K.all_generators():
-        constraints.append(mat_vec(form, g) if form is not None else list(g))
+    """{v : <v, g> >= 0 for all g in K}, pairing via `form` if given; a
+    positive multiple of each constraint leaves the rays as they are."""
+    constraints = (K.all_generators() if form is None
+                   else _form_images(K, form)[1].tolist())
     lin, rays = halfspace_cone_rays(constraints, K.dim)
     return PolyhedralCone(tuple(ray_primitive(r) for r in rays),
                           tuple(ray_primitive(l) for l in lin),
@@ -209,15 +214,9 @@ def polytope_hrep(vertices: list[Vec]) -> tuple[list[tuple[Vec, Fraction]],
 # structure helpers
 
 def is_pointed(K: PolyhedralCone) -> bool:
-    """A cone is pointed iff a single functional is strictly positive on it."""
-    if K.lineality:
-        return False
-    gens = [list(g) for g in K.generators]
-    if not gens:
-        return True
-    n = len(gens[0])
-    res = free_feasibility([(g, ONE) for g in gens], [], n)
-    return res.feasible
+    """A cone is pointed iff a single functional is strictly positive on it;
+    its LP is solved once per cone (`PolyhedralCone.pointed`)."""
+    return K.pointed
 
 
 def extreme_rays(K: PolyhedralCone) -> list[tuple[Fraction, ...]]:
@@ -235,23 +234,16 @@ def extreme_rays(K: PolyhedralCone) -> list[tuple[Fraction, ...]]:
     return keep
 
 
+def _witness(g, res: LPResult, **extra) -> dict:
+    return {"generator": list(g), **extra, "inside": res.feasible,
+            "certificate": res.point if res.feasible else res.farkas}
+
+
 def cone_equal(K: PolyhedralCone, L: PolyhedralCone) -> tuple[bool, dict]:
     """Mutual inclusion by membership LPs; returns a verdict with witnesses."""
-    detail: dict = {"K_in_L": [], "L_in_K": []}
-    ok = True
-    for g in K.all_generators():
-        res = L.contains(g)
-        detail["K_in_L"].append({"generator": list(g), "inside": res.feasible,
-                                 "certificate": res.point if res.feasible
-                                 else res.farkas})
-        ok = ok and res.feasible
-    for g in L.all_generators():
-        res = K.contains(g)
-        detail["L_in_K"].append({"generator": list(g), "inside": res.feasible,
-                                 "certificate": res.point if res.feasible
-                                 else res.farkas})
-        ok = ok and res.feasible
-    return ok, detail
+    detail = {key: [_witness(g, B.contains(g)) for g in A.all_generators()]
+              for key, A, B in (("K_in_L", K, L), ("L_in_K", L, K))}
+    return all(w["inside"] for ws in detail.values() for w in ws), detail
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +258,18 @@ class SelfDualityReport:
     failures: list[dict] = field(default_factory=list)
 
 
-def pairwise_form_positivity(gens: list[Vec], form: Mat
-                             ) -> tuple[Fraction, tuple]:
-    best = None
-    arg = ()
-    for i, g in enumerate(gens):
-        fg = mat_vec(form, g)
-        for k, h in enumerate(gens):
-            v = dot(h, fg)
-            if best is None or v < best:
-                best, arg = v, (i, k)
-    return best, arg
+def pairwise_form_positivity(K: PolyhedralCone, form: Mat
+                             ) -> tuple[Optional[Fraction], tuple]:
+    """The least g_k·(form g_i) over pairs of `K.all_generators()` and its
+    first (i, k) in row-major order, from one integer Gram; (None, ())
+    when K has no generators."""
+    s, C = _form_images(K, form)
+    s_g, G = K.scaled_generators
+    P = C @ G.T                                  # s·s_g · g_k·(form g_i)
+    if not P.size:
+        return None, ()
+    i, k = divmod(int(np.argmin(P)), P.shape[1])      # the first minimum
+    return Fraction(P[i, k], s * s_g), (i, k)
 
 
 def is_self_dual(K: PolyhedralCone, form: Mat,
@@ -284,8 +277,7 @@ def is_self_dual(K: PolyhedralCone, form: Mat,
     """K == {v : B(v, K) >= 0}?  Exact, with certificates both ways; the
     B-dual's rays are tested against K_dual = `dual_cone(K)`, if given."""
     D = dual_cone(K, form)
-    gens = [list(g) for g in K.all_generators()]
-    pmin, parg = pairwise_form_positivity(gens, form)
+    pmin, parg = pairwise_form_positivity(K, form)
     failures = []
     if pmin < 0:
         failures.append({"kind": "cone-not-in-dual",
@@ -413,16 +405,9 @@ class PositiveMapReport:
 
 def is_positive_map(T: Mat, src: PolyhedralCone, tgt: PolyhedralCone
                     ) -> PositiveMapReport:
-    certs = []
-    ok = True
-    for g in src.all_generators():
-        img = mat_vec(T, list(g))
-        res = tgt.contains(img)
-        certs.append({"generator": list(g), "image": img,
-                      "inside": res.feasible,
-                      "certificate": res.point if res.feasible else res.farkas})
-        ok = ok and res.feasible
-    return PositiveMapReport(ok, certs)
+    certs = [_witness(g, tgt.contains(img), image=img)
+             for g in src.all_generators() for img in [mat_vec(T, list(g))]]
+    return PositiveMapReport(all(c["inside"] for c in certs), certs)
 
 
 @dataclass

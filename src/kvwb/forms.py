@@ -5,11 +5,14 @@ symmetry action, and Normalized to B(u,u) = 1; it is orthogonalizing when it
 vanishes on every distinguishable pair of outcomes.  The central uniqueness
 statement checked here: on an irreducible model the space of candidate forms
 has dimension one before normalization, and the normalized form (when it
-admits cone positivity) is an inner product.
+admits cone positivity) is an inner product.  The exact checks run on
+Python integers, each rational matrix M as (s, s·M) by `_Kind.scaled`; the
+float ones are the same products with s = 1.0 and keep their bits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -78,14 +81,14 @@ def _packed_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def invariance_rows(actions, dim: int, kind: str) -> np.ndarray:
     """Rows of M^T S M = S for every action M, over the packed unknowns:
-    row (a, b) is the pairing of columns a and b of M, less s_ab."""
+    row (a, b) is the pairing of columns a and b of s·M, less s²·s_ab:
+    s² times the rational row."""
     K = _Kind(kind)
     iu, ju = np.triu_indices(dim)
     blocks = [K.zeros((0, len(iu)))]
-    for M in actions:
-        cols = K.array(M).T
-        rows = _packed_rows(cols[iu], cols[ju])
-        rows[np.diag_indices(len(iu))] -= 1
+    for s, A in map(K.scaled, actions):
+        rows = _packed_rows(A.T[iu], A.T[ju])
+        rows[np.diag_indices(len(iu))] -= s * s
         blocks.append(rows)
     return np.concatenate(blocks)
 
@@ -115,10 +118,18 @@ def invariant_symmetric_forms(E: OrderUnitSpace) -> list[BilinearForm]:
 
 
 def _fixed_covector_dim(E: OrderUnitSpace) -> int:
-    """Dimension of {w : M^T w = w for every action M}."""
+    """Dimension of {w : M^T w = w for every action M}: rows s·M^T - s·I."""
     K = _Kind(E.kind)
-    rows = [K.array(M).T - K.eye(E.dim) for M in E.actions]
+    I = np.identity(E.dim, dtype=object if K.exact else float)
+    rows = [A.T - s * I for s, A in map(K.scaled, E.actions)]
     return len(K.nullspace(np.concatenate([K.zeros((0, E.dim)), *rows])))
+
+
+def _outcome_rows(E: OrderUnitSpace, K: _Kind) -> np.ndarray:
+    """The outcome vectors as rows, in outcome order; when exact, the outcome
+    frame's integers, a positive multiple."""
+    return (E.outcome_frame.vectors[1] if K.exact else
+            K.array([E.outcome_vectors[x] for x in E.model.outcomes]))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +186,9 @@ def find_orthogonalizing_spin_form(m, E: OrderUnitSpace, tol: float = 1e-9
         if (b, a) not in pairs:
             pairs.add((a, b))
     pairs = sorted(pairs)
-    X = K.array([E.outcome_vectors[a] for a, _ in pairs]).reshape(-1, dim)
-    Y = K.array([E.outcome_vectors[b] for _, b in pairs]).reshape(-1, dim)
+    V = _outcome_rows(E, K)
+    at = {x: i for i, x in enumerate(E.model.outcomes)}
+    X, Y = (V[[at[p[k]] for p in pairs]].reshape(-1, dim) for k in (0, 1))
     basis = K.nullspace(np.concatenate([E.invariance_rows,
                                         _packed_rows(X, Y)]))
     h = len(basis)
@@ -186,16 +198,20 @@ def find_orthogonalizing_spin_form(m, E: OrderUnitSpace, tol: float = 1e-9
 
     mats = [_unpack(v, dim, K) for v in basis]
     if K.exact:
-        Ms = [K.array(S) for S in mats]
-        G, U = K.array(E.cone_generators), K.array(E.u)
-        grams = [G @ M @ G.T for M in Ms]
-        ineqs = [([Gs[i, j] for Gs in grams], ZERO)
-                 for i in range(len(G)) for j in range(i, len(G))]
-        res = free_feasibility(ineqs, [([U @ M @ U for M in Ms], ONE)], h)
+        s, A = K.scaled(mats)                       # one denominator for all
+        s_g, G = E.effect_cone.scaled_generators
+        s_u, U = K.scaled(E.u)
+        iu, ju = np.triu_indices(len(G))
+        q = s * s_g * s_g
+        ineqs = [([Fraction(x, q) for x in col], ZERO)
+                 for col in (G @ A @ G.T)[:, iu, ju].T]
+        res = free_feasibility(ineqs, [([Fraction(x, s * s_u * s_u)
+                                         for x in U @ A @ U], ONE)], h)
         if not res.feasible:
             return SpinFormResult(None, h, ["no cone-positive form on the "
                                             "normalized slice"])
-        S = sum(c * M for c, M in zip(res.point, Ms))
+        s_c, C = K.scaled(res.point)
+        S = K.array(np.tensordot(C, A, 1)) / (s_c * s)
         form = BilinearForm(K.native(S), "exact", invariant=True)
         certify_flags(form, E, tol)
         return SpinFormResult(form, h, [], basis=mats)
@@ -240,18 +256,17 @@ def certify_flags(form: BilinearForm, E: OrderUnitSpace,
     unitarity.
     """
     K = _Kind(form.kind, tol)
-    M = K.array(form.matrix)
-    u = K.array(E.u)
-    form.normalized = K.is_zero(u @ M @ u - 1)
-    outs = E.model.outcomes
-    V = K.array([E.outcome_vectors[x] for x in outs])
+    s, M = K.scaled(form.matrix)
+    s_u, u = K.scaled(E.u)
+    form.normalized = K.is_zero(u @ M @ u - s_u * s_u * s)
+    V = _outcome_rows(E, K)
     G = V @ M @ V.T
-    at = {x: i for i, x in enumerate(outs)}
+    at = {x: i for i, x in enumerate(E.model.outcomes)}
     pairs = distinguishable_pairs(E.model)
     form.orthogonalizing = K.is_zero(G[[at[a] for a, _ in pairs],
                                        [at[b] for _, b in pairs]])
     form.positive_on_cone = bool(G.min() >= -K.tol)
-    form.positive_definite = (is_positive_definite(form.matrix) if K.exact
+    form.positive_definite = (is_positive_definite(M) if K.exact
                               else bool(np.linalg.eigvalsh(M).min() > tol))
 
 
@@ -281,23 +296,13 @@ def check_spin_uniqueness(m, E: OrderUnitSpace,
     """
     irr = is_irreducible(E)
     res = find_orthogonalizing_spin_form(m, E, tol=tol)
-    notes = list(res.notes)
-    if not irr:
-        return SpinUniquenessReport(irr, res.solution_space_dim,
-                                    res.form is not None,
-                                    res.form.positive_definite if res.form else None,
-                                    hypothesis_met=False, consistent=True,
-                                    spin=res,
-                                    notes=notes + ["hypothesis not met: "
-                                                   "model is reducible"])
-    ok = res.solution_space_dim <= 1
     pd = res.form.positive_definite if res.form is not None else None
-    if res.form is not None:
-        ok = ok and bool(pd)
-    return SpinUniquenessReport(irr, res.solution_space_dim,
-                                res.form is not None, pd,
-                                hypothesis_met=True, consistent=ok,
-                                spin=res, notes=notes)
+    ok = not irr or (res.solution_space_dim <= 1 and pd is not False)
+    return SpinUniquenessReport(
+        irr, res.solution_space_dim, res.form is not None, pd,
+        hypothesis_met=irr, consistent=ok, spin=res,
+        notes=res.notes + ([] if irr else ["hypothesis not met: model is "
+                                           "reducible"]))
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +310,12 @@ def check_spin_uniqueness(m, E: OrderUnitSpace,
 
 def check_unitarity(actions, B: BilinearForm, tol: float = 1e-9) -> bool:
     """Every symmetry is B-unitary: its B-adjoint equals its inverse,
-    i.e. M^T B M = B for each generator.  B must be invertible, which the
-    kind's rank decides: a determinant test would depend on the scale of B
-    (det(I/n) on n² dimensions is n^(-n²))."""
+    i.e. (sM)^T B (sM) = s² B for each generator.  B must be invertible,
+    which the kind's rank decides: a determinant test would depend on the
+    scale of B (det(I/n) on n² dimensions is n^(-n²))."""
     K = _Kind(B.kind, tol)
-    Bm = K.array(B.matrix)
+    Bm = K.scaled(B.matrix)[1]
     if K.rank(Bm) < len(Bm):
         raise ValueError("unitarity check needs an invertible form")
-    return all(K.is_zero(M.T @ Bm @ M - Bm) for M in map(K.array, actions))
+    return all(K.is_zero(A.T @ Bm @ A - s * s * Bm)
+               for s, A in map(K.scaled, actions))

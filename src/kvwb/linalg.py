@@ -312,20 +312,22 @@ def is_symmetric(A: Mat) -> bool:
     return all(A[i][j] == A[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-def is_positive_definite(A: Mat) -> bool:
-    """Sylvester criterion via symmetric Gaussian elimination (exact)."""
-    n = len(A)
+def is_positive_definite(A) -> bool:
+    """Sylvester's criterion on a symmetric rational matrix, fraction-free:
+    primitive integer rows (positive factors keep the signs of the leading
+    minors), and Bareiss elimination leaves the k-th minor as a pivot."""
     if not is_symmetric(A):
         return False
-    M = [row[:] for row in A]
-    for k in range(n):
-        piv = M[k][k]
-        if piv <= 0:
+    M = [_primitive_row(row) for row in A]
+    prev = 1
+    for k, prow in enumerate(M):
+        p = prow[k]
+        if p <= 0:
             return False
-        for i in range(k + 1, n):
-            if M[i][k] != 0:
-                f = M[i][k] / piv
-                M[i] = [x - f * y for x, y in zip(M[i], M[k])]
+        for i in range(k + 1, len(M)):
+            f = M[i][k]
+            M[i] = [(p * x - f * y) // prev for x, y in zip(M[i], prow)]
+        prev = p
     return True
 
 

@@ -29,7 +29,13 @@ but for `_solve`, the `_Kind.solve` they called), and the catalog of
 `kvwb.jordan` built by loops over (real, imaginary) `Fraction` pairs, with
 the `Fraction` loops of `JordanAlgebra.product` (`loop_product`) and
 `trace_form_gram` (`loop_trace_form_gram`), that integer basis arrays and
-one `_Kind` body each replaced (verbatim, but for those two names).
+one `_Kind` body each replaced (verbatim, but for those two names), and
+the `Fraction` bodies of the invariant-form checks that integer products
+over common denominators replaced: `is_positive_definite` (symmetric
+Gaussian elimination), `pairwise_form_positivity` (a loop over generator
+pairs), `fixed_covector_dim`, `certify_flags` and `check_unitarity`
+(verbatim, but for the names and for `pairwise_form_positivity` taking the
+generator list).
 
 Slow and obviously correct; the property tests require the fast kernels to
 return exactly what these return.
@@ -45,14 +51,14 @@ import numpy as np
 from kvwb.composites import (BipartiteState, CompositeError,
                              IsomorphismStateReport, OmegaHat, _check_gamma,
                              _entangled_eta, _invariance_flag)
-from kvwb.cones import SelfDualityReport, dual_cone, pairwise_form_positivity
+from kvwb.cones import SelfDualityReport, dual_cone
 from kvwb.effectspace import OrderUnitSpace, build_effect_space
 from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
                          _degrees_and_powers, _integer_block,
                          _random_rational_vec, _reconstruct, _value,
                          quadratic_rep, trace_form_gram)
 from kvwb.linalg import (Mat, Vec, ZERO, ONE, _augmented_solution, _Kind,
-                         _null_basis, dot, frac, is_positive_definite,
+                         _null_basis, dot, frac, is_symmetric,
                          mat_vec, solve, sparse_int_rows)
 from kvwb import linalg, lp
 from kvwb.lp import LPResult, UnboundedError
@@ -798,7 +804,6 @@ def spin_float_flags(form, E, pairs, S, tol: float) -> None:
 
 
 def _flag_exact(B, m, E) -> None:
-    from kvwb.linalg import is_positive_definite
     from kvwb.models import distinguishable_pairs
     B.normalized = B.value(E.u, E.u) == 1
     B.orthogonalizing = all(
@@ -1341,3 +1346,69 @@ CATALOG = {
     "QuatHerm": quaternionic_hermitian,
     "SpinFactor": spin_factor,
 }
+
+
+# ---------------------------------------------------------------------------
+# the `Fraction` bodies of the invariant-form checks
+
+def is_positive_definite(A: Mat) -> bool:
+    """Sylvester criterion via symmetric Gaussian elimination (exact)."""
+    n = len(A)
+    if not is_symmetric(A):
+        return False
+    M = [row[:] for row in A]
+    for k in range(n):
+        piv = M[k][k]
+        if piv <= 0:
+            return False
+        for i in range(k + 1, n):
+            if M[i][k] != 0:
+                f = M[i][k] / piv
+                M[i] = [x - f * y for x, y in zip(M[i], M[k])]
+    return True
+
+
+def pairwise_form_positivity(gens: list[Vec], form: Mat
+                             ) -> tuple[Fraction, tuple]:
+    best = None
+    arg = ()
+    for i, g in enumerate(gens):
+        fg = mat_vec(form, g)
+        for k, h in enumerate(gens):
+            v = dot(h, fg)
+            if best is None or v < best:
+                best, arg = v, (i, k)
+    return best, arg
+
+
+def fixed_covector_dim(E: OrderUnitSpace) -> int:
+    """Dimension of {w : M^T w = w for every action M}."""
+    K = _Kind(E.kind)
+    rows = [K.array(M).T - K.eye(E.dim) for M in E.actions]
+    return len(K.nullspace(np.concatenate([K.zeros((0, E.dim)), *rows])))
+
+
+def certify_flags(form, E: OrderUnitSpace, tol: float = 1e-9) -> None:
+    from kvwb.models import distinguishable_pairs
+    K = _Kind(form.kind, tol)
+    M = K.array(form.matrix)
+    u = K.array(E.u)
+    form.normalized = K.is_zero(u @ M @ u - 1)
+    outs = E.model.outcomes
+    V = K.array([E.outcome_vectors[x] for x in outs])
+    G = V @ M @ V.T
+    at = {x: i for i, x in enumerate(outs)}
+    pairs = distinguishable_pairs(E.model)
+    form.orthogonalizing = K.is_zero(G[[at[a] for a, _ in pairs],
+                                       [at[b] for _, b in pairs]])
+    form.positive_on_cone = bool(G.min() >= -K.tol)
+    form.positive_definite = (is_positive_definite(form.matrix) if K.exact
+                              else bool(np.linalg.eigvalsh(M).min() > tol))
+
+
+def check_unitarity(actions, B, tol: float = 1e-9) -> bool:
+    K = _Kind(B.kind, tol)
+    Bm = K.array(B.matrix)
+    if K.rank(Bm) < len(Bm):
+        raise ValueError("unitarity check needs an invertible form")
+    return all(K.is_zero(M.T @ Bm @ M - Bm) for M in map(K.array, actions))

@@ -182,6 +182,26 @@ def test_jordan_subcommands(runner):
     assert "ComplexHerm(2)~SpinFactor(3)" in json.loads(res.output)["candidates"]
 
 
+@pytest.mark.parametrize("kind", ["RealSym(0)", "ComplexHerm(0)",
+                                  "QuatHerm(0)", "RealSym(1)+RealSym(0)",
+                                  "Foo(2)"])
+def test_jordan_verify_rejects_what_it_cannot_build(runner, kind):
+    """An unparseable kind and a matrix family of size 0 both end in a
+    one-line error and exit 1, not a traceback."""
+    res = runner.invoke(main, ["jordan", "verify", kind])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("Error: cannot ")
+    assert len(res.output.splitlines()) == 1
+
+
+def test_spin_factor_zero_is_the_real_line(runner):
+    res = invoke(runner, "jordan", "verify", "SpinFactor(0)")
+    assert res.exit_code == 0
+    blob = json.loads(res.output)
+    assert blob["dim"] == 1 and blob["ok"] is True
+
+
 def test_model_file_input(runner, tmp_path):
     res = invoke(runner, "report", "classical:3")
     spec = json.loads(res.output)["model_spec"]

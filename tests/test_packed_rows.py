@@ -1,8 +1,10 @@
 """The broadcast builder of packed symmetric rows equals the loops it
 replaced, kept in `reference_kernels`: the invariance rows M^T S M - S, the
 pairing rows x^T S y and the unpacking of a packed vector.  Exact rows must
-hold the same `Fraction`s, float rows the same bits, signed zeros included.
+hold the same `Fraction`s (exact invariance rows: the same rationals times
+s², as integers), float rows the same bits, signed zeros included.
 """
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -45,12 +47,20 @@ def test_invariance_rows_match_the_loops(data, dim, n_actions, exact):
     actions = [K.array(data.draw(matrices(entries, dim)))
                for _ in range(n_actions)]
     rows = invariance_rows(actions, dim, "exact" if exact else "float")
-    old = [row for M in actions
+    # exact rows are integers: s² times the oracle's, s the common
+    # denominator of the action
+    scale = [math.lcm(*(x.denominator for x in M.flat)) ** 2 if exact
+             else 1 for M in actions]
+    old = [[s * x for x in row] for M, s in zip(actions, scale)
            for row in oracle._invariance_rows(M if not exact else M.tolist(),
                                               dim, exact)]
     old = np.reshape(np.array(old, dtype=object if exact else float),
                      (-1, dim * (dim + 1) // 2))
-    (assert_same_exact if exact else assert_same_floats)(rows, old)
+    if exact:
+        assert all(type(x) is int for x in np.ravel(rows))
+        assert rows.shape == old.shape and rows.tolist() == old.tolist()
+    else:
+        assert_same_floats(rows, old)
 
 
 @settings(max_examples=60, deadline=None)
