@@ -407,9 +407,6 @@ class _Kind:
     def zeros(self, shape) -> np.ndarray:
         return self.array(np.zeros(shape, dtype=int))
 
-    def eye(self, n: int) -> np.ndarray:
-        return self.array(np.eye(n, dtype=int))
-
     def is_zero(self, x) -> bool:
         """Every entry of x within the zero tolerance (True when empty)."""
         return not np.size(x) or bool(np.max(np.abs(x)) <= self.tol)

@@ -34,8 +34,9 @@ the `Fraction` bodies of the invariant-form checks that integer products
 over common denominators replaced: `is_positive_definite` (symmetric
 Gaussian elimination), `pairwise_form_positivity` (a loop over generator
 pairs), `fixed_covector_dim`, `certify_flags` and `check_unitarity`
-(verbatim, but for the names and for `pairwise_form_positivity` taking the
-generator list).
+(verbatim, but for the names, for `pairwise_form_positivity` taking the
+generator list and for `fixed_covector_dim` building the identity that the
+removed `_Kind.eye` built).
 
 Slow and obviously correct; the property tests require the fast kernels to
 return exactly what these return.
@@ -1384,7 +1385,8 @@ def pairwise_form_positivity(gens: list[Vec], form: Mat
 def fixed_covector_dim(E: OrderUnitSpace) -> int:
     """Dimension of {w : M^T w = w for every action M}."""
     K = _Kind(E.kind)
-    rows = [K.array(M).T - K.eye(E.dim) for M in E.actions]
+    rows = [K.array(M).T - K.array(np.eye(E.dim, dtype=int))
+            for M in E.actions]
     return len(K.nullspace(np.concatenate([K.zeros((0, E.dim)), *rows])))
 
 

@@ -122,5 +122,5 @@ def test_kind_nullspace_of_no_rows_is_the_identity(kind):
     from kvwb.linalg import _Kind
     K = _Kind(kind)
     N = K.nullspace(K.zeros((0, 3)))
-    assert N.shape == (3, 3) and K.is_zero(N - K.eye(3))
+    assert N.shape == (3, 3) and K.is_zero(N - K.array(np.eye(3, dtype=int)))
     assert K.rank(N) == 3 and len(K.nullspace(N)) == 0
