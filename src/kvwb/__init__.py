@@ -23,16 +23,16 @@ from .forms import (BilinearForm, check_spin_uniqueness, check_unitarity,
 from .jordan import (CATALOG, JordanAlgebra, RecoveryProblem, RecoveryResult,
                      classical_algebra, complex_hermitian,
                      cone_of_squares_membership, direct_sum, identify_algebra,
-                     jordan_product, jordan_sqrt, quadratic_rep,
-                     quaternionic_hermitian, real_symmetric,
-                     recover_jordan_product, spectral_decomposition,
-                     spin_factor, verify_symmetric_cone)
+                     jordan_product, quadratic_rep, quaternionic_hermitian,
+                     real_symmetric, recover_jordan_product, spin_factor,
+                     verify_symmetric_cone)
 from .models import (Model, ModelError, PermutationGroup, TestSpace,
                      check_bisymmetry, find_nontrivial_images, is_sharp,
                      validate_model)
 from .pipeline import PipelineReport, run_pipeline
 from .serialize import (dumps_canonical, load_model, model_from_json,
                         model_to_json, parse_frac)
+from .spectral import jordan_sqrt, spectral_decomposition
 
 __version__ = "0.1.0"
 

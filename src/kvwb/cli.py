@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import click
 
-from . import composites, cones, effectspace, forms, jordan, models
+from . import composites, cones, effectspace, forms, jordan, models, spectral
 from .builtins import builtin_names, conjugation_bijection
 from .pipeline import EXPECT_TOKENS, run_pipeline
 from .serialize import (bipartite_to_json, cone_from_json, cone_to_json,
@@ -460,7 +460,7 @@ def jordan_identify(model, seed, tol, out):
         _emit(dumps_canonical({"model": m.name, "candidates": [],
                                "notes": res.notes}), out)
         sys.exit(1)
-    rank = jordan.generic_rank(res.algebra, seed=seed)
+    rank = spectral.generic_rank(res.algebra, seed=seed)
     cands = jordan.algebra_candidates(res.algebra.dim, rank)
     doc = {"model": m.name, "dim": res.algebra.dim, "rank": rank,
            "candidates": cands,

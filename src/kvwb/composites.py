@@ -25,6 +25,7 @@ from .lp import (LPResult, check_certificate, convex_membership,
                  solve_feasibility)
 from .models import (Model, PermutationGroup, PolytopeBackend, QuantumBackend,
                      orbit, vertex_permutation)
+from .spectral import _lstsq
 
 
 class CompositeError(ValueError):
@@ -111,32 +112,53 @@ def marginal(w: BipartiteState, side: str = "A") -> list:
     return [conditional(w, y, "B").mass for y in w.B.outcomes]
 
 
-def _conditional_in_cone(other: Model, vec, tol: float):
-    """Is an unnormalized conditional in the cone over the partner's states?"""
+def _conditionals_in_cone(other: Model, vecs: list, tol: float) -> list:
+    """(ok, why) for each unnormalized conditional: is it in the cone over
+    the partner's states?  On a quantum partner each step is one stacked
+    call that gives every vector its own call's floats (the operator is
+    fitted by the gufunc behind `np.linalg.lstsq`); when one raises, the
+    vectors are replayed one at a time, so the first error is raised."""
     if isinstance(other.states, PolytopeBackend):
-        mass = sum(vec[other.testspace.index(y)] for y in other.tests[0])
-        if mass < 0:
-            return False, "negative mass"
-        if mass == 0:
-            if any(v != 0 for v in vec):
-                return False, "zero mass but nonzero entries"
-            return True, None
-        res = convex_membership([v / mass for v in vec],
-                                [list(p) for p in other.states.vertices])
-        return res.feasible, None if res.feasible else "outside state polytope"
+        return [_conditional_in_polytope(other, vec) for vec in vecs]
     qb: QuantumBackend = other.states
     rows = qb.outcome_coords(other.outcomes)
-    sol, res, rk, _ = np.linalg.lstsq(rows, np.asarray(vec, float), rcond=None)
-    resid = float(np.abs(rows @ sol - np.asarray(vec, float)).max())
-    if resid > tol:
-        return False, f"no operator reproduces the conditional (residual {resid:.2e})"
-    if rk < qb.basis.space_dim:
-        return True, "sample not informationally complete; PSD untested"
-    H = qb.basis.from_coords(sol)
-    lo = float(np.linalg.eigvalsh((H + H.conj().T) / 2).min())
-    if lo < -tol:
-        return False, f"conditional operator not PSD (min eig {lo:.2e})"
-    return True, None
+    V = np.asarray(vecs, float)
+    try:
+        sols, ranks = _lstsq(rows, V)
+        resid = np.abs((rows @ sols[..., None])[..., 0] - V).max(axis=1)
+        tested = ~(resid > tol) & (ranks >= qb.basis.space_dim)
+        H = qb.basis.from_coords(sols[tested])
+        lows = iter(np.linalg.eigvalsh((H + H.conj().swapaxes(1, 2)) / 2)
+                    .min(axis=1).tolist())
+    except np.linalg.LinAlgError:
+        if len(V) == 1:
+            raise
+        return [r for v in vecs for r in _conditionals_in_cone(other, [v], tol)]
+    out = []
+    for r, test in zip(resid.tolist(), tested.tolist()):
+        lo = next(lows) if test else 0.0
+        why = (f"no operator reproduces the conditional (residual {r:.2e})"
+               if r > tol else
+               "sample not informationally complete; PSD untested"
+               if not test else
+               f"conditional operator not PSD (min eig {lo:.2e})"
+               if lo < -tol else None)
+        out.append((not r > tol and not lo < -tol, why))
+    return out
+
+
+def _conditional_in_polytope(other: Model, vec):
+    """Is an unnormalized conditional in the cone over a polytope?"""
+    mass = sum(vec[other.testspace.index(y)] for y in other.tests[0])
+    if mass < 0:
+        return False, "negative mass"
+    if mass == 0:
+        if any(v != 0 for v in vec):
+            return False, "zero mass but nonzero entries"
+        return True, None
+    res = convex_membership([v / mass for v in vec],
+                            [list(p) for p in other.states.vertices])
+    return res.feasible, None if res.feasible else "outside state polytope"
 
 
 def validate_bipartite(w: BipartiteState, tol: float = 1e-9) -> BipartiteReport:
@@ -151,18 +173,15 @@ def validate_bipartite(w: BipartiteState, tol: float = 1e-9) -> BipartiteReport:
             s = sum(w.table[(x, y)] for x in E for y in F)
             if not K.is_zero(s - 1):
                 problems.append(f"product test {E}x{F} sums to {s}, not 1")
-    for x in w.A.outcomes:
-        ok, why = _conditional_in_cone(w.B, w.row(x), tol)
-        if not ok:
-            problems.append(f"conditional on {x!r}: {why}")
-        elif why:
-            notes.append(f"conditional on {x!r}: {why}")
-    for y in w.B.outcomes:
-        ok, why = _conditional_in_cone(w.A, w.column(y), tol)
-        if not ok:
-            problems.append(f"conditional on second-factor {y!r}: {why}")
-        elif why:
-            notes.append(f"conditional on second-factor {y!r}: {why}")
+    for label, outs, other, vec in (
+            ("", w.A.outcomes, w.B, w.row),
+            ("second-factor ", w.B.outcomes, w.A, w.column)):
+        for x, (ok, why) in zip(outs, _conditionals_in_cone(
+                other, [vec(x) for x in outs], tol)):
+            if not ok:
+                problems.append(f"conditional on {label}{x!r}: {why}")
+            elif why:
+                notes.append(f"conditional on {label}{x!r}: {why}")
     neg = [(k, v) for k, v in w.table.items() if v < -K.tol]
     if neg:
         problems.append(f"negative entries: {neg[:3]}")
@@ -307,13 +326,13 @@ def is_isomorphism_state(w: BipartiteState,
         for stage, M, E_x, E_y, outs in (
                 ("forward", W, E_A, E_B, w.A.outcomes),
                 ("inverse", W_inv, E_B, E_A, w.B.outcomes)):
-            for x in outs:
-                H = E_y.basis.from_coords(
-                    M @ np.asarray(E_x.outcome_vectors[x]))
-                lo = float(np.linalg.eigvalsh((H + H.conj().T) / 2).min())
-                if lo < -tol:
-                    failures.append({"stage": stage, "outcome": x,
-                                     "min_eig": lo})
+            # one matrix-vector product per outcome, stacked, as M @ v
+            V = np.array([E_x.outcome_vectors[x] for x in outs])
+            H = E_y.basis.from_coords((M @ V[..., None])[..., 0])
+            lows = np.linalg.eigvalsh((H + H.conj().swapaxes(1, 2)) / 2)
+            failures += [{"stage": stage, "outcome": x, "min_eig": lo}
+                         for x, lo in zip(outs, lows.min(axis=1).tolist())
+                         if lo < -tol]
     stages = {f["stage"] for f in failures}
     fwd, inv = "forward" not in stages, "inverse" not in stages
     return IsomorphismStateReport(fwd and inv, True, fwd, inv, failures, notes)
@@ -491,29 +510,27 @@ def _unknown_orbits(m: Model, gamma: dict[str, str], pos: dict[str, int],
 
 def _entangled_eta(m: Model, gamma: dict[str, str],
                    tol: float) -> BipartiteState:
-    """Analytic conjugate table from the maximally entangled vector.
-
-    For the canonical entangled vector the joint value on (x, gamma(y)) is
-    tr(x y)/d; equivalently the table entry at (x, z) is tr(x conj(z))/d.
-    The construction is verified (diagonal, normalization, hermiticity of
-    the pairing) rather than searched for.
-    """
+    """Analytic conjugate table from the maximally entangled vector: the
+    entry at (x, z) is tr(x conj(z))/d, the joint value tr(x y)/d on
+    (x, gamma(y)).  It is verified (diagonal, normalization, a real
+    pairing) rather than searched for."""
     qb: QuantumBackend = m.states
-    d = qb.dim
-    for x in m.outcomes:
-        gm = qb.outcome_matrices[gamma[x]]
-        if np.abs(gm - qb.outcome_matrices[x].conj()).max() > tol:
-            raise CompositeError(
-                f"gamma({x!r}) is not the conjugated effect; the entangled "
-                "construction needs the conjugation bijection")
-    table = {}
-    for x in m.outcomes:
-        for z in m.outcomes:
-            val = np.trace(qb.outcome_matrices[x]
-                           @ qb.outcome_matrices[z].conj()) / d
-            if abs(val.imag) > 1e-12:
-                raise CompositeError(f"entangled table not real at ({x},{z})")
-            table[(x, z)] = float(val.real)
+    d, outs = qb.dim, list(m.outcomes)
+    X = np.array([qb.outcome_matrices[x] for x in outs])
+    G = np.array([qb.outcome_matrices[gamma[x]] for x in outs])
+    bad = np.flatnonzero(np.abs(G - X.conj()).max(axis=(1, 2)) > tol)
+    if len(bad):
+        raise CompositeError(
+            f"gamma({outs[bad[0]]!r}) is not the conjugated effect; the "
+            "entangled construction needs the conjugation bijection")
+    # one matrix product per pair, stacked, each traced as np.trace does
+    vals = np.trace(X[:, None] @ X.conj()[None], axis1=2, axis2=3) / d
+    bad = np.argwhere(np.abs(vals.imag) > 1e-12)
+    if len(bad):
+        x, z = (outs[i] for i in bad[0])
+        raise CompositeError(f"entangled table not real at ({x},{z})")
+    table = dict(zip(((x, z) for x in outs for z in outs),
+                     vals.real.ravel().tolist()))
     w = BipartiteState(m, m, table)
     for x in m.outcomes:
         if abs(w.table[(x, gamma[x])] - 1.0 / d) > tol:

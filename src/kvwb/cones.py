@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (Mat, Vec, ZERO, ONE, _integer_block, _primitive_row, dot,
-                     mat_vec, rank, det, frac)
+                     mat_vec, rank, frac)
 from .lp import CertificateError, LPResult, cone_membership, free_feasibility
 
 
@@ -351,7 +351,9 @@ def is_weakly_self_dual(K: PolyhedralCone, D: PolyhedralCone,
 
 
 def _try_bijection(R, S, perm, d):
-    """Solve M r_i = lam_i s_{perm(i)}, lam_i > 0, det M != 0 — or rule it out."""
+    """Solve M r_i = lam_i s_{perm(i)}, lam_i > 0, det M != 0 — or rule it out.
+    The tests run on Python ints: the null basis and each combination are
+    scaled to integers over their common denominators, divided out once."""
     from .linalg import nullspace
 
     m = len(R)
@@ -376,21 +378,21 @@ def _try_bijection(R, S, perm, d):
     res = free_feasibility(ineqs, [], len(basis))
     if not res.feasible:
         return False, None, None, None
-    combos = [res.point]
+    s_n, N = _integer_block(basis)              # s_n · basis
+    combos = [_integer_block(res.point)]        # (s_c, s_c · combo)
     for b in range(len(basis)):
         for eps in (Fraction(1, 7), Fraction(-1, 7)):
             shifted = list(res.point)
             shifted[b] += eps
-            if all(sum(c * basis[k][d * d + i] for k, c in enumerate(shifted)) > 0
-                   for i in range(m)):
-                combos.append(shifted)
-    for combo in combos:
-        vec = [sum(c * basis[k][j] for k, c in enumerate(combo))
-               for j in range(d * d + m)]
-        M = [[vec[r * d + c] for c in range(d)] for r in range(d)]
-        if det(M) != 0:
-            lams = [vec[d * d + i] for i in range(m)]
-            return True, M, lams, None
+            s_c, c = _integer_block(shifted)
+            if (c @ N[:, d * d:] > 0).all():
+                combos.append((s_c, c))
+    for s_c, c in combos:
+        vec = c @ N                             # s_c·s_n · vec
+        if rank(vec[:d * d].reshape(d, d).tolist()) == d:
+            vec = [Fraction(v, s_c * s_n) for v in vec.tolist()]
+            M = [vec[r * d:r * d + d] for r in range(d)]
+            return True, M, vec[d * d:], None
     return False, None, None, f"bijection {perm}: solutions exist but all sampled maps singular"
 
 

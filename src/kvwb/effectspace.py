@@ -191,12 +191,14 @@ def _build_float(m: Model) -> OrderUnitSpace:
     if span < basis.space_dim:
         notes.append(f"sampled outcomes span only {span} of "
                      f"{basis.space_dim} effect dimensions")
-    collapse = []
+    # np.allclose(x, y, atol=1e-12) for every pair x before y at once
+    X, Y = stacked[:, None], stacked[None]
+    with np.errstate(invalid="ignore"):
+        close = ((np.abs(X - Y) <= 1e-12 + 1e-5 * np.abs(Y)) & np.isfinite(Y)
+                 | (X == Y)).all(axis=2)
     labels = list(m.outcomes)
-    for i, x in enumerate(labels):
-        for y in labels[i + 1:]:
-            if np.allclose(coords[x], coords[y], atol=1e-12):
-                collapse.append((x, y))
+    collapse = [(labels[i], labels[j])
+                for i, j in zip(*np.nonzero(np.triu(close, 1)))]
     return OrderUnitSpace(model=m, kind="float", dim=basis.space_dim,
                           u=basis.unit_coords, outcome_vectors=coords,
                           basis=basis, span_dim=span, collapse=collapse,

@@ -18,11 +18,12 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .linalg import (ONE, _integer_block, _Kind, frac,
                      is_positive_definite, solve_with_nullspace,
                      sparse_int_rows)
+from .spectral import (_eigenvalues_many, _groups, _idempotents, _sqrt_many,
+                       _value, generic_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -279,299 +280,6 @@ def _reconstruct(J: JordanAlgebra, a) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# spectral machinery (tensor-only, works for any kind)
-#
-# The kernels work on a stack of elements, one per row, and give each row
-# the same floats the one-element functions below give it: every stacked
-# numpy call used here (einsum with a leading row axis, solve, svd, matmul,
-# eigvals, and the gufunc behind np.linalg.lstsq) does per row what its
-# unstacked form does.  A row that fails holds its exception in place of its
-# result, so a caller can replay the rows in order and stop where a
-# row-by-row loop would have stopped.
-
-
-def _value(result):
-    """A kernel's per-row result, raised when it is an exception."""
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
-def _stacked(f, *stacks) -> list:
-    """f over stacked arrays, as a list of per-row results.  When the stacked
-    call raises LinAlgError, f runs row by row and each failing row holds
-    its LinAlgError."""
-    try:
-        return list(f(*stacks))
-    except np.linalg.LinAlgError:
-        out = []
-        for row in zip(*stacks):
-            try:
-                out.append(f(*row))
-            except np.linalg.LinAlgError as e:
-                out.append(e)
-        return out
-
-
-def _degrees_and_powers(J: JordanAlgebra, W: np.ndarray, tol: float = 1e-8):
-    """Minimal-polynomial degree and Jordan powers of each row w of W.
-
-    The powers are u, w, w∘w, w∘(w∘w), ...; the degree is the least k with
-    rank[u, w, ..., w^k] <= k, the rank cut at tol * max(1, max |entry|) of
-    that prefix.  Each step makes one stacked product for the rows still
-    open and one stacked rank, and the powers stop once every row has its
-    degree.  Returns (degrees, powers): degrees a list of ints (a
-    LinAlgError for a row whose rank failed), powers shaped (rows, dim + 1,
-    dim) with row n filled up to w^degree.
-    """
-    W = np.asarray(W, float)
-    T, d = J.np_tensor, J.dim
-    pows = np.empty((len(W), d + 1, d))
-    pows[:, 0] = J.unit_float()
-    pows[:, 1] = W
-    degs: list = [d] * len(W)
-    open_rows = np.arange(len(W))
-    for k in range(1, d + 1):
-        if not open_rows.size:
-            break
-        M = pows[open_rows, :k + 1]
-        # fmax, like max(1.0, x), passes over a NaN
-        cut = tol * np.fmax(1.0, np.abs(M).max(axis=(1, 2)))
-        still = []
-        for n, r in zip(open_rows, _stacked(np.linalg.matrix_rank, M, cut)):
-            if isinstance(r, Exception):
-                degs[n] = r
-            elif r <= k:
-                degs[n] = k
-            else:
-                still.append(n)
-        open_rows = np.array(still, dtype=np.intp)
-        if open_rows.size and k < d:
-            pows[open_rows, k + 1] = np.einsum(
-                "ni,nj,ijk->nk", W[open_rows], pows[open_rows, k], T)
-    return degs, pows
-
-
-def _raise_lstsq(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-
-def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`np.linalg.lstsq(A, b, rcond=None)[0]` for a stack of A and of
-    vectors b, as one call of the gufunc that lstsq itself calls, with its
-    rcond, signature and errstate."""
-    with np.errstate(call=_raise_lstsq, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        x = _umath_linalg.lstsq(A, b[..., None],
-                                np.finfo(float).eps * max(A.shape[-2:]),
-                                signature="ddd->ddid")[0]
-    return x[..., 0]
-
-
-def _minimal_polynomials(pows: np.ndarray, degs: list) -> list:
-    """Coefficients c of each row's minimal polynomial, w^k = sum c_i w^i
-    over i < k with k = degs[n], fitted to the powers pows[n] as
-    `np.linalg.lstsq(pows[n, :k].T, pows[n, k], rcond=None)[0]`: one
-    stacked fit per degree.  A row whose degree is an exception keeps it; a
-    row whose fit fails holds its LinAlgError."""
-    out = list(degs)
-    for k in {deg for deg in degs if not isinstance(deg, Exception)}:
-        rows = [n for n, deg in enumerate(degs) if deg == k]
-        P = pows[rows]
-        for n, c in zip(rows, _stacked(_lstsq, P[:, :k].transpose(0, 2, 1),
-                                       P[:, k])):
-            out[n] = c
-    return out
-
-
-def _roots_many(coeffs: list) -> list:
-    """`np.roots` of each row's monic polynomial x^k - sum c_i x^i, or the
-    exception the row holds or raises.
-
-    As in np.roots, the trailing zero coefficients are stripped, the roots
-    of the rest are the eigenvalues of its companion matrix, and one zero
-    root is appended per stripped coefficient; the companion matrices of one
-    size go to one stacked `eigvals`.
-    """
-    out = list(coeffs)
-    by_size: dict = {}
-    for n, c in enumerate(coeffs):
-        if not isinstance(c, Exception):
-            poly = np.concatenate([[1.0], -c[::-1]])  # monic, high power first
-            size = int(np.flatnonzero(poly)[-1])
-            by_size.setdefault(size, []).append((n, poly[:size + 1]))
-    for size, group in by_size.items():
-        rows, polys = zip(*group)
-        roots = [np.array([])] * len(rows)
-        if size:
-            polys = np.array(polys)
-            C = np.zeros((len(rows), size, size))
-            C[:, np.arange(1, size), np.arange(size - 1)] = 1.0
-            C[:, 0] = -polys[:, 1:] / polys[:, :1]
-            roots = _stacked(np.linalg.eigvals, C)
-        for n, r in zip(rows, roots):
-            out[n] = r if isinstance(r, Exception) else np.hstack(
-                (r, np.zeros(len(coeffs[n]) - size, r.dtype)))
-    return out
-
-
-def _merged(roots: np.ndarray) -> np.ndarray:
-    """Sorted real roots, near-coincident ones merged into one node (their
-    mean); ArithmeticError when a root is complex."""
-    if np.abs(roots.imag).max(initial=0.0) > 1e-6:
-        raise ArithmeticError("complex eigenvalues in a formally real algebra "
-                              f"(imag {np.abs(roots.imag).max():.2e})")
-    lams = np.sort(roots.real)
-    # Lagrange interpolation is badly conditioned when eigenvalues are close,
-    # so nearly coincident roots are merged into one node.
-    scale = max(1.0, float(np.abs(lams).max()))
-    clusters: list[list[float]] = []
-    for l in lams:
-        if clusters and l - clusters[-1][-1] <= 1e-6 * scale:
-            clusters[-1].append(float(l))
-        else:
-            clusters.append([float(l)])
-    return np.array([sum(c) / len(c) for c in clusters])
-
-
-def _eigenvalues_many(J: JordanAlgebra, W: np.ndarray) -> list:
-    """Merged eigenvalues of each row of W (see `_eigenvalues`), or the
-    ArithmeticError or LinAlgError that row raises.  The degrees and powers,
-    the minimal-polynomial fits and the roots are stacked; only the merge
-    goes row by row."""
-    degs, pows = _degrees_and_powers(J, W)
-    out = _roots_many(_minimal_polynomials(pows, degs))
-    for n, roots in enumerate(out):
-        if not isinstance(roots, Exception):
-            try:
-                out[n] = _merged(roots)
-            except ArithmeticError as e:
-                out[n] = e
-    return out
-
-
-def _sqrt_many(J: JordanAlgebra, W: np.ndarray) -> list:
-    """Square root of each row of W (see `jordan_sqrt`), or the error that
-    row raises: ArithmeticError for a complex or negative eigenvalue or a
-    stalled iteration, LinAlgError for a singular L_s.
-
-    Each Babylonian step is one stacked L_s, one stacked solve and one
-    stacked square over the rows that have not converged yet.
-    """
-    W = np.asarray(W, float)
-    T, u = J.np_tensor, J.unit_float()
-    out = _eigenvalues_many(J, W)
-    S = np.empty_like(W)
-    scale = np.empty(len(W))
-    err = np.full(len(W), np.inf)
-    running = []
-    for n, lams in enumerate(out):
-        if isinstance(lams, Exception):
-            continue
-        if lams.min() < -1e-6:
-            out[n] = ArithmeticError(
-                f"element not in the cone (eig {lams.min():.2e})")
-            continue
-        scale[n] = max(1.0, float(np.abs(W[n]).max()))
-        S[n] = np.sqrt(max(float(lams.max()), 1e-12)) * u
-        running.append(n)
-    rows = np.array(running, dtype=np.intp)
-    for _ in range(80):
-        if not rows.size:
-            break
-        steps = _stacked(np.linalg.solve, np.einsum("ni,ijk->nkj", S[rows], T),
-                         W[rows, :, None])
-        solved = np.array([not isinstance(x, Exception) for x in steps])
-        for n, x in zip(rows[~solved], itertools.compress(steps, ~solved)):
-            out[n] = x
-        rows = rows[solved]
-        if not rows.size:
-            break
-        X = np.array(list(itertools.compress(steps, solved)))[..., 0]
-        S[rows] = 0.5 * (S[rows] + X)
-        err[rows] = np.abs(np.einsum("ni,nj,ijk->nk", S[rows], S[rows], T)
-                           - W[rows]).max(axis=1)
-        rows = rows[~(err[rows] <= 1e-12 * scale[rows])]
-    for n, r in enumerate(out):
-        if isinstance(r, Exception):
-            continue
-        out[n] = (ArithmeticError(
-            f"square root iteration stalled (error {err[n]:.2e})")
-            if err[n] > 1e-7 * scale[n] else S[n])
-    return out
-
-
-def minimal_polynomial_degree(J: JordanAlgebra, a, tol: float = 1e-8) -> int:
-    degs, _ = _degrees_and_powers(J, np.asarray(a, float)[None], tol)
-    return _value(degs[0])
-
-
-def generic_rank(J: JordanAlgebra, seed: int = 42, trials: int = 5) -> int:
-    """Degree of the minimal polynomial of a generic element.
-
-    For a Euclidean Jordan algebra this is the rank; several random draws
-    guard against an unlucky non-generic sample (the max is generic).
-    """
-    rng = np.random.default_rng(seed)
-    A = np.array([rng.standard_normal(J.dim) for _ in range(trials)])
-    degs, _ = _degrees_and_powers(J, A.reshape(trials, J.dim))
-    return max((_value(k) for k in degs), default=0)
-
-
-def _eigenvalues(J: JordanAlgebra, w: np.ndarray) -> np.ndarray:
-    """Sorted roots of the minimal polynomial of w, near-coincident ones
-    merged into one node (their mean)."""
-    return _value(_eigenvalues_many(J, np.asarray(w, float)[None])[0])
-
-
-def spectral_decomposition(J: JordanAlgebra, w, tol: float = 1e-8):
-    """Eigenvalues and spectral idempotents of w via its minimal polynomial.
-
-    Power associativity makes the subalgebra generated by w commutative and
-    associative, so Lagrange interpolation on Jordan powers, over the merged
-    eigenvalue nodes, produces the spectral projections; each projector is
-    then purified with f <- 3f^2 - 2f^3 (quadratic convergence to the
-    idempotent with the same spectral support).
-    """
-    w = np.asarray(w, float)
-    reps = _eigenvalues(J, w)
-    return reps, _idempotents(J, w, reps)
-
-
-def _idempotents(J: JordanAlgebra, w: np.ndarray, reps) -> list:
-    """Spectral idempotents of w over its merged eigenvalues `reps`."""
-    idems = []
-    for i, li in enumerate(reps):
-        f = J.unit_float()
-        for j, lj in enumerate(reps):
-            if i == j:
-                continue
-            f = (np.einsum("i,j,ijk->k", f, w - lj * J.unit_float(),
-                           J.np_tensor)) / (li - lj)
-        for _ in range(2):
-            f2 = np.einsum("i,j,ijk->k", f, f, J.np_tensor)
-            f3 = np.einsum("i,j,ijk->k", f, f2, J.np_tensor)
-            f = 3.0 * f2 - 2.0 * f3
-        idems.append(f)
-    return idems
-
-
-def jordan_sqrt(J: JordanAlgebra, w, tol: float = 1e-9) -> np.ndarray:
-    """Square root of an interior element.
-
-    Babylonian iteration s <- (s + L_s^{-1} w) / 2, seeded at sqrt(lam_max)
-    times the unit, until |s∘s - w| <= 1e-12 max(1, |w|) or 80 steps; a
-    residual above 1e-7 max(1, |w|) then raises ArithmeticError, and so
-    does an eigenvalue below -1e-6.  The iterates stay in the associative
-    subalgebra generated by w, where the recursion is the scalar one per
-    eigenvalue, so convergence needs no spectral projectors — only the
-    (possibly ill-conditioned) eigenvalues themselves, used for the seed
-    and the negativity screen.
-    """
-    return _value(_sqrt_many(J, np.asarray(w, float)[None])[0])
-
-
-# ---------------------------------------------------------------------------
 # forward verification: is the cone of squares a symmetric cone?
 
 @dataclass
@@ -613,20 +321,15 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
     homogeneity witnesses.  A failed axiom gate stops the later checks.
 
     Every gate draws all its samples first, in the order a sample loop
-    would, and then works on the stack.  Gate 1 evaluates the Jordan
-    identity (a²)∘(b∘a) = (a²∘b)∘a with one stacked product per step: on an
-    exact tensor over Python ints (tensor, unit and each sample scaled by
-    its common denominator), so the worst residual is the exact `Fraction`
-    of a loop over rationals.  Gates 3 and 4 make one product per power for
-    every square, eigenvalue and root (`_eigenvalues_many`, `_sqrt_many`:
-    one least-squares fit of the minimal polynomials per degree, one
-    `eigvals` of their companion matrices per size), and one
-    P(w^{1/2}) = 2 L_s^2 - L_{s∘s} per sample for both the unit and the
-    image of a square.  Gate 4 then replays the samples in order, so the report is the sample loop's:
-    the first error of a square root or of a spectral membership test ends
-    the gate with the cone-preservation failures found before it, and an
-    error that is not an ArithmeticError escapes where the loop would have
-    raised it.
+    would, and then works on the stack: gate 1 evaluates the Jordan identity
+    (a²)∘(b∘a) = (a²∘b)∘a with one stacked product per step, over Python
+    ints on an exact tensor (tensor, unit and samples scaled by their common
+    denominators), so its worst residual is the loop's exact `Fraction`;
+    gates 3 and 4 use the stacked kernels of `kvwb.spectral`.  Gate 4 then
+    replays the samples in order, so the report is the sample loop's: the
+    first error of a square root or of a spectral membership test ends the
+    gate with the cone-preservation failures found before it, and an error
+    that is not an ArithmeticError escapes where the loop raised it.
     """
     rep = SymmetricConeReport(ok=False, seed=seed)
     rng = np.random.default_rng(seed)
@@ -655,9 +358,8 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
         comm = float(np.abs(T - T.transpose(1, 0, 2)).max()) <= tol
         u = J.unit_float()
         unit_ok = float(np.abs(J.left_mult(u) - np.eye(d)).max()) <= 1e-8
-        A, B = np.empty((pairs, d)), np.empty((pairs, d))
-        for n in range(pairs):
-            A[n], B[n] = rng.standard_normal(d), rng.standard_normal(d)
+        # one draw of (a_0, b_0, a_1, ...), as a loop draws them in turn
+        A, B = rng.standard_normal((pairs, 2, d)).transpose(1, 0, 2).copy()
         worst = max(map(float,
                         np.abs(_jordan_defects(T, A, B)).max(axis=1)))
         ident = worst <= 1e-8
@@ -682,21 +384,25 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
     # gate 3: self-duality samples — squares pair non-negatively, and the
     # spectral idempotents of random elements pair non-negatively too
     T, u = J.np_tensor, J.unit_float()
-    X, Y = np.empty((sample_count, d)), np.empty((sample_count, d))
-    for n in range(sample_count):
-        X[n], Y[n] = rng.standard_normal(d), rng.standard_normal(d)
+    X, Y = rng.standard_normal((sample_count, 2, d)).transpose(1, 0,
+                                                               2).copy()
     X2 = np.einsum("ni,nj,ijk->nk", X, X, T)
     Y2 = np.einsum("ni,nj,ijk->nk", Y, Y, T)
     Z = X2[::10] + 0.1 * u
-    spectra = _eigenvalues_many(J, Z)
-    min_pair = np.inf
-    for n in range(sample_count):
-        min_pair = min(min_pair, float(X2[n] @ Gf @ Y2[n]))
-        if n % 10 == 0:
-            idems = _idempotents(J, Z[n // 10], _value(spectra[n // 10]))
-            for p, q in itertools.combinations(idems, 2):
-                min_pair = min(min_pair, float(p @ Gf @ q))
-    rep.min_pairing = min_pair
+    spectra = [_value(s) for s in _eigenvalues_many(J, Z)]
+    pairings = {}                        # sample -> its idempotents' pairings
+    for r, at in _groups(spectra).items():
+        F = _idempotents(J, Z[at], np.array([spectra[n] for n in at]))
+        p, q = np.triu_indices(r, 1)            # the pairs p < q in order
+        # p @ Gf @ q: one vector-matrix, then one vector-vector product
+        pairings.update(zip((10 * n for n in at), (
+            F[:, p, None] @ Gf @ F[:, q, :, None])[..., 0, 0].tolist()))
+    # the minimum in the sample loop's order, which decides between equal
+    # values such as 0.0 and -0.0
+    squares = (X2[:, None] @ Gf @ Y2[..., None])[:, 0, 0].tolist()
+    rep.min_pairing = min_pair = min(
+        [np.inf] + [v for n, x in enumerate(squares)
+                    for v in [x] + pairings.get(n, [])])
     rep.self_duality_ok = min_pair >= -tol
     if not rep.self_duality_ok:
         rep.failures.append({"gate": "self-duality", "min_pairing": min_pair})
@@ -704,7 +410,7 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
 
     # gate 4: homogeneity witnesses P(w^{1/2}) e = w on random interior w,
     # and P(w^{1/2}) keeps squares in the cone.  The samples are stacked;
-    # the loop below replays them in order and stops at the first error.
+    # the replay below stops where the sample loop stopped.
     shift = np.empty(sample_count)
     for n in range(sample_count):
         X[n], shift[n], Y[n] = (rng.standard_normal(d), rng.random(),
@@ -721,14 +427,12 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
     Y2 = np.einsum("ni,nj,ijk->nk", Y[:stop], Y[:stop], T)
     inside = _in_cone_many(J, (P @ Y2[..., None])[..., 0], 1e-7)
     error = roots[stop] if stop < sample_count else None
-    worst_h = 0.0
-    for n in range(stop):
-        worst_h = max(worst_h, float(np.abs(got[n] - W[n]).max()))
-        if isinstance(inside[n], Exception):
-            error = inside[n]
-            break
-        if not inside[n]:
-            rep.failures.append({"gate": "homogeneity-cone-preservation"})
+    first = next((n for n, x in enumerate(inside) if isinstance(x, Exception)),
+                 stop)
+    if first < stop:
+        error = inside[first]
+    rep.failures += [{"gate": "homogeneity-cone-preservation"}
+                     for x in inside[:first] if not x]
     if error is not None:
         if not isinstance(error, ArithmeticError):
             raise error
@@ -736,6 +440,8 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
                              "error": str(error)})
         rep.homogeneity_ok = False
         return rep
+    # max, like the sample loop's running max, passes over a NaN
+    worst_h = max([0.0] + np.abs(got - W).max(axis=1).tolist())
     rep.max_homogeneity_error = worst_h
     rep.homogeneity_ok = worst_h <= 1e-9 and not any(
         f.get("gate") == "homogeneity-cone-preservation"
@@ -974,9 +680,7 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42
     T_star = np.asarray(T[..., 0], float) + 0.0    # no negative zeros
 
     rng = np.random.default_rng(seed)
-    X, Y = np.empty((3 * d, d)), np.empty((3 * d, d))
-    for n in range(3 * d):
-        X[n], Y[n] = rng.standard_normal(d), rng.standard_normal(d)
+    X, Y = rng.standard_normal((3 * d, 2, d)).transpose(1, 0, 2).copy()
     residual = float(np.abs(_jordan_defects(T_star, X, Y)).max())
     gates["identity_residual"] = residual
     gates["identity_ok"] = residual <= 1e-8

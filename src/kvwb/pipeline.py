@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import composites, cones, effectspace, forms, jordan, models
+from . import composites, cones, effectspace, forms, jordan, models, spectral
 from .builtins import conjugation_bijection
 from .linalg import _integer_block, _Kind
 from .serialize import dumps_canonical, model_to_json
@@ -408,7 +408,7 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
     if blocked("jordan-recovery"):
         add("identification", NA, notes=["needs a recovered product"])
     else:
-        rank = jordan.generic_rank(recovered, seed=seed)
+        rank = spectral.generic_rank(recovered, seed=seed)
         cands = jordan.algebra_candidates(recovered.dim, rank)
         idata = {"dim": recovered.dim, "rank": rank, "candidates": cands}
         inotes = []

@@ -34,9 +34,14 @@ class HermitianBasis:
         return np.array([np.trace(H @ B).real for B in self.mats], dtype=float)
 
     def from_coords(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for c, B in zip(v, self.mats, strict=True):
-            out += c * B
+        """The operator with coordinates v, or those of a stack of rows v,
+        summed one basis matrix at a time, in order, as for one row."""
+        v = np.asarray(v)
+        if v.shape[-1:] != (len(self.mats),):
+            raise ValueError(f"{v.shape} coordinates, {len(self.mats)} mats")
+        out = np.zeros(v.shape[:-1] + (self.dim, self.dim), dtype=complex)
+        for j, B in enumerate(self.mats):
+            out += v[..., j, None, None] * B
         return out
 
     @property

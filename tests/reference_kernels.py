@@ -36,7 +36,16 @@ Gaussian elimination), `pairwise_form_positivity` (a loop over generator
 pairs), `fixed_covector_dim`, `certify_flags` and `check_unitarity`
 (verbatim, but for the names, for `pairwise_form_positivity` taking the
 generator list and for `fixed_covector_dim` building the identity that the
-removed `_Kind.eye` built).
+removed `_Kind.eye` built), and the per-outcome and per-vector loops of the
+float path that stacked numpy calls replaced: the pair loop of
+`kvwb.effectspace._build_float` (its collapse list), the one-vector
+`_conditional_in_cone` under `validate_bipartite`, the pair loop of
+`_entangled_eta`, the per-outcome PSD tests of `is_isomorphism_state`
+(`psd_failures`) and the one-operator `HermitianBasis.from_coords`
+(`from_coords`, which this module's quantum oracles call), and the
+`Fraction` combinations of `kvwb.cones._try_bijection` (verbatim, but for
+calling this module's `from_coords`, `_conditional_in_cone` and
+`validate_bipartite`).
 
 Slow and obviously correct; the property tests require the fast kernels to
 return exactly what these return.
@@ -49,21 +58,22 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from kvwb.composites import (BipartiteState, CompositeError,
+from kvwb.composites import (BipartiteReport, BipartiteState, CompositeError,
                              IsomorphismStateReport, OmegaHat, _check_gamma,
                              _entangled_eta, _invariance_flag)
 from kvwb.cones import SelfDualityReport, dual_cone
 from kvwb.effectspace import OrderUnitSpace, build_effect_space
 from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
-                         _degrees_and_powers, _integer_block,
-                         _random_rational_vec, _reconstruct, _value,
+                         _integer_block, _random_rational_vec, _reconstruct,
                          quadratic_rep, trace_form_gram)
 from kvwb.linalg import (Mat, Vec, ZERO, ONE, _augmented_solution, _Kind,
                          _null_basis, dot, frac, is_symmetric,
-                         mat_vec, solve, sparse_int_rows)
+                         det, mat_vec, solve, sparse_int_rows)
 from kvwb import linalg, lp
 from kvwb.lp import LPResult, UnboundedError
-from kvwb.models import Model, PermutationGroup, QuantumBackend
+from kvwb.lp import convex_membership, free_feasibility
+from kvwb.models import Model, PermutationGroup, PolytopeBackend, QuantumBackend
+from kvwb.spectral import _degrees_and_powers, _value
 
 
 def rref(A: Mat) -> tuple[Mat, list[int]]:
@@ -1042,7 +1052,7 @@ def is_isomorphism_state(w: BipartiteState,
     fwd = True
     for x in w.A.outcomes:
         f = W @ np.asarray(E_A.outcome_vectors[x])
-        H = E_B.basis.from_coords(f)
+        H = from_coords(E_B.basis, f)
         lo = float(np.linalg.eigvalsh((H + H.conj().T) / 2).min())
         if lo < -tol:
             fwd = False
@@ -1050,7 +1060,7 @@ def is_isomorphism_state(w: BipartiteState,
     inv = True
     for y in w.B.outcomes:
         g = W_inv @ np.asarray(E_B.outcome_vectors[y])
-        H = E_A.basis.from_coords(g)
+        H = from_coords(E_A.basis, g)
         lo = float(np.linalg.eigvalsh((H + H.conj().T) / 2).min())
         if lo < -tol:
             inv = False
@@ -1414,3 +1424,190 @@ def check_unitarity(actions, B, tol: float = 1e-9) -> bool:
     if K.rank(Bm) < len(Bm):
         raise ValueError("unitarity check needs an invertible form")
     return all(K.is_zero(M.T @ Bm @ M - Bm) for M in map(K.array, actions))
+
+
+# ---------------------------------------------------------------------------
+# the float path's per-outcome and per-vector loops, and the `Fraction`
+# combinations of the weak self-duality search
+
+def from_coords(self, v: np.ndarray) -> np.ndarray:
+    out = np.zeros((self.dim, self.dim), dtype=complex)
+    for c, B in zip(v, self.mats, strict=True):
+        out += c * B
+    return out
+
+
+def _build_float(m: Model) -> OrderUnitSpace:
+    qb: QuantumBackend = m.states
+    basis = qb.basis
+    stacked = qb.outcome_coords(m.outcomes)
+    coords = dict(zip(m.outcomes, stacked))
+    span = int(np.linalg.matrix_rank(stacked, tol=1e-9))
+    notes = []
+    if span < basis.space_dim:
+        notes.append(f"sampled outcomes span only {span} of "
+                     f"{basis.space_dim} effect dimensions")
+    collapse = []
+    labels = list(m.outcomes)
+    for i, x in enumerate(labels):
+        for y in labels[i + 1:]:
+            if np.allclose(coords[x], coords[y], atol=1e-12):
+                collapse.append((x, y))
+    return OrderUnitSpace(model=m, kind="float", dim=basis.space_dim,
+                          u=basis.unit_coords, outcome_vectors=coords,
+                          basis=basis, span_dim=span, collapse=collapse,
+                          notes=notes)
+
+
+def _conditional_in_cone(other: Model, vec, tol: float):
+    """Is an unnormalized conditional in the cone over the partner's states?"""
+    if isinstance(other.states, PolytopeBackend):
+        mass = sum(vec[other.testspace.index(y)] for y in other.tests[0])
+        if mass < 0:
+            return False, "negative mass"
+        if mass == 0:
+            if any(v != 0 for v in vec):
+                return False, "zero mass but nonzero entries"
+            return True, None
+        res = convex_membership([v / mass for v in vec],
+                                [list(p) for p in other.states.vertices])
+        return res.feasible, None if res.feasible else "outside state polytope"
+    qb: QuantumBackend = other.states
+    rows = qb.outcome_coords(other.outcomes)
+    sol, res, rk, _ = np.linalg.lstsq(rows, np.asarray(vec, float), rcond=None)
+    resid = float(np.abs(rows @ sol - np.asarray(vec, float)).max())
+    if resid > tol:
+        return False, f"no operator reproduces the conditional (residual {resid:.2e})"
+    if rk < qb.basis.space_dim:
+        return True, "sample not informationally complete; PSD untested"
+    H = from_coords(qb.basis, sol)
+    lo = float(np.linalg.eigvalsh((H + H.conj().T) / 2).min())
+    if lo < -tol:
+        return False, f"conditional operator not PSD (min eig {lo:.2e})"
+    return True, None
+
+
+def validate_bipartite(w: BipartiteState, tol: float = 1e-9) -> BipartiteReport:
+    problems, notes = [], []
+    want = {(x, y) for x in w.A.outcomes for y in w.B.outcomes}
+    if set(w.table) != want:
+        return BipartiteReport(False, ["table keys do not cover the outcome "
+                                       "product exactly"])
+    K = _Kind(w.kind, tol)
+    for E in w.A.tests:
+        for F in w.B.tests:
+            s = sum(w.table[(x, y)] for x in E for y in F)
+            if not K.is_zero(s - 1):
+                problems.append(f"product test {E}x{F} sums to {s}, not 1")
+    for x in w.A.outcomes:
+        ok, why = _conditional_in_cone(w.B, w.row(x), tol)
+        if not ok:
+            problems.append(f"conditional on {x!r}: {why}")
+        elif why:
+            notes.append(f"conditional on {x!r}: {why}")
+    for y in w.B.outcomes:
+        ok, why = _conditional_in_cone(w.A, w.column(y), tol)
+        if not ok:
+            problems.append(f"conditional on second-factor {y!r}: {why}")
+        elif why:
+            notes.append(f"conditional on second-factor {y!r}: {why}")
+    neg = [(k, v) for k, v in w.table.items() if v < -K.tol]
+    if neg:
+        problems.append(f"negative entries: {neg[:3]}")
+    return BipartiteReport(not problems, problems, notes)
+
+
+def _entangled_eta(m: Model, gamma: dict[str, str],
+                   tol: float) -> BipartiteState:
+    """Analytic conjugate table from the maximally entangled vector.
+
+    For the canonical entangled vector the joint value on (x, gamma(y)) is
+    tr(x y)/d; equivalently the table entry at (x, z) is tr(x conj(z))/d.
+    The construction is verified (diagonal, normalization, hermiticity of
+    the pairing) rather than searched for.
+    """
+    qb: QuantumBackend = m.states
+    d = qb.dim
+    for x in m.outcomes:
+        gm = qb.outcome_matrices[gamma[x]]
+        if np.abs(gm - qb.outcome_matrices[x].conj()).max() > tol:
+            raise CompositeError(
+                f"gamma({x!r}) is not the conjugated effect; the entangled "
+                "construction needs the conjugation bijection")
+    table = {}
+    for x in m.outcomes:
+        for z in m.outcomes:
+            val = np.trace(qb.outcome_matrices[x]
+                           @ qb.outcome_matrices[z].conj()) / d
+            if abs(val.imag) > 1e-12:
+                raise CompositeError(f"entangled table not real at ({x},{z})")
+            table[(x, z)] = float(val.real)
+    w = BipartiteState(m, m, table)
+    for x in m.outcomes:
+        if abs(w.table[(x, gamma[x])] - 1.0 / d) > tol:
+            raise CompositeError(f"diagonal at {x!r} is not 1/{d}")
+    rep = validate_bipartite(w, tol)
+    if not rep.ok:
+        raise CompositeError(f"entangled table invalid: {rep.problems[:2]}")
+    return w
+
+
+def psd_failures(w: BipartiteState, W, W_inv, E_A, E_B, tol: float) -> list:
+    """The per-outcome PSD tests of the float `is_isomorphism_state`, on the
+    induced map W and its inverse."""
+    failures = []
+    for stage, M, E_x, E_y, outs in (
+            ("forward", W, E_A, E_B, w.A.outcomes),
+            ("inverse", W_inv, E_B, E_A, w.B.outcomes)):
+        for x in outs:
+            H = from_coords(E_y.basis,
+                            M @ np.asarray(E_x.outcome_vectors[x]))
+            lo = float(np.linalg.eigvalsh((H + H.conj().T) / 2).min())
+            if lo < -tol:
+                failures.append({"stage": stage, "outcome": x,
+                                 "min_eig": lo})
+    return failures
+
+
+def _try_bijection(R, S, perm, d):
+    """Solve M r_i = lam_i s_{perm(i)}, lam_i > 0, det M != 0 — or rule it out."""
+    from kvwb.linalg import nullspace
+
+    m = len(R)
+    rows = []
+    for i in range(m):
+        s = S[perm[i]]
+        r = R[i]
+        for c in range(d):
+            row = [ZERO] * (d * d + m)
+            for k in range(d):
+                row[c * d + k] = r[k]
+            row[d * d + i] = -s[c]
+            rows.append(row)
+    basis = nullspace(rows)
+    if not basis:
+        return False, None, None, None
+    # scaling freedom: any all-positive lambda solution rescales to lambda >= 1
+    ineqs = []
+    for i in range(m):
+        coeffs = [b[d * d + i] for b in basis]
+        ineqs.append((coeffs, ONE))
+    res = free_feasibility(ineqs, [], len(basis))
+    if not res.feasible:
+        return False, None, None, None
+    combos = [res.point]
+    for b in range(len(basis)):
+        for eps in (Fraction(1, 7), Fraction(-1, 7)):
+            shifted = list(res.point)
+            shifted[b] += eps
+            if all(sum(c * basis[k][d * d + i] for k, c in enumerate(shifted)) > 0
+                   for i in range(m)):
+                combos.append(shifted)
+    for combo in combos:
+        vec = [sum(c * basis[k][j] for k, c in enumerate(combo))
+               for j in range(d * d + m)]
+        M = [[vec[r * d + c] for c in range(d)] for r in range(d)]
+        if det(M) != 0:
+            lams = [vec[d * d + i] for i in range(m)]
+            return True, M, lams, None
+    return False, None, None, f"bijection {perm}: solutions exist but all sampled maps singular"

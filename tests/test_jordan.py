@@ -11,14 +11,15 @@ from kvwb.forms import find_orthogonalizing_spin_form
 from kvwb import jordan
 from kvwb.jordan import (JordanAlgebra, RecoveryProblem, _reconstruct,
                          classical_algebra, complex_hermitian,
-                         cone_of_squares_membership, direct_sum, generic_rank,
-                         identify_algebra, jordan_product, jordan_sqrt,
-                         minimal_polynomial_degree, quaternionic_hermitian,
-                         real_symmetric, recover_jordan_product,
-                         spectral_decomposition, spin_factor, trace_form_gram,
+                         cone_of_squares_membership, direct_sum,
+                         identify_algebra, jordan_product,
+                         quaternionic_hermitian, real_symmetric,
+                         recover_jordan_product, spin_factor, trace_form_gram,
                          verify_symmetric_cone)
 from kvwb.linalg import frac
 from kvwb.pipeline import _recovery_problem
+from kvwb.spectral import (generic_rank, jordan_sqrt, minimal_polynomial_degree,
+                           spectral_decomposition)
 
 CATALOG = [
     real_symmetric(2), real_symmetric(3),
@@ -119,16 +120,16 @@ def test_jordan_sqrt_needs_eigenvalues_only(monkeypatch):
     rng = np.random.default_rng(10)
     a = rng.standard_normal(J.dim)
     w = jordan_product(J, a, a) + 0.1 * np.asarray(J.unit, dtype=float)
-    import kvwb.jordan as jordan_module
+    import kvwb.spectral as spectral_module
     eigs, _ = spectral_decomposition(J, w)
     s = jordan_sqrt(J, w)
 
     def refuse(*args, **kwargs):
         raise AssertionError("spectral idempotents built")
 
-    monkeypatch.setattr(jordan_module, "spectral_decomposition", refuse)
+    monkeypatch.setattr(spectral_module, "spectral_decomposition", refuse)
     assert np.array_equal(jordan_sqrt(J, w), s)
-    assert np.array_equal(jordan_module._eigenvalues(J, w), eigs)
+    assert np.array_equal(spectral_module._eigenvalues(J, w), eigs)
     # a tensor without a structural description takes the spectral test
     recovered = JordanAlgebra("Recovered", J.dim, J.unit, J.np_tensor, False)
     assert cone_of_squares_membership(recovered, w)

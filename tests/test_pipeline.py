@@ -130,15 +130,15 @@ def test_hypercubes_have_a_conjugate_but_no_self_duality(name):
 
 @pytest.mark.parametrize("name", ["classical:3", "qubit:complex"])
 def test_rank_is_computed_once(name, monkeypatch):
-    from kvwb import jordan
+    from kvwb import spectral
     calls = []
-    rank = jordan.generic_rank
+    rank = spectral.generic_rank
 
     def counted(*args, **kw):
         calls.append(args)
         return rank(*args, **kw)
 
-    monkeypatch.setattr(jordan, "generic_rank", counted)
+    monkeypatch.setattr(spectral, "generic_rank", counted)
     assert run(name).stage("identification").status == "pass"
     assert len(calls) == 1
 

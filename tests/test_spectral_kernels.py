@@ -18,18 +18,19 @@ from hypothesis import given, settings, strategies as st
 from numpy.linalg import _umath_linalg
 
 import reference_kernels as oracle
-from kvwb import jordan
+from kvwb import jordan, spectral
 from kvwb.builtins import get_builtin
 from kvwb.effectspace import build_effect_space
 from kvwb.forms import find_orthogonalizing_spin_form
-from kvwb.jordan import (JordanAlgebra, _degrees_and_powers, _eigenvalues,
-                         _eigenvalues_many, _minimal_polynomials, _roots_many,
-                         _sqrt_many, _stacked, classical_algebra,
-                         complex_hermitian, generic_rank, jordan_sqrt,
-                         minimal_polynomial_degree, quaternionic_hermitian,
-                         real_symmetric, recover_jordan_product, spin_factor,
+from kvwb.jordan import (JordanAlgebra, classical_algebra, complex_hermitian,
+                         quaternionic_hermitian, real_symmetric,
+                         recover_jordan_product, spin_factor,
                          verify_symmetric_cone)
 from kvwb.pipeline import _recovery_problem
+from kvwb.spectral import (_degrees_and_powers, _eigenvalues,
+                           _eigenvalues_many, _minimal_polynomials,
+                           _roots_many, _sqrt_many, _stacked, generic_rank,
+                           jordan_sqrt, minimal_polynomial_degree)
 
 CATALOG = [real_symmetric(1), real_symmetric(2), real_symmetric(3),
            complex_hermitian(2), complex_hermitian(3),
@@ -472,7 +473,7 @@ def test_the_check_makes_no_per_row_fit_roots_or_product(name, monkeypatch):
     J = recovered(name)
     assert J.exact == (name == "classical:5")
     calls, fits = [0], []
-    spectra, product, lstsq = (jordan._eigenvalues_many,
+    spectra, product, lstsq = (spectral._eigenvalues_many,
                                JordanAlgebra.product, _umath_linalg.lstsq)
 
     def count_spectra(*args):
@@ -485,7 +486,8 @@ def test_the_check_makes_no_per_row_fit_roots_or_product(name, monkeypatch):
 
     def refuse(*args):
         raise AssertionError("unexpected per-row call")
-    monkeypatch.setattr(jordan, "_eigenvalues_many", count_spectra)
+    for module in (jordan, spectral):
+        monkeypatch.setattr(module, "_eigenvalues_many", count_spectra)
     monkeypatch.setattr(_umath_linalg, "lstsq", count_fits)
     monkeypatch.setattr(np, "roots", refuse)
     monkeypatch.setattr(JordanAlgebra, "product", refuse)
