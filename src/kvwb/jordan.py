@@ -358,8 +358,9 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
         comm = float(np.abs(T - T.transpose(1, 0, 2)).max()) <= tol
         u = J.unit_float()
         unit_ok = float(np.abs(J.left_mult(u) - np.eye(d)).max()) <= 1e-8
-        # one draw of (a_0, b_0, a_1, ...), as a loop draws them in turn
-        A, B = rng.standard_normal((pairs, 2, d)).transpose(1, 0, 2).copy()
+        # one draw of a_0, b_0, a_1, ..., as a loop draws them, copied to
+        # the contiguous rows the stacked products had
+        A, B = rng.standard_normal((pairs, 2, d)).swapaxes(0, 1).copy()
         worst = max(map(float,
                         np.abs(_jordan_defects(T, A, B)).max(axis=1)))
         ident = worst <= 1e-8
@@ -384,8 +385,7 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
     # gate 3: self-duality samples — squares pair non-negatively, and the
     # spectral idempotents of random elements pair non-negatively too
     T, u = J.np_tensor, J.unit_float()
-    X, Y = rng.standard_normal((sample_count, 2, d)).transpose(1, 0,
-                                                               2).copy()
+    X, Y = rng.standard_normal((sample_count, 2, d)).swapaxes(0, 1).copy()
     X2 = np.einsum("ni,nj,ijk->nk", X, X, T)
     Y2 = np.einsum("ni,nj,ijk->nk", Y, Y, T)
     Z = X2[::10] + 0.1 * u
@@ -680,7 +680,7 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42
     T_star = np.asarray(T[..., 0], float) + 0.0    # no negative zeros
 
     rng = np.random.default_rng(seed)
-    X, Y = rng.standard_normal((3 * d, 2, d)).transpose(1, 0, 2).copy()
+    X, Y = rng.standard_normal((3 * d, 2, d)).swapaxes(0, 1).copy()
     residual = float(np.abs(_jordan_defects(T_star, X, Y)).max())
     gates["identity_residual"] = residual
     gates["identity_ok"] = residual <= 1e-8
