@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import click
 
-from . import composites, cones, effectspace, forms, jordan, models, spectral
+from . import composites, cones, effectspace, forms, jordan, models
 from .builtins import builtin_names, conjugation_bijection
 from .pipeline import EXPECT_TOKENS, run_pipeline
 from .serialize import (bipartite_to_json, cone_from_json, cone_to_json,
@@ -428,20 +428,18 @@ def _algebra_from_name(name: str) -> jordan.JordanAlgebra:
 
 @jordan_group.command("verify")
 @click.argument("kind")
-@click.option("--samples", default=50, show_default=True,
-              help="Random sample count per gate.")
 @seed_opt
 @tol_opt
 @out_opt
-def jordan_verify(kind, samples, seed, tol, out):
+def jordan_verify(kind, seed, tol, out):
     """Check that a catalog algebra's cone of squares is a symmetric cone.
 
+    Catalog tensors are exact, so the check is a proof and draws no samples.
     KIND examples: RealSym(3), ComplexHerm(2), QuatHerm(2), SpinFactor(5),
     RealSym(1)+RealSym(1)+RealSym(1).
     """
     J = _algebra_from_name(kind)
-    rep = jordan.verify_symmetric_cone(J, sample_count=samples,
-                                       seed=seed, tol=tol)
+    rep = jordan.verify_symmetric_cone(J, seed=seed, tol=tol)
     doc = {"kind": J.kind, "dim": J.dim, **jsonable(vars(rep))}
     _emit(dumps_canonical(doc), out)
     if not rep.ok:
@@ -460,7 +458,7 @@ def jordan_identify(model, seed, tol, out):
         _emit(dumps_canonical({"model": m.name, "candidates": [],
                                "notes": res.notes}), out)
         sys.exit(1)
-    rank = spectral.generic_rank(res.algebra, seed=seed)
+    rank = jordan.recovered_rank(res, seed=seed)
     cands = jordan.algebra_candidates(res.algebra.dim, rank)
     doc = {"model": m.name, "dim": res.algebra.dim, "rank": rank,
            "candidates": cands,

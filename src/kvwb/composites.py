@@ -162,6 +162,16 @@ def _conditional_in_polytope(other: Model, vec):
 
 
 def validate_bipartite(w: BipartiteState, tol: float = 1e-9) -> BipartiteReport:
+    """Normalization, conditionals in the partner's cone and nonnegativity
+    of a table over two models of one kind; a polytope model paired with a
+    quantum one raises `CompositeError`, as the polytope's conditionals go
+    to an exact LP and the quantum entries are floats."""
+    if _is_exact(w.A) != _is_exact(w.B):
+        poly, quant = (w.A, w.B) if _is_exact(w.A) else (w.B, w.A)
+        raise CompositeError(
+            f"cannot validate a table over the polytope model {poly.name!r} "
+            f"and the quantum model {quant.name!r}: both factors must be "
+            "polytope models or both quantum")
     problems, notes = [], []
     want = {(x, y) for x in w.A.outcomes for y in w.B.outcomes}
     if set(w.table) != want:

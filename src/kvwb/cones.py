@@ -63,6 +63,19 @@ class PolyhedralCone:
                               .reshape(len(gens), self.dim))
 
     @cached_property
+    def rays(self) -> tuple:
+        """`extreme_rays`, filtered once."""
+        if not is_pointed(self):
+            raise ValueError("extreme-ray filtering requires a pointed cone")
+        gens = [list(g) for g in self.generators]
+        keep = []
+        for i, g in enumerate(gens):
+            others = gens[:i] + gens[i + 1:]
+            if not others or not cone_membership(g, others).feasible:
+                keep.append(ray_primitive(g))
+        return tuple(keep)
+
+    @cached_property
     def pointed(self) -> bool:
         """`is_pointed`, computed once."""
         gens = [(list(g), ONE) for g in self.generators]
@@ -220,18 +233,9 @@ def is_pointed(K: PolyhedralCone) -> bool:
 
 
 def extreme_rays(K: PolyhedralCone) -> list[tuple[Fraction, ...]]:
-    """Extreme rays of a pointed cone: generators not in the hull of the rest."""
-    if K.extreme is not None:
-        return list(K.extreme)
-    if not is_pointed(K):
-        raise ValueError("extreme-ray filtering requires a pointed cone")
-    gens = [list(g) for g in K.generators]
-    keep = []
-    for i, g in enumerate(gens):
-        others = [h for j, h in enumerate(gens) if j != i]
-        if not others or not cone_membership(g, others).feasible:
-            keep.append(ray_primitive(g))
-    return keep
+    """Extreme rays of a pointed cone: generators not in the hull of the
+    rest, filtered once per cone (`PolyhedralCone.rays`)."""
+    return list(K.extreme if K.extreme is not None else K.rays)
 
 
 def _witness(g, res: LPResult, **extra) -> dict:

@@ -218,11 +218,18 @@ def cone_membership(space: OrderUnitSpace, v, tol: float = 1e-9):
                                f"dimension {space.dim}")
     if space.kind == "exact":
         return space.effect_cone.contains([frac(x) for x in v])
-    H = space.basis.from_coords(np.asarray(v, dtype=float))
-    lo = float(np.linalg.eigvalsh((H + H.conj().T) / 2).min())
+    lo = float(min_eigenvalues(space, v))
     from .lp import LPResult
     return LPResult(lo >= -tol, point=None if lo < -tol else [lo],
                     farkas=None if lo >= -tol else [lo])
+
+
+def min_eigenvalues(space: OrderUnitSpace, V) -> np.ndarray:
+    """The least eigenvalue of the operator of v, or of each row of a stack
+    V, on a quantum space: one stacked `eigvalsh`, each row getting the
+    floats of its own call."""
+    H = space.basis.from_coords(np.asarray(V, dtype=float))
+    return np.linalg.eigvalsh((H + H.conj().swapaxes(-1, -2)) / 2).min(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ class JordanAlgebra:
         self._np_tensor = None
         self._int_tensor = None
         self._unit_float = None
+        self._axioms = None
 
     @property
     def np_tensor(self) -> np.ndarray:
@@ -89,6 +90,13 @@ class JordanAlgebra:
             self._unit_float.flags.writeable = False
         return self._unit_float
 
+    def axiom_proof(self) -> "AxiomProof":
+        """`prove_axioms` of the exact tensor, computed once: the recovery
+        and the symmetric-cone check share it."""
+        if self._axioms is None:
+            self._axioms = prove_axioms(self)
+        return self._axioms
+
 
 def jordan_product(J: JordanAlgebra, a, b):
     return J.product(a, b)
@@ -109,6 +117,75 @@ def trace_form_gram(J: JordanAlgebra):
     s, T = J._scaled_tensor(K)
     G = np.einsum("ijm,m->ij", T, np.einsum("mkk->m", T))
     return K.native(K.array(G + G.T) / (2 * s * s))
+
+
+# ---------------------------------------------------------------------------
+# the Jordan axioms, proved on the basis of an exact tensor
+
+@dataclass(frozen=True)
+class AxiomProof:
+    """Commutativity, the unit law and the Jordan identity of an exact
+    tensor, each decided exactly; the identity only on a commutative
+    tensor (`identity` and `residual` are None otherwise).  `triple` is the
+    certificate of a failed identity: the first basis triple (i, j, k), in
+    lexicographic order, on which its linearization is not zero; `residual`
+    is the largest entry of that operator (0 when the identity holds)."""
+
+    commutative: bool
+    unit: bool
+    triple: Optional[tuple] = None
+    residual: Optional[Fraction] = None
+
+    @property
+    def identity(self) -> Optional[bool]:
+        return self.triple is None if self.commutative else None
+
+    @property
+    def ok(self) -> bool:
+        return bool(self.identity) and self.unit
+
+
+def _linearized_identity(T: np.ndarray) -> np.ndarray:
+    """[L_a, L_{b∘c}] + [L_b, L_{c∘a}] + [L_c, L_{a∘b}] on every basis
+    triple (a, b, c) = (e_i, e_j, e_k), shaped (i, j, k, row, column), for
+    the product with tensor T (L_i[p, q] = T[i, q, p])."""
+    L = T.transpose(0, 2, 1)
+    M = np.einsum("jkm,mpq->jkpq", T, L)                  # L_{e_j∘e_k}
+    C = (np.einsum("ipr,jkrq->ijkpq", L, M)
+         - np.einsum("jkpr,irq->ijkpq", M, L))
+    return C + C.transpose(1, 2, 0, 3, 4) + C.transpose(2, 0, 1, 3, 4)
+
+
+def prove_axioms(J: JordanAlgebra) -> AxiomProof:
+    """Decide the Jordan axioms of an exact tensor on its basis.
+
+    Over a field of characteristic 0, a commutative product satisfies the
+    Jordan identity [L_x, L_{x∘x}] = 0 exactly when its full linearization
+    in x vanishes, and that is trilinear and symmetric in (a, b, c), so the
+    basis triples decide it.  A tensor that is not commutative is not a
+    Jordan product, and its identity is left undecided.  The work is on the
+    integer tensor T = D·tensor of `JordanAlgebra._scaled_tensor`, where
+    each operator is D³ times the rational one and its entries are at most
+    6·d²·max|T|³: int64 below 2⁶², Python ints above.
+    """
+    D, T = J._scaled_tensor(_EXACT)
+    d = J.dim
+    s_u, u = _integer_block(J.unit)
+    commutative = bool((T == T.transpose(1, 0, 2)).all())
+    unit = bool((np.einsum("i,ijk->jk", u, T)
+                 == s_u * D * np.eye(d, dtype=object)).all())
+    if not commutative:
+        return AxiomProof(False, unit)
+    top = max((abs(int(x)) for x in T.flat), default=0)
+    if 6 * d * d * top ** 3 < 2 ** 62:
+        T = T.astype(np.int64)
+    E = _linearized_identity(T).reshape(d ** 3, d * d)
+    bad = np.flatnonzero((E != 0).any(axis=1))
+    if not bad.size:
+        return AxiomProof(True, unit, None, Fraction(0))
+    triple = tuple(map(int, np.unravel_index(bad[0], (d, d, d))))
+    return AxiomProof(True, unit, triple,
+                      Fraction(int(np.abs(E[bad[0]]).max()), D ** 3))
 
 
 # ---------------------------------------------------------------------------
@@ -298,77 +375,65 @@ class SymmetricConeReport:
     seed: int = 42
 
 
-def _random_rational_vec(rng, d) -> list:
-    return [Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
-            for _ in range(d)]
-
-
 def _jordan_defects(T: np.ndarray, A: np.ndarray, B: np.ndarray
                     ) -> np.ndarray:
     """(a²)∘(b∘a) − (a²∘b)∘a for each row a of A and row b of B, under the
-    product of the tensor T: floats, or Python ints (object arrays), which
-    stay exact."""
+    float product of the tensor T."""
     def prod(x, y):
         return np.einsum("ni,nj,ijk->nk", x, y, T)
     A2 = prod(A, A)
     return prod(A2, prod(B, A)) - prod(prod(A2, B), A)
 
 
+#: Why gates 3 and 4 hold on an exact algebra that passes gates 1 and 2.
+KV_NOTE = ("self-duality and homogeneity follow from the proved axioms and "
+           "the positive definite trace form: the algebra is Euclidean, so "
+           "its cone of squares is a symmetric cone (Koecher-Vinberg; "
+           "Faraut & Korányi, Analysis on Symmetric Cones, ch. III)")
+
+
 def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
                           seed: int = 42, tol: float = 1e-9
                           ) -> SymmetricConeReport:
-    """Gate order: Jordan axioms, formal reality, self-duality samples,
-    homogeneity witnesses.  A failed axiom gate stops the later checks.
+    """Gate order: Jordan axioms, formal reality, self-duality, homogeneity.
+    A failed gate stops the later checks.
 
-    Every gate draws all its samples first, in the order a sample loop
-    would, and then works on the stack: gate 1 evaluates the Jordan identity
-    (a²)∘(b∘a) = (a²∘b)∘a with one stacked product per step, over Python
-    ints on an exact tensor (tensor, unit and samples scaled by their common
-    denominators), so its worst residual is the loop's exact `Fraction`;
-    gates 3 and 4 use the stacked kernels of `kvwb.spectral`.  Gate 4 then
-    replays the samples in order, so the report is the sample loop's: the
-    first error of a square root or of a spectral membership test ends the
-    gate with the cone-preservation failures found before it, and an error
-    that is not an ArithmeticError escapes where the loop raised it.
+    On an exact tensor the gates are proofs and draw nothing: gate 1 is
+    `JordanAlgebra.axiom_proof`, gate 2 the exact test of the trace form,
+    and gates 3 and 4 then hold by the theorem of `KV_NOTE`, so their
+    sampled minima stay None.  On a float tensor every gate samples from
+    one seeded rng: gate 1 tests (a²)∘(b∘a) = (a²∘b)∘a on stacked pairs,
+    and gates 3 and 4 are `_sampled_cone_gates`.
     """
     rep = SymmetricConeReport(ok=False, seed=seed)
-    rng = np.random.default_rng(seed)
     d = J.dim
 
-    # gate 1: axioms (exact where the tensor is exact)
-    pairs = max(10, sample_count // 5)
+    # gate 1: axioms
     if J.exact:
-        # T = D·tensor, u = s_u·unit and each sample a = s_a·a', b = s_b·b'
-        # on integers, so the defect of (a', b') is that of (a, b) over
-        # D³·s_a³·s_b
-        D, T = J._scaled_tensor(_EXACT)
-        s_u, u = _integer_block(J.unit)
-        comm = bool((T == T.transpose(1, 0, 2)).all())
-        unit_ok = bool((np.einsum("i,ijk->jk", u, T)
-                        == s_u * D * np.eye(d, dtype=object)).all())
-        scales, AB = zip(*(_integer_block(_random_rational_vec(rng, d))
-                           for _ in range(2 * pairs)))    # a_0, b_0, a_1, ...
-        AB = np.array(AB, dtype=object)
-        defects = np.abs(_jordan_defects(T, AB[0::2], AB[1::2])).max(axis=1)
-        worst = max(Fraction(int(m), D ** 3 * s_a ** 3 * s_b) for m, s_a, s_b
-                    in zip(defects, scales[0::2], scales[1::2]))
-        ident = worst == 0
+        proof = J.axiom_proof()
+        comm, unit_ok, ident = proof.commutative, proof.unit, proof.identity
     else:
+        rng = np.random.default_rng(seed)
         T = J.np_tensor
         comm = float(np.abs(T - T.transpose(1, 0, 2)).max()) <= tol
         u = J.unit_float()
         unit_ok = float(np.abs(J.left_mult(u) - np.eye(d)).max()) <= 1e-8
         # one draw of a_0, b_0, a_1, ..., as a loop draws them, copied to
         # the contiguous rows the stacked products had
-        A, B = rng.standard_normal((pairs, 2, d)).swapaxes(0, 1).copy()
+        A, B = rng.standard_normal((max(10, sample_count // 5), 2, d)
+                                   ).swapaxes(0, 1).copy()
         worst = max(map(float,
                         np.abs(_jordan_defects(T, A, B)).max(axis=1)))
         ident = worst <= 1e-8
     rep.commutative_ok, rep.unit_ok, rep.identity_ok = comm, unit_ok, ident
     if not (comm and unit_ok and ident):
-        rep.failures.append({"gate": "jordan-axioms",
-                             "identity_residual": (str(worst) if J.exact
-                                                   else float(worst))})
+        failure = {"gate": "jordan-axioms"}
+        if J.exact:
+            failure.update(identity_residual=proof.residual,
+                           failing_triple=proof.triple)
+        else:
+            failure.update(identity_residual=float(worst))
+        rep.failures.append(failure)
         return rep
 
     # gate 2: formal reality via the trace form
@@ -380,7 +445,29 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
     if not rep.trace_form_pd:
         rep.failures.append({"gate": "trace-form-pd"})
         return rep
-    Gf = np.asarray(G, dtype=float)
+
+    if J.exact:
+        rep.self_duality_ok = rep.homogeneity_ok = rep.ok = True
+        rep.notes.append(KV_NOTE)
+        return rep
+    _sampled_cone_gates(J, rep, rng, np.asarray(G, dtype=float),
+                        sample_count, tol)
+    return rep
+
+
+def _sampled_cone_gates(J: JordanAlgebra, rep: SymmetricConeReport, rng,
+                        Gf: np.ndarray, sample_count: int, tol: float):
+    """Gates 3 and 4 on float samples, filling `rep`.
+
+    Every gate draws all its samples first, in the order a sample loop
+    would, and then works on the stack with the kernels of
+    `kvwb.spectral`.  Gate 4 then replays the samples in order, so the
+    report is the sample loop's: the first error of a square root or of a
+    spectral membership test ends the gate with the cone-preservation
+    failures found before it, and an error that is not an ArithmeticError
+    escapes where the loop raised it.
+    """
+    d = J.dim
 
     # gate 3: self-duality samples — squares pair non-negatively, and the
     # spectral idempotents of random elements pair non-negatively too
@@ -406,7 +493,7 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
     rep.self_duality_ok = min_pair >= -tol
     if not rep.self_duality_ok:
         rep.failures.append({"gate": "self-duality", "min_pairing": min_pair})
-        return rep
+        return
 
     # gate 4: homogeneity witnesses P(w^{1/2}) e = w on random interior w,
     # and P(w^{1/2}) keeps squares in the cone.  The samples are stacked;
@@ -439,7 +526,7 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
         rep.failures.append({"gate": "homogeneity-spectral",
                              "error": str(error)})
         rep.homogeneity_ok = False
-        return rep
+        return
     # max, like the sample loop's running max, passes over a NaN
     worst_h = max([0.0] + np.abs(got - W).max(axis=1).tolist())
     rep.max_homogeneity_error = worst_h
@@ -447,7 +534,6 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
         f.get("gate") == "homogeneity-cone-preservation"
         for f in rep.failures)
     rep.ok = bool(rep.homogeneity_ok)
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +542,9 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
 @dataclass
 class RecoveryProblem:
     """Recovery inputs of one kind: rationals (`Fraction` entries) when
-    exact, floats otherwise."""
+    exact, floats otherwise.  The squares gate reads `extreme_rays` (the
+    cone's extreme rays) on an exact problem and `cone_membership` (a stack
+    of rows to one verdict per row) on a float one."""
 
     dim: int
     B: object                            # PD orthogonalizing form
@@ -465,6 +553,7 @@ class RecoveryProblem:
     actions: list = field(default_factory=list)
     outcome_vectors: list = field(default_factory=list)
     cone_membership: Optional[Callable] = None
+    extreme_rays: list = field(default_factory=list)
 
     @property
     def exact(self) -> bool:
@@ -474,17 +563,20 @@ class RecoveryProblem:
 
 @dataclass
 class RecoveryResult:
-    """`residual` is None when no tensor was fitted.  `seeds_agree` is True
-    when the linear stage pins the product and None when it does not;
-    reports print it under that name."""
+    """`residual` is None when no tensor was fitted; on an exact problem it
+    is the `AxiomProof` residual, a `Fraction`.  `seeds_agree` is True when
+    the linear stage pins the product and None when it does not; reports
+    print it under that name.  `frame` is the Jordan frame the exact
+    squares gate found, None when that gate did not run or failed."""
 
     algebra: Optional[JordanAlgebra]
     linear_solution_dim: int
-    residual: Optional[float]
+    residual: Optional[float | Fraction]
     seeds_agree: Optional[bool]
     gates: dict
     notes: list = field(default_factory=list)
     seed: int = 42
+    frame: Optional[list] = None
 
 
 def _triple_index(d: int) -> np.ndarray:
@@ -647,9 +739,13 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42
     A positive nullity leaves a family of products that the constraints do
     not tell apart: the result then holds no algebra, rather than one picked
     from the family.  A unique solution must pass the gates: the Jordan
-    identity on 3·d seeded float probes (residual at most 1e-8), a positive
-    definite trace form, and, given a membership oracle, squares of 20
-    seeded probes in the cone.  An exact problem gives an exact algebra.
+    axioms, a positive definite trace form, and the squares gate.  An exact
+    problem gives an exact algebra and draws nothing: its axioms are
+    `JordanAlgebra.axiom_proof`, and its squares gate is `jordan_frame` on
+    the supplied extreme rays.  A float problem tests the Jordan identity on
+    3·d seeded probes (residual at most 1e-8) and, given a membership
+    oracle, that the squares of 20 seeded probes lie in the cone: one draw,
+    one stacked square and one call of the oracle.
     """
     gates: dict = {}
     notes: list = []
@@ -679,11 +775,20 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42
                  "certified by the rank of the constraint system")
     T_star = np.asarray(T[..., 0], float) + 0.0    # no negative zeros
 
-    rng = np.random.default_rng(seed)
-    X, Y = rng.standard_normal((3 * d, 2, d)).swapaxes(0, 1).copy()
-    residual = float(np.abs(_jordan_defects(T_star, X, Y)).max())
+    if p.exact:
+        J = JordanAlgebra("Recovered", d, [frac(x) for x in p.u],
+                          T[..., 0].tolist(), True)
+        proof = J.axiom_proof()
+        residual = proof.residual
+        gates["identity_ok"] = proof.ok
+        gates["identity_triple"] = proof.triple
+    else:
+        J = JordanAlgebra("Recovered", d, list(u), T_star, False)
+        rng = np.random.default_rng(seed)
+        X, Y = rng.standard_normal((3 * d, 2, d)).swapaxes(0, 1).copy()
+        residual = float(np.abs(_jordan_defects(T_star, X, Y)).max())
+        gates["identity_ok"] = residual <= 1e-8
     gates["identity_residual"] = residual
-    gates["identity_ok"] = residual <= 1e-8
     if not gates["identity_ok"]:
         return RecoveryResult(None, 0, residual, True, gates,
                               notes + ["no PD-trace Jordan solution found; "
@@ -693,29 +798,63 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42
     G = np.einsum("ijm,m->ij", T_star, np.einsum("mkk->m", T_star))
     gates["trace_form_pd"] = bool(
         np.linalg.eigvalsh((G + G.T) / 2).min() > 1e-10)
-    sq_ok = True
-    if p.cone_membership is not None:
-        for _ in range(20):
-            x = rng.standard_normal(d)
-            x2 = np.einsum("i,j,ijk->k", x, x, T_star)
-            if not p.cone_membership(x2):
-                sq_ok = False
-                break
-        gates["squares_in_cone"] = sq_ok
+    sq_ok, frame = True, None
+    if p.exact and p.extreme_rays:
+        frame = jordan_frame(J, p.extreme_rays)
+        sq_ok = gates["jordan_frame"] = frame is not None
+        if sq_ok:
+            notes.append("the extreme rays are positive multiples of a "
+                         "Jordan frame, so the cone of squares is the cone "
+                         "they generate")
+    elif not p.exact and p.cone_membership is not None:
+        X = rng.standard_normal((20, d))
+        sq_ok = gates["squares_in_cone"] = all(p.cone_membership(
+            np.einsum("ni,nj,ijk->nk", X, X, T_star)))
+    elif p.exact:
+        notes.append("no extreme rays supplied; frame gate skipped")
     else:
         notes.append("no cone membership oracle supplied; square gate skipped")
 
     if p.exact:
-        J = JordanAlgebra("Recovered", d, [frac(x) for x in p.u],
-                          T[..., 0].tolist(), True)
         notes.append("tensor is exact (rational linear stage, zero nullity)")
-    else:
-        J = JordanAlgebra("Recovered", d, list(u), T_star, False)
     ok = gates["trace_form_pd"] and sq_ok
     if not ok:
         notes.append("recovered tensor failed an acceptance gate")
     return RecoveryResult(J if ok else None, 0, residual, True, gates, notes,
-                          seed)
+                          seed, frame if ok else None)
+
+
+def jordan_frame(J: JordanAlgebra, rays) -> Optional[list]:
+    """The Jordan frame e_1, ..., e_d of an exact algebra read off d rays,
+    or None when the rays are not one.
+
+    Each ray r must be a positive multiple of an idempotent, r∘r = c·r with
+    c > 0, which makes e = r/c; the e_i must be orthogonal, e_i∘e_j = 0 for
+    i ≠ j, and sum to the unit.  Orthogonal idempotents are independent, so
+    d of them are a basis in which the product is componentwise: the
+    algebra is R^d, its rank is d, and its cone of squares is the cone the
+    rays generate.  Computed on the integer tensor T = D·tensor and the rays
+    scaled to integers R = s·r, where T(R_n, R_n) = λ_n R_n with
+    λ_n = D·s·c_n, so e_n = D·R_n / λ_n.
+    """
+    d = J.dim
+    if len(rays) != d:
+        return None
+    D, T = J._scaled_tensor(_EXACT)
+    _, R = _integer_block(rays)
+    Q = np.einsum("ni,mj,ijk->nmk", R, R, T)             # T(R_n, R_m)
+    if (Q[~np.eye(d, dtype=bool)] != 0).any():
+        return None
+    frame = []
+    for r, rr in zip(R.tolist(), Q[np.arange(d), np.arange(d)].tolist()):
+        p = next((k for k, x in enumerate(r) if x), None)
+        if p is None or rr[p] * r[p] <= 0 or any(
+                a * r[p] != rr[p] * b for a, b in zip(rr, r)):
+            return None
+        frame.append([Fraction(D * x * r[p], rr[p]) for x in r])
+    if [sum(col) for col in zip(*frame)] != [frac(x) for x in J.unit]:
+        return None
+    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +891,15 @@ def identify_algebra(J: JordanAlgebra, seed: int = 42) -> list[str]:
     `algebra_candidates`.
     """
     return algebra_candidates(J.dim, generic_rank(J, seed=seed))
+
+
+def recovered_rank(res: RecoveryResult, seed: int = 42) -> int:
+    """The rank of a recovered algebra: the size of the Jordan frame that
+    its exact squares gate found, read without a draw, and otherwise
+    `generic_rank`, which samples."""
+    if res.frame is not None:
+        return len(res.frame)
+    return generic_rank(res.algebra, seed=seed)
 
 
 def algebra_candidates(d: int, r: int) -> list[str]:

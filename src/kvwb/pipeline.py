@@ -13,9 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import composites, cones, effectspace, forms, jordan, models, spectral
+from . import composites, cones, effectspace, forms, jordan, models
 from .builtins import conjugation_bijection
-from .linalg import _integer_block, _Kind
+from .linalg import _Kind
 from .serialize import dumps_canonical, model_to_json
 
 PASS = "pass"
@@ -391,6 +391,7 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
         rdata = {"linear_solution_dim": res.linear_solution_dim,
                  "residual": res.residual, "seeds_agree": res.seeds_agree,
                  "gates": res.gates, "exact": prob.exact}
+        rnotes = list(res.notes)
         if ok:
             recovered = res.algebra
             vrep3 = jordan.verify_symmetric_cone(
@@ -399,16 +400,17 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
                 "ok": vrep3.ok, "failures": vrep3.failures,
                 "max_homogeneity_error": vrep3.max_homogeneity_error,
                 "min_self_duality_pairing": vrep3.min_pairing}
+            rnotes += vrep3.notes
             ok = ok and vrep3.ok
         # a family of products left by the linear stage decides nothing
         add("jordan-recovery", PASS if ok else
-            UNKNOWN if res.linear_solution_dim > 0 else FAIL, rdata, res.notes)
+            UNKNOWN if res.linear_solution_dim > 0 else FAIL, rdata, rnotes)
 
     # -- identification ---------------------------------------------------------
     if blocked("jordan-recovery"):
         add("identification", NA, notes=["needs a recovered product"])
     else:
-        rank = spectral.generic_rank(recovered, seed=seed)
+        rank = jordan.recovered_rank(res, seed=seed)
         cands = jordan.algebra_candidates(recovered.dim, rank)
         idata = {"dim": recovered.dim, "rank": rank, "candidates": cands}
         inotes = []
@@ -423,25 +425,17 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
 
 def _recovery_problem(E, spin, tol: float) -> jordan.RecoveryProblem:
     """Assemble recovery inputs from the verified pipeline prerequisites:
-    rationals on an exact effect space, floats otherwise."""
+    rationals and the effect cone's extreme rays, for the exact frame gate,
+    on an exact effect space; floats and a stacked membership test, for the
+    sampled squares gate, otherwise."""
     gens = E.cone_generators
+    rays, membership = [], None
     if E.kind == "exact":
-        # Membership questions arrive as floats from the numeric probes;
-        # answer them exactly after absorbing rounding noise into a
-        # tol-sized multiple of the order unit (interior direction).  The
-        # cone is closed, K = K**, so v is in K exactly when it pairs
-        # nonnegatively with every generator of the (cached) dual cone,
-        # one integer product on the dyadic rationals scaled to integers.
-        slack = Fraction(tol).limit_denominator(10**12)
-
-        def membership(v):
-            vv = [Fraction(float(x)) + slack * b for x, b in zip(v, E.u)]
-            return bool(E.dual_effect_cone.dual_contains(
-                _integer_block(vv)[1][:, None])[0])
+        rays = [list(r) for r in cones.extreme_rays(E.effect_cone)]
     else:
-        def membership(v):
-            return effectspace.cone_membership(E, v, tol).feasible
+        def membership(V):
+            return effectspace.min_eigenvalues(E, V) >= -tol
     return jordan.RecoveryProblem(
         dim=E.dim, B=spin.matrix, u=E.u, cone_generators=gens,
         actions=list(E.actions), outcome_vectors=gens,
-        cone_membership=membership)
+        cone_membership=membership, extreme_rays=rays)

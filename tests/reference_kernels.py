@@ -13,7 +13,12 @@ kernels of `kvwb.jordan` (`_degrees_and_powers`, `_eigenvalues_many`,
 (`_merged_roots`, `_eigenvalues_many`) that the stacked fit and companion
 `eigvals` replaced, and the `Fraction` Jordan-identity residual
 (`_identity_residual`) that the integer gate 1 of
-`kvwb.jordan.verify_symmetric_cone` replaced, and the four SPIN-flag setters
+`kvwb.jordan.verify_symmetric_cone` replaced (it still samples float
+tensors), and the sampled Jordan identity, squares gate
+(`sampled_squares_gate`) and `Fraction` loops over basis triples
+(`linearized_identity`, `loop_axioms`) that the proof on exact tensors
+(`kvwb.jordan.prove_axioms`) and the Jordan-frame gate
+(`kvwb.jordan.jordan_frame`) replaced, and the four SPIN-flag setters
 that `kvwb.forms.certify_flags` replaced, and the loops over packed symmetric
 unknowns (`_unpack`, `_invariance_rows`, `_pairing_row`) that the broadcast
 `kvwb.forms._packed_rows` replaced, and the conjugate search over the full
@@ -64,10 +69,9 @@ from kvwb.composites import (BipartiteReport, BipartiteState, CompositeError,
 from kvwb.cones import SelfDualityReport, dual_cone
 from kvwb.effectspace import OrderUnitSpace, build_effect_space
 from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
-                         _integer_block, _random_rational_vec, _reconstruct,
-                         quadratic_rep, trace_form_gram)
+                         _reconstruct, quadratic_rep, trace_form_gram)
 from kvwb.linalg import (Mat, Vec, ZERO, ONE, _augmented_solution, _Kind,
-                         _null_basis, dot, frac, is_symmetric,
+                         _integer_block, _null_basis, dot, frac, is_symmetric,
                          det, mat_vec, solve, sparse_int_rows)
 from kvwb import linalg, lp
 from kvwb.lp import LPResult, UnboundedError
@@ -620,6 +624,11 @@ def _eigenvalues_many(J: JordanAlgebra, W: np.ndarray) -> list:
     return out
 
 
+def _random_rational_vec(rng, d) -> list:
+    return [Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+            for _ in range(d)]
+
+
 def _identity_residual(J: JordanAlgebra, a, b):
     a2 = J.product(a, a)
     lhs = J.product(a2, J.product(b, a))
@@ -723,6 +732,63 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
         for f in rep.failures)
     rep.ok = bool(rep.homogeneity_ok)
     return rep
+
+
+# ---------------------------------------------------------------------------
+# the Jordan axioms by `Fraction` loops, and the sampled squares gate, which
+# `kvwb.jordan.prove_axioms` and `kvwb.jordan.jordan_frame` replaced on
+# exact problems
+
+def linearized_identity(J: JordanAlgebra, i: int, j: int, k: int):
+    """[L_a, L_{b∘c}] + [L_b, L_{c∘a}] + [L_c, L_{a∘b}] at
+    (a, b, c) = (e_i, e_j, e_k), column q its value on e_q, by one
+    `JordanAlgebra.product` at a time."""
+    d = J.dim
+    e = [[ONE if t == n else ZERO for t in range(d)] for n in range(d)]
+    out = np.zeros((d, d), dtype=object)
+    for q in range(d):
+        col = [ZERO] * d
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            bc = J.product(e[b], e[c])
+            left = J.product(e[a], J.product(bc, e[q]))
+            right = J.product(bc, J.product(e[a], e[q]))
+            col = [x + y - z for x, y, z in zip(col, left, right)]
+        out[:, q] = col
+    return out
+
+
+def loop_axioms(J: JordanAlgebra) -> tuple:
+    """(commutative, unit law, first failing triple, its residual) of an
+    exact tensor: the entries compared one by one, the unit multiplied into
+    each basis vector, and, on a commutative tensor, `linearized_identity`
+    on every basis triple in lexicographic order."""
+    d = J.dim
+    e = [[ONE if t == n else ZERO for t in range(d)] for n in range(d)]
+    comm = all(J.tensor[i][j] == J.tensor[j][i]
+               for i in range(d) for j in range(d))
+    unit = all(J.product(J.unit, e[j]) == e[j] for j in range(d))
+    if not comm:
+        return comm, unit, None, None
+    for triple in itertools.product(range(d), repeat=3):
+        op = linearized_identity(J, *triple)
+        if any(x != 0 for x in op.flat):
+            return comm, unit, triple, max(abs(x) for x in op.flat)
+    return comm, unit, None, ZERO
+
+
+def sampled_squares_gate(J: JordanAlgebra, membership, seed: int = 42
+                         ) -> bool:
+    """The squares gate of the sampled recovery: after the 3·d probes of
+    the identity gate, the squares of 20 seeded float probes, drawn and
+    tested one at a time, until `membership` rejects one."""
+    d = J.dim
+    rng = np.random.default_rng(seed)
+    rng.standard_normal((3 * d, 2, d))
+    for _ in range(20):
+        x = rng.standard_normal(d)
+        if not membership(np.einsum("i,j,ijk->k", x, x, J.np_tensor)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

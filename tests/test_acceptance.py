@@ -31,7 +31,7 @@ from kvwb.models import find_nontrivial_images, image_model, is_sharp, \
 from kvwb.pipeline import _recovery_problem, run_pipeline
 
 from tests.test_cones import rational_rng_cone
-from tests.test_jordan import transported_problem
+from tests.test_jordan import assert_proved, float_twin, transported_problem
 from tests.test_models import paired_classical4
 
 REGULAR = ["classical:2", "classical:3", "classical:4", "classical:5",
@@ -187,7 +187,8 @@ def test_criterion_6_symmetric_cone_verification():
         kinds += [quaternionic_hermitian(2)]
         kinds += [spin_factor(n) for n in range(2, 7)]
         for J in kinds:
-            rep = verify_symmetric_cone(J, sample_count=50)
+            assert_proved(J, verify_symmetric_cone(J, sample_count=50))
+            rep = verify_symmetric_cone(float_twin(J), sample_count=50)
             assert rep.ok, (J.kind, rep.failures)
             assert rep.max_homogeneity_error <= 1e-9, J.kind
         J = real_symmetric(2)
@@ -200,6 +201,8 @@ def test_criterion_6_symmetric_cone_verification():
         rep = verify_symmetric_cone(K, sample_count=10)
         assert not rep.ok
         assert any(f["gate"] == "jordan-axioms" for f in rep.failures)
+        assert rep.failures[0]["failing_triple"] == K.axiom_proof().triple
+        assert K.axiom_proof().triple is not None
 
 
 def test_criterion_7_product_recovery():
@@ -259,13 +262,16 @@ def test_criterion_8_images():
 
 #: sha256 of `kvwb run NAME` on the exact polytope built-ins.  Each report
 #: equals the one the `Fraction` kernels and the group-enumerating checks
-#: produced, with the retired `"cap"` key dropped from `model_spec.group`.
+#: produced, with the retired `"cap"` key dropped from `model_spec.group`;
+#: the `classical:n` digests were recorded again when the exact recovery and
+#: symmetric-cone check became proofs, whose exact residual, frame gate and
+#: Koecher-Vinberg note replace the sampled residuals and minima.
 #: The quantum built-ins are left out: their floats come from LAPACK.
 REPORT_SHA256 = {
-    "classical:2": "0279f266b3daccfeac84d9984305899c63fe1821dcc6adadbc9ea9638ac0ef18",
-    "classical:3": "2a5aadab5ff5ed1c970b8b3a821d19c7eeb1f4e4ce092aa2b4d217be38c2b098",
-    "classical:4": "4474c84554ccadf44660f032590461a91890a564949e7e48bf106e8b326cc4cf",
-    "classical:5": "4878c4c1d5d22c178029e03cce2be7a1757b51bd04deb135b617e850d63db4f6",
+    "classical:2": "7bd12bcdead44af28c50c06eec1a4bc5b54471bdab6aaaeae9f97bb6296cf7a9",
+    "classical:3": "b02390032a1ec84d24604b7c6676b134745ca36eb5ba23060a217d48630368a2",
+    "classical:4": "a99863177a10ea98b1d24d453dee9bf6d4e500af449b4e0a323b89f65d015d7f",
+    "classical:5": "04361c00285be8e68f5fdb3b1d86d665381ed07003953c89de07b46502bb5af8",
     "squit": "3f4bbc665f926082d4a22e35a834b3c0c3384618eb31986a6db89704e07b0fde",
     "squit:klein": "be83beeb3d3a936b2da4c83c6c8cb419f063eb260a6c840ef34fa3e01f816919",
 }

@@ -403,8 +403,10 @@ CLI_SHA256 = {
         (1, "f0b6c3da25f197386f6f3791c8bb4515ff62f8f007d8a632065adf2ff7463101"),
     ("cone", "weak", "squit"):
         (0, "d773c07e751c3c2635ad1b01210a6d41c7210a3d91ec56f36ab68c2535a2f068"),
+    # recorded again when the exact recovery proved the Jordan axioms and
+    # read the Jordan frame off the extreme rays instead of sampling
     ("jordan", "recover", "classical:3"):
-        (0, "a370f70f0b3e392f11f065dbafa6b4ef1d2bef492abf9a062bd3559ce46a6388"),
+        (0, "42a9392f4a5739bc22279ca02ae2ea375a3616cc284c57ed2a54af77830e6396"),
 }
 
 
@@ -452,18 +454,20 @@ def test_float_single_stage_commands_keep_their_bytes(args):
 #: sha256 of the catalog commands with one BLAS thread, recorded while the
 #: catalog algebras were still built by loops over `Fraction` pairs: the
 #: symmetric-cone report of catalog algebras and a direct sum, and the
-#: identification of a recovered product, exact and float.
+#: identification of a recovered product, exact and float.  The `verify`
+#: digests were recorded again when the check of an exact algebra became a
+#: proof: no sampled minima, and the Koecher-Vinberg note.
 CATALOG_CLI_SHA256 = {
     ("jordan", "verify", "RealSym(3)"):
-        "372f7a4f90b6780e7326e69bd9876474efde78b3b76037be4584dd1d99c34a08",
+        "b0d886f547f38d92a03b85a82f11832d6f62ed502ea80f1c12d6bd408d4a39fc",
     ("jordan", "verify", "ComplexHerm(2)"):
-        "d0dcb0d76007e57e0dd28b95c0e0edbf6379094f03e1d92acc0380d46b8f37c3",
+        "8894656425ae1cbdb1510efc50957b86e003fec3441aa567de19213adb236936",
     ("jordan", "verify", "QuatHerm(2)"):
-        "7dade7b92934fe31d46504e2bce2a027a2fe10c8cb2fed01905ea7a425812223",
+        "ce38a9e71440206efdb5a9d8e491e0d48d8cba5ddb4df419b7541025cdb3eafa",
     ("jordan", "verify", "SpinFactor(4)"):
-        "16bdf9042b501a1e54fbc567a482c3e334960d53b3ba8baf2ffbf777c41b52ac",
+        "f3a65050fa4e55669523bb0509e5cbd64afc9c4ef42252ff463f87a2bb9f8eb7",
     ("jordan", "verify", "RealSym(1)+SpinFactor(3)"):
-        "b6370d3a324455481f89d0cc27c3542aa69da3521d55730ab17cc9aa7792d06a",
+        "90b58a97de1309be3482dc6452fe3c432798d77cb20a6a000ef5800cfe975267",
     ("jordan", "identify", "classical:3"):
         "ed64e9d611beef67c05b4546130d646d9b88f3f4dcb65d31a6cb839f9b05aa63",
     ("jordan", "identify", "qubit:complex"):
@@ -480,10 +484,11 @@ def test_catalog_commands_keep_their_bytes(args):
 #: recorded while the invariant-form checks still multiplied `Fraction`s:
 #: the flags of spin and derived forms (an indefinite, non-invariant one
 #: without the invariance constraints), pairwise minima and the dual rays
-#: outside the cone all print here.
+#: outside the cone all print here.  `run classical:6` was recorded again
+#: when its recovery and symmetric-cone check became proofs.
 FORM_CLI_SHA256 = {
     ("run", "classical:6"):
-        (0, "23862fb7be4112db3b678ba8a55f4b012b4637111d4c98e4d49ca656468f960e"),
+        (0, "f191f6a17118ef5fbe6e2a0eeda67683f3f52aa03a24b99b52193a5e510b0d34"),
     ("run", "gbit:3"):
         (1, "0fedbe6eabfb3ae6907eb472e7f1eead12463e906fed87011b944e5596814485"),
     ("run", "gbit:4"):

@@ -23,9 +23,9 @@ from hypothesis import given, settings, strategies as st
 import reference_kernels as oracle
 from kvwb import cones, quantum
 from kvwb.builtins import _quantum_model, conjugation_bijection, get_builtin
-from kvwb.composites import (BipartiteState, find_conjugate_state,
-                             is_isomorphism_state, omega_hat, product_state,
-                             validate_bipartite)
+from kvwb.composites import (BipartiteState, CompositeError,
+                             find_conjugate_state, is_isomorphism_state,
+                             omega_hat, product_state, validate_bipartite)
 from kvwb.effectspace import build_effect_space
 from test_forms import ququart_complex
 
@@ -286,7 +286,9 @@ def test_validation_meets_every_verdict():
                                   ("classical:2", "qubit:real")])
 def test_product_tables_keep_the_polytope_path(A, B):
     """Product states with a polytope factor: its conditionals are still
-    checked one at a time, by their LP, which takes exact vectors only."""
+    checked one at a time, by their LP, which takes exact vectors only.  A
+    quantum partner makes the table float, and the check refuses it by
+    name, where the loop failed inside the LP."""
     A, B = get_builtin(A), get_builtin(B)
     beta = ([F(1, 2)] * len(B.outcomes) if B.name == "squit"
             else [0.5] * len(B.outcomes))
@@ -294,6 +296,14 @@ def test_product_tables_keep_the_polytope_path(A, B):
         w = product_state(A, alpha, B, beta)
         new = outcome(validate_bipartite, w)
         old = outcome(oracle.validate_bipartite, w)
+        if B.name == "qubit:real":
+            assert isinstance(old, AttributeError)
+            assert isinstance(new, CompositeError)
+            assert str(new) == (
+                "cannot validate a table over the polytope model "
+                "'classical:2' and the quantum model 'qubit:real': both "
+                "factors must be polytope models or both quantum")
+            continue
         assert_same_outcome(new, old)
         if not isinstance(old, Exception):
             assert (new.ok, new.problems, new.notes) == \

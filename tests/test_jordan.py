@@ -30,6 +30,25 @@ CATALOG = [
 ]
 
 
+def float_twin(J):
+    """J's tensor, unit, kind and parameters as a float algebra, which the
+    symmetric-cone check samples."""
+    return JordanAlgebra(J.kind, J.dim, J.unit, J.tensor, False, J.params)
+
+
+def assert_proved(J, rep):
+    """The report of an exact algebra that is a symmetric cone: gates 1 and
+    2 proved, gates 3 and 4 by the Koecher-Vinberg note, no sampled
+    minimum."""
+    assert J.exact and J.axiom_proof().ok
+    assert rep.ok and rep.failures == [], (J.kind, rep.failures)
+    assert (rep.commutative_ok and rep.unit_ok and rep.identity_ok
+            and rep.trace_form_pd and rep.self_duality_ok
+            and rep.homogeneity_ok)
+    assert rep.min_pairing is None and rep.max_homogeneity_error is None
+    assert rep.notes == [jordan.KV_NOTE]
+
+
 def jordan_identity_residual(J, a, b):
     # (a o b) o (a o a)  ==  a o (b o (a o a))
     sq = jordan_product(J, a, a)
@@ -71,7 +90,8 @@ def test_symmetric_cone_verification():
     kinds += [quaternionic_hermitian(2)]
     kinds += [spin_factor(n) for n in range(2, 7)]
     for J in kinds:
-        rep = verify_symmetric_cone(J, sample_count=30, seed=11)
+        assert_proved(J, verify_symmetric_cone(J, sample_count=30, seed=11))
+        rep = verify_symmetric_cone(float_twin(J), sample_count=30, seed=11)
         assert rep.ok, (J.kind, rep.failures)
         assert rep.homogeneity_ok and rep.self_duality_ok
         assert rep.trace_form_pd
@@ -87,6 +107,9 @@ def test_corrupted_tensor_fails_the_axiom_gate():
     rep = verify_symmetric_cone(K, sample_count=10, seed=3)
     assert not rep.ok
     assert any(f["gate"] == "jordan-axioms" for f in rep.failures)
+    # the failing basis triple is the certificate, and the loops confirm it
+    triple = rep.failures[0]["failing_triple"]
+    assert any(oracle.linearized_identity(K, *triple).flat)
 
 
 def test_spectral_decomposition_reconstructs():
@@ -254,7 +277,8 @@ def transported_problem():
         a = rng.standard_normal(d)
         _, idems = spectral_decomposition(J0, a)
         outcome_vecs.extend(T @ e for e in idems)
-    membership = lambda v: cone_of_squares_membership(J0, Ti @ v, tol=1e-7)
+    def membership(V):
+        return [cone_of_squares_membership(J0, Ti @ v, tol=1e-7) for v in V]
     p = RecoveryProblem(dim=d, B=Bp, u=up, cone_generators=[],
                         outcome_vectors=outcome_vecs,
                         cone_membership=membership)
@@ -328,4 +352,6 @@ def test_direct_sum_is_still_a_symmetric_cone():
     J = direct_sum([real_symmetric(2), spin_factor(3)])
     rep = verify_symmetric_cone(J, sample_count=20, seed=13)
     assert rep.ok
+    assert_proved(J, rep)
+    assert verify_symmetric_cone(float_twin(J), sample_count=20, seed=13).ok
     assert generic_rank(J) == 4

@@ -130,17 +130,25 @@ def test_hypercubes_have_a_conjugate_but_no_self_duality(name):
 
 @pytest.mark.parametrize("name", ["classical:3", "qubit:complex"])
 def test_rank_is_computed_once(name, monkeypatch):
-    from kvwb import spectral
-    calls = []
-    rank = spectral.generic_rank
+    """One call of the shared rank helper; it reads the exact product's
+    rank off its Jordan frame and samples only the float one."""
+    from kvwb import jordan
+    calls, draws = [], []
+    rank, generic = jordan.recovered_rank, jordan.generic_rank
 
     def counted(*args, **kw):
         calls.append(args)
         return rank(*args, **kw)
 
-    monkeypatch.setattr(spectral, "generic_rank", counted)
+    def drawn(*args, **kw):
+        draws.append(args)
+        return generic(*args, **kw)
+
+    monkeypatch.setattr(jordan, "recovered_rank", counted)
+    monkeypatch.setattr(jordan, "generic_rank", drawn)
     assert run(name).stage("identification").status == "pass"
     assert len(calls) == 1
+    assert len(draws) == (name == "qubit:complex")
 
 
 def test_squit_fails_exactly_where_it_should():
@@ -248,6 +256,22 @@ def test_pair_checks_make_no_per_pair_form_values(name, monkeypatch):
     assert calls == []
 
 
+def dual_ray_membership(E, tol):
+    """Membership of a float vector in the closed effect cone K = K**: it
+    pairs nonnegatively with every generator of the cached dual cone
+    (`PolyhedralCone.dual_contains`), one integer product, after rounding
+    noise is absorbed into a tol-sized multiple of the order unit."""
+    from fractions import Fraction
+    from kvwb.linalg import _integer_block
+    slack = Fraction(tol).limit_denominator(10**12)
+
+    def membership(v):
+        vv = [Fraction(float(x)) + slack * b for x, b in zip(v, E.u)]
+        return bool(E.dual_effect_cone.dual_contains(
+            _integer_block(vv)[1][:, None])[0])
+    return membership
+
+
 def probes(E, rng):
     """Cone points, points just outside by less and by more than the slack
     of the exact gate, and points with negative conic coefficients."""
@@ -266,17 +290,24 @@ def probes(E, rng):
 @pytest.mark.parametrize("name", ["classical:3", "classical:5", "squit",
                                   "squit:klein", "gbit:3", "gbit:4"])
 def test_exact_squares_gate_matches_the_lp(name):
-    """Membership by the dual cone's rays gives the phase-one LP's verdict
-    on every probe: K = K** for the closed effect cone."""
+    """Membership by the dual cone's rays, which self-duality and the
+    isomorphism check read, gives the phase-one LP's verdict on every
+    probe: K = K** for the closed effect cone.  The exact recovery problem
+    holds no membership oracle now, only the extreme rays."""
     import numpy as np
     import reference_kernels as oracle
+    from kvwb.cones import extreme_rays
     from kvwb.effectspace import build_effect_space
     from kvwb.forms import find_orthogonalizing_spin_form
     from kvwb.pipeline import _recovery_problem
     m = get_builtin(name)
     E = build_effect_space(m)
     spin = find_orthogonalizing_spin_form(m, E).form
-    gate = _recovery_problem(E, spin, 1e-9).cone_membership
+    if spin is not None:
+        p = _recovery_problem(E, spin, 1e-9)
+        assert p.cone_membership is None
+        assert p.extreme_rays == [list(r) for r in extreme_rays(E.effect_cone)]
+    gate = dual_ray_membership(E, 1e-9)
     lp = oracle.squares_membership(E, 1e-9)
     verdicts = [gate(v) for v in probes(E, np.random.default_rng(1))]
     assert verdicts == [lp(v) for v in probes(E, np.random.default_rng(1))]
@@ -291,14 +322,12 @@ def test_exact_squares_gate_reads_the_lineality():
     import numpy as np
     import reference_kernels as oracle
     from kvwb.cones import cone, dual_cone
-    from kvwb.pipeline import _recovery_problem
     K = cone([[1, 1, 0], [1, 0, 1]])
     E = SimpleNamespace(kind="exact", dim=3, u=[F(2), F(1), F(1)],
                         effect_cone=K, cone_generators=list(K.generators),
                         dual_effect_cone=dual_cone(K), actions=())
     assert E.dual_effect_cone.lineality
-    gate = _recovery_problem(E, SimpleNamespace(matrix=None), 1e-9) \
-        .cone_membership
+    gate = dual_ray_membership(E, 1e-9)
     lp = oracle.squares_membership(E, 1e-9)
     rng = np.random.default_rng(3)
     vs = [rng.uniform(-0.2, 1, 2) @ np.array([[1, 1, 0], [1, 0, 1]])

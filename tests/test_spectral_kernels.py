@@ -6,7 +6,8 @@ one-element code they replaced.
 and the per-row fit and `np.roots` of the old `_eigenvalues_many`.
 Every float must agree bit for bit, signed zeros included; a row that fails
 must fail with the same exception type and message, and the check must stop
-where the old sample loop stopped.
+where the old sample loop stopped.  The check samples only float tensors;
+an exact algebra is proved, so it is compared on its float twin.
 """
 import dataclasses
 import functools
@@ -31,6 +32,7 @@ from kvwb.spectral import (_degrees_and_powers, _eigenvalues,
                            _eigenvalues_many, _minimal_polynomials,
                            _roots_many, _sqrt_many, _stacked, generic_rank,
                            jordan_sqrt, minimal_polynomial_degree)
+from test_jordan import assert_proved, float_twin
 
 CATALOG = [real_symmetric(1), real_symmetric(2), real_symmetric(3),
            complex_hermitian(2), complex_hermitian(3),
@@ -51,6 +53,16 @@ def recovered(name):
 def spectral_only(J):
     """J with its kind's cone formula dropped: the spectral test decides."""
     return JordanAlgebra("Recovered", J.dim, J.unit, J.np_tensor, False)
+
+
+def sampled(J, rep):
+    """The algebra whose report is compared with the sample loop's: J
+    itself when its tensor is float, else its float twin, after checking
+    that J's own report is the proof (`assert_proved`)."""
+    if not J.exact:
+        return J
+    assert_proved(J, rep)
+    return float_twin(J)
 
 
 def algebra(k):
@@ -215,7 +227,10 @@ def assert_same_report(new, old):
 @given(k=st.integers(0, N_ALGEBRAS - 1), seed=st.integers(0, 2**32 - 1),
        sample_count=st.integers(0, 25))
 def test_symmetric_cone_reports_match(k, seed, sample_count):
+    """Exact algebras are proved; the sampled gates run on their float
+    twins."""
     J = algebra(k)
+    J = sampled(J, verify_symmetric_cone(J, sample_count, seed))
     assert_same_report(verify_symmetric_cone(J, sample_count, seed),
                        oracle.verify_symmetric_cone(J, sample_count, seed))
 
@@ -223,19 +238,23 @@ def test_symmetric_cone_reports_match(k, seed, sample_count):
 @pytest.mark.parametrize("k", range(N_ALGEBRAS))
 def test_symmetric_cone_reports_match_at_the_defaults(k):
     J = algebra(k)
+    J = sampled(J, verify_symmetric_cone(J))
     rep = verify_symmetric_cone(J)
     assert rep.ok
     assert_same_report(rep, oracle.verify_symmetric_cone(J))
 
 
 def test_mislabelled_tensor_fails_inside_gate_4_as_before():
-    """RealSym(2)'s tensor under the cone formula of R + R + R: the axioms,
-    the trace form and self-duality pass, and the images of squares whose
-    off-diagonal coordinate is negative fail the wrong formula."""
+    """RealSym(2)'s tensor under the cone formula of R + R + R.  Exact, it
+    is proved a symmetric cone: the proof reads the tensor, not the formula.
+    Its float twin samples: the axioms, the trace form and self-duality
+    pass, and the images of squares whose off-diagonal coordinate is
+    negative fail the wrong formula."""
     J = real_symmetric(2)
     K = JordanAlgebra("DirectSum(RealSym(1), RealSym(1), RealSym(1))", J.dim,
                       J.unit, J.tensor, True,
                       params=classical_algebra(3).params)
+    K = sampled(K, verify_symmetric_cone(K, sample_count=30))
     rep = verify_symmetric_cone(K, sample_count=30)
     assert rep.self_duality_ok and not rep.ok
     assert 0 < len(rep.failures) < 30
@@ -447,29 +466,42 @@ def perturbed(J, draw, exact):
        sample_count=st.integers(0, 60), exact=st.booleans(), data=st.data())
 def test_gate_1_matches_the_fraction_residual(k, seed, sample_count, exact,
                                               data):
-    """On the catalog and on perturbed tensors, which fail gate 1, the
-    integer gate gives the old report, and its residual is the worst
-    `Fraction` residual of the old sample loop; the stacked float gate gives
-    the old report on float tensors."""
+    """On the catalog and on perturbed tensors, which fail gate 1: an exact
+    tensor gets the proof, which rejects whenever the old sample loop finds
+    a nonzero `Fraction` residual and accepts only when it finds none, and
+    its float twin gets the old report from the stacked float gate, as a
+    float tensor does."""
     J = perturbed(CATALOG[k], data.draw, exact)
     new = verify_symmetric_cone(J, sample_count, seed)
-    assert_same_report(new, oracle.verify_symmetric_cone(J, sample_count,
-                                                         seed))
     if exact:
+        proof = J.axiom_proof()
         rng = np.random.default_rng(seed)
         worst = max(oracle._identity_residual(
             J, oracle._random_rational_vec(rng, J.dim),
             oracle._random_rational_vec(rng, J.dim))
             for _ in range(max(10, sample_count // 5)))
-        assert new.identity_ok == (worst == 0)
+        assert new.identity_ok == proof.identity
+        if proof.identity:
+            assert worst == 0           # the proof accepts: the samples pass
         if worst:
-            assert new.failures[0]["identity_residual"] == str(worst)
+            assert not proof.ok         # the samples fail: the proof rejects
+        if not proof.ok:
+            assert new.failures == [{
+                "gate": "jordan-axioms",
+                "identity_residual": proof.residual,
+                "failing_triple": proof.triple}]
+        J = float_twin(J)
+        new = verify_symmetric_cone(J, sample_count, seed)
+    assert_same_report(new, oracle.verify_symmetric_cone(J, sample_count,
+                                                         seed))
 
 
 @pytest.mark.parametrize("name", ["classical:5", "qutrit:complex"])
 def test_the_check_makes_no_per_row_fit_roots_or_product(name, monkeypatch):
     """One fit per degree of each stacked eigenvalue call, no np.roots and
-    no `JordanAlgebra.product` (gate 1 runs on integer or float stacks)."""
+    no `JordanAlgebra.product` (gate 1 runs on float stacks); the exact
+    product of classical:5 is proved with none of them, and its float twin
+    is sampled."""
     J = recovered(name)
     assert J.exact == (name == "classical:5")
     calls, fits = [0], []
@@ -491,6 +523,9 @@ def test_the_check_makes_no_per_row_fit_roots_or_product(name, monkeypatch):
     monkeypatch.setattr(_umath_linalg, "lstsq", count_fits)
     monkeypatch.setattr(np, "roots", refuse)
     monkeypatch.setattr(JordanAlgebra, "product", refuse)
+    if J.exact:
+        J = sampled(J, verify_symmetric_cone(J))
+        assert calls == [0] and not fits
     assert verify_symmetric_cone(J).ok
     assert calls[0] >= 2 and fits
     assert len(fits) == len(set(fits))
