@@ -12,9 +12,9 @@ inputs are rational; seeded, reproducible numerics otherwise.
 from .builtins import builtin_names, conjugation_bijection, get_builtin
 from .composites import (BipartiteState, CompositeError, Conjugate,
                          conditional, find_conjugate_state,
-                         homogeneity_report, is_isomorphism_state,
-                         make_conjugate, marginal, omega_hat, product_state,
-                         spin_form_from_conjugate, validate_bipartite)
+                         is_isomorphism_state, make_conjugate, marginal,
+                         omega_hat, product_state, spin_form_from_conjugate,
+                         validate_bipartite)
 from .cones import (PolyhedralCone, cone, dual_cone, is_self_dual,
                     is_weakly_self_dual)
 from .effectspace import OrderUnitSpace, build_effect_space, linearize_morphism
@@ -46,7 +46,7 @@ __all__ = [
     "cone_of_squares_membership", "conjugation_bijection", "direct_sum",
     "dual_cone", "dumps_canonical", "find_conjugate_state",
     "find_nontrivial_images", "find_orthogonalizing_spin_form",
-    "get_builtin", "homogeneity_report", "identify_algebra",
+    "get_builtin", "identify_algebra",
     "is_irreducible", "is_isomorphism_state", "is_self_dual", "is_sharp",
     "is_weakly_self_dual", "jordan_product", "jordan_sqrt",
     "linearize_morphism", "load_model", "make_conjugate", "marginal",

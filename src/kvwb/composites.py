@@ -629,52 +629,3 @@ def _invariance_flag(E: OrderUnitSpace, B: BilinearForm,
     except ValueError:
         return None
 
-
-# ---------------------------------------------------------------------------
-# BGW homogeneity hypothesis report
-
-@dataclass
-class HomogeneityReport:
-    witness_ok: list
-    covered: list            # per sample: index of covering witness or None
-    uncovered: list
-    verified_on_samples: bool
-    notes: list = field(default_factory=list)
-
-
-def homogeneity_report(E: OrderUnitSpace, witnesses: list,
-                       samples: list, tol: float = 1e-9) -> HomogeneityReport:
-    """Which sampled interior states of E's model are marginals of
-    isomorphism states?
-
-    A hypothesis-checking report, not a proof of homogeneity: each witness
-    (a bipartite state of the model with itself) is verified to be an
-    isomorphism state on E, its marginal computed, and each sample matched
-    against the verified marginals.  A witness given as a pair (state,
-    `IsomorphismStateReport`) brings the verdict already taken on E with
-    `tol`, as the pipeline's conjugate stage does for eta, and is not
-    checked again.
-    """
-    m = E.model
-    K = _Kind(E.kind, tol)
-    witness_ok, margs = [], []
-    for w in witnesses:
-        w, rep = w if isinstance(w, tuple) else (w, None)
-        if w.A is not m or w.B is not m:
-            witness_ok.append(False)
-            margs.append(None)
-            continue
-        rep = rep or is_isomorphism_state(w, E, E, tol)
-        witness_ok.append(rep.is_iso)
-        margs.append(marginal(w, "A") if rep.is_iso else None)
-    covered, uncovered = [], []
-    for i, s in enumerate(samples):
-        hit = next((j for j, mg in enumerate(margs) if mg is not None
-                    and K.is_zero(K.array(mg) - K.array(s))), None)
-        covered.append(hit)
-        if hit is None:
-            uncovered.append(i)
-    notes = ["hypothesis-checking report on the given samples, not a proof "
-             "of homogeneity"]
-    return HomogeneityReport(witness_ok, covered, uncovered,
-                             not uncovered and bool(samples), notes)

@@ -119,6 +119,16 @@ def trace_form_gram(J: JordanAlgebra):
     return K.native(K.array(G + G.T) / (2 * s * s))
 
 
+def _positive_definite(G, floor: float) -> bool:
+    """Whether the symmetric matrix G is positive definite: exactly by
+    `linalg.is_positive_definite` on rationals, by a least eigenvalue above
+    `floor` on floats."""
+    G = np.asarray(G)
+    if G.dtype == object:
+        return is_positive_definite(G)
+    return bool(np.linalg.eigvalsh(G).min() > floor)
+
+
 # ---------------------------------------------------------------------------
 # the Jordan axioms, proved on the basis of an exact tensor
 
@@ -438,10 +448,7 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
 
     # gate 2: formal reality via the trace form
     G = trace_form_gram(J)
-    if J.exact:
-        rep.trace_form_pd = is_positive_definite(G)
-    else:
-        rep.trace_form_pd = bool(np.linalg.eigvalsh(np.asarray(G)).min() > tol)
+    rep.trace_form_pd = _positive_definite(G, tol)
     if not rep.trace_form_pd:
         rep.failures.append({"gate": "trace-form-pd"})
         return rep
@@ -740,25 +747,25 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42
     not tell apart: the result then holds no algebra, rather than one picked
     from the family.  A unique solution must pass the gates: the Jordan
     axioms, a positive definite trace form, and the squares gate.  An exact
-    problem gives an exact algebra and draws nothing: its axioms are
-    `JordanAlgebra.axiom_proof`, and its squares gate is `jordan_frame` on
-    the supplied extreme rays.  A float problem tests the Jordan identity on
-    3·d seeded probes (residual at most 1e-8) and, given a membership
-    oracle, that the squares of 20 seeded probes lie in the cone: one draw,
-    one stacked square and one call of the oracle.
+    problem gives an exact algebra, decides every gate on rationals and draws
+    nothing: its axioms are `JordanAlgebra.axiom_proof`, and its squares
+    gate is `jordan_frame` on the supplied extreme rays.  A float problem
+    tests the Jordan identity on 3·d seeded probes (residual at most 1e-8)
+    and, given a membership oracle, that the squares of 20 seeded probes lie
+    in the cone: one draw, one stacked square and one call of the oracle.
     """
     gates: dict = {}
     notes: list = []
     d = p.dim
-    B = np.asarray(p.B, float)
-    eig = np.linalg.eigvalsh((B + B.T) / 2)
-    gates["form_pd"] = bool(eig.min() > 0)
+    K = _EXACT if p.exact else _FLOAT
+    B, u = K.array(p.B), K.array(p.u)
+    gates["form_pd"] = _positive_definite((B + B.T) / 2, 0)
     if not gates["form_pd"]:
         return RecoveryResult(None, -1, None, None, gates,
                               ["form not positive definite"], seed)
-    u = np.asarray(p.u, float)
     gates["unit_interior_heuristic"] = all(
-        float(np.asarray(g, float) @ B @ u) > 1e-12 for g in p.cone_generators)
+        K.array(g) @ B @ u > (0 if p.exact else 1e-12)
+        for g in p.cone_generators)
 
     T = _linear_stage(p)
     if T is None:
@@ -773,7 +780,6 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42
             "products; none is picked"], seed)
     notes.append("linear stage already determined the tensor; uniqueness "
                  "certified by the rank of the constraint system")
-    T_star = np.asarray(T[..., 0], float) + 0.0    # no negative zeros
 
     if p.exact:
         J = JordanAlgebra("Recovered", d, [frac(x) for x in p.u],
@@ -783,6 +789,7 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42
         gates["identity_ok"] = proof.ok
         gates["identity_triple"] = proof.triple
     else:
+        T_star = np.asarray(T[..., 0], float) + 0.0    # no negative zeros
         J = JordanAlgebra("Recovered", d, list(u), T_star, False)
         rng = np.random.default_rng(seed)
         X, Y = rng.standard_normal((3 * d, 2, d)).swapaxes(0, 1).copy()
@@ -795,9 +802,7 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42
                                        "hypotheses likely unmet"], seed)
 
     # acceptance gates on the tensor
-    G = np.einsum("ijm,m->ij", T_star, np.einsum("mkk->m", T_star))
-    gates["trace_form_pd"] = bool(
-        np.linalg.eigvalsh((G + G.T) / 2).min() > 1e-10)
+    gates["trace_form_pd"] = _positive_definite(trace_form_gram(J), 1e-10)
     sq_ok, frame = True, None
     if p.exact and p.extreme_rays:
         frame = jordan_frame(J, p.extreme_rays)

@@ -1,15 +1,14 @@
 """End-to-end analysis pipeline over a single model.
 
-Stages run in dependency order; each gets a status out of
-pass / fail / not-applicable / unknown.  A failed prerequisite marks the
-dependents not-applicable — never pass.  Everything downstream of the
-random seed is deterministic, so two runs with the same inputs produce
-byte-identical reports.
+Stages run in dependency order and are reported in `STAGE_ORDER`; each
+gets a status out of pass / fail / not-applicable / unknown.  A failed
+prerequisite marks the dependents not-applicable — never pass.  Everything
+downstream of the random seed is deterministic, so two runs with the same
+inputs produce byte-identical reports.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -124,43 +123,6 @@ class PipelineReport:
         return "\n".join(lines).rstrip("\n") + "\n"
 
 
-def _barycenter(vertices) -> list:
-    n = len(vertices)
-    return [sum(col, Fraction(0)) / n for col in zip(*vertices)]
-
-
-def _homogeneity_inputs(m: models.Model, eta, eta_iso):
-    """Deterministic interior samples plus whatever witnesses we can build.
-
-    Single-test polytope models get one diagonal witness per sample (the
-    table supported on the diagonal with the sample as its profile), which
-    covers the sample whenever the diagonal map is an order isomorphism.
-    Everything else relies on the conjugate state's marginal; eta comes
-    with the conjugate stage's isomorphism verdict, so it is checked once.
-    """
-    witnesses = []
-    if eta is not None:
-        witnesses.append((eta, eta_iso))
-    if isinstance(m.states, models.PolytopeBackend):
-        bary = _barycenter(m.states.vertices)
-        samples = [bary]
-        if len(m.tests) == 1:
-            n = len(m.outcomes)
-            total = n * (n + 1) // 2
-            samples.append([Fraction(i + 1, total) for i in range(n)])
-            for s in samples:
-                table = {(x, y): (s[i] if x == y else Fraction(0))
-                         for i, x in enumerate(m.outcomes)
-                         for y in m.outcomes}
-                witnesses.append(composites.BipartiteState(m, m, table))
-    else:
-        qb = m.states
-        mixed = [float(np.trace(np.asarray(qb.outcome_matrices[x])).real)
-                 / qb.dim for x in m.outcomes]
-        samples = [mixed]
-    return witnesses, samples
-
-
 def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
                  expect=(), sample_count: int = 50) -> PipelineReport:
     expect = sorted(set(expect))
@@ -262,7 +224,6 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
 
     # -- conjugate state ------------------------------------------------------
     eta = None
-    eta_iso = None
     if blocked("effect-space"):
         add("conjugate", NA, notes=["needs the effect space"])
     else:
@@ -362,20 +323,6 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
                 {"status": "unknown"},
                 ["no exact ray enumeration for sampled quantum cones"])
 
-    # -- homogeneity (hypothesis-checking report) --------------------------------
-    if blocked("effect-space"):
-        add("homogeneity", NA, notes=["needs the effect space"])
-    else:
-        wits, samples = _homogeneity_inputs(m, eta, eta_iso)
-        hrep = composites.homogeneity_report(E, wits, samples, tol=tol)
-        hst = PASS if (hrep.verified_on_samples and all(hrep.witness_ok)) \
-            else UNKNOWN
-        add("homogeneity", hst,
-            {"witnesses": len(wits), "witness_ok": hrep.witness_ok,
-             "covered": hrep.covered, "uncovered": hrep.uncovered,
-             "verified_on_samples": hrep.verified_on_samples,
-             "samples": samples}, hrep.notes)
-
     # -- order-unit product recovery ----------------------------------------------
     recovered = None
     if blocked("spin-form", "self-duality"):
@@ -406,6 +353,22 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
         add("jordan-recovery", PASS if ok else
             UNKNOWN if res.linear_solution_dim > 0 else FAIL, rdata, rnotes)
 
+    # -- homogeneity, read off the recovered product (Koecher-Vinberg) ---------
+    # A cone of squares of a Euclidean Jordan algebra is homogeneous; without
+    # a recovered product nothing is known, so the stage never says "fail".
+    if blocked("effect-space"):
+        add("homogeneity", NA, notes=["needs the effect space"])
+    elif blocked("jordan-recovery"):
+        add("homogeneity", UNKNOWN, {"homogeneous": None, "proved": False},
+            ["no Jordan product was recovered, so nothing is decided"])
+    else:
+        add("homogeneity", PASS,
+            {"homogeneous": True, "proved": recovered.exact},
+            [jordan.KV_NOTE if recovered.exact else
+             "sampled, not proved: gate 4 of the recovered product's "
+             "symmetric-cone check found P(w^(1/2)) e = w, with squares "
+             "kept in the cone, on every seeded interior sample w"])
+
     # -- identification ---------------------------------------------------------
     if blocked("jordan-recovery"):
         add("identification", NA, notes=["needs a recovered product"])
@@ -419,6 +382,7 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
                           "candidates; listed in full")
         add("identification", PASS if cands else FAIL, idata, inotes)
 
+    stages.sort(key=lambda s: STAGE_ORDER.index(s.name))
     return PipelineReport(m, seed, tol, stages, expect,
                           spin_form=spin, recovered=recovered)
 

@@ -50,7 +50,13 @@ float path that stacked numpy calls replaced: the pair loop of
 (`from_coords`, which this module's quantum oracles call), and the
 `Fraction` combinations of `kvwb.cones._try_bijection` (verbatim, but for
 calling this module's `from_coords`, `_conditional_in_cone` and
-`validate_bipartite`).
+`validate_bipartite`), and the sampled witness report of the homogeneity
+stage (`homogeneity_report` with `HomogeneityReport`, `_homogeneity_inputs`
+with its `_barycenter`) that the stage read off the recovered Jordan product
+replaced (verbatim, so its `is_isomorphism_state` is this module's per-ray-LP
+oracle), and the float form, unit and trace-form gates of
+`kvwb.jordan.recover_jordan_product` (`float_recovery_gates`) that exact
+problems now decide on rationals.
 
 Slow and obviously correct; the property tests require the fast kernels to
 return exactly what these return.
@@ -58,6 +64,7 @@ return exactly what these return.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -65,7 +72,7 @@ import numpy as np
 
 from kvwb.composites import (BipartiteReport, BipartiteState, CompositeError,
                              IsomorphismStateReport, OmegaHat, _check_gamma,
-                             _entangled_eta, _invariance_flag)
+                             _entangled_eta, _invariance_flag, marginal)
 from kvwb.cones import SelfDualityReport, dual_cone
 from kvwb.effectspace import OrderUnitSpace, build_effect_space
 from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
@@ -73,7 +80,7 @@ from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
 from kvwb.linalg import (Mat, Vec, ZERO, ONE, _augmented_solution, _Kind,
                          _integer_block, _null_basis, dot, frac, is_symmetric,
                          det, mat_vec, solve, sparse_int_rows)
-from kvwb import linalg, lp
+from kvwb import composites, linalg, lp, models
 from kvwb.lp import LPResult, UnboundedError
 from kvwb.lp import convex_membership, free_feasibility
 from kvwb.models import Model, PermutationGroup, PolytopeBackend, QuantumBackend
@@ -1677,3 +1684,108 @@ def _try_bijection(R, S, perm, d):
             lams = [vec[d * d + i] for i in range(m)]
             return True, M, lams, None
     return False, None, None, f"bijection {perm}: solutions exist but all sampled maps singular"
+
+
+# ---------------------------------------------------------------------------
+# the sampled witness report of the old homogeneity stage
+
+@dataclass
+class HomogeneityReport:
+    witness_ok: list
+    covered: list            # per sample: index of covering witness or None
+    uncovered: list
+    verified_on_samples: bool
+    notes: list = field(default_factory=list)
+
+
+def homogeneity_report(E: OrderUnitSpace, witnesses: list,
+                       samples: list, tol: float = 1e-9) -> HomogeneityReport:
+    """Which sampled interior states of E's model are marginals of
+    isomorphism states?
+
+    A hypothesis-checking report, not a proof of homogeneity: each witness
+    (a bipartite state of the model with itself) is verified to be an
+    isomorphism state on E, its marginal computed, and each sample matched
+    against the verified marginals.  A witness given as a pair (state,
+    `IsomorphismStateReport`) brings the verdict already taken on E with
+    `tol`, as the pipeline's conjugate stage does for eta, and is not
+    checked again.
+    """
+    m = E.model
+    K = _Kind(E.kind, tol)
+    witness_ok, margs = [], []
+    for w in witnesses:
+        w, rep = w if isinstance(w, tuple) else (w, None)
+        if w.A is not m or w.B is not m:
+            witness_ok.append(False)
+            margs.append(None)
+            continue
+        rep = rep or is_isomorphism_state(w, E, E, tol)
+        witness_ok.append(rep.is_iso)
+        margs.append(marginal(w, "A") if rep.is_iso else None)
+    covered, uncovered = [], []
+    for i, s in enumerate(samples):
+        hit = next((j for j, mg in enumerate(margs) if mg is not None
+                    and K.is_zero(K.array(mg) - K.array(s))), None)
+        covered.append(hit)
+        if hit is None:
+            uncovered.append(i)
+    notes = ["hypothesis-checking report on the given samples, not a proof "
+             "of homogeneity"]
+    return HomogeneityReport(witness_ok, covered, uncovered,
+                             not uncovered and bool(samples), notes)
+
+
+def _barycenter(vertices) -> list:
+    n = len(vertices)
+    return [sum(col, Fraction(0)) / n for col in zip(*vertices)]
+
+
+def _homogeneity_inputs(m: models.Model, eta, eta_iso):
+    """Deterministic interior samples plus whatever witnesses we can build.
+
+    Single-test polytope models get one diagonal witness per sample (the
+    table supported on the diagonal with the sample as its profile), which
+    covers the sample whenever the diagonal map is an order isomorphism.
+    Everything else relies on the conjugate state's marginal; eta comes
+    with the conjugate stage's isomorphism verdict, so it is checked once.
+    """
+    witnesses = []
+    if eta is not None:
+        witnesses.append((eta, eta_iso))
+    if isinstance(m.states, models.PolytopeBackend):
+        bary = _barycenter(m.states.vertices)
+        samples = [bary]
+        if len(m.tests) == 1:
+            n = len(m.outcomes)
+            total = n * (n + 1) // 2
+            samples.append([Fraction(i + 1, total) for i in range(n)])
+            for s in samples:
+                table = {(x, y): (s[i] if x == y else Fraction(0))
+                         for i, x in enumerate(m.outcomes)
+                         for y in m.outcomes}
+                witnesses.append(composites.BipartiteState(m, m, table))
+    else:
+        qb = m.states
+        mixed = [float(np.trace(np.asarray(qb.outcome_matrices[x])).real)
+                 / qb.dim for x in m.outcomes]
+        samples = [mixed]
+    return witnesses, samples
+
+
+def float_recovery_gates(p: RecoveryProblem, tensor) -> dict:
+    """The float verdicts of `recover_jordan_product`'s `form_pd`,
+    `unit_interior_heuristic` and `trace_form_pd` gates on the problem p
+    and its recovered tensor, as every problem computed them before exact
+    ones decided them on rationals."""
+    B = np.asarray(p.B, float)
+    eig = np.linalg.eigvalsh((B + B.T) / 2)
+    u = np.asarray(p.u, float)
+    T_star = np.asarray(tensor, float) + 0.0    # no negative zeros
+    G = np.einsum("ijm,m->ij", T_star, np.einsum("mkk->m", T_star))
+    return {"form_pd": bool(eig.min() > 0),
+            "unit_interior_heuristic": all(
+                float(np.asarray(g, float) @ B @ u) > 1e-12
+                for g in p.cone_generators),
+            "trace_form_pd": bool(
+                np.linalg.eigvalsh((G + G.T) / 2).min() > 1e-10)}

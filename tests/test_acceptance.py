@@ -265,15 +265,17 @@ def test_criterion_8_images():
 #: produced, with the retired `"cap"` key dropped from `model_spec.group`;
 #: the `classical:n` digests were recorded again when the exact recovery and
 #: symmetric-cone check became proofs, whose exact residual, frame gate and
-#: Koecher-Vinberg note replace the sampled residuals and minima.
+#: Koecher-Vinberg note replace the sampled residuals and minima.  All six
+#: were recorded again when the homogeneity stage was read off the recovered
+#: product: only that stage's data and notes changed, its status did not.
 #: The quantum built-ins are left out: their floats come from LAPACK.
 REPORT_SHA256 = {
-    "classical:2": "7bd12bcdead44af28c50c06eec1a4bc5b54471bdab6aaaeae9f97bb6296cf7a9",
-    "classical:3": "b02390032a1ec84d24604b7c6676b134745ca36eb5ba23060a217d48630368a2",
-    "classical:4": "a99863177a10ea98b1d24d453dee9bf6d4e500af449b4e0a323b89f65d015d7f",
-    "classical:5": "04361c00285be8e68f5fdb3b1d86d665381ed07003953c89de07b46502bb5af8",
-    "squit": "3f4bbc665f926082d4a22e35a834b3c0c3384618eb31986a6db89704e07b0fde",
-    "squit:klein": "be83beeb3d3a936b2da4c83c6c8cb419f063eb260a6c840ef34fa3e01f816919",
+    "classical:2": "64726327145c3d2f173d9792c87f0f195875d275ab3a629cc6fff44adbb25301",
+    "classical:3": "730abc826b83f1c80e9b2cfb2a56d1a1dc6bf4adb18b6d05c7ddd25efb886644",
+    "classical:4": "29d7aa3700ccc6bdff0a87fdd260a9910ed801b5d80edabbeecd72f73cf655a6",
+    "classical:5": "db9aec440b2cfbcd480a64e777a6555de953a783af461a9e4a3267c289d1416b",
+    "squit": "09ec2af532029e49b2a465519cb332e304c86c3adfd3a3bb47755ce15955acea",
+    "squit:klein": "d29b2e03f6b5654eeb0dba64e4f86af76a03a6bc2a80bec4e70ce748fcd9a963",
 }
 
 
@@ -295,12 +297,14 @@ def test_criterion_9_byte_identical_reports():
 #: sha256 of `kvwb run NAME` on the quantum built-ins with one BLAS thread,
 #: recorded when recovery moved to the symmetric cubic form: against the
 #: full-tensor rows only float residuals and errors changed, each by under
-#: 1e-12.  LAPACK's results depend on its thread count, so the digests hold
-#: for one thread only (with two, `qutrit:complex` gives 1b05ea45...).
+#: 1e-12.  All three were recorded again when the homogeneity stage was
+#: read off the recovered product, which changed only that stage's data and
+#: notes.  LAPACK's results depend on its thread count, so the digests hold
+#: for one thread only (with two, `qutrit:complex` gives 02a05206...).
 QUANTUM_REPORT_SHA256 = {
-    "qubit:real": "c79b967f904fb6ffa7522f73c71f650e083200f0576119d138cd3faba00fafd8",
-    "qubit:complex": "134ff5f3793b9d192057c4942c4b71af433d031d26c76982acc5d6ca5a96af84",
-    "qutrit:complex": "ccba1446d9c21b8545f3da5ac03347a328bf2e522b7cfa8eec4821b016ed2e43",
+    "qubit:real": "013b48c87291acc9adc1d751e8ee49446dbafe73cc5c32c89245c0b00f0dd970",
+    "qubit:complex": "caeb5d2ae8c116824722befbb8d22e847bb5e7d68906e3bd02ebb8c28abc61f5",
+    "qutrit:complex": "7720c98f4495962769f1096873f4a0daa78bd07f4be62ccdac0d09e55ddb265a",
 }
 
 

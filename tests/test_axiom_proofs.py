@@ -188,6 +188,27 @@ def test_frame_gate_agrees_with_the_sampled_squares_gate(n):
     assert oracle.sampled_squares_gate(J, oracle.squares_membership(E, 1e-9))
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_exact_recovery_decides_its_gates_without_eigvalsh(n, monkeypatch):
+    """On classical:n the form, the trace form and the unit's interior
+    heuristic are decided on rationals, with no `eigvalsh` call, and agree
+    with the float gates they replaced (`float_recovery_gates`)."""
+    _, p, res = recovery(f"classical:{n}")
+    want = oracle.float_recovery_gates(p, res.algebra.tensor)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(*args, **kw):
+        calls.append(args)
+        return eigvalsh(*args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    gates = recover_jordan_product(p).gates
+    assert calls == []
+    assert {k: gates[k] for k in want} == want
+    assert all(want.values())
+
+
 def test_frame_gate_rejects_a_ray_replaced_by_a_sum():
     """classical:3 with its first ray replaced by the sum of the first two:
     that sum is idempotent, but not orthogonal to the second ray, and the

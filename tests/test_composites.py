@@ -6,12 +6,13 @@ import pytest
 from kvwb.builtins import classical, conjugation_bijection, get_builtin, squit
 from kvwb.composites import (BipartiteState, CompositeError, Conjugate,
                              conditional,
-                             find_conjugate_state, homogeneity_report,
+                             find_conjugate_state,
                              is_isomorphism_state, make_conjugate, marginal,
                              omega_hat, product_state, spin_form_from_conjugate,
                              validate_bipartite)
 from kvwb.effectspace import build_effect_space
 from kvwb.forms import find_orthogonalizing_spin_form
+from reference_kernels import homogeneity_report
 
 SQUIT_ETA_X0 = [F(1, 2), F(0), F(1, 4), F(1, 4)]
 

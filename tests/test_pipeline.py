@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from kvwb.builtins import builtin_names, get_builtin
+from kvwb.effectspace import build_effect_space
 from kvwb.models import PolytopeBackend
 from kvwb.pipeline import STAGE_ORDER, conjugation_bijection, run_pipeline
 from kvwb.serialize import dumps_canonical, model_from_json, model_to_json
@@ -68,10 +69,10 @@ def test_effect_space_parts_are_computed_once(name, monkeypatch):
     assert calls == {"build": 1, "actions": 1, "dd": 2}
 
 
-@pytest.mark.parametrize("name, calls", [("classical:4", 3), ("squit", 1)])
+@pytest.mark.parametrize("name, calls", [("classical:4", 1), ("squit", 1)])
 def test_eta_is_checked_once(name, calls, monkeypatch):
-    """The homogeneity stage takes the conjugate stage's verdict on eta;
-    only the diagonal witnesses of a one-test model are checked there."""
+    """Only the conjugate stage checks a bipartite state: the homogeneity
+    stage reads the recovered product and checks no witness."""
     from kvwb import composites
     states = []
     check = composites.is_isomorphism_state
@@ -401,3 +402,61 @@ def test_a_family_of_products_is_unknown(monkeypatch):
     assert stage.data["residual"] is None    # no Infinity in the report
     assert rep.stage("identification").status == "not-applicable"
     assert rep.failures == []
+
+
+def witness_verdict(m) -> str:
+    """The status of the sampled witness report that the homogeneity stage
+    gave before it read the recovered product: `pass` when the oracle
+    verifies every sample with sound witnesses, `unknown` otherwise."""
+    import reference_kernels as oracle
+    from kvwb import composites
+    E = build_effect_space(m)
+    try:
+        eta = composites.find_conjugate_state(m, gamma=conjugation_bijection(m))
+    except composites.CompositeError:
+        eta = None
+    eta_iso = None if eta is None else oracle.is_isomorphism_state(eta, E, E)
+    hrep = oracle.homogeneity_report(
+        E, *oracle._homogeneity_inputs(m, eta, eta_iso))
+    return ("pass" if hrep.verified_on_samples and all(hrep.witness_ok)
+            else "unknown")
+
+
+@pytest.mark.parametrize("name", builtin_names() + [
+    "classical:6", "gbit:3", "gbit:4", "gbit:5"])
+def test_homogeneity_stage_matches_the_witness_oracle(name):
+    """The stage passes exactly where the product is recovered and where the
+    old witness report passed: proved with the Koecher-Vinberg note on
+    exact models, sampled on float ones; elsewhere it is unknown."""
+    from kvwb.jordan import KV_NOTE
+    m = get_builtin(name)
+    rep = run_pipeline(m)
+    stage, recovery = rep.stage("homogeneity"), rep.stage("jordan-recovery")
+    assert stage.status == witness_verdict(m)
+    if stage.status == "pass":
+        assert recovery.status == "pass"
+        exact = recovery.data["exact"]
+        assert stage.data == {"homogeneous": True, "proved": exact}
+        assert (stage.notes == [KV_NOTE]) is exact
+    else:
+        assert stage.status == "unknown" and recovery.status != "pass"
+        assert stage.data == {"homogeneous": None, "proved": False}
+
+
+@pytest.mark.parametrize("name", ["classical:3", "qubit:real"])
+def test_homogeneity_is_unknown_when_the_cone_check_fails(name, monkeypatch):
+    """A recovered product that fails its symmetric-cone check decides
+    nothing about homogeneity: the stage says unknown, never fail."""
+    from kvwb import jordan
+
+    def failing(J, **kw):
+        return jordan.SymmetricConeReport(
+            ok=False, failures=[{"gate": "trace-form-pd"}])
+
+    monkeypatch.setattr(jordan, "verify_symmetric_cone", failing)
+    rep = run(name)
+    assert rep.stage("jordan-recovery").status == "fail"
+    stage = rep.stage("homogeneity")
+    assert stage.status == "unknown"
+    assert stage.data == {"homogeneous": None, "proved": False}
+    assert [s.name for s in rep.stages] == STAGE_ORDER

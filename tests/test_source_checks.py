@@ -18,3 +18,9 @@ def test_package_has_no_assert_statement():
     """Checks are real raises, so they still run under `python -O`."""
     assert list(SRC.glob("*.py"))
     assert assert_statements(SRC) == []
+
+
+def test_every_exported_name_resolves():
+    """Each name in `kvwb.__all__` is an attribute of the package."""
+    import kvwb
+    assert [n for n in kvwb.__all__ if not hasattr(kvwb, n)] == []
