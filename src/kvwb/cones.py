@@ -283,7 +283,7 @@ def is_self_dual(K: PolyhedralCone, form: Mat,
     D = dual_cone(K, form)
     pmin, parg = pairwise_form_positivity(K, form)
     failures = []
-    if pmin < 0:
+    if parg and pmin < 0:                        # no pair: K is the zero cone
         failures.append({"kind": "cone-not-in-dual",
                          "pair": parg, "value": pmin})
     K_dual = K_dual if K_dual is not None else dual_cone(K)

@@ -597,19 +597,6 @@ def _triple_index(d: int) -> np.ndarray:
     return idx
 
 
-def _inverse(K: _Kind, B: np.ndarray) -> np.ndarray:
-    """B⁻¹; on rationals from one sparse elimination of [s·B | -s·I], whose
-    null vector on the free column d + k is (B⁻¹e_k, e_k)."""
-    if not K.exact:
-        return np.linalg.inv(B)
-    s, Bn = _integer_block(B)
-    d = len(Bn)
-    rows = [{**{j: v for j, v in enumerate(r) if v}, d + i: -s}
-            for i, r in enumerate(Bn.tolist())]
-    return np.array([v[:d] for v in solve_with_nullspace(rows, 2 * d)[1]],
-                    dtype=object).T
-
-
 def _cubic_rows(p: RecoveryProblem, K: _Kind):
     """The linear constraints A s = b on the cubic form S(x, y, z) =
     B(x ∘ y, z), totally symmetric for an associative B: the unknown
@@ -633,7 +620,7 @@ def _cubic_rows(p: RecoveryProblem, K: _Kind):
     dtype = object if K.exact else float
     B = K.array(p.B)
     s_B, Bn = K.scaled(B)
-    s_Bi, Bin = K.scaled(_inverse(K, B))
+    s_Bi, Bin = K.scaled(K.inverse(B))
     iu, ju = np.triu_indices(d)
     R = len(iu)
     rows, cols, vals, rhs = [], [], [], []
@@ -715,7 +702,7 @@ def _linear_stage(p: RecoveryProblem) -> Optional[np.ndarray]:
     iu, ju = np.triu_indices(d)
     S = X[_triple_index(d)[iu, ju]]                  # (pairs, k, columns)
     R, _, c = S.shape
-    s_Bi, Bin = K.scaled(_inverse(K, K.array(p.B)))
+    s_Bi, Bin = K.scaled(K.inverse(K.array(p.B)))
     s_S, S = K.scaled(S.transpose(1, 0, 2).reshape(d, R * c))
     Tp = K.array(Bin.T @ S) / (s_Bi * s_S)
     Tp = Tp.reshape(d, R, c).transpose(1, 0, 2)

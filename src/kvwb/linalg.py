@@ -1,17 +1,18 @@
 """Exact rational linear algebra over `fractions.Fraction`, plus float helpers.
 
 Vectors are lists/tuples of Fraction; matrices are lists of row vectors,
-dense and intended for desk-scale problems (dim <= ~30).  Elimination
-(`rref`, and so `solve`, `nullspace`, `rank`, `inverse` and
-`column_space_basis`) runs over Python ints on primitive rows, in the
-fraction-free style of Bareiss (Math. Comp. 22, 1968), and divides into
-`Fraction`s only at the end; the rationals returned are the same.
-
-`solve_with_nullspace` is the one sparse kernel: it takes integer rows as
-{column: int} dicts, the kind Jordan recovery builds (mostly zeros), and
-eliminates them fraction-free on leftmost pivots, choosing the shortest
-row holding each pivot column (Markowitz's row choice, as in Davis,
-*Direct Methods for Sparse Linear Systems*, 2006).
+dense and intended for desk-scale problems (dim <= ~30).  One sparse
+fraction-free elimination, `_eliminate`, serves every exact routine: `rref`,
+`rank`, the pivots (`column_space_basis`), `nullspace`, `solve`,
+`solve_with_nullspace` and `inverse` read their answers off the RREF rows it
+returns.  It runs Gauss-Jordan over Python ints on primitive rows in the
+fraction-free style of Bareiss (Math. Comp. 22, 1968), held as
+{column: int} dicts, and picks the shortest row holding each pivot column
+(Markowitz's row choice, as in Davis, *Direct Methods for Sparse Linear
+Systems*, 2006); only the readout divides into `Fraction`s, and the RREF is
+unique, so the rationals returned are those of rational elimination.  Dense
+rows become sparse ones on entry; `solve_with_nullspace` takes the sparse
+integer rows Jordan recovery builds (mostly zeros) as they are.
 
 `_Kind` lets one body serve exact and float data: it holds numbers of one
 kind in numpy arrays (`Fraction` objects, or floats) and gives that kind's
@@ -75,55 +76,13 @@ def transpose(A: Mat) -> Mat:
     return [list(col) for col in zip(*A)] if A else []
 
 
-def _primitive(ints: list[int]) -> list[int]:
-    """Divide an integer row by the gcd of its entries; zero stays zero."""
+def _primitive_row(row: Sequence) -> list[int]:
+    """The primitive integer row on the ray of a rational row: the integers
+    over the common denominator, divided by their gcd; zero stays zero."""
+    scale = math.lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (scale // x.denominator) for x in row]
     g = math.gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
-
-
-def _primitive_row(row: Sequence) -> list[int]:
-    """The primitive integer row on the ray of a rational row."""
-    scale = math.lcm(*(x.denominator for x in row))
-    return _primitive([x.numerator * (scale // x.denominator) for x in row])
-
-
-def rref(A: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form.  Returns (R, pivot_columns).
-
-    Gauss-Jordan over the integers: every row is kept primitive (coprime
-    integer entries), a row is cleared by cross-multiplying it with the pivot
-    row, and only the final division by each pivot makes `Fraction`s.  The
-    RREF is unique, so the result equals that of rational elimination.
-    """
-    if not A:
-        return [], []
-    R = [_primitive_row(row) for row in A]
-    nrows, ncols = len(R), len(R[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if R[i][c]), None)
-        if pivot_row is None:
-            continue
-        R[r], R[pivot_row] = R[pivot_row], R[r]
-        prow = R[r]
-        pv = prow[c]
-        for i in range(nrows):
-            f = R[i][c]
-            if i != r and f:
-                # the pivot row is zero left of c: there row i is only scaled
-                row = R[i]
-                new = [pv * x for x in row[:c]]
-                new += [pv * x - f * y for x, y in zip(row[c:], prow[c:])]
-                R[i] = _primitive(new)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    out = [[Fraction(x, row[c]) if x else ZERO for x in row]
-           for row, c in zip(R, pivots)]
-    out += [[ZERO] * ncols for _ in range(nrows - r)]
-    return out, pivots
 
 
 def _integer_block(x) -> tuple[int, np.ndarray]:
@@ -134,49 +93,6 @@ def _integer_block(x) -> tuple[int, np.ndarray]:
     s = math.lcm(*(f.denominator for f in fs))
     return s, np.array([f.numerator * (s // f.denominator) for f in fs],
                        dtype=object).reshape(X.shape)
-
-
-def rank(A: Mat) -> int:
-    return len(rref(A)[1])
-
-
-def _null_basis(R: Mat, pivots: list[int], ncols: int) -> list[Vec]:
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = zeros(ncols)
-        v[fc] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -R[i][fc]
-        basis.append(v)
-    return basis
-
-
-def _augmented_solution(R: Mat, pivots: list[int], ncols: int) -> Vec | None:
-    """The solution read off the RREF of [A | b], or None if inconsistent."""
-    if pivots and pivots[-1] == ncols:      # pivot in the augmented column
-        return None
-    x = zeros(ncols)
-    for i, pc in enumerate(pivots):
-        x[pc] = R[i][ncols]
-    return x
-
-
-def nullspace(A: Mat) -> list[Vec]:
-    """Basis of the right nullspace, one vector per free column, in column order."""
-    if not A:
-        return []
-    R, pivots = rref(A)
-    return _null_basis(R, pivots, len(A[0]))
-
-
-def solve(A: Mat, b: Sequence[Fraction]) -> Vec | None:
-    """One exact solution of A x = b, or None if inconsistent."""
-    if not A:
-        return [] if all(x == 0 for x in b) else None
-    aug = [row[:] + [bb] for row, bb in zip(A, b, strict=True)]
-    return _augmented_solution(*rref(aug), len(A[0]))
 
 
 SparseRow = dict[int, int]
@@ -191,6 +107,12 @@ def sparse_int_rows(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
         out[r][c] = out[r].get(c, 0) + v
     return [{c: v for c, v in row.items() if v} for row in out]
+
+
+def _sparse(A: Mat) -> list[SparseRow]:
+    """Rational rows as the primitive integer rows on their rays."""
+    return [{k: v for k, v in enumerate(_primitive_row(row)) if v}
+            for row in A]
 
 
 def _primitive_sparse(row: SparseRow) -> SparseRow:
@@ -212,21 +134,21 @@ def _cleared(row: SparseRow, prow: SparseRow, c: int) -> SparseRow:
     return _primitive_sparse(new)
 
 
-def solve_with_nullspace(rows: Sequence[SparseRow], ncols: int
-                         ) -> tuple[Vec | None, list[Vec]]:
-    """`solve(A, b)` and `nullspace(A)` from one sparse elimination of [A | b].
+def _eliminate(rows: Sequence[SparseRow], ncols: int
+               ) -> list[tuple[int, SparseRow]]:
+    """The RREF of [A | b] up to the scale of each row, as (pivot column,
+    primitive row) pairs in pivot order; the one exact elimination.
 
     Row i of [A | b] is `rows[i]`, a dict {column: nonzero int} in which
-    column `ncols` holds the right-hand side.  Fraction-free Gauss-Jordan on
-    primitive integer rows: the columns are taken in ascending order, so the
-    pivot columns are those of the RREF; the pivot row of a column is the
-    shortest active row holding it (Markowitz's row choice, ties to the
-    lower index), and only the active rows holding that column are updated.
-    Back substitution, last pivot first, then clears each pivot column from
-    the pivot rows above it, which gives the RREF rows up to their scale.
-    The RREF is unique, so the result is the dense one's: the solution read
-    off it and one null vector per free column, in column order; (None, [])
-    when a pivot falls on the right-hand side.
+    column `ncols` holds the right-hand side, if any.  Fraction-free
+    Gauss-Jordan on primitive integer rows: the columns are taken in
+    ascending order, so the pivot columns are those of the RREF; the pivot
+    row of a column is the shortest active row holding it (Markowitz's row
+    choice, ties to the lower index), and only the active rows holding that
+    column are updated.  A pivot on the right-hand side ends the
+    elimination there: it is the last pair, and the rows are inconsistent.
+    Otherwise back substitution, last pivot first, clears each pivot column
+    from the pivot rows above it, which leaves the RREF rows up to scale.
     """
     active: dict[int, SparseRow] = {}
     holders: list[set[int]] = [set() for _ in range(ncols + 1)]
@@ -239,10 +161,11 @@ def solve_with_nullspace(rows: Sequence[SparseRow], ncols: int
     for c in range(ncols + 1):
         if not holders[c]:
             continue
-        if c == ncols:
-            return None, []
         p = min(holders[c], key=lambda i: (len(active[i]), i))
         prow = active.pop(p)
+        echelon.append((c, prow))
+        if c == ncols:
+            return echelon
         for k in prow:
             holders[k].discard(p)
         for i in list(holders[c]):
@@ -252,13 +175,22 @@ def solve_with_nullspace(rows: Sequence[SparseRow], ncols: int
                 holders[k].discard(i)
             for k in new.keys() - old.keys():
                 holders[k].add(i)
-        echelon.append((c, prow))
     for j in range(len(echelon) - 1, 0, -1):
         c, prow = echelon[j]
         for i in range(j):
             ci, row = echelon[i]
             if c in row:
                 echelon[i] = ci, _cleared(row, prow, c)
+    return echelon
+
+
+def _readout(echelon: list[tuple[int, SparseRow]], ncols: int
+             ) -> tuple[Vec | None, list[Vec]]:
+    """The solution and the null basis of A x = b read off `_eliminate`'s
+    RREF rows of [A | b]: one null vector per free column, in column order;
+    (None, []) when a pivot falls on the right-hand side."""
+    if echelon and echelon[-1][0] == ncols:
+        return None, []
     pivots = {c for c, _ in echelon}
     x = zeros(ncols)
     basis = {fc: zeros(ncols) for fc in range(ncols) if fc not in pivots}
@@ -274,37 +206,64 @@ def solve_with_nullspace(rows: Sequence[SparseRow], ncols: int
     return x, list(basis.values())
 
 
+def rref(A: Mat) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form.  Returns (R, pivot_columns).
+
+    `_eliminate`'s rows, each divided by its pivot, then the zero rows.
+    The RREF is unique, so the result equals that of rational elimination.
+    """
+    ncols = len(A[0]) if A else 0
+    echelon = _eliminate(_sparse(A), ncols)
+    out = [[Fraction(row[k], row[c]) if k in row else ZERO
+            for k in range(ncols)] for c, row in echelon]
+    out += [[ZERO] * ncols for _ in range(len(A) - len(echelon))]
+    return out, [c for c, _ in echelon]
+
+
+def column_space_basis(A: Mat) -> list[int]:
+    """Indices of the first maximal linearly independent subset of columns:
+    the pivot columns."""
+    return [c for c, _ in _eliminate(_sparse(A), len(A[0]) if A else 0)]
+
+
+def rank(A: Mat) -> int:
+    return len(column_space_basis(A))
+
+
+def nullspace(A: Mat) -> list[Vec]:
+    """Basis of the right nullspace, one vector per free column, in column order."""
+    ncols = len(A[0]) if A else 0
+    return _readout(_eliminate(_sparse(A), ncols), ncols)[1]
+
+
+def solve(A: Mat, b: Sequence[Fraction]) -> Vec | None:
+    """One exact solution of A x = b, or None if inconsistent."""
+    if not A:
+        return [] if all(x == 0 for x in b) else None
+    ncols = len(A[0])
+    aug = [row[:] + [bb] for row, bb in zip(A, b, strict=True)]
+    return _readout(_eliminate(_sparse(aug), ncols), ncols)[0]
+
+
+def solve_with_nullspace(rows: Sequence[SparseRow], ncols: int
+                         ) -> tuple[Vec | None, list[Vec]]:
+    """`solve(A, b)` and `nullspace(A)` from one elimination of [A | b],
+    given as `_eliminate`'s sparse rows, the right-hand side in column
+    `ncols`; (None, []) when the rows are inconsistent."""
+    return _readout(_eliminate(rows, ncols), ncols)
+
+
 def inverse(A: Mat) -> Mat | None:
+    """A⁻¹, or None when A is singular.  [A | -I] has rank n, and its
+    pivots are the first n columns exactly when A is invertible; then the
+    null vector on the free column n + k is (A⁻¹e_k, e_k)."""
     n = len(A)
-    aug = [row[:] + ident_row for row, ident_row in zip(A, identity(n))]
-    R, pivots = rref(aug)
-    if pivots != list(range(n)):
+    aug = [row[:] + [-ONE if j == i else ZERO for j in range(n)]
+           for i, row in enumerate(A)]
+    echelon = _eliminate(_sparse(aug), 2 * n)
+    if [c for c, _ in echelon] != list(range(n)):
         return None
-    return [row[n:] for row in R]
-
-
-def det(A: Mat) -> Fraction:
-    n = len(A)
-    M = [row[:] for row in A]
-    d = ONE
-    for c in range(n):
-        p = None
-        for i in range(c, n):
-            if M[i][c] != 0:
-                p = i
-                break
-        if p is None:
-            return ZERO
-        if p != c:
-            M[c], M[p] = M[p], M[c]
-            d = -d
-        d *= M[c][c]
-        inv_p = ONE / M[c][c]
-        for i in range(c + 1, n):
-            if M[i][c] != 0:
-                f = M[i][c] * inv_p
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return d
+    return transpose([v[:n] for v in _readout(echelon, 2 * n)[1]])
 
 
 def is_symmetric(A: Mat) -> bool:
@@ -329,11 +288,6 @@ def is_positive_definite(A) -> bool:
             M[i] = [(p * x - f * y) // prev for x, y in zip(M[i], prow)]
         prev = p
     return True
-
-
-def column_space_basis(A: Mat) -> list[int]:
-    """Indices of the first maximal linearly independent subset of columns."""
-    return rref(A)[1]
 
 
 # ---------------------------------------------------------------------------

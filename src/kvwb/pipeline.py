@@ -56,8 +56,6 @@ class PipelineReport:
     tol: float
     stages: list
     expected: list
-    spin_form: object = None          # carried for subcommands, not serialized
-    recovered: object = None
 
     def stage(self, name: str) -> Stage:
         for s in self.stages:
@@ -383,8 +381,7 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
         add("identification", PASS if cands else FAIL, idata, inotes)
 
     stages.sort(key=lambda s: STAGE_ORDER.index(s.name))
-    return PipelineReport(m, seed, tol, stages, expect,
-                          spin_form=spin, recovered=recovered)
+    return PipelineReport(m, seed, tol, stages, expect)
 
 
 def _recovery_problem(E, spin, tol: float) -> jordan.RecoveryProblem:

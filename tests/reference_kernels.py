@@ -1,6 +1,9 @@
 """Reference oracles: the `Fraction` kernels that `kvwb.linalg.rref` and
 `kvwb.lp.solve_feasibility` replaced with integer elimination, and the dense
-`solve_with_nullspace` that the sparse one of `kvwb.linalg` replaced, and the
+`solve_with_nullspace` that the sparse one of `kvwb.linalg` replaced (on this
+module's `rref`, with the dense readouts `_null_basis` and
+`_augmented_solution` and the `Fraction` `det` that `kvwb.linalg` dropped
+when one sparse elimination took over every exact routine), and the
 loop-built constraint rows and full-SVD nullspace that
 `kvwb.jordan._linear_rows` and `kvwb.jordan._solve_float` replaced, and that
 vectorized `_linear_rows` itself, over the full product tensor with
@@ -77,10 +80,10 @@ from kvwb.cones import SelfDualityReport, dual_cone
 from kvwb.effectspace import OrderUnitSpace, build_effect_space
 from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
                          _reconstruct, quadratic_rep, trace_form_gram)
-from kvwb.linalg import (Mat, Vec, ZERO, ONE, _augmented_solution, _Kind,
-                         _integer_block, _null_basis, dot, frac, is_symmetric,
-                         det, mat_vec, solve, sparse_int_rows)
-from kvwb import composites, linalg, lp, models
+from kvwb.linalg import (Mat, Vec, ZERO, ONE, _Kind, _integer_block, dot,
+                         frac, is_symmetric, mat_vec, solve, sparse_int_rows,
+                         zeros)
+from kvwb import composites, lp, models
 from kvwb.lp import LPResult, UnboundedError
 from kvwb.lp import convex_membership, free_feasibility
 from kvwb.models import Model, PermutationGroup, PolytopeBackend, QuantumBackend
@@ -117,22 +120,68 @@ def rref(A: Mat) -> tuple[Mat, list[int]]:
     return R, pivots
 
 
+def _null_basis(R: Mat, pivots: list[int], ncols: int) -> list[Vec]:
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for fc in free:
+        v = zeros(ncols)
+        v[fc] = ONE
+        for i, pc in enumerate(pivots):
+            v[pc] = -R[i][fc]
+        basis.append(v)
+    return basis
+
+
+def _augmented_solution(R: Mat, pivots: list[int], ncols: int) -> Vec | None:
+    """The solution read off the RREF of [A | b], or None if inconsistent."""
+    if pivots and pivots[-1] == ncols:      # pivot in the augmented column
+        return None
+    x = zeros(ncols)
+    for i, pc in enumerate(pivots):
+        x[pc] = R[i][ncols]
+    return x
+
+
 def solve_with_nullspace(A: Mat, b: Sequence[Fraction]
                          ) -> tuple[Vec | None, list[Vec]]:
     """`solve(A, b)` and `nullspace(A)` from one elimination of [A | b].
 
     When the system is consistent the left block of that RREF is rref(A), so
     both results equal the separate calls; (None, []) when inconsistent.
-    The elimination is the dense integer `kvwb.linalg.rref`, which the
-    tests hold to `rref` above; it is fast enough for `classical:6`.
+    The elimination is this module's `Fraction` `rref`, not the kernel of
+    `kvwb.linalg` that the oracle is held against.
     """
     if not A:
         return solve(A, b), []
     ncols = len(A[0])
-    R, pivots = linalg.rref([row[:] + [bb]
-                             for row, bb in zip(A, b, strict=True)])
+    R, pivots = rref([row[:] + [bb] for row, bb in zip(A, b, strict=True)])
     x = _augmented_solution(R, pivots, ncols)
     return x, [] if x is None else _null_basis(R, pivots, ncols)
+
+
+def det(A: Mat) -> Fraction:
+    n = len(A)
+    M = [row[:] for row in A]
+    d = ONE
+    for c in range(n):
+        p = None
+        for i in range(c, n):
+            if M[i][c] != 0:
+                p = i
+                break
+        if p is None:
+            return ZERO
+        if p != c:
+            M[c], M[p] = M[p], M[c]
+            d = -d
+        d *= M[c][c]
+        inv_p = ONE / M[c][c]
+        for i in range(c + 1, n):
+            if M[i][c] != 0:
+                f = M[i][c] * inv_p
+                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
+    return d
 
 
 def solve_feasibility(A: Mat, b: Vec) -> LPResult:

@@ -167,6 +167,16 @@ def test_cone_subcommands(runner, tmp_path):
     assert json.loads(res.output)["status"] == "yes"
 
 
+def test_cone_selfdual_on_the_zero_cone(runner, tmp_path):
+    kfile = tmp_path / "zero.json"
+    kfile.write_text(json.dumps({"generators": []}))
+    res = invoke(runner, "cone", "selfdual", str(kfile))
+    assert res.exit_code == 0
+    blob = json.loads(res.output)
+    assert blob["self_dual"] is True and blob["failures"] == []
+    assert blob["pairwise_min"] is None
+
+
 def test_jordan_subcommands(runner):
     res = invoke(runner, "jordan", "recover", "classical:2")
     assert res.exit_code == 0

@@ -27,6 +27,22 @@ def test_orthant_self_dual_exact():
     assert not rep.failures
 
 
+def test_zero_cone_of_r0_is_self_dual():
+    """No generators: no pair to bound, and the dual of {0} in R^0 is {0}."""
+    rep = is_self_dual(PolyhedralCone((), ambient=0), [])
+    assert rep.self_dual
+    assert (rep.pairwise_min, rep.pairwise_argmin, rep.failures) == \
+        (None, (), [])
+
+
+def test_zero_cone_of_r2_is_not_self_dual():
+    """Its dual is all of R^2: a line in each axis, none of it in {0}."""
+    rep = is_self_dual(PolyhedralCone((), ambient=2), identity(2))
+    assert not rep.self_dual
+    assert rep.pairwise_min is None
+    assert [f["kind"] for f in rep.failures] == ["dual-ray-outside-cone"] * 4
+
+
 def test_dual_of_orthant_is_orthant():
     D = dual_cone(ORTHANT3, identity(3))
     eq, _ = cone_equal(D, ORTHANT3)

@@ -2,8 +2,9 @@
 
 `reference_kernels` holds the rational `rref` and Bland simplex that the
 integer versions replaced, and the dense `solve_with_nullspace` that the
-sparse one replaced; equal outputs mean equal pivots, points, Farkas vectors
-and null bases, and so byte-identical reports.
+sparse one replaced; equal outputs mean equal pivots, points, Farkas vectors,
+null bases and inverses, and so byte-identical reports.  Every exact routine
+of `kvwb.linalg` reads its answer off one `_eliminate` call.
 """
 import math
 import subprocess
@@ -16,8 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as oracle
-from kvwb.linalg import (nullspace, rref, solve, solve_with_nullspace,
-                         sparse_int_rows)
+from kvwb import linalg
+from kvwb.linalg import (column_space_basis, inverse, nullspace, rank, rref,
+                         solve, solve_with_nullspace, sparse_int_rows)
 from kvwb.lp import solve_feasibility
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -43,10 +45,37 @@ def systems(draw, max_rows=6, max_cols=6):
     return rows, rhs
 
 
+@st.composite
+def squares(draw, max_n=5):
+    """Square matrices, half of them with a row a multiple of another."""
+    n = draw(st.integers(1, max_n))
+    A = draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(small)
+        A[i] = [c * y for y in A[j]]
+    return A
+
+
 def assert_same_rref(A):
     got = rref(A)
     assert got == oracle.rref(A)
     assert all(type(x) is F for row in got[0] for x in row)
+
+
+def assert_same_pivots(A):
+    pivots = oracle.rref(A)[1]
+    assert column_space_basis(A) == pivots
+    assert rank(A) == len(pivots)
+
+
+def oracle_inverse(A):
+    """The right block of the oracle RREF of [A | I]; None when singular."""
+    n = len(A)
+    R, pivots = oracle.rref([row + [F(i == j) for j in range(n)]
+                             for i, row in enumerate(A)])
+    return [row[n:] for row in R] if pivots == list(range(n)) else None
 
 
 def assert_same_lp(A, b):
@@ -61,6 +90,20 @@ def test_rref_matches_oracle(system):
     A, b = system
     assert_same_rref(A)
     assert_same_rref([row + [bb] for row, bb in zip(A, b)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_rank_and_pivots_match_oracle(system):
+    A, b = system
+    assert_same_pivots(A)
+    assert_same_pivots([row + [bb] for row, bb in zip(A, b)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(squares())
+def test_inverse_matches_oracle(A):
+    assert inverse(A) == oracle_inverse(A)
 
 
 @settings(max_examples=300, deadline=None)
@@ -138,9 +181,40 @@ DEFICIENT = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1, 2), F(1, 3)]]
     [[F(0)] * 4] * 2,                               # zero matrix
     [[F(-3, 4), F(1, 6)], [F(9, 8), F(-1, 4)]],     # singular, rational
     [[], []],                                       # no columns
+    [[F(0), F(3, 2), F(-1)]],                       # 1 x n
+    [[F(0)], [F(2, 3)], [F(-1)]],                   # n x 1
+    [[F(0), F(2)], [F(-1, 3), F(1)]],               # invertible, row swap
+    [[F(-2, 5)]],                                   # 1 x 1
+    [[F(0)]],                                       # 1 x 1, singular
 ])
 def test_rref_matches_oracle_on_edge_cases(A):
     assert_same_rref(A)
+    assert_same_pivots(A)
+    if len(A) == len(A[0]):
+        assert inverse(A) == oracle_inverse(A)
+
+
+@pytest.mark.parametrize("name,args", [
+    ("rref", (DEFICIENT,)),
+    ("rank", (DEFICIENT,)),
+    ("column_space_basis", (DEFICIENT,)),
+    ("nullspace", (DEFICIENT,)),
+    ("solve", (DEFICIENT, [F(6), F(12), F(5, 6)])),
+    ("inverse", ([[F(0), F(2)], [F(-1, 3), F(1)]],)),
+    ("solve_with_nullspace",
+     (sparse_rows(DEFICIENT, [F(6), F(12), F(5, 6)]), 3)),
+])
+def test_each_exact_routine_makes_one_elimination(monkeypatch, name, args):
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(*a):
+        calls.append(a)
+        return eliminate(*a)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    getattr(linalg, name)(*args)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("A,b,feasible", [

@@ -9,9 +9,10 @@ B-associativity rows, and the loops and dense solve that builder replaced.
 For an invertible B both systems have one solution set, so each test asks
 for the old nullity and for a particular solution and null basis that give
 the old tensor and span the old tensor subspace: exactly on rationals,
-within 1e-12 on floats.  Inconsistent problems (an asymmetric form, or
-symmetries and idempotents no product satisfies) must be inconsistent in
-both.
+on floats within 1e-12 or, for ill-conditioned rows, the forward error of
+the two solves (`assert_same_solutions`).  Inconsistent problems (an
+asymmetric form, or symmetries and idempotents no product satisfies) must
+be inconsistent in both.
 """
 import dataclasses
 import json
@@ -98,8 +99,20 @@ def without_outcomes(p):
     return dataclasses.replace(p, outcome_vectors=[])
 
 
+def condition(A):
+    """The largest singular value of A over the smallest that passes
+    `_solve_float`'s rank cut, s > 1e-9 * s[0]."""
+    s = np.linalg.svd(A, compute_uv=False)
+    return s[0] / s[s > 1e-9 * s[0]][-1]
+
+
 def assert_same_solutions(p, idempotence, old=None):
-    new = _linear_stage(p if idempotence else without_outcomes(p))
+    """The cubic rows' solutions are the tensor rows' solutions.  Floats
+    agree within max(1e-12, 2·ε·κ·max(1, |old|∞)), κ the larger condition
+    number of the two row matrices: to first order each solve is off by
+    up to about ε·κ·|x|, so well-conditioned rows keep 1e-12."""
+    q = p if idempotence else without_outcomes(p)
+    new = _linear_stage(q)
     if old is None:
         old = old_tensors(p, idempotence)
     assert (new is None) == (old is None)
@@ -117,13 +130,17 @@ def assert_same_solutions(p, idempotence, old=None):
         assert linalg.rank(span + [list(c) for c in n[:, 1:].T]) == nullity
         assert linalg.rank(span + [list(n[:, 0] - o[:, 0])]) == nullity
         return
+    kappa = max(condition(_cubic_rows(q, FLOAT)[0]),
+                condition(oracle.linear_rows_float(p, idempotence)[0]))
+    tol = max(1e-12, 2 * np.finfo(float).eps * kappa
+              * max(1.0, np.abs(o).max()))
     if nullity == 0:
-        assert np.abs(n - o).max() <= 1e-12
+        assert np.abs(n - o).max() <= tol
         return
     Qo, Qn = (np.linalg.qr(x[:, 1:])[0] for x in (o, n))
-    assert np.abs(Qo @ Qo.T - Qn @ Qn.T).max() <= 1e-12
+    assert np.abs(Qo @ Qo.T - Qn @ Qn.T).max() <= tol
     diff = n[:, 0] - o[:, 0]
-    assert np.abs(diff - Qo @ (Qo.T @ diff)).max() <= 1e-12
+    assert np.abs(diff - Qo @ (Qo.T @ diff)).max() <= tol
 
 
 def test_problem_carries_one_set_of_inputs():
@@ -164,6 +181,12 @@ def fixing_e0(M0):
        skew=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @example(d=5, n_actions=1, n_outcomes=1, idempotence=True, skew=False,
          seed=2322716)
+@example(d=5, n_actions=1, n_outcomes=1, idempotence=True, skew=False,
+         seed=4046179343)
+@example(d=4, n_actions=1, n_outcomes=1, idempotence=True, skew=False,
+         seed=1837910262)
+@example(d=4, n_actions=1, n_outcomes=1, idempotence=True, skew=False,
+         seed=2599745104)
 def test_float_rows_match_the_loops(d, n_actions, n_outcomes, idempotence,
                                     skew, seed):
     rng = np.random.default_rng(seed)
