@@ -117,6 +117,23 @@ def report(model, builtin, fmt, seed, tol, out):
     _emit(doc, out)
 
 
+def _run_settings(saved: dict) -> tuple[int, float, tuple[str, ...]]:
+    """The seed, tolerance and expected failures of a saved report, checked:
+    an integer, a real number (neither a bool) and a list of tokens of
+    `EXPECT_TOKENS`; anything else raises ValueError or KeyError."""
+    seed, tol = saved["seed"], saved["tol"]
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"seed: expected an integer, got {seed!r}")
+    if not isinstance(tol, (int, float)) or isinstance(tol, bool):
+        raise ValueError(f"tol: expected a real number, got {tol!r}")
+    expect = saved.get("expected_failures", [])
+    if not isinstance(expect, list) or not all(
+            isinstance(t, str) and t in EXPECT_TOKENS for t in expect):
+        raise ValueError(f"expected_failures: expected a list of tokens "
+                         f"from {sorted(EXPECT_TOKENS)}, got {expect!r}")
+    return seed, tol, tuple(expect)
+
+
 @main.command()
 @click.argument("report_file", type=click.Path(exists=True))
 def reverify(report_file):
@@ -130,10 +147,10 @@ def reverify(report_file):
         with open(report_file, encoding="utf-8") as fh:
             saved = json.load(fh)
         m = model_from_json(saved["model_spec"])
+        seed, tol, expect = _run_settings(saved)
     except (ValueError, KeyError, TypeError) as exc:
         raise LoadError(f"cannot load report {report_file}: {exc}") from exc
-    rep = run_pipeline(m, seed=saved["seed"], tol=saved["tol"],
-                       expect=tuple(saved.get("expected_failures", [])))
+    rep = run_pipeline(m, seed=seed, tol=tol, expect=expect)
     fresh = dumps_canonical(rep.to_json())
     agrees = fresh == dumps_canonical(saved)
     _emit(dumps_canonical({"report": report_file, "agrees": agrees,

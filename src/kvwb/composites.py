@@ -19,7 +19,7 @@ import numpy as np
 
 from .effectspace import OrderUnitSpace, build_effect_space
 from .forms import BilinearForm, certify_flags, check_unitarity
-from .cones import separating_functional
+from .cones import separators
 from .linalg import ONE, ZERO, _Kind
 from .lp import (LPResult, check_certificate, convex_membership,
                  solve_feasibility)
@@ -293,8 +293,9 @@ def is_isomorphism_state(w: BipartiteState,
       generator v, all pairings from one product, failures in (g, v) order;
     * inverse: W⁻¹ sends every generator d of the partner's dual effect cone
       into the effect cone, the dual of `E_A.dual_effect_cone`: one product
-      with its generators decides every d, and only a d sent outside gets
-      a membership LP, its Farkas vector the `separator`.
+      with its generators decides every d, and a d sent outside gets the
+      first of them negative on W⁻¹d as its `separator`, re-checked by
+      substitution (`cones.separators`).
 
     Quantum samples are tested against the analytic positive-semidefinite
     cone, which the sampled cone generates.
@@ -322,14 +323,12 @@ def is_isomorphism_state(w: BipartiteState,
                              "against": gens_B[j],
                              "value": Fraction(P[i, j], s_a * s_b * s_w)})
         duals = E_B.dual_effect_cone.all_generators()
-        inside = E_A.dual_effect_cone.dual_contains(
-            K.scaled(W_inv)[1] @ E_B.dual_effect_cone.scaled_generators[1].T)
-        for d, ok in zip(duals, inside):
-            if not ok:
-                failures.append({"stage": "inverse", "generator": d,
-                                 "separator": separating_functional(
-                                     E_A.effect_cone,
-                                     list(W_inv @ K.array(d)))})
+        for j, h in separators(
+                E_A.effect_cone, E_A.dual_effect_cone,
+                K.scaled(W_inv)[1]
+                @ E_B.dual_effect_cone.scaled_generators[1].T).items():
+            failures.append({"stage": "inverse", "generator": duals[j],
+                             "separator": h})
     else:
         notes.append("quantum membership tested against the analytic "
                      "positive-semidefinite cone generated by the sample")

@@ -2,10 +2,11 @@
 
 Dual cones are computed by an incremental double-description sweep with
 combinatorial adjacency.  K = K**, so with the dual of K at hand membership
-in K is one integer product with the dual's generators (`dual_contains`);
-only a vector found outside gets an exact feasibility LP, for its separating
-functional.  With no dual at hand (`cone_equal`, `is_positive_map`) each
-question is one LP.  Every verdict ships with a checkable certificate.
+in K is one integer product with the dual's generators (`dual_contains`),
+and a vector found outside is separated by the first generator of the dual
+that is negative on it, re-checked by substitution (`separators`).  With no
+dual at hand (`cone_equal`, `is_positive_map`) each question is one LP.
+Every verdict ships with a checkable certificate.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (Mat, Vec, ZERO, ONE, _integer_block, _primitive_row, dot,
-                     mat_vec, rank, frac)
+                     inverse, mat_vec, rank, frac)
 from .lp import CertificateError, LPResult, cone_membership, free_feasibility
 
 
@@ -82,20 +83,41 @@ class PolyhedralCone:
         return not self.lineality and (
             not gens or free_feasibility(gens, [], self.dim).feasible)
 
-    def dual_contains(self, V: np.ndarray) -> np.ndarray:
+    def dual_contains(self, V: np.ndarray) -> tuple[np.ndarray, dict]:
         """Is each column v of V in the dual of this cone, g·v >= 0 for
-        every generator g?  V may hold positive multiples of the columns."""
-        return (self.scaled_generators[1] @ V >= 0).all(axis=0)
+        every generator g?  V may hold positive multiples of the columns.
+        Also {j: h} for each column v_j found outside, h the first generator
+        of `all_generators()` with h·v_j < 0, from the same product."""
+        P = self.scaled_generators[1] @ V
+        inside = (P >= 0).all(axis=0)
+        gens = self.all_generators()
+        return inside, {j: gens[int(np.argmax(P[:, j] < 0))]
+                        for j in np.flatnonzero(~inside).tolist()}
 
 
-def separating_functional(K: PolyhedralCone, v: Vec) -> Vec:
-    """The membership LP's separating functional for a v found outside K by
-    `dual_contains`; an LP that finds v inside raises `CertificateError`."""
-    res = K.contains(v)
-    if res.feasible:
-        raise CertificateError(f"vector {list(v)} is outside the cone by its "
-                               "dual's rays but inside by the LP")
-    return res.farkas
+def separators(K: PolyhedralCone, K_dual: PolyhedralCone, V: np.ndarray
+               ) -> dict[int, Vec]:
+    """{j: h} for each column v_j of V outside K, read off K_dual =
+    `dual_cone(K)` by `dual_contains`: h is a generator of K_dual with
+    h·v_j < 0.  V may hold positive multiples of the columns.
+
+    Each h is re-checked by exact substitution on integers: h·g >= 0 on
+    every generator g of K, all from one product, and h·v_j < 0, so h
+    certifies that v_j is outside K whatever K_dual is; a failed check
+    raises `CertificateError`.
+    """
+    _, seps = K_dual.dual_contains(V)
+    if seps:
+        cols = list(seps)
+        H = _integer_block([seps[j] for j in cols])[1]
+        negative_on_K = (H @ K.scaled_generators[1].T < 0).any(axis=1)
+        on_v = (H * V[:, cols].T).sum(axis=1)
+        for i, j in enumerate(cols):
+            if negative_on_K[i] or on_v[i] >= 0:
+                raise CertificateError(
+                    f"separator {list(seps[j])} of vector {V[:, j].tolist()} "
+                    "failed its substitution check: the dual cone is wrong")
+    return seps
 
 
 def cone(generators) -> PolyhedralCone:
@@ -276,22 +298,50 @@ def pairwise_form_positivity(K: PolyhedralCone, form: Mat
     return Fraction(P[i, k], s * s_g), (i, k)
 
 
+def mapped_dual(K_dual: PolyhedralCone, form: Mat
+                ) -> Optional[PolyhedralCone]:
+    """`dual_cone(K, form)` read off K_dual = `dual_cone(K)`, or None when
+    the form is singular.  (form v)·g >= 0 exactly when formᵀv is in the
+    dual of K, so the form dual is form⁻ᵀ K_dual: its rays and lineality are
+    those of K_dual mapped in their order, on integers (a positive multiple
+    of form⁻¹ times `scaled_generators`), and made primitive.  The extreme
+    rays are the mapped rays when K_dual's are its rays, as `dual_cone`
+    leaves them, and left to `extreme_rays` otherwise."""
+    d = K_dual.dim
+    inv = inverse(_integer_block(form)[1].reshape(d, d).tolist())
+    if inv is None:
+        return None
+    Fi = _integer_block(inv)[1].reshape(d, d)
+    mapped = [ray_primitive(r)
+              for r in (K_dual.scaled_generators[1] @ Fi).tolist()]
+    rays = tuple(mapped[:len(K_dual.generators)])
+    return PolyhedralCone(rays, tuple(mapped[len(rays)::2]),
+                          extreme=(rays if K_dual.extreme == K_dual.generators
+                                   else None),
+                          ambient=d)
+
+
 def is_self_dual(K: PolyhedralCone, form: Mat,
                  K_dual: Optional[PolyhedralCone] = None) -> SelfDualityReport:
-    """K == {v : B(v, K) >= 0}?  Exact, with certificates both ways; the
-    B-dual's rays are tested against K_dual = `dual_cone(K)`, if given."""
-    D = dual_cone(K, form)
+    """K == {v : B(v, K) >= 0}?  Exact, with certificates both ways.
+
+    One double description, K_dual = `dual_cone(K)` (computed here unless
+    given): the B-dual D is K_dual mapped by B⁻ᵀ (`mapped_dual`; a singular
+    form runs `dual_cone(K, form)`), and its rays are tested against K_dual,
+    each one found outside with its re-checked separator (`separators`)."""
     pmin, parg = pairwise_form_positivity(K, form)
     failures = []
     if parg and pmin < 0:                        # no pair: K is the zero cone
         failures.append({"kind": "cone-not-in-dual",
                          "pair": parg, "value": pmin})
     K_dual = K_dual if K_dual is not None else dual_cone(K)
-    inside = K_dual.dual_contains(D.scaled_generators[1].T)
-    for g, ok in zip(D.all_generators(), inside):
-        if not ok:
-            failures.append({"kind": "dual-ray-outside-cone", "ray": g,
-                             "separating": separating_functional(K, g)})
+    D = mapped_dual(K_dual, form)
+    if D is None:
+        D = dual_cone(K, form)
+    rays = D.all_generators()
+    for j, h in separators(K, K_dual, D.scaled_generators[1].T).items():
+        failures.append({"kind": "dual-ray-outside-cone", "ray": rays[j],
+                         "separating": h})
     return SelfDualityReport(self_dual=not failures, dual=D,
                              pairwise_min=pmin, pairwise_argmin=parg,
                              failures=failures)
@@ -426,8 +476,6 @@ class OrderIsoReport:
 
 def is_order_isomorphism(T: Mat, src: PolyhedralCone, tgt: PolyhedralCone
                          ) -> OrderIsoReport:
-    from .linalg import inverse
-
     Tinv = inverse(T)
     if Tinv is None:
         return OrderIsoReport(False, False,

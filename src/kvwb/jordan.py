@@ -597,18 +597,20 @@ def _triple_index(d: int) -> np.ndarray:
     return idx
 
 
-def _cubic_rows(p: RecoveryProblem, K: _Kind):
+def _cubic_rows(p: RecoveryProblem, K: _Kind, B_inv: tuple):
     """The linear constraints A s = b on the cubic form S(x, y, z) =
     B(x ∘ y, z), totally symmetric for an associative B: the unknown
-    s[idx[i, j, k]] is one entry per sorted triple i ≤ j ≤ k.
+    s[idx[i, j, k]] is one entry per sorted triple i ≤ j ≤ k.  B_inv is
+    `K.scaled(K.inverse(B))`, which the caller also lifts with.
 
     With T[i, j, :] = B⁻ᵀ S[i, j, :] the coordinates of e_i ∘ e_j, the
     blocks are the unit law Σᵢ uᵢ S[i, j, k] = B[j, k] (row (j, k), term i);
     equivariance BᵀMB⁻ᵀ S[i, j, :] = Σ_ab M[a, i] M[b, j] S[a, b, :] (row
     (i ≤ j, k), terms m, then (a, b)); and idempotence
     Σ g_i g_j S[i, j, :] = Bᵀg (row k, terms i ≤ j).  Columns and values
-    are laid out by broadcasting; on floats one `np.add.at` accumulates them
-    into A, and the result is (A, b).  Rational inputs are scaled to
+    are laid out by broadcasting; on floats one `np.bincount` accumulates
+    them into A, in input order as `np.add.at` would, and the result is
+    (A, b).  Rational inputs are scaled to
     integers (`_Kind.scaled`), each row times the product of its scales, and the
     triples are summed into sparse rows of Python ints, {column: value}
     with the right-hand side in column `ncols`, zeros left out; the result
@@ -620,7 +622,7 @@ def _cubic_rows(p: RecoveryProblem, K: _Kind):
     dtype = object if K.exact else float
     B = K.array(p.B)
     s_B, Bn = K.scaled(B)
-    s_Bi, Bin = K.scaled(K.inverse(B))
+    s_Bi, Bin = B_inv
     iu, ju = np.triu_indices(d)
     R = len(iu)
     rows, cols, vals, rhs = [], [], [], []
@@ -662,8 +664,10 @@ def _cubic_rows(p: RecoveryProblem, K: _Kind):
             if bb:
                 row[ncols] = bb
         return out, ncols
-    A = np.zeros((len(b), ncols))
-    np.add.at(A, (rows, cols), vals)
+    rows *= ncols          # flat indices in place: no index array is added
+    rows += cols           # to the peak memory of the float recovery
+    A = np.bincount(rows, weights=vals,
+                    minlength=len(b) * ncols).reshape(len(b), ncols)
     return A, b
 
 
@@ -690,11 +694,12 @@ def _linear_stage(p: RecoveryProblem) -> Optional[np.ndarray]:
     T[i, j, :] = B⁻ᵀ S[i, j, :], stacked on a last axis: one solution, then
     a basis of the homogeneous ones; None when the rows are inconsistent."""
     K = _EXACT if p.exact else _FLOAT
+    s_Bi, Bin = B_inv = K.scaled(K.inverse(K.array(p.B)))
     if K.exact:
-        x, null = solve_with_nullspace(*_cubic_rows(p, K))
+        x, null = solve_with_nullspace(*_cubic_rows(p, K, B_inv))
         X = None if x is None else K.array([x] + null).T
     else:
-        s0, N = _solve_float(*_cubic_rows(p, K))
+        s0, N = _solve_float(*_cubic_rows(p, K, B_inv))
         X = None if s0 is None else np.column_stack([s0, N])
     if X is None:
         return None
@@ -702,7 +707,6 @@ def _linear_stage(p: RecoveryProblem) -> Optional[np.ndarray]:
     iu, ju = np.triu_indices(d)
     S = X[_triple_index(d)[iu, ju]]                  # (pairs, k, columns)
     R, _, c = S.shape
-    s_Bi, Bin = K.scaled(K.inverse(K.array(p.B)))
     s_S, S = K.scaled(S.transpose(1, 0, 2).reshape(d, R * c))
     Tp = K.array(Bin.T @ S) / (s_Bi * s_S)
     Tp = Tp.reshape(d, R, c).transpose(1, 0, 2)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Mat, Vec, ZERO, ONE, dot, frac
+from .linalg import Mat, Vec, ZERO, ONE, frac
 
 __all__ = ["CertificateError", "LPResult", "solve_feasibility",
            "check_certificate", "cone_membership", "convex_membership",
@@ -127,8 +127,8 @@ def solve_feasibility(A: Mat, b: Vec) -> LPResult:
     """Decide {x >= 0 : A x = b} with exact arithmetic.
 
     Phase-one simplex on artificial variables, Bland's anti-cycling rule,
-    run on integer rows.  The certificate is re-checked by substitution in
-    `Fraction`s before it is returned.
+    run on integer rows.  The certificate is re-checked by substitution
+    (`check_certificate`) before it is returned.
     """
     if not A:
         return LPResult(True, point=[])
@@ -147,6 +147,11 @@ def check_certificate(rows: list[dict[int, Fraction]], b: Vec, ncols: int,
     unless the point is nonnegative with A x = b, or the Farkas vector has
     yᵀA <= 0 and yᵀb > 0.
 
+    The sums run on integers, as `_phase_one` holds its rows: each row
+    checked against the point is taken over its own common denominator, the
+    rows that the Farkas vector combines over theirs, and the point, the
+    Farkas vector and b each over their own.
+
     `solve_feasibility` checks its own answers with it; callers check with
     it certificates that were not found on this system, such as ones lifted
     from a reduced LP.
@@ -156,20 +161,34 @@ def check_certificate(rows: list[dict[int, Fraction]], b: Vec, ncols: int,
         if len(x) != ncols or not all(xx >= 0 for xx in x):
             raise CertificateError("feasible point is not a nonnegative "
                                    f"vector of length {ncols}")
+        s_x, xs = _over_common_denominator(x)
         for row, bb in zip(rows, b, strict=True):
-            if sum((a * x[j] for j, a in row.items()), ZERO) != bb:
+            scale = math.lcm(bb.denominator,
+                             *(a.denominator for a in row.values()))
+            if (sum(a.numerator * (scale // a.denominator) * xs[j]
+                    for j, a in row.items())
+                    != bb.numerator * (scale // bb.denominator) * s_x):
                 raise CertificateError("feasible point failed row check")
         return
-    y = res.farkas
-    cols = [ZERO] * ncols
-    for yy, row in zip(y, rows, strict=True):
-        if yy:
-            for j, a in row.items():
-                cols[j] += yy * a
+    ys = _over_common_denominator(res.farkas)[1]     # s_y · y
+    used = [(yy, row) for yy, row in zip(ys, rows, strict=True) if yy]
+    common = math.lcm(*(a.denominator for _, row in used
+                        for a in row.values()))
+    cols = [0] * ncols                               # s_y·common · yᵀA
+    for yy, row in used:
+        for j, a in row.items():
+            cols[j] += yy * a.numerator * (common // a.denominator)
     if any(c > 0 for c in cols):
         raise CertificateError("farkas certificate failed column check")
-    if not dot(y, b) > 0:
+    bs = _over_common_denominator(b)[1]
+    if not sum(yy * bb for yy, bb in zip(ys, bs, strict=True)) > 0:
         raise CertificateError("farkas certificate failed rhs check")
+
+
+def _over_common_denominator(v: Vec) -> tuple[int, list[int]]:
+    """(s, s·v) for a rational vector v and its common denominator s."""
+    s = math.lcm(*(x.denominator for x in v))
+    return s, [x.numerator * (s // x.denominator) for x in v]
 
 
 def cone_membership(v: Vec, generators: list[Vec]) -> LPResult:

@@ -59,7 +59,12 @@ with its `_barycenter`) that the stage read off the recovered Jordan product
 replaced (verbatim, so its `is_isomorphism_state` is this module's per-ray-LP
 oracle), and the float form, unit and trace-form gates of
 `kvwb.jordan.recover_jordan_product` (`float_recovery_gates`) that exact
-problems now decide on rationals.
+problems now decide on rationals, and the membership LP's separator
+(`separating_functional`) and the `Fraction` certificate check
+(`check_certificate`) that the first violated generator of the dual and the
+integer `kvwb.lp.check_certificate` replaced, and the cubic-form rows
+accumulated by `np.add.at` (`cubic_rows_add_at`) that `np.bincount`
+replaced.
 
 Slow and obviously correct; the property tests require the fast kernels to
 return exactly what these return.
@@ -76,15 +81,16 @@ import numpy as np
 from kvwb.composites import (BipartiteReport, BipartiteState, CompositeError,
                              IsomorphismStateReport, OmegaHat, _check_gamma,
                              _entangled_eta, _invariance_flag, marginal)
-from kvwb.cones import SelfDualityReport, dual_cone
+from kvwb.cones import PolyhedralCone, SelfDualityReport, dual_cone
 from kvwb.effectspace import OrderUnitSpace, build_effect_space
 from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
-                         _reconstruct, quadratic_rep, trace_form_gram)
+                         _reconstruct, _triple_index, quadratic_rep,
+                         trace_form_gram)
 from kvwb.linalg import (Mat, Vec, ZERO, ONE, _Kind, _integer_block, dot,
                          frac, is_symmetric, mat_vec, solve, sparse_int_rows,
                          zeros)
 from kvwb import composites, lp, models
-from kvwb.lp import LPResult, UnboundedError
+from kvwb.lp import CertificateError, LPResult, UnboundedError
 from kvwb.lp import convex_membership, free_feasibility
 from kvwb.models import Model, PermutationGroup, PolytopeBackend, QuantumBackend
 from kvwb.spectral import _degrees_and_powers, _value
@@ -1838,3 +1844,129 @@ def float_recovery_gates(p: RecoveryProblem, tensor) -> dict:
                 for g in p.cone_generators),
             "trace_form_pd": bool(
                 np.linalg.eigvalsh((G + G.T) / 2).min() > 1e-10)}
+
+
+# ---------------------------------------------------------------------------
+# the certificates that the cone layer now reads off what a run already holds:
+# the membership LP's separator (`separating_functional`) that the first
+# violated generator of the dual (`kvwb.cones.separators`) replaced, and the
+# `Fraction` body of `kvwb.lp.check_certificate` that integer rows replaced
+# (both verbatim)
+
+def separating_functional(K: PolyhedralCone, v: Vec) -> Vec:
+    """The membership LP's separating functional for a v found outside K by
+    `dual_contains`; an LP that finds v inside raises `CertificateError`."""
+    res = K.contains(v)
+    if res.feasible:
+        raise CertificateError(f"vector {list(v)} is outside the cone by its "
+                               "dual's rays but inside by the LP")
+    return res.farkas
+
+
+def check_certificate(rows: list[dict[int, Fraction]], b: Vec, ncols: int,
+                      res: LPResult) -> None:
+    """Re-check `res` against {x >= 0 : A x = b} by exact substitution, row
+    i of A given sparsely as {column: coefficient}: raise CertificateError
+    unless the point is nonnegative with A x = b, or the Farkas vector has
+    yᵀA <= 0 and yᵀb > 0.
+
+    `solve_feasibility` checks its own answers with it; callers check with
+    it certificates that were not found on this system, such as ones lifted
+    from a reduced LP.
+    """
+    if res.feasible:
+        x = res.point
+        if len(x) != ncols or not all(xx >= 0 for xx in x):
+            raise CertificateError("feasible point is not a nonnegative "
+                                   f"vector of length {ncols}")
+        for row, bb in zip(rows, b, strict=True):
+            if sum((a * x[j] for j, a in row.items()), ZERO) != bb:
+                raise CertificateError("feasible point failed row check")
+        return
+    y = res.farkas
+    cols = [ZERO] * ncols
+    for yy, row in zip(y, rows, strict=True):
+        if yy:
+            for j, a in row.items():
+                cols[j] += yy * a
+    if any(c > 0 for c in cols):
+        raise CertificateError("farkas certificate failed column check")
+    if not dot(y, b) > 0:
+        raise CertificateError("farkas certificate failed rhs check")
+
+
+
+# ---------------------------------------------------------------------------
+# the cubic-form rows as `kvwb.jordan._cubic_rows` built them before it took
+# the scaled inverse of B from its caller and accumulated float rows with
+# `np.bincount` (verbatim, but for the name)
+
+def cubic_rows_add_at(p: RecoveryProblem, K: _Kind):
+    """The linear constraints A s = b on the cubic form S(x, y, z) =
+    B(x ∘ y, z), totally symmetric for an associative B: the unknown
+    s[idx[i, j, k]] is one entry per sorted triple i ≤ j ≤ k.
+
+    With T[i, j, :] = B⁻ᵀ S[i, j, :] the coordinates of e_i ∘ e_j, the
+    blocks are the unit law Σᵢ uᵢ S[i, j, k] = B[j, k] (row (j, k), term i);
+    equivariance BᵀMB⁻ᵀ S[i, j, :] = Σ_ab M[a, i] M[b, j] S[a, b, :] (row
+    (i ≤ j, k), terms m, then (a, b)); and idempotence
+    Σ g_i g_j S[i, j, :] = Bᵀg (row k, terms i ≤ j).  Columns and values
+    are laid out by broadcasting; on floats one `np.add.at` accumulates them
+    into A, and the result is (A, b).  Rational inputs are scaled to
+    integers (`_Kind.scaled`), each row times the product of its scales, and the
+    triples are summed into sparse rows of Python ints, {column: value}
+    with the right-hand side in column `ncols`, zeros left out; the result
+    is (rows, ncols), the rational rows up to a positive factor each.
+    """
+    d = p.dim
+    idx = _triple_index(d)
+    ncols = d * (d + 1) * (d + 2) // 6
+    dtype = object if K.exact else float
+    B = K.array(p.B)
+    s_B, Bn = K.scaled(B)
+    s_Bi, Bin = K.scaled(K.inverse(B))
+    iu, ju = np.triu_indices(d)
+    R = len(iu)
+    rows, cols, vals, rhs = [], [], [], []
+
+    def add(c, v, b):
+        """Append rows with right-hand side b: columns c shaped (row axes,
+        term axes), values v broadcast to that shape."""
+        n0 = sum(map(len, rhs))
+        rows.append(np.repeat(np.arange(n0, n0 + len(b)), c.size // len(b)))
+        cols.append(c.ravel())
+        vals.append(np.broadcast_to(v, c.shape).ravel())
+        rhs.append(b)
+
+    s_u, u = K.scaled(p.u)
+    add(idx.transpose(1, 2, 0).reshape(d * d, d), u * s_B,
+        (Bn * s_u).ravel())
+    c_m = np.broadcast_to(idx[iu, ju][:, None, :], (R, d, d))
+    c_ab = np.broadcast_to(idx.reshape(d * d, d).T, (R, d, d * d))
+    for M in p.actions:
+        s_M, M = K.scaled(M)
+        v_ab = -(M[:, iu].T[:, :, None] * M[:, ju].T[:, None, :])
+        add(np.concatenate([c_m, c_ab], axis=-1),
+            np.concatenate([np.broadcast_to(Bn.T @ M @ Bin.T * s_M,
+                                            (R, d, d)),
+                            np.broadcast_to(v_ab.reshape(R, 1, d * d)
+                                            * (s_B * s_Bi),
+                                            (R, d, d * d))], axis=-1),
+            np.zeros(R * d, dtype))
+    for g in p.outcome_vectors:
+        s_g, g = K.scaled(g)
+        prod = g[iu] * g[ju] * s_B
+        add(idx[iu, ju].T, np.where(iu != ju, prod * 2, prod),
+            Bn.T @ g * s_g)
+    b = np.concatenate(rhs)
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    if K.exact:
+        out = sparse_int_rows(rows, cols, vals, len(b))
+        for row, bb in zip(out, b.tolist()):
+            if bb:
+                row[ncols] = bb
+        return out, ncols
+    A = np.zeros((len(b), ncols))
+    np.add.at(A, (rows, cols), vals)
+    return A, b
+

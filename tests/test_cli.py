@@ -358,6 +358,33 @@ def test_reverify_of_a_malformed_model_spec_exits_3(runner, tmp_path):
     assert runner.invoke(main, ["reverify", str(rpt)]).exit_code == 3
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", None, "'seed'"),
+    ("seed", "7", "seed: expected an integer, got '7'"),
+    ("seed", True, "seed: expected an integer, got True"),
+    ("tol", "x", "tol: expected a real number, got 'x'"),
+    ("tol", False, "tol: expected a real number, got False"),
+    ("expected_failures", ["no-such-stage"], "expected_failures: expected a "
+     "list of tokens from"),
+    ("expected_failures", "sharp", "expected_failures: expected a list"),
+], ids=["seed-missing", "seed-str", "seed-bool", "tol-str", "tol-bool",
+        "expect-unknown-token", "expect-not-a-list"])
+def test_reverify_checks_the_saved_run_settings(runner, tmp_path, field,
+                                                value, message):
+    """A saved report whose seed, tol or expected failures is missing or
+    mistyped exits 3 with "cannot load report", before any stage runs."""
+    data = json.loads(invoke(runner, "run", "classical:3").output)
+    if value is None:
+        del data[field]
+    else:
+        data[field] = value
+    rpt = tmp_path / "report.json"
+    rpt.write_text(json.dumps(data))
+    res = runner.invoke(main, ["reverify", str(rpt)])
+    assert res.exit_code == 3, res.output
+    assert f"cannot load report {rpt}: {message}" in res.output
+
+
 def _commands(group, path=()):
     for name, cmd in group.commands.items():
         if hasattr(cmd, "commands"):
@@ -497,20 +524,24 @@ def test_catalog_commands_keep_their_bytes(args):
 #: outside the cone all print here.  `run classical:6` was recorded again
 #: when its recovery and symmetric-cone check became proofs.  The three `run`
 #: digests were recorded again when the homogeneity stage was read off the
-#: recovered product, which changed only that stage's data and notes.
+#: recovered product, which changed only that stage's data and notes.  The
+#: four `gbit:3` and `gbit:4` digests of `run` and `conjugate` were recorded
+#: again when each separator became the first generator of the dual effect
+#: cone negative on the vector (it was the membership LP's Farkas vector),
+#: which changed only the `separating` and `separator` fields.
 FORM_CLI_SHA256 = {
     ("run", "classical:6"):
         (0, "ad475d1672fb7c23bcc0bc3b1565047dfa4ade72bf77997c5f439a25caf4f2d3"),
     ("run", "gbit:3"):
-        (1, "3992e355b2a213b75bac3c58795c36aa852483edb124da79fd8fe7fd50aea17c"),
+        (1, "ac8134980b8493578a7b9adfb798db73b20ef76eb63aa0aae9a9dc96053d220c"),
     ("run", "gbit:4"):
-        (1, "fbbb409a269b5db56c33f39fb1cec0bf902f66a6a35ba8dcd063c5b78b6d9891"),
+        (1, "601818dce10f1f997c48ac158193322c6aff6ed740344e9e4e61f04a2b79d221"),
     ("spin", "gbit:3"):
         (0, "664fce34139ef435a92f3f1b19ad07168cbd685806f15625c286179565ca0aae"),
     ("conjugate", "gbit:3"):
-        (0, "380c60b096347bfdaeef70d7ecf81250d7ef1266dcf82dd5d184721004cead70"),
+        (0, "878fc8d12db4ef154d6d0fa098a35f1b3ca35c865d00fdbd40f4021cff7319e5"),
     ("conjugate", "gbit:3", "--no-invariance"):
-        (0, "471d55acffc883d60af18282dba5baef5dd33ca46893684d764e60270da948bb"),
+        (0, "7e1b7e0c271ed5836a1baa04238b4a8edd5ec1822ebdc2a2ebe4dea04d5f0dc5"),
 }
 
 

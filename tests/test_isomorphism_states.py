@@ -1,6 +1,9 @@
 """The integer `omega_hat`, `is_isomorphism_state` and `is_self_dual`
 against their `Fraction` oracles in `reference_kernels`: the same reports,
-failures, values and separators, or the same error and witness."""
+failures and values, or the same error and witness.  The oracles separate a
+vector found outside the effect cone by a membership LP; the fast checks by
+the first generator of the dual effect cone that is negative on it, which
+must also be nonnegative on every generator of the effect cone."""
 from collections import Counter
 from fractions import Fraction as F
 from functools import cache
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as oracle
-from kvwb import composites, cones, effectspace, lp
+from kvwb import composites, cones, effectspace, linalg, lp
 from kvwb.builtins import conjugation_bijection, get_builtin
 from kvwb.composites import (BipartiteState, CompositeError,
                              find_conjugate_state, is_isomorphism_state,
@@ -68,11 +71,39 @@ def category(rep):
     return "+".join(sorted(stages)) or "iso"
 
 
+def assert_first_separator(E, v, h):
+    """h is the first generator of the dual effect cone with h·v < 0, and
+    h·g >= 0 on every generator g of the effect cone."""
+    first = next(d for d in E.dual_effect_cone.all_generators()
+                 if np.dot(d, v) < 0)
+    assert h == first
+    assert all(np.dot(h, g) >= 0 for g in E.effect_cone.all_generators())
+
+
+def without(rep, key):
+    """The report with the `key` field of each failure set to None."""
+    if rep[0] == "error":
+        return rep
+    r = dict(rep[1])
+    r["failures"] = [{**f, key: None} if key in f else f
+                     for f in r["failures"]]
+    return "ok", r
+
+
 def assert_same(E, w):
     got = outcome(omega_hat, w, E, E)
     assert got == outcome(oracle.omega_hat, w, E, E)
     rep = outcome(is_isomorphism_state, w, E, E)
-    assert rep == outcome(oracle.is_isomorphism_state, w, E, E)
+    assert (without(rep, "separator")
+            == without(outcome(oracle.is_isomorphism_state, w, E, E),
+                       "separator"))
+    if rep[0] == "ok" and rep[1]["invertible"]:
+        W_inv = np.array(linalg.inverse(got[1]), dtype=object)
+        for f in rep[1]["failures"]:
+            if f["stage"] == "inverse":
+                assert_first_separator(
+                    E, W_inv @ np.array(f["generator"], dtype=object),
+                    f["separator"])
     return category(rep)
 
 
@@ -164,24 +195,31 @@ def test_self_duality_matches_the_per_ray_lps(name, entries):
     want = vars(oracle.is_self_dual(E.effect_cone, B))
     for rep in (got, want):
         D = rep.pop("dual")
-        rep["dual"] = (D.generators, D.lineality)
-    assert got == want
+        rep["dual"] = (D.generators, D.lineality, D.extreme)
+    for f in got["failures"]:
+        if f["kind"] == "dual-ray-outside-cone":
+            assert_first_separator(E, f["ray"], f["separating"])
+    assert (without(("ok", got), "separating")
+            == without(("ok", want), "separating"))
 
 
 #: `lp.solve_feasibility` calls per `run_pipeline`.  With one LP per ray, as
 #: in the oracles of `reference_kernels`, a run made 25 on classical:4 and 30
 #: on classical:5, 12 and 15 of them in `is_isomorphism_state` and 4 and 5 in
 #: `is_self_dual`.  The pointedness LP of the effect cone is solved once
-#: per run (it was twice, 9, 10 and 21 in all).
-LP_CALLS = {"classical:4": 8, "classical:5": 9, "squit": 20}
+#: per run (it was twice, 9, 10 and 21 in all).  On squit the 4 inverse
+#: failures and the 4 dual rays outside the cone each solved an LP for its
+#: separator, 20 in all, until the separators were read off the products.
+LP_CALLS = {"classical:4": 8, "classical:5": 9, "squit": 12}
 
 
 @pytest.mark.parametrize("name", sorted(LP_CALLS))
 def test_isomorphism_and_self_duality_lps_run_only_on_failures(
         name, monkeypatch):
-    """No LP inside `is_isomorphism_state` or `is_self_dual` on the classical
-    ladder.  On squit each inverse failure and each dual ray outside the
-    cone keeps its LP, for its separator.  One outcome frame per run."""
+    """No LP inside `is_isomorphism_state` or `is_self_dual`, failures
+    included: on squit each inverse failure and each dual ray outside the
+    cone takes its separator from the product that found it.  One outcome
+    frame per run."""
     calls, scope, reports, frames = Counter(), [], [], []
     solve, Frame = lp.solve_feasibility, effectspace.OutcomeFrame
 
@@ -212,22 +250,32 @@ def test_isomorphism_and_self_duality_lps_run_only_on_failures(
     monkeypatch.setattr(cones, "is_self_dual", scoped(
         "sd", cones.is_self_dual, sd))
     monkeypatch.setattr(effectspace, "OutcomeFrame", frame)
-    run_pipeline(get_builtin(name))
+    rep = run_pipeline(get_builtin(name))
     inverse = [f for r in reports for f in r.failures
                if f["stage"] == "inverse"]
     outside = [f for r in sd for f in r.failures
                if f["kind"] == "dual-ray-outside-cone"]
     assert calls["all"] == LP_CALLS[name]
-    assert calls["iso"] == len(inverse) and calls["sd"] == len(outside)
-    assert all(f["separator"] for f in inverse)
+    assert calls["iso"] == calls["sd"] == 0
     assert bool(inverse) == bool(outside) == (name == "squit")
+    assert len(inverse) + len(outside) == (8 if name == "squit" else 0)
+    E = build_effect_space(get_builtin(name))
+    for f in outside:
+        assert_first_separator(E, f["ray"], f["separating"])
+    assert all(f["separator"] for f in inverse)
     assert len(frames) == 1
+    assert rep.stage("self-duality").status == (
+        "fail" if name == "squit" else "pass")
 
 
 def test_a_dual_cone_that_disagrees_with_the_lp_raises():
-    """The LP that runs for a vector found outside checks that finding: a
-    wrong dual cone puts (0, 1) outside the orthant, and the LP refuses."""
+    """A separator is re-checked by substitution: a wrong dual cone of the
+    orthant, cone((1, 0), (-1, 1)), puts the ray (1, 0) of the mapped form
+    dual outside, separated by (-1, 1), which is negative on the orthant's
+    generator (1, 0); the check refuses it."""
     orthant = cones.cone([[1, 0], [0, 1]])
-    wrong = cones.cone([[1, -1]])
-    with pytest.raises(lp.CertificateError, match="inside by the LP"):
+    wrong = cones.dual_cone(cones.cone([[1, 1], [0, 1]]))
+    assert wrong.generators == ((1, 0), (-1, 1))
+    with pytest.raises(lp.CertificateError,
+                       match="failed its substitution check"):
         cones.is_self_dual(orthant, [[F(1), F(0)], [F(0), F(1)]], wrong)

@@ -94,6 +94,17 @@ def refined_solve(A, b):
     return t0 + np.linalg.lstsq(A, r.astype(float), rcond=None)[0], N
 
 
+def cubic_rows(p, K):
+    """`_cubic_rows` with the scaled inverse of B its caller passes; float
+    rows must equal the `np.add.at` accumulation bit for bit."""
+    rows = _cubic_rows(p, K, K.scaled(K.inverse(K.array(p.B))))
+    if not K.exact:
+        A0, b0 = oracle.cubic_rows_add_at(p, K)
+        assert rows[0].tobytes() == A0.tobytes()
+        assert rows[1].tobytes() == b0.tobytes()
+    return rows
+
+
 def without_outcomes(p):
     """The problem with no idempotence rows."""
     return dataclasses.replace(p, outcome_vectors=[])
@@ -113,6 +124,8 @@ def assert_same_solutions(p, idempotence, old=None):
     up to about ε·κ·|x|, so well-conditioned rows keep 1e-12."""
     q = p if idempotence else without_outcomes(p)
     new = _linear_stage(q)
+    if not q.exact:
+        cubic_rows(q, FLOAT)
     if old is None:
         old = old_tensors(p, idempotence)
     assert (new is None) == (old is None)
@@ -130,7 +143,7 @@ def assert_same_solutions(p, idempotence, old=None):
         assert linalg.rank(span + [list(c) for c in n[:, 1:].T]) == nullity
         assert linalg.rank(span + [list(n[:, 0] - o[:, 0])]) == nullity
         return
-    kappa = max(condition(_cubic_rows(q, FLOAT)[0]),
+    kappa = max(condition(cubic_rows(q, FLOAT)[0]),
                 condition(oracle.linear_rows_float(p, idempotence)[0]))
     tol = max(1e-12, 2 * np.finfo(float).eps * kappa
               * max(1.0, np.abs(o).max()))
@@ -326,13 +339,35 @@ def test_exact_recovery_makes_no_dense_rref(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("name", ["classical:3", "classical:4", "gbit:3"])
+def test_exact_recovery_inverts_its_form_once(name, monkeypatch):
+    """One elimination of [B | -I] per exact recovery: `_linear_stage`
+    inverts B and passes the scaled inverse to `_cubic_rows`."""
+    p = builtin_problem(name)
+    assert p.exact
+    B = EXACT.array(p.B).tolist()
+    n = len(B)
+    aug = linalg._sparse([row + [-F(i == j) for j in range(n)]
+                          for i, row in enumerate(B)])
+    calls = []
+    eliminate = linalg._eliminate
+
+    def spy(rows, ncols):
+        calls.append(list(rows) == aug and ncols == 2 * n)
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    recover_jordan_product(p)
+    assert calls.count(True) == 1
+
+
 @pytest.mark.parametrize("name", CLASSICAL)
 def test_exact_recovery_rows_are_sparse(name):
     """Few nonzeros per row, right-hand sides included, and fewer in all
     than the tensor rows held: the dense layout would hold rows x
     (columns + 1) entries."""
     p = builtin_problem(name)
-    rows, ncols = _cubic_rows(p, EXACT)
+    rows, ncols = cubic_rows(p, EXACT)
     old, old_ncols = oracle._linear_rows(p, True, True)
     d = p.dim
     assert ncols == d * (d + 1) * (d + 2) // 6 < old_ncols
@@ -342,7 +377,7 @@ def test_exact_recovery_rows_are_sparse(name):
 def test_positive_nullity_basis_spans_the_full_svd_nullspace():
     p = dataclasses.replace(without_outcomes(builtin_problem("qubit:complex")),
                             actions=[])
-    A, b = _cubic_rows(p, FLOAT)
+    A, b = cubic_rows(p, FLOAT)
     t0, N = _solve_float(A, b)
     N0 = oracle.np_nullspace_full_svd(A)
     assert t0 is not None and N.shape == N0.shape and N.shape[1] > 0
@@ -355,7 +390,7 @@ def test_positive_nullity_basis_spans_the_full_svd_nullspace():
 
 
 def test_full_rank_float_stage_returns_an_empty_basis():
-    A, b = _cubic_rows(builtin_problem("qubit:real"), FLOAT)
+    A, b = cubic_rows(builtin_problem("qubit:real"), FLOAT)
     t0, N = _solve_float(A, b)
     assert N.shape == (A.shape[1], 0)
     assert oracle.np_nullspace_full_svd(A).shape == N.shape
@@ -396,9 +431,8 @@ def test_qutrit_recovery_makes_one_lstsq_on_the_cubic_form(monkeypatch):
     monkeypatch.setattr(np, "zeros", spy_zeros)
     res = recover_jordan_product(p)
     assert res.algebra is not None and res.linear_solution_dim == 0
-    assert [s[1] for s in solves] == [165]
+    assert solves == [(1053, 165)]
     matrices = [s for s in arrays if len(s) == 2]
-    assert (1053, 165) in matrices
     assert not [s for s in matrices if s[1] == 405], matrices
 
 
