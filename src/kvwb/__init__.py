@@ -23,9 +23,8 @@ from .forms import (BilinearForm, check_spin_uniqueness, check_unitarity,
 from .jordan import (CATALOG, JordanAlgebra, RecoveryProblem, RecoveryResult,
                      classical_algebra, complex_hermitian,
                      cone_of_squares_membership, direct_sum, identify_algebra,
-                     jordan_product, quadratic_rep, quaternionic_hermitian,
-                     real_symmetric, recover_jordan_product, spin_factor,
-                     verify_symmetric_cone)
+                     jordan_product, quaternionic_hermitian, real_symmetric,
+                     recover_jordan_product, spin_factor, verify_symmetric_cone)
 from .models import (Model, ModelError, PermutationGroup, TestSpace,
                      check_bisymmetry, find_nontrivial_images, is_sharp,
                      validate_model)
@@ -51,7 +50,7 @@ __all__ = [
     "is_weakly_self_dual", "jordan_product", "jordan_sqrt",
     "linearize_morphism", "load_model", "make_conjugate", "marginal",
     "model_from_json", "model_to_json", "omega_hat", "parse_frac",
-    "product_state", "quadratic_rep", "quaternionic_hermitian",
+    "product_state", "quaternionic_hermitian",
     "real_symmetric", "recover_jordan_product", "run_pipeline",
     "spectral_decomposition", "spin_factor", "spin_form_from_conjugate",
     "validate_bipartite", "validate_model", "verify_symmetric_cone",

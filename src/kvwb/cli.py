@@ -186,8 +186,7 @@ def bisym(model, seed, out):
     """Transitivity of the symmetry group on outcomes, tests, and pairs.
 
     Exits 1 when the model is not fully bisymmetric, and 2 when that is
-    unknown: a sampled quantum model, or more than 10**6 ordered tests in
-    the orbit.
+    unknown, which happens only on a sampled quantum model.
     """
     m = _load(model, seed)
     rep = models.check_bisymmetry(m)

@@ -488,9 +488,9 @@ def _unknown_orbits(m: Model, gamma: dict[str, str], pos: dict[str, int],
     nO, nV = len(outs), len(m.states.vertices)
     gamma_inv = {y: x for x, y in gamma.items()}
     actions = []
-    for g in m.group.generators:
+    for g, sg in zip(m.group.generators, m.vertex_perms):
         h = tuple(pos[gamma[outs[g[pos[gamma_inv[y]]]]]] for y in outs)
-        sg, sh = vertex_permutation(m, g), vertex_permutation(m, h)
+        sh = sg if h == g else vertex_permutation(m, h)
         if sg is None or sh is None:
             raise CompositeError(f"generator {g} or its conjugate under gamma "
                                  "does not permute the extreme states")

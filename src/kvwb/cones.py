@@ -5,7 +5,7 @@ combinatorial adjacency.  K = K**, so with the dual of K at hand membership
 in K is one integer product with the dual's generators (`dual_contains`),
 and a vector found outside is separated by the first generator of the dual
 that is negative on it, re-checked by substitution (`separators`).  With no
-dual at hand (`cone_equal`, `is_positive_map`) each question is one LP.
+dual at hand (`cone_equal`) each question is one LP.
 Every verdict ships with a checkable certificate.
 """
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (Mat, Vec, ZERO, ONE, _integer_block, _primitive_row, dot,
-                     inverse, mat_vec, rank, frac)
+                     inverse, rank, frac)
 from .lp import CertificateError, LPResult, cone_membership, free_feasibility
 
 
@@ -448,38 +448,3 @@ def _try_bijection(R, S, perm, d):
             M = [vec[r * d:r * d + d] for r in range(d)]
             return True, M, vec[d * d:], None
     return False, None, None, f"bijection {perm}: solutions exist but all sampled maps singular"
-
-
-# ---------------------------------------------------------------------------
-# positive maps and order isomorphisms
-
-@dataclass
-class PositiveMapReport:
-    positive: bool
-    certificates: list[dict]
-
-
-def is_positive_map(T: Mat, src: PolyhedralCone, tgt: PolyhedralCone
-                    ) -> PositiveMapReport:
-    certs = [_witness(g, tgt.contains(img), image=img)
-             for g in src.all_generators() for img in [mat_vec(T, list(g))]]
-    return PositiveMapReport(all(c["inside"] for c in certs), certs)
-
-
-@dataclass
-class OrderIsoReport:
-    order_iso: bool
-    invertible: bool
-    forward: PositiveMapReport
-    backward: Optional[PositiveMapReport]
-
-
-def is_order_isomorphism(T: Mat, src: PolyhedralCone, tgt: PolyhedralCone
-                         ) -> OrderIsoReport:
-    Tinv = inverse(T)
-    if Tinv is None:
-        return OrderIsoReport(False, False,
-                              PositiveMapReport(False, []), None)
-    fwd = is_positive_map(T, src, tgt)
-    bwd = is_positive_map(Tinv, tgt, src)
-    return OrderIsoReport(fwd.positive and bwd.positive, True, fwd, bwd)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -97,16 +98,15 @@ class JordanAlgebra:
             self._axioms = prove_axioms(self)
         return self._axioms
 
+    @cached_property
+    def trace_form_pd(self) -> bool:
+        """Whether the exact trace form is positive definite, decided once:
+        the recovery and the symmetric-cone check share the verdict."""
+        return is_positive_definite(trace_form_gram(self))
+
 
 def jordan_product(J: JordanAlgebra, a, b):
     return J.product(a, b)
-
-
-def quadratic_rep(J: JordanAlgebra, a) -> np.ndarray:
-    """P(a) = 2 L_a^2 - L_{a∘a}."""
-    La = J.left_mult(a)
-    La2 = J.left_mult(J.product(a, a))
-    return 2 * (La @ La) - La2
 
 
 def trace_form_gram(J: JordanAlgebra):
@@ -409,7 +409,7 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
     A failed gate stops the later checks.
 
     On an exact tensor the gates are proofs and draw nothing: gate 1 is
-    `JordanAlgebra.axiom_proof`, gate 2 the exact test of the trace form,
+    `JordanAlgebra.axiom_proof`, gate 2 `JordanAlgebra.trace_form_pd`,
     and gates 3 and 4 then hold by the theorem of `KV_NOTE`, so their
     sampled minima stay None.  On a float tensor every gate samples from
     one seeded rng: gate 1 tests (a²)∘(b∘a) = (a²∘b)∘a on stacked pairs,
@@ -447,8 +447,9 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
         return rep
 
     # gate 2: formal reality via the trace form
-    G = trace_form_gram(J)
-    rep.trace_form_pd = _positive_definite(G, tol)
+    G = None if J.exact else trace_form_gram(J)
+    rep.trace_form_pd = (J.trace_form_pd if J.exact
+                         else _positive_definite(G, tol))
     if not rep.trace_form_pd:
         rep.failures.append({"gate": "trace-form-pd"})
         return rep
@@ -793,7 +794,8 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42
                                        "hypotheses likely unmet"], seed)
 
     # acceptance gates on the tensor
-    gates["trace_form_pd"] = _positive_definite(trace_form_gram(J), 1e-10)
+    gates["trace_form_pd"] = (J.trace_form_pd if p.exact else
+                              _positive_definite(trace_form_gram(J), 1e-10))
     sq_ok, frame = True, None
     if p.exact and p.extreme_rays:
         frame = jordan_frame(J, p.extreme_rays)

@@ -9,6 +9,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -18,10 +19,6 @@ from .linalg import ONE, ZERO, frac, np_nullspace
 from .lp import cone_membership, solve_feasibility
 
 Perm = tuple[int, ...]
-
-#: Largest orbit of ordered tests that `check_bisymmetry` explores before it
-#: leaves full bi-symmetry unknown.
-ORBIT_LIMIT = 10**6
 
 
 class ModelError(ValueError):
@@ -33,7 +30,7 @@ class ModelError(ValueError):
 
 def perm_compose(p: Perm, q: Perm) -> Perm:
     """Apply q first, then p."""
-    return tuple(p[q[i]] for i in range(len(q)))
+    return tuple(map(p.__getitem__, q))
 
 
 def perm_inverse(p: Perm) -> Perm:
@@ -43,12 +40,8 @@ def perm_inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def orbit(seed, act, generators, limit: Optional[int] = None) -> set:
-    """Orbit of `seed` under the maps act(g, -) for each generator g.
-
-    With a `limit` the search stops as soon as more than `limit` points are
-    found, and the partial orbit it returns has `limit + 1` points.
-    """
+def orbit(seed, act, generators) -> set:
+    """Orbit of `seed` under the maps act(g, -) for each generator g."""
     seen = {seed}
     frontier = [seed]
     while frontier:
@@ -59,10 +52,62 @@ def orbit(seed, act, generators, limit: Optional[int] = None) -> set:
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
-                    if limit is not None and len(seen) > limit:
-                        return seen
         frontier = nxt
     return seen
+
+
+def _basic_orbit_lengths(gens, n: int, prefix) -> list[int]:
+    """Basic orbit lengths of a stabilizer chain of the group generated by
+    the permutations `gens` of range(n), on a base that starts with
+    `prefix`: the i-th is the orbit of b_i under the pointwise stabilizer of
+    b_1..b_(i-1), so the first r multiply to the orbit of (b_1, ..., b_r)
+    and all of them to |G|.  Deterministic Schreier-Sims (Sims 1970; Seress,
+    Permutation Group Algorithms, 2003, ch. 4)."""
+    ident, base, strong = tuple(range(n)), list(prefix), []
+    levels = [([], {b: (ident, ident)}) for b in base]
+
+    def add(g, i) -> Optional[int]:
+        """Sift g from level i on.  A residue other than the identity joins
+        the strong generators (with a new base point if it fixes the base),
+        and levels i to the one it stopped at are rebuilt; returns that one."""
+        for j in range(i, len(base)):
+            u = levels[j][1].get(g[base[j]])
+            if u is None:
+                break
+            g = perm_compose(u[1], g)
+        else:
+            if g == ident:
+                return None
+            j = len(base)
+            base.append(next(x for x in ident if g[x] != x))
+            levels.append(None)
+        strong.append(g)
+        for k in range(i, j + 1):
+            # the strong generators fixing b_1..b_(k-1), and (u, u^-1) for
+            # an element u taking b_k to each point of its orbit under them
+            S = [s for s in strong if all(s[b] == b for b in base[:k])]
+            T, pts = {base[k]: (ident, ident)}, [base[k]]
+            for x, s in ((x, s) for x in pts for s in S):
+                if s[x] not in T:
+                    u = perm_compose(s, T[x][0])
+                    T[s[x]] = u, perm_inverse(u)
+                    pts.append(s[x])
+            levels[k] = S, T
+        return j
+
+    for g in gens:
+        add(tuple(g), 0)
+    i = len(base) - 1
+    while i >= 0:
+        S, T = levels[i]
+        for x, s in itertools.product(T, S):
+            j = add(perm_compose(T[s[x]][1], perm_compose(s, T[x][0])), i + 1)
+            if j is not None:
+                i = j
+                break
+        else:
+            i -= 1
+    return [len(T) for _, T in levels]
 
 
 @dataclass(frozen=True)
@@ -196,6 +241,16 @@ class Model:
         v = self.states.vertices[i]
         return dict(zip(self.outcomes, v, strict=True))
 
+    @cached_property
+    def vertex_index(self) -> dict:
+        """Index of each extreme state of a polytope model, built once."""
+        return {v: i for i, v in enumerate(self.states.vertices)}
+
+    @cached_property
+    def vertex_perms(self) -> tuple[Optional[Perm], ...]:
+        """`vertex_permutation` of each generator, built once."""
+        return tuple(vertex_permutation(self, g) for g in self.group.generators)
+
 
 def act_on_state(g: Perm, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """(g.alpha)(x) = alpha(g^{-1} x)."""
@@ -209,14 +264,12 @@ def act_on_test(g: Perm, test_idx: int, ts: TestSpace) -> frozenset[int]:
 
 def vertex_permutation(m: Model, g: Perm) -> Optional[Perm]:
     """How g permutes the extreme states, or None if it fails to."""
-    verts = m.states.vertices
-    lookup = {v: i for i, v in enumerate(verts)}
     images = []
-    for v in verts:
+    for v in m.states.vertices:
         w = act_on_state(g, v)
-        if w not in lookup:
+        if w not in m.vertex_index:
             return None
-        images.append(lookup[w])
+        images.append(m.vertex_index[w])
     return tuple(images)
 
 
@@ -262,8 +315,8 @@ def validate_model(m: Model, tol: float = 1e-9) -> ValidationReport:
                 if s != 1:
                     problems.append(f"state {vi} sums to {s} on test {t}")
         if isinstance(m.group, PermutationGroup):
-            for k, g in enumerate(m.group.generators):
-                if vertex_permutation(m, g) is None:
+            for k, sg in enumerate(m.vertex_perms):
+                if sg is None:
                     problems.append(f"generator {k} does not preserve the extreme states")
         if len(set(m.states.vertices)) != len(m.states.vertices):
             problems.append("duplicate extreme states")
@@ -306,12 +359,8 @@ def distinguishable(m: Model, x: str, y: str) -> bool:
 
 def distinguishable_pairs(m: Model) -> list[tuple[str, str]]:
     """All ordered pairs of distinct outcomes sharing a test."""
-    out = []
-    for t in m.tests:
-        for a, b in itertools.permutations(t, 2):
-            if (a, b) not in out:
-                out.append((a, b))
-    return out
+    return list(dict.fromkeys(p for t in m.tests
+                              for p in itertools.permutations(t, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +391,9 @@ def check_bisymmetry(m: Model) -> BisymmetryReport:
 
     The group is never enumerated.  Full bi-symmetry holds exactly when the
     orbit of test 0, read as an ordered tuple of outcomes, reaches all
-    `#tests * rank!` orderings of tests; past `ORBIT_LIMIT` ordered tests it
-    is left unknown (`None`) with a note.
+    `#tests * rank!` orderings of tests.  That orbit has |G : G_(b_1..b_r)|
+    points, the product of the first r basic orbit lengths of a stabilizer
+    chain whose base starts with the outcomes b_1..b_r of test 0.
     """
     if isinstance(m.states, QuantumBackend):
         if m.states.builtin:
@@ -355,39 +405,27 @@ def check_bisymmetry(m: Model) -> BisymmetryReport:
         return BisymmetryReport(None, None, None, None, {},
                                 ["transitivity is undecidable from generator samples"])
 
-    gens = m.group.generators
-    ts = m.testspace
-    notes: list[str] = []
-
-    vperms = [vertex_permutation(m, g) for g in gens]
-    n_verts = len(m.states.vertices)
-    vert_orbits = _orbit_count(range(n_verts), lambda g, i: g[i], vperms)
+    gens, ts = m.group.generators, m.testspace
+    vert_orbits = _orbit_count(range(len(m.states.vertices)),
+                               lambda g, i: g[i], m.vertex_perms)
     test_orbits = _orbit_count(range(len(ts.tests)),
                                lambda g, ti: _test_image_index(g, ti, ts), gens)
     pairs = [(ts.index(a), ts.index(b)) for a, b in distinguishable_pairs(m)]
     pair_orbits = _orbit_count(pairs, lambda g, p: (g[p[0]], g[p[1]]), gens)
 
     # the test orbit above already raised if a generator leaves the catalog,
-    # so this orbit stays inside the orderings of tests
-    ordered = orbit(tuple(ts.index(x) for x in ts.tests[0]),
-                    lambda g, t: tuple(map(g.__getitem__, t)), gens,
-                    limit=ORBIT_LIMIT)
-    fully: Optional[bool] = None
-    if len(ordered) > ORBIT_LIMIT:
-        notes.append(f"orbit of ordered tests exceeds {ORBIT_LIMIT}; "
-                     "full bi-symmetry left unknown")
-    else:
-        n_tests = len({frozenset(t) for t in ts.tests})
-        fully = len(ordered) == n_tests * math.factorial(m.rank)
-
+    # so the orbit of ordered test 0 stays inside the orderings of tests
+    ordered = math.prod(_basic_orbit_lengths(
+        gens, len(m.outcomes), map(ts.index, ts.tests[0]))[:m.rank])
+    n_tests = len({frozenset(t) for t in ts.tests})
     return BisymmetryReport(
         pure_state_transitive=vert_orbits == 1,
         test_transitive=test_orbits == 1,
         pair_transitive=pair_orbits == 1 if pairs else True,
-        fully_bisymmetric=fully,
+        fully_bisymmetric=ordered == n_tests * math.factorial(m.rank),
         orbit_counts={"pure_states": vert_orbits, "tests": test_orbits,
                       "pairs": pair_orbits},
-        notes=notes,
+        notes=[],
     )
 
 
@@ -400,12 +438,9 @@ def _test_image_index(g: Perm, ti: int, ts: TestSpace) -> int:
 
 
 def _orbit_count(items, act, gens) -> int:
-    items = list(items)
-    remaining = set(items)
-    count = 0
+    remaining, count = set(items), 0
     while remaining:
-        seed = next(x for x in items if x in remaining)
-        remaining -= orbit(seed, act, gens)
+        remaining -= orbit(next(iter(remaining)), act, gens)
         count += 1
     return count
 

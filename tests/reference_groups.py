@@ -1,10 +1,12 @@
 """Reference oracles: group enumeration and group averaging, which
 `kvwb.forms.is_irreducible` and `kvwb.models.check_bisymmetry` replaced with
-generator-only algebra and orbits.
+generator-only algebra and orbits, and the breadth-first walk over the
+orbit of an ordered tuple (`ordered_orbit`) that the stabilizer chain of
+`kvwb.models._basic_orbit_lengths` replaced.
 
-The code is the old library code, unchanged apart from the enumeration cap
-it no longer needs.  It enumerates the whole group, so it is slow and
-obviously correct; the tests require the generator-only checks to agree
+The code is the old library code, unchanged apart from the enumeration caps
+it no longer needs.  It enumerates the whole group or orbit, so it is slow
+and obviously correct; the tests require the generator-only checks to agree
 with it.
 """
 from __future__ import annotations
@@ -18,7 +20,7 @@ from kvwb.effectspace import OrderUnitSpace
 from kvwb.forms import BilinearForm, invariant_symmetric_forms
 from kvwb.linalg import (Mat, ONE, ZERO, mat_mul, mat_vec, np_nullspace,
                          np_rref, nullspace, solve, transpose)
-from kvwb.models import Model, Perm, perm_compose
+from kvwb.models import Model, Perm, orbit, perm_compose
 from reference_kernels import _full_symmetric_basis, _invariance_rows
 
 
@@ -39,6 +41,13 @@ def mulclose(generators: tuple[Perm, ...]) -> list[Perm]:
                     new.append(b)
         frontier = new
     return sorted(els)
+
+
+def ordered_orbit(generators, seed) -> set:
+    """Orbit of the tuple `seed` under the generators, each acting on every
+    entry, walked point by point."""
+    return orbit(tuple(seed), lambda g, t: tuple(map(g.__getitem__, t)),
+                 generators)
 
 
 def fully_bisymmetric(m: Model) -> bool:

@@ -64,7 +64,10 @@ problems now decide on rationals, and the membership LP's separator
 (`check_certificate`) that the first violated generator of the dual and the
 integer `kvwb.lp.check_certificate` replaced, and the cubic-form rows
 accumulated by `np.add.at` (`cubic_rows_add_at`) that `np.bincount`
-replaced.
+replaced, and the positive-map and order-isomorphism checks of
+`kvwb.cones` (`is_positive_map`, `is_order_isomorphism`), which no stage
+calls: they stay here as the order-isomorphism oracle of the cone tests,
+and `quadratic_rep`, which only this module's symmetric-cone oracle calls.
 
 Slow and obviously correct; the property tests require the fast kernels to
 return exactly what these return.
@@ -81,14 +84,13 @@ import numpy as np
 from kvwb.composites import (BipartiteReport, BipartiteState, CompositeError,
                              IsomorphismStateReport, OmegaHat, _check_gamma,
                              _entangled_eta, _invariance_flag, marginal)
-from kvwb.cones import PolyhedralCone, SelfDualityReport, dual_cone
+from kvwb.cones import PolyhedralCone, SelfDualityReport, _witness, dual_cone
 from kvwb.effectspace import OrderUnitSpace, build_effect_space
 from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
-                         _reconstruct, _triple_index, quadratic_rep,
-                         trace_form_gram)
+                         _reconstruct, _triple_index, trace_form_gram)
 from kvwb.linalg import (Mat, Vec, ZERO, ONE, _Kind, _integer_block, dot,
-                         frac, is_symmetric, mat_vec, solve, sparse_int_rows,
-                         zeros)
+                         frac, inverse, is_symmetric, mat_vec, solve,
+                         sparse_int_rows, zeros)
 from kvwb import composites, lp, models
 from kvwb.lp import CertificateError, LPResult, UnboundedError
 from kvwb.lp import convex_membership, free_feasibility
@@ -1970,3 +1972,44 @@ def cubic_rows_add_at(p: RecoveryProblem, K: _Kind):
     np.add.at(A, (rows, cols), vals)
     return A, b
 
+
+def quadratic_rep(J: JordanAlgebra, a) -> np.ndarray:
+    """P(a) = 2 L_a^2 - L_{a∘a}."""
+    La = J.left_mult(a)
+    La2 = J.left_mult(J.product(a, a))
+    return 2 * (La @ La) - La2
+
+
+# ---------------------------------------------------------------------------
+# positive maps and order isomorphisms
+
+@dataclass
+class PositiveMapReport:
+    positive: bool
+    certificates: list[dict]
+
+
+def is_positive_map(T: Mat, src: PolyhedralCone, tgt: PolyhedralCone
+                    ) -> PositiveMapReport:
+    certs = [_witness(g, tgt.contains(img), image=img)
+             for g in src.all_generators() for img in [mat_vec(T, list(g))]]
+    return PositiveMapReport(all(c["inside"] for c in certs), certs)
+
+
+@dataclass
+class OrderIsoReport:
+    order_iso: bool
+    invertible: bool
+    forward: PositiveMapReport
+    backward: Optional[PositiveMapReport]
+
+
+def is_order_isomorphism(T: Mat, src: PolyhedralCone, tgt: PolyhedralCone
+                         ) -> OrderIsoReport:
+    Tinv = inverse(T)
+    if Tinv is None:
+        return OrderIsoReport(False, False,
+                              PositiveMapReport(False, []), None)
+    fwd = is_positive_map(T, src, tgt)
+    bwd = is_positive_map(Tinv, tgt, src)
+    return OrderIsoReport(fwd.positive and bwd.positive, True, fwd, bwd)

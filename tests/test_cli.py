@@ -88,6 +88,14 @@ def test_validate_and_bisym(runner):
     assert blob["pure_state_transitive"] is False
 
 
+def test_bisym_decides_past_a_million_ordered_tests(runner):
+    res = invoke(runner, "bisym", "classical:12")
+    assert res.exit_code == 0
+    blob = json.loads(res.output)
+    assert blob["fully_bisymmetric"] is True
+    assert blob["notes"] == []
+
+
 def test_spin_outputs_the_form(runner):
     res = invoke(runner, "spin", "classical:2")
     assert res.exit_code == 0

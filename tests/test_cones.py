@@ -3,10 +3,10 @@ from fractions import Fraction as F
 import numpy as np
 
 from kvwb.cones import (PolyhedralCone, cone, cone_equal, dual_cone,
-                        extreme_rays, halfspace_cone_rays, is_order_isomorphism,
-                        is_pointed, is_self_dual, is_weakly_self_dual,
-                        polytope_hrep)
+                        extreme_rays, halfspace_cone_rays, is_pointed,
+                        is_self_dual, is_weakly_self_dual, polytope_hrep)
 from kvwb.linalg import dot, identity, mat_vec
+from reference_kernels import is_order_isomorphism
 
 ORTHANT3 = cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 

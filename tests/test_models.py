@@ -1,19 +1,21 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kvwb.builtins import classical, get_builtin, squit, squit_klein
 from kvwb import models
 from kvwb.lp import cone_membership
 from kvwb.models import TestSpace as TSpace
-from kvwb.models import (ORBIT_LIMIT, Model, ModelError, PermutationGroup,
+from kvwb.models import (Model, ModelError, PermutationGroup,
                          PolytopeBackend, assess_all_candidates,
                          check_bisymmetry, distinguishable, find_nontrivial_images,
                          image_model, is_sharp, models_isomorphic,
                          perm_compose, perm_inverse, pullback_state,
                          set_partitions, validate_model, validate_morphism)
-from reference_groups import mulclose
+from reference_groups import mulclose, ordered_orbit
 
 
 def paired_classical4():
@@ -69,14 +71,29 @@ def test_bisymmetry_verdicts():
     assert check_bisymmetry(squit_klein()).bisymmetric is False
 
 
-def test_bisymmetry_orbit_limit_gives_unknown():
-    # 10! orderings of the one test exceed the orbit limit; the three
-    # transitivity verdicts are still decided, only full bi-symmetry is not
-    assert ORBIT_LIMIT == 10**6
-    rep = check_bisymmetry(classical(10))
+def _three_cycle(k: int, n: int) -> tuple[int, ...]:
+    """The 3-cycle (0 1 k) on range(n)."""
+    p = list(range(n))
+    p[0], p[1], p[k] = 1, k, 0
+    return tuple(p)
+
+
+def test_bisymmetry_is_decided_at_every_size():
+    # 12! orderings of the one test: the stabilizer chain decides full
+    # bi-symmetry without walking them
+    rep = check_bisymmetry(classical(12))
     assert rep.bisymmetric is True
-    assert rep.fully_bisymmetric is None
-    assert any(str(ORBIT_LIMIT) in n for n in rep.notes)
+    assert rep.fully_bisymmetric is True
+    assert rep.notes == []
+    # A_12, generated by the 3-cycles (0 1 k), reaches half the orderings
+    c = classical(12)
+    alt = Model("classical:12/alt", c.testspace, c.states,
+                PermutationGroup(tuple(_three_cycle(k, 12)
+                                       for k in range(2, 12))))
+    rep = check_bisymmetry(alt)
+    assert rep.bisymmetric is True
+    assert rep.fully_bisymmetric is False
+    assert rep.notes == []
 
 
 def test_bisymmetry_decided_below_the_orbit_limit():
@@ -89,6 +106,27 @@ def test_bisymmetry_decided_below_the_orbit_limit():
     assert rep.fully_bisymmetric is False
     assert rep.notes == []
     assert check_bisymmetry(classical(8)).fully_bisymmetric is True
+
+
+@st.composite
+def group_and_base(draw):
+    """0-3 generators of a subgroup of S_n (n <= 7, the identity among the
+    choices) and a tuple of distinct points."""
+    n = draw(st.integers(1, 7))
+    perm = st.one_of(st.just(tuple(range(n))),
+                     st.permutations(range(n)).map(tuple))
+    gens = draw(st.lists(perm, max_size=3))
+    base = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    return gens, n, base
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_and_base())
+def test_basic_orbit_lengths_match_the_orbit_walk(case):
+    gens, n, base = case
+    lengths = models._basic_orbit_lengths(gens, n, base)
+    assert math.prod(lengths[:len(base)]) == len(ordered_orbit(gens, base))
+    assert math.prod(lengths) == (len(mulclose(gens)) if gens else 1)
 
 
 def test_sharpness():
