@@ -31,7 +31,7 @@ from .models import (Model, ModelError, PermutationGroup, TestSpace,
 from .pipeline import PipelineReport, run_pipeline
 from .serialize import (dumps_canonical, load_model, model_from_json,
                         model_to_json, parse_frac)
-from .spectral import jordan_sqrt, spectral_decomposition
+from .spectral import jordan_sqrt
 
 __version__ = "0.1.0"
 
@@ -52,6 +52,6 @@ __all__ = [
     "model_from_json", "model_to_json", "omega_hat", "parse_frac",
     "product_state", "quaternionic_hermitian",
     "real_symmetric", "recover_jordan_product", "run_pipeline",
-    "spectral_decomposition", "spin_factor", "spin_form_from_conjugate",
+    "spin_factor", "spin_form_from_conjugate",
     "validate_bipartite", "validate_model", "verify_symmetric_cone",
 ]

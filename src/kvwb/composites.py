@@ -10,6 +10,7 @@ reproduces the unique orthogonalizing invariant form.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,7 +21,7 @@ import numpy as np
 from .effectspace import OrderUnitSpace, build_effect_space
 from .forms import BilinearForm, certify_flags, check_unitarity
 from .cones import separators
-from .linalg import ONE, ZERO, _Kind
+from .linalg import Row, _Kind, integer_row
 from .lp import (LPResult, check_certificate, convex_membership,
                  solve_feasibility)
 from .models import (Model, PermutationGroup, PolytopeBackend, QuantumBackend,
@@ -429,53 +430,47 @@ def find_conjugate_state(m: Model, gamma: Optional[dict[str, str]] = None,
     nu0 = mu0 + nO * nV            # nu[y][v]: column-conditional coefficients
     nvar = nu0 + nO * nV
 
-    rows: list[dict[int, Fraction]] = []     # sparse: {unknown: coefficient}
-    rhs: list[Fraction] = []
+    # rows of [A | b] as Rows, the right-hand side in column nvar; a tie row
+    # takes column j of the vertices over its common denominator
+    cols = [integer_row(p[j] for p in verts) for j in range(nO)]
+    rows: list[Row] = []
     for E in m.tests:
         for F in m.tests:
-            rows.append({pos[x] * nO + pos[y]: ONE for x in E for y in F})
-            rhs.append(ONE)
+            rows.append(({**{pos[x] * nO + pos[y]: 1 for x in E for y in F},
+                          nvar: 1}, 1))
     for i in range(nO):
         for j in range(nO):
-            rows.append({i * nO + j: ONE,
-                         **{mu0 + i * nV + v: -p[j]
-                            for v, p in enumerate(verts) if p[j]}})
-            rows.append({i * nO + j: ONE,
-                         **{nu0 + j * nV + v: -p[i]
-                            for v, p in enumerate(verts) if p[i]}})
-            rhs += [ZERO, ZERO]
+            for k, t0 in ((j, mu0 + i * nV), (i, nu0 + j * nV)):
+                s, ints = cols[k]
+                rows.append(({i * nO + j: s, **{t0 + v: -a for v, a
+                                                in enumerate(ints) if a}}, s))
     for x in outs:
-        rows.append({pos[x] * nO + pos[gamma[x]]: ONE})
-        rhs.append(Fraction(1, n))
+        rows.append(({pos[x] * nO + pos[gamma[x]]: n, nvar: 1}, n))
 
     orbit_of = list(range(nvar))
     if require_invariance and isinstance(m.group, PermutationGroup):
         orbit_of = _unknown_orbits(m, gamma, pos, mu0, nu0, nvar)
     ncols = max(orbit_of) + 1
 
-    merged: dict = {}
+    merged: dict = {}              # reduced row -> its index, in order
     row_class = []                 # full row -> index of its reduced row
-    for row, b in zip(rows, rhs):
-        red: dict[int, Fraction] = {}
+    to_col = orbit_of + [ncols]
+    for row, d in rows:
+        red: dict[int, int] = {}
         for j, a in row.items():
-            red[orbit_of[j]] = red.get(orbit_of[j], ZERO) + a
-        row_class.append(merged.setdefault((tuple(sorted(red.items())), b),
-                                           len(merged)))
-    A = []
-    for items, _ in merged:
-        dense = [ZERO] * ncols
-        for o, a in items:
-            dense[o] = a
-        A.append(dense)
-    res = solve_feasibility(A, [b for _, b in merged])
+            red[to_col[j]] = red.get(to_col[j], 0) + a
+        g = math.gcd(d, *red.values())
+        key = (tuple(sorted((o, a // g) for o, a in red.items())), d // g)
+        row_class.append(merged.setdefault(key, len(merged)))
+    res = solve_feasibility([(dict(items), d) for items, d in merged], ncols)
 
     if not res.feasible:
         size = Counter(row_class)
         farkas = [res.farkas[k] / size[k] for k in row_class]
-        check_certificate(rows, rhs, nvar, LPResult(False, farkas=farkas))
+        check_certificate(rows, nvar, LPResult(False, farkas=farkas))
         return None
     point = [res.point[o] for o in orbit_of]
-    check_certificate(rows, rhs, nvar, LPResult(True, point=point))
+    check_certificate(rows, nvar, LPResult(True, point=point))
     table = {(x, y): point[pos[x] * nO + pos[y]] for x in outs for y in outs}
     return BipartiteState(m, m, table)
 

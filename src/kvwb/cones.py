@@ -79,9 +79,12 @@ class PolyhedralCone:
     @cached_property
     def pointed(self) -> bool:
         """`is_pointed`, computed once."""
-        gens = [(list(g), ONE) for g in self.generators]
-        return not self.lineality and (
-            not gens or free_feasibility(gens, [], self.dim).feasible)
+        if self.lineality:
+            return False
+        s, G = self.scaled_generators               # g·x >= 1 for each g
+        rows = [({**{j: a for j, a in enumerate(g) if a}, self.dim: s}, s)
+                for g in G.tolist()]
+        return not rows or free_feasibility(rows, [], self.dim).feasible
 
     def dual_contains(self, V: np.ndarray) -> tuple[np.ndarray, dict]:
         """Is each column v of V in the dual of this cone, g·v >= 0 for
@@ -230,19 +233,6 @@ def dual_cone(K: PolyhedralCone, form: Mat | None = None) -> PolyhedralCone:
                           tuple(ray_primitive(l) for l in lin),
                           extreme=tuple(ray_primitive(r) for r in rays),
                           ambient=K.dim)
-
-
-def polytope_hrep(vertices: list[Vec]) -> tuple[list[tuple[Vec, Fraction]],
-                                                list[tuple[Vec, Fraction]]]:
-    """Facet inequalities a.x + c >= 0 and equalities a.x + c = 0 of a hull."""
-    if not vertices:
-        raise ValueError("empty polytope")
-    dim = len(vertices[0])
-    lifted = [list(v) + [ONE] for v in vertices]
-    lin, rays = halfspace_cone_rays(lifted, dim + 1)
-    ineqs = [(r[:dim], r[dim]) for r in rays]
-    eqs = [(l[:dim], l[dim]) for l in lin]
-    return ineqs, eqs
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +415,15 @@ def _try_bijection(R, S, perm, d):
     if not basis:
         return False, None, None, None
     # scaling freedom: any all-positive lambda solution rescales to lambda >= 1
-    ineqs = []
-    for i in range(m):
-        coeffs = [b[d * d + i] for b in basis]
-        ineqs.append((coeffs, ONE))
-    res = free_feasibility(ineqs, [], len(basis))
+    h = len(basis)
+    s_n, N = _integer_block(basis)              # s_n · basis
+    ineqs = [({**{k: a for k, a in enumerate(col) if a}, h: s_n}, s_n)
+             for col in N[:, d * d:].T.tolist()]
+    res = free_feasibility(ineqs, [], h)
     if not res.feasible:
         return False, None, None, None
-    s_n, N = _integer_block(basis)              # s_n · basis
     combos = [_integer_block(res.point)]        # (s_c, s_c · combo)
-    for b in range(len(basis)):
+    for b in range(h):
         for eps in (Fraction(1, 7), Fraction(-1, 7)):
             shifted = list(res.point)
             shifted[b] += eps

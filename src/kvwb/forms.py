@@ -12,13 +12,12 @@ float ones are the same products with s = 1.0 and keep their bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .effectspace import OrderUnitSpace
-from .linalg import ONE, ZERO, _Kind, is_positive_definite, is_symmetric
+from .linalg import _Kind, is_positive_definite, is_symmetric
 from .lp import free_feasibility
 from .models import distinguishable_pairs
 
@@ -203,10 +202,11 @@ def find_orthogonalizing_spin_form(m, E: OrderUnitSpace, tol: float = 1e-9
         s_u, U = K.scaled(E.u)
         iu, ju = np.triu_indices(len(G))
         q = s * s_g * s_g
-        ineqs = [([Fraction(x, q) for x in col], ZERO)
-                 for col in (G @ A @ G.T)[:, iu, ju].T]
-        res = free_feasibility(ineqs, [([Fraction(x, s * s_u * s_u)
-                                         for x in U @ A @ U], ONE)], h)
+        ineqs = [({k: x for k, x in enumerate(col) if x}, q)
+                 for col in (G @ A @ G.T)[:, iu, ju].T.tolist()]
+        q_u = s * s_u * s_u
+        norm = {k: x for k, x in enumerate((U @ A @ U).tolist()) if x}
+        res = free_feasibility(ineqs, [({**norm, h: q_u}, q_u)], h)
         if not res.feasible:
             return SpinFormResult(None, h, ["no cone-positive form on the "
                                             "normalized slice"])

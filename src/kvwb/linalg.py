@@ -76,11 +76,18 @@ def transpose(A: Mat) -> Mat:
     return [list(col) for col in zip(*A)] if A else []
 
 
+def integer_row(v: Iterable) -> tuple[int, list[int]]:
+    """(s, s·v) for a rational vector v and its common denominator s; the
+    one scaling of rationals to integers.  gcd(s, s·v) = 1."""
+    v = list(v)
+    s = math.lcm(*(x.denominator for x in v))
+    return s, [x.numerator * (s // x.denominator) for x in v]
+
+
 def _primitive_row(row: Sequence) -> list[int]:
     """The primitive integer row on the ray of a rational row: the integers
     over the common denominator, divided by their gcd; zero stays zero."""
-    scale = math.lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (scale // x.denominator) for x in row]
+    ints = integer_row(row)[1]
     g = math.gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 
@@ -89,13 +96,16 @@ def _integer_block(x) -> tuple[int, np.ndarray]:
     """(s, s·x) for a rational block x and its common denominator s, the
     integers as an object array of Python ints."""
     X = np.array(x, dtype=object)
-    fs = [frac(v) for v in X.flat]
-    s = math.lcm(*(f.denominator for f in fs))
-    return s, np.array([f.numerator * (s // f.denominator) for f in fs],
-                       dtype=object).reshape(X.shape)
+    s, ints = integer_row(frac(v) for v in X.flat)
+    return s, np.array(ints, dtype=object).reshape(X.shape)
 
 
 SparseRow = dict[int, int]
+
+#: A rational row as integers over one positive denominator: the row
+#: ({column: int}, den) of a system in n unknowns holds its right-hand side
+#: in column n, zeros left out.  The input format of `kvwb.lp`.
+Row = tuple[SparseRow, int]
 
 
 def sparse_int_rows(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,

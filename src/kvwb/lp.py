@@ -1,9 +1,14 @@
 """Exact rational feasibility LPs via phase-one simplex with Bland's rule.
 
-Standard form: find x >= 0 with A x = b.  Always returns a certificate:
-either a feasible point or a Farkas vector y with yᵀA <= 0 and yᵀb > 0,
-both re-verified by direct substitution before they are returned; a failed
-re-check raises `CertificateError`, also under `python -O`.
+Standard form: find x >= 0 with A x = b.  A system in n unknowns comes as
+one `linalg.Row` per equation: row i of [A | b] as a sparse {column: int}
+row over one positive denominator, b_i in column n, zeros left out, so a
+builder that holds integers passes them as they are; (k·ints, k·den) is the
+same rational row for any k > 0 and gives the same answer.  Always returns
+a certificate: either a feasible point or a Farkas vector y with yᵀA <= 0
+and yᵀb > 0, both re-verified by direct substitution before they are
+returned; a failed re-check raises `CertificateError`, also under
+`python -O`.
 
 The tableau is the rational one, held as one integer row over one positive
 denominator per row, with integer pivoting as in lrs (Avis, 2000).  Bland's
@@ -16,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Mat, Vec, ZERO, ONE, frac
+from .linalg import Row, Vec, ZERO, integer_row
 
 __all__ = ["CertificateError", "LPResult", "solve_feasibility",
            "check_certificate", "cone_membership", "convex_membership",
@@ -46,30 +51,30 @@ def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
     return row, den
 
 
-def _phase_one(A: Mat, b: Vec) -> tuple[bool, Vec]:
+def _phase_one(rows: list[Row], n: int) -> tuple[bool, Vec]:
     """Phase-one simplex with Bland's rule on an integer tableau.
 
     Each row of the rational tableau (constraints, then the reduced-cost
-    row) is held as integers over one positive denominator.  Bland's rule
-    reads only signs and the ratio test cross-multiplies, so the pivots are
-    those of the rational tableau.  Returns (True, point) or
-    (False, Farkas vector), unchecked.
+    row) is held as integers over one positive denominator, divided by
+    their gcd, so the tableau does not depend on the scale of the input
+    rows.  Bland's rule reads only signs and the ratio test
+    cross-multiplies, so the pivots are those of the rational tableau.
+    Returns (True, point) or (False, Farkas vector), unchecked.
     """
-    m, n = len(A), len(A[0])
+    m = len(rows)
     ncols = n + m
     # orient rows so the right-hand side is nonnegative; tableau columns are
     # n structural + m artificial + rhs
-    signs = [1 if bb >= 0 else -1 for bb in b]
+    signs = [1 if r.get(n, 0) >= 0 else -1 for r, _ in rows]
     N: list[list[int]] = []
     den: list[int] = []
-    for i in range(m):
-        scale = math.lcm(b[i].denominator, *(x.denominator for x in A[i]))
-        row = [signs[i] * x.numerator * (scale // x.denominator)
-               for x in A[i]]
-        row += [0] * m + [signs[i] * b[i].numerator * (scale // b[i].denominator)]
-        row[n + i] = scale
-        r, d = _reduce(row, scale)
-        N.append(r)
+    for i, (r, d) in enumerate(rows):
+        row = [0] * (ncols + 1)
+        for j, a in r.items():
+            row[j if j < n else ncols] = signs[i] * a
+        row[n + i] = d
+        row, d = _reduce(row, d)
+        N.append(row)
         den.append(d)
     # phase-one objective: minimize the sum of the artificials; its reduced
     # cost row is minus the sum of the rows, zero on the artificials
@@ -123,34 +128,32 @@ def _phase_one(A: Mat, b: Vec) -> tuple[bool, Vec]:
     return True, x
 
 
-def solve_feasibility(A: Mat, b: Vec) -> LPResult:
-    """Decide {x >= 0 : A x = b} with exact arithmetic.
+def solve_feasibility(rows: list[Row], n: int) -> LPResult:
+    """Decide {x in R^n : x >= 0, A x = b}, [A | b] given by `rows`, with
+    exact arithmetic; no rows is the zero point.
 
     Phase-one simplex on artificial variables, Bland's anti-cycling rule,
     run on integer rows.  The certificate is re-checked by substitution
     (`check_certificate`) before it is returned.
     """
-    if not A:
-        return LPResult(True, point=[])
-    feasible, cert = _phase_one(A, b)
+    if not rows:
+        return LPResult(True, point=[ZERO] * n)
+    feasible, cert = _phase_one(rows, n)
     res = (LPResult(True, point=cert) if feasible
            else LPResult(False, farkas=cert))
-    check_certificate([{j: a for j, a in enumerate(row) if a} for row in A],
-                      b, len(A[0]), res)
+    check_certificate(rows, n, res)
     return res
 
 
-def check_certificate(rows: list[dict[int, Fraction]], b: Vec, ncols: int,
-                      res: LPResult) -> None:
-    """Re-check `res` against {x >= 0 : A x = b} by exact substitution, row
-    i of A given sparsely as {column: coefficient}: raise CertificateError
-    unless the point is nonnegative with A x = b, or the Farkas vector has
-    yᵀA <= 0 and yᵀb > 0.
+def check_certificate(rows: list[Row], n: int, res: LPResult) -> None:
+    """Re-check `res` against {x in R^n : x >= 0, A x = b}, [A | b] given by
+    `rows`, by exact substitution: raise CertificateError unless the point
+    is nonnegative with A x = b, or the Farkas vector has yᵀA <= 0 and
+    yᵀb > 0.
 
-    The sums run on integers, as `_phase_one` holds its rows: each row
-    checked against the point is taken over its own common denominator, the
-    rows that the Farkas vector combines over theirs, and the point, the
-    Farkas vector and b each over their own.
+    The sums run on integers, as `_phase_one` holds its rows: the point and
+    the Farkas vector each over their own common denominator, the rows
+    that the Farkas vector combines over the lcm of their denominators.
 
     `solve_feasibility` checks its own answers with it; callers check with
     it certificates that were not found on this system, such as ones lifted
@@ -158,37 +161,38 @@ def check_certificate(rows: list[dict[int, Fraction]], b: Vec, ncols: int,
     """
     if res.feasible:
         x = res.point
-        if len(x) != ncols or not all(xx >= 0 for xx in x):
+        if len(x) != n or not all(xx >= 0 for xx in x):
             raise CertificateError("feasible point is not a nonnegative "
-                                   f"vector of length {ncols}")
-        s_x, xs = _over_common_denominator(x)
-        for row, bb in zip(rows, b, strict=True):
-            scale = math.lcm(bb.denominator,
-                             *(a.denominator for a in row.values()))
-            if (sum(a.numerator * (scale // a.denominator) * xs[j]
-                    for j, a in row.items())
-                    != bb.numerator * (scale // bb.denominator) * s_x):
-                raise CertificateError("feasible point failed row check")
+                                   f"vector of length {n}")
+        xs = _against_rows(x)
+        if any(sum(a * xs[j] for j, a in r.items()) for r, _ in rows):
+            raise CertificateError("feasible point failed row check")
         return
-    ys = _over_common_denominator(res.farkas)[1]     # s_y · y
-    used = [(yy, row) for yy, row in zip(ys, rows, strict=True) if yy]
-    common = math.lcm(*(a.denominator for _, row in used
-                        for a in row.values()))
-    cols = [0] * ncols                               # s_y·common · yᵀA
-    for yy, row in used:
-        for j, a in row.items():
-            cols[j] += yy * a.numerator * (common // a.denominator)
-    if any(c > 0 for c in cols):
+    ys = integer_row(res.farkas)[1]                  # s_y · y
+    used = [(yy, r, d) for yy, (r, d) in zip(ys, rows, strict=True) if yy]
+    common = math.lcm(*(d for _, _, d in used))
+    cols = [0] * (n + 1)                             # s_y·common · yᵀ[A | b]
+    for yy, r, d in used:
+        f = yy * (common // d)
+        for j, a in r.items():
+            cols[j] += f * a
+    if any(c > 0 for c in cols[:n]):
         raise CertificateError("farkas certificate failed column check")
-    bs = _over_common_denominator(b)[1]
-    if not sum(yy * bb for yy, bb in zip(ys, bs, strict=True)) > 0:
+    if not cols[n] > 0:
         raise CertificateError("farkas certificate failed rhs check")
 
 
-def _over_common_denominator(v: Vec) -> tuple[int, list[int]]:
-    """(s, s·v) for a rational vector v and its common denominator s."""
-    s = math.lcm(*(x.denominator for x in v))
-    return s, [x.numerator * (s // x.denominator) for x in v]
+def _against_rows(x: Vec) -> list[int]:
+    """(s·x, -s), s the common denominator of x: a `Row` (r, den) of
+    [a | b] sums against it, Σ_j r[j]·(s·x, -s)[j], to s·den·(a·x - b)."""
+    s, xs = integer_row(x)
+    return xs + [-s]
+
+
+def _rational_row(v: Vec) -> Row:
+    """A rational row [a | b] as a `Row`."""
+    s, ints = integer_row(v)
+    return {j: a for j, a in enumerate(ints) if a}, s
 
 
 def cone_membership(v: Vec, generators: list[Vec]) -> LPResult:
@@ -203,8 +207,9 @@ def cone_membership(v: Vec, generators: list[Vec]) -> LPResult:
         if all(x == 0 for x in v):
             return LPResult(True, point=[])
         return LPResult(False, farkas=[-x for x in v] if dim else None)
-    A = [[g[i] for g in generators] for i in range(len(v))]
-    res = solve_feasibility(A, list(v))
+    rows = [_rational_row([g[i] for g in generators] + [v[i]])
+            for i in range(len(v))]
+    res = solve_feasibility(rows, len(generators))
     if res.feasible:
         return res
     f = [-y for y in res.farkas]        # f·g >= 0 for all g, f·v < 0
@@ -215,43 +220,42 @@ def convex_membership(v: Vec, points: list[Vec]) -> LPResult:
     """Is v a convex combination of the points?"""
     if not points:
         return LPResult(False, farkas=None)
-    A = [[p[i] for p in points] for i in range(len(v))]
-    A.append([ONE] * len(points))
-    b = list(v) + [ONE]
-    return solve_feasibility(A, b)
+    n = len(points)
+    rows = [_rational_row([p[i] for p in points] + [v[i]])
+            for i in range(len(v))]
+    rows.append((dict.fromkeys(range(n + 1), 1), 1))
+    return solve_feasibility(rows, n)
 
 
-def free_feasibility(ineqs: list[tuple[Vec, Fraction]],
-                     eqs: list[tuple[Vec, Fraction]], n: int) -> LPResult:
-    """Find x in R^n (unrestricted sign) with a.x >= c and e.x = d.
+def free_feasibility(ineqs: list[Row], eqs: list[Row], n: int) -> LPResult:
+    """Find x in R^n (unrestricted sign) with a·x >= c for each row [a | c]
+    of `ineqs` and a·x = c for each of `eqs`, all given as `Row`s.
 
     Encodes x = u - w with slack columns for the inequalities and reuses the
-    phase-one simplex.  The returned point is x itself.
+    phase-one simplex.  The returned point is x itself, re-checked against
+    every row by substitution.
     """
-    m = len(ineqs) + len(eqs)
-    width = 2 * n + len(ineqs)
-    A = [[ZERO] * width for _ in range(m)]
-    b = []
-    for r, (a, c) in enumerate(ineqs):
-        for j in range(n):
-            A[r][j] = frac(a[j])
-            A[r][n + j] = -frac(a[j])
-        A[r][2 * n + r] = -ONE
-        b.append(frac(c))
-    for r, (a, c) in enumerate(eqs):
-        row = len(ineqs) + r
-        for j in range(n):
-            A[row][j] = frac(a[j])
-            A[row][n + j] = -frac(a[j])
-        b.append(frac(c))
-    res = solve_feasibility(A, b)
+    k = len(ineqs)
+    width = 2 * n + k
+    rows = []
+    for i, (r, d) in enumerate(ineqs + eqs):
+        row = {}
+        for j, a in r.items():
+            if j < n:
+                row[j], row[n + j] = a, -a
+            else:
+                row[width] = a
+        if i < k:
+            row[2 * n + i] = -d
+        rows.append((row, d))
+    res = solve_feasibility(rows, width)
     if not res.feasible:
         return LPResult(False, farkas=res.farkas)
     x = [res.point[j] - res.point[n + j] for j in range(n)]
-    for (a, c) in ineqs:
-        if sum(ai * xi for ai, xi in zip(a, x)) < c:
-            raise CertificateError("free point violates an inequality")
-    for (a, c) in eqs:
-        if sum(ai * xi for ai, xi in zip(a, x)) != c:
-            raise CertificateError("free point violates an equality")
+    xs = _against_rows(x)
+    sums = [sum(a * xs[j] for j, a in r.items()) for r, _ in ineqs + eqs]
+    if any(t < 0 for t in sums[:k]):
+        raise CertificateError("free point violates an inequality")
+    if any(sums[k:]):
+        raise CertificateError("free point violates an equality")
     return LPResult(True, point=x)

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import quantum
-from .linalg import ONE, ZERO, frac, np_nullspace
+from .linalg import ONE, ZERO, frac, integer_row, np_nullspace
 from .lp import cone_membership, solve_feasibility
 
 Perm = tuple[int, ...]
@@ -749,26 +749,20 @@ def _polytope_pullback_feasible(m: Model, omap) -> bool:
     y_tests = _stable_unique(tuple(_stable_unique(omap[x] for x in E)) for E in m.tests)
     ny = len(y_labels)
     yidx = {y: i for i, y in enumerate(y_labels)}
-    verts = [list(v) for v in m.states.vertices]
+    verts = m.states.vertices
     nv = len(verts)
-    nx = len(m.outcomes)
     # variables: beta (ny) then mu (nv); phi* beta = sum mu_v v with mu >= 0
-    # (conic: the pullback sums to the fibre multiplicity, not 1), tests sum 1
-    A, b = [], []
+    # (conic: the pullback sums to the fibre multiplicity, not 1), tests sum 1;
+    # the row of outcome x takes column x of the vertices over its common
+    # denominator, the right-hand side in column ny + nv
+    rows = []
     for xi, x in enumerate(m.outcomes):
-        row = [ZERO] * (ny + nv)
-        row[yidx[omap[x]]] = ONE
-        for vi in range(nv):
-            row[ny + vi] = -verts[vi][xi]
-        A.append(row)
-        b.append(ZERO)
+        s, ints = integer_row(v[xi] for v in verts)
+        rows.append(({yidx[omap[x]]: s,
+                      **{ny + vi: -a for vi, a in enumerate(ints) if a}}, s))
     for F in y_tests:
-        row = [ZERO] * (ny + nv)
-        for y in F:
-            row[yidx[y]] = ONE
-        A.append(row)
-        b.append(ONE)
-    return solve_feasibility(A, b).feasible
+        rows.append(({**{yidx[y]: 1 for y in F}, ny + nv: 1}, 1))
+    return solve_feasibility(rows, ny + nv).feasible
 
 
 def _quantum_pullback_feasible(m: Model, omap) -> tuple[Optional[bool], str]:

@@ -7,10 +7,10 @@ e_i ∘ e_j) and the float unit `J.unit_float()`, so it runs on any kind,
 recovered products included.
 
 The kernels work on a stack of elements, one per row, and give each row
-the same floats the one-element functions give it: every stacked numpy
-call used here (einsum with a leading row axis, solve, svd, matmul, eigvals,
-and the gufunc behind np.linalg.lstsq) does per row what its unstacked form
-does.  A row that fails holds its exception in place of its result, so a
+the same floats the one-element code gives it (`jordan_sqrt` here; the
+tests keep the others as oracles): every stacked numpy call used here
+(einsum with a leading row axis, solve, svd, matmul, eigvals, and the gufunc
+behind np.linalg.lstsq) does per row what its unstacked form does.  A row that fails holds its exception in place of its result, so a
 caller can replay the rows in order and stop where a row-by-row loop would
 have stopped.
 """
@@ -164,8 +164,9 @@ def _merged(roots: np.ndarray):
 
 
 def _eigenvalues_many(J, W: np.ndarray) -> list:
-    """Merged eigenvalues of each row of W (see `_eigenvalues`), or the
-    ArithmeticError or LinAlgError that row raises.  Every step is stacked;
+    """Merged eigenvalues of each row of W: the sorted roots of its minimal
+    polynomial, near-coincident ones merged into one node (their mean), or
+    the ArithmeticError or LinAlgError that row raises.  Every step is stacked;
     only a row with a complex root or roots to merge meets `_merged`."""
     degs, pows = _degrees_and_powers(J, W)
     out = _roots_many(_minimal_polynomials(pows, degs))
@@ -228,11 +229,6 @@ def _sqrt_many(J, W: np.ndarray) -> list:
     return out
 
 
-def minimal_polynomial_degree(J, a, tol: float = 1e-8) -> int:
-    degs, _ = _degrees_and_powers(J, np.asarray(a, float)[None], tol)
-    return _value(degs[0])
-
-
 def generic_rank(J, seed: int = 42, trials: int = 5) -> int:
     """Degree of the minimal polynomial of a generic element.
 
@@ -245,29 +241,15 @@ def generic_rank(J, seed: int = 42, trials: int = 5) -> int:
     return max((_value(k) for k in degs), default=0)
 
 
-def _eigenvalues(J, w: np.ndarray) -> np.ndarray:
-    """Sorted roots of the minimal polynomial of w, near-coincident ones
-    merged into one node (their mean)."""
-    return _value(_eigenvalues_many(J, np.asarray(w, float)[None])[0])
-
-
-def spectral_decomposition(J, w, tol: float = 1e-8):
-    """Eigenvalues and spectral idempotents of w via its minimal polynomial.
+def _idempotents(J, W: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """Spectral idempotents of each row w of W over its merged eigenvalues,
+    that row of `reps`: idempotent i of row n at [n, i].
 
     Power associativity makes the subalgebra generated by w commutative and
     associative, so Lagrange interpolation on Jordan powers, over the merged
     eigenvalue nodes, produces the spectral projections; each projector is
     then purified with f <- 3f^2 - 2f^3 (quadratic convergence to the
-    idempotent with the same spectral support).
-    """
-    w = np.asarray(w, float)
-    reps = _eigenvalues(J, w)
-    return reps, list(_idempotents(J, w[None], reps[None])[0])
-
-
-def _idempotents(J, W: np.ndarray, reps: np.ndarray) -> np.ndarray:
-    """Spectral idempotents of each row w of W over its merged eigenvalues,
-    that row of `reps`: idempotent i of row n at [n, i]."""
+    idempotent with the same spectral support)."""
     T, u = J.np_tensor, J.unit_float()
     out = np.empty(reps.shape + (J.dim,))
     for i in range(reps.shape[1]):

@@ -67,7 +67,10 @@ accumulated by `np.add.at` (`cubic_rows_add_at`) that `np.bincount`
 replaced, and the positive-map and order-isomorphism checks of
 `kvwb.cones` (`is_positive_map`, `is_order_isomorphism`), which no stage
 calls: they stay here as the order-isomorphism oracle of the cone tests,
-and `quadratic_rep`, which only this module's symmetric-cone oracle calls.
+and `quadratic_rep`, which only this module's symmetric-cone oracle calls,
+and `polytope_hrep`, which no stage calls either.  `lp_rows` turns a
+`Fraction` system (A, b) into the integer `Row`s that `kvwb.lp` takes; the
+oracles here that call `kvwb.lp` hand it their systems through it.
 
 Slow and obviously correct; the property tests require the fast kernels to
 return exactly what these return.
@@ -75,6 +78,7 @@ return exactly what these return.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -84,11 +88,12 @@ import numpy as np
 from kvwb.composites import (BipartiteReport, BipartiteState, CompositeError,
                              IsomorphismStateReport, OmegaHat, _check_gamma,
                              _entangled_eta, _invariance_flag, marginal)
-from kvwb.cones import PolyhedralCone, SelfDualityReport, _witness, dual_cone
+from kvwb.cones import (PolyhedralCone, SelfDualityReport, _witness, dual_cone,
+                        halfspace_cone_rays)
 from kvwb.effectspace import OrderUnitSpace, build_effect_space
 from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
                          _reconstruct, _triple_index, trace_form_gram)
-from kvwb.linalg import (Mat, Vec, ZERO, ONE, _Kind, _integer_block, dot,
+from kvwb.linalg import (Mat, Row, Vec, ZERO, ONE, _Kind, _integer_block, dot,
                          frac, inverse, is_symmetric, mat_vec, solve,
                          sparse_int_rows, zeros)
 from kvwb import composites, lp, models
@@ -271,6 +276,17 @@ def solve_feasibility(A: Mat, b: Vec) -> LPResult:
         assert dot(A[i], x) == b[i], "feasible point failed row check"
     assert all(xx >= 0 for xx in x)
     return LPResult(True, point=x)
+
+
+def lp_rows(A: Mat, b: Vec) -> list[Row]:
+    """A x = b as `kvwb.lp` takes it: row i of [A | b] as its nonzero
+    integers over their common denominator, b_i in column len(A[i])."""
+    out = []
+    for row, bb in zip(A, b, strict=True):
+        full = [Fraction(x) for x in row] + [Fraction(bb)]
+        s = math.lcm(*(x.denominator for x in full))
+        out.append(({k: int(x * s) for k, x in enumerate(full) if x}, s))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1049,7 +1065,7 @@ def find_conjugate_state(m: Model, gamma: Optional[dict[str, str]] = None,
                     row[b] -= ONE
                     add(row, 0)
 
-    res = lp.solve_feasibility(rows, rhs)
+    res = lp.solve_feasibility(lp_rows(rows, rhs), nvar)
     if not res.feasible:
         return None
     table = {(x, y): res.point[it(x, y)] for x in outs for y in outs}
@@ -1722,7 +1738,8 @@ def _try_bijection(R, S, perm, d):
     for i in range(m):
         coeffs = [b[d * d + i] for b in basis]
         ineqs.append((coeffs, ONE))
-    res = free_feasibility(ineqs, [], len(basis))
+    res = free_feasibility(lp_rows([a for a, _ in ineqs],
+                                   [c for _, c in ineqs]), [], len(basis))
     if not res.feasible:
         return False, None, None, None
     combos = [res.point]
@@ -1981,7 +1998,20 @@ def quadratic_rep(J: JordanAlgebra, a) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# positive maps and order isomorphisms
+# the hull's facets, positive maps and order isomorphisms
+
+def polytope_hrep(vertices: list[Vec]) -> tuple[list[tuple[Vec, Fraction]],
+                                                list[tuple[Vec, Fraction]]]:
+    """Facet inequalities a.x + c >= 0 and equalities a.x + c = 0 of a hull."""
+    if not vertices:
+        raise ValueError("empty polytope")
+    dim = len(vertices[0])
+    lifted = [list(v) + [ONE] for v in vertices]
+    lin, rays = halfspace_cone_rays(lifted, dim + 1)
+    ineqs = [(r[:dim], r[dim]) for r in rays]
+    eqs = [(l[:dim], l[dim]) for l in lin]
+    return ineqs, eqs
+
 
 @dataclass
 class PositiveMapReport:

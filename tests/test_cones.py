@@ -4,9 +4,9 @@ import numpy as np
 
 from kvwb.cones import (PolyhedralCone, cone, cone_equal, dual_cone,
                         extreme_rays, halfspace_cone_rays, is_pointed,
-                        is_self_dual, is_weakly_self_dual, polytope_hrep)
+                        is_self_dual, is_weakly_self_dual)
 from kvwb.linalg import dot, identity, mat_vec
-from reference_kernels import is_order_isomorphism
+from reference_kernels import is_order_isomorphism, polytope_hrep
 
 ORTHANT3 = cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 

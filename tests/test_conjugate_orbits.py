@@ -124,8 +124,8 @@ def test_lifted_certificates_are_checked_under_optimize_flag():
         assert False, "asserts must be off under -O"
         solve = composites.solve_feasibility
 
-        def corrupted(A, b):
-            res = solve(A, b)
+        def corrupted(rows, n):
+            res = solve(rows, n)
             if res.feasible:
                 return lp.LPResult(True, point=[x + 1 for x in res.point])
             return lp.LPResult(False, farkas=[-y for y in res.farkas])
@@ -150,9 +150,9 @@ def test_conjugate_lp_has_one_column_per_orbit(monkeypatch):
     cols = []
     solve = composites.solve_feasibility
 
-    def spy(A, b):
-        cols.append(len(A[0]))
-        return solve(A, b)
+    def spy(rows, n):
+        cols.append(n)
+        return solve(rows, n)
 
     monkeypatch.setattr(composites, "solve_feasibility", spy)
     names = ([f"classical:{n}" for n in range(4, 9)]

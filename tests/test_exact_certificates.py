@@ -31,10 +31,10 @@ from kvwb.lp import CertificateError, LPResult, check_certificate, \
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
-def verdict(check, rows, b, ncols, res):
+def verdict(check, *args):
     """None when `check` accepts; the type and message of what it raises."""
     try:
-        check(rows, b, ncols, res)
+        check(*args)
     except (CertificateError, ValueError, IndexError) as exc:
         return type(exc), str(exc)
     return None
@@ -81,18 +81,19 @@ def mutated(draw, cert):
 @given(lps(), st.data())
 def test_integer_check_matches_the_fraction_oracle(lp, data):
     A, b = lp
-    rows = [{j: a for j, a in enumerate(row) if a} for row in A]
-    res = solve_feasibility(A, b)
+    n = len(A[0])
+    rows = oracle.lp_rows(A, b)
+    sparse = [{j: a for j, a in enumerate(row) if a} for row in A]
+    res = solve_feasibility(rows, n)
     cert = res.point if res.feasible else res.farkas
-    assert verdict(check_certificate, rows, b, len(A[0]), res) is None
+    assert verdict(check_certificate, rows, n, res) is None
     for _ in range(3):
         bad = data.draw(mutated(cert))
         as_point = data.draw(st.booleans())
         wrong = (LPResult(True, point=bad) if as_point
                  else LPResult(False, farkas=bad))
-        assert (verdict(check_certificate, rows, b, len(A[0]), wrong)
-                == verdict(oracle.check_certificate, rows, b, len(A[0]),
-                           wrong))
+        assert (verdict(check_certificate, rows, n, wrong)
+                == verdict(oracle.check_certificate, sparse, b, n, wrong))
 
 
 @st.composite

@@ -79,7 +79,8 @@ def oracle_inverse(A):
 
 
 def assert_same_lp(A, b):
-    new, old = solve_feasibility(A, b), oracle.solve_feasibility(A, b)
+    new = solve_feasibility(oracle.lp_rows(A, b), len(A[0]) if A else 0)
+    old = oracle.solve_feasibility(A, b)
     assert (new.feasible, new.point, new.farkas) == \
         (old.feasible, old.point, old.farkas)
 
@@ -110,6 +111,23 @@ def test_inverse_matches_oracle(A):
 @given(systems())
 def test_simplex_matches_oracle(system):
     assert_same_lp(*system)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(), st.data())
+def test_scaled_rows_give_the_same_lp(system, data):
+    """(k·ints, k·den) is the same rational row as (ints, den): the tableau
+    reduces every row, so the answer is that of the reduced rows and of
+    the oracle."""
+    A, b = system
+    n = len(A[0]) if A else 0
+    rows = oracle.lp_rows(A, b)
+    ks = data.draw(st.lists(st.integers(1, 5), min_size=len(rows),
+                            max_size=len(rows)))
+    scaled = [({j: k * a for j, a in r.items()}, k * d)
+              for (r, d), k in zip(rows, ks)]
+    res = solve_feasibility(scaled, n)
+    assert res == solve_feasibility(rows, n) == oracle.solve_feasibility(A, b)
 
 
 def sparse_rows(A, b):
@@ -226,7 +244,8 @@ def test_each_exact_routine_makes_one_elimination(monkeypatch, name, args):
     ([[F(1), F(-1)], [F(1, 2), F(1)]], [F(-1, 3), F(1)], True),
 ])
 def test_simplex_matches_oracle_on_edge_cases(A, b, feasible):
-    assert solve_feasibility(A, b).feasible is feasible
+    assert solve_feasibility(oracle.lp_rows(A, b), len(A[0])).feasible \
+        is feasible
     assert_same_lp(A, b)
 
 
@@ -238,25 +257,25 @@ def test_certificate_checks_survive_optimize_flag():
         from fractions import Fraction as F
         from kvwb import lp
         assert False, "asserts must be off under -O"
-        A = [[F(1), F(1)]]
 
         def corrupted(kernel):
-            def run(A, b):
-                feasible, cert = kernel(A, b)
+            def run(rows, n):
+                feasible, cert = kernel(rows, n)
                 return feasible, [c + 1 for c in cert]
             return run
 
         lp._phase_one = corrupted(lp._phase_one)
-        for rhs in (F(1), F(-1)):          # feasible point, Farkas vector
+        for rhs in (1, -1):                # feasible point, Farkas vector
             try:
-                lp.solve_feasibility(A, [rhs])
+                lp.solve_feasibility([({0: 1, 1: 1, 2: rhs}, 1)], 2)
             except lp.CertificateError:
                 pass
             else:
                 sys.exit("corrupted certificate accepted for rhs %s" % rhs)
-        lp.solve_feasibility = lambda A, b: lp.LPResult(True, point=[F(0)] * 2)
+        lp.solve_feasibility = lambda rows, n: lp.LPResult(True,
+                                                           point=[F(0)] * 2)
         try:
-            lp.free_feasibility([([F(1)], F(1))], [], 1)
+            lp.free_feasibility([({0: 1, 1: 1}, 1)], [], 1)
         except lp.CertificateError:
             print("raised")
     """)

@@ -18,8 +18,8 @@ from kvwb.jordan import (JordanAlgebra, RecoveryProblem, _reconstruct,
                          verify_symmetric_cone)
 from kvwb.linalg import frac
 from kvwb.pipeline import _recovery_problem
-from kvwb.spectral import (generic_rank, jordan_sqrt, minimal_polynomial_degree,
-                           spectral_decomposition)
+from kvwb.spectral import (_degrees_and_powers, _eigenvalues_many,
+                           _idempotents, _value, generic_rank, jordan_sqrt)
 
 CATALOG = [
     real_symmetric(2), real_symmetric(3),
@@ -28,6 +28,14 @@ CATALOG = [
     spin_factor(3), spin_factor(5),
     classical_algebra(3),
 ]
+
+
+def spectral_decomposition(J, w):
+    """Eigenvalues and spectral idempotents of w, from the stacked kernels
+    on a one-row stack."""
+    W = np.asarray(w, dtype=float)[None]
+    eigs = _value(_eigenvalues_many(J, W)[0])
+    return eigs, list(_idempotents(J, W, eigs[None])[0])
 
 
 def float_twin(J):
@@ -150,9 +158,9 @@ def test_jordan_sqrt_needs_eigenvalues_only(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("spectral idempotents built")
 
-    monkeypatch.setattr(spectral_module, "spectral_decomposition", refuse)
+    monkeypatch.setattr(spectral_module, "_idempotents", refuse)
     assert np.array_equal(jordan_sqrt(J, w), s)
-    assert np.array_equal(spectral_module._eigenvalues(J, w), eigs)
+    assert np.array_equal(_value(_eigenvalues_many(J, w[None])[0]), eigs)
     # a tensor without a structural description takes the spectral test
     recovered = JordanAlgebra("Recovered", J.dim, J.unit, J.np_tensor, False)
     assert cone_of_squares_membership(recovered, w)
@@ -166,7 +174,8 @@ def test_cone_of_squares_membership():
 
 def test_minimal_polynomial_degree():
     J = real_symmetric(3)
-    assert minimal_polynomial_degree(J, np.asarray(J.unit, dtype=float)) == 1
+    degs, _ = _degrees_and_powers(J, np.asarray(J.unit, dtype=float)[None])
+    assert degs == [1]
 
 
 def assert_same_algebra(J, ref):

@@ -9,6 +9,7 @@ from kvwb.linalg import dot, mat, vec
 from kvwb.lp import (CertificateError, LPResult, check_certificate,
                      cone_membership, convex_membership, free_feasibility,
                      solve_feasibility)
+from reference_kernels import lp_rows
 
 
 def check_farkas(A, b, y):
@@ -22,7 +23,7 @@ def check_farkas(A, b, y):
 def test_feasible_point_substitutes():
     A = mat([[1, 1, 0], [0, 1, 1]])
     b = vec([1, 1])
-    res = solve_feasibility(A, b)
+    res = solve_feasibility(lp_rows(A, b), 3)
     assert res.feasible
     assert all(x >= 0 for x in res.point)
     for row, rhs in zip(A, b):
@@ -33,7 +34,7 @@ def test_infeasible_farkas_substitutes():
     # x1 + x2 = 1 and x1 + x2 = 2 cannot both hold
     A = mat([[1, 1], [1, 1]])
     b = vec([1, 2])
-    res = solve_feasibility(A, b)
+    res = solve_feasibility(lp_rows(A, b), 2)
     assert not res.feasible
     check_farkas(A, b, res.farkas)
 
@@ -46,15 +47,15 @@ def test_infeasible_farkas_substitutes():
     LPResult(False, farkas=[F(-1)]),            # yᵀb = -1
 ])
 def test_check_certificate_rejects_a_wrong_certificate(res):
-    """x0 + 2 x1 = 1 over sparse rows: each certificate breaks one check."""
-    rows, b = [{0: F(1), 1: F(2)}], [F(1)]
-    check_certificate(rows, b, 2, LPResult(True, point=[F(1), F(0)]))
+    """x0 + 2 x1 = 1 as one row: each certificate breaks one check."""
+    rows = [({0: 1, 1: 2, 2: 1}, 1)]
+    check_certificate(rows, 2, LPResult(True, point=[F(1), F(0)]))
     with pytest.raises(CertificateError):
-        check_certificate(rows, b, 2, res)
+        check_certificate(rows, 2, res)
 
 
 def test_negative_rhs_infeasible():
-    res = solve_feasibility(mat([[1, 1]]), vec([-1]))
+    res = solve_feasibility(lp_rows(mat([[1, 1]]), vec([-1])), 2)
     assert not res.feasible
     check_farkas([[F(1), F(1)]], [F(-1)], res.farkas)
 
@@ -81,12 +82,22 @@ def test_convex_membership():
 
 def test_free_feasibility_signs():
     # x >= 1 and -x >= -3 and x + y = 2, y unrestricted
-    ineqs = [(vec([1, 0]), F(1)), (vec([-1, 0]), F(-3))]
-    eqs = [(vec([1, 1]), F(2))]
+    ineqs = lp_rows(mat([[1, 0], [-1, 0]]), vec([1, -3]))
+    eqs = lp_rows(mat([[1, 1]]), vec([2]))
     res = free_feasibility(ineqs, eqs, 2)
     assert res.feasible
     x, y = res.point
     assert 1 <= x <= 3 and x + y == 2
+
+
+def test_free_feasibility_of_no_rows_is_the_zero_point():
+    assert free_feasibility([], [], 2) == LPResult(True, point=[F(0), F(0)])
+
+
+def test_cone_membership_of_the_zero_space_is_the_zero_combination():
+    """R^0 holds only 0, which is 0 times each of the two generators."""
+    assert cone_membership([], [[], []]) == LPResult(True,
+                                                      point=[F(0), F(0)])
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,10 +14,26 @@ def assert_statements(directory: Path) -> list:
             if isinstance(node, ast.Assert)]
 
 
+def denominator_reads(directory: Path) -> list:
+    """`file:line` of every read of a `.denominator` attribute in the
+    modules of a directory."""
+    return [f"{path.name}:{node.lineno}"
+            for path in sorted(directory.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr == "denominator"]
+
+
 def test_package_has_no_assert_statement():
     """Checks are real raises, so they still run under `python -O`."""
     assert list(SRC.glob("*.py"))
     assert assert_statements(SRC) == []
+
+
+def test_only_linalg_scales_rationals_to_integers():
+    """`linalg.integer_row` is the one scaling of rationals to integers;
+    besides it only `serialize` reads a denominator, to print a rational."""
+    files = {r.split(":")[0] for r in denominator_reads(SRC)}
+    assert files <= {"linalg.py", "serialize.py"}, sorted(files)
 
 
 def test_every_exported_name_resolves():

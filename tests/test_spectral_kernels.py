@@ -28,10 +28,9 @@ from kvwb.jordan import (JordanAlgebra, classical_algebra, complex_hermitian,
                          recover_jordan_product, spin_factor,
                          verify_symmetric_cone)
 from kvwb.pipeline import _recovery_problem
-from kvwb.spectral import (_degrees_and_powers, _eigenvalues,
-                           _eigenvalues_many, _minimal_polynomials,
-                           _roots_many, _sqrt_many, _stacked, generic_rank,
-                           jordan_sqrt, minimal_polynomial_degree)
+from kvwb.spectral import (_degrees_and_powers, _eigenvalues_many,
+                           _minimal_polynomials, _roots_many, _sqrt_many,
+                           _stacked, generic_rank, jordan_sqrt)
 from test_jordan import assert_proved, float_twin
 
 CATALOG = [real_symmetric(1), real_symmetric(2), real_symmetric(3),
@@ -162,7 +161,7 @@ def test_degrees_and_powers_match_the_one_element_code(case):
         assert_same(deg, outcome(oracle.minimal_polynomial_degree, J, w))
         if not isinstance(deg, Exception):
             assert_same(P[:deg + 1], np.array(oracle.jordan_powers(J, w, deg)))
-        assert_same(outcome(minimal_polynomial_degree, J, w), deg)
+        assert_same(_degrees_and_powers(J, w[None])[0][0], deg)
 
 
 @settings(max_examples=80, deadline=None)
@@ -173,7 +172,7 @@ def test_eigenvalues_match_the_one_element_code(case):
                             oracle._eigenvalues_many(J, W)):
         assert_same(lams, outcome(oracle._eigenvalues, J, w))
         assert_same(lams, old)
-        assert_same(outcome(_eigenvalues, J, w), lams)
+        assert_same(_eigenvalues_many(J, w[None])[0], lams)
 
 
 @settings(max_examples=80, deadline=None)
