@@ -1,16 +1,20 @@
 """Polyhedral cones over the rationals.
 
-Dual cones are computed by an incremental double-description sweep with
-combinatorial adjacency.  K = K**, so with the dual of K at hand membership
-in K is one integer product with the dual's generators (`dual_contains`),
-and a vector found outside is separated by the first generator of the dual
-that is negative on it, re-checked by substitution (`separators`).  With no
-dual at hand (`cone_equal`) each question is one LP.
-Every verdict ships with a checkable certificate.
+Dual cones are computed by an incremental double-description sweep on
+primitive integer rays, with combinatorial adjacency by ray index; the
+weak self-duality search eliminates sparse integer rows.  K = K**, so with
+the dual of K at hand membership in K is one integer product with the
+dual's generators (`dual_contains`), and a vector found outside is
+separated by the first generator of the dual that is negative on it,
+re-checked by substitution (`separators`).  With no dual at hand
+(`cone_equal`) each question is one LP.  Every verdict ships with a
+checkable certificate.
 """
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -18,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import (Mat, Vec, ZERO, ONE, _integer_block, _primitive_row, dot,
-                     inverse, rank, frac)
+from .linalg import (Mat, Vec, _eliminate, _integer_block, _primitive_row,
+                     _readout, integer_row, inverse, rank, frac)
 from .lp import CertificateError, LPResult, cone_membership, free_feasibility
 
 
@@ -139,80 +143,75 @@ def halfspace_cone_rays(constraints: list[Vec], dim: int
                         ) -> tuple[list[Vec], list[Vec]]:
     """Minimal (lineality, extreme rays) of {x : a.x >= 0 for each a}.
 
-    Incremental double description.  Rays carry the set of constraints they
-    satisfy with equality; adjacency of two rays is decided combinatorially
-    (no third ray's tight set contains their common tight set).
+    Incremental double description on integers: each constraint is scaled
+    once to its primitive row, and each update is a positive integer
+    combination divided by its gcd.  Rays are primitive tuples; a lineality
+    vector (*l, den) is integers over a denominator.  Rays carry their tight
+    constraints as a bit mask; two rays are adjacent when no third ray, told
+    apart by its index, is tight on all their common ones (Fukuda and
+    Prodon, 1996).  Only the result is made of `Fraction`s.
     """
-    lin: list[Vec] = [[ONE if i == j else ZERO for j in range(dim)]
-                      for i in range(dim)]
-    rays: list[tuple[tuple[Fraction, ...], frozenset[int]]] = []
+    lin = [tuple(int(i == j) for j in range(dim)) + (1,) for i in range(dim)]
+    rays: list[tuple[tuple[int, ...], int]] = []
 
-    for j, a in enumerate(constraints):
-        a = [frac(x) for x in a]
-        vals = [dot(a, l) for l in lin]
-        pivot = next((i for i, v in enumerate(vals) if v != 0), None)
+    for j, a in enumerate(map(_primitive_row, constraints)):
+        bit = 1 << j
+        vals = [_idot(a, l) for l in lin]
+        pivot = next((i for i, v in enumerate(vals) if v), None)
         if pivot is not None:
-            l0 = list(lin[pivot])
-            v0 = vals[pivot]
+            v0, l0 = vals[pivot], lin[pivot][:-1]
             if v0 < 0:
-                l0 = [-x for x in l0]
-                v0 = -v0
-            new_lin = []
-            for i, l in enumerate(lin):
-                if i == pivot:
-                    continue
-                c = vals[i] / v0
-                new_lin.append([l[k] - c * l0[k] for k in range(dim)])
-            new_rays = []
-            for vec, tight in rays:
-                c = dot(a, list(vec)) / v0
-                nv = ray_primitive([vec[k] - c * l0[k] for k in range(dim)])
-                new_rays.append((nv, tight | {j}))
-            new_rays.append((ray_primitive(l0), frozenset(range(j))))
-            lin, rays = new_lin, _dedup(new_rays)
+                v0, l0 = -v0, tuple(-x for x in l0)
+            lin = [_primitive([v0 * x - v * y for x, y in zip(l, l0)]
+                              + [l[-1] * v0])
+                   for i, (l, v) in enumerate(zip(lin, vals)) if i != pivot]
+            rays = _dedup([(_primitive([v0 * x - s * y
+                                        for x, y in zip(r, l0)]), t | bit)
+                           for r, t in rays for s in (_idot(a, r),)]
+                          + [(_primitive(l0), bit - 1)])
             continue
 
-        pos, zero, neg = [], [], []
-        for vec, tight in rays:
-            s = dot(a, list(vec))
-            if s > 0:
-                pos.append((vec, tight, s))
-            elif s == 0:
-                zero.append((vec, tight | {j}))
-            else:
-                neg.append((vec, tight, s))
+        signed = [(r, t if s else t | bit, s)
+                  for r, t in rays for s in (_idot(a, r),)]
+        pos = [x for x in signed if x[2] > 0]
+        zero = [x for x in signed if x[2] == 0]
+        neg = [x for x in signed if x[2] < 0]
         if not neg:
-            rays = _dedup([(v, t | {j}) if dot(a, list(v)) == 0 else (v, t)
-                           for v, t in rays])
+            rays = [(r, t) for r, t, _ in signed]
             continue
-        current = [(v, t) for v, t, _ in pos] + zero + [(v, t) for v, t, _ in neg]
-        new_rays = [(v, t) for v, t, _ in pos] + zero
-        for (pv, pt, ps) in pos:
-            for (nv, nt, ns) in neg:
+        tights = [t for _, t, _ in pos + zero + neg]
+        new_rays = [(r, t) for r, t, _ in pos + zero]
+        for p, (pv, pt, ps) in enumerate(pos):
+            for q, (nv, nt, ns) in enumerate(neg, len(pos) + len(zero)):
                 common = pt & nt
-                if any((rv != pv and rv != nv and common <= rt)
-                       for rv, rt in current):
+                if any(rt & common == common and r != p and r != q
+                       for r, rt in enumerate(tights)):
                     continue
-                w = [ps * nv[k] - ns * pv[k] for k in range(dim)]
-                wp = ray_primitive(w)
-                if any(x != 0 for x in wp):
-                    new_rays.append((wp, common | {j}))
+                w = _primitive([ps * x - ns * y for x, y in zip(nv, pv)])
+                if any(w):
+                    new_rays.append((w, common | bit))
         rays = _dedup(new_rays)
 
-    return [list(l) for l in lin if any(x != 0 for x in l)], \
-           [list(v) for v, _ in rays]
+    return ([[Fraction(x, l[-1]) for x in l[:-1]] for l in lin],
+            [list(map(Fraction, r)) for r, _ in rays])
+
+
+def _idot(a, b) -> int:
+    """a·b on integers, over the shorter of the two."""
+    return sum(map(operator.mul, a, b))
+
+
+def _primitive(w: list[int]) -> tuple[int, ...]:
+    """w divided by the gcd of its entries; zero stays zero."""
+    g = math.gcd(*w)
+    return tuple(v // g for v in w) if g > 1 else tuple(w)
 
 
 def _dedup(rays):
-    seen: dict[tuple, frozenset] = {}
-    order = []
+    seen: dict[tuple, int] = {}
     for v, t in rays:
-        if v in seen:
-            seen[v] = seen[v] | t
-        else:
-            seen[v] = t
-            order.append(v)
-    return [(v, seen[v]) for v in order]
+        seen[v] = seen.get(v, 0) | t
+    return list(seen.items())
 
 
 def _form_images(K: PolyhedralCone, form: Mat) -> tuple[int, np.ndarray]:
@@ -225,14 +224,14 @@ def _form_images(K: PolyhedralCone, form: Mat) -> tuple[int, np.ndarray]:
 
 def dual_cone(K: PolyhedralCone, form: Mat | None = None) -> PolyhedralCone:
     """{v : <v, g> >= 0 for all g in K}, pairing via `form` if given; a
-    positive multiple of each constraint leaves the rays as they are."""
+    positive multiple of each constraint leaves the rays as they are, and
+    the double description returns them primitive."""
     constraints = (K.all_generators() if form is None
                    else _form_images(K, form)[1].tolist())
     lin, rays = halfspace_cone_rays(constraints, K.dim)
-    return PolyhedralCone(tuple(ray_primitive(r) for r in rays),
-                          tuple(ray_primitive(l) for l in lin),
-                          extreme=tuple(ray_primitive(r) for r in rays),
-                          ambient=K.dim)
+    rays = tuple(map(tuple, rays))
+    return PolyhedralCone(rays, tuple(ray_primitive(l) for l in lin),
+                          extreme=rays, ambient=K.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -396,22 +395,22 @@ def is_weakly_self_dual(K: PolyhedralCone, D: PolyhedralCone,
 
 def _try_bijection(R, S, perm, d):
     """Solve M r_i = lam_i s_{perm(i)}, lam_i > 0, det M != 0 — or rule it out.
-    The tests run on Python ints: the null basis and each combination are
-    scaled to integers over their common denominators, divided out once."""
-    from .linalg import nullspace
-
+    The rows of block i, M r_i - lam_i s_perm(i) = 0, are sparse integer
+    rows over the common denominator of r_i and s_perm(i), one elimination
+    in all.  The tests run on Python ints: the null basis and each
+    combination are scaled to integers over their common denominators,
+    divided out once."""
     m = len(R)
+    ncols = d * d + m
     rows = []
     for i in range(m):
-        s = S[perm[i]]
-        r = R[i]
-        for c in range(d):
-            row = [ZERO] * (d * d + m)
-            for k in range(d):
-                row[c * d + k] = r[k]
-            row[d * d + i] = -s[c]
+        ints = integer_row([*R[i], *S[perm[i]]])[1]
+        for c, s in enumerate(ints[d:]):
+            row = {c * d + k: x for k, x in enumerate(ints[:d]) if x}
+            if s:
+                row[d * d + i] = -s
             rows.append(row)
-    basis = nullspace(rows)
+    basis = _readout(_eliminate(rows, ncols), ncols)[1]
     if not basis:
         return False, None, None, None
     # scaling freedom: any all-positive lambda solution rescales to lambda >= 1

@@ -10,6 +10,7 @@ orthonormal operator basis instead and stay in floats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -18,9 +19,9 @@ import numpy as np
 from . import quantum
 from .cones import PolyhedralCone, cone, dual_cone
 from .linalg import (Mat, Vec, ONE, ZERO, _Kind, column_space_basis, frac,
-                     mat_mul, mat_vec, solve, transpose)
+                     mat_mul, mat_vec, transpose)
 from .models import (Model, Morphism, PermutationGroup, PolytopeBackend,
-                     QuantumBackend, act_on_state, perm_inverse)
+                     QuantumBackend)
 
 
 class EffectSpaceError(ValueError):
@@ -72,36 +73,31 @@ class OrderUnitSpace:
         return out
 
     # ---- symmetries as matrices -------------------------------------------
-    def effect_action(self, g) -> object:
-        """Matrix of the effect-space action of a symmetry generator.
+    def all_effect_actions(self) -> list:
+        """Matrices of the effect-space actions of the symmetry generators.
 
-        For an outcome permutation g the action sends the effect of x to the
-        effect of g(x); the matrix is exact.  Unitary generators already come
-        as coordinate matrices.
+        An outcome permutation g sends the effect of x to that of g(x): its
+        exact matrix M solves V Mᵀ = V[g], V the outcome vectors as rows, on
+        the outcome frame's inverse (one elimination per model) by one
+        integer product per generator, checked on every outcome.  Unitary
+        generators already come as coordinate matrices.
         """
-        if self.kind == "float":
-            return g  # UnitaryGenerators store ready-made matrices
         m = self.model
-        verts = m.states.vertices
-        cols = [list(verts[i]) for i in self.basis_states]
-        A = transpose(cols)
-        ginv = g if isinstance(g, tuple) else tuple(g)
-        ginv = perm_inverse(ginv)
-        rows = []
-        for i in self.basis_states:
-            moved = act_on_state(ginv, verts[i])
-            c = solve(A, list(moved))
-            if c is None:
+        if not isinstance(m.group, PermutationGroup):
+            return list(m.group.matrices)
+        if self.kind == "float":
+            return list(m.group.generators)
+        frame = self.outcome_frame
+        (s_i, inv), (s_v, V) = frame.inverse, frame.vectors
+        s = s_v * s_i
+        out = []
+        for g in m.group.generators:
+            P = V[[g[x] for x in frame.at]].T @ inv        # s·M
+            if (V @ P.T != V[list(g)] * s).any():
                 raise EffectSpaceError("symmetry moved a basis state outside "
                                        "the state span")
-            rows.append(c)
-        return rows
-
-    def all_effect_actions(self) -> list:
-        m = self.model
-        if isinstance(m.group, PermutationGroup):
-            return [self.effect_action(g) for g in m.group.generators]
-        return list(m.group.matrices)
+            out.append([[Fraction(x, s) for x in row] for row in P.tolist()])
+        return out
 
     @cached_property
     def actions(self) -> tuple:

@@ -613,8 +613,8 @@ def _cubic_rows(p: RecoveryProblem, K: _Kind, B_inv: tuple):
     them into A, in input order as `np.add.at` would, and the result is
     (A, b).  Rational inputs are scaled to
     integers (`_Kind.scaled`), each row times the product of its scales, and the
-    triples are summed into sparse rows of Python ints, {column: value}
-    with the right-hand side in column `ncols`, zeros left out; the result
+    nonzero triples are summed into sparse rows of Python ints, {column:
+    value} with the right-hand side in column `ncols`, zeros left out; the result
     is (rows, ncols), the rational rows up to a positive factor each.
     """
     d = p.dim
@@ -660,7 +660,8 @@ def _cubic_rows(p: RecoveryProblem, K: _Kind, B_inv: tuple):
     b = np.concatenate(rhs)
     rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
     if K.exact:
-        out = sparse_int_rows(rows, cols, vals, len(b))
+        keep = vals != 0
+        out = sparse_int_rows(rows[keep], cols[keep], vals[keep], len(b))
         for row, bb in zip(out, b.tolist()):
             if bb:
                 row[ncols] = bb

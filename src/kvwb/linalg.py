@@ -120,9 +120,10 @@ def sparse_int_rows(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
 
 
 def _sparse(A: Mat) -> list[SparseRow]:
-    """Rational rows as the primitive integer rows on their rays."""
-    return [{k: v for k, v in enumerate(_primitive_row(row)) if v}
-            for row in A]
+    """Rational rows as integer rows on their rays: the nonzero entries
+    over their common denominator (`_eliminate` divides out the gcd)."""
+    return [dict(zip(nz, integer_row(nz.values())[1]))
+            for nz in ({k: x for k, x in enumerate(row) if x} for row in A)]
 
 
 def _primitive_sparse(row: SparseRow) -> SparseRow:

@@ -68,7 +68,13 @@ replaced, and the positive-map and order-isomorphism checks of
 `kvwb.cones` (`is_positive_map`, `is_order_isomorphism`), which no stage
 calls: they stay here as the order-isomorphism oracle of the cone tests,
 and `quadratic_rep`, which only this module's symmetric-cone oracle calls,
-and `polytope_hrep`, which no stage calls either.  `lp_rows` turns a
+and `polytope_hrep`, which no stage calls either, and the `Fraction`
+double description (`halfspace_cone_rays`, with its `_dedup`; verbatim,
+and the one `polytope_hrep` calls) and the one `solve` per basis state of
+`OrderUnitSpace.effect_action` (`effect_action`, verbatim but for taking
+the space as its first argument) that the integer sweep of
+`kvwb.cones.halfspace_cone_rays` and one integer product per generator on
+the outcome frame replaced.  `lp_rows` turns a
 `Fraction` system (A, b) into the integer `Row`s that `kvwb.lp` takes; the
 oracles here that call `kvwb.lp` hand it their systems through it.
 
@@ -89,17 +95,19 @@ from kvwb.composites import (BipartiteReport, BipartiteState, CompositeError,
                              IsomorphismStateReport, OmegaHat, _check_gamma,
                              _entangled_eta, _invariance_flag, marginal)
 from kvwb.cones import (PolyhedralCone, SelfDualityReport, _witness, dual_cone,
-                        halfspace_cone_rays)
-from kvwb.effectspace import OrderUnitSpace, build_effect_space
+                        ray_primitive)
+from kvwb.effectspace import (EffectSpaceError, OrderUnitSpace,
+                              build_effect_space)
 from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
                          _reconstruct, _triple_index, trace_form_gram)
 from kvwb.linalg import (Mat, Row, Vec, ZERO, ONE, _Kind, _integer_block, dot,
                          frac, inverse, is_symmetric, mat_vec, solve,
-                         sparse_int_rows, zeros)
+                         sparse_int_rows, transpose, zeros)
 from kvwb import composites, lp, models
 from kvwb.lp import CertificateError, LPResult, UnboundedError
 from kvwb.lp import convex_membership, free_feasibility
-from kvwb.models import Model, PermutationGroup, PolytopeBackend, QuantumBackend
+from kvwb.models import (Model, PermutationGroup, PolytopeBackend,
+                         QuantumBackend, act_on_state, perm_inverse)
 from kvwb.spectral import _degrees_and_powers, _value
 
 
@@ -1995,6 +2003,115 @@ def quadratic_rep(J: JordanAlgebra, a) -> np.ndarray:
     La = J.left_mult(a)
     La2 = J.left_mult(J.product(a, a))
     return 2 * (La @ La) - La2
+
+
+# ---------------------------------------------------------------------------
+# the `Fraction` double description and the per-state effect actions
+
+def halfspace_cone_rays(constraints: list[Vec], dim: int
+                        ) -> tuple[list[Vec], list[Vec]]:
+    """Minimal (lineality, extreme rays) of {x : a.x >= 0 for each a}.
+
+    Incremental double description.  Rays carry the set of constraints they
+    satisfy with equality; adjacency of two rays is decided combinatorially
+    (no third ray's tight set contains their common tight set).
+    """
+    lin: list[Vec] = [[ONE if i == j else ZERO for j in range(dim)]
+                      for i in range(dim)]
+    rays: list[tuple[tuple[Fraction, ...], frozenset[int]]] = []
+
+    for j, a in enumerate(constraints):
+        a = [frac(x) for x in a]
+        vals = [dot(a, l) for l in lin]
+        pivot = next((i for i, v in enumerate(vals) if v != 0), None)
+        if pivot is not None:
+            l0 = list(lin[pivot])
+            v0 = vals[pivot]
+            if v0 < 0:
+                l0 = [-x for x in l0]
+                v0 = -v0
+            new_lin = []
+            for i, l in enumerate(lin):
+                if i == pivot:
+                    continue
+                c = vals[i] / v0
+                new_lin.append([l[k] - c * l0[k] for k in range(dim)])
+            new_rays = []
+            for vec, tight in rays:
+                c = dot(a, list(vec)) / v0
+                nv = ray_primitive([vec[k] - c * l0[k] for k in range(dim)])
+                new_rays.append((nv, tight | {j}))
+            new_rays.append((ray_primitive(l0), frozenset(range(j))))
+            lin, rays = new_lin, _dedup(new_rays)
+            continue
+
+        pos, zero, neg = [], [], []
+        for vec, tight in rays:
+            s = dot(a, list(vec))
+            if s > 0:
+                pos.append((vec, tight, s))
+            elif s == 0:
+                zero.append((vec, tight | {j}))
+            else:
+                neg.append((vec, tight, s))
+        if not neg:
+            rays = _dedup([(v, t | {j}) if dot(a, list(v)) == 0 else (v, t)
+                           for v, t in rays])
+            continue
+        current = [(v, t) for v, t, _ in pos] + zero + [(v, t) for v, t, _ in neg]
+        new_rays = [(v, t) for v, t, _ in pos] + zero
+        for (pv, pt, ps) in pos:
+            for (nv, nt, ns) in neg:
+                common = pt & nt
+                if any((rv != pv and rv != nv and common <= rt)
+                       for rv, rt in current):
+                    continue
+                w = [ps * nv[k] - ns * pv[k] for k in range(dim)]
+                wp = ray_primitive(w)
+                if any(x != 0 for x in wp):
+                    new_rays.append((wp, common | {j}))
+        rays = _dedup(new_rays)
+
+    return [list(l) for l in lin if any(x != 0 for x in l)], \
+           [list(v) for v, _ in rays]
+
+
+def _dedup(rays):
+    seen: dict[tuple, frozenset] = {}
+    order = []
+    for v, t in rays:
+        if v in seen:
+            seen[v] = seen[v] | t
+        else:
+            seen[v] = t
+            order.append(v)
+    return [(v, seen[v]) for v in order]
+
+
+def effect_action(self: OrderUnitSpace, g) -> object:
+    """Matrix of the effect-space action of a symmetry generator.
+
+    For an outcome permutation g the action sends the effect of x to the
+    effect of g(x); the matrix is exact.  Unitary generators already come
+    as coordinate matrices.
+    """
+    if self.kind == "float":
+        return g  # UnitaryGenerators store ready-made matrices
+    m = self.model
+    verts = m.states.vertices
+    cols = [list(verts[i]) for i in self.basis_states]
+    A = transpose(cols)
+    ginv = g if isinstance(g, tuple) else tuple(g)
+    ginv = perm_inverse(ginv)
+    rows = []
+    for i in self.basis_states:
+        moved = act_on_state(ginv, verts[i])
+        c = solve(A, list(moved))
+        if c is None:
+            raise EffectSpaceError("symmetry moved a basis state outside "
+                                   "the state span")
+        rows.append(c)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 from fractions import Fraction as F
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from kvwb.cones import (PolyhedralCone, cone, cone_equal, dual_cone,
                         extreme_rays, halfspace_cone_rays, is_pointed,
                         is_self_dual, is_weakly_self_dual)
 from kvwb.linalg import dot, identity, mat_vec
+import reference_kernels as oracle
 from reference_kernels import is_order_isomorphism, polytope_hrep
 
 ORTHANT3 = cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -58,6 +60,39 @@ def test_halfspace_enumeration_square_cone():
     for r in rays:
         assert all(dot(c, r) >= 0 for c in cons)
     assert len(extreme_rays(K)) == 3
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def constraint_sets(draw):
+    """Up to 10 rational constraints on d <= 5 unknowns, with zero rows and
+    positive and negative multiples of earlier rows mixed in, so that
+    lineality appears and constraints repeat."""
+    d = draw(st.integers(0, 5))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        how = draw(st.sampled_from(("fresh", "fresh", "zero", "again")))
+        if how == "zero":
+            rows.append([F(0)] * d)
+        elif how == "fresh" or not rows:
+            rows.append(draw(st.lists(small, min_size=d, max_size=d)))
+        else:
+            c = draw(st.sampled_from((1, 2, F(1, 3), -1, -2, F(-1, 3))))
+            rows.append([c * x for x in draw(st.sampled_from(rows))])
+    return rows, d
+
+
+@settings(max_examples=400, deadline=None)
+@given(constraint_sets())
+def test_double_description_is_the_fraction_sweep(case):
+    """The integer sweep returns the `Fraction` sweep's lineality and rays,
+    in the same order, as `Fraction`s."""
+    rows, d = case
+    lin, rays = halfspace_cone_rays(rows, d)
+    assert (lin, rays) == oracle.halfspace_cone_rays(rows, d)
+    assert all(type(x) is F for v in lin + rays for x in v)
 
 
 def test_dual_of_dual_random_suite():

@@ -3,11 +3,14 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from kvwb.builtins import classical, get_builtin, squit
+from kvwb.builtins import builtin_names, classical, get_builtin, squit
 from kvwb.effectspace import (EffectSpaceError, build_effect_space,
                               cone_membership, linearize_morphism)
 from kvwb.linalg import mat_vec
-from kvwb.models import image_model
+from kvwb.models import (Model, PermutationGroup, PolytopeBackend, image_model,
+                         validate_model)
+from kvwb.models import TestSpace as TSpace
+import reference_kernels as oracle
 from tests.test_models import paired_classical4
 
 
@@ -32,11 +35,40 @@ def test_squit_space_collapses_one_dimension():
 def test_effect_actions_permute_outcome_vectors():
     m = squit()
     E = build_effect_space(m)
-    for g in m.group.generators:
-        M = E.effect_action(g)
+    for g, M in zip(m.group.generators, E.actions, strict=True):
         for x in m.outcomes:
             gx = m.outcomes[g[m.testspace.index(x)]]
             assert mat_vec(M, E.outcome_vectors[x]) == E.outcome_vectors[gx]
+
+
+@pytest.mark.parametrize("name", [
+    *(n for n in builtin_names()
+      if isinstance(get_builtin(n).states, PolytopeBackend)),
+    "classical:6", "gbit:3", "gbit:4", "gbit:5", "gbit:6"])
+def test_effect_actions_are_the_per_state_solves(name):
+    """One integer product per generator on the outcome frame gives the
+    matrices that one `solve` per basis state gives."""
+    m = get_builtin(name)
+    E = build_effect_space(m)
+    assert list(E.actions) == [oracle.effect_action(E, g)
+                               for g in m.group.generators]
+    assert all(type(x) is F for M in E.actions for row in M for x in row)
+
+
+def test_a_generator_moving_a_state_off_the_span_raises():
+    """One state (1/2, 1/2, 1, 0): swapping c and d moves it to
+    (1/2, 1/2, 0, 1), outside its span.  `validate_model` rejects the
+    model first, so only a direct call reaches the check."""
+    m = Model("off-span", TSpace(("a", "b", "c", "d"),
+                                 (("a", "b"), ("c", "d"))),
+              PolytopeBackend(((F(1, 2), F(1, 2), F(1), F(0)),)),
+              PermutationGroup(((0, 1, 3, 2),)))
+    assert not validate_model(m).ok
+    E = build_effect_space(m)
+    with pytest.raises(EffectSpaceError, match="outside the state span"):
+        E.actions
+    with pytest.raises(EffectSpaceError, match="outside the state span"):
+        oracle.effect_action(E, m.group.generators[0])
 
 
 def test_cone_membership_certificates():

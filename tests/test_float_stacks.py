@@ -340,12 +340,17 @@ def search_inputs(K, form=None):
 
 
 def assert_same_search(R, S, d):
-    for perm in itertools.permutations(range(len(R))):
-        new = cones._try_bijection(R, S, perm, d)
-        old = oracle._try_bijection(R, S, perm, d)
-        assert new == old
-        assert all(type(x) is F for row in (new[1] or []) for x in row)
-        assert all(type(x) is F for x in new[2] or [])
+    """Every bijection, also on rays that are not primitive: R halved, and
+    S tripled."""
+    half = [tuple(x / 2 for x in r) for r in R]
+    tripled = [tuple(3 * x for x in s) for s in S]
+    for rays, duals in ((R, S), (half, S), (R, tripled)):
+        for perm in itertools.permutations(range(len(rays))):
+            new = cones._try_bijection(rays, duals, perm, d)
+            old = oracle._try_bijection(rays, duals, perm, d)
+            assert new == old
+            assert all(type(x) is F for row in (new[1] or []) for x in row)
+            assert all(type(x) is F for x in new[2] or [])
 
 
 @pytest.mark.parametrize("name", ["classical:3", "classical:4", "squit"])

@@ -41,8 +41,7 @@ def test_squit_oracle_satisfies_the_defining_constraints():
     assert val(E.u, E.u) == 1
     for x, y in distinguishable_pairs(m):
         assert val(E.outcome_vectors[x], E.outcome_vectors[y]) == 0
-    for g in m.group.generators:
-        M = E.effect_action(g)
+    for M in E.actions:
         for x in m.outcomes:
             for y in m.outcomes:
                 a, b = E.outcome_vectors[x], E.outcome_vectors[y]
@@ -106,8 +105,7 @@ def test_group_averaging_produces_an_invariant_form():
                              [F(0), F(2), F(0)],
                              [F(0), F(0), F(5)]], kind="exact")
     avg = average_form(lopsided, E)
-    for g in m.group.generators:
-        M = E.effect_action(g)
+    for M in E.actions:
         for x in m.outcomes:
             a = E.outcome_vectors[x]
             assert avg.value(mat_vec(M, a), mat_vec(M, a)) == avg.value(a, a)

@@ -23,6 +23,17 @@ def denominator_reads(directory: Path) -> list:
             if isinstance(node, ast.Attribute) and node.attr == "denominator"]
 
 
+def calls_in(path: Path, function: str) -> set:
+    """The names that the body of a module-level function calls, as
+    `name(...)` or `obj.name(...)`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    body = next(f for f in tree.body
+                if isinstance(f, ast.FunctionDef) and f.name == function)
+    return {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+            for n in ast.walk(body) if isinstance(n, ast.Call)
+            and isinstance(n.func, (ast.Name, ast.Attribute))}
+
+
 def test_package_has_no_assert_statement():
     """Checks are real raises, so they still run under `python -O`."""
     assert list(SRC.glob("*.py"))
@@ -40,3 +51,13 @@ def test_every_exported_name_resolves():
     """Each name in `kvwb.__all__` is an attribute of the package."""
     import kvwb
     assert [n for n in kvwb.__all__ if not hasattr(kvwb, n)] == []
+
+
+def test_cone_kernels_make_no_fraction_arithmetic():
+    """The double description and the ray bijection search run on Python
+    integers: no `Fraction` dot product, coercion, ray scaling or `Fraction`
+    nullspace in their bodies."""
+    for function in ("halfspace_cone_rays", "_try_bijection"):
+        called = calls_in(SRC / "cones.py", function)
+        assert not called & {"dot", "frac", "ray_primitive", "nullspace"}, \
+            (function, sorted(called))
