@@ -20,7 +20,7 @@ from .builtins import builtin_names, conjugation_bijection
 from .pipeline import EXPECT_TOKENS, run_pipeline
 from .serialize import (bipartite_to_json, cone_from_json, cone_to_json,
                         dumps_canonical, form_from_json, form_to_json,
-                        jsonable, load_model, model_from_json)
+                        frac_str, jsonable, load_model, model_from_json)
 
 
 class LoadError(click.ClickException):
@@ -380,7 +380,10 @@ def cone_weak(source, form_path, ray_cap, seed, tol, out):
             "sampled quantum cones have no exact ray enumeration; "
             "use `kvwb run` for the analytic argument")
     rep = cones.is_weakly_self_dual(K, cones.dual_cone(K, B), cap=ray_cap)
-    _emit(dumps_canonical({"source": name, **jsonable(vars(rep))}), out)
+    D = rep.dual
+    dual = {**cone_to_json(D), "ambient": D.ambient,
+            "extreme": [[frac_str(v) for v in r] for r in D.extreme]}
+    _emit(dumps_canonical({"source": name, **vars(rep), "dual": dual}), out)
     if rep.status != "yes":
         sys.exit(1 if rep.status == "no" else 2)
 

@@ -313,23 +313,22 @@ def is_isomorphism_state(w: BipartiteState,
     failures, notes = [], []
 
     if K.exact:
-        gens_A = E_A.effect_cone.all_generators()
-        gens_B = E_B.effect_cone.all_generators()
-        (s_a, GA), (s_b, GB) = (E_A.effect_cone.scaled_generators,
-                                E_B.effect_cone.scaled_generators)
+        K_A, K_B, D_B = (E_A.effect_cone, E_B.effect_cone,
+                         E_B.dual_effect_cone)
         s_w, Wn = K.scaled(W)
-        P = GA @ Wn.T @ GB.T                    # s · (v · W g)
-        for i, j in np.argwhere(P < 0):
-            failures.append({"stage": "forward", "generator": gens_A[i],
-                             "against": gens_B[j],
-                             "value": Fraction(P[i, j], s_a * s_b * s_w)})
-        duals = E_B.dual_effect_cone.all_generators()
-        for j, h in separators(
-                E_A.effect_cone, E_A.dual_effect_cone,
-                K.scaled(W_inv)[1]
-                @ E_B.dual_effect_cone.scaled_generators[1].T).items():
-            failures.append({"stage": "inverse", "generator": duals[j],
-                             "separator": h})
+        P = K_A.matrix @ Wn.T @ K_B.matrix.T    # s_w · (v · W g)
+        negative = np.argwhere(P < 0).tolist()
+        if negative:
+            gens_A, gens_B = K_A.all_generators(), K_B.all_generators()
+            failures += [{"stage": "forward", "generator": gens_A[i],
+                          "against": gens_B[j],
+                          "value": Fraction(P[i, j], s_w)}
+                         for i, j in negative]
+        seps = separators(K_A, E_A.dual_effect_cone,
+                          K.scaled(W_inv)[1] @ D_B.matrix.T)
+        duals = D_B.all_generators() if seps else []
+        failures += [{"stage": "inverse", "generator": duals[j],
+                      "separator": h} for j, h in seps.items()]
     else:
         notes.append("quantum membership tested against the analytic "
                      "positive-semidefinite cone generated by the sample")

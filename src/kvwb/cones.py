@@ -1,9 +1,13 @@
 """Polyhedral cones over the rationals.
 
-Dual cones are computed by an incremental double-description sweep on
-primitive integer rays, with combinatorial adjacency by ray index; the
-weak self-duality search eliminates sparse integer rows.  K = K**, so with
-the dual of K at hand membership in K is one integer product with the
+A cone holds its generators, lineality vectors and extreme rays as
+primitive integer tuples, made primitive once by its constructor (`cone`,
+`dual_cone`, `mapped_dual`); `PolyhedralCone.matrix` stacks them as one
+integer matrix, and `all_generators()` is the same rows as `Fraction`s,
+for reports.  Dual cones are computed by an incremental double-description
+sweep on primitive integer rays, with combinatorial adjacency by ray index;
+the weak self-duality search eliminates sparse integer rows.  K = K**, so
+with the dual of K at hand membership in K is one integer product with the
 dual's generators (`dual_contains`), and a vector found outside is
 separated by the first generator of the dual that is negative on it,
 re-checked by substitution (`separators`).  With no dual at hand
@@ -26,19 +30,18 @@ from .linalg import (Mat, Vec, _eliminate, _integer_block, _primitive_row,
                      _readout, integer_row, inverse, rank, frac)
 from .lp import CertificateError, LPResult, cone_membership, free_feasibility
 
-
-def ray_primitive(v: Vec) -> tuple[Fraction, ...]:
-    """Canonical representative of a ray: integer entries, gcd 1, sign kept."""
-    return tuple(map(Fraction, _primitive_row(v)))
+Ray = tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
 class PolyhedralCone:
-    """A cone given by finitely many generators (not necessarily extreme)."""
+    """A cone given by finitely many generators (not necessarily extreme),
+    each a primitive integer tuple, as are the lineality vectors and, when
+    known, the extreme rays."""
 
-    generators: tuple[tuple[Fraction, ...], ...]
-    lineality: tuple[tuple[Fraction, ...], ...] = ()
-    extreme: Optional[tuple[tuple[Fraction, ...], ...]] = None
+    generators: tuple[Ray, ...]
+    lineality: tuple[Ray, ...] = ()
+    extreme: Optional[tuple[Ray, ...]] = None
     ambient: int = 0                    # fallback dimension for the zero cone
 
     @property
@@ -49,56 +52,58 @@ class PolyhedralCone:
             return len(self.lineality[0])
         return self.ambient
 
-    def all_generators(self) -> list[Vec]:
-        gens = [list(g) for g in self.generators]
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The generators, then each lineality vector l as l and -l, as the
+        rows of one integer object matrix; computed once."""
+        rows = list(self.generators)
         for l in self.lineality:
-            gens.append(list(l))
-            gens.append([-x for x in l])
-        return gens
+            rows += [l, tuple(-x for x in l)]
+        return np.array(rows, dtype=object).reshape(len(rows), self.dim)
+
+    @cached_property
+    def _fraction_rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(map(Fraction, r)) for r in self.matrix.tolist())
+
+    def all_generators(self) -> list[Vec]:
+        """The rows of `matrix` as `Fraction` lists, for reports; the
+        `Fraction`s are made once per cone."""
+        return [list(r) for r in self._fraction_rows]
 
     def contains(self, v: Vec) -> LPResult:
-        return cone_membership(list(v), self.all_generators())
+        return cone_membership(list(v), self.matrix.tolist())
 
     @cached_property
-    def scaled_generators(self) -> tuple[int, np.ndarray]:
-        """(s, s·G), G with rows `all_generators()`, integers over their
-        common denominator s; computed once."""
-        gens = self.all_generators()
-        return _integer_block(np.array(gens, dtype=object)
-                              .reshape(len(gens), self.dim))
-
-    @cached_property
-    def rays(self) -> tuple:
-        """`extreme_rays`, filtered once."""
-        if not is_pointed(self):
+    def rays(self) -> tuple[Ray, ...]:
+        """The extreme rays of a pointed cone: `extreme` when given, else
+        the generators not in the cone of the rest, one LP each, filtered
+        once."""
+        if self.extreme is not None:
+            return self.extreme
+        if not self.pointed:
             raise ValueError("extreme-ray filtering requires a pointed cone")
-        gens = [list(g) for g in self.generators]
-        keep = []
-        for i, g in enumerate(gens):
-            others = gens[:i] + gens[i + 1:]
-            if not others or not cone_membership(g, others).feasible:
-                keep.append(ray_primitive(g))
-        return tuple(keep)
+        gens = self.generators
+        return tuple(g for i, g in enumerate(gens) if len(gens) == 1 or not
+                     cone_membership(g, gens[:i] + gens[i + 1:]).feasible)
 
     @cached_property
     def pointed(self) -> bool:
-        """`is_pointed`, computed once."""
+        """A cone is pointed iff a single functional is strictly positive on
+        it, g·x >= 1 for each generator g: one LP, solved once."""
         if self.lineality:
             return False
-        s, G = self.scaled_generators               # g·x >= 1 for each g
-        rows = [({**{j: a for j, a in enumerate(g) if a}, self.dim: s}, s)
-                for g in G.tolist()]
+        rows = [({**{j: a for j, a in enumerate(g) if a}, self.dim: 1}, 1)
+                for g in self.generators]
         return not rows or free_feasibility(rows, [], self.dim).feasible
 
     def dual_contains(self, V: np.ndarray) -> tuple[np.ndarray, dict]:
         """Is each column v of V in the dual of this cone, g·v >= 0 for
         every generator g?  V may hold positive multiples of the columns.
-        Also {j: h} for each column v_j found outside, h the first generator
-        of `all_generators()` with h·v_j < 0, from the same product."""
-        P = self.scaled_generators[1] @ V
+        Also {j: i} for each column v_j found outside, row i of `matrix`
+        the first generator h with h·v_j < 0, from the same product."""
+        P = self.matrix @ V
         inside = (P >= 0).all(axis=0)
-        gens = self.all_generators()
-        return inside, {j: gens[int(np.argmax(P[:, j] < 0))]
+        return inside, {j: int(np.argmax(P[:, j] < 0))
                         for j in np.flatnonzero(~inside).tolist()}
 
 
@@ -106,34 +111,40 @@ def separators(K: PolyhedralCone, K_dual: PolyhedralCone, V: np.ndarray
                ) -> dict[int, Vec]:
     """{j: h} for each column v_j of V outside K, read off K_dual =
     `dual_cone(K)` by `dual_contains`: h is a generator of K_dual with
-    h·v_j < 0.  V may hold positive multiples of the columns.
+    h·v_j < 0, as `Fraction`s.  V may hold positive multiples of the
+    columns.
 
     Each h is re-checked by exact substitution on integers: h·g >= 0 on
     every generator g of K, all from one product, and h·v_j < 0, so h
     certifies that v_j is outside K whatever K_dual is; a failed check
     raises `CertificateError`.
     """
-    _, seps = K_dual.dual_contains(V)
-    if seps:
-        cols = list(seps)
-        H = _integer_block([seps[j] for j in cols])[1]
-        negative_on_K = (H @ K.scaled_generators[1].T < 0).any(axis=1)
-        on_v = (H * V[:, cols].T).sum(axis=1)
-        for i, j in enumerate(cols):
-            if negative_on_K[i] or on_v[i] >= 0:
-                raise CertificateError(
-                    f"separator {list(seps[j])} of vector {V[:, j].tolist()} "
-                    "failed its substitution check: the dual cone is wrong")
-    return seps
+    _, outside = K_dual.dual_contains(V)
+    if not outside:
+        return {}
+    cols = list(outside)
+    H = K_dual.matrix[[outside[j] for j in cols]]
+    negative_on_K = (H @ K.matrix.T < 0).any(axis=1)
+    on_v = (H * V[:, cols].T).sum(axis=1)
+    for i, j in enumerate(cols):
+        if negative_on_K[i] or on_v[i] >= 0:
+            raise CertificateError(
+                f"separator {H[i].tolist()} of vector {V[:, j].tolist()} "
+                "failed its substitution check: the dual cone is wrong")
+    gens = K_dual.all_generators()
+    return {j: gens[i] for j, i in outside.items()}
 
 
-def cone(generators) -> PolyhedralCone:
-    gens = []
-    for g in generators:
-        p = ray_primitive([frac(x) for x in g])
-        if any(x != 0 for x in p) and p not in gens:
-            gens.append(p)
-    return PolyhedralCone(tuple(gens))
+def cone(generators, lineality=()) -> PolyhedralCone:
+    """The cone of rational generators plus the span of rational lineality
+    vectors, each made primitive; zero rows and repeats are dropped."""
+    return PolyhedralCone(_primitive_rows(generators),
+                          _primitive_rows(lineality))
+
+
+def _primitive_rows(rows) -> tuple[Ray, ...]:
+    prim = (tuple(_primitive_row([frac(x) for x in r])) for r in rows)
+    return tuple(dict.fromkeys(p for p in prim if any(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +157,10 @@ def halfspace_cone_rays(constraints: list[Vec], dim: int
     Incremental double description on integers: each constraint is scaled
     once to its primitive row, and each update is a positive integer
     combination divided by its gcd.  Rays are primitive tuples; a lineality
-    vector (*l, den) is integers over a denominator.  Rays carry their tight
-    constraints as a bit mask; two rays are adjacent when no third ray, told
-    apart by its index, is tight on all their common ones (Fukuda and
-    Prodon, 1996).  Only the result is made of `Fraction`s.
+    vector (*l, den) is integers over a denominator while the sweep runs,
+    and primitive when it returns.  Rays carry their tight constraints as a
+    bit mask; two rays are adjacent when no third ray, told apart by its
+    index, is tight on all their common ones (Fukuda and Prodon, 1996).
     """
     lin = [tuple(int(i == j) for j in range(dim)) + (1,) for i in range(dim)]
     rays: list[tuple[tuple[int, ...], int]] = []
@@ -192,8 +203,7 @@ def halfspace_cone_rays(constraints: list[Vec], dim: int
                     new_rays.append((w, common | bit))
         rays = _dedup(new_rays)
 
-    return ([[Fraction(x, l[-1]) for x in l[:-1]] for l in lin],
-            [list(map(Fraction, r)) for r, _ in rays])
+    return [_primitive(l[:-1]) for l in lin], [r for r, _ in rays]
 
 
 def _idot(a, b) -> int:
@@ -201,7 +211,7 @@ def _idot(a, b) -> int:
     return sum(map(operator.mul, a, b))
 
 
-def _primitive(w: list[int]) -> tuple[int, ...]:
+def _primitive(w) -> Ray:
     """w divided by the gcd of its entries; zero stays zero."""
     g = math.gcd(*w)
     return tuple(v // g for v in w) if g > 1 else tuple(w)
@@ -215,39 +225,24 @@ def _dedup(rays):
 
 
 def _form_images(K: PolyhedralCone, form: Mat) -> tuple[int, np.ndarray]:
-    """(s, C): row i of C is s·(form g_i) for the generators g_i of
-    `K.all_generators()`, integers over one denominator s."""
-    s_g, G = K.scaled_generators
-    s_f, F = _integer_block(form)
-    return s_g * s_f, G @ F.T
+    """(s, C): row i of C is s·(form g_i) for the rows g_i of `K.matrix`,
+    integers over the common denominator s of the form."""
+    s, F = _integer_block(form)
+    return s, K.matrix @ F.T
 
 
 def dual_cone(K: PolyhedralCone, form: Mat | None = None) -> PolyhedralCone:
     """{v : <v, g> >= 0 for all g in K}, pairing via `form` if given; a
     positive multiple of each constraint leaves the rays as they are, and
     the double description returns them primitive."""
-    constraints = (K.all_generators() if form is None
-                   else _form_images(K, form)[1].tolist())
-    lin, rays = halfspace_cone_rays(constraints, K.dim)
-    rays = tuple(map(tuple, rays))
-    return PolyhedralCone(rays, tuple(ray_primitive(l) for l in lin),
-                          extreme=rays, ambient=K.dim)
+    constraints = K.matrix if form is None else _form_images(K, form)[1]
+    lin, rays = halfspace_cone_rays(constraints.tolist(), K.dim)
+    rays = tuple(rays)
+    return PolyhedralCone(rays, tuple(lin), extreme=rays, ambient=K.dim)
 
 
 # ---------------------------------------------------------------------------
 # structure helpers
-
-def is_pointed(K: PolyhedralCone) -> bool:
-    """A cone is pointed iff a single functional is strictly positive on it;
-    its LP is solved once per cone (`PolyhedralCone.pointed`)."""
-    return K.pointed
-
-
-def extreme_rays(K: PolyhedralCone) -> list[tuple[Fraction, ...]]:
-    """Extreme rays of a pointed cone: generators not in the hull of the
-    rest, filtered once per cone (`PolyhedralCone.rays`)."""
-    return list(K.extreme if K.extreme is not None else K.rays)
-
 
 def _witness(g, res: LPResult, **extra) -> dict:
     return {"generator": list(g), **extra, "inside": res.feasible,
@@ -279,12 +274,11 @@ def pairwise_form_positivity(K: PolyhedralCone, form: Mat
     first (i, k) in row-major order, from one integer Gram; (None, ())
     when K has no generators."""
     s, C = _form_images(K, form)
-    s_g, G = K.scaled_generators
-    P = C @ G.T                                  # s·s_g · g_k·(form g_i)
+    P = C @ K.matrix.T                           # s · g_k·(form g_i)
     if not P.size:
         return None, ()
     i, k = divmod(int(np.argmin(P)), P.shape[1])      # the first minimum
-    return Fraction(P[i, k], s * s_g), (i, k)
+    return Fraction(P[i, k], s), (i, k)
 
 
 def mapped_dual(K_dual: PolyhedralCone, form: Mat
@@ -293,16 +287,15 @@ def mapped_dual(K_dual: PolyhedralCone, form: Mat
     the form is singular.  (form v)·g >= 0 exactly when formᵀv is in the
     dual of K, so the form dual is form⁻ᵀ K_dual: its rays and lineality are
     those of K_dual mapped in their order, on integers (a positive multiple
-    of form⁻¹ times `scaled_generators`), and made primitive.  The extreme
-    rays are the mapped rays when K_dual's are its rays, as `dual_cone`
-    leaves them, and left to `extreme_rays` otherwise."""
+    of form⁻¹ times `matrix`), and made primitive.  The extreme rays are
+    the mapped rays when K_dual's are its rays, as `dual_cone` leaves them,
+    and left to `PolyhedralCone.rays` otherwise."""
     d = K_dual.dim
     inv = inverse(_integer_block(form)[1].reshape(d, d).tolist())
     if inv is None:
         return None
     Fi = _integer_block(inv)[1].reshape(d, d)
-    mapped = [ray_primitive(r)
-              for r in (K_dual.scaled_generators[1] @ Fi).tolist()]
+    mapped = [_primitive(r) for r in (K_dual.matrix @ Fi).tolist()]
     rays = tuple(mapped[:len(K_dual.generators)])
     return PolyhedralCone(rays, tuple(mapped[len(rays)::2]),
                           extreme=(rays if K_dual.extreme == K_dual.generators
@@ -327,8 +320,9 @@ def is_self_dual(K: PolyhedralCone, form: Mat,
     D = mapped_dual(K_dual, form)
     if D is None:
         D = dual_cone(K, form)
-    rays = D.all_generators()
-    for j, h in separators(K, K_dual, D.scaled_generators[1].T).items():
+    seps = separators(K, K_dual, D.matrix.T)
+    rays = D.all_generators() if seps else []
+    for j, h in seps.items():
         failures.append({"kind": "dual-ray-outside-cone", "ray": rays[j],
                          "separating": h})
     return SelfDualityReport(self_dual=not failures, dual=D,
@@ -361,11 +355,11 @@ def is_weakly_self_dual(K: PolyhedralCone, D: PolyhedralCone,
     pointed cones.
     """
     notes: list[str] = []
-    if D.lineality or not is_pointed(K):
+    if D.lineality or not K.pointed:
         return WeakSelfDualityReport("unknown", dual=D, notes=[
             "search implemented for pointed cones only"])
-    R = extreme_rays(K)
-    S = list(D.extreme or ())
+    R = K.rays
+    S = D.extreme or ()
     if len(R) != len(S):
         return WeakSelfDualityReport("no", dual=D, notes=[
             f"extreme ray counts differ: {len(R)} vs {len(S)}"])

@@ -63,7 +63,7 @@ class OrderUnitSpace:
     def cone_generators(self) -> list:
         """Outcome vectors, deduplicated — the generators of the effect cone."""
         if self.effect_cone is not None:
-            return [list(g) for g in self.effect_cone.generators]
+            return self.effect_cone.all_generators()
         seen, out = set(), []
         for x in self.model.outcomes:
             key = tuple(np.round(np.asarray(self.outcome_vectors[x]), 12))

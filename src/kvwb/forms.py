@@ -198,11 +198,10 @@ def find_orthogonalizing_spin_form(m, E: OrderUnitSpace, tol: float = 1e-9
     mats = [_unpack(v, dim, K) for v in basis]
     if K.exact:
         s, A = K.scaled(mats)                       # one denominator for all
-        s_g, G = E.effect_cone.scaled_generators
+        G = E.effect_cone.matrix
         s_u, U = K.scaled(E.u)
         iu, ju = np.triu_indices(len(G))
-        q = s * s_g * s_g
-        ineqs = [({k: x for k, x in enumerate(col) if x}, q)
+        ineqs = [({k: x for k, x in enumerate(col) if x}, s)
                  for col in (G @ A @ G.T)[:, iu, ju].T.tolist()]
         q_u = s * s_u * s_u
         norm = {k: x for k, x in enumerate((U @ A @ U).tolist()) if x}

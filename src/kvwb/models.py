@@ -639,7 +639,7 @@ def _image_state_vertices(m: Model, outcome_map, y_labels, y_tests):
         equalities.append(row)
     # pullback rows: h . (phi* beta) >= 0 for each facet normal h of the
     # cone over the source states (lineality gives the span equalities)
-    for h in facets.all_generators():
+    for h in facets.matrix.tolist():
         row = [ZERO] * (ny + 1)
         for xi, x in enumerate(m.outcomes):
             row[y_index[outcome_map[x]]] += h[xi]
@@ -653,7 +653,7 @@ def _image_state_vertices(m: Model, outcome_map, y_labels, y_tests):
     verts = []
     for r in rays:
         if r[ny] > 0:
-            v = tuple(x / r[ny] for x in r[:ny])
+            v = tuple(Fraction(x, r[ny]) for x in r[:ny])
             if v not in verts:
                 verts.append(v)
     return verts

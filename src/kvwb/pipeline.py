@@ -271,7 +271,7 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
             {"self_dual": sdrep.self_dual,
              "pairwise_min": sdrep.pairwise_min,
              "pairwise_argmin": sdrep.pairwise_argmin,
-             "dual_generators": [list(g) for g in sdrep.dual.all_generators()],
+             "dual_generators": sdrep.dual.all_generators(),
              "failures": sdrep.failures},
             ["exact double-description computation of the dual cone"])
     else:
@@ -392,7 +392,7 @@ def _recovery_problem(E, spin, tol: float) -> jordan.RecoveryProblem:
     gens = E.cone_generators
     rays, membership = [], None
     if E.kind == "exact":
-        rays = [list(r) for r in cones.extreme_rays(E.effect_cone)]
+        rays = [list(r) for r in E.effect_cone.rays]
     else:
         def membership(V):
             return effectspace.min_eigenvalues(E, V) >= -tol

@@ -277,10 +277,7 @@ def cone_to_json(K) -> dict:
 
 
 def cone_from_json(data: dict):
-    from .cones import PolyhedralCone, cone
+    from .cones import cone
     gens = [[parse_frac(v) for v in g] for g in data["generators"]]
     lin = [[parse_frac(v) for v in g] for g in data.get("lineality", [])]
-    if lin:
-        return PolyhedralCone(tuple(tuple(g) for g in gens),
-                              tuple(tuple(v) for v in lin))
-    return cone(gens)
+    return cone(gens, lin)

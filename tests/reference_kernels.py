@@ -69,10 +69,11 @@ replaced, and the positive-map and order-isomorphism checks of
 calls: they stay here as the order-isomorphism oracle of the cone tests,
 and `quadratic_rep`, which only this module's symmetric-cone oracle calls,
 and `polytope_hrep`, which no stage calls either, and the `Fraction`
-double description (`halfspace_cone_rays`, with its `_dedup`; verbatim,
-and the one `polytope_hrep` calls) and the one `solve` per basis state of
-`OrderUnitSpace.effect_action` (`effect_action`, verbatim but for taking
-the space as its first argument) that the integer sweep of
+double description (`halfspace_cone_rays`, with its `_dedup` and the
+`Fraction` ray scaling `ray_primitive` that `kvwb.cones` no longer has;
+verbatim, and the one `polytope_hrep` calls) and the one `solve` per
+basis state of `OrderUnitSpace.effect_action` (`effect_action`, verbatim
+but for taking the space as its first argument) that the integer sweep of
 `kvwb.cones.halfspace_cone_rays` and one integer product per generator on
 the outcome frame replaced.  `lp_rows` turns a
 `Fraction` system (A, b) into the integer `Row`s that `kvwb.lp` takes; the
@@ -94,8 +95,7 @@ import numpy as np
 from kvwb.composites import (BipartiteReport, BipartiteState, CompositeError,
                              IsomorphismStateReport, OmegaHat, _check_gamma,
                              _entangled_eta, _invariance_flag, marginal)
-from kvwb.cones import (PolyhedralCone, SelfDualityReport, _witness, dual_cone,
-                        ray_primitive)
+from kvwb.cones import PolyhedralCone, SelfDualityReport, _witness, dual_cone
 from kvwb.effectspace import (EffectSpaceError, OrderUnitSpace,
                               build_effect_space)
 from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
@@ -2007,6 +2007,15 @@ def quadratic_rep(J: JordanAlgebra, a) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the `Fraction` double description and the per-state effect actions
+
+def ray_primitive(v: Vec) -> tuple[Fraction, ...]:
+    """Canonical representative of a ray: integer entries, gcd 1, sign kept."""
+    v = [frac(x) for x in v]
+    s = math.lcm(*(x.denominator for x in v))
+    ints = [int(x * s) for x in v]
+    g = math.gcd(*ints) or 1
+    return tuple(Fraction(x // g) for x in ints)
+
 
 def halfspace_cone_rays(constraints: list[Vec], dim: int
                         ) -> tuple[list[Vec], list[Vec]]:

@@ -175,6 +175,26 @@ def test_cone_subcommands(runner, tmp_path):
     assert json.loads(res.output)["status"] == "yes"
 
 
+def test_a_cone_file_lineality_is_made_primitive(runner):
+    """A lineality given at a scale, with a zero row, is the cone that its
+    generators written out give: the same bytes from every cone command."""
+    files = [{"generators": [["2", "0", "0"]],
+              "lineality": [["0", "1/2", "0"], ["0", "0", "0"]]},
+             {"generators": [["2", "0", "0"], ["0", "1/2", "0"],
+                             ["0", "-1/2", "0"]]}]
+    for cmd in ("dual", "selfdual", "weak"):
+        outs = []
+        with runner.isolated_filesystem():
+            for data in files:
+                with open("cone.json", "w", encoding="utf-8") as fh:
+                    json.dump(data, fh)
+                res = invoke(runner, "cone", cmd, "cone.json")
+                outs.append((res.exit_code, res.stdout_bytes))
+        assert outs[0] == outs[1], cmd
+        if cmd == "selfdual":
+            assert json.loads(outs[0][1])["pairwise_min"] == "-1"
+
+
 def test_cone_selfdual_on_the_zero_cone(runner, tmp_path):
     kfile = tmp_path / "zero.json"
     kfile.write_text(json.dumps({"generators": []}))
@@ -413,7 +433,9 @@ def test_no_command_takes_an_enumeration_cap(runner):
 #: sha256 and exit code of single-stage commands whose code paths share the
 #: effect space's actions, dual cone and flag certifier, recorded before they
 #: did: the spin search, the conjugate and its derived form, the dual and the
-#: (weak) self-duality of the effect cone, and the recovery inputs.
+#: (weak) self-duality of the effect cone, and the recovery inputs.  The
+#: cone commands on `LINEALITY_CONE` were recorded while cones held their
+#: rays as `Fraction`s.
 CLI_SHA256 = {
     ("spin", "classical:3"):
         (0, "0ada15f30c1261aa5abdc036d09772e6980b81792c7f728fba07242fd74dad96"),
@@ -452,12 +474,26 @@ CLI_SHA256 = {
     # read the Jordan frame off the extreme rays instead of sampling
     ("jordan", "recover", "classical:3"):
         (0, "42a9392f4a5739bc22279ca02ae2ea375a3616cc284c57ed2a54af77830e6396"),
+    ("cone", "dual", "lineality.json"):
+        (0, "86492780e2cce660babb0b5818b4aca2977fdd28afc72fb18db10a5752fdc939"),
+    ("cone", "selfdual", "lineality.json"):
+        (1, "ffcdc55b23cf09dc406c60bfec37a029db845c19e2c7d647b29e5b99259ee184"),
+    ("cone", "weak", "lineality.json"):
+        (2, "c4dd9cbbe4886e643e7ddcfa3dad55787fe1695234b448c5853a6efb27654a5a"),
 }
+
+#: A cone file with a primitive lineality, written as `lineality.json` in
+#: the working directory of the commands that read it.
+LINEALITY_CONE = {"generators": [["1", "0", "0"]],
+                  "lineality": [["0", "1", "0"]]}
 
 
 @pytest.mark.parametrize("args", list(CLI_SHA256), ids=" ".join)
 def test_single_stage_commands_keep_their_bytes(runner, args):
-    res = invoke(runner, *args)
+    with runner.isolated_filesystem():
+        with open("lineality.json", "w", encoding="utf-8") as fh:
+            json.dump(LINEALITY_CONE, fh)
+        res = invoke(runner, *args)
     code, digest = CLI_SHA256[args]
     assert res.exit_code == code
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest

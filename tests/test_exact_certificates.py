@@ -9,8 +9,11 @@
   nonnegative on the cone;
 * `cones.mapped_dual` equals the double description of the form dual ray
   for ray, in the same order, whenever the form is invertible and the cone
-  spans its space; a singular form keeps the double description.
+  spans its space; a singular form keeps the double description;
+* the effect cone and its dual hold primitive integer rays, which these
+  kernels read without scaling them again.
 """
+import math
 import subprocess
 import sys
 import textwrap
@@ -166,6 +169,21 @@ def assert_same_dual(K, K_dual, form):
 
 
 EXACT = [n for n in builtin_names() if not n.startswith(("qubit", "qutrit"))]
+
+
+@pytest.mark.parametrize("name", EXACT + [
+    "classical:6", "gbit:3", "gbit:4", "gbit:5"])
+def test_effect_cones_hold_primitive_integer_rays(name):
+    """The effect cone and its dual hold their generators, lineality and
+    extreme rays as primitive tuples of Python ints, and so does the
+    integer matrix of their rows."""
+    E = build_effect_space(get_builtin(name))
+    for K in (E.effect_cone, E.dual_effect_cone):
+        rows = [*K.generators, *K.lineality, *(K.extreme or ())]
+        assert all(type(r) is tuple for r in rows)
+        assert all(type(x) is int for r in rows for x in r)
+        assert all(math.gcd(*r) == 1 for r in rows)
+        assert all(type(x) is int for x in K.matrix.flat)
 
 
 @pytest.mark.parametrize("name", EXACT + [

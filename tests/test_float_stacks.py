@@ -335,14 +335,14 @@ def test_isomorphism_reports_are_the_loop(name):
 
 def search_inputs(K, form=None):
     D = cones.dual_cone(K, form)
-    R, S = cones.extreme_rays(K), list(D.extreme or ())
+    R, S = list(K.rays), list(D.extreme or ())
     return R, S, K.dim
 
 
 def assert_same_search(R, S, d):
     """Every bijection, also on rays that are not primitive: R halved, and
     S tripled."""
-    half = [tuple(x / 2 for x in r) for r in R]
+    half = [tuple(F(x, 2) for x in r) for r in R]
     tripled = [tuple(3 * x for x in s) for s in S]
     for rays, duals in ((R, S), (half, S), (R, tripled)):
         for perm in itertools.permutations(range(len(rays))):
@@ -376,7 +376,7 @@ def test_bijection_search_on_random_cones(gens):
     d = len(gens[0])
     gens = [[x + 4 for x in g] for g in gens]
     K = cones.cone(gens)
-    if not K.generators or not cones.is_pointed(K):
+    if not K.generators or not K.pointed:
         return
     R, S, _ = search_inputs(K)
     if len(R) == len(S) and len(R) <= 4:

@@ -146,10 +146,10 @@ def test_flags_match_the_oracle(name, a, noise, data):
 
 @st.composite
 def cones_and_forms(draw):
-    """Generators with entries in -2..2 (ties in the pairing are common),
-    optionally a lineality vector, and a random symmetric form."""
+    """Integer generators with entries in -2..2 (ties in the pairing are
+    common), optionally a lineality vector, and a random symmetric form."""
     dim = draw(dims)
-    vec = st.lists(st.integers(-2, 2).map(F), min_size=dim, max_size=dim)
+    vec = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
     gens = tuple(map(tuple, draw(st.lists(vec, min_size=0, max_size=5))))
     lin = tuple(map(tuple, draw(st.lists(vec, max_size=1))))
     return (PolyhedralCone(gens, lin, ambient=dim),
@@ -203,15 +203,15 @@ def test_exact_form_checks_make_no_fraction_products(fraction_arithmetic):
 @pytest.mark.parametrize("name", ["classical:4", "classical:5", "squit"])
 def test_pointedness_lp_runs_once_per_run(name, monkeypatch):
     """`is_weakly_self_dual` asks whether the effect cone is pointed, and
-    so does `extreme_rays` after it; the LP is solved once."""
+    so does `PolyhedralCone.rays` after it; the LP is solved once."""
     asked, lps, inside = [], [], []
-    is_pointed, solve = cones.is_pointed, cones.free_feasibility
+    pointed, solve = cones.PolyhedralCone.pointed, cones.free_feasibility
 
     def spy_pointed(K):
         asked.append(K)
         inside.append(True)
         try:
-            return is_pointed(K)
+            return pointed.__get__(K, type(K))
         finally:
             inside.pop()
 
@@ -220,7 +220,8 @@ def test_pointedness_lp_runs_once_per_run(name, monkeypatch):
             lps.append(args)
         return solve(*args, **kw)
 
-    monkeypatch.setattr(cones, "is_pointed", spy_pointed)
+    monkeypatch.setattr(cones.PolyhedralCone, "pointed",
+                        property(spy_pointed))
     monkeypatch.setattr(cones, "free_feasibility", spy_solve)
     rep = run_pipeline(get_builtin(name))
     assert rep.stage("weak-self-duality").status in ("pass", "fail")

@@ -150,6 +150,15 @@ def test_pairwise_collapse_is_the_bit():
     assert relab is not None
 
 
+def test_image_vertices_are_fractions():
+    """The image states are exact: the double description hands back
+    integer rays, and each vertex is one of them over its last entry."""
+    omap = {"a": "c0", "b": "c0", "c": "c1", "d": "c1"}
+    q, _ = image_model(paired_classical4(), omap)
+    assert q.states.vertices
+    assert all(type(x) is F for v in q.states.vertices for x in v)
+
+
 def test_collapse_pullbacks_live_in_the_state_cone():
     m4 = paired_classical4()
     omap = {"a": "c0", "b": "c0", "c": "c1", "d": "c1"}

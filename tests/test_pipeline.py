@@ -298,7 +298,6 @@ def test_exact_squares_gate_matches_the_lp(name):
     holds no membership oracle now, only the extreme rays."""
     import numpy as np
     import reference_kernels as oracle
-    from kvwb.cones import extreme_rays
     from kvwb.effectspace import build_effect_space
     from kvwb.forms import find_orthogonalizing_spin_form
     from kvwb.pipeline import _recovery_problem
@@ -308,7 +307,7 @@ def test_exact_squares_gate_matches_the_lp(name):
     if spin is not None:
         p = _recovery_problem(E, spin, 1e-9)
         assert p.cone_membership is None
-        assert p.extreme_rays == [list(r) for r in extreme_rays(E.effect_cone)]
+        assert p.extreme_rays == [list(r) for r in E.effect_cone.rays]
     gate = dual_ray_membership(E, 1e-9)
     lp = oracle.squares_membership(E, 1e-9)
     verdicts = [gate(v) for v in probes(E, np.random.default_rng(1))]

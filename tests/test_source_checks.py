@@ -56,8 +56,14 @@ def test_every_exported_name_resolves():
 def test_cone_kernels_make_no_fraction_arithmetic():
     """The double description and the ray bijection search run on Python
     integers: no `Fraction` dot product, coercion, ray scaling or `Fraction`
-    nullspace in their bodies."""
+    nullspace in their bodies.  The kernels that read a cone's integer rows
+    neither coerce them to `Fraction`s nor scale them to integers again."""
     for function in ("halfspace_cone_rays", "_try_bijection"):
         called = calls_in(SRC / "cones.py", function)
         assert not called & {"dot", "frac", "ray_primitive", "nullspace"}, \
             (function, sorted(called))
+    for function in ("separators", "mapped_dual", "pairwise_form_positivity",
+                     "is_self_dual"):
+        called = calls_in(SRC / "cones.py", function)
+        assert not called & {"frac", "ray_primitive", "integer_row",
+                             "_primitive_row"}, (function, sorted(called))
