@@ -265,7 +265,7 @@ def omega_hat(w: BipartiteState, E_A: Optional[OrderUnitSpace] = None,
             f"table violates an effect dependency: outcome {x!r} is not "
             f"consistent with the independent family (error "
             f"{err[bad[0]] / s:.2e})", witness=x)
-    return OmegaHat(K.native(K.array(W) / s_w), E_A, E_B, E_A.kind)
+    return OmegaHat(K.unscaled((s_w, W)), E_A, E_B, E_A.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +305,17 @@ def is_isomorphism_state(w: BipartiteState,
     E_B = E_B or build_effect_space(w.B)
     oh = omega_hat(w, E_A, E_B, tol=tol)
     K = _Kind(oh.kind, tol)
-    W = K.array(oh.matrix)
+    s_w, W = K.scaled(oh.matrix)
     if W.shape[0] != W.shape[1] or K.rank(W) < len(W):
         return IsomorphismStateReport(False, False, None, None,
                                       ["matrix is singular"])
-    W_inv = K.inverse(W)
+    W_inv = K.inverse((s_w, W))[1]              # a positive multiple of W⁻¹
     failures, notes = [], []
 
     if K.exact:
         K_A, K_B, D_B = (E_A.effect_cone, E_B.effect_cone,
                          E_B.dual_effect_cone)
-        s_w, Wn = K.scaled(W)
-        P = K_A.matrix @ Wn.T @ K_B.matrix.T    # s_w · (v · W g)
+        P = K_A.matrix @ W.T @ K_B.matrix.T     # s_w · (v · W g)
         negative = np.argwhere(P < 0).tolist()
         if negative:
             gens_A, gens_B = K_A.all_generators(), K_B.all_generators()
@@ -324,8 +323,7 @@ def is_isomorphism_state(w: BipartiteState,
                           "against": gens_B[j],
                           "value": Fraction(P[i, j], s_w)}
                          for i, j in negative]
-        seps = separators(K_A, E_A.dual_effect_cone,
-                          K.scaled(W_inv)[1] @ D_B.matrix.T)
+        seps = separators(K_A, E_A.dual_effect_cone, W_inv @ D_B.matrix.T)
         duals = D_B.all_generators() if seps else []
         failures += [{"stage": "inverse", "generator": duals[j],
                       "separator": h} for j, h in seps.items()]
@@ -592,7 +590,7 @@ def spin_form_from_conjugate(c: Conjugate,
                        for x in outs])
     S = Ci.T @ T[np.ix_(frame.at, frame.at)] @ Ci   # s_t·s_i² · S
     s = 2 * s_t * s_i * s_i                         # S + Sᵀ = s·B
-    B = BilinearForm(K.native(K.array(S + S.T) / s), E.kind)
+    B = BilinearForm(K.unscaled((s, S + S.T)), E.kind)
     # s_v²·s · (V B Vᵀ - T); float scales are 1.0 and 2.0, exact in binary
     err = np.abs(V @ (S + S.T) @ V.T - T * (2 * s_i * s_i * s_v * s_v))
     s *= s_v * s_v

@@ -26,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import (Mat, Vec, _eliminate, _integer_block, _primitive_row,
-                     _readout, integer_row, inverse, rank, frac)
+from .linalg import (Mat, Vec, _eliminate, _integer_block, _integer_readout,
+                     _Kind, _primitive_row, frac, integer_row, rank)
 from .lp import CertificateError, LPResult, cone_membership, free_feasibility
 
 Ray = tuple[int, ...]
@@ -291,10 +291,11 @@ def mapped_dual(K_dual: PolyhedralCone, form: Mat
     the mapped rays when K_dual's are its rays, as `dual_cone` leaves them,
     and left to `PolyhedralCone.rays` otherwise."""
     d = K_dual.dim
-    inv = inverse(_integer_block(form)[1].reshape(d, d).tolist())
+    s, F = _integer_block(form)
+    inv = _Kind("exact").inverse((s, F.reshape(d, d)))
     if inv is None:
         return None
-    Fi = _integer_block(inv)[1].reshape(d, d)
+    Fi = inv[1]
     mapped = [_primitive(r) for r in (K_dual.matrix @ Fi).tolist()]
     rays = tuple(mapped[:len(K_dual.generators)])
     return PolyhedralCone(rays, tuple(mapped[len(rays)::2]),
@@ -359,7 +360,7 @@ def is_weakly_self_dual(K: PolyhedralCone, D: PolyhedralCone,
         return WeakSelfDualityReport("unknown", dual=D, notes=[
             "search implemented for pointed cones only"])
     R = K.rays
-    S = D.extreme or ()
+    S = D.rays
     if len(R) != len(S):
         return WeakSelfDualityReport("no", dual=D, notes=[
             f"extreme ray counts differ: {len(R)} vs {len(S)}"])
@@ -404,12 +405,12 @@ def _try_bijection(R, S, perm, d):
             if s:
                 row[d * d + i] = -s
             rows.append(row)
-    basis = _readout(_eliminate(rows, ncols), ncols)[1]
-    if not basis:
+    s_n, N = _integer_readout(_eliminate(rows, ncols), ncols)
+    N = N[:, 1:].T                              # s_n · null basis
+    if not len(N):
         return False, None, None, None
     # scaling freedom: any all-positive lambda solution rescales to lambda >= 1
-    h = len(basis)
-    s_n, N = _integer_block(basis)              # s_n · basis
+    h = len(N)
     ineqs = [({**{k: a for k, a in enumerate(col) if a}, h: s_n}, s_n)
              for col in N[:, d * d:].T.tolist()]
     res = free_feasibility(ineqs, [], h)

@@ -10,7 +10,6 @@ orthonormal operator basis instead and stay in floats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -18,8 +17,8 @@ import numpy as np
 
 from . import quantum
 from .cones import PolyhedralCone, cone, dual_cone
-from .linalg import (Mat, Vec, ONE, ZERO, _Kind, column_space_basis, frac,
-                     mat_mul, mat_vec, transpose)
+from .linalg import (Mat, Vec, ONE, ZERO, _Kind, _lowest, column_space_basis,
+                     frac, mat_vec, transpose)
 from .models import (Model, Morphism, PermutationGroup, PolytopeBackend,
                      QuantumBackend)
 
@@ -30,8 +29,8 @@ class EffectSpaceError(ValueError):
 
 class OutcomeFrame(NamedTuple):
     """Positions `at` of the first maximal independent family of outcome
-    effects; (s, s·M) by `_Kind.scaled` for M the inverse of the matrix with
-    their vectors as columns and for M with every outcome vector as a row."""
+    effects; the pairs (s, s·M) for M the inverse of the matrix with their
+    vectors as columns and for M with every outcome vector as a row."""
 
     at: list[int]
     inverse: tuple
@@ -74,7 +73,8 @@ class OrderUnitSpace:
 
     # ---- symmetries as matrices -------------------------------------------
     def all_effect_actions(self) -> list:
-        """Matrices of the effect-space actions of the symmetry generators.
+        """The pairs (s, s·M) of the effect-space actions of the symmetry
+        generators, integers over the least denominator s when exact.
 
         An outcome permutation g sends the effect of x to that of g(x): its
         exact matrix M solves V Mᵀ = V[g], V the outcome vectors as rows, on
@@ -82,11 +82,11 @@ class OrderUnitSpace:
         integer product per generator, checked on every outcome.  Unitary
         generators already come as coordinate matrices.
         """
-        m = self.model
+        m, K = self.model, _Kind(self.kind)
         if not isinstance(m.group, PermutationGroup):
-            return list(m.group.matrices)
-        if self.kind == "float":
-            return list(m.group.generators)
+            return [K.scaled(M) for M in m.group.matrices]
+        if not K.exact:
+            return [K.scaled(g) for g in m.group.generators]
         frame = self.outcome_frame
         (s_i, inv), (s_v, V) = frame.inverse, frame.vectors
         s = s_v * s_i
@@ -96,13 +96,18 @@ class OrderUnitSpace:
             if (V @ P.T != V[list(g)] * s).any():
                 raise EffectSpaceError("symmetry moved a basis state outside "
                                        "the state span")
-            out.append([[Fraction(x, s) for x in row] for row in P.tolist()])
+            out.append(_lowest(s, P))
         return out
 
     @cached_property
     def actions(self) -> tuple:
-        """Effect-space matrices of the symmetry generators, computed once."""
+        """`all_effect_actions`, computed once for every stage."""
         return tuple(self.all_effect_actions())
+
+    @cached_property
+    def scaled_unit(self) -> tuple:
+        """The unit as the pair (s, s·u) of `_Kind.scaled`, made once."""
+        return _Kind(self.kind).scaled(self.u)
 
     @cached_property
     def invariance_rows(self):
@@ -113,19 +118,22 @@ class OrderUnitSpace:
 
     @cached_property
     def outcome_frame(self) -> OutcomeFrame:
-        """Built once: an outcome joins the family when it raises its rank."""
+        """Built once: the pivot columns of the outcome vectors when exact;
+        on floats an outcome joins the family when it raises its rank."""
         K = _Kind(self.kind)
-        V = K.array([self.outcome_vectors[x] for x in self.model.outcomes])
-        at: list[int] = []
-        for i in range(len(V)):
-            if K.rank(V[at + [i]]) == len(at) + 1:
-                at.append(i)
-            if len(at) == self.dim:
-                break
+        s_v, V = K.scaled([self.outcome_vectors[x]
+                           for x in self.model.outcomes])
+        if K.exact:
+            at = column_space_basis(V.T.tolist())
         else:
+            at = []
+            for i in range(len(V)):
+                if len(at) < self.dim and K.rank(V[at + [i]]) == len(at) + 1:
+                    at.append(i)
+        if len(at) < self.dim:
             raise EffectSpaceError("sampled outcomes do not span the effect "
                                    "space")
-        return OutcomeFrame(at, K.scaled(K.inverse(V[at].T)), K.scaled(V))
+        return OutcomeFrame(at, K.inverse((s_v, V[at].T)), (s_v, V))
 
     @cached_property
     def dual_effect_cone(self) -> PolyhedralCone:
@@ -249,34 +257,31 @@ def linearize_morphism(f: Morphism, E_A: Optional[OrderUnitSpace] = None,
                        E_B: Optional[OrderUnitSpace] = None) -> LinearMap:
     """The linear extension of x-effect -> image-outcome-effect.
 
-    Defined on the source's outcome frame (`OrderUnitSpace.outcome_frame`),
-    then certified on every outcome: the matrix must send each source
-    outcome vector to the outcome vector of its image, exactly.  Raises with
-    the violating outcome when the assignment has no consistent linear
-    extension.
+    Defined on the source's outcome frame (`OrderUnitSpace.outcome_frame`)
+    by one integer product, then certified on every outcome at once: the
+    matrix must send each source outcome vector to the outcome vector of
+    its image, exactly.  Raises with the first violating outcome when the
+    assignment has no consistent linear extension.
     """
     A = E_A or build_effect_space(f.source)
     B = E_B or build_effect_space(f.target)
     if A.kind != "exact" or B.kind != "exact":
         raise EffectSpaceError("morphism linearization is exact-only")
 
-    frame = A.outcome_frame
-    s, C_inv = frame.inverse
-    basis_outcomes = [A.model.outcomes[i] for i in frame.at]
-    W = transpose([list(B.outcome_vectors[f.outcome_map[x]])
-                   for x in basis_outcomes])
-    M = mat_mul(W, [[frac(v) / s for v in row] for row in C_inv.tolist()])
-
-    witnesses = []
-    for x in f.source.outcomes:
-        got = mat_vec(M, list(A.outcome_vectors[x]))
-        want = list(B.outcome_vectors[f.outcome_map[x]])
-        witnesses.append({"outcome": x, "image": f.outcome_map[x],
-                          "consistent": got == want})
-        if got != want:
-            raise EffectSpaceError(
-                f"no consistent linear extension: outcome {x!r} (image "
-                f"{f.outcome_map[x]!r}) violates the dependencies fixed by "
-                f"basis outcomes {basis_outcomes}")
+    K, frame = _Kind("exact"), A.outcome_frame
+    images = [f.outcome_map[x] for x in A.model.outcomes]
+    (s_i, C_inv), (s_a, V) = frame.inverse, frame.vectors
+    s_w, W = K.scaled([B.outcome_vectors[y] for y in images])
+    P = W[frame.at].T @ C_inv                       # s_w·s_i · M
+    ok = (V @ P.T == W * (s_a * s_i)).all(axis=1).tolist()   # M v_x = w_x
+    if not all(ok):
+        x = A.model.outcomes[ok.index(False)]
+        raise EffectSpaceError(
+            f"no consistent linear extension: outcome {x!r} (image "
+            f"{f.outcome_map[x]!r}) violates the dependencies fixed by "
+            f"basis outcomes {[A.model.outcomes[i] for i in frame.at]}")
+    M = K.unscaled((s_w * s_i, P))
+    witnesses = [{"outcome": x, "image": y, "consistent": True}
+                 for x, y in zip(A.model.outcomes, images)]
     return LinearMap(matrix=M, source_space=A, target_space=B,
                      witnesses=witnesses)

@@ -6,18 +6,20 @@ vanishes on every distinguishable pair of outcomes.  The central uniqueness
 statement checked here: on an irreducible model the space of candidate forms
 has dimension one before normalization, and the normalized form (when it
 admits cone positivity) is an inner product.  The exact checks run on
-Python integers, each rational matrix M as (s, s·M) by `_Kind.scaled`; the
-float ones are the same products with s = 1.0 and keep their bits.
+Python integers, each matrix M read as the pair (s, s·M) made once with it
+(`OrderUnitSpace.actions`, `BilinearForm.scaled`); the float ones are the
+same products with s = 1.0 and keep their bits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .effectspace import OrderUnitSpace
-from .linalg import _Kind, is_positive_definite, is_symmetric
+from .linalg import _Kind, _lowest, is_positive_definite, is_symmetric
 from .lp import free_feasibility
 from .models import distinguishable_pairs
 
@@ -47,6 +49,11 @@ class BilinearForm:
     @property
     def dim(self) -> int:
         return len(self.matrix)
+
+    @cached_property
+    def scaled(self) -> tuple:
+        """The matrix as the pair (s, s·M) of `_Kind.scaled`, made once."""
+        return _Kind(self.kind).scaled(self.matrix)
 
     def value(self, a, b):
         K = _Kind(self.kind)
@@ -79,13 +86,13 @@ def _packed_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def invariance_rows(actions, dim: int, kind: str) -> np.ndarray:
-    """Rows of M^T S M = S for every action M, over the packed unknowns:
-    row (a, b) is the pairing of columns a and b of s·M, less s²·s_ab:
-    s² times the rational row."""
+    """Rows of M^T S M = S for every action pair (s, s·M), over the packed
+    unknowns: row (a, b) is the pairing of columns a and b of s·M, less
+    s²·s_ab: s² times the rational row."""
     K = _Kind(kind)
     iu, ju = np.triu_indices(dim)
     blocks = [K.zeros((0, len(iu)))]
-    for s, A in map(K.scaled, actions):
+    for s, A in actions:
         rows = _packed_rows(A.T[iu], A.T[ju])
         rows[np.diag_indices(len(iu))] -= s * s
         blocks.append(rows)
@@ -119,8 +126,7 @@ def invariant_symmetric_forms(E: OrderUnitSpace) -> list[BilinearForm]:
 def _fixed_covector_dim(E: OrderUnitSpace) -> int:
     """Dimension of {w : M^T w = w for every action M}: rows s·M^T - s·I."""
     K = _Kind(E.kind)
-    I = np.identity(E.dim, dtype=object if K.exact else float)
-    rows = [A.T - s * I for s, A in map(K.scaled, E.actions)]
+    rows = [A.T - s * np.identity(E.dim, A.dtype) for s, A in E.actions]
     return len(K.nullspace(np.concatenate([K.zeros((0, E.dim)), *rows])))
 
 
@@ -199,7 +205,7 @@ def find_orthogonalizing_spin_form(m, E: OrderUnitSpace, tol: float = 1e-9
     if K.exact:
         s, A = K.scaled(mats)                       # one denominator for all
         G = E.effect_cone.matrix
-        s_u, U = K.scaled(E.u)
+        s_u, U = E.scaled_unit
         iu, ju = np.triu_indices(len(G))
         ineqs = [({k: x for k, x in enumerate(col) if x}, s)
                  for col in (G @ A @ G.T)[:, iu, ju].T.tolist()]
@@ -210,8 +216,9 @@ def find_orthogonalizing_spin_form(m, E: OrderUnitSpace, tol: float = 1e-9
             return SpinFormResult(None, h, ["no cone-positive form on the "
                                             "normalized slice"])
         s_c, C = K.scaled(res.point)
-        S = K.array(np.tensordot(C, A, 1)) / (s_c * s)
-        form = BilinearForm(K.native(S), "exact", invariant=True)
+        S = _lowest(s_c * s, np.tensordot(C, A, 1))
+        form = BilinearForm(K.unscaled(S), "exact", invariant=True)
+        form.scaled = S
         certify_flags(form, E, tol)
         return SpinFormResult(form, h, [], basis=mats)
 
@@ -255,8 +262,7 @@ def certify_flags(form: BilinearForm, E: OrderUnitSpace,
     unitarity.
     """
     K = _Kind(form.kind, tol)
-    s, M = K.scaled(form.matrix)
-    s_u, u = K.scaled(E.u)
+    (s, M), (s_u, u) = form.scaled, E.scaled_unit
     form.normalized = K.is_zero(u @ M @ u - s_u * s_u * s)
     V = _outcome_rows(E, K)
     G = V @ M @ V.T
@@ -308,13 +314,12 @@ def check_spin_uniqueness(m, E: OrderUnitSpace,
 # unitarity
 
 def check_unitarity(actions, B: BilinearForm, tol: float = 1e-9) -> bool:
-    """Every symmetry is B-unitary: its B-adjoint equals its inverse,
-    i.e. (sM)^T B (sM) = s² B for each generator.  B must be invertible,
-    which the kind's rank decides: a determinant test would depend on the
-    scale of B (det(I/n) on n² dimensions is n^(-n²))."""
+    """Every symmetry, as the pair (s, s·M), is B-unitary: its B-adjoint
+    equals its inverse, i.e. (sM)^T B (sM) = s² B for each generator.  B
+    must be invertible, which the kind's rank decides: a determinant test
+    would depend on the scale of B (det(I/n) on n² dimensions is n^(-n²))."""
     K = _Kind(B.kind, tol)
-    Bm = K.scaled(B.matrix)[1]
+    Bm = B.scaled[1]
     if K.rank(Bm) < len(Bm):
         raise ValueError("unitarity check needs an invertible form")
-    return all(K.is_zero(A.T @ Bm @ A - s * s * Bm)
-               for s, A in map(K.scaled, actions))
+    return all(K.is_zero(A.T @ Bm @ A - s * s * Bm) for s, A in actions)

@@ -20,9 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import (ONE, _integer_block, _Kind, frac,
-                     is_positive_definite, solve_with_nullspace,
-                     sparse_int_rows)
+from .linalg import (ONE, _eliminate, _integer_block, _integer_readout, _Kind,
+                     _lowest, frac, is_positive_definite, sparse_int_rows)
 from .spectral import (_eigenvalues_many, _groups, _idempotents, _sqrt_many,
                        _value, generic_rank)
 
@@ -38,28 +37,26 @@ def _rational(a) -> bool:
     return all(isinstance(v, (Fraction, int)) for v in a)
 
 
-@dataclass(eq=False)
 class JordanAlgebra:
-    """Product tensor T[i][j] = coordinates of e_i ∘ e_j."""
+    """Product tensor T[i][j] = coordinates of e_i ∘ e_j.  An exact algebra
+    may be given it as integers over the least denominator, `scaled` =
+    (D, D·tensor), and makes the `Fraction`s of `tensor` on first use."""
 
-    kind: str
-    dim: int
-    unit: list
-    tensor: object                       # nested Fractions or np (d,d,d)
-    exact: bool
-    params: dict = field(default_factory=dict)
+    def __init__(self, kind: str, dim: int, unit: list, tensor, exact: bool,
+                 params: Optional[dict] = None, scaled: Optional[tuple] = None):
+        self.kind, self.dim, self.unit, self.exact = kind, dim, unit, exact
+        self.params = {} if params is None else params
+        self._int_tensor, self._unit_float, self._axioms = scaled, None, None
+        if tensor is not None:
+            self.tensor = tensor
 
-    def __post_init__(self):
-        self._np_tensor = None
-        self._int_tensor = None
-        self._unit_float = None
-        self._axioms = None
+    @cached_property
+    def tensor(self):
+        return _EXACT.unscaled(self._int_tensor)
 
-    @property
+    @cached_property
     def np_tensor(self) -> np.ndarray:
-        if self._np_tensor is None:
-            self._np_tensor = np.asarray(self.tensor, dtype=float)
-        return self._np_tensor
+        return np.asarray(self.tensor, dtype=float)
 
     def _scaled_tensor(self, K: _Kind) -> tuple:
         """`K.scaled` of the tensor, (s, s·tensor): integers over their
@@ -76,8 +73,7 @@ class JordanAlgebra:
         K = _EXACT if self.exact and _rational(a) and _rational(b) else _FLOAT
         s, T = self._scaled_tensor(K)
         (s_a, a), (s_b, b) = K.scaled(a), K.scaled(b)
-        return K.native(K.array(np.einsum("i,j,ijk->k", a, b, T))
-                        / (s_a * s_b * s))
+        return K.unscaled((s_a * s_b * s, np.einsum("i,j,ijk->k", a, b, T)))
 
     def left_mult(self, a) -> np.ndarray:
         """Matrix of b -> a∘b (float)."""
@@ -100,13 +96,21 @@ class JordanAlgebra:
 
     @cached_property
     def trace_form_pd(self) -> bool:
-        """Whether the exact trace form is positive definite, decided once:
-        the recovery and the symmetric-cone check share the verdict."""
-        return is_positive_definite(trace_form_gram(self))
+        """Whether the exact trace form is positive definite, decided once on
+        integers: the recovery and the symmetric-cone check share it."""
+        return is_positive_definite(_trace_gram(self, _EXACT)[1].tolist())
 
 
 def jordan_product(J: JordanAlgebra, a, b):
     return J.product(a, b)
+
+
+def _trace_gram(J: JordanAlgebra, K: _Kind) -> tuple:
+    """The pair (s, s·G) of the symmetrized trace-form Gram G, from the
+    tensor's pair of the kind."""
+    s, T = J._scaled_tensor(K)
+    G = np.einsum("ijm,m->ij", T, np.einsum("mkk->m", T))
+    return 2 * s * s, G + G.T
 
 
 def trace_form_gram(J: JordanAlgebra):
@@ -114,9 +118,7 @@ def trace_form_gram(J: JordanAlgebra):
     symmetrized: nested `Fraction` lists on an exact algebra, a float array
     otherwise."""
     K = _EXACT if J.exact else _FLOAT
-    s, T = J._scaled_tensor(K)
-    G = np.einsum("ijm,m->ij", T, np.einsum("mkk->m", T))
-    return K.native(K.array(G + G.T) / (2 * s * s))
+    return K.unscaled(_trace_gram(J, K))
 
 
 def _positive_definite(G, floor: float) -> bool:
@@ -549,14 +551,15 @@ def _sampled_cone_gates(J: JordanAlgebra, rep: SymmetricConeReport, rng,
 
 @dataclass
 class RecoveryProblem:
-    """Recovery inputs of one kind: rationals (`Fraction` entries) when
-    exact, floats otherwise.  The squares gate reads `extreme_rays` (the
-    cone's extreme rays) on an exact problem and `cone_membership` (a stack
-    of rows to one verdict per row) on a float one."""
+    """Recovery inputs of one kind, each X (or each of a list) as the pair
+    (s, s·X) of `_Kind.scaled`: integers when exact.  The squares gate reads
+    `extreme_rays` (the cone's extreme rays) on an exact problem and
+    `cone_membership` (a stack of rows to one verdict per row) on a float
+    one."""
 
     dim: int
-    B: object                            # PD orthogonalizing form
-    u: object
+    B: tuple                             # PD orthogonalizing form
+    u: tuple
     cone_generators: list
     actions: list = field(default_factory=list)
     outcome_vectors: list = field(default_factory=list)
@@ -565,8 +568,8 @@ class RecoveryProblem:
 
     @property
     def exact(self) -> bool:
-        """Rational inputs: the linear stage runs exactly."""
-        return np.asarray(self.B).dtype == object
+        """Integer inputs: the linear stage runs exactly."""
+        return isinstance(self.B[0], int)
 
 
 @dataclass
@@ -602,7 +605,7 @@ def _cubic_rows(p: RecoveryProblem, K: _Kind, B_inv: tuple):
     """The linear constraints A s = b on the cubic form S(x, y, z) =
     B(x ∘ y, z), totally symmetric for an associative B: the unknown
     s[idx[i, j, k]] is one entry per sorted triple i ≤ j ≤ k.  B_inv is
-    `K.scaled(K.inverse(B))`, which the caller also lifts with.
+    `K.inverse(p.B)`, which the caller also lifts with.
 
     With T[i, j, :] = B⁻ᵀ S[i, j, :] the coordinates of e_i ∘ e_j, the
     blocks are the unit law Σᵢ uᵢ S[i, j, k] = B[j, k] (row (j, k), term i);
@@ -611,19 +614,17 @@ def _cubic_rows(p: RecoveryProblem, K: _Kind, B_inv: tuple):
     Σ g_i g_j S[i, j, :] = Bᵀg (row k, terms i ≤ j).  Columns and values
     are laid out by broadcasting; on floats one `np.bincount` accumulates
     them into A, in input order as `np.add.at` would, and the result is
-    (A, b).  Rational inputs are scaled to
-    integers (`_Kind.scaled`), each row times the product of its scales, and the
-    nonzero triples are summed into sparse rows of Python ints, {column:
-    value} with the right-hand side in column `ncols`, zeros left out; the result
-    is (rows, ncols), the rational rows up to a positive factor each.
+    (A, b).  Exact inputs are integers over their scales, each row is
+    taken times the product of its scales, and the nonzero triples are
+    summed into sparse rows of Python ints, {column: value} with the
+    right-hand side in column `ncols`, zeros left out; the result is (rows,
+    ncols), the rational rows up to a positive factor each.
     """
     d = p.dim
     idx = _triple_index(d)
     ncols = d * (d + 1) * (d + 2) // 6
     dtype = object if K.exact else float
-    B = K.array(p.B)
-    s_B, Bn = K.scaled(B)
-    s_Bi, Bin = B_inv
+    (s_B, Bn), (s_Bi, Bin) = p.B, B_inv
     iu, ju = np.triu_indices(d)
     R = len(iu)
     rows, cols, vals, rhs = [], [], [], []
@@ -637,13 +638,12 @@ def _cubic_rows(p: RecoveryProblem, K: _Kind, B_inv: tuple):
         vals.append(np.broadcast_to(v, c.shape).ravel())
         rhs.append(b)
 
-    s_u, u = K.scaled(p.u)
+    s_u, u = p.u
     add(idx.transpose(1, 2, 0).reshape(d * d, d), u * s_B,
         (Bn * s_u).ravel())
     c_m = np.broadcast_to(idx[iu, ju][:, None, :], (R, d, d))
     c_ab = np.broadcast_to(idx.reshape(d * d, d).T, (R, d, d * d))
-    for M in p.actions:
-        s_M, M = K.scaled(M)
+    for s_M, M in p.actions:
         v_ab = -(M[:, iu].T[:, :, None] * M[:, ju].T[:, None, :])
         add(np.concatenate([c_m, c_ab], axis=-1),
             np.concatenate([np.broadcast_to(Bn.T @ M @ Bin.T * s_M,
@@ -652,8 +652,7 @@ def _cubic_rows(p: RecoveryProblem, K: _Kind, B_inv: tuple):
                                             * (s_B * s_Bi),
                                             (R, d, d * d))], axis=-1),
             np.zeros(R * d, dtype))
-    for g in p.outcome_vectors:
-        s_g, g = K.scaled(g)
+    for s_g, g in p.outcome_vectors:
         prod = g[iu] * g[ju] * s_B
         add(idx[iu, ju].T, np.where(iu != ju, prod * 2, prod),
             Bn.T @ g * s_g)
@@ -691,31 +690,32 @@ def _solve_float(A: np.ndarray, b: np.ndarray):
     return t0, vt[rank:].T
 
 
-def _linear_stage(p: RecoveryProblem) -> Optional[np.ndarray]:
+def _linear_stage(p: RecoveryProblem) -> Optional[tuple]:
     """The solutions of `_cubic_rows` lifted to product tensors,
     T[i, j, :] = B⁻ᵀ S[i, j, :], stacked on a last axis: one solution, then
-    a basis of the homogeneous ones; None when the rows are inconsistent."""
+    a basis of the homogeneous ones, as the pair (s, s·T), integers over
+    the least denominator when exact; None when the rows are inconsistent."""
     K = _EXACT if p.exact else _FLOAT
-    s_Bi, Bin = B_inv = K.scaled(K.inverse(K.array(p.B)))
+    s_Bi, Bin = B_inv = K.inverse(p.B)
     if K.exact:
-        x, null = solve_with_nullspace(*_cubic_rows(p, K, B_inv))
-        X = None if x is None else K.array([x] + null).T
+        rows, ncols = _cubic_rows(p, K, B_inv)
+        X = _integer_readout(_eliminate(rows, ncols), ncols)
     else:
         s0, N = _solve_float(*_cubic_rows(p, K, B_inv))
-        X = None if s0 is None else np.column_stack([s0, N])
+        X = None if s0 is None else (1.0, np.column_stack([s0, N]))
     if X is None:
         return None
+    s_X, X = X
     d = p.dim
     iu, ju = np.triu_indices(d)
     S = X[_triple_index(d)[iu, ju]]                  # (pairs, k, columns)
     R, _, c = S.shape
-    s_S, S = K.scaled(S.transpose(1, 0, 2).reshape(d, R * c))
-    Tp = K.array(Bin.T @ S) / (s_Bi * s_S)
+    Tp = Bin.T @ S.transpose(1, 0, 2).reshape(d, R * c)
     Tp = Tp.reshape(d, R, c).transpose(1, 0, 2)
     T = K.zeros((d, d, d, c))
     T[iu, ju] = Tp
     T[ju, iu] = Tp
-    return T
+    return _lowest(s_Bi * s_X, T) if K.exact else (s_Bi * s_X, T)
 
 
 def recover_jordan_product(p: RecoveryProblem, seed: int = 42
@@ -730,17 +730,18 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42
     outcome vectors (sharp extreme effects can only be primitive idempotents
     in a compatible algebra; a problem with `outcome_vectors=[]` has no such
     rows).  One builder, `_cubic_rows`, makes them for both kinds; only the
-    solve differs: exact problems get sparse integer rows and eliminate them
-    once (`linalg.solve_with_nullspace`), float problems make one
-    least-squares solve and read the nullity off its singular values.  The
-    solution is lifted to a product tensor, T[i, j, :] = B⁻ᵀ S[i, j, :], by
-    one product.
+    solve differs: exact problems get sparse integer rows, eliminate them
+    once and read the solutions off as integers (`linalg._integer_readout`),
+    float problems make one least-squares solve and read the nullity off
+    its singular values.  The solution is lifted to a product tensor,
+    T[i, j, :] = B⁻ᵀ S[i, j, :], by one product; an exact algebra keeps the
+    integer tensor, and makes its `Fraction`s only when asked for them.
 
     A positive nullity leaves a family of products that the constraints do
     not tell apart: the result then holds no algebra, rather than one picked
     from the family.  A unique solution must pass the gates: the Jordan
     axioms, a positive definite trace form, and the squares gate.  An exact
-    problem gives an exact algebra, decides every gate on rationals and draws
+    problem gives an exact algebra, decides every gate on integers and draws
     nothing: its axioms are `JordanAlgebra.axiom_proof`, and its squares
     gate is `jordan_frame` on the supplied extreme rays.  A float problem
     tests the Jordan identity on 3·d seeded probes (residual at most 1e-8)
@@ -751,21 +752,21 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42
     notes: list = []
     d = p.dim
     K = _EXACT if p.exact else _FLOAT
-    B, u = K.array(p.B), K.array(p.u)
-    gates["form_pd"] = _positive_definite((B + B.T) / 2, 0)
+    (_, B), (_, u) = p.B, p.u
+    gates["form_pd"] = _positive_definite(B + B.T, 0)
     if not gates["form_pd"]:
         return RecoveryResult(None, -1, None, None, gates,
                               ["form not positive definite"], seed)
     gates["unit_interior_heuristic"] = all(
-        K.array(g) @ B @ u > (0 if p.exact else 1e-12)
-        for g in p.cone_generators)
+        g @ B @ u > (0 if p.exact else 1e-12) for _, g in p.cone_generators)
 
-    T = _linear_stage(p)
-    if T is None:
+    got = _linear_stage(p)
+    if got is None:
         gates["linear_stage"] = False
         return RecoveryResult(None, -1, None, None, gates,
                               ["linear constraints inconsistent"], seed)
     gates["linear_stage"] = True
+    s_T, T = got
     nullity = T.shape[-1] - 1
     if nullity:
         return RecoveryResult(None, nullity, None, None, gates, [
@@ -775,8 +776,8 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42
                  "certified by the rank of the constraint system")
 
     if p.exact:
-        J = JordanAlgebra("Recovered", d, [frac(x) for x in p.u],
-                          T[..., 0].tolist(), True)
+        J = JordanAlgebra("Recovered", d, K.unscaled(p.u), None,
+                          True, scaled=(s_T, T[..., 0]))
         proof = J.axiom_proof()
         residual = proof.residual
         gates["identity_ok"] = proof.ok

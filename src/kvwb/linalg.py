@@ -11,13 +11,15 @@ fraction-free style of Bareiss (Math. Comp. 22, 1968), held as
 (Markowitz's row choice, as in Davis, *Direct Methods for Sparse Linear
 Systems*, 2006); only the readout divides into `Fraction`s, and the RREF is
 unique, so the rationals returned are those of rational elimination.  Dense
-rows become sparse ones on entry; `solve_with_nullspace` takes the sparse
-integer rows Jordan recovery builds (mostly zeros) as they are.
+rows become sparse ones on entry; `solve_with_nullspace` takes sparse
+integer rows as they are.  The one readout, `_integer_readout`, gives
+integers over their least denominator, the pair (s, s·X) in which the exact
+stages hold every derived matrix.
 
 `_Kind` lets one body serve exact and float data: it holds numbers of one
 kind in numpy arrays (`Fraction` objects, or floats) and gives that kind's
-integer scaling, inverse, rank, nullspace and zero tolerance (0 exact, `tol`
-float).
+pairs (s, s·X) (integers when exact, floats with s = 1.0), inverse, rank,
+nullspace and zero tolerance (0 exact, `tol` float).
 """
 from __future__ import annotations
 
@@ -96,8 +98,15 @@ def _integer_block(x) -> tuple[int, np.ndarray]:
     """(s, s·x) for a rational block x and its common denominator s, the
     integers as an object array of Python ints."""
     X = np.array(x, dtype=object)
-    s, ints = integer_row(frac(v) for v in X.flat)
+    s, ints = integer_row(v if type(v) is int else frac(v) for v in X.flat)
     return s, np.array(ints, dtype=object).reshape(X.shape)
+
+
+def _lowest(s: int, A: np.ndarray) -> tuple[int, np.ndarray]:
+    """The pair (s, A) of integers over the least denominator: the pair
+    `_integer_block` gives for the rationals A/s."""
+    g = math.gcd(s, *A.flat)
+    return (s // g, A // g) if g > 1 else (s, A)
 
 
 SparseRow = dict[int, int]
@@ -195,26 +204,35 @@ def _eliminate(rows: Sequence[SparseRow], ncols: int
     return echelon
 
 
+def _integer_readout(echelon: list[tuple[int, SparseRow]], ncols: int
+                     ) -> tuple[int, np.ndarray] | None:
+    """(L, L·[x | basis]): the solution of A x = b and one null vector per
+    free column, in order, read off `_eliminate`'s RREF rows of [A | b] over
+    their least denominator L; None when a pivot is on the right-hand side."""
+    if echelon and echelon[-1][0] == ncols:
+        return None
+    free = sorted(set(range(ncols)) - {c for c, _ in echelon})
+    at = {fc: n for n, fc in enumerate(free, 1)}
+    L = math.lcm(*(row[c] for c, row in echelon))
+    X = np.zeros((ncols, 1 + len(free)), dtype=object)
+    X[free, list(at.values())] = L
+    for c, row in echelon:
+        f = L // row[c]
+        for k, v in row.items():
+            if k != c:
+                X[c, at.get(k, 0)] = v * f if k == ncols else -v * f
+    return _lowest(L, X)
+
+
 def _readout(echelon: list[tuple[int, SparseRow]], ncols: int
              ) -> tuple[Vec | None, list[Vec]]:
-    """The solution and the null basis of A x = b read off `_eliminate`'s
-    RREF rows of [A | b]: one null vector per free column, in column order;
-    (None, []) when a pivot falls on the right-hand side."""
-    if echelon and echelon[-1][0] == ncols:
+    """`_integer_readout` as `Fraction` lists, (x, basis); (None, []) when
+    a pivot falls on the right-hand side."""
+    if (got := _integer_readout(echelon, ncols)) is None:
         return None, []
-    pivots = {c for c, _ in echelon}
-    x = zeros(ncols)
-    basis = {fc: zeros(ncols) for fc in range(ncols) if fc not in pivots}
-    for fc, v in basis.items():
-        v[fc] = ONE
-    for c, row in echelon:
-        pv = row[c]
-        for k, v in row.items():
-            if k == ncols:
-                x[c] = Fraction(v, pv)
-            elif k != c:
-                basis[k][c] = Fraction(-v, pv)
-    return x, list(basis.values())
+    x, *basis = ([Fraction(a, got[0]) if a else ZERO for a in col]
+                 for col in got[1].T.tolist())
+    return x, basis
 
 
 def rref(A: Mat) -> tuple[Mat, list[int]]:
@@ -265,16 +283,10 @@ def solve_with_nullspace(rows: Sequence[SparseRow], ncols: int
 
 
 def inverse(A: Mat) -> Mat | None:
-    """A⁻¹, or None when A is singular.  [A | -I] has rank n, and its
-    pivots are the first n columns exactly when A is invertible; then the
-    null vector on the free column n + k is (A⁻¹e_k, e_k)."""
-    n = len(A)
-    aug = [row[:] + [-ONE if j == i else ZERO for j in range(n)]
-           for i, row in enumerate(A)]
-    echelon = _eliminate(_sparse(aug), 2 * n)
-    if [c for c, _ in echelon] != list(range(n)):
-        return None
-    return transpose([v[:n] for v in _readout(echelon, 2 * n)[1]])
+    """A⁻¹, or None when A is singular: `_Kind.inverse` as `Fraction`s."""
+    K = _Kind("exact")
+    inv = K.inverse(_integer_block(A))
+    return None if inv is None else K.unscaled(inv)
 
 
 def is_symmetric(A: Mat) -> bool:
@@ -340,15 +352,16 @@ def np_rref(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 # one body for both kinds
 
 _as_fractions = np.frompyfunc(frac, 1, 1)
+_over = np.frompyfunc(Fraction, 2, 1)
 
 
 class _Kind:
     """The operations of one kind of number, "exact" or "float".
 
-    Values travel as numpy arrays, of `Fraction` objects when exact, so
-    `@`, `.T` and broadcasting read the same for both kinds; the exact
-    kernels above get lists of `Fraction` rows.  The float operations are
-    the numpy calls the float code makes, so its results keep their bits.
+    Values travel as numpy arrays, of `Fraction` objects or of the
+    integers of a pair (s, s·x) when exact, so `@`, `.T` and broadcasting
+    read the same for both kinds.  The float operations are the numpy calls
+    the float code makes, so its results keep their bits.
     """
 
     def __init__(self, kind: str, tol: float = 1e-9):
@@ -369,18 +382,35 @@ class _Kind:
         floats as they are with s = 1.0."""
         return _integer_block(x) if self.exact else (1.0, np.asarray(x, float))
 
+    def unscaled(self, pair):
+        """x from its pair (s, s·x): nested `Fraction` lists (or one
+        `Fraction`) when exact, the float quotient otherwise."""
+        s, A = pair
+        return np.asarray(_over(A, s)).tolist() if self.exact else A / s
+
     def zeros(self, shape) -> np.ndarray:
-        return self.array(np.zeros(shape, dtype=int))
+        """Zeros of the kind: Python ints when exact, floats otherwise."""
+        return np.zeros(shape, dtype=object if self.exact else float)
 
     def is_zero(self, x) -> bool:
         """Every entry of x within the zero tolerance (True when empty)."""
         return not np.size(x) or bool(np.max(np.abs(x)) <= self.tol)
 
-    def inverse(self, A: np.ndarray) -> Optional[np.ndarray]:
-        if self.exact:
-            inv = inverse(A.tolist())
-            return None if inv is None else np.array(inv, dtype=object)
-        return np.linalg.inv(A)
+    def inverse(self, pair: tuple) -> Optional[tuple]:
+        """The pair of X⁻¹ from that of X, or None when X is singular.  The
+        pivots of [s·X | -I] are its first n columns exactly when X is
+        invertible; the null vector on column n + k is ((s·X)⁻¹e_k, e_k)."""
+        s, A = pair
+        if not self.exact:
+            return 1.0, np.linalg.inv(A / s)
+        n = len(A)
+        echelon = _eliminate([{**{k: x for k, x in enumerate(row) if x},
+                               n + i: -1} for i, row in enumerate(A.tolist())],
+                             2 * n)
+        if [c for c, _ in echelon] != list(range(n)):
+            return None
+        t, X = _integer_readout(echelon, 2 * n)
+        return _lowest(t, s * X[:n, 1:])
 
     def rank(self, A: np.ndarray) -> int:
         if self.exact:

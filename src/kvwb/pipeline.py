@@ -254,8 +254,9 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
                 conj = composites.conjugate_from_state(m, gamma, eta)
                 derived = composites.spin_form_from_conjugate(conj, E, tol=tol)
                 K = _Kind(spin.kind, tol)
-                dev = np.max(np.abs(K.array(derived.matrix)
-                                    - K.array(spin.matrix)))
+                (s_d, D), (s_s, S) = derived.scaled, spin.scaled
+                dev = K.unscaled((s_d * s_s,
+                                  np.max(np.abs(D * s_s - S * s_d))))
                 cdata["derived_form_flags"] = derived.flag_summary()
                 cdata["derived_matches_invariant_form"] = K.is_zero(dev)
                 cdata["derived_form_deviation"] = dev
@@ -385,18 +386,20 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
 
 
 def _recovery_problem(E, spin, tol: float) -> jordan.RecoveryProblem:
-    """Assemble recovery inputs from the verified pipeline prerequisites:
-    rationals and the effect cone's extreme rays, for the exact frame gate,
-    on an exact effect space; floats and a stacked membership test, for the
-    sampled squares gate, otherwise."""
-    gens = E.cone_generators
+    """Assemble recovery inputs, as the pairs the effect space and the form
+    hold: on an exact effect space the effect cone's integer rows and its
+    extreme rays, for the exact frame gate; otherwise floats and a stacked
+    membership test, for the sampled squares gate."""
     rays, membership = [], None
     if E.kind == "exact":
+        gens = [(1, g) for g in E.effect_cone.matrix]
         rays = [list(r) for r in E.effect_cone.rays]
     else:
+        gens = [_Kind("float").scaled(g) for g in E.cone_generators]
+
         def membership(V):
             return effectspace.min_eigenvalues(E, V) >= -tol
     return jordan.RecoveryProblem(
-        dim=E.dim, B=spin.matrix, u=E.u, cone_generators=gens,
+        dim=E.dim, B=spin.scaled, u=E.scaled_unit, cone_generators=gens,
         actions=list(E.actions), outcome_vectors=gens,
         cone_membership=membership, extreme_rays=rays)

@@ -21,7 +21,8 @@ from kvwb.forms import BilinearForm, invariant_symmetric_forms
 from kvwb.linalg import (Mat, ONE, ZERO, mat_mul, mat_vec, np_nullspace,
                          np_rref, nullspace, solve, transpose)
 from kvwb.models import Model, Perm, orbit, perm_compose
-from reference_kernels import _full_symmetric_basis, _invariance_rows
+from reference_kernels import (_full_symmetric_basis, _invariance_rows,
+                               rational_actions)
 
 
 def mulclose(generators: tuple[Perm, ...]) -> list[Perm]:
@@ -96,7 +97,7 @@ def _matrix_group(generators):
 def average_form(B0: BilinearForm, E: OrderUnitSpace) -> BilinearForm:
     """Group-average of a form: exact sum over an enumerable matrix group,
     or the Frobenius-nearest invariant form for generator-presented groups."""
-    acts = E.all_effect_actions()
+    acts = rational_actions(E)
     if B0.kind == "exact" and E.kind == "exact":
         els = _matrix_group(acts)
         dim = E.dim
@@ -158,7 +159,7 @@ def restricted_action(E: OrderUnitSpace, M, pd_form=None):
 def u_perp_invariant_form_count(E: OrderUnitSpace, actions=None) -> int:
     """Dimension of the invariant symmetric forms on the complement of the
     unit taken w.r.t. the group-averaged form."""
-    acts = actions if actions is not None else E.all_effect_actions()
+    acts = actions if actions is not None else rational_actions(E)
     exact = E.kind == "exact"
     acts = [restricted_action(E, M) for M in acts]
     dim = E.dim - 1

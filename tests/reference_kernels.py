@@ -77,7 +77,16 @@ but for taking the space as its first argument) that the integer sweep of
 `kvwb.cones.halfspace_cone_rays` and one integer product per generator on
 the outcome frame replaced.  `lp_rows` turns a
 `Fraction` system (A, b) into the integer `Row`s that `kvwb.lp` takes; the
-oracles here that call `kvwb.lp` hand it their systems through it.
+oracles here that call `kvwb.lp` hand it their systems through it.  The
+exact stages hold every derived matrix X as its pair (s, s·X) of integers;
+`unscaled`, `rational_actions` and `rational_problem` read the pairs back
+as the matrices the oracles here take, and `scaled_problem` makes a
+recovery problem's pairs from rational or float inputs.  The bodies that
+scaled `Fraction` matrices on each call before the stages held those pairs
+(`scaled_invariance_rows`, `scaled_fixed_covector_dim`,
+`scaled_check_unitarity`, `scaled_certify_flags` and
+`fraction_linear_stage`) and the one rank per outcome of the outcome frame
+(`rank_loop_positions`) are the last section.
 
 Slow and obviously correct; the property tests require the fast kernels to
 return exactly what these return.
@@ -91,6 +100,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
+from types import SimpleNamespace
 
 from kvwb.composites import (BipartiteReport, BipartiteState, CompositeError,
                              IsomorphismStateReport, OmegaHat, _check_gamma,
@@ -103,12 +113,65 @@ from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
 from kvwb.linalg import (Mat, Row, Vec, ZERO, ONE, _Kind, _integer_block, dot,
                          frac, inverse, is_symmetric, mat_vec, solve,
                          sparse_int_rows, transpose, zeros)
-from kvwb import composites, lp, models
+from kvwb import composites, linalg, lp, models
+from kvwb.forms import _outcome_rows, _packed_rows
 from kvwb.lp import CertificateError, LPResult, UnboundedError
 from kvwb.lp import convex_membership, free_feasibility
 from kvwb.models import (Model, PermutationGroup, PolytopeBackend,
                          QuantumBackend, act_on_state, perm_inverse)
 from kvwb.spectral import _degrees_and_powers, _value
+
+
+# ---------------------------------------------------------------------------
+# the exact stages hold every derived matrix X as the pair (s, s·X); the
+# oracles here take the matrices those pairs stand for, as the stages held
+# them before
+
+def unscaled(pair):
+    """The matrix or vector X of its pair (s, s·X): a `Fraction` array over
+    an int scale, the float quotient otherwise."""
+    s, X = pair
+    if isinstance(s, int):
+        X = np.asarray(X, dtype=object)
+        return np.array([Fraction(x, s) for x in X.flat],
+                        dtype=object).reshape(X.shape)
+    return np.asarray(X) / s
+
+
+def rational_actions(E) -> list:
+    """The effect space's actions as matrices: nested `Fraction` lists when
+    exact, float arrays otherwise."""
+    return [unscaled(M).tolist() if E.kind == "exact" else unscaled(M)
+            for M in E.actions]
+
+
+def rational_problem(p: RecoveryProblem) -> SimpleNamespace:
+    """A recovery problem with its pairs read back as matrices and vectors,
+    rationals when exact: the inputs the recovery oracles here read."""
+    return SimpleNamespace(**{
+        **vars(p), "exact": p.exact, "B": unscaled(p.B), "u": unscaled(p.u),
+        **{key: [unscaled(x) for x in getattr(p, key)]
+           for key in ("cone_generators", "actions", "outcome_vectors")}})
+
+
+def scaled_problem(K: _Kind, B, u, cone_generators=(), actions=(),
+                   outcome_vectors=(), **rest) -> RecoveryProblem:
+    """A `RecoveryProblem` from rational or float inputs, each made its pair
+    by `K.scaled`."""
+    return RecoveryProblem(
+        dim=len(u), B=K.scaled(B), u=K.scaled(u),
+        cone_generators=[K.scaled(g) for g in cone_generators],
+        actions=[K.scaled(M) for M in actions],
+        outcome_vectors=[K.scaled(g) for g in outcome_vectors], **rest)
+
+
+def kind_inverse(K: _Kind, A: np.ndarray):
+    """A⁻¹ in the kind's container, as `_Kind.inverse` gave it before it
+    took and gave pairs; None when exact and singular."""
+    if K.exact:
+        inv = inverse(A.tolist())
+        return None if inv is None else np.array(inv, dtype=object)
+    return np.linalg.inv(A)
 
 
 def rref(A: Mat) -> tuple[Mat, list[int]]:
@@ -332,6 +395,7 @@ def _linear_rows(p: RecoveryProblem, idempotence: bool, exact: bool):
     out; the result is (rows, ncols), row for row the rational system up to
     a positive factor per row.
     """
+    p = rational_problem(p)
     d = p.dim
     pairs, at = _pair_index(d)
     ncols = len(pairs) * d
@@ -414,6 +478,7 @@ def squares_membership(E, tol: float):
 
 
 def linear_rows_float(p: RecoveryProblem, idempotence: bool):
+    p = rational_problem(p)
     d = p.dim
     pairs, at = _pair_index(d)
     P = len(pairs)
@@ -472,6 +537,7 @@ def linear_rows_float(p: RecoveryProblem, idempotence: bool):
 
 def exact_linear_rows(p: RecoveryProblem, idempotence: bool):
     """The rational rows and right-hand side, before the solve."""
+    p = rational_problem(p)
     d = p.dim
     pairs, at = _pair_index(d)
     P = len(pairs)
@@ -1145,7 +1211,7 @@ def omega_hat(w: BipartiteState, E_A: Optional[OrderUnitSpace] = None,
                     f"inconsistent at outcome {y!r} (error {float(err):.2e})",
                     witness=(x, y))
     C = K.array([E_A.outcome_vectors[x] for x in basis_A]).T
-    W = K.array([duals[x] for x in basis_A]).T @ K.inverse(C)
+    W = K.array([duals[x] for x in basis_A]).T @ kind_inverse(K, C)
     for x in w.A.outcomes:
         err = np.max(np.abs(W @ K.array(E_A.outcome_vectors[x]) - duals[x]))
         if not K.is_zero(err):
@@ -1178,7 +1244,7 @@ def is_isomorphism_state(w: BipartiteState,
     if W.shape[0] != W.shape[1] or K.rank(W) < len(W):
         return IsomorphismStateReport(False, False, None, None,
                                       ["matrix is singular"])
-    W_inv = K.inverse(W)
+    W_inv = kind_inverse(K, W)
     failures, notes = [], []
 
     if K.exact:
@@ -1550,7 +1616,7 @@ def fixed_covector_dim(E: OrderUnitSpace) -> int:
     """Dimension of {w : M^T w = w for every action M}."""
     K = _Kind(E.kind)
     rows = [K.array(M).T - K.array(np.eye(E.dim, dtype=int))
-            for M in E.actions]
+            for M in rational_actions(E)]
     return len(K.nullspace(np.concatenate([K.zeros((0, E.dim)), *rows])))
 
 
@@ -1860,6 +1926,7 @@ def float_recovery_gates(p: RecoveryProblem, tensor) -> dict:
     `unit_interior_heuristic` and `trace_form_pd` gates on the problem p
     and its recovered tensor, as every problem computed them before exact
     ones decided them on rationals."""
+    p = rational_problem(p)
     B = np.asarray(p.B, float)
     eig = np.linalg.eigvalsh((B + B.T) / 2)
     u = np.asarray(p.u, float)
@@ -1945,13 +2012,14 @@ def cubic_rows_add_at(p: RecoveryProblem, K: _Kind):
     with the right-hand side in column `ncols`, zeros left out; the result
     is (rows, ncols), the rational rows up to a positive factor each.
     """
+    p = rational_problem(p)
     d = p.dim
     idx = _triple_index(d)
     ncols = d * (d + 1) * (d + 2) // 6
     dtype = object if K.exact else float
     B = K.array(p.B)
     s_B, Bn = K.scaled(B)
-    s_Bi, Bin = K.scaled(K.inverse(B))
+    s_Bi, Bin = K.scaled(kind_inverse(K, B))
     iu, ju = np.triu_indices(d)
     R = len(iu)
     rows, cols, vals, rhs = [], [], [], []
@@ -2169,3 +2237,99 @@ def is_order_isomorphism(T: Mat, src: PolyhedralCone, tgt: PolyhedralCone
     fwd = is_positive_map(T, src, tgt)
     bwd = is_positive_map(Tinv, tgt, src)
     return OrderIsoReport(fwd.positive and bwd.positive, True, fwd, bwd)
+
+
+# ---------------------------------------------------------------------------
+# the bodies that read `Fraction` matrices and scaled them to integers on
+# each call (`_Kind.scaled`), before the effect space, the forms and the
+# recovered algebra held their pairs (s, s·X) of integers: the exact
+# `invariance_rows`, `_fixed_covector_dim`, `check_unitarity` and
+# `certify_flags` of `kvwb.forms`, verbatim but for the names and for
+# `scaled_fixed_covector_dim` reading the actions through
+# `rational_actions`; the outcome frame's one rank per outcome of
+# `OrderUnitSpace.outcome_frame`; and the `Fraction` lift of
+# `kvwb.jordan._linear_stage` on an exact problem, verbatim but for the
+# rows of `cubic_rows_add_at` and the inverse of `kind_inverse`
+
+def scaled_invariance_rows(actions, dim: int, kind: str) -> np.ndarray:
+    K = _Kind(kind)
+    iu, ju = np.triu_indices(dim)
+    blocks = [K.zeros((0, len(iu)))]
+    for s, A in map(K.scaled, actions):
+        rows = _packed_rows(A.T[iu], A.T[ju])
+        rows[np.diag_indices(len(iu))] -= s * s
+        blocks.append(rows)
+    return np.concatenate(blocks)
+
+
+def scaled_fixed_covector_dim(E: OrderUnitSpace) -> int:
+    K = _Kind(E.kind)
+    I = np.identity(E.dim, dtype=object if K.exact else float)
+    rows = [A.T - s * I for s, A in map(K.scaled, rational_actions(E))]
+    return len(K.nullspace(np.concatenate([K.zeros((0, E.dim)), *rows])))
+
+
+def scaled_check_unitarity(actions, B, tol: float = 1e-9) -> bool:
+    K = _Kind(B.kind, tol)
+    Bm = K.scaled(B.matrix)[1]
+    if K.rank(Bm) < len(Bm):
+        raise ValueError("unitarity check needs an invertible form")
+    return all(K.is_zero(A.T @ Bm @ A - s * s * Bm)
+               for s, A in map(K.scaled, actions))
+
+
+def scaled_certify_flags(form, E: OrderUnitSpace, tol: float = 1e-9) -> None:
+    from kvwb.models import distinguishable_pairs
+    K = _Kind(form.kind, tol)
+    s, M = K.scaled(form.matrix)
+    s_u, u = K.scaled(E.u)
+    form.normalized = K.is_zero(u @ M @ u - s_u * s_u * s)
+    V = _outcome_rows(E, K)
+    G = V @ M @ V.T
+    at = {x: i for i, x in enumerate(E.model.outcomes)}
+    pairs = distinguishable_pairs(E.model)
+    form.orthogonalizing = K.is_zero(G[[at[a] for a, _ in pairs],
+                                       [at[b] for _, b in pairs]])
+    form.positive_on_cone = bool(G.min() >= -K.tol)
+    form.positive_definite = (linalg.is_positive_definite(M) if K.exact
+                              else bool(np.linalg.eigvalsh(M).min() > tol))
+
+
+def rank_loop_positions(E: OrderUnitSpace) -> list[int]:
+    """The outcome frame's positions: an outcome joins the family when it
+    raises its rank, one `_Kind.rank` per outcome."""
+    K = _Kind(E.kind)
+    V = K.array([E.outcome_vectors[x] for x in E.model.outcomes])
+    at: list[int] = []
+    for i in range(len(V)):
+        if K.rank(V[at + [i]]) == len(at) + 1:
+            at.append(i)
+        if len(at) == E.dim:
+            break
+    else:
+        raise EffectSpaceError("sampled outcomes do not span the effect "
+                               "space")
+    return at
+
+
+def fraction_linear_stage(p: RecoveryProblem):
+    """The product tensors of an exact problem, stacked on a last axis, as
+    nested `Fraction`s: one solution, then a basis of the homogeneous ones;
+    None when the rows are inconsistent."""
+    K = _Kind("exact")
+    s_Bi, Bin = K.scaled(kind_inverse(K, K.array(rational_problem(p).B)))
+    x, null = linalg.solve_with_nullspace(*cubic_rows_add_at(p, K))
+    if x is None:
+        return None
+    X = K.array([x] + null).T
+    d = p.dim
+    iu, ju = np.triu_indices(d)
+    S = X[_triple_index(d)[iu, ju]]                  # (pairs, k, columns)
+    R, _, c = S.shape
+    s_S, S = K.scaled(S.transpose(1, 0, 2).reshape(d, R * c))
+    Tp = K.array(Bin.T @ S) / (s_Bi * s_S)
+    Tp = Tp.reshape(d, R, c).transpose(1, 0, 2)
+    T = K.array(np.zeros((d, d, d, c), dtype=int))
+    T[iu, ju] = Tp
+    T[ju, iu] = Tp
+    return T

@@ -217,7 +217,7 @@ def test_frame_gate_rejects_a_ray_replaced_by_a_sum():
     r = p.extreme_rays
     rays = [[a + b for a, b in zip(r[0], r[1])], r[1], r[2]]
     assert jordan_frame(res.algebra, rays) is None
-    K = SimpleNamespace(u=p.u, effect_cone=cone(rays))
+    K = SimpleNamespace(u=E.u, effect_cone=cone(rays))
     assert not oracle.sampled_squares_gate(
         res.algebra, oracle.squares_membership(K, 1e-9))
     bad = recover_jordan_product(dataclasses.replace(p, extreme_rays=rays))

@@ -170,6 +170,15 @@ def test_weak_self_duality_of_square_cone():
     assert chk.order_iso
 
 
+def test_weak_self_duality_reads_the_rays_of_any_dual():
+    """A dual given by `cone`, whose extreme rays are not set, is read by
+    its rays as `dual_cone`'s is: the orthant is weakly self-dual."""
+    K = cone([[1, 0], [0, 1]])
+    for D in (cone([[1, 0], [0, 1]]), dual_cone(K)):
+        rep = is_weakly_self_dual(K, D)
+        assert rep.status == "yes", rep.notes
+
+
 def test_product_with_dual_swap_is_order_iso():
     """K x K* swaps onto its dual: the standard weakly-self-dual example."""
     sq = cone([[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]])

@@ -6,7 +6,7 @@ import pytest
 from kvwb.builtins import builtin_names, classical, get_builtin, squit
 from kvwb.effectspace import (EffectSpaceError, build_effect_space,
                               cone_membership, linearize_morphism)
-from kvwb.linalg import mat_vec
+from kvwb.linalg import _integer_block, mat_vec
 from kvwb.models import (Model, PermutationGroup, PolytopeBackend, image_model,
                          validate_model)
 from kvwb.models import TestSpace as TSpace
@@ -35,7 +35,8 @@ def test_squit_space_collapses_one_dimension():
 def test_effect_actions_permute_outcome_vectors():
     m = squit()
     E = build_effect_space(m)
-    for g, M in zip(m.group.generators, E.actions, strict=True):
+    for g, M in zip(m.group.generators, oracle.rational_actions(E),
+                    strict=True):
         for x in m.outcomes:
             gx = m.outcomes[g[m.testspace.index(x)]]
             assert mat_vec(M, E.outcome_vectors[x]) == E.outcome_vectors[gx]
@@ -47,12 +48,16 @@ def test_effect_actions_permute_outcome_vectors():
     "classical:6", "gbit:3", "gbit:4", "gbit:5", "gbit:6"])
 def test_effect_actions_are_the_per_state_solves(name):
     """One integer product per generator on the outcome frame gives the
-    matrices that one `solve` per basis state gives."""
+    matrices that one `solve` per basis state gives, as the integers over
+    their least denominator that `_integer_block` makes of them."""
     m = get_builtin(name)
     E = build_effect_space(m)
-    assert list(E.actions) == [oracle.effect_action(E, g)
-                               for g in m.group.generators]
-    assert all(type(x) is F for M in E.actions for row in M for x in row)
+    want = [oracle.effect_action(E, g) for g in m.group.generators]
+    assert oracle.rational_actions(E) == want
+    assert [(s, M.tolist()) for s, M in E.actions] == [
+        (s, M.tolist()) for s, M in map(_integer_block, want)]
+    assert all(type(s) is int and all(type(x) is int for x in M.flat)
+               for s, M in E.actions)
 
 
 def test_a_generator_moving_a_state_off_the_span_raises():
@@ -103,3 +108,16 @@ def test_linearization_is_exact_only():
     f = Morphism(mq, mq, {x: x for x in mq.outcomes}, tuple())
     with pytest.raises(EffectSpaceError):
         linearize_morphism(f)
+
+
+EXACT_SPACES = [*(n for n in builtin_names()
+                  if isinstance(get_builtin(n).states, PolytopeBackend)),
+                "classical:6", "gbit:3", "gbit:4", "gbit:5", "gbit:6"]
+
+
+@pytest.mark.parametrize("name", EXACT_SPACES)
+def test_outcome_frame_is_the_rank_loop(name):
+    """One `column_space_basis` of the outcome vectors as columns picks the
+    outcomes that one rank per outcome picks."""
+    E = build_effect_space(get_builtin(name))
+    assert E.outcome_frame.at == oracle.rank_loop_positions(E)

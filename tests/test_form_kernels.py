@@ -20,9 +20,10 @@ from kvwb.effectspace import build_effect_space
 from kvwb.forms import (BilinearForm, _fixed_covector_dim, certify_flags,
                         check_unitarity, find_orthogonalizing_spin_form,
                         invariance_rows)
-from kvwb.linalg import is_positive_definite
+from kvwb.linalg import _Kind, is_positive_definite
 from kvwb.pipeline import run_pipeline
 
+EXACT = _Kind("exact")
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 dims = st.integers(1, 4)
 
@@ -71,8 +72,10 @@ def forms_for(draw, dim):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), dim=dims, n=st.integers(0, 3))
 def test_fixed_covector_dim_matches_the_oracle(data, dim, n):
+    """The actions are held as their pairs (s, s·M), which the oracle
+    reads back as `Fraction` matrices."""
     E = SimpleNamespace(kind="exact", dim=dim,
-                        actions=tuple(data.draw(actions(dim))
+                        actions=tuple(EXACT.scaled(data.draw(actions(dim)))
                                       for _ in range(n)))
     assert _fixed_covector_dim(E) == oracle.fixed_covector_dim(E)
 
@@ -87,10 +90,11 @@ def unitarity(check, acts, B):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), dim=dims, n=st.integers(0, 3))
 def test_unitarity_matches_the_oracle(data, dim, n):
-    """The same verdict, or the same `ValueError` on a singular form."""
+    """The same verdict, or the same `ValueError` on a singular form; the
+    checked kernel reads each action as its pair (s, s·M)."""
     acts = [data.draw(actions(dim)) for _ in range(n)]
     B = BilinearForm(data.draw(forms_for(dim)), "exact")
-    got = unitarity(check_unitarity, acts, B)
+    got = unitarity(check_unitarity, [EXACT.scaled(M) for M in acts], B)
     assert got == unitarity(oracle.check_unitarity, acts, B)
     assert type(got) in (bool, str)
 
@@ -227,3 +231,40 @@ def test_pointedness_lp_runs_once_per_run(name, monkeypatch):
     assert rep.stage("weak-self-duality").status in ("pass", "fail")
     assert len(asked) == 2 and asked[0] is asked[1]
     assert len(lps) == 1
+
+
+EXACT_SPACES = ["classical:2", "classical:3", "classical:4", "classical:5",
+                "squit", "squit:klein", "classical:6", "gbit:3", "gbit:4",
+                "gbit:5"]
+
+
+@pytest.mark.parametrize("name", EXACT_SPACES)
+def test_integer_pairs_match_the_fraction_bodies(name):
+    """The effect space's action pairs, the unit's and the spin form's are
+    the pairs `_Kind.scaled` makes of their matrices, and the form checks
+    that read them give the rows, dimensions, verdicts (or the error on a
+    singular form, squit:klein's) and flags of the bodies that scaled
+    `Fraction` matrices on each call."""
+    m = get_builtin(name)
+    E = build_effect_space(m)
+    B = find_orthogonalizing_spin_form(m, E).form
+    acts = oracle.rational_actions(E)
+
+    def as_lists(pair):
+        return pair[0], pair[1].tolist()
+    assert [as_lists(p) for p in E.actions] == [as_lists(EXACT.scaled(M))
+                                                 for M in acts]
+    assert as_lists(E.scaled_unit) == as_lists(EXACT.scaled(E.u))
+    assert as_lists(B.scaled) == as_lists(EXACT.scaled(B.matrix))
+    rows = E.invariance_rows
+    assert rows.tolist() == oracle.scaled_invariance_rows(
+        acts, E.dim, "exact").tolist()
+    assert all(type(x) is int for x in rows.flat)
+    assert _fixed_covector_dim(E) == oracle.scaled_fixed_covector_dim(E)
+    assert unitarity(check_unitarity, E.actions, B) == unitarity(
+        oracle.scaled_check_unitarity, acts, B)
+    got, want = (BilinearForm(B.matrix, "exact") for _ in range(2))
+    certify_flags(got, E)
+    oracle.scaled_certify_flags(want, E)
+    assert [getattr(got, f) for f in FLAGS] == [getattr(want, f)
+                                                for f in FLAGS]

@@ -9,7 +9,7 @@ from kvwb.builtins import classical, get_builtin
 from kvwb.effectspace import build_effect_space
 from kvwb.forms import find_orthogonalizing_spin_form
 from kvwb import jordan
-from kvwb.jordan import (JordanAlgebra, RecoveryProblem, _reconstruct,
+from kvwb.jordan import (JordanAlgebra, _reconstruct,
                          classical_algebra, complex_hermitian,
                          cone_of_squares_membership, direct_sum,
                          identify_algebra, jordan_product,
@@ -288,9 +288,9 @@ def transported_problem():
         outcome_vecs.extend(T @ e for e in idems)
     def membership(V):
         return [cone_of_squares_membership(J0, Ti @ v, tol=1e-7) for v in V]
-    p = RecoveryProblem(dim=d, B=Bp, u=up, cone_generators=[],
-                        outcome_vectors=outcome_vecs,
-                        cone_membership=membership)
+    p = oracle.scaled_problem(jordan._FLOAT, Bp, up,
+                              outcome_vectors=outcome_vecs,
+                              cone_membership=membership)
     prod0 = lambda a, b: jordan_product(J0, a, b)
     orc = np.zeros((d, d, d))
     for i in range(d):
@@ -324,12 +324,13 @@ def test_recovery_reports_nonuniqueness_honestly():
 def test_recovery_without_a_fit_has_no_residual():
     """A form that is not positive definite, or constraints that no product
     meets (e = (1, 0) and 2e both idempotent), fit no tensor."""
+    K = jordan._FLOAT
     for p, note in [
-        (RecoveryProblem(dim=2, B=-np.eye(2), u=np.ones(2),
-                         cone_generators=[]), "form not positive definite"),
-        (RecoveryProblem(dim=2, B=np.eye(2), u=np.ones(2), cone_generators=[],
-                         outcome_vectors=[np.array([1.0, 0.0]),
-                                          np.array([2.0, 0.0])]),
+        (oracle.scaled_problem(K, -np.eye(2), np.ones(2)),
+         "form not positive definite"),
+        (oracle.scaled_problem(K, np.eye(2), np.ones(2),
+                               outcome_vectors=[np.array([1.0, 0.0]),
+                                                np.array([2.0, 0.0])]),
          "linear constraints inconsistent")]:
         res = recover_jordan_product(p)
         assert (res.algebra, res.linear_solution_dim, res.residual,

@@ -46,7 +46,8 @@ def test_invariance_rows_match_the_loops(data, dim, n_actions, exact):
     entries = small if exact else floats
     actions = [K.array(data.draw(matrices(entries, dim)))
                for _ in range(n_actions)]
-    rows = invariance_rows(actions, dim, "exact" if exact else "float")
+    rows = invariance_rows([K.scaled(M) for M in actions], dim,
+                           "exact" if exact else "float")
     # exact rows are integers: s² times the oracle's, s the common
     # denominator of the action
     scale = [math.lcm(*(x.denominator for x in M.flat)) ** 2 if exact

@@ -25,13 +25,15 @@ def denominator_reads(directory: Path) -> list:
 
 def calls_in(path: Path, function: str) -> set:
     """The names that the body of a module-level function calls, as
-    `name(...)` or `obj.name(...)`."""
+    `name(...)` or `obj.name(...)`, or hands on to a call as an argument
+    (as `map(K.scaled, actions)` does)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     body = next(f for f in tree.body
                 if isinstance(f, ast.FunctionDef) and f.name == function)
-    return {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
-            for n in ast.walk(body) if isinstance(n, ast.Call)
-            and isinstance(n.func, (ast.Name, ast.Attribute))}
+    calls = [n for n in ast.walk(body) if isinstance(n, ast.Call)]
+    return {f.id if isinstance(f, ast.Name) else f.attr
+            for f in (x for n in calls for x in [n.func, *n.args])
+            if isinstance(f, (ast.Name, ast.Attribute))}
 
 
 def test_package_has_no_assert_statement():
@@ -67,3 +69,19 @@ def test_cone_kernels_make_no_fraction_arithmetic():
         called = calls_in(SRC / "cones.py", function)
         assert not called & {"frac", "ray_primitive", "integer_row",
                              "_primitive_row"}, (function, sorted(called))
+
+
+def test_exact_stages_read_integer_pairs():
+    """The form checks and the recovery's rows and lift read the pairs
+    (s, s·M) that the effect space, the form and the recovery problem hold
+    from where each matrix is made: none scales a rational matrix to
+    integers again, or coerces to `Fraction`."""
+    for module, function in (("forms.py", "invariance_rows"),
+                             ("forms.py", "_fixed_covector_dim"),
+                             ("forms.py", "check_unitarity"),
+                             ("forms.py", "certify_flags"),
+                             ("jordan.py", "_cubic_rows"),
+                             ("jordan.py", "_linear_stage")):
+        used = calls_in(SRC / module, function)
+        assert not used & {"scaled", "_integer_block", "integer_row",
+                           "frac"}, (function, sorted(used))
