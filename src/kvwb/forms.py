@@ -111,23 +111,11 @@ def _unpack(v, dim: int, K: _Kind):
 # ---------------------------------------------------------------------------
 # invariant forms
 
-def invariant_symmetric_forms(E: OrderUnitSpace) -> list[BilinearForm]:
-    """Basis of symmetric forms with M_g^T B M_g = B for every generator.
-
-    Invariance under the generators extends to the whole generated group,
-    since the invariance condition is multiplicative in g, so the basis is
-    one nullspace over the generator rows.
-    """
-    K = _Kind(E.kind)
-    return [BilinearForm(_unpack(v, E.dim, K), E.kind, invariant=True)
-            for v in K.nullspace(E.invariance_rows)]
-
-
 def _fixed_covector_dim(E: OrderUnitSpace) -> int:
     """Dimension of {w : M^T w = w for every action M}: rows s·M^T - s·I."""
     K = _Kind(E.kind)
     rows = [A.T - s * np.identity(E.dim, A.dtype) for s, A in E.actions]
-    return len(K.nullspace(np.concatenate([K.zeros((0, E.dim)), *rows])))
+    return K.nullity(np.concatenate([K.zeros((0, E.dim)), *rows]))
 
 
 def _outcome_rows(E: OrderUnitSpace, K: _Kind) -> np.ndarray:
@@ -153,10 +141,11 @@ def is_irreducible(E: OrderUnitSpace) -> bool:
     forms on V are those on Ru (one), the products of Ru with the fixed
     covectors of W, and those on W; the fixed covectors of V are one on Ru
     plus those of W.  Hence the number of invariant symmetric forms on W
-    is dim{invariant forms on V} - dim{w : M^T w = w}: two nullspaces over
-    the generator rows, with no complement chosen.
+    is dim{invariant forms on V} - dim{w : M^T w = w}: two nullities over
+    the generator rows, with no basis built and no complement chosen.
     """
-    return len(invariant_symmetric_forms(E)) - _fixed_covector_dim(E) == 1
+    return (_Kind(E.kind).nullity(E.invariance_rows)
+            - _fixed_covector_dim(E) == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -322,11 +322,7 @@ def np_nullspace(A: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     if A.size == 0 or A.shape[0] == 0:
         return np.eye(A.shape[1])
     u, s, vt = np.linalg.svd(A)
-    smax = s[0] if len(s) else 0.0
-    null = vt[[i for i in range(vt.shape[0]) if i >= len(s) or s[i] <= rtol * max(smax, 1.0)]]
-    if null.shape[0] == 0:
-        return null
-    return np_rref(null, tol=1e-12)
+    return np_rref(vt[int((s > rtol * max(s[0], 1.0)).sum()):], tol=1e-12)
 
 
 def np_rref(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -425,3 +421,8 @@ class _Kind:
             basis = nullspace(A.tolist()) if len(A) else identity(n)
             return np.array(basis, dtype=object).reshape(len(basis), n)
         return np_nullspace(A)
+
+    def nullity(self, A: np.ndarray) -> int:
+        """`len(self.nullspace(A))`; exact, with no basis read off."""
+        return A.shape[1] - rank(A.tolist()) if self.exact else len(
+            np_nullspace(A))

@@ -171,7 +171,8 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
         E = effectspace.build_effect_space(m)
         add("effect-space", PASS,
             {"dim": E.dim, "kind": E.kind, "span_dim": E.span_dim,
-             "generators": len(E.cone_generators)}, E.notes)
+             "generators": len(E.cone_generators if E.effect_cone is None
+                               else E.effect_cone.matrix)}, E.notes)
     except Exception as exc:  # surfaced, not swallowed: the report says why
         E = None
         add("effect-space", FAIL, {"error": str(exc)})

@@ -17,12 +17,12 @@ from typing import Optional
 import numpy as np
 
 from kvwb.effectspace import OrderUnitSpace
-from kvwb.forms import BilinearForm, invariant_symmetric_forms
+from kvwb.forms import BilinearForm
 from kvwb.linalg import (Mat, ONE, ZERO, mat_mul, mat_vec, np_nullspace,
                          np_rref, nullspace, solve, transpose)
 from kvwb.models import Model, Perm, orbit, perm_compose
 from reference_kernels import (_full_symmetric_basis, _invariance_rows,
-                               rational_actions)
+                               invariant_symmetric_forms, rational_actions)
 
 
 def mulclose(generators: tuple[Perm, ...]) -> list[Perm]:

@@ -86,7 +86,11 @@ scaled `Fraction` matrices on each call before the stages held those pairs
 (`scaled_invariance_rows`, `scaled_fixed_covector_dim`,
 `scaled_check_unitarity`, `scaled_certify_flags` and
 `fraction_linear_stage`) and the one rank per outcome of the outcome frame
-(`rank_loop_positions`) are the last section.
+(`rank_loop_positions`) follow.  The last section holds the one `lstsq`
+and SVD of the float recovery solve (`lstsq_solve_float`) that the
+Gram-certified solve of `kvwb.jordan._solve_float` replaced, and the basis
+of invariant forms (`invariant_symmetric_forms`, `form_count_is_irreducible`)
+whose length `kvwb.forms.is_irreducible` took before it read the nullity.
 
 Slow and obviously correct; the property tests require the fast kernels to
 return exactly what these return.
@@ -2333,3 +2337,44 @@ def fraction_linear_stage(p: RecoveryProblem):
     T[iu, ju] = Tp
     T[ju, iu] = Tp
     return T
+
+
+# ---------------------------------------------------------------------------
+# the lstsq float solve and the form count
+
+def lstsq_solve_float(A: np.ndarray, b: np.ndarray):
+    """Least-squares solution and nullspace basis (columns) of A t = b.
+
+    The rank is read off the singular values `lstsq` returns, with the rule
+    s > 1e-9 * s[0]; only a short rank pays for an SVD, a thin one when A
+    has at least as many rows as columns (then `vt` is square) and a full
+    one otherwise.  (None, None) when the system is inconsistent.
+    """
+    t0, _, _, s = np.linalg.lstsq(A, b, rcond=None)
+    if float(np.abs(A @ t0 - b).max()) > 1e-7:
+        return None, None
+    rank = int((s > 1e-9 * s[0]).sum())
+    if rank == A.shape[1]:
+        return t0, np.zeros((A.shape[1], 0))
+    vt = np.linalg.svd(A, full_matrices=len(A) < A.shape[1])[2]
+    return t0, vt[rank:].T
+
+
+def invariant_symmetric_forms(E: OrderUnitSpace) -> list:
+    """Basis of symmetric forms with M_g^T B M_g = B for every generator.
+
+    Invariance under the generators extends to the whole generated group,
+    since the invariance condition is multiplicative in g, so the basis is
+    one nullspace over the generator rows.
+    """
+    from kvwb.forms import BilinearForm, _unpack
+    K = _Kind(E.kind)
+    return [BilinearForm(_unpack(v, E.dim, K), E.kind, invariant=True)
+            for v in K.nullspace(E.invariance_rows)]
+
+
+def form_count_is_irreducible(E: OrderUnitSpace) -> bool:
+    """`kvwb.forms.is_irreducible` counting a basis of the invariant forms
+    and of the fixed covectors."""
+    return (len(invariant_symmetric_forms(E))
+            - scaled_fixed_covector_dim(E) == 1)

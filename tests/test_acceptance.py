@@ -299,12 +299,15 @@ def test_criterion_9_byte_identical_reports():
 #: full-tensor rows only float residuals and errors changed, each by under
 #: 1e-12.  All three were recorded again when the homogeneity stage was
 #: read off the recovered product, which changed only that stage's data and
-#: notes.  LAPACK's results depend on its thread count, so the digests hold
-#: for one thread only (with two, `qutrit:complex` gives 02a05206...).
+#: notes, and again when the float recovery moved from `lstsq` to a solve
+#: on the Gram matrix of its rows, which moved only float residuals and
+#: errors, each by under 1e-12.  LAPACK's results depend on its thread
+#: count, so the digests hold for one thread only (with two,
+#: `qutrit:complex` gives 1da55161...).
 QUANTUM_REPORT_SHA256 = {
-    "qubit:real": "013b48c87291acc9adc1d751e8ee49446dbafe73cc5c32c89245c0b00f0dd970",
-    "qubit:complex": "caeb5d2ae8c116824722befbb8d22e847bb5e7d68906e3bd02ebb8c28abc61f5",
-    "qutrit:complex": "7720c98f4495962769f1096873f4a0daa78bd07f4be62ccdac0d09e55ddb265a",
+    "qubit:real": "f7845923261e4a883eb8c532fefddc1938731d33492bd09c89276ad07d45d915",
+    "qubit:complex": "fbb492096f7697a03ae983d2e4d1e203ee6a31381d1306533e2f500d5ef0117d",
+    "qutrit:complex": "2826c32e588b6684cb9f864b33c009dc54b760bfaf3a8e4c107dfab184e369d4",
 }
 
 

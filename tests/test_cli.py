@@ -504,7 +504,9 @@ def test_single_stage_commands_keep_their_bytes(runner, args):
 #: derived form of the conjugate, the spin search and the recovered product
 #: print float matrices, which must keep every bit.  The recovered product's
 #: digest was recorded again when recovery moved to the symmetric cubic
-#: form; its tensor entries and residual moved by under 1e-12.
+#: form, and when the float recovery moved from `lstsq` to a solve on the
+#: Gram matrix of its rows; each time its tensor entries and residual moved
+#: by under 1e-12.
 FLOAT_CLI_SHA256 = {
     ("conjugate", "qubit:real"):
         "ce70244a42c230f554adf5f8ffced15f4ce4a81ffb92e6b612c5c41de2212a7c",
@@ -515,7 +517,7 @@ FLOAT_CLI_SHA256 = {
     ("spin", "qutrit:complex"):
         "a72fc062b5727f6cc68a9e1781e3f975193c45a4a9a011986d8413903a6f041e",
     ("jordan", "recover", "qubit:complex"):
-        "e52c2c02712fb26bb47962b2e8cc6bfbc0431243812eff48e89e848d5f97d96e",
+        "cd766a93aa08738642858794c227106e00f905d3a4e35996e1c76ac76ea8299b",
 }
 
 

@@ -3,7 +3,9 @@
 `certify_flags`, `pairwise_form_positivity` and `is_positive_definite` must
 return what the oracles return on random rational actions, forms and cones
 of dimension at most 4.  A guard checks that the exact form checks make no
-`Fraction` product, and a spy that the pointedness LP runs once per run."""
+`Fraction` product, and a spy that the pointedness LP runs once per run.
+On the built-ins, `is_irreducible` must give the verdict of counting a
+basis of the invariant forms."""
 from fractions import Fraction as F
 from functools import cache
 from types import SimpleNamespace
@@ -19,7 +21,7 @@ from kvwb.cones import PolyhedralCone, pairwise_form_positivity
 from kvwb.effectspace import build_effect_space
 from kvwb.forms import (BilinearForm, _fixed_covector_dim, certify_flags,
                         check_unitarity, find_orthogonalizing_spin_form,
-                        invariance_rows)
+                        invariance_rows, is_irreducible)
 from kvwb.linalg import _Kind, is_positive_definite
 from kvwb.pipeline import run_pipeline
 
@@ -268,3 +270,15 @@ def test_integer_pairs_match_the_fraction_bodies(name):
     oracle.scaled_certify_flags(want, E)
     assert [getattr(got, f) for f in FLAGS] == [getattr(want, f)
                                                 for f in FLAGS]
+
+
+@pytest.mark.parametrize("name", EXACT_SPACES + [
+    "qubit:real", "qubit:complex", "qutrit:complex"])
+def test_irreducibility_reads_two_nullities(name):
+    """`is_irreducible` reads the nullity of the invariance rows, and gives
+    the verdict of counting a basis of the invariant forms and of the fixed
+    covectors; the nullity is the length of the kind's null basis."""
+    E = build_effect_space(get_builtin(name))
+    K = _Kind(E.kind)
+    assert is_irreducible(E) == oracle.form_count_is_irreducible(E)
+    assert K.nullity(E.invariance_rows) == len(K.nullspace(E.invariance_rows))

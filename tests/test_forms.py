@@ -8,12 +8,11 @@ import pytest
 from kvwb.builtins import classical, get_builtin, squit, squit_klein
 from kvwb.effectspace import build_effect_space
 from kvwb.forms import (BilinearForm, check_spin_uniqueness, check_unitarity,
-                        find_orthogonalizing_spin_form, invariant_symmetric_forms,
-                        is_irreducible)
+                        find_orthogonalizing_spin_form, is_irreducible)
 from kvwb.linalg import dot, mat_vec
 from kvwb.models import distinguishable_pairs
 from reference_groups import average_form
-from reference_kernels import rational_actions
+from reference_kernels import invariant_symmetric_forms, rational_actions
 
 # worked out by hand from the three defining constraints on the squit
 # coordinates (basis states 0,1,2): zero on both distinguishable pairs,

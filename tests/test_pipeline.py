@@ -240,6 +240,26 @@ def test_invariance_rows_are_built_once(name, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ["classical:3", "squit", "squit:klein"])
+def test_exact_effect_space_stage_counts_the_integer_rows(name, monkeypatch):
+    """The effect-space stage counts the rows of the effect cone's integer
+    matrix, and an exact run never reads the cone's `Fraction` view
+    through `cone_generators`."""
+    from kvwb.effectspace import OrderUnitSpace
+    reads = []
+    fraction_view = OrderUnitSpace.cone_generators.fget
+
+    def counted(E):
+        reads.append(E)
+        return fraction_view(E)
+    monkeypatch.setattr(OrderUnitSpace, "cone_generators", property(counted))
+    rep = run(name)
+    E = build_effect_space(get_builtin(name))
+    assert rep.stage("effect-space").data["generators"] == len(
+        E.effect_cone.matrix) == len(fraction_view(E))
+    assert len(reads) == 0
+
+
 @pytest.mark.parametrize("name", ["classical:4", "squit", "qubit:complex"])
 def test_pair_checks_make_no_per_pair_form_values(name, monkeypatch):
     """The flag and derived-form pair checks read one Gram matrix."""

@@ -82,10 +82,11 @@ def refined_solve(A, b):
     """`_solve_float`, its solution corrected once by the least-squares
     solution for its residual, the residual taken in extended precision.
     The tensor rows are worse conditioned than the cubic rows (condition
-    number 6.6e4 against 2.1e4 on the draw pinned below), and their plain
-    solve lands 1.5e-12 from their least-squares solution there, while the
-    cubic rows' solve lands within 2e-13 of theirs; corrected, the tensor
-    rows' solution is within 1e-16 of it."""
+    number 6.6e4 against 2.1e4 on the first draw pinned below; both are
+    too ill-conditioned for the Gram certificate, so both take the SVD),
+    and their plain solve lands 2e-12 from their least-squares solution
+    there, while the cubic rows' solve lands within 1.2e-13 of theirs;
+    corrected, the tensor rows' solution is within 3e-16 of it."""
     t0, N = _solve_float(A, b)
     if t0 is None:
         return None, None
@@ -148,9 +149,17 @@ def assert_same_solutions(p, idempotence, old=None):
         return
     kappa = max(condition(cubic_rows(q, FLOAT)[0]),
                 condition(oracle.linear_rows_float(p, idempotence)[0]))
+    assert_same_float_solutions(n, o, kappa)
+
+
+def assert_same_float_solutions(n, o, kappa):
+    """Float solutions n and o, each a particular solution and then a null
+    basis as columns, agree: the null bases span one space and the
+    particular solutions differ by a null vector, within
+    max(1e-12, 2·ε·κ·max(1, |o|∞))."""
     tol = max(1e-12, 2 * np.finfo(float).eps * kappa
               * max(1.0, np.abs(o).max()))
-    if nullity == 0:
+    if n.shape[1] == 1:
         assert np.abs(n - o).max() <= tol
         return
     Qo, Qn = (np.linalg.qr(x[:, 1:])[0] for x in (o, n))
@@ -399,6 +408,54 @@ def test_full_rank_float_stage_returns_an_empty_basis():
     assert float(np.abs(A @ t0 - b).max()) <= 1e-7
 
 
+# Rows A = U·diag(s)·Vᵀ whose last three singular values are s[0] times a
+# ratio on either side of the Gram certificate (eigenvalue ratio 1e-8, so
+# singular ratio 1e-4) and of the rank rule's cut (1e-9), or exact zeros;
+# tall and wide; b = A·x, or that plus a unit vector orthogonal to the
+# range of A, which only rows with more rows than rank have.
+STRADDLE = [(ratio, shape, consistent)
+            for ratio in (1e-1, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 0.0)
+            for shape in ((40, 12), (8, 12))
+            for consistent in (True, False)
+            if consistent or shape[0] > shape[1] or ratio == 0.0]
+
+
+@pytest.mark.parametrize("ratio, shape, consistent", STRADDLE)
+def test_float_solve_straddles_the_rank_cut_as_the_lstsq_oracle(
+        ratio, shape, consistent, monkeypatch):
+    """`_solve_float` against the `lstsq` + SVD solve it replaced: the same
+    verdict on consistency, the same nullity, solutions that agree as
+    `assert_same_solutions` asks, and no certified (SVD-free) solve where
+    the oracle finds a rank deficit."""
+    m, n = shape
+    k = min(m, n)
+    rng = np.random.default_rng(0)
+    U, V = orthogonal(rng, m), orthogonal(rng, n)
+    s = np.r_[np.linspace(1.0, 0.5, k - 3), [ratio] * 3]
+    A = U[:, :k] * s @ V[:, :k].T
+    b = A @ rng.standard_normal(n)
+    if not consistent:
+        b += U[:, int((s > 0).sum())]
+    svds = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        svds.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    t, N = _solve_float(A, b)
+    certified = not svds
+    t0, N0 = oracle.lstsq_solve_float(A, b)
+    assert (t is None) == (t0 is None) == (not consistent)
+    if t is None:
+        return
+    assert N.shape == N0.shape
+    if certified:
+        assert N0.shape[1] == 0
+    assert_same_float_solutions(np.column_stack([t, N]),
+                                np.column_stack([t0, N0]), condition(A))
+
+
 def test_qutrit_recovery_builds_no_full_svd(monkeypatch):
     calls = []
     svd = np.linalg.svd
@@ -414,26 +471,36 @@ def test_qutrit_recovery_builds_no_full_svd(monkeypatch):
     assert not [c for c in calls if c[1] and c[2]], calls
 
 
-def test_qutrit_recovery_makes_one_lstsq_on_the_cubic_form(monkeypatch):
-    """d = 9: one least-squares solve over the 165 = 9·10·11/6 entries of
-    the cubic form, and no system over the 405 = 9·9·10/2 tensor entries."""
-    lstsq, zeros = np.linalg.lstsq, np.zeros
-    solves, arrays = [], []
+def test_qutrit_recovery_makes_one_gram_solve_on_the_cubic_form(
+        monkeypatch):
+    """d = 9: one solve over the 165 = 9·10·11/6 entries of the cubic form,
+    on their (165, 165) Gram matrix, whose eigenvalues certify the rank:
+    no `lstsq`, no SVD of the 1053 rows, and no system over the
+    405 = 9·9·10/2 tensor entries."""
+    calls = {"lstsq": [], "eigvalsh": [], "svd": []}
+    zeros, arrays = np.zeros, []
 
-    def spy_lstsq(a, *args, **kwargs):
-        solves.append(np.shape(a))
-        return lstsq(a, *args, **kwargs)
+    def spy(name):
+        f = getattr(np.linalg, name)
+
+        def counted(a, *args, **kwargs):
+            calls[name].append(np.shape(a))
+            return f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
 
     def spy_zeros(shape, *args, **kwargs):
         arrays.append(np.shape(zeros(shape)))
         return zeros(shape, *args, **kwargs)
 
     p = builtin_problem("qutrit:complex")
-    monkeypatch.setattr(np.linalg, "lstsq", spy_lstsq)
+    for name in calls:
+        spy(name)
     monkeypatch.setattr(np, "zeros", spy_zeros)
     res = recover_jordan_product(p)
     assert res.algebra is not None and res.linear_solution_dim == 0
-    assert solves == [(1053, 165)]
+    assert calls["lstsq"] == []
+    assert [s for s in calls["eigvalsh"] if s[-1] == 165] == [(165, 165)]
+    assert [s for s in calls["svd"] if s[-1] == 165] == []
     matrices = [s for s in arrays if len(s) == 2]
     assert not [s for s in matrices if s[1] == 405], matrices
 

@@ -85,3 +85,14 @@ def test_exact_stages_read_integer_pairs():
         used = calls_in(SRC / module, function)
         assert not used & {"scaled", "_integer_block", "integer_row",
                            "frac"}, (function, sorted(used))
+
+
+def test_float_recovery_makes_no_lstsq():
+    """The float recovery solves on the Gram matrix of its rows, with an
+    SVD only when the rank is not certified: `jordan.py` names no
+    `np.linalg.lstsq`."""
+    tree = ast.parse((SRC / "jordan.py").read_text(encoding="utf-8"))
+    names = {n.attr if isinstance(n, ast.Attribute) else n.id
+             for n in ast.walk(tree)
+             if isinstance(n, (ast.Attribute, ast.Name))}
+    assert not {n for n in names if n.endswith("lstsq")}
