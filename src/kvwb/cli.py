@@ -212,8 +212,7 @@ def spin(model, seed, tol, out):
            "form": form_to_json(res.form) if res.form is not None else None,
            "notes": res.notes}
     _emit(dumps_canonical(doc), out)
-    ok = res.form is not None and all(res.form.flag_summary().values())
-    if not ok:
+    if res.good_form is None:
         sys.exit(1)
 
 
@@ -400,11 +399,11 @@ def _recovered(model, seed, tol):
     from .pipeline import _recovery_problem
     m = _load(model, seed)
     E = effectspace.build_effect_space(m)
-    res = forms.find_orthogonalizing_spin_form(m, E, tol=tol)
-    if res.form is None or not all(res.form.flag_summary().values()):
+    form = forms.find_orthogonalizing_spin_form(m, E, tol=tol).good_form
+    if form is None:
         raise click.ClickException("no invariant form in good standing; "
                                    "recovery needs one")
-    prob = _recovery_problem(E, res.form, tol)
+    prob = _recovery_problem(E, form, tol)
     return m, jordan.recover_jordan_product(prob, seed=seed)
 
 

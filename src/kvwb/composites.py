@@ -10,7 +10,6 @@ reproduces the unique orthogonalizing invariant form.
 """
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,9 +20,9 @@ import numpy as np
 from .effectspace import OrderUnitSpace, build_effect_space
 from .forms import BilinearForm, certify_flags, check_unitarity
 from .cones import separators
-from .linalg import Row, _Kind, integer_row
-from .lp import (LPResult, check_certificate, convex_membership,
-                 solve_feasibility)
+from .linalg import Row, _Kind, _lowest, integer_row
+from .lp import (LPResult, _merge_rows, check_certificate,
+                 convex_membership, solve_feasibility)
 from .models import (Model, PermutationGroup, PolytopeBackend, QuantumBackend,
                      orbit, vertex_permutation)
 from .spectral import _lstsq
@@ -204,20 +203,25 @@ def validate_bipartite(w: BipartiteState, tol: float = 1e-9) -> BipartiteReport:
 
 @dataclass(eq=False)
 class OmegaHat:
-    """Matrix W with (W a) . b = omega-value, for effect coords a, b.
+    """Matrix W with (W a) . b = omega-value, for effect coords a, b, held
+    as the pair (s, s·W) of `_Kind.scaled`.
 
     Functionals on the partner's effect space are stored as coefficient
     vectors against its coordinates, so pairing is a plain dot product.
     """
 
-    matrix: object
+    scaled: tuple
     source: OrderUnitSpace
     target: OrderUnitSpace
     kind: str
 
+    @property
+    def matrix(self):
+        """W itself: nested `Fraction` lists when exact."""
+        return _Kind(self.kind).unscaled(self.scaled)
+
     def rank(self) -> int:
-        K = _Kind(self.kind)
-        return K.rank(K.array(self.matrix))
+        return _Kind(self.kind).rank(self.scaled[1])
 
 
 def omega_hat(w: BipartiteState, E_A: Optional[OrderUnitSpace] = None,
@@ -265,7 +269,7 @@ def omega_hat(w: BipartiteState, E_A: Optional[OrderUnitSpace] = None,
             f"table violates an effect dependency: outcome {x!r} is not "
             f"consistent with the independent family (error "
             f"{err[bad[0]] / s:.2e})", witness=x)
-    return OmegaHat(K.unscaled((s_w, W)), E_A, E_B, E_A.kind)
+    return OmegaHat((s_w, W), E_A, E_B, E_A.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +309,7 @@ def is_isomorphism_state(w: BipartiteState,
     E_B = E_B or build_effect_space(w.B)
     oh = omega_hat(w, E_A, E_B, tol=tol)
     K = _Kind(oh.kind, tol)
-    s_w, W = K.scaled(oh.matrix)
+    s_w, W = oh.scaled
     if W.shape[0] != W.shape[1] or K.rank(W) < len(W):
         return IsomorphismStateReport(False, False, None, None,
                                       ["matrix is singular"])
@@ -449,17 +453,8 @@ def find_conjugate_state(m: Model, gamma: Optional[dict[str, str]] = None,
         orbit_of = _unknown_orbits(m, gamma, pos, mu0, nu0, nvar)
     ncols = max(orbit_of) + 1
 
-    merged: dict = {}              # reduced row -> its index, in order
-    row_class = []                 # full row -> index of its reduced row
-    to_col = orbit_of + [ncols]
-    for row, d in rows:
-        red: dict[int, int] = {}
-        for j, a in row.items():
-            red[to_col[j]] = red.get(to_col[j], 0) + a
-        g = math.gcd(d, *red.values())
-        key = (tuple(sorted((o, a // g) for o, a in red.items())), d // g)
-        row_class.append(merged.setdefault(key, len(merged)))
-    res = solve_feasibility([(dict(items), d) for items, d in merged], ncols)
+    merged, row_class = _merge_rows(rows, orbit_of + [ncols])
+    res = solve_feasibility(merged, ncols)
 
     if not res.feasible:
         size = Counter(row_class)
@@ -591,6 +586,8 @@ def spin_form_from_conjugate(c: Conjugate,
     S = Ci.T @ T[np.ix_(frame.at, frame.at)] @ Ci   # s_t·s_i² · S
     s = 2 * s_t * s_i * s_i                         # S + Sᵀ = s·B
     B = BilinearForm(K.unscaled((s, S + S.T)), E.kind)
+    if K.exact:
+        B.scaled = _lowest(s, S + S.T)
     # s_v²·s · (V B Vᵀ - T); float scales are 1.0 and 2.0, exact in binary
     err = np.abs(V @ (S + S.T) @ V.T - T * (2 * s_i * s_i * s_v * s_v))
     s *= s_v * s_v

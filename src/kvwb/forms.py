@@ -20,7 +20,7 @@ import numpy as np
 
 from .effectspace import OrderUnitSpace
 from .linalg import _Kind, _lowest, is_positive_definite, is_symmetric
-from .lp import free_feasibility
+from .lp import CertificateError, _merge_rows, free_feasibility
 from .models import distinguishable_pairs
 
 TRI_STATE = Optional[bool]          # True / False / None = unchecked
@@ -158,6 +158,12 @@ class SpinFormResult:
     notes: list[str] = field(default_factory=list)
     basis: list = field(default_factory=list)        # homogeneous solution basis
 
+    @property
+    def good_form(self) -> Optional[BilinearForm]:
+        """The form in good standing: the form when every flag holds."""
+        f = self.form
+        return f if f is not None and all(f.flag_summary().values()) else None
+
 
 def find_orthogonalizing_spin_form(m, E: OrderUnitSpace, tol: float = 1e-9
                                    ) -> SpinFormResult:
@@ -168,7 +174,8 @@ def find_orthogonalizing_spin_form(m, E: OrderUnitSpace, tol: float = 1e-9
     (1 means unique up to scale) and a form when the normalized slice meets
     the positivity constraints; positivity on generator pairs is sufficient
     for positivity on the whole cone by bilinearity.  An exact space finds
-    the form by an LP over the whole solution space; a float one refuses a
+    the form by an LP over the whole solution space, with equal positivity
+    rows merged and the point checked on every pair; a float one refuses a
     solution space of dimension above one.  The flags of the form are set
     by `certify_flags`; `invariant` holds by construction.
     """
@@ -196,8 +203,9 @@ def find_orthogonalizing_spin_form(m, E: OrderUnitSpace, tol: float = 1e-9
         G = E.effect_cone.matrix
         s_u, U = E.scaled_unit
         iu, ju = np.triu_indices(len(G))
-        ineqs = [({k: x for k, x in enumerate(col) if x}, s)
-                 for col in (G @ A @ G.T)[:, iu, ju].T.tolist()]
+        P = (G @ A @ G.T)[:, iu, ju]                # s · g·A_k·g', per pair
+        ineqs = _merge_rows([({k: x for k, x in enumerate(col) if x}, s)
+                             for col in P.T.tolist()], range(h))[0]
         q_u = s * s_u * s_u
         norm = {k: x for k, x in enumerate((U @ A @ U).tolist()) if x}
         res = free_feasibility(ineqs, [({**norm, h: q_u}, q_u)], h)
@@ -205,6 +213,8 @@ def find_orthogonalizing_spin_form(m, E: OrderUnitSpace, tol: float = 1e-9
             return SpinFormResult(None, h, ["no cone-positive form on the "
                                             "normalized slice"])
         s_c, C = K.scaled(res.point)
+        if (np.tensordot(C, P, 1) < 0).any():      # every unmerged row
+            raise CertificateError("spin form fails a positivity row")
         S = _lowest(s_c * s, np.tensordot(C, A, 1))
         form = BilinearForm(K.unscaled(S), "exact", invariant=True)
         form.scaled = S

@@ -182,6 +182,21 @@ def check_certificate(rows: list[Row], n: int, res: LPResult) -> None:
         raise CertificateError("farkas certificate failed rhs check")
 
 
+def _merge_rows(rows: list[Row], to_col) -> tuple[list[Row], list[int]]:
+    """The rows with column j summed into column to_col[j], divided by their
+    gcd and kept once, in first-seen order; and each row's merged index."""
+    merged: dict = {}
+    row_class = []
+    for row, d in rows:
+        red: dict[int, int] = {}
+        for j, a in row.items():
+            red[to_col[j]] = red.get(to_col[j], 0) + a
+        g = math.gcd(d, *red.values())
+        key = (tuple(sorted((o, a // g) for o, a in red.items())), d // g)
+        row_class.append(merged.setdefault(key, len(merged)))
+    return [(dict(items), d) for items, d in merged], row_class
+
+
 def _against_rows(x: Vec) -> list[int]:
     """(s·x, -s), s the common denominator of x: a `Row` (r, den) of
     [a | b] sums against it, Σ_j r[j]·(s·x, -s)[j], to s·den·(a·x - b)."""

@@ -1,10 +1,12 @@
 """End-to-end analysis pipeline over a single model.
 
-Stages run in dependency order and are reported in `STAGE_ORDER`; each
-gets a status out of pass / fail / not-applicable / unknown.  A failed
-prerequisite marks the dependents not-applicable — never pass.  Everything
-downstream of the random seed is deterministic, so two runs with the same
-inputs produce byte-identical reports.
+Each stage is a row of `_STAGES`: a name, its prerequisites, its
+not-applicable note and a body.  The stages run in that order, are reported
+in `STAGE_ORDER`, and each gets a status out of pass / fail / not-applicable
+/ unknown.  One loop marks a stage not-applicable — never pass — when
+validation or a prerequisite did not pass.  Everything downstream of the
+random seed is deterministic, so two runs with the same inputs produce
+byte-identical reports.
 """
 from __future__ import annotations
 
@@ -121,6 +123,242 @@ class PipelineReport:
         return "\n".join(lines).rstrip("\n") + "\n"
 
 
+@dataclass
+class _Run:
+    """One run's inputs, its statuses so far and what later stages read."""
+    m: models.Model
+    seed: int
+    tol: float
+    sample_count: int
+    status: dict = field(default_factory=dict)
+    E: object = None            # effectspace.OrderUnitSpace
+    spin: object = None         # the invariant form, when in good standing
+    sd: object = None           # the exact self-duality report
+    res: object = None          # the recovery result
+
+
+def _validation(c: _Run):
+    vrep = models.validate_model(c.m, tol=c.tol)
+    return PASS if vrep.ok else FAIL, {"problems": vrep.problems, **vrep.data}
+
+
+def _bisymmetry(c: _Run):
+    brep = models.check_bisymmetry(c.m)
+    full = brep.fully_bisymmetric
+    return (UNKNOWN if full is None else PASS if full else FAIL,
+            {"pure_state_transitive": brep.pure_state_transitive,
+             "test_transitive": brep.test_transitive,
+             "pair_transitive": brep.pair_transitive,
+             "fully_bisymmetric": full, "orbit_counts": brep.orbit_counts},
+            brep.notes)
+
+
+def _sharpness(c: _Run):
+    srep = models.is_sharp(c.m)
+    return (PASS if srep.sharp else FAIL,
+            {"sharp": srep.sharp, "witness": srep.witness}, srep.notes)
+
+
+def _effect_space(c: _Run):
+    try:
+        c.E = E = effectspace.build_effect_space(c.m)
+        return PASS, {"dim": E.dim, "kind": E.kind, "span_dim": E.span_dim,
+                      "generators": len(E.cone_generators
+                                        if E.effect_cone is None
+                                        else E.effect_cone.matrix)}, E.notes
+    except Exception as exc:  # surfaced, not swallowed: the report says why
+        return FAIL, {"error": str(exc)}
+
+
+def _irreducibility(c: _Run):
+    irr = forms.is_irreducible(c.E)
+    return PASS if irr else FAIL, {
+        "irreducible": irr,
+        "meaning": "exactly one invariant symmetric form on the "
+                   "trace-zero subspace, up to scale"}
+
+
+def _spin_form(c: _Run):
+    """The orthogonalizing unit-normalized invariant form."""
+    sres = forms.find_orthogonalizing_spin_form(c.m, c.E, tol=c.tol)
+    h = sres.solution_space_dim
+    flags = sres.form.flag_summary() if sres.form is not None else {}
+    c.spin = sres.good_form
+    if c.spin is not None:
+        return PASS, {"solution_space_dim": h, "flags": flags,
+                      "unique_up_to_normalization": h == 1,
+                      "matrix": c.spin.matrix}, sres.notes
+    notes = sres.notes if sres.form is None else sres.notes + [
+        "a form satisfying the linear constraints exists but fails "
+        + ", ".join(k for k, v in flags.items() if not v)]
+    return FAIL, {"solution_space_dim": h, "flags": flags}, notes
+
+
+def _unitarity(c: _Run):
+    uok = forms.check_unitarity(c.E.actions, c.spin, tol=c.tol)
+    return PASS if uok else FAIL, {
+        "all_generators_unitary": uok,
+        "meaning": "M^T B M = B for every symmetry generator"}
+
+
+def _conjugate(c: _Run):
+    m, E, tol = c.m, c.E, c.tol
+    cnotes, eta = [], None
+    try:
+        gamma = conjugation_bijection(m, tol=tol)
+        eta = composites.find_conjugate_state(m, gamma=gamma, tol=tol)
+    except composites.CompositeError as exc:
+        cnotes.append(f"search aborted: {exc}")
+    if eta is None:
+        return FAIL, {"found": False,
+                      "note": "no bipartite state satisfies the conjugate "
+                              "constraints (normalization, conditionals in "
+                              "the cone both ways, uniform diagonal, "
+                              "symmetry invariance)"}, cnotes
+    eta_iso = composites.is_isomorphism_state(eta, E, E, tol=tol)
+    # find_conjugate_state certified every check of validate_bipartite
+    cdata = {"found": True, "valid_bipartite": True,
+             "diagonal": [eta.value(x, gamma[x]) for x in m.outcomes],
+             "isomorphism_state": {
+                 "is_iso": eta_iso.is_iso, "invertible": eta_iso.invertible,
+                 "forward_positive": eta_iso.forward_positive,
+                 "inverse_positive": eta_iso.inverse_positive,
+                 "failures": eta_iso.failures}}
+    if c.spin is not None:
+        conj = composites.conjugate_from_state(m, gamma, eta)
+        derived = composites.spin_form_from_conjugate(conj, E, tol=tol)
+        K = _Kind(c.spin.kind, tol)
+        (s_d, D), (s_s, S) = derived.scaled, c.spin.scaled
+        dev = K.unscaled((s_d * s_s, np.max(np.abs(D * s_s - S * s_d))))
+        cdata["derived_form_flags"] = derived.flag_summary()
+        cdata["derived_matches_invariant_form"] = K.is_zero(dev)
+        cdata["derived_form_deviation"] = dev
+    return PASS, cdata, cnotes
+
+
+def _self_duality(c: _Run):
+    E, spin, tol = c.E, c.spin, c.tol
+    if E.kind == "exact":
+        c.sd = sdrep = cones.is_self_dual(E.effect_cone, spin.matrix,
+                                          E.dual_effect_cone)
+        return PASS if sdrep.self_dual else FAIL, {
+            "self_dual": sdrep.self_dual,
+            "pairwise_min": sdrep.pairwise_min,
+            "pairwise_argmin": sdrep.pairwise_argmin,
+            "dual_generators": sdrep.dual.all_generators(),
+            "failures": sdrep.failures}, [
+            "exact double-description computation of the dual cone"]
+    # sampled + analytic: pair the sampled effects under the form, and
+    # certify the full cone analytically when the form is the trace
+    # pairing (the positive-semidefinite cone is self-dual under it).
+    gens = [np.asarray(g, float) for g in E.cone_generators]
+    Bm = np.asarray(spin.matrix, float)
+    pmin, parg = min(((float(g @ Bm @ h), (i, j)) for i, g in enumerate(gens)
+                      for j, h in enumerate(gens)),
+                     key=lambda t: t[0], default=(None, ()))
+    dev = float(np.max(np.abs(Bm - np.eye(E.dim) / c.m.states.dim)))
+    analytic = bool(c.m.states.builtin) and dev <= 1e-6
+    ok = (pmin is not None and pmin >= -tol) and analytic
+    return PASS if ok else FAIL, {
+        "self_dual": ok, "sampled_pairwise_min": pmin,
+        "sampled_pairwise_argmin": list(parg),
+        "trace_form_deviation": dev, "analytic_certificate": analytic}, [
+        "sampled check: all pairs of sampled effects pair nonnegatively "
+        "under the form",
+        "analytic certificate: the form equals the normalized trace "
+        "pairing, under which the positive-semidefinite cone is self-dual"]
+
+
+def _weak_self_duality(c: _Run):
+    if c.E.kind == "exact":
+        wrep = cones.is_weakly_self_dual(c.E.effect_cone, c.sd.dual)
+        return ({"yes": PASS, "no": FAIL, "unknown": UNKNOWN}[wrep.status],
+                {"status": wrep.status, "map": wrep.map,
+                 "ray_bijection": wrep.bijection, "scalars": wrep.scalars},
+                wrep.notes)
+    if c.status["self-duality"] == PASS:
+        return PASS, {"status": "yes", "map": "identity"}, [
+            "a self-dual cone is weakly self-dual via the identity"]
+    return UNKNOWN, {"status": "unknown"}, [
+        "no exact ray enumeration for sampled quantum cones"]
+
+
+def _jordan_recovery(c: _Run):
+    """Order-unit product recovery, with the symmetric-cone check."""
+    prob = _recovery_problem(c.E, c.spin, c.tol)
+    c.res = res = jordan.recover_jordan_product(prob, seed=c.seed)
+    # an algebra comes back only through every gate of the recovery;
+    # the unit's interior heuristic is the one it does not enforce
+    ok = res.algebra is not None and res.gates["unit_interior_heuristic"]
+    rdata = {"linear_solution_dim": res.linear_solution_dim,
+             "residual": res.residual, "seeds_agree": res.seeds_agree,
+             "gates": res.gates, "exact": prob.exact}
+    rnotes = list(res.notes)
+    if ok:
+        vrep = jordan.verify_symmetric_cone(
+            res.algebra, sample_count=c.sample_count, seed=c.seed, tol=c.tol)
+        rdata["symmetric_cone_check"] = {
+            "ok": vrep.ok, "failures": vrep.failures,
+            "max_homogeneity_error": vrep.max_homogeneity_error,
+            "min_self_duality_pairing": vrep.min_pairing}
+        rnotes += vrep.notes
+        ok = vrep.ok
+    # a family of products left by the linear stage decides nothing
+    return (PASS if ok else UNKNOWN if res.linear_solution_dim > 0 else FAIL,
+            rdata, rnotes)
+
+
+def _homogeneity(c: _Run):
+    """Homogeneity, read off the recovered product (Koecher-Vinberg).  A
+    cone of squares of a Euclidean Jordan algebra is homogeneous; without a
+    recovered product nothing is known, so the stage never says "fail"."""
+    if c.status["jordan-recovery"] != PASS:
+        return UNKNOWN, {"homogeneous": None, "proved": False}, [
+            "no Jordan product was recovered, so nothing is decided"]
+    exact = c.res.algebra.exact
+    return PASS, {"homogeneous": True, "proved": exact}, [
+        jordan.KV_NOTE if exact else
+        "sampled, not proved: gate 4 of the recovered product's "
+        "symmetric-cone check found P(w^(1/2)) e = w, with squares kept in "
+        "the cone, on every seeded interior sample w"]
+
+
+def _identification(c: _Run):
+    algebra = c.res.algebra
+    rank = jordan.recovered_rank(c.res, seed=c.seed)
+    cands = jordan.algebra_candidates(algebra.dim, rank)
+    notes = (["dimension and rank do not separate these candidates; listed "
+              "in full"] if len(cands) > 1 else [])
+    return (PASS if cands else FAIL,
+            {"dim": algebra.dim, "rank": rank, "candidates": cands}, notes)
+
+
+#: The stages in run order: (name, prerequisites, the not-applicable note
+#: when a prerequisite did not pass, body).  Every stage after validation
+#: also needs validation to pass.
+_STAGES = (
+    ("validation", (), None, _validation),
+    ("bisymmetry", (), None, _bisymmetry),
+    ("sharpness", (), None, _sharpness),
+    ("effect-space", (), None, _effect_space),
+    ("irreducibility", ("effect-space",), "needs the effect space",
+     _irreducibility),
+    ("spin-form", ("effect-space",), "needs the effect space", _spin_form),
+    ("unitarity", ("spin-form",), "needs the invariant form", _unitarity),
+    ("conjugate", ("effect-space",), "needs the effect space", _conjugate),
+    ("self-duality", ("spin-form",), "needs the invariant form",
+     _self_duality),
+    ("weak-self-duality", ("spin-form",), "needs the invariant form",
+     _weak_self_duality),
+    ("jordan-recovery", ("spin-form", "self-duality"),
+     "needs a self-dual cone and the invariant form", _jordan_recovery),
+    ("homogeneity", ("effect-space",), "needs the effect space",
+     _homogeneity),
+    ("identification", ("jordan-recovery",), "needs a recovered product",
+     _identification),
+)
+
+
 def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
                  expect=(), sample_count: int = 50) -> PipelineReport:
     expect = sorted(set(expect))
@@ -128,260 +366,17 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
     if unknown_tokens:
         raise ValueError(f"unknown expectation tokens {unknown_tokens}; "
                          f"valid: {sorted(EXPECT_TOKENS)}")
-    stages: list[Stage] = []
-    status: dict[str, str] = {}
-
-    def add(name, st, data=None, notes=None):
-        stages.append(Stage(name, st, data or {}, notes or []))
-        status[name] = st
-        return st
-
-    def blocked(*prereqs):
-        return any(status.get(p) != PASS for p in prereqs)
-
-    # -- validation ---------------------------------------------------------
-    vrep = models.validate_model(m, tol=tol)
-    add("validation", PASS if vrep.ok else FAIL,
-        {"problems": vrep.problems, **vrep.data})
-    if not vrep.ok:
-        for name in STAGE_ORDER[1:]:
-            add(name, NA, notes=["validation failed"])
-        return PipelineReport(m, seed, tol, stages, expect)
-
-    # -- bisymmetry ---------------------------------------------------------
-    brep = models.check_bisymmetry(m)
-    if brep.fully_bisymmetric is None:
-        bst = UNKNOWN
-    else:
-        bst = PASS if brep.fully_bisymmetric else FAIL
-    add("bisymmetry", bst,
-        {"pure_state_transitive": brep.pure_state_transitive,
-         "test_transitive": brep.test_transitive,
-         "pair_transitive": brep.pair_transitive,
-         "fully_bisymmetric": brep.fully_bisymmetric,
-         "orbit_counts": brep.orbit_counts}, brep.notes)
-
-    # -- sharpness ----------------------------------------------------------
-    srep = models.is_sharp(m)
-    add("sharpness", PASS if srep.sharp else FAIL,
-        {"sharp": srep.sharp, "witness": srep.witness}, srep.notes)
-
-    # -- effect space -------------------------------------------------------
-    try:
-        E = effectspace.build_effect_space(m)
-        add("effect-space", PASS,
-            {"dim": E.dim, "kind": E.kind, "span_dim": E.span_dim,
-             "generators": len(E.cone_generators if E.effect_cone is None
-                               else E.effect_cone.matrix)}, E.notes)
-    except Exception as exc:  # surfaced, not swallowed: the report says why
-        E = None
-        add("effect-space", FAIL, {"error": str(exc)})
-
-    # -- irreducibility -----------------------------------------------------
-    if blocked("effect-space"):
-        add("irreducibility", NA, notes=["needs the effect space"])
-        irr = None
-    else:
-        irr = forms.is_irreducible(E)
-        add("irreducibility", PASS if irr else FAIL,
-            {"irreducible": irr,
-             "meaning": "exactly one invariant symmetric form on the "
-                        "trace-zero subspace, up to scale"})
-
-    # -- orthogonalizing unit-normalized invariant form ----------------------
-    spin = None
-    if blocked("effect-space"):
-        add("spin-form", NA, notes=["needs the effect space"])
-    else:
-        sres = forms.find_orthogonalizing_spin_form(m, E, tol=tol)
-        flags = sres.form.flag_summary() if sres.form is not None else {}
-        if sres.form is not None and all(flags.values()):
-            spin = sres.form
-            add("spin-form", PASS,
-                {"solution_space_dim": sres.solution_space_dim,
-                 "unique_up_to_normalization": sres.solution_space_dim == 1,
-                 "flags": flags,
-                 "matrix": spin.matrix}, sres.notes)
+    c = _Run(m, seed, tol, sample_count)
+    stages = []
+    for name, needs, note, body in _STAGES:
+        if name != "validation" and c.status["validation"] != PASS:
+            stage = Stage(name, NA, notes=["validation failed"])
+        elif any(c.status[p] != PASS for p in needs):
+            stage = Stage(name, NA, notes=[note])
         else:
-            notes = list(sres.notes)
-            if sres.form is not None:
-                notes.append("a form satisfying the linear constraints "
-                             "exists but fails "
-                             + ", ".join(k for k, v in flags.items() if not v))
-            add("spin-form", FAIL,
-                {"solution_space_dim": sres.solution_space_dim,
-                 "flags": flags}, notes)
-
-    # -- unitarity of the symmetry action ------------------------------------
-    if blocked("spin-form"):
-        add("unitarity", NA, notes=["needs the invariant form"])
-    else:
-        uok = forms.check_unitarity(E.actions, spin, tol=tol)
-        add("unitarity", PASS if uok else FAIL,
-            {"all_generators_unitary": uok,
-             "meaning": "M^T B M = B for every symmetry generator"})
-
-    # -- conjugate state ------------------------------------------------------
-    eta = None
-    if blocked("effect-space"):
-        add("conjugate", NA, notes=["needs the effect space"])
-    else:
-        cdata: dict = {}
-        cnotes: list = []
-        try:
-            gamma = conjugation_bijection(m, tol=tol)
-            eta = composites.find_conjugate_state(m, gamma=gamma, tol=tol)
-        except composites.CompositeError as exc:
-            cnotes.append(f"search aborted: {exc}")
-        if eta is None:
-            add("conjugate", FAIL,
-                {"found": False,
-                 "note": "no bipartite state satisfies the conjugate "
-                         "constraints (normalization, conditionals in the "
-                         "cone both ways, uniform diagonal, symmetry "
-                         "invariance)"}, cnotes)
-        else:
-            cdata["found"] = True
-            # find_conjugate_state certified every check of validate_bipartite
-            cdata["valid_bipartite"] = True
-            cdata["diagonal"] = [eta.value(x, gamma[x]) for x in m.outcomes]
-            eta_iso = composites.is_isomorphism_state(eta, E, E, tol=tol)
-            cdata["isomorphism_state"] = {
-                "is_iso": eta_iso.is_iso, "invertible": eta_iso.invertible,
-                "forward_positive": eta_iso.forward_positive,
-                "inverse_positive": eta_iso.inverse_positive,
-                "failures": eta_iso.failures}
-            if spin is not None:
-                conj = composites.conjugate_from_state(m, gamma, eta)
-                derived = composites.spin_form_from_conjugate(conj, E, tol=tol)
-                K = _Kind(spin.kind, tol)
-                (s_d, D), (s_s, S) = derived.scaled, spin.scaled
-                dev = K.unscaled((s_d * s_s,
-                                  np.max(np.abs(D * s_s - S * s_d))))
-                cdata["derived_form_flags"] = derived.flag_summary()
-                cdata["derived_matches_invariant_form"] = K.is_zero(dev)
-                cdata["derived_form_deviation"] = dev
-            add("conjugate", PASS, cdata, cnotes)
-
-    # -- self-duality ---------------------------------------------------------
-    if blocked("spin-form"):
-        add("self-duality", NA, notes=["needs the invariant form"])
-    elif E.kind == "exact":
-        sdrep = cones.is_self_dual(E.effect_cone, spin.matrix,
-                                   E.dual_effect_cone)
-        add("self-duality", PASS if sdrep.self_dual else FAIL,
-            {"self_dual": sdrep.self_dual,
-             "pairwise_min": sdrep.pairwise_min,
-             "pairwise_argmin": sdrep.pairwise_argmin,
-             "dual_generators": sdrep.dual.all_generators(),
-             "failures": sdrep.failures},
-            ["exact double-description computation of the dual cone"])
-    else:
-        # sampled + analytic: pair the sampled effects under the form, and
-        # certify the full cone analytically when the form is the trace
-        # pairing (the positive-semidefinite cone is self-dual under it).
-        gens = [np.asarray(g, float) for g in E.cone_generators]
-        Bm = np.asarray(spin.matrix, float)
-        pmin, parg = None, ()
-        for i, g in enumerate(gens):
-            for j, h in enumerate(gens):
-                v = float(g @ Bm @ h)
-                if pmin is None or v < pmin:
-                    pmin, parg = v, (i, j)
-        trace_form = np.eye(E.dim) / m.states.dim
-        dev = float(np.max(np.abs(Bm - trace_form)))
-        analytic = bool(m.states.builtin) and dev <= 1e-6
-        ok = (pmin is not None and pmin >= -tol) and analytic
-        add("self-duality", PASS if ok else FAIL,
-            {"self_dual": ok, "sampled_pairwise_min": pmin,
-             "sampled_pairwise_argmin": list(parg),
-             "trace_form_deviation": dev,
-             "analytic_certificate": analytic},
-            ["sampled check: all pairs of sampled effects pair "
-             "nonnegatively under the form",
-             "analytic certificate: the form equals the normalized trace "
-             "pairing, under which the positive-semidefinite cone is "
-             "self-dual"])
-
-    # -- weak self-duality ------------------------------------------------------
-    if blocked("spin-form"):
-        add("weak-self-duality", NA, notes=["needs the invariant form"])
-    elif E.kind == "exact":
-        wrep = cones.is_weakly_self_dual(E.effect_cone, sdrep.dual)
-        wst = {"yes": PASS, "no": FAIL, "unknown": UNKNOWN}[wrep.status]
-        add("weak-self-duality", wst,
-            {"status": wrep.status, "map": wrep.map,
-             "ray_bijection": wrep.bijection, "scalars": wrep.scalars},
-            wrep.notes)
-    else:
-        if status["self-duality"] == PASS:
-            add("weak-self-duality", PASS,
-                {"status": "yes", "map": "identity"},
-                ["a self-dual cone is weakly self-dual via the identity"])
-        else:
-            add("weak-self-duality", UNKNOWN,
-                {"status": "unknown"},
-                ["no exact ray enumeration for sampled quantum cones"])
-
-    # -- order-unit product recovery ----------------------------------------------
-    recovered = None
-    if blocked("spin-form", "self-duality"):
-        add("jordan-recovery", NA,
-            notes=["needs a self-dual cone and the invariant form"])
-    else:
-        prob = _recovery_problem(E, spin, tol)
-        res = jordan.recover_jordan_product(prob, seed=seed)
-        # an algebra comes back only through every gate of the recovery;
-        # the unit's interior heuristic is the one it does not enforce
-        ok = (res.algebra is not None
-              and res.gates["unit_interior_heuristic"])
-        rdata = {"linear_solution_dim": res.linear_solution_dim,
-                 "residual": res.residual, "seeds_agree": res.seeds_agree,
-                 "gates": res.gates, "exact": prob.exact}
-        rnotes = list(res.notes)
-        if ok:
-            recovered = res.algebra
-            vrep3 = jordan.verify_symmetric_cone(
-                recovered, sample_count=sample_count, seed=seed, tol=tol)
-            rdata["symmetric_cone_check"] = {
-                "ok": vrep3.ok, "failures": vrep3.failures,
-                "max_homogeneity_error": vrep3.max_homogeneity_error,
-                "min_self_duality_pairing": vrep3.min_pairing}
-            rnotes += vrep3.notes
-            ok = ok and vrep3.ok
-        # a family of products left by the linear stage decides nothing
-        add("jordan-recovery", PASS if ok else
-            UNKNOWN if res.linear_solution_dim > 0 else FAIL, rdata, rnotes)
-
-    # -- homogeneity, read off the recovered product (Koecher-Vinberg) ---------
-    # A cone of squares of a Euclidean Jordan algebra is homogeneous; without
-    # a recovered product nothing is known, so the stage never says "fail".
-    if blocked("effect-space"):
-        add("homogeneity", NA, notes=["needs the effect space"])
-    elif blocked("jordan-recovery"):
-        add("homogeneity", UNKNOWN, {"homogeneous": None, "proved": False},
-            ["no Jordan product was recovered, so nothing is decided"])
-    else:
-        add("homogeneity", PASS,
-            {"homogeneous": True, "proved": recovered.exact},
-            [jordan.KV_NOTE if recovered.exact else
-             "sampled, not proved: gate 4 of the recovered product's "
-             "symmetric-cone check found P(w^(1/2)) e = w, with squares "
-             "kept in the cone, on every seeded interior sample w"])
-
-    # -- identification ---------------------------------------------------------
-    if blocked("jordan-recovery"):
-        add("identification", NA, notes=["needs a recovered product"])
-    else:
-        rank = jordan.recovered_rank(res, seed=seed)
-        cands = jordan.algebra_candidates(recovered.dim, rank)
-        idata = {"dim": recovered.dim, "rank": rank, "candidates": cands}
-        inotes = []
-        if len(cands) > 1:
-            inotes.append("dimension and rank do not separate these "
-                          "candidates; listed in full")
-        add("identification", PASS if cands else FAIL, idata, inotes)
-
+            stage = Stage(name, *body(c))
+        stages.append(stage)
+        c.status[name] = stage.status
     stages.sort(key=lambda s: STAGE_ORDER.index(s.name))
     return PipelineReport(m, seed, tol, stages, expect)
 

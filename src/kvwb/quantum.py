@@ -11,10 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "HermitianBasis", "hermitian_basis", "projection", "is_psd",
-    "random_unitary", "random_frame", "conjugation_action", "bloch_grid",
-]
+__all__ = ["HermitianBasis", "hermitian_basis", "projection",
+           "random_unitary", "conjugation_action"]
 
 
 @dataclass(eq=False)
@@ -84,11 +82,6 @@ def projection(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def is_psd(H: np.ndarray, tol: float = 1e-9) -> bool:
-    w = np.linalg.eigvalsh(H)
-    return bool(w.min() >= -tol)
-
-
 def random_unitary(d: int, rng: np.random.Generator, fld: str = "complex") -> np.ndarray:
     """Haar-ish random unitary (orthogonal for the real field) via QR."""
     if fld == "real":
@@ -101,34 +94,7 @@ def random_unitary(d: int, rng: np.random.Generator, fld: str = "complex") -> np
     return q * ph.conj()
 
 
-def random_frame(d: int, rng: np.random.Generator, fld: str = "complex") -> list[np.ndarray]:
-    """A maximal frame: rank-one projections onto the columns of a random unitary."""
-    U = random_unitary(d, rng, fld)
-    return [projection(U[:, k]) for k in range(d)]
-
-
 def conjugation_action(U: np.ndarray, basis: HermitianBasis) -> np.ndarray:
     """Real matrix of H -> U H U* in the coordinate space of `basis`."""
     cols = [basis.to_coords(U @ B @ U.conj().T) for B in basis.mats]
     return np.array(cols).T
-
-
-def bloch_grid(n: int, fld: str = "complex") -> list[np.ndarray]:
-    """Deterministic directions used to sample extreme rays of the qubit cone.
-
-    Complex field: Fibonacci sphere (n points).  Real field: half-circle grid.
-    """
-    if fld == "real":
-        out = []
-        for k in range(n):
-            th = np.pi * k / n      # direction angle of the unit vector
-            out.append(np.array([np.cos(th), np.sin(th)]))
-        return out
-    pts = []
-    golden = (1 + 5 ** 0.5) / 2
-    for k in range(n):
-        z = 1 - 2 * (k + 0.5) / n
-        r = np.sqrt(max(0.0, 1 - z * z))
-        th = 2 * np.pi * k / golden
-        pts.append(np.array([r * np.cos(th), r * np.sin(th), z]))
-    return pts

@@ -33,7 +33,8 @@ and the `Fraction` `omega_hat` (one solve per table row, with its
 `_basis_outcomes`), the per-ray-LP `is_isomorphism_state` and the per-ray-LP
 `is_self_dual` that the integer products on the outcome frames and the
 cached dual cones of `kvwb.composites` and `kvwb.cones` replaced (verbatim,
-but for `_solve`, the `_Kind.solve` they called), and the catalog of
+but for `_solve`, the `_Kind.solve` they called, and for the pair that
+`omega_hat` hands `OmegaHat`), and the catalog of
 `kvwb.jordan` built by loops over (real, imaginary) `Fraction` pairs, with
 the `Fraction` loops of `JordanAlgebra.product` (`loop_product`) and
 `trace_form_gram` (`loop_trace_form_gram`), that integer basis arrays and
@@ -90,7 +91,9 @@ scaled `Fraction` matrices on each call before the stages held those pairs
 and SVD of the float recovery solve (`lstsq_solve_float`) that the
 Gram-certified solve of `kvwb.jordan._solve_float` replaced, and the basis
 of invariant forms (`invariant_symmetric_forms`, `form_count_is_irreducible`)
-whose length `kvwb.forms.is_irreducible` took before it read the nullity.
+whose length `kvwb.forms.is_irreducible` took before it read the nullity,
+and the spin-form LP with one row per pair of effect-cone generators
+(`unmerged_spin_form`) that `kvwb.lp._merge_rows` reduced.
 
 Slow and obviously correct; the property tests require the fast kernels to
 return exactly what these return.
@@ -1223,7 +1226,7 @@ def omega_hat(w: BipartiteState, E_A: Optional[OrderUnitSpace] = None,
                 f"table violates an effect dependency: outcome {x!r} is not "
                 f"consistent with the independent family (error "
                 f"{float(err):.2e})", witness=x)
-    return OmegaHat(K.native(W), E_A, E_B, E_A.kind)
+    return OmegaHat(K.scaled(K.native(W)), E_A, E_B, E_A.kind)
 
 
 def is_isomorphism_state(w: BipartiteState,
@@ -2378,3 +2381,54 @@ def form_count_is_irreducible(E: OrderUnitSpace) -> bool:
     and of the fixed covectors."""
     return (len(invariant_symmetric_forms(E))
             - scaled_fixed_covector_dim(E) == 1)
+
+
+# ---------------------------------------------------------------------------
+# the unmerged spin-form LP
+
+def unmerged_spin_form(m, E: OrderUnitSpace):
+    """The exact `kvwb.forms.find_orthogonalizing_spin_form` with one LP
+    row per pair of effect-cone generators, before rows that are equal
+    after gcd reduction were merged (verbatim, but for the float branch,
+    which this oracle does not keep)."""
+    from kvwb.forms import SpinFormResult, _unpack, certify_flags
+    from kvwb.forms import BilinearForm as Form
+    from kvwb.linalg import _lowest
+    from kvwb.models import distinguishable_pairs
+    K = _Kind("exact")
+    dim = E.dim
+
+    pairs = set()
+    for a, b in distinguishable_pairs(m):
+        if (b, a) not in pairs:
+            pairs.add((a, b))
+    pairs = sorted(pairs)
+    V = _outcome_rows(E, K)
+    at = {x: i for i, x in enumerate(E.model.outcomes)}
+    X, Y = (V[[at[p[k]] for p in pairs]].reshape(-1, dim) for k in (0, 1))
+    basis = K.nullspace(np.concatenate([E.invariance_rows,
+                                        _packed_rows(X, Y)]))
+    h = len(basis)
+    if h == 0:
+        return SpinFormResult(None, 0, ["only the zero form satisfies the "
+                                        "linear constraints"])
+
+    mats = [_unpack(v, dim, K) for v in basis]
+    s, A = K.scaled(mats)                       # one denominator for all
+    G = E.effect_cone.matrix
+    s_u, U = E.scaled_unit
+    iu, ju = np.triu_indices(len(G))
+    ineqs = [({k: x for k, x in enumerate(col) if x}, s)
+             for col in (G @ A @ G.T)[:, iu, ju].T.tolist()]
+    q_u = s * s_u * s_u
+    norm = {k: x for k, x in enumerate((U @ A @ U).tolist()) if x}
+    res = free_feasibility(ineqs, [({**norm, h: q_u}, q_u)], h)
+    if not res.feasible:
+        return SpinFormResult(None, h, ["no cone-positive form on the "
+                                        "normalized slice"])
+    s_c, C = K.scaled(res.point)
+    S = _lowest(s_c * s, np.tensordot(C, A, 1))
+    form = Form(K.unscaled(S), "exact", invariant=True)
+    form.scaled = S
+    certify_flags(form, E)
+    return SpinFormResult(form, h, [], basis=mats)

@@ -5,7 +5,8 @@ return what the oracles return on random rational actions, forms and cones
 of dimension at most 4.  A guard checks that the exact form checks make no
 `Fraction` product, and a spy that the pointedness LP runs once per run.
 On the built-ins, `is_irreducible` must give the verdict of counting a
-basis of the invariant forms."""
+basis of the invariant forms, and the spin-form LP over merged rows an
+answer that the unmerged LP accepts."""
 from fractions import Fraction as F
 from functools import cache
 from types import SimpleNamespace
@@ -282,3 +283,38 @@ def test_irreducibility_reads_two_nullities(name):
     K = _Kind(E.kind)
     assert is_irreducible(E) == oracle.form_count_is_irreducible(E)
     assert K.nullity(E.invariance_rows) == len(K.nullspace(E.invariance_rows))
+
+
+@pytest.mark.parametrize("name", EXACT_SPACES)
+def test_merged_spin_lp_answers_the_unmerged_one(name):
+    """The spin LP over its merged positivity rows finds the unmerged LP's
+    form when the candidate space is a line, and otherwise a normalized
+    form that is nonnegative on every pair of effect-cone generators, as
+    the unmerged LP's is (squit:klein, a plane)."""
+    m = get_builtin(name)
+    E = build_effect_space(m)
+    got, want = (find_orthogonalizing_spin_form(m, E),
+                 oracle.unmerged_spin_form(m, E))
+    assert got.solution_space_dim == want.solution_space_dim
+    assert (got.form is None) is (want.form is None)
+    if want.form is None:
+        return
+    if want.solution_space_dim == 1:
+        assert got.form.matrix == want.form.matrix
+    G = E.effect_cone.matrix
+    for form in (got.form, want.form):
+        assert form.normalized
+        assert (G @ form.scaled[1] @ G.T >= 0).all()
+
+
+def test_spin_point_is_checked_against_every_row(monkeypatch):
+    """A point that the LP returns is substituted into every unmerged
+    positivity row; one that fails a row raises, also under `python -O`."""
+    from kvwb import forms
+    from kvwb.lp import CertificateError, LPResult
+    m = get_builtin("classical:3")
+    E = build_effect_space(m)
+    monkeypatch.setattr(forms, "free_feasibility", lambda ineqs, eqs, n:
+                        LPResult(True, point=[F(-1)] * n))
+    with pytest.raises(CertificateError):
+        forms.find_orthogonalizing_spin_form(m, E)

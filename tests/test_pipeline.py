@@ -172,6 +172,80 @@ def test_squit_klein_cascade():
     assert rep.stage("conjugate").status == "pass"
 
 
+def validation_failure():
+    """`classical:3` with vertex 0 summing to 2 on the one test."""
+    spec = model_to_json(get_builtin("classical:3"))
+    spec["states"]["extreme"][0]["e1"] = "1"
+    return run_pipeline(model_from_json(spec))
+
+
+def effect_space_failure(monkeypatch):
+    """`classical:3` with an effect space that cannot be built."""
+    from kvwb import effectspace
+
+    def broken(m):
+        raise ValueError("no effect space")
+
+    monkeypatch.setattr(effectspace, "build_effect_space", broken)
+    return run("classical:3")
+
+
+def test_failed_validation_makes_every_other_stage_not_applicable():
+    rep = validation_failure()
+    assert rep.stage("validation").status == "fail"
+    assert rep.stage("validation").data["problems"]
+    assert [(s.name, s.status, s.data, s.notes) for s in rep.stages[1:]] == [
+        (name, "not-applicable", {}, ["validation failed"])
+        for name in STAGE_ORDER[1:]]
+
+
+def test_a_failed_effect_space_names_the_missing_prerequisite(monkeypatch):
+    rep = effect_space_failure(monkeypatch)
+    assert [(s.name, s.status) for s in rep.stages[:4]] == [
+        ("validation", "pass"), ("bisymmetry", "pass"),
+        ("sharpness", "pass"), ("effect-space", "fail")]
+    assert rep.stage("effect-space").data == {"error": "no effect space"}
+    assert {s.name: (s.status, s.data, s.notes) for s in rep.stages[4:]} == {
+        name: ("not-applicable", {}, [note]) for name, note in {
+            "irreducibility": "needs the effect space",
+            "spin-form": "needs the effect space",
+            "unitarity": "needs the invariant form",
+            "conjugate": "needs the effect space",
+            "self-duality": "needs the invariant form",
+            "weak-self-duality": "needs the invariant form",
+            "homogeneity": "needs the effect space",
+            "jordan-recovery": "needs a self-dual cone and the invariant "
+                               "form",
+            "identification": "needs a recovered product"}.items()}
+
+
+@pytest.mark.parametrize("name", builtin_names() + [
+    "validation-failure", "effect-space-failure"])
+def test_a_stage_is_not_applicable_exactly_when_blocked(name, monkeypatch):
+    """A stage is not-applicable exactly when validation failed or one of
+    its prerequisites in the stage table did not pass."""
+    from kvwb.pipeline import _STAGES
+    rep = (validation_failure() if name == "validation-failure" else
+           effect_space_failure(monkeypatch)
+           if name == "effect-space-failure" else run(name))
+    status = {s.name: s.status for s in rep.stages}
+    for stage, needs, _, _ in _STAGES[1:]:
+        blocked = status["validation"] != "pass" or any(
+            status[p] != "pass" for p in needs)
+        assert (status[stage] == "not-applicable") is blocked, stage
+
+
+def test_the_stage_table_runs_prerequisites_first():
+    from kvwb.pipeline import EXPECT_TOKENS, _STAGES
+    names = [name for name, _, _, _ in _STAGES]
+    assert names[0] == "validation" and _STAGES[0][1] == ()
+    assert len(names) == len(set(names)) and set(names) == set(STAGE_ORDER)
+    for i, (name, needs, note, _) in enumerate(_STAGES):
+        assert set(needs) <= set(names[:i]), name
+        assert (note is None) is (not needs), name
+    assert set(EXPECT_TOKENS.values()) <= set(names)
+
+
 def test_expectations_flip_the_verdict():
     rep = run("squit", expect=("not-sharp", "not-self-dual"))
     assert rep.ok

@@ -96,3 +96,16 @@ def test_float_recovery_makes_no_lstsq():
              for n in ast.walk(tree)
              if isinstance(n, (ast.Attribute, ast.Name))}
     assert not {n for n in names if n.endswith("lstsq")}
+
+
+def test_readme_stage_table_matches_the_pipeline():
+    """The README's "Stages" table lists `pipeline._STAGES` in run order:
+    each stage's name, prerequisites and not-applicable note."""
+    from kvwb.pipeline import _STAGES
+    text = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Stages\n", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("|")]
+    assert rows[0] == ["stage", "prerequisites", "not-applicable note"]
+    assert rows[2:] == [[name, ", ".join(needs) or "—", note or "—"]
+                        for name, needs, note, _ in _STAGES]
