@@ -20,7 +20,7 @@ from .builtins import builtin_names, conjugation_bijection
 from .pipeline import EXPECT_TOKENS, run_pipeline
 from .serialize import (bipartite_to_json, cone_from_json, cone_to_json,
                         dumps_canonical, form_from_json, form_to_json,
-                        frac_str, jsonable, load_model, model_from_json)
+                        frac_str, load_model, model_from_json)
 
 
 class LoadError(click.ClickException):
@@ -63,6 +63,8 @@ def main() -> None:
 # pipeline
 
 def _pipeline(model, seed, tol, expect=()):
+    if not model:
+        raise click.UsageError("give a MODEL argument or --builtin NAME")
     m = _load(model, seed)
     return run_pipeline(m, seed=seed, tol=tol, expect=expect)
 
@@ -87,11 +89,8 @@ def run(model, builtin, expect, list_builtins, fmt, seed, tol, out):
     if list_builtins:
         click.echo("\n".join(builtin_names()))
         return
-    model = model or builtin
-    if not model:
-        raise click.UsageError("give a MODEL argument or --builtin NAME")
     tokens = tuple(t.strip() for t in expect.split(",") if t.strip())
-    rep = _pipeline(model, seed, tol, expect=tokens)
+    rep = _pipeline(model or builtin, seed, tol, expect=tokens)
     doc = rep.to_markdown() if fmt == "md" else dumps_canonical(rep.to_json())
     _emit(doc, out)
     if not rep.ok:
@@ -109,10 +108,7 @@ def run(model, builtin, expect, list_builtins, fmt, seed, tol, out):
 @out_opt
 def report(model, builtin, fmt, seed, tol, out):
     """Emit the full pipeline report (json or md) without expectation gating."""
-    model = model or builtin
-    if not model:
-        raise click.UsageError("give a MODEL argument or --builtin NAME")
-    rep = _pipeline(model, seed, tol)
+    rep = _pipeline(model or builtin, seed, tol)
     doc = rep.to_markdown() if fmt == "md" else dumps_canonical(rep.to_json())
     _emit(doc, out)
 
@@ -172,8 +168,7 @@ def validate(model, seed, tol, out):
     m = _load(model, seed)
     rep = models.validate_model(m, tol=tol)
     _emit(dumps_canonical({"model": m.name, "ok": rep.ok,
-                           "problems": rep.problems, **jsonable(rep.data)}),
-          out)
+                           "problems": rep.problems, **rep.data}), out)
     if not rep.ok:
         sys.exit(1)
 
@@ -190,7 +185,7 @@ def bisym(model, seed, out):
     """
     m = _load(model, seed)
     rep = models.check_bisymmetry(m)
-    _emit(dumps_canonical({"model": m.name, **jsonable(vars(rep))}), out)
+    _emit(dumps_canonical({"model": m.name, **vars(rep)}), out)
     if rep.fully_bisymmetric is not True:
         sys.exit(1 if rep.fully_bisymmetric is False else 2)
 
@@ -235,7 +230,7 @@ def conjugate(model, no_invariance, seed, tol, out):
         doc["state"] = bipartite_to_json(eta)
         E = effectspace.build_effect_space(m)
         iso = composites.is_isomorphism_state(eta, E, E, tol=tol)
-        doc["isomorphism_state"] = jsonable(vars(iso))
+        doc["isomorphism_state"] = vars(iso)
         conj = composites.conjugate_from_state(
             m, gamma, eta, require_invariance=not no_invariance)
         derived = composites.spin_form_from_conjugate(conj, E, tol=tol)
@@ -263,7 +258,7 @@ def image(model, max_outcomes, seed, out):
     except models.ModelError as exc:
         click.echo(f"{m.name}: {exc} (search not run)", err=True)
         sys.exit(2)
-    doc = {"model": m.name, "candidates": [jsonable(vars(c)) for c in cands]}
+    doc = {"model": m.name, "candidates": [vars(c) for c in cands]}
     _emit(dumps_canonical(doc), out)
 
 
@@ -346,7 +341,7 @@ def cone_selfdual(source, form_path, seed, tol, out):
         rep = run_pipeline(m, seed=seed, tol=tol)
         st = rep.stage("self-duality")
         _emit(dumps_canonical({"source": name, "kind": "sampled+analytic",
-                               "status": st.status, **jsonable(st.data),
+                               "status": st.status, **st.data,
                                "notes": st.notes}), out)
         if st.status != "pass":
             sys.exit(1)
@@ -415,12 +410,10 @@ def _recovered(model, seed, tol):
 def jordan_recover(model, seed, tol, out):
     """Recover the bilinear product pinned by unit, form, and symmetries."""
     m, res = _recovered(model, seed, tol)
-    doc = {"model": m.name,
-           "linear_solution_dim": res.linear_solution_dim,
+    doc = {"model": m.name, "linear_solution_dim": res.linear_solution_dim,
            "residual": res.residual, "seeds_agree": res.seeds_agree,
            "gates": res.gates, "notes": res.notes,
-           "tensor": (jsonable(res.algebra.tensor)
-                      if res.algebra is not None else None)}
+           "tensor": res.algebra.tensor if res.algebra is not None else None}
     _emit(dumps_canonical(doc), out)
     if res.algebra is None:
         sys.exit(1)
@@ -458,7 +451,7 @@ def jordan_verify(kind, seed, tol, out):
     """
     J = _algebra_from_name(kind)
     rep = jordan.verify_symmetric_cone(J, seed=seed, tol=tol)
-    doc = {"kind": J.kind, "dim": J.dim, **jsonable(vars(rep))}
+    doc = {"kind": J.kind, "dim": J.dim, **vars(rep)}
     _emit(dumps_canonical(doc), out)
     if not rep.ok:
         sys.exit(1)

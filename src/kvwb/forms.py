@@ -233,8 +233,8 @@ def find_orthogonalizing_spin_form(m, E: OrderUnitSpace, tol: float = 1e-9
                                         "unit"], basis=mats)
     S = S / uu
     gens = [np.asarray(E.outcome_vectors[x]) for x in m.outcomes]
-    worst = min(float(g @ S @ gj)
-                for gi, g in enumerate(gens) for gj in gens[gi:])
+    gS = [g @ S for g in gens]              # (g @ S) @ y is g @ S @ y
+    worst = min(float(a @ y) for i, a in enumerate(gS) for y in gens[i:])
     if worst < -tol:
         return SpinFormResult(None, h, [f"normalized form fails cone "
                                         f"positivity ({worst:.3e})"],

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -285,8 +285,7 @@ def spin_factor(n: int) -> JordanAlgebra:
     d, i = n + 1, np.arange(n)
     T = np.zeros((d, d, d), dtype=int)
     T[i, i, n] = T[n, i, i] = T[i, n, i] = T[n, n, n] = 1
-    return _exact_algebra(f"SpinFactor({n})", np.eye(d, dtype=int)[n], T,
-                          n=n)
+    return _exact_algebra(f"SpinFactor({n})", np.eye(d, dtype=int)[n], T, n=n)
 
 
 def real_line() -> JordanAlgebra:
@@ -434,8 +433,7 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
         # the contiguous rows the stacked products had
         A, B = rng.standard_normal((max(10, sample_count // 5), 2, d)
                                    ).swapaxes(0, 1).copy()
-        worst = max(map(float,
-                        np.abs(_jordan_defects(T, A, B)).max(axis=1)))
+        worst = max(map(float, np.abs(_jordan_defects(T, A, B)).max(axis=1)))
         ident = worst <= 1e-8
     rep.commutative_ok, rep.unit_ok, rep.identity_ok = comm, unit_ok, ident
     if not (comm and unit_ok and ident):
@@ -590,14 +588,16 @@ class RecoveryResult:
     frame: Optional[list] = None
 
 
+@cache
 def _triple_index(d: int) -> np.ndarray:
-    """idx[i, j, k]: the column of S[i, j, k], one per sorted triple
-    i ≤ j ≤ k, in lexicographic order, whatever the order of i, j, k."""
+    """idx[i, j, k] (read-only, made once per d): the column of S[i, j, k],
+    one per sorted triple i ≤ j ≤ k in lexicographic order, symmetric."""
     trip = np.array(list(itertools.combinations_with_replacement(range(d), 3)),
                     dtype=np.intp).reshape(-1, 3)
     idx = np.empty((d, d, d), dtype=np.intp)
     for perm in itertools.permutations(range(3)):
         idx[tuple(trip[:, perm].T)] = np.arange(len(trip))
+    idx.flags.writeable = False
     return idx
 
 

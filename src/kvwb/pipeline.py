@@ -253,7 +253,8 @@ def _self_duality(c: _Run):
     # pairing (the positive-semidefinite cone is self-dual under it).
     gens = [np.asarray(g, float) for g in E.cone_generators]
     Bm = np.asarray(spin.matrix, float)
-    pmin, parg = min(((float(g @ Bm @ h), (i, j)) for i, g in enumerate(gens)
+    gB = [g @ Bm for g in gens]             # (g @ Bm) @ h is g @ Bm @ h
+    pmin, parg = min(((float(a @ h), (i, j)) for i, a in enumerate(gB)
                       for j, h in enumerate(gens)),
                      key=lambda t: t[0], default=(None, ()))
     dev = float(np.max(np.abs(Bm - np.eye(E.dim) / c.m.states.dim)))

@@ -2,11 +2,13 @@
 
 Rationals travel as exact "p/q" strings (decimal strings are converted
 exactly); floats rely on repr round-tripping.  `dumps_canonical` is the one
-place report bytes are produced: sorted keys, fixed separators, no
-timestamps, so identical inputs give identical bytes.
+place report bytes are produced, in one pass that coerces each value as it
+writes it: sorted keys, fixed separators, no timestamps, so identical inputs
+give identical bytes.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -33,33 +35,59 @@ def parse_frac(s) -> Fraction:
     return Fraction(str(s).strip())
 
 
-def jsonable(obj):
-    """Recursively coerce to pure JSON types; exact rationals to strings."""
-    if isinstance(obj, Fraction):
-        return frac_str(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    if hasattr(obj, "__dict__"):
-        return {k: jsonable(v) for k, v in vars(obj).items()
-                if not k.startswith("_")}
-    return str(obj)
+_quote = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_RULES = ((Fraction, frac_str), (np.floating, float), (np.integer, int),
+          (np.ndarray, lambda o: list(o.tolist())),
+          (complex, lambda o: [o.real, o.imag]),
+          (dict, lambda o: dict(o.items())), ((list, tuple), list),
+          (str, str.__str__), (int, int.__int__), (float, float.__float__),
+          (object, lambda o: {k: v for k, v in vars(o).items()
+                              if not k.startswith("_")}
+           if hasattr(o, "__dict__") else str(o)))
+
+
+def _write(o, out: list, nl: str) -> None:
+    """Append the text of o to out; nl is a newline and the indent of o's
+    line.  A value of any other type is written as the value that the
+    first rule of `_RULES` matching its type gives."""
+    t = type(o)
+    if t is str:
+        out.append(_quote(o))
+    elif t is float:
+        r = float.__repr__(o)
+        out.append(_NONFINITE.get(r, r))
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif t is bool or o is None:
+        out.append("null" if o is None else "true" if o else "false")
+    elif t is Fraction:
+        out.append(_quote(frac_str(o)))
+    elif t is np.ndarray:
+        _write(list(o.tolist()), out, nl)
+    elif t is not dict and t is not list and t is not tuple:
+        _write(next(f(o) for c, f in _RULES if isinstance(o, c)), out, nl)
+    elif not o:
+        out.append("{}" if t is dict else "[]")
+    else:
+        inner = nl + "  "
+        if t is dict:      # keys as strings, the later of two equal ones kept
+            o = {str(k): v for k, v in o.items()}
+            items = [(_quote(k) + ": ", o[k]) for k in sorted(o)]
+        else:
+            items = zip(itertools.repeat(""), o)
+        sep = ("{" if t is dict else "[") + inner
+        for key, v in items:
+            out.append(sep + key)
+            _write(v, out, inner)
+            sep = "," + inner
+        out.append(nl + ("}" if t is dict else "]"))
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2,
-                      ensure_ascii=True) + "\n"
+    out: list = []
+    _write(obj, out, "\n")
+    return "".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +126,7 @@ def model_to_json(m: Model) -> dict:
     else:
         ug: UnitaryGenerators = m.group
         out["group"] = {"kind": "unitary", "seed": ug.seed,
-                        "matrices": [[[float(v) for v in row]
-                                      for row in np.asarray(M, float)]
+                        "matrices": [np.asarray(M, float).tolist()
                                      for M in ug.matrices],
                         "note": ug.note}
     if m.sample_symmetries is not None:
@@ -251,11 +278,9 @@ def bipartite_from_json(data: dict, A: Model, B: Model):
 
 
 def form_to_json(B) -> dict:
-    exact = B.kind == "exact"
-    return {"kind": B.kind,
+    return {"kind": B.kind, "flags": B.flag_summary(),
             "matrix": [[frac_str(v) for v in row] for row in B.matrix]
-            if exact else [[float(v) for v in row] for row in B.matrix],
-            "flags": jsonable(B.flag_summary())}
+            if B.kind == "exact" else np.asarray(B.matrix, float).tolist()}
 
 
 def form_from_json(data: dict):

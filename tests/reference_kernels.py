@@ -93,7 +93,10 @@ Gram-certified solve of `kvwb.jordan._solve_float` replaced, and the basis
 of invariant forms (`invariant_symmetric_forms`, `form_count_is_irreducible`)
 whose length `kvwb.forms.is_irreducible` took before it read the nullity,
 and the spin-form LP with one row per pair of effect-cone generators
-(`unmerged_spin_form`) that `kvwb.lp._merge_rows` reduced.
+(`unmerged_spin_form`) that `kvwb.lp._merge_rows` reduced, and the
+two-pass `dumps_canonical` (a copy coerced to JSON types by `jsonable`,
+then `json.dumps` with sorted keys and an indent of 2) that the one-pass
+writer of `kvwb.serialize` replaced.
 
 Slow and obviously correct; the property tests require the fast kernels to
 return exactly what these return.
@@ -101,6 +104,7 @@ return exactly what these return.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -126,6 +130,7 @@ from kvwb.lp import CertificateError, LPResult, UnboundedError
 from kvwb.lp import convex_membership, free_feasibility
 from kvwb.models import (Model, PermutationGroup, PolytopeBackend,
                          QuantumBackend, act_on_state, perm_inverse)
+from kvwb.serialize import frac_str
 from kvwb.spectral import _degrees_and_powers, _value
 
 
@@ -2432,3 +2437,35 @@ def unmerged_spin_form(m, E: OrderUnitSpace):
     form.scaled = S
     certify_flags(form, E)
     return SpinFormResult(form, h, [], basis=mats)
+
+
+# ---------------------------------------------------------------------------
+# canonical JSON
+
+def jsonable(obj):
+    """Recursively coerce to pure JSON types; exact rationals to strings."""
+    if isinstance(obj, Fraction):
+        return frac_str(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, (str, int, float, bool)) or obj is None:
+        return obj
+    if hasattr(obj, "__dict__"):
+        return {k: jsonable(v) for k, v in vars(obj).items()
+                if not k.startswith("_")}
+    return str(obj)
+
+
+def dumps_canonical(obj) -> str:
+    return json.dumps(jsonable(obj), sort_keys=True, indent=2,
+                      ensure_ascii=True) + "\n"

@@ -1,13 +1,20 @@
+import enum
+from dataclasses import dataclass
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+import reference_kernels as oracle
 from kvwb.builtins import builtin_names, classical, get_builtin
 from kvwb.composites import make_conjugate
 from kvwb.cones import cone
 from kvwb.effectspace import build_effect_space
 from kvwb.forms import find_orthogonalizing_spin_form
 from kvwb.models import ModelError, models_isomorphic, validate_model
+from kvwb.pipeline import run_pipeline
 from kvwb.serialize import (bipartite_from_json, bipartite_to_json,
                             cone_from_json, cone_to_json, dumps_canonical,
                             form_from_json, form_to_json, frac_str,
@@ -32,6 +39,64 @@ def test_dumps_canonical_is_stable():
     b = dumps_canonical({"a": 2, "b": [F(1, 3)]})
     assert a == b
     assert a.endswith("\n")
+
+
+class Level(enum.IntEnum):
+    HIGH = 7
+
+
+class Tag(str):
+    pass
+
+
+@dataclass
+class Record:
+    a: object
+    b: object
+    _private: object
+
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, float("nan"), float("inf"), float("-inf"), 1e300, 5e-324]))
+_TEXT = st.one_of(st.text(max_size=6), st.sampled_from(
+    ['"', "\\", "\n", "\x00\x1f", "é", "\u2028", "😀", "\ud800"]))
+_SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, max_side=3)
+_LEAVES = st.one_of(
+    _TEXT, st.integers(), st.integers(-2 ** 200, 2 ** 200), st.booleans(),
+    st.none(), _FLOATS, st.fractions(), st.complex_numbers(),
+    _FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    hnp.arrays(np.float64, _SHAPES), hnp.arrays(np.int64, _SHAPES),
+    hnp.arrays(np.complex128, _SHAPES),
+    st.lists(st.fractions(), min_size=1, max_size=4).map(
+        lambda v: np.array(v, dtype=object)),
+    st.frozensets(st.integers(0, 9), max_size=3).map(set),
+    st.just(Level.HIGH), _TEXT.map(Tag), st.sampled_from([{}, [], ()]))
+#: Keys that collide after str(): 1 and "1", True and "True", None and "None".
+_KEYS = st.one_of(_TEXT, st.sampled_from(
+    [1, "1", True, "True", None, "None", 1.5, "1.5", F(1, 2), "1/2"]))
+
+
+def _tree(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=4),
+        st.builds(Record, children, children, children))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_LEAVES, _tree, max_leaves=20))
+def test_writer_matches_the_two_pass_oracle(obj):
+    """The one-pass writer gives the bytes of `jsonable` + `json.dumps`."""
+    assert dumps_canonical(obj) == oracle.dumps_canonical(obj)
+
+
+def test_writer_matches_the_oracle_on_every_builtin_report():
+    for name in builtin_names():
+        doc = run_pipeline(get_builtin(name)).to_json()
+        assert dumps_canonical(doc) == oracle.dumps_canonical(doc), name
 
 
 @pytest.mark.parametrize("name", list(builtin_names()))

@@ -109,3 +109,20 @@ def test_readme_stage_table_matches_the_pipeline():
     assert rows[0] == ["stage", "prerequisites", "not-applicable note"]
     assert rows[2:] == [[name, ", ".join(needs) or "—", note or "—"]
                         for name, needs, note, _ in _STAGES]
+
+
+
+def test_report_bytes_have_one_writer():
+    """No module calls `json.dumps` (or a bare `dumps`) or defines
+    `jsonable`: every document is written by `serialize.dumps_canonical`."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            f = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(f, ast.Name) and f.id == "dumps"
+                    or isinstance(f, ast.Attribute) and f.attr == "dumps"
+                    and isinstance(f.value, ast.Name) and f.value.id == "json"
+                    or isinstance(node, ast.FunctionDef)
+                    and node.name == "jsonable"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
