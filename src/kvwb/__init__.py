@@ -17,7 +17,7 @@ from .composites import (BipartiteState, CompositeError, Conjugate,
                          validate_bipartite)
 from .cones import (PolyhedralCone, cone, dual_cone, is_self_dual,
                     is_weakly_self_dual)
-from .effectspace import OrderUnitSpace, build_effect_space, linearize_morphism
+from .effectspace import OrderUnitSpace, build_effect_space
 from .forms import (BilinearForm, check_spin_uniqueness, check_unitarity,
                     find_orthogonalizing_spin_form, is_irreducible)
 from .jordan import (CATALOG, JordanAlgebra, RecoveryProblem, RecoveryResult,
@@ -48,7 +48,7 @@ __all__ = [
     "get_builtin", "identify_algebra",
     "is_irreducible", "is_isomorphism_state", "is_self_dual", "is_sharp",
     "is_weakly_self_dual", "jordan_product", "jordan_sqrt",
-    "linearize_morphism", "load_model", "make_conjugate", "marginal",
+    "load_model", "make_conjugate", "marginal",
     "model_from_json", "model_to_json", "omega_hat", "parse_frac",
     "product_state", "quaternionic_hermitian",
     "real_symmetric", "recover_jordan_product", "run_pipeline",

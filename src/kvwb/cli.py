@@ -233,8 +233,12 @@ def conjugate(model, no_invariance, seed, tol, out):
         doc["isomorphism_state"] = vars(iso)
         conj = composites.conjugate_from_state(
             m, gamma, eta, require_invariance=not no_invariance)
-        derived = composites.spin_form_from_conjugate(conj, E, tol=tol)
-        doc["derived_form"] = form_to_json(derived)
+        try:
+            derived = composites.spin_form_from_conjugate(conj, E, tol=tol)
+            doc["derived_form"] = form_to_json(derived)
+        except composites.CompositeError as exc:
+            # a table found without invariance need not extend to a form
+            doc["derived_form"], doc["derived_form_error"] = None, str(exc)
     _emit(dumps_canonical(doc), out)
     if eta is None:
         sys.exit(1)

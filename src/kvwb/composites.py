@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .effectspace import OrderUnitSpace, build_effect_space
+from .effectspace import OrderUnitSpace, build_effect_space, min_eigenvalues
 from .forms import BilinearForm, certify_flags, check_unitarity
 from .cones import separators
 from .linalg import Row, _Kind, _lowest, integer_row
@@ -127,9 +127,7 @@ def _conditionals_in_cone(other: Model, vecs: list, tol: float) -> list:
         sols, ranks = _lstsq(rows, V)
         resid = np.abs((rows @ sols[..., None])[..., 0] - V).max(axis=1)
         tested = ~(resid > tol) & (ranks >= qb.basis.space_dim)
-        H = qb.basis.from_coords(sols[tested])
-        lows = iter(np.linalg.eigvalsh((H + H.conj().swapaxes(1, 2)) / 2)
-                    .min(axis=1).tolist())
+        lows = iter(min_eigenvalues(qb.basis, sols[tested]).tolist())
     except np.linalg.LinAlgError:
         if len(V) == 1:
             raise
@@ -339,11 +337,9 @@ def is_isomorphism_state(w: BipartiteState,
                 ("inverse", W_inv, E_B, E_A, w.B.outcomes)):
             # one matrix-vector product per outcome, stacked, as M @ v
             V = np.array([E_x.outcome_vectors[x] for x in outs])
-            H = E_y.basis.from_coords((M @ V[..., None])[..., 0])
-            lows = np.linalg.eigvalsh((H + H.conj().swapaxes(1, 2)) / 2)
+            lows = min_eigenvalues(E_y.basis, (M @ V[..., None])[..., 0])
             failures += [{"stage": stage, "outcome": x, "min_eig": lo}
-                         for x, lo in zip(outs, lows.min(axis=1).tolist())
-                         if lo < -tol]
+                         for x, lo in zip(outs, lows.tolist()) if lo < -tol]
     stages = {f["stage"] for f in failures}
     fwd, inv = "forward" not in stages, "inverse" not in stages
     return IsomorphismStateReport(fwd and inv, True, fwd, inv, failures, notes)

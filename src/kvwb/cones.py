@@ -10,8 +10,7 @@ the weak self-duality search eliminates sparse integer rows.  K = K**, so
 with the dual of K at hand membership in K is one integer product with the
 dual's generators (`dual_contains`), and a vector found outside is
 separated by the first generator of the dual that is negative on it,
-re-checked by substitution (`separators`).  With no dual at hand
-(`cone_equal`) each question is one LP.  Every verdict ships with a
+re-checked by substitution (`separators`).  Every verdict ships with a
 checkable certificate.
 """
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 
 from .linalg import (Mat, Vec, _eliminate, _integer_block, _integer_readout,
                      _Kind, _primitive_row, frac, integer_row, rank)
-from .lp import CertificateError, LPResult, cone_membership, free_feasibility
+from .lp import CertificateError, cone_membership, free_feasibility
 
 Ray = tuple[int, ...]
 
@@ -69,9 +68,6 @@ class PolyhedralCone:
         """The rows of `matrix` as `Fraction` lists, for reports; the
         `Fraction`s are made once per cone."""
         return [list(r) for r in self._fraction_rows]
-
-    def contains(self, v: Vec) -> LPResult:
-        return cone_membership(list(v), self.matrix.tolist())
 
     @cached_property
     def rays(self) -> tuple[Ray, ...]:
@@ -239,21 +235,6 @@ def dual_cone(K: PolyhedralCone, form: Mat | None = None) -> PolyhedralCone:
     lin, rays = halfspace_cone_rays(constraints.tolist(), K.dim)
     rays = tuple(rays)
     return PolyhedralCone(rays, tuple(lin), extreme=rays, ambient=K.dim)
-
-
-# ---------------------------------------------------------------------------
-# structure helpers
-
-def _witness(g, res: LPResult, **extra) -> dict:
-    return {"generator": list(g), **extra, "inside": res.feasible,
-            "certificate": res.point if res.feasible else res.farkas}
-
-
-def cone_equal(K: PolyhedralCone, L: PolyhedralCone) -> tuple[bool, dict]:
-    """Mutual inclusion by membership LPs; returns a verdict with witnesses."""
-    detail = {key: [_witness(g, B.contains(g)) for g in A.all_generators()]
-              for key, A, B in (("K_in_L", K, L), ("L_in_K", L, K))}
-    return all(w["inside"] for ws in detail.values() for w in ws), detail
 
 
 # ---------------------------------------------------------------------------

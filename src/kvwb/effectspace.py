@@ -17,10 +17,9 @@ import numpy as np
 
 from . import quantum
 from .cones import PolyhedralCone, cone, dual_cone
-from .linalg import (Mat, Vec, ONE, ZERO, _Kind, _lowest, column_space_basis,
-                     frac, mat_vec, transpose)
-from .models import (Model, Morphism, PermutationGroup, PolytopeBackend,
-                     QuantumBackend)
+from .linalg import (Vec, ONE, ZERO, _Kind, _lowest, column_space_basis,
+                     transpose)
+from .models import Model, PermutationGroup, PolytopeBackend, QuantumBackend
 
 
 class EffectSpaceError(ValueError):
@@ -209,79 +208,10 @@ def _build_float(m: Model) -> OrderUnitSpace:
                           notes=notes)
 
 
-def cone_membership(space: OrderUnitSpace, v, tol: float = 1e-9):
-    """Is v in the effect cone?
-
-    Exact spaces answer with a conic-coefficient or separating-functional
-    certificate.  Quantum spaces use the positive-semidefinite test, since
-    the full unitary orbit of the sampled rank-one effects generates exactly
-    the PSD cone.
-    """
-    if len(v) != space.dim:
-        raise EffectSpaceError(f"vector has {len(v)} coordinates, space has "
-                               f"dimension {space.dim}")
-    if space.kind == "exact":
-        return space.effect_cone.contains([frac(x) for x in v])
-    lo = float(min_eigenvalues(space, v))
-    from .lp import LPResult
-    return LPResult(lo >= -tol, point=None if lo < -tol else [lo],
-                    farkas=None if lo >= -tol else [lo])
-
-
-def min_eigenvalues(space: OrderUnitSpace, V) -> np.ndarray:
+def min_eigenvalues(basis: quantum.HermitianBasis, V) -> np.ndarray:
     """The least eigenvalue of the operator of v, or of each row of a stack
-    V, on a quantum space: one stacked `eigvalsh`, each row getting the
-    floats of its own call."""
-    H = space.basis.from_coords(np.asarray(V, dtype=float))
+    V, in a Hermitian operator basis: one stacked `eigvalsh`, each row
+    getting the floats of its own call."""
+    H = basis.from_coords(np.asarray(V, dtype=float))
     return np.linalg.eigvalsh((H + H.conj().swapaxes(-1, -2)) / 2).min(axis=-1)
 
-
-# ---------------------------------------------------------------------------
-# morphisms, linearized
-
-@dataclass(eq=False)
-class LinearMap:
-    """A concrete dim_B x dim_A matrix between two effect coordinate systems."""
-
-    matrix: Mat
-    source_space: OrderUnitSpace
-    target_space: OrderUnitSpace
-    witnesses: list[dict] = field(default_factory=list)
-    positive: Optional[bool] = None     # set only after a cone-level check
-
-    def apply(self, v: Vec) -> Vec:
-        return mat_vec(self.matrix, list(v))
-
-
-def linearize_morphism(f: Morphism, E_A: Optional[OrderUnitSpace] = None,
-                       E_B: Optional[OrderUnitSpace] = None) -> LinearMap:
-    """The linear extension of x-effect -> image-outcome-effect.
-
-    Defined on the source's outcome frame (`OrderUnitSpace.outcome_frame`)
-    by one integer product, then certified on every outcome at once: the
-    matrix must send each source outcome vector to the outcome vector of
-    its image, exactly.  Raises with the first violating outcome when the
-    assignment has no consistent linear extension.
-    """
-    A = E_A or build_effect_space(f.source)
-    B = E_B or build_effect_space(f.target)
-    if A.kind != "exact" or B.kind != "exact":
-        raise EffectSpaceError("morphism linearization is exact-only")
-
-    K, frame = _Kind("exact"), A.outcome_frame
-    images = [f.outcome_map[x] for x in A.model.outcomes]
-    (s_i, C_inv), (s_a, V) = frame.inverse, frame.vectors
-    s_w, W = K.scaled([B.outcome_vectors[y] for y in images])
-    P = W[frame.at].T @ C_inv                       # s_w·s_i · M
-    ok = (V @ P.T == W * (s_a * s_i)).all(axis=1).tolist()   # M v_x = w_x
-    if not all(ok):
-        x = A.model.outcomes[ok.index(False)]
-        raise EffectSpaceError(
-            f"no consistent linear extension: outcome {x!r} (image "
-            f"{f.outcome_map[x]!r}) violates the dependencies fixed by "
-            f"basis outcomes {[A.model.outcomes[i] for i in frame.at]}")
-    M = K.unscaled((s_w * s_i, P))
-    witnesses = [{"outcome": x, "image": y, "consistent": True}
-                 for x, y in zip(A.model.outcomes, images)]
-    return LinearMap(matrix=M, source_space=A, target_space=B,
-                     witnesses=witnesses)

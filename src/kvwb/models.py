@@ -1,4 +1,4 @@
-"""Core types: test spaces, states, symmetry groups, models, morphisms.
+"""Core types: test spaces, states, symmetry groups, models, images.
 
 Probabilities on polytope-backed models are exact `Fraction`s throughout;
 the quantum backend keeps operator payloads and works in floats.
@@ -10,19 +10,19 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import quantum
-from .linalg import ONE, ZERO, frac, integer_row, np_nullspace
-from .lp import cone_membership, solve_feasibility
+from .linalg import ONE, ZERO, integer_row, np_nullspace
+from .lp import solve_feasibility
 
 Perm = tuple[int, ...]
 
 
 class ModelError(ValueError):
-    """Raised when a model or morphism violates a structural requirement."""
+    """Raised when a model or an image violates a structural requirement."""
 
 
 # ---------------------------------------------------------------------------
@@ -477,126 +477,74 @@ def is_sharp(m: Model) -> SharpnessReport:
 
 
 # ---------------------------------------------------------------------------
-# morphisms and images
-
-@dataclass(frozen=True, eq=False)
-class Morphism:
-    source: Model
-    target: Model
-    outcome_map: dict[str, str]
-    generator_images: tuple[Perm, ...]    # one target permutation per source generator
-
-
-@dataclass
-class MorphismReport:
-    ok: bool
-    problems: list[str]
-    surjective: bool
-
-
-def validate_morphism(f: Morphism) -> MorphismReport:
-    problems: list[str] = []
-    src, tgt = f.source, f.target
-    for x in src.outcomes:
-        if x not in f.outcome_map:
-            problems.append(f"outcome {x!r} has no image")
-        elif f.outcome_map[x] not in tgt.outcomes:
-            problems.append(f"image {f.outcome_map[x]!r} is not a target outcome")
-    if problems:
-        return MorphismReport(False, problems, False)
-
-    tgt_tests = {frozenset(t) for t in tgt.tests}
-    images = set()
-    for E in src.tests:
-        img = frozenset(f.outcome_map[x] for x in E)
-        images.add(img)
-        if img not in tgt_tests:
-            problems.append(f"test {E} maps to {sorted(img)}, not a target test")
-    surjective = (set(f.outcome_map.values()) == set(tgt.outcomes)
-                  and tgt_tests <= images)
-
-    if isinstance(src.group, PermutationGroup):
-        for k, g in enumerate(src.group.generators):
-            h = f.generator_images[k]
-            for x in src.outcomes:
-                lhs = f.outcome_map[src.outcomes[g[src.testspace.index(x)]]]
-                rhs = tgt.outcomes[h[tgt.testspace.index(f.outcome_map[x])]]
-                if lhs != rhs:
-                    problems.append(
-                        f"equivariance fails at generator {k}, outcome {x!r}")
-                    break
-
-    if isinstance(tgt.states, PolytopeBackend) and isinstance(src.states, PolytopeBackend):
-        # The pullback of a normalized state sums to the fibre multiplicity on
-        # each source test, so membership is tested in the cone over the
-        # source states rather than their convex hull.
-        for bi, beta in enumerate(tgt.states.vertices):
-            pulled = tuple(beta[tgt.testspace.index(f.outcome_map[x])]
-                           for x in src.outcomes)
-            res = cone_membership(list(pulled), [list(v) for v in src.states.vertices])
-            if not res.feasible:
-                problems.append(f"pullback of target state {bi} is not in the "
-                                "cone over the source states")
-
-    return MorphismReport(not problems, problems, surjective)
-
-
-def pullback_state(f: Morphism, beta: dict[str, Fraction]) -> dict[str, Fraction]:
-    return {x: frac(beta[f.outcome_map[x]]) for x in f.source.outcomes}
-
+# images
 
 class ImageError(ModelError):
     pass
 
 
+class Quotient(NamedTuple):
+    """An outcome identification under which the group descends: the map,
+    the image labels in first-seen order, the image tests (those of the
+    source, mapped and deduplicated as sets) and each generator's image as
+    a permutation of the labels."""
+
+    omap: dict[str, str]
+    labels: list[str]
+    tests: list[tuple[str, ...]]
+    generators: list[Perm]
+
+
+def _quotient(m: Model, group: PermutationGroup, omap) -> Quotient | str:
+    """The quotient of m along omap, or the verdict that rejects it:
+    "not-a-congruence" when a generator tears a fibre apart,
+    "unequal-image-tests", or "trivial-image" when every test collapses to
+    one outcome."""
+    labels = _stable_unique(omap[x] for x in m.outcomes)
+    at = {y: i for i, y in enumerate(labels)}
+    gens = []
+    for g in group.generators:
+        img: dict[str, str] = {}
+        for x, gi in zip(m.outcomes, g):
+            gy = omap[m.outcomes[gi]]
+            if img.setdefault(omap[x], gy) != gy:
+                return "not-a-congruence"
+        gens.append(tuple(at[img[y]] for y in labels))
+    tests: dict[frozenset, tuple[str, ...]] = {}
+    for E in m.tests:
+        t = tuple(_stable_unique(omap[x] for x in E))
+        tests.setdefault(frozenset(t), t)
+    sizes = {len(t) for t in tests}
+    if len(sizes) != 1:
+        return "unequal-image-tests"
+    if sizes == {1}:
+        return "trivial-image"
+    return Quotient(omap, labels, list(tests.values()), gens)
+
+
 def image_model(m: Model, outcome_map: dict[str, str],
-                name: str | None = None) -> tuple[Model, Morphism]:
+                name: str | None = None) -> Model:
     """Quotient a model along a surjective outcome map.
 
-    The image state set is the full pullback-constrained polytope: every
-    state of the image test space whose pullback lands in the cone over
-    the source states.
+    The map gives an image exactly when `assess_all_candidates` would call
+    it "image"; otherwise `ImageError` names the verdict.  The image state
+    set is the full pullback-constrained polytope: every state of the image
+    test space whose pullback lands in the cone over the source states.
     """
     if isinstance(m.states, QuantumBackend):
         raise ImageError("image construction needs a polytope backend; "
                          "use find_nontrivial_images for quantum samples")
     if set(outcome_map) != set(m.outcomes):
         raise ImageError("outcome map must cover every source outcome")
-
-    y_labels = _stable_unique(outcome_map[x] for x in m.outcomes)
-    y_tests: list[tuple[str, ...]] = []
-    seen_sets = []                       # tests are sets; dedup order-insensitively
-    for E in m.tests:
-        t = tuple(_stable_unique(outcome_map[x] for x in E))
-        if frozenset(t) not in seen_sets:
-            seen_sets.append(frozenset(t))
-            y_tests.append(t)
-    sizes = {len(t) for t in y_tests}
-    if len(sizes) != 1:
-        raise ImageError(f"image tests have unequal sizes {sorted(sizes)}")
-
-    # the group must descend: the fibres of the map have to be a congruence
-    gen_images = []
-    for k, g in enumerate(m.group.generators):
-        img: dict[str, str] = {}
-        for x in m.outcomes:
-            y = outcome_map[x]
-            gy = outcome_map[m.outcomes[g[m.testspace.index(x)]]]
-            if img.setdefault(y, gy) != gy:
-                raise ImageError(
-                    f"generator {k} does not descend: fibre of {y!r} is torn apart")
-        gen_images.append(tuple(y_labels.index(img[y]) for y in y_labels))
-
-    verts = _image_state_vertices(m, outcome_map, y_labels, y_tests)
+    q = _quotient(m, m.group, outcome_map)
+    verts = [] if isinstance(q, str) else _image_state_vertices(m, q)
     if not verts:
-        raise ImageError("empty image state set: no state of the image test space "
-                         "pulls back to a source state")
-
-    tgt = Model(name or f"{m.name}/image", TestSpace(tuple(y_labels), tuple(y_tests)),
-                PolytopeBackend(tuple(verts)),
-                PermutationGroup(tuple(gen_images)))
-    mor = Morphism(m, tgt, dict(outcome_map), tuple(gen_images))
-    return tgt, mor
+        raise ImageError(f"{m.name} has no image under this map: "
+                         f"{q if isinstance(q, str) else 'empty-states'}")
+    return Model(name or f"{m.name}/image",
+                 TestSpace(tuple(q.labels), tuple(q.tests)),
+                 PolytopeBackend(tuple(verts)),
+                 PermutationGroup(tuple(q.generators)))
 
 
 def _stable_unique(it) -> list:
@@ -607,7 +555,7 @@ def _stable_unique(it) -> list:
     return seen
 
 
-def _image_state_vertices(m: Model, outcome_map, y_labels, y_tests):
+def _image_state_vertices(m: Model, q: Quotient):
     """Vertex description of the pullback-constrained image states.
 
     The pullback of an image state duplicates each coordinate across its
@@ -618,8 +566,8 @@ def _image_state_vertices(m: Model, outcome_map, y_labels, y_tests):
     from .cones import cone, dual_cone, halfspace_cone_rays
 
     facets = dual_cone(cone([list(v) for v in m.states.vertices]))
-    ny = len(y_labels)
-    y_index = {y: i for i, y in enumerate(y_labels)}
+    ny = len(q.labels)
+    y_index = {y: i for i, y in enumerate(q.labels)}
 
     # coordinates (beta, t); rays with t > 0 give vertices after scaling
     constraints = []
@@ -631,7 +579,7 @@ def _image_state_vertices(m: Model, outcome_map, y_labels, y_tests):
     t_col = [ZERO] * (ny + 1)
     t_col[ny] = ONE
     constraints.append(t_col)
-    for F in y_tests:
+    for F in q.tests:
         row = [ZERO] * (ny + 1)
         for y in F:
             row[y_index[y]] = ONE
@@ -642,7 +590,7 @@ def _image_state_vertices(m: Model, outcome_map, y_labels, y_tests):
     for h in facets.matrix.tolist():
         row = [ZERO] * (ny + 1)
         for xi, x in enumerate(m.outcomes):
-            row[y_index[outcome_map[x]]] += h[xi]
+            row[y_index[q.omap[x]]] += h[xi]
         constraints.append(row)
 
     for e in equalities:
@@ -713,42 +661,23 @@ def assess_all_candidates(m: Model, max_outcomes: int = 8) -> list[ImageCandidat
         for bi, b in enumerate(blocks):
             for x in b:
                 omap[x] = f"c{bi}"
-        cand = _assess_candidate(m, group, blocks, omap)
-        out.append(cand if cand is not None
-                   else ImageCandidate(blocks, "not-a-congruence"))
+        out.append(ImageCandidate(blocks, _assess_candidate(m, group, omap)))
     return out
 
 
-def _assess_candidate(m: Model, group: PermutationGroup, blocks, omap
-                      ) -> Optional[ImageCandidate]:
-    ts = m.testspace
-    # congruence for every generator
-    for g in group.generators:
-        img = {}
-        for x in m.outcomes:
-            y = omap[x]
-            gy = omap[m.outcomes[g[ts.index(x)]]]
-            if img.setdefault(y, gy) != gy:
-                return None
-    sizes = {len(set(omap[x] for x in E)) for E in m.tests}
-    if len(sizes) != 1:
-        return ImageCandidate(blocks, "unequal-image-tests")
-    if sizes == {1}:
-        # every test collapses to a point: the image is the one-state model
-        return ImageCandidate(blocks, "trivial-image")
-
+def _assess_candidate(m: Model, group: PermutationGroup, omap) -> str:
+    q = _quotient(m, group, omap)
+    if isinstance(q, str):
+        return q
     if isinstance(m.states, PolytopeBackend):
-        feasible = _polytope_pullback_feasible(m, omap)
-        return ImageCandidate(blocks, "image" if feasible else "empty-states")
-    feasible, why = _quantum_pullback_feasible(m, omap)
-    return ImageCandidate(blocks, "image" if feasible else why)
+        return "image" if _polytope_pullback_feasible(m, q) else "empty-states"
+    feasible, why = _quantum_pullback_feasible(m, q)
+    return "image" if feasible else why
 
 
-def _polytope_pullback_feasible(m: Model, omap) -> bool:
-    y_labels = _stable_unique(omap[x] for x in m.outcomes)
-    y_tests = _stable_unique(tuple(_stable_unique(omap[x] for x in E)) for E in m.tests)
-    ny = len(y_labels)
-    yidx = {y: i for i, y in enumerate(y_labels)}
+def _polytope_pullback_feasible(m: Model, q: Quotient) -> bool:
+    ny = len(q.labels)
+    yidx = {y: i for i, y in enumerate(q.labels)}
     verts = m.states.vertices
     nv = len(verts)
     # variables: beta (ny) then mu (nv); phi* beta = sum mu_v v with mu >= 0
@@ -758,33 +687,32 @@ def _polytope_pullback_feasible(m: Model, omap) -> bool:
     rows = []
     for xi, x in enumerate(m.outcomes):
         s, ints = integer_row(v[xi] for v in verts)
-        rows.append(({yidx[omap[x]]: s,
+        rows.append(({yidx[q.omap[x]]: s,
                       **{ny + vi: -a for vi, a in enumerate(ints) if a}}, s))
-    for F in y_tests:
+    for F in q.tests:
         rows.append(({**{yidx[y]: 1 for y in F}, ny + nv: 1}, 1))
     return solve_feasibility(rows, ny + nv).feasible
 
 
-def _quantum_pullback_feasible(m: Model, omap) -> tuple[Optional[bool], str]:
-    """(feasible, verdict) of a density-matrix pullback for an
-    identification map; feasible is None, with the verdict
-    "psd-pullback-unknown", when the PSD search cannot decide."""
+def _quantum_pullback_feasible(m: Model, q: Quotient
+                               ) -> tuple[Optional[bool], str]:
+    """(feasible, verdict) of a density-matrix pullback for a quotient;
+    feasible is None, with the verdict "psd-pullback-unknown", when the PSD
+    search cannot decide."""
     qb: QuantumBackend = m.states
-    y_labels = _stable_unique(omap[x] for x in m.outcomes)
-    y_tests = _stable_unique(tuple(_stable_unique(omap[x] for x in E)) for E in m.tests)
-    yidx = {y: i for i, y in enumerate(y_labels)}
-    ny = len(y_labels)
+    yidx = {y: i for i, y in enumerate(q.labels)}
+    ny = len(q.labels)
     sd = qb.basis.space_dim
 
     # unknowns: beta (ny), rho coords (sd); tr(rho P_x) = beta(omap(x)); test sums = 1
     rows, rhs = [], []
     for x, coords in zip(m.outcomes, qb.outcome_coords(m.outcomes)):
         coeff = np.zeros(ny + sd)
-        coeff[yidx[omap[x]]] = -1.0
+        coeff[yidx[q.omap[x]]] = -1.0
         coeff[ny:] = coords
         rows.append(coeff)
         rhs.append(0.0)
-    for F in y_tests:
+    for F in q.tests:
         coeff = np.zeros(ny + sd)
         for y in F:
             coeff[yidx[y]] = 1.0
@@ -833,56 +761,3 @@ def _min_trace_distance_psd(qb: QuantumBackend, sol: np.ndarray,
         if best >= -1e-9:
             return True
     return None
-
-
-# ---------------------------------------------------------------------------
-# model isomorphism and image closure
-
-def models_isomorphic(m1: Model, m2: Model) -> Optional[dict[str, str]]:
-    """Outcome relabelling carrying tests onto tests and states onto states."""
-    if (len(m1.outcomes) != len(m2.outcomes) or len(m1.tests) != len(m2.tests)
-            or m1.rank != m2.rank):
-        return None
-    if isinstance(m1.states, QuantumBackend) or isinstance(m2.states, QuantumBackend):
-        raise ModelError("isomorphism search is polytope-only")
-    if len(m1.states.vertices) != len(m2.states.vertices):
-        return None
-
-    sig1 = {x: sorted(map(len, (m1.tests[i] for i in m1.testspace.tests_containing(x))))
-            for x in m1.outcomes}
-    sig2 = {y: sorted(map(len, (m2.tests[i] for i in m2.testspace.tests_containing(y))))
-            for y in m2.outcomes}
-    t2 = {frozenset(t) for t in m2.tests}
-    v2 = set(m2.states.vertices)
-
-    def extend(assign: dict[str, str], remaining: list[str]) -> Optional[dict[str, str]]:
-        if not remaining:
-            for t in m1.tests:
-                if frozenset(assign[x] for x in t) not in t2:
-                    return None
-            for v in m1.states.vertices:
-                w = [ZERO] * len(v)
-                for xi, x in enumerate(m1.outcomes):
-                    w[m2.testspace.index(assign[x])] = v[xi]
-                if tuple(w) not in v2:
-                    return None
-            return dict(assign)
-        x = remaining[0]
-        for y in m2.outcomes:
-            if y in assign.values() or sig1[x] != sig2[y]:
-                continue
-            assign[x] = y
-            ok = True
-            for t in m1.tests:
-                if all(z in assign for z in t):
-                    if frozenset(assign[z] for z in t) not in t2:
-                        ok = False
-                        break
-            if ok:
-                res = extend(assign, remaining[1:])
-                if res is not None:
-                    return res
-            del assign[x]
-        return None
-
-    return extend({}, list(m1.outcomes))

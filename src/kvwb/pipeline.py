@@ -395,7 +395,7 @@ def _recovery_problem(E, spin, tol: float) -> jordan.RecoveryProblem:
         gens = [_Kind("float").scaled(g) for g in E.cone_generators]
 
         def membership(V):
-            return effectspace.min_eigenvalues(E, V) >= -tol
+            return effectspace.min_eigenvalues(E.basis, V) >= -tol
     return jordan.RecoveryProblem(
         dim=E.dim, B=spin.scaled, u=E.scaled_unit, cone_generators=gens,
         actions=list(E.actions), outcome_vectors=gens,

@@ -96,7 +96,13 @@ and the spin-form LP with one row per pair of effect-cone generators
 (`unmerged_spin_form`) that `kvwb.lp._merge_rows` reduced, and the
 two-pass `dumps_canonical` (a copy coerced to JSON types by `jsonable`,
 then `json.dumps` with sorted keys and an indent of 2) that the one-pass
-writer of `kvwb.serialize` replaced.
+writer of `kvwb.serialize` replaced.  After it come helpers that no stage or
+command reached and the package dropped: LP membership in a cone
+(`cone_contains`, once `PolyhedralCone.contains`), cone equality by mutual
+membership LPs (`cone_equal`), the one-vector PSD test of a quantum effect
+space (`psd_contains`, once `kvwb.effectspace.cone_membership`) and the
+outcome-relabelling search `models_isomorphic`, all verbatim but for taking
+the cone or space as an argument.
 
 Slow and obviously correct; the property tests require the fast kernels to
 return exactly what these return.
@@ -116,7 +122,7 @@ from types import SimpleNamespace
 from kvwb.composites import (BipartiteReport, BipartiteState, CompositeError,
                              IsomorphismStateReport, OmegaHat, _check_gamma,
                              _entangled_eta, _invariance_flag, marginal)
-from kvwb.cones import PolyhedralCone, SelfDualityReport, _witness, dual_cone
+from kvwb.cones import PolyhedralCone, SelfDualityReport, dual_cone
 from kvwb.effectspace import (EffectSpaceError, OrderUnitSpace,
                               build_effect_space)
 from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
@@ -485,7 +491,7 @@ def squares_membership(E, tol: float):
 
     def membership(v):
         vv = [Fraction(float(x)) + slack * b for x, b in zip(v, E.u)]
-        return E.effect_cone.contains(vv).feasible
+        return cone_contains(E.effect_cone, vv).feasible
     return membership
 
 
@@ -1271,7 +1277,7 @@ def is_isomorphism_state(w: BipartiteState,
                                      "against": v, "value": dot(f, v)})
         inv = True
         for d in E_B.dual_effect_cone.all_generators():
-            res = E_A.effect_cone.contains(list(W_inv @ K.array(d)))
+            res = cone_contains(E_A.effect_cone, W_inv @ K.array(d))
             if not res.feasible:
                 inv = False
                 failures.append({"stage": "inverse", "generator": list(d),
@@ -1310,7 +1316,7 @@ def is_self_dual(K, form: Mat) -> SelfDualityReport:
         failures.append({"kind": "cone-not-in-dual",
                          "pair": parg, "value": pmin})
     for g in D.all_generators():
-        res = K.contains(g)
+        res = cone_contains(K, g)
         if not res.feasible:
             failures.append({"kind": "dual-ray-outside-cone",
                              "ray": list(g), "separating": res.farkas})
@@ -1962,7 +1968,7 @@ def float_recovery_gates(p: RecoveryProblem, tensor) -> dict:
 def separating_functional(K: PolyhedralCone, v: Vec) -> Vec:
     """The membership LP's separating functional for a v found outside K by
     `dual_contains`; an LP that finds v inside raises `CertificateError`."""
-    res = K.contains(v)
+    res = cone_contains(K, v)
     if res.feasible:
         raise CertificateError(f"vector {list(v)} is outside the cone by its "
                                "dual's rays but inside by the LP")
@@ -2227,7 +2233,7 @@ class PositiveMapReport:
 
 def is_positive_map(T: Mat, src: PolyhedralCone, tgt: PolyhedralCone
                     ) -> PositiveMapReport:
-    certs = [_witness(g, tgt.contains(img), image=img)
+    certs = [_witness(g, cone_contains(tgt, img), image=img)
              for g in src.all_generators() for img in [mat_vec(T, list(g))]]
     return PositiveMapReport(all(c["inside"] for c in certs), certs)
 
@@ -2469,3 +2475,84 @@ def jsonable(obj):
 def dumps_canonical(obj) -> str:
     return json.dumps(jsonable(obj), sort_keys=True, indent=2,
                       ensure_ascii=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# membership and equality by LP, the one-vector PSD test and model
+# isomorphism: helpers that no stage or command of the package reached,
+# kept here as independent oracles
+
+def cone_contains(K: PolyhedralCone, v: Vec) -> LPResult:
+    """Is v in K?  One phase-one LP over K's generators, certified by a
+    conic combination or a separating functional."""
+    return lp.cone_membership(list(v), K.matrix.tolist())
+
+
+def _witness(g, res: LPResult, **extra) -> dict:
+    return {"generator": list(g), **extra, "inside": res.feasible,
+            "certificate": res.point if res.feasible else res.farkas}
+
+
+def cone_equal(K: PolyhedralCone, L: PolyhedralCone) -> tuple[bool, dict]:
+    """Mutual inclusion by membership LPs; returns a verdict with witnesses."""
+    detail = {key: [_witness(g, cone_contains(B, g)) for g in A.all_generators()]
+              for key, A, B in (("K_in_L", K, L), ("L_in_K", L, K))}
+    return all(w["inside"] for ws in detail.values() for w in ws), detail
+
+
+def psd_contains(E: OrderUnitSpace, v, tol: float = 1e-9) -> bool:
+    """Is v in the effect cone of a quantum space?  The full unitary orbit
+    of the sampled rank-one effects generates the PSD cone, so: is the
+    least eigenvalue of v's operator at least -tol?  One `eigvalsh`."""
+    H = E.basis.from_coords(np.asarray(v, dtype=float))
+    return float(np.linalg.eigvalsh((H + H.conj().T) / 2).min()) >= -tol
+
+
+def models_isomorphic(m1: Model, m2: Model) -> Optional[dict[str, str]]:
+    """Outcome relabelling carrying tests onto tests and states onto states."""
+    if (len(m1.outcomes) != len(m2.outcomes) or len(m1.tests) != len(m2.tests)
+            or m1.rank != m2.rank):
+        return None
+    if isinstance(m1.states, QuantumBackend) or isinstance(m2.states, QuantumBackend):
+        raise models.ModelError("isomorphism search is polytope-only")
+    if len(m1.states.vertices) != len(m2.states.vertices):
+        return None
+
+    sig1 = {x: sorted(map(len, (m1.tests[i] for i in m1.testspace.tests_containing(x))))
+            for x in m1.outcomes}
+    sig2 = {y: sorted(map(len, (m2.tests[i] for i in m2.testspace.tests_containing(y))))
+            for y in m2.outcomes}
+    t2 = {frozenset(t) for t in m2.tests}
+    v2 = set(m2.states.vertices)
+
+    def extend(assign: dict[str, str], remaining: list[str]) -> Optional[dict[str, str]]:
+        if not remaining:
+            for t in m1.tests:
+                if frozenset(assign[x] for x in t) not in t2:
+                    return None
+            for v in m1.states.vertices:
+                w = [ZERO] * len(v)
+                for xi, x in enumerate(m1.outcomes):
+                    w[m2.testspace.index(assign[x])] = v[xi]
+                if tuple(w) not in v2:
+                    return None
+            return dict(assign)
+        x = remaining[0]
+        for y in m2.outcomes:
+            if y in assign.values() or sig1[x] != sig2[y]:
+                continue
+            assign[x] = y
+            ok = True
+            for t in m1.tests:
+                if all(z in assign for z in t):
+                    if frozenset(assign[z] for z in t) not in t2:
+                        ok = False
+                        break
+            if ok:
+                res = extend(assign, remaining[1:])
+                if res is not None:
+                    return res
+            del assign[x]
+        return None
+
+    return extend({}, list(m1.outcomes))

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference_kernels as oracle
-from kvwb import effectspace, jordan, linalg
+from kvwb import jordan, linalg
 from kvwb.builtins import get_builtin
 from kvwb.cones import cone
 from kvwb.effectspace import build_effect_space
@@ -274,13 +274,13 @@ def test_float_squares_gate_is_the_probe_loop(name):
     assert again.gates == res.gates and res.gates["squares_in_cone"] is True
     J = res.algebra
     assert oracle.sampled_squares_gate(
-        J, lambda v: effectspace.cone_membership(E, v, 1e-9).feasible)
+        J, lambda v: oracle.psd_contains(E, v, 1e-9))
     rng = np.random.default_rng(42)
     rng.standard_normal((3 * p.dim, 2, p.dim))
     X = rng.standard_normal((20, p.dim))
     V = np.einsum("ni,nj,ijk->nk", X, X, J.np_tensor)
     assert list(p.cone_membership(V)) == [
-        effectspace.cone_membership(E, v, 1e-9).feasible for v in V]
+        oracle.psd_contains(E, v, 1e-9) for v in V]
     V[3] = -J.unit_float()
     assert list(p.cone_membership(V)) == [n != 3 for n in range(20)]
 

@@ -8,10 +8,10 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from kvwb import forms
-from kvwb.builtins import get_builtin
+from kvwb import composites, forms
+from kvwb.builtins import builtin_names, get_builtin
 from kvwb.cli import main
-from kvwb.composites import Conjugate, spin_form_from_conjugate
+from kvwb.composites import CompositeError, Conjugate, spin_form_from_conjugate
 from kvwb.models import Model
 from kvwb.serialize import (bipartite_from_json, dumps_canonical, form_to_json,
                             model_to_json)
@@ -428,6 +428,53 @@ def test_no_command_takes_an_enumeration_cap(runner):
         res = invoke(runner, *cmd, "--help")
         assert res.exit_code == 0, cmd
         assert "--cap" not in res.output, cmd
+
+
+#: Every subcommand that takes a model, with both conjugate variants;
+#: `reverify` reads what `report` wrote, and `jordan verify` takes a
+#: catalog kind instead of a model.
+MODEL_COMMANDS = [("run",), ("run", "--format", "md"), ("report",),
+                  ("validate",), ("bisym",), ("spin",), ("conjugate",),
+                  ("conjugate", "--no-invariance"), ("image",),
+                  ("cone", "dual"), ("cone", "selfdual"), ("cone", "weak"),
+                  ("jordan", "recover"), ("jordan", "identify")]
+
+
+@pytest.mark.parametrize("name", list(builtin_names()))
+def test_every_command_ends_in_a_verdict_on_every_builtin(runner, tmp_path,
+                                                          name):
+    """No subcommand raises on a built-in: each exits 0, 1 (a failed
+    check) or 2 (out of scope)."""
+    covered = {c[:2] if c[0] in ("cone", "jordan") else c[:1]
+               for c in MODEL_COMMANDS}
+    assert covered | {("reverify",), ("jordan", "verify")} == \
+        set(_commands(main))
+    rpt = tmp_path / "report.json"
+    runs = [(*cmd, name) for cmd in MODEL_COMMANDS]
+    runs += [("report", name, "--out", str(rpt)), ("reverify", str(rpt))]
+    for args in runs:
+        res = runner.invoke(main, list(args))
+        assert res.exception is None or isinstance(res.exception, SystemExit), \
+            (args, res.exception)
+        assert res.exit_code in (0, 1, 2), (args, res.output)
+
+
+def test_conjugate_reports_a_table_that_gives_no_form(runner, monkeypatch):
+    """A table found without invariance can be asymmetric, so that no form
+    extends it: the state is still printed, with a null derived form and
+    the reason, and the command exits 0, since a state was found."""
+    def asymmetric(*args, **kwargs):
+        raise CompositeError("table is asymmetric and does not extend to a "
+                             "symmetric form; pair ('x0','x1') fails after "
+                             "averaging", witness=("x0", "x1"))
+
+    monkeypatch.setattr(composites, "spin_form_from_conjugate", asymmetric)
+    res = invoke(runner, "conjugate", "squit", "--no-invariance")
+    assert res.exit_code == 0
+    blob = json.loads(res.output)
+    assert blob["found"] is True and blob["state"]
+    assert blob["derived_form"] is None
+    assert blob["derived_form_error"].startswith("table is asymmetric")
 
 
 #: sha256 and exit code of single-stage commands whose code paths share the

@@ -3,9 +3,8 @@ from fractions import Fraction as F
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from kvwb.cones import (PolyhedralCone, cone, cone_equal, dual_cone,
-                        halfspace_cone_rays, is_self_dual,
-                        is_weakly_self_dual)
+from kvwb.cones import (PolyhedralCone, cone, dual_cone, halfspace_cone_rays,
+                        is_self_dual, is_weakly_self_dual)
 from kvwb.linalg import dot, identity, mat_vec
 import reference_kernels as oracle
 from reference_kernels import is_order_isomorphism, polytope_hrep
@@ -47,7 +46,7 @@ def test_zero_cone_of_r2_is_not_self_dual():
 
 def test_dual_of_orthant_is_orthant():
     D = dual_cone(ORTHANT3, identity(3))
-    eq, _ = cone_equal(D, ORTHANT3)
+    eq, _ = oracle.cone_equal(D, ORTHANT3)
     assert eq
 
 
@@ -108,18 +107,18 @@ def test_dual_of_dual_random_suite():
         K = rational_rng_cone(rng, d, k)
         D = dual_cone(K)
         DD = dual_cone(D)
-        eq, detail = cone_equal(DD, K)
+        eq, detail = oracle.cone_equal(DD, K)
         assert eq, (trial, detail)
 
         inside = [sum(g[i] for g in K.all_generators()) for i in range(d)]
-        res = K.contains(inside)
+        res = oracle.cone_contains(K, inside)
         assert res.feasible
         rec = [sum(c * g[i] for c, g in zip(res.point, K.all_generators()))
                for i in range(d)]
         assert rec == inside
 
         probe = [F(int(rng.integers(-6, 7))) for _ in range(d)]
-        out = K.contains(probe)
+        out = oracle.cone_contains(K, probe)
         if not out.feasible:
             f = out.farkas
             assert all(dot(f, g) >= 0 for g in K.all_generators())

@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from kvwb.builtins import builtin_names, classical, get_builtin, squit
-from kvwb.effectspace import (EffectSpaceError, build_effect_space,
-                              cone_membership, linearize_morphism)
+from kvwb.effectspace import EffectSpaceError, build_effect_space
 from kvwb.linalg import _integer_block, mat_vec
-from kvwb.models import (Model, PermutationGroup, PolytopeBackend, image_model,
-                         validate_model)
+from kvwb.models import Model, PermutationGroup, PolytopeBackend, validate_model
 from kvwb.models import TestSpace as TSpace
 import reference_kernels as oracle
-from tests.test_models import paired_classical4
 
 
 def test_classical_space_is_the_delta_basis():
@@ -76,13 +73,6 @@ def test_a_generator_moving_a_state_off_the_span_raises():
         oracle.effect_action(E, m.group.generators[0])
 
 
-def test_cone_membership_certificates():
-    E = build_effect_space(classical(2))
-    assert cone_membership(E, [F(1), F(1)]).feasible          # the unit
-    res = cone_membership(E, [F(-1), F(0)])
-    assert not res.feasible
-
-
 def test_quantum_space_dims():
     E2 = build_effect_space(get_builtin("qubit:complex"))
     assert E2.kind == "float" and E2.dim == 4 and E2.span_dim == 4
@@ -92,22 +82,6 @@ def test_quantum_space_dims():
     mats = E2.basis.mats
     G = np.array([[np.trace(a @ b).real for b in mats] for a in mats])
     assert np.abs(G - np.eye(4)).max() < 1e-12
-
-
-def test_forward_linearization_of_the_pairwise_collapse():
-    m4 = paired_classical4()
-    _, mor = image_model(m4, {"a": "c0", "b": "c0", "c": "c1", "d": "c1"})
-    L = linearize_morphism(mor)
-    assert L.matrix == [[F(1), F(1), F(0), F(0)], [F(0), F(0), F(1), F(1)]]
-
-
-def test_linearization_is_exact_only():
-    mq = get_builtin("qubit:real")
-    # quantum models cannot be the source of an exact linearization
-    from kvwb.models import Morphism
-    f = Morphism(mq, mq, {x: x for x in mq.outcomes}, tuple())
-    with pytest.raises(EffectSpaceError):
-        linearize_morphism(f)
 
 
 EXACT_SPACES = [*(n for n in builtin_names()

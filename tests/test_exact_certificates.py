@@ -120,7 +120,7 @@ def test_separators_match_the_membership_lps(case):
     V = np.array([linalg._primitive_row(v) for v in vs], dtype=object).T
     seps = cones.separators(K, K_dual, V)
     for j, v in enumerate(vs):
-        if K.contains(v).feasible:
+        if oracle.cone_contains(K, v).feasible:
             assert j not in seps
             continue
         oracle.separating_functional(K, v)

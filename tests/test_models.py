@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kvwb.builtins import classical, get_builtin, squit, squit_klein
+from kvwb.builtins import (builtin_names, classical, get_builtin, squit,
+                           squit_klein)
 from kvwb import models
 from kvwb.lp import cone_membership
 from kvwb.models import TestSpace as TSpace
-from kvwb.models import (Model, ModelError, PermutationGroup,
+from kvwb.models import (ImageError, Model, ModelError, PermutationGroup,
                          PolytopeBackend, assess_all_candidates,
                          check_bisymmetry, distinguishable, find_nontrivial_images,
-                         image_model, is_sharp, models_isomorphic,
-                         perm_compose, perm_inverse, pullback_state,
-                         set_partitions, validate_model, validate_morphism)
+                         image_model, is_sharp, perm_compose, perm_inverse,
+                         set_partitions, validate_model)
+import reference_kernels as oracle
 from reference_groups import mulclose, ordered_orbit
 
 
@@ -137,16 +138,14 @@ def test_sharpness():
     assert len(rep.witness["certain_states"]) == 2
 
 
-# --- morphisms and images --------------------------------------------------
+# --- images ---------------------------------------------------------------
 
 def test_pairwise_collapse_is_the_bit():
     m4 = paired_classical4()
     omap = {"a": "c0", "b": "c0", "c": "c1", "d": "c1"}
-    q, mor = image_model(m4, omap)
+    q = image_model(m4, omap)
     assert q.states.vertices == ((F(1), F(0)), (F(0), F(1)))
-    rep = validate_morphism(mor)
-    assert rep.ok and rep.surjective
-    relab = models_isomorphic(q, classical(2))
+    relab = oracle.models_isomorphic(q, classical(2))
     assert relab is not None
 
 
@@ -154,7 +153,7 @@ def test_image_vertices_are_fractions():
     """The image states are exact: the double description hands back
     integer rays, and each vertex is one of them over its last entry."""
     omap = {"a": "c0", "b": "c0", "c": "c1", "d": "c1"}
-    q, _ = image_model(paired_classical4(), omap)
+    q = image_model(paired_classical4(), omap)
     assert q.states.vertices
     assert all(type(x) is F for v in q.states.vertices for x in v)
 
@@ -162,15 +161,15 @@ def test_image_vertices_are_fractions():
 def test_collapse_pullbacks_live_in_the_state_cone():
     m4 = paired_classical4()
     omap = {"a": "c0", "b": "c0", "c": "c1", "d": "c1"}
-    q, mor = image_model(m4, omap)
+    q = image_model(m4, omap)
     src_verts = [list(v) for v in m4.states.vertices]
     for i in range(len(q.states.vertices)):
         beta = q.vertex_dict(i)
-        pulled = pullback_state(mor, beta)
-        vec = [pulled[x] for x in m4.outcomes]
+        vec = [beta[omap[x]] for x in m4.outcomes]
         assert cone_membership(vec, src_verts).feasible
     # the bit vertex pulls back to delta_a + delta_b: mass 2, not a state
-    assert sum(pullback_state(mor, q.vertex_dict(0)).values()) == 2
+    beta = q.vertex_dict(0)
+    assert sum(beta[omap[x]] for x in m4.outcomes) == 2
 
 
 def test_image_search_classical4():
@@ -193,9 +192,8 @@ def test_klein_squit_has_two_bit_images():
     assert parts == [(("x0", "y0"), ("x1", "y1")), (("x0", "y1"), ("x1", "y0"))]
     for c in found:
         omap = {x: f"c{bi}" for bi, b in enumerate(c.partition) for x in b}
-        q, mor = image_model(mk, omap)
-        assert validate_morphism(mor).ok
-        assert models_isomorphic(q, classical(2)) is not None
+        q = image_model(mk, omap)
+        assert oracle.models_isomorphic(q, classical(2)) is not None
         assert len(q.tests) == 1
 
 
@@ -241,12 +239,31 @@ def test_psd_grid_miss_is_unknown_not_no():
 
 def test_unknown_psd_search_gives_its_own_verdict(monkeypatch):
     m = get_builtin("qubit:real")
-    omap = {x: x for x in m.outcomes}
-    assert models._quantum_pullback_feasible(m, omap) == (True, "")
+    q = models._quotient(m, m.sample_symmetries, {x: x for x in m.outcomes})
+    assert models._quantum_pullback_feasible(m, q) == (True, "")
     monkeypatch.setattr(models, "_min_trace_distance_psd",
                         lambda *args: None)
-    assert models._quantum_pullback_feasible(m, omap) == (
+    assert models._quantum_pullback_feasible(m, q) == (
         None, "psd-pullback-unknown")
+
+
+@pytest.mark.parametrize("name", [
+    *(n for n in builtin_names()
+      if isinstance(get_builtin(n).states, PolytopeBackend)),
+    "gbit:3", "gbit:4", "paired"])
+def test_image_model_builds_exactly_the_image_verdicts(name):
+    """`image_model` and the search share one quotient: it builds an image
+    for each candidate whose verdict is "image" and raises `ImageError`,
+    naming the verdict, for every other one."""
+    m = paired_classical4() if name == "paired" else get_builtin(name)
+    for c in assess_all_candidates(m):
+        omap = {x: f"c{bi}" for bi, b in enumerate(c.partition) for x in b}
+        if c.verdict == "image":
+            q = image_model(m, omap)
+            assert validate_model(q).ok and len(q.outcomes) == len(c.partition)
+        else:
+            with pytest.raises(ImageError, match=c.verdict):
+                image_model(m, omap)
 
 
 def test_torn_fibre_raises():
@@ -261,5 +278,5 @@ def test_set_partitions_count():
 
 
 def test_models_isomorphic_negative():
-    assert models_isomorphic(classical(2), classical(3)) is None
-    assert models_isomorphic(squit(), classical(4)) is None
+    assert oracle.models_isomorphic(classical(2), classical(3)) is None
+    assert oracle.models_isomorphic(squit(), classical(4)) is None
