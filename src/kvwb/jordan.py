@@ -22,8 +22,8 @@ import numpy as np
 
 from .linalg import (ONE, _eliminate, _integer_block, _integer_readout, _Kind,
                      _lowest, frac, is_positive_definite, sparse_int_rows)
-from .spectral import (_eigenvalues_many, _groups, _idempotents, _sqrt_many,
-                       _value, generic_rank)
+from .spectral import (_eigenvalues_many, _extreme_eigenvalues, _groups,
+                       _idempotents, _sqrt_many, _value, generic_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +99,24 @@ class JordanAlgebra:
         """Whether the exact trace form is positive definite, decided once on
         integers: the recovery and the symmetric-cone check share it."""
         return is_positive_definite(_trace_gram(self, _EXACT)[1].tolist())
+
+    @cached_property
+    def trace_gram_float(self) -> np.ndarray:
+        """`trace_form_gram` on floats, built once and read-only."""
+        G = _FLOAT.unscaled(_trace_gram(self, _FLOAT))
+        G.flags.writeable = False
+        return G
+
+    @cached_property
+    def trace_cholesky(self) -> Optional[np.ndarray]:
+        """Lower R with R Rᵀ = `trace_gram_float`, read-only; None when that
+        Gram is not positive definite."""
+        try:
+            R = np.linalg.cholesky(self.trace_gram_float)
+        except np.linalg.LinAlgError:
+            return None
+        R.flags.writeable = False
+        return R
 
 
 def jordan_product(J: JordanAlgebra, a, b):
@@ -353,11 +371,11 @@ def _has_cone_formula(J: JordanAlgebra) -> bool:
 
 def _in_cone_many(J: JordanAlgebra, A: np.ndarray, tol: float) -> list:
     """`cone_of_squares_membership` of each row of A, or the error the
-    spectral test raised on that row."""
+    spectral test (least eigenvalue >= -max(tol, 1e-7)) raised on it."""
     if _has_cone_formula(J):
         return [cone_of_squares_membership(J, a, tol) for a in A]
-    return [e if isinstance(e, Exception) else min(e) >= -max(tol, 1e-7)
-            for e in _eigenvalues_many(J, A)]
+    return [e if isinstance(e, Exception) else e[0] >= -max(tol, 1e-7)
+            for e in _extreme_eigenvalues(J, A)]
 
 
 def _reconstruct(J: JordanAlgebra, a) -> np.ndarray:
@@ -447,9 +465,8 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
         return rep
 
     # gate 2: formal reality via the trace form
-    G = None if J.exact else trace_form_gram(J)
     rep.trace_form_pd = (J.trace_form_pd if J.exact
-                         else _positive_definite(G, tol))
+                         else _positive_definite(J.trace_gram_float, tol))
     if not rep.trace_form_pd:
         rep.failures.append({"gate": "trace-form-pd"})
         return rep
@@ -458,24 +475,25 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
         rep.self_duality_ok = rep.homogeneity_ok = rep.ok = True
         rep.notes.append(KV_NOTE)
         return rep
-    _sampled_cone_gates(J, rep, rng, np.asarray(G, dtype=float),
-                        sample_count, tol)
+    _sampled_cone_gates(J, rep, rng, sample_count, tol)
     return rep
 
 
 def _sampled_cone_gates(J: JordanAlgebra, rep: SymmetricConeReport, rng,
-                        Gf: np.ndarray, sample_count: int, tol: float):
+                        sample_count: int, tol: float):
     """Gates 3 and 4 on float samples, filling `rep`.
 
     Every gate draws all its samples first, in the order a sample loop
     would, and then works on the stack with the kernels of
-    `kvwb.spectral`.  Gate 4 then replays the samples in order, so the
-    report is the sample loop's: the first error of a square root or of a
-    spectral membership test ends the gate with the cone-preservation
-    failures found before it, and an error that is not an ArithmeticError
-    escapes where the loop raised it.
+    `kvwb.spectral`: gate 3's idempotents need whole minimal polynomials,
+    gate 4 only extreme eigenvalues (`spectral._extreme_eigenvalues`).
+    Gate 4 then replays the samples in order, so the report is the sample
+    loop's: the first error of a square root or of a spectral membership
+    test ends the gate with the cone-preservation failures found before
+    it, and an error that is not an ArithmeticError escapes where the loop
+    raised it.
     """
-    d = J.dim
+    d, Gf = J.dim, J.trace_gram_float
 
     # gate 3: self-duality samples — squares pair non-negatively, and the
     # spectral idempotents of random elements pair non-negatively too
@@ -806,7 +824,7 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42
 
     # acceptance gates on the tensor
     gates["trace_form_pd"] = (J.trace_form_pd if p.exact else
-                              _positive_definite(trace_form_gram(J), 1e-10))
+                              _positive_definite(J.trace_gram_float, 1e-10))
     sq_ok, frame = True, None
     if p.exact and p.extreme_rays:
         frame = jordan_frame(J, p.extreme_rays)

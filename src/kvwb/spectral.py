@@ -3,20 +3,22 @@
 Minimal polynomials, eigenvalues, spectral idempotents and square roots of
 elements, read off the product alone: a kernel needs of its algebra J only
 `J.dim`, the float tensor `J.np_tensor` (T[i, j] the coordinates of
-e_i ∘ e_j) and the float unit `J.unit_float()`, so it runs on any kind,
-recovered products included.
+e_i ∘ e_j), the float unit `J.unit_float()` and the trace form's Cholesky
+factor `J.trace_cholesky`, so it runs on any kind, recovered ones included.
 
-The kernels work on a stack of elements, one per row, and give each row
-the same floats the one-element code gives it (`jordan_sqrt` here; the
-tests keep the others as oracles): every stacked numpy call used here
-(einsum with a leading row axis, solve, svd, matmul, eigvals, and the gufunc
-behind np.linalg.lstsq) does per row what its unstacked form does.  A row that fails holds its exception in place of its result, so a
-caller can replay the rows in order and stop where a row-by-row loop would
-have stopped.
+The kernels work on a stack of elements, one per row.  Minimal polynomials
+and eigenvalues give each row the floats the one-element code gave it (the
+tests keep it as an oracle): each stacked numpy call they use does per row
+what its unstacked form does.  Square roots and the cone test read extreme
+eigenvalues off one symmetric eigensolve of L_w instead, which agree with
+those roots to rounding, not bit for bit.  A row that fails holds its
+exception in place of its result, so a caller can replay the rows in order
+and stop where a row-by-row loop would have stopped.
 """
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -183,26 +185,48 @@ def _eigenvalues_many(J, W: np.ndarray) -> list:
     return out
 
 
+def _extreme_eigenvalues(J, W: np.ndarray) -> list:
+    """(least, greatest) eigenvalue of each row w of W, or the error that
+    row raises, from one stacked `eigvalsh`.  In a Euclidean Jordan algebra
+    L_w is self-adjoint under the trace form G = R Rᵀ (`J.trace_cholesky`)
+    and acts on the Peirce space V_ij of w's Jordan frame as (λ_i + λ_j)/2,
+    V_ii = R·c_i, so w has the extreme eigenvalues of the symmetric
+    R⁻¹ (G L_w) R⁻ᵀ (Faraut & Korányi, ch. II and IV).  A failed or not
+    finite eigensolve holds a LinAlgError; without a positive definite G
+    every row holds an ArithmeticError."""
+    if J.trace_cholesky is None:
+        return [ArithmeticError("trace form not positive definite") for _ in W]
+    Ri = np.linalg.inv(J.trace_cholesky)
+    H = Ri @ J.trace_gram_float @ J.np_tensor.transpose(0, 2, 1) @ Ri.T
+    H = (H + H.transpose(0, 2, 1)) / 2          # R⁻¹ G L_i R⁻ᵀ, symmetrized
+    M = np.einsum("ni,ijk->njk", np.asarray(W, float), H)
+    return [r if isinstance(r, Exception) else (float(r[0]), float(r[-1]))
+            if math.isfinite(r[0]) and math.isfinite(r[-1])
+            else np.linalg.LinAlgError("Eigenvalues did not converge")
+            for r in _stacked(np.linalg.eigvalsh, M)]
+
+
 def _sqrt_many(J, W: np.ndarray) -> list:
     """Square root of each row of W (see `jordan_sqrt`), or the error that
-    row raises: ArithmeticError for a complex or negative eigenvalue or a
-    stalled iteration, LinAlgError for a singular L_s.  Each Babylonian step
-    is one stacked solve over the rows that have not converged yet."""
+    row raises: ArithmeticError for a negative eigenvalue, a stalled
+    iteration or one of `_extreme_eigenvalues`, LinAlgError for a failed
+    eigensolve or a singular L_s.  Each Babylonian step is one stacked
+    solve over the rows that have not converged yet."""
     W = np.asarray(W, float)
     T, u = J.np_tensor, J.unit_float()
-    out = _eigenvalues_many(J, W)
+    out = _extreme_eigenvalues(J, W)
     S = np.empty_like(W)
     scale = np.fmax(1.0, np.abs(W).max(axis=1))      # max(1.0, x) per row
     err = np.full(len(W), np.inf)
     running = []
-    for n, lams in enumerate(out):
-        if isinstance(lams, Exception):
+    for n, ends in enumerate(out):
+        if isinstance(ends, Exception):
             continue
-        if lams.min() < -1e-6:
+        if ends[0] < -1e-6:
             out[n] = ArithmeticError(
-                f"element not in the cone (eig {lams.min():.2e})")
+                f"element not in the cone (eig {ends[0]:.2e})")
             continue
-        S[n] = np.sqrt(max(float(lams.max()), 1e-12)) * u
+        S[n] = np.sqrt(max(ends[1], 1e-12)) * u
         running.append(n)
     rows = np.array(running, dtype=np.intp)
     for _ in range(80):
@@ -210,13 +234,16 @@ def _sqrt_many(J, W: np.ndarray) -> list:
             break
         steps = _stacked(np.linalg.solve, np.einsum("ni,ijk->nkj", S[rows], T),
                          W[rows, :, None])
-        solved = np.array([not isinstance(x, Exception) for x in steps])
-        for n, x in zip(rows[~solved], itertools.compress(steps, ~solved)):
-            out[n] = x
-        rows = rows[solved]
-        if not rows.size:
-            break
-        X = np.array(list(itertools.compress(steps, solved)))[..., 0]
+        if isinstance(steps, np.ndarray):           # no row failed
+            X = steps[..., 0]
+        else:
+            solved = np.array([not isinstance(x, Exception) for x in steps])
+            for n, x in zip(rows[~solved], itertools.compress(steps, ~solved)):
+                out[n] = x
+            rows = rows[solved]
+            if not rows.size:
+                break
+            X = np.array(list(itertools.compress(steps, solved)))[..., 0]
         S[rows] = 0.5 * (S[rows] + X)
         err[rows] = np.abs(np.einsum("ni,nj,ijk->nk", S[rows], S[rows], T)
                            - W[rows]).max(axis=1)
@@ -272,5 +299,7 @@ def jordan_sqrt(J, w, tol: float = 1e-9) -> np.ndarray:
     1e-7 max(1, |w|), or an eigenvalue below -1e-6, raises ArithmeticError.
     The iterates stay in the associative subalgebra generated by w, where
     the recursion is the scalar one per eigenvalue, so it needs only the
-    eigenvalues, for the seed and the negativity screen."""
+    extreme eigenvalues (`_extreme_eigenvalues`), for the negativity screen
+    and the seed; they may differ from the minimal polynomial's roots, and
+    so the root from the old one, in the last bits."""
     return _value(_sqrt_many(J, np.asarray(w, float)[None])[0])

@@ -1,16 +1,28 @@
-"""The stacked spectral kernels and the symmetric-cone check equal the
+"""The stacked spectral kernels and the symmetric-cone check against the
 one-element code they replaced.
 
 `reference_kernels` keeps the old `minimal_polynomial_degree`,
 `jordan_powers`, `_eigenvalues`, `jordan_sqrt` and `verify_symmetric_cone`,
-and the per-row fit and `np.roots` of the old `_eigenvalues_many`.
-Every float must agree bit for bit, signed zeros included; a row that fails
-must fail with the same exception type and message, and the check must stop
-where the old sample loop stopped.  The check samples only float tensors;
-an exact algebra is proved, so it is compared on its float twin.
+and the per-row fit and `np.roots` of the old `_eigenvalues_many`.  The
+minimal-polynomial kernels (degrees, powers, fits, roots, merged
+eigenvalues) and gate 3 agree with it bit for bit, signed zeros included,
+and a row that fails fails with the same exception type and message.
+
+Square roots and gate 4's cone test read the least and the greatest
+eigenvalue off one symmetric eigensolve of L_w per stack
+(`spectral._extreme_eigenvalues`), which agrees with the oracle's roots to
+rounding, not bit for bit.  There a failing row fails with the same
+exception type as in the oracle; a root is within 1e-10·max(1, |w|) of the
+oracle's; and a report keeps every status, boolean and failure of the old
+one, its homogeneity error within 1e-10.  On an algebra whose trace form
+is not positive definite every row of the new kernel fails with one
+ArithmeticError.  The check must stop where the old sample loop stopped.
+It samples only float tensors; an exact algebra is proved, so it is
+compared on its float twin.
 """
 import dataclasses
 import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -24,13 +36,14 @@ from kvwb.builtins import get_builtin
 from kvwb.effectspace import build_effect_space
 from kvwb.forms import find_orthogonalizing_spin_form
 from kvwb.jordan import (JordanAlgebra, classical_algebra, complex_hermitian,
-                         quaternionic_hermitian, real_symmetric,
+                         direct_sum, quaternionic_hermitian, real_symmetric,
                          recover_jordan_product, spin_factor,
                          verify_symmetric_cone)
 from kvwb.pipeline import _recovery_problem
 from kvwb.spectral import (_degrees_and_powers, _eigenvalues_many,
-                           _minimal_polynomials, _roots_many, _sqrt_many,
-                           _stacked, generic_rank, jordan_sqrt)
+                           _extreme_eigenvalues, _minimal_polynomials,
+                           _roots_many, _sqrt_many, _stacked, generic_rank,
+                           jordan_sqrt)
 from test_jordan import assert_proved, float_twin
 
 CATALOG = [real_symmetric(1), real_symmetric(2), real_symmetric(3),
@@ -89,6 +102,9 @@ def plane(square_of_e):
 #: formally real, where complex and repeated eigenvalues are the rule.
 KERNEL_ALGEBRAS = [plane(-1.0), plane(0.0)]
 
+#: What every row of `_extreme_eigenvalues` holds on such an algebra.
+NOT_PD = "trace form not positive definite"
+
 
 def outcome(f, *args):
     """f(*args), or the exception it raised."""
@@ -112,9 +128,9 @@ def assert_same(new, old):
 def special_rows(J, rng):
     """Rows that are not generic: the unit, zero, spectral idempotents,
     elements with repeated and with nearly repeated eigenvalues, elements
-    outside the cone, and a row with a NaN."""
+    outside the cone, a row of NaNs and a row of infs."""
     d, u = J.dim, J.unit_float()
-    rows = [u, np.zeros(d), -u, np.full(d, np.nan)]
+    rows = [u, np.zeros(d), -u, np.full(d, np.nan), np.full(d, np.inf)]
     if J in KERNEL_ALGEBRAS:
         return rows
     _, idems = oracle.spectral_decomposition(
@@ -175,13 +191,30 @@ def test_eigenvalues_match_the_one_element_code(case):
         assert_same(_eigenvalues_many(J, w[None])[0], lams)
 
 
+def square(J, s):
+    return np.einsum("i,j,ijk->k", s, s, J.np_tensor)
+
+
 @settings(max_examples=80, deadline=None)
 @given(stacks())
 def test_square_roots_match_the_one_element_code(case):
+    """The one-element `jordan_sqrt` is the stack's row, bit for bit.  On a
+    formally real algebra a row fails with the oracle's exception type, or
+    its root is within 1e-10·max(1, |w|) of the oracle's and squares to w
+    within 1e-12·max(1, |w|), the iteration's stopping rule; otherwise
+    every row holds the kernel's ArithmeticError."""
     J, W = case
     for w, s in zip(W, _sqrt_many(J, W)):
-        assert_same(s, outcome(oracle.jordan_sqrt, J, w))
         assert_same(outcome(jordan_sqrt, J, w), s)
+        if J.trace_cholesky is None:
+            assert type(s) is ArithmeticError and str(s) == NOT_PD
+            continue
+        old = outcome(oracle.jordan_sqrt, J, w)
+        assert type(s) is type(old), (s, old)
+        if not isinstance(old, Exception):
+            scale = max(1.0, float(np.abs(w).max()))
+            assert np.abs(s - old).max() <= 1e-10 * scale
+            assert np.abs(square(J, s) - w).max() <= 1e-12 * scale
 
 
 def test_the_stacks_reach_every_failure():
@@ -189,9 +222,80 @@ def test_the_stacks_reach_every_failure():
     J = real_symmetric(3)
     roots = _sqrt_many(J, np.array(special_rows(J, np.random.default_rng(3))))
     errors = {str(r).split(" (")[0] for r in roots if isinstance(r, Exception)}
-    assert errors == {"SVD did not converge", "element not in the cone"}
+    assert errors == {"Eigenvalues did not converge",
+                      "element not in the cone"}
     roots = _sqrt_many(plane(-1.0), np.random.default_rng(3).random((3, 2)))
-    assert all(str(r).startswith("complex eigenvalues") for r in roots)
+    assert all(str(r) == NOT_PD for r in roots)
+
+
+def assert_extremes(J, W):
+    """`_extreme_eigenvalues` of each row w of W against the least and the
+    greatest of `reference_kernels._eigenvalues`, within
+    1e-9·max(1, |w|∞), where the oracle tells all rank-many eigenvalues of
+    w apart.  Where it reports fewer nodes, it took a cluster for one root
+    (its degree cut, absolute for a small w) or reported close roots by
+    their mean (its merge), so each node it reports is only known to lie
+    between the least and the greatest eigenvalue, up to its merge width
+    1e-6·max(1, |λ|) more.  A row that fails, of NaNs or infs, holds a
+    LinAlgError in both."""
+    rank = oracle.generic_rank(J)
+    for w, got in zip(W, _extreme_eigenvalues(J, W)):
+        old = outcome(oracle._eigenvalues, J, w)
+        if isinstance(old, Exception):
+            assert type(got) is type(old), (got, old)
+            continue
+        assert not isinstance(got, Exception), got
+        bound = 1e-9 * max(1.0, float(np.abs(w).max()))
+        if len(old) == rank:
+            assert abs(got[0] - old[0]) <= bound
+            assert abs(got[1] - old[-1]) <= bound
+        else:
+            bound += 1e-6 * max(1.0, np.abs(old).max())
+            assert got[0] - bound <= old[0] and old[-1] <= got[1] + bound
+
+
+KERNEL_ORACLE_ALGEBRAS = ([float_twin(J) for J in CATALOG]
+                          + [float_twin(direct_sum([real_symmetric(2),
+                                                    spin_factor(3)]))])
+
+
+@pytest.mark.parametrize("k", range(len(KERNEL_ORACLE_ALGEBRAS)
+                                   + len(BUILTINS)))
+def test_extreme_eigenvalues_match_the_oracle(k):
+    """On the float twins of the catalog, of RealSym(2) ⊕ SpinFactor(3) and
+    on the recovered built-ins: special rows, random rows and samples of
+    gate 4.  The NaN and the inf row each hold a LinAlgError in place."""
+    J = (KERNEL_ORACLE_ALGEBRAS[k] if k < len(KERNEL_ORACLE_ALGEBRAS)
+         else recovered(BUILTINS[k - len(KERNEL_ORACLE_ALGEBRAS)]))
+    rng = np.random.default_rng(k)
+    X = rng.standard_normal((20, J.dim))
+    samples = (np.einsum("ni,nj,ijk->nk", X, X, J.np_tensor)
+               + 0.2 * J.unit_float())
+    special = special_rows(J, rng)
+    W = np.concatenate([special, X, samples])
+    assert_extremes(J, W)
+    got = _extreme_eigenvalues(J, W)
+    assert [isinstance(r, np.linalg.LinAlgError) for r in got] == [
+        not np.isfinite(w).all() for w in W]
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacks())
+def test_extreme_eigenvalues_of_the_stacks(case):
+    J, W = case
+    if J.trace_cholesky is not None:
+        assert_extremes(J, W)
+    else:
+        assert all(type(r) is ArithmeticError and str(r) == NOT_PD
+                   for r in _extreme_eigenvalues(J, W))
+
+
+def test_a_plane_that_is_not_formally_real_fails_every_row():
+    J = KERNEL_ALGEBRAS[0]
+    rows = np.array(special_rows(J, np.random.default_rng(0)))
+    got = _extreme_eigenvalues(J, rows)
+    assert len(got) == len(rows)
+    assert all(type(r) is ArithmeticError and str(r) == NOT_PD for r in got)
 
 
 @pytest.mark.parametrize("k", range(N_ALGEBRAS))
@@ -212,14 +316,32 @@ def test_stacked_solve_falls_back_row_by_row():
         assert_same(got[n], np.linalg.solve(A[n], b[n]))
 
 
-def assert_same_report(new, old):
-    new, old = dataclasses.asdict(new), dataclasses.asdict(old)
+def assert_same_fields(new: dict, old: dict):
     assert new.keys() == old.keys()
     for key, value in old.items():
         if isinstance(value, float):
             assert_same(new[key], value)
         else:
             assert new[key] == value, key
+
+
+def assert_same_report(new, old):
+    assert_same_fields(dataclasses.asdict(new), dataclasses.asdict(old))
+
+
+def assert_sampled_report(new, old):
+    """The old report, but for the homogeneity error of gate 4, whose
+    square roots may differ from the oracle's in their last bits: that
+    float within 1e-10, every status, boolean, failure and note exact, and
+    gate 3's minimum pairing bit for bit."""
+    new, old = dataclasses.asdict(new), dataclasses.asdict(old)
+    error = new.pop("max_homogeneity_error")
+    expected = old.pop("max_homogeneity_error")
+    if expected is None:
+        assert error is None
+    else:
+        assert abs(error - expected) <= 1e-10, (error, expected)
+    assert_same_fields(new, old)
 
 
 @settings(max_examples=40, deadline=None)
@@ -230,8 +352,8 @@ def test_symmetric_cone_reports_match(k, seed, sample_count):
     twins."""
     J = algebra(k)
     J = sampled(J, verify_symmetric_cone(J, sample_count, seed))
-    assert_same_report(verify_symmetric_cone(J, sample_count, seed),
-                       oracle.verify_symmetric_cone(J, sample_count, seed))
+    assert_sampled_report(verify_symmetric_cone(J, sample_count, seed),
+                          oracle.verify_symmetric_cone(J, sample_count, seed))
 
 
 @pytest.mark.parametrize("k", range(N_ALGEBRAS))
@@ -260,92 +382,87 @@ def test_mislabelled_tensor_fails_inside_gate_4_as_before():
     assert_same_report(rep, oracle.verify_symmetric_cone(K, sample_count=30))
 
 
-ROOTS, EIGVALS = np.roots, np.linalg.eigvals
-TAGGED = {"complex": lambda r: r + 1e-3j, "negative": lambda r: r - 100.0}
+EIGENVALUES, EXTREMES = oracle._eigenvalues, spectral._extreme_eigenvalues
 
 
-def tagged_roots(tags):
-    """np.roots, except on the polynomials in `tags` (keyed by their
-    bytes): "complex" adds an imaginary part, "negative" shifts the roots
-    below zero and "linalg" raises LinAlgError."""
-    def roots(poly):
-        tag = tags.get(np.asarray(poly).tobytes())
-        if tag == "linalg":
-            raise np.linalg.LinAlgError("tagged")
-        return TAGGED.get(tag, lambda r: r)(ROOTS(poly))
-    return roots
+def planted(tag):
+    """The error a tag plants at an eigenvalue step: "arithmetic" stands
+    for an ArithmeticError there (as a complex root raised in the old
+    check), "linalg" for a LinAlgError."""
+    return {"arithmetic": ArithmeticError,
+            "linalg": np.linalg.LinAlgError}[tag]("tagged " + tag)
 
 
-def tagged_eigvals(tags):
-    """np.linalg.eigvals, except on the matrices in `tags` (keyed by their
-    bytes), with the tags of `tagged_roots`.  A "linalg" matrix makes the
-    whole call raise, a stacked one too, so the stack is retried row by
-    row."""
-    def eigvals(A):
-        A = np.asarray(A)
-        found = [tags.get(m.tobytes()) for m in A.reshape(-1, *A.shape[-2:])]
-        if "linalg" in found:
-            raise np.linalg.LinAlgError("tagged")
-        out = EIGVALS(A)
-        return np.array([TAGGED.get(tag, lambda r: r)(r) for r, tag in
-                         zip(out.reshape(len(found), -1), found)]
-                        ).reshape(out.shape)
-    return eigvals
+def tagged_eigenvalues(tags, calls):
+    """`reference_kernels._eigenvalues`, the eigenvalue step of the old
+    check, except at the positions in `tags`: "negative" shifts the
+    eigenvalues below zero, the other tags raise `planted`.  Gate 3 makes
+    the first two calls (samples 0 and 10), then gate 4 calls it for
+    sqrt_0, membership_0, sqrt_1, membership_1, ...: position n is call
+    n + 2.  `calls` records the w of each call."""
+    def eigenvalues(J, w):
+        tag = tags.get(len(calls) - 2)
+        calls.append(w)
+        if tag in (None, "negative"):
+            return EIGENVALUES(J, w) - (100.0 if tag else 0.0)
+        raise planted(tag)
+    return eigenvalues
 
 
-def companion(poly):
-    """The companion matrix np.roots hands to eigvals for poly."""
-    nz = np.flatnonzero(poly)
-    p = poly[nz[0]:nz[-1] + 1]
-    A = np.diag(np.ones(len(p) - 2), -1)
-    A[0, :] = -p[1:] / p[0]
-    return A
+def tagged_extremes(tags):
+    """`spectral._extreme_eigenvalues`, the eigenvalue step of the stacked
+    check, with the tags of `tagged_eigenvalues` held in place of a row's
+    result: gate 4 calls it on the stack of its square roots (sqrt_n at
+    position 2n), then on that of its membership tests (position 2n + 1)."""
+    calls = itertools.count()
 
-
-def gate_4_polynomials(J, monkeypatch):
-    """The polynomials the old check hands to np.roots in gate 4, in order:
-    sqrt_0, membership_0, sqrt_1, membership_1, ..."""
-    seen = []
-
-    def record(poly):
-        seen.append(np.array(poly))
-        return ROOTS(poly)
-    monkeypatch.setattr(np, "roots", record)
-    oracle.verify_symmetric_cone(J, sample_count=20)
-    monkeypatch.setattr(np, "roots", ROOTS)
-    assert len(seen) == 2 + 2 * 20      # gate 3 diagonalises samples 0, 10
-    return seen[2:]
+    def extremes(J, W):
+        first = next(calls)
+        out = []
+        for n, ends in enumerate(EXTREMES(J, W)):
+            tag = tags.get(2 * n + first)
+            if tag == "negative":
+                ends = ends[0] - 100.0, ends[1] - 100.0
+            elif tag is not None:
+                ends = planted(tag)
+            out.append(ends)
+        return out
+    return extremes
 
 
 @pytest.mark.parametrize("tags", [
-    {1: "negative", 7: "negative", 10: "complex", 13: "linalg"},
-    {3: "negative", 9: "linalg", 12: "complex"},
-    {5: "complex"},
+    {1: "negative", 7: "negative", 10: "arithmetic", 13: "linalg"},
+    {3: "negative", 9: "linalg", 12: "arithmetic"},
+    {5: "arithmetic"},
     {4: "linalg"},
     {0: "negative"},
     {1: "negative", 39: "negative"},
 ])
 def test_gate_4_failures_stop_where_the_sample_loop_stopped(tags,
                                                             monkeypatch):
-    """Failures planted on chosen square roots (even positions) and
-    membership tests (odd positions) give the same report, or the same
-    escaping LinAlgError, as the old loop.  The old check meets a tag in
-    np.roots, keyed by the polynomial; the stacked one meets it in eigvals,
-    keyed by the companion matrix np.roots makes of that polynomial."""
+    """Failures planted at the eigenvalue step of chosen square roots (even
+    positions) and membership tests (odd positions) give the same report,
+    or the same escaping LinAlgError, as the old loop.  The old check meets
+    a tag in `reference_kernels._eigenvalues`, by the order of its calls;
+    the stacked one meets it in `spectral._extreme_eigenvalues`, by the row
+    of its stack."""
     J = recovered("qutrit:complex")
-    polys = gate_4_polynomials(J, monkeypatch)
-    monkeypatch.setattr(np, "roots", tagged_roots(
-        {polys[i].tobytes(): tag for i, tag in tags.items()}))
+    calls = []
+    monkeypatch.setattr(oracle, "_eigenvalues", tagged_eigenvalues({}, calls))
+    oracle.verify_symmetric_cone(J, sample_count=20)
+    assert len(calls) == 2 + 2 * 20
+    monkeypatch.setattr(oracle, "_eigenvalues",
+                        tagged_eigenvalues(tags, []))
     old = outcome(oracle.verify_symmetric_cone, J, 20)
-    monkeypatch.setattr(np, "roots", ROOTS)
-    monkeypatch.setattr(np.linalg, "eigvals", tagged_eigvals(
-        {companion(polys[i]).tobytes(): tag for i, tag in tags.items()}))
+    extremes = tagged_extremes(tags)
+    for module in (jordan, spectral):
+        monkeypatch.setattr(module, "_extreme_eigenvalues", extremes)
     new = outcome(verify_symmetric_cone, J, 20)
     if isinstance(old, Exception):
         assert_same(new, old)
     else:
         assert old.failures and not old.ok
-        assert_same_report(new, old)
+        assert_sampled_report(new, old)
 
 
 def lstsq_row(P, k):
@@ -491,21 +608,24 @@ def test_gate_1_matches_the_fraction_residual(k, seed, sample_count, exact,
                 "failing_triple": proof.triple}]
         J = float_twin(J)
         new = verify_symmetric_cone(J, sample_count, seed)
-    assert_same_report(new, oracle.verify_symmetric_cone(J, sample_count,
-                                                         seed))
+    assert_sampled_report(new, oracle.verify_symmetric_cone(J, sample_count,
+                                                            seed))
 
 
 @pytest.mark.parametrize("name", ["classical:5", "qutrit:complex"])
 def test_the_check_makes_no_per_row_fit_roots_or_product(name, monkeypatch):
-    """One fit per degree of each stacked eigenvalue call, no np.roots and
-    no `JordanAlgebra.product` (gate 1 runs on float stacks); the exact
-    product of classical:5 is proved with none of them, and its float twin
-    is sampled."""
+    """Gate 3 makes the one `_eigenvalues_many`, with one fit per degree;
+    gate 4 makes one stacked `eigvalsh` per stack, its square roots' and
+    then its cone test's, after gate 2's one on the trace form.  No
+    np.roots and no `JordanAlgebra.product` (gate 1 runs on float stacks);
+    the exact product of classical:5 is proved with none of them, and its
+    float twin is sampled."""
     J = recovered(name)
     assert J.exact == (name == "classical:5")
-    calls, fits = [0], []
-    spectra, product, lstsq = (spectral._eigenvalues_many,
-                               JordanAlgebra.product, _umath_linalg.lstsq)
+    calls, fits, solves = [0], [], []
+    spectra, product, lstsq, eigvalsh = (
+        spectral._eigenvalues_many, JordanAlgebra.product,
+        _umath_linalg.lstsq, np.linalg.eigvalsh)
 
     def count_spectra(*args):
         calls[0] += 1
@@ -515,16 +635,22 @@ def test_the_check_makes_no_per_row_fit_roots_or_product(name, monkeypatch):
         fits.append((calls[0], A.shape[-1]))
         return lstsq(A, *args, **kwargs)
 
+    def count_solves(A, *args, **kwargs):
+        solves.append(np.shape(A))
+        return eigvalsh(A, *args, **kwargs)
+
     def refuse(*args):
         raise AssertionError("unexpected per-row call")
     for module in (jordan, spectral):
         monkeypatch.setattr(module, "_eigenvalues_many", count_spectra)
     monkeypatch.setattr(_umath_linalg, "lstsq", count_fits)
+    monkeypatch.setattr(np.linalg, "eigvalsh", count_solves)
     monkeypatch.setattr(np, "roots", refuse)
     monkeypatch.setattr(JordanAlgebra, "product", refuse)
     if J.exact:
         J = sampled(J, verify_symmetric_cone(J))
-        assert calls == [0] and not fits
+        assert calls == [0] and not fits and not solves
     assert verify_symmetric_cone(J).ok
-    assert calls[0] >= 2 and fits
-    assert len(fits) == len(set(fits))
+    assert calls == [1] and fits and len(fits) == len(set(fits))
+    d = J.dim
+    assert solves == [(d, d), (50, d, d), (50, d, d)]
