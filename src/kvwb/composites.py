@@ -568,8 +568,9 @@ def spin_form_from_conjugate(c: Conjugate,
     denominators when exact, and then re-verifies every pair at once with
     the Gram matrix V B V^T of the outcome vectors, raising with the first
     violating pair if the table does not respect an effect-vector
-    dependency.  `certify_flags` sets four flags on the result and
-    `invariant` is the unitarity of the symmetries under it.
+    dependency; an exact form is made from its integer pair.
+    `certify_flags` sets four flags on the result and `invariant` is the
+    unitarity of the symmetries under it.
     """
     m = c.model
     E = E or build_effect_space(m)
@@ -581,9 +582,8 @@ def spin_form_from_conjugate(c: Conjugate,
                        for x in outs])
     S = Ci.T @ T[np.ix_(frame.at, frame.at)] @ Ci   # s_t·s_i² · S
     s = 2 * s_t * s_i * s_i                         # S + Sᵀ = s·B
-    B = BilinearForm(K.unscaled((s, S + S.T)), E.kind)
-    if K.exact:
-        B.scaled = _lowest(s, S + S.T)
+    B = (BilinearForm.from_scaled(_lowest(s, S + S.T)) if K.exact
+         else BilinearForm(K.unscaled((s, S + S.T)), E.kind))
     # s_v²·s · (V B Vᵀ - T); float scales are 1.0 and 2.0, exact in binary
     err = np.abs(V @ (S + S.T) @ V.T - T * (2 * s_i * s_i * s_v * s_v))
     s *= s_v * s_v

@@ -50,6 +50,20 @@ class BilinearForm:
     def dim(self) -> int:
         return len(self.matrix)
 
+    @classmethod
+    def from_scaled(cls, pair: tuple, **flags) -> "BilinearForm":
+        """The exact form of its pair (s, s·M), M symmetric by construction:
+        no check, and `.matrix` is made when first read (`__getattr__`)."""
+        form = cls.__new__(cls)
+        form.__dict__.update(kind="exact", scaled=pair, **flags)
+        return form
+
+    def __getattr__(self, name: str):
+        if name != "matrix" or "scaled" not in self.__dict__:
+            raise AttributeError(name)
+        self.matrix = _Kind(self.kind).unscaled(self.scaled)
+        return self.matrix
+
     @cached_property
     def scaled(self) -> tuple:
         """The matrix as the pair (s, s·M) of `_Kind.scaled`, made once."""
@@ -215,9 +229,8 @@ def find_orthogonalizing_spin_form(m, E: OrderUnitSpace, tol: float = 1e-9
         s_c, C = K.scaled(res.point)
         if (np.tensordot(C, P, 1) < 0).any():      # every unmerged row
             raise CertificateError("spin form fails a positivity row")
-        S = _lowest(s_c * s, np.tensordot(C, A, 1))
-        form = BilinearForm(K.unscaled(S), "exact", invariant=True)
-        form.scaled = S
+        form = BilinearForm.from_scaled(
+            _lowest(s_c * s, np.tensordot(C, A, 1)), invariant=True)
         certify_flags(form, E, tol)
         return SpinFormResult(form, h, [], basis=mats)
 

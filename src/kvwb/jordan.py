@@ -21,7 +21,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .linalg import (ONE, _eliminate, _integer_block, _integer_readout, _Kind,
-                     _lowest, frac, is_positive_definite, sparse_int_rows)
+                     _lowest, frac, is_positive_definite)
+from .models import orbit
 from .spectral import (_eigenvalues_many, _extreme_eigenvalues, _groups,
                        _idempotents, _sqrt_many, _value, generic_rank)
 
@@ -568,10 +569,11 @@ def _sampled_cone_gates(J: JordanAlgebra, rep: SymmetricConeReport, rng,
 @dataclass
 class RecoveryProblem:
     """Recovery inputs of one kind, each X (or each of a list) as the pair
-    (s, s·X) of `_Kind.scaled`: integers when exact.  The squares gate reads
-    `extreme_rays` (the cone's extreme rays) on an exact problem and
-    `cone_membership` (a stack of rows to one verdict per row) on a float
-    one."""
+    (s, s·X) of `_Kind.scaled`: integers when exact.  An exact problem
+    also holds its effect space's `outcome_frame` and the outcome
+    permutation of each action.  The squares gate reads `extreme_rays`
+    (the cone's extreme rays) on an exact problem and `cone_membership` (a
+    stack of rows to one verdict per row) on a float one."""
 
     dim: int
     B: tuple                             # PD orthogonalizing form
@@ -581,6 +583,8 @@ class RecoveryProblem:
     outcome_vectors: list = field(default_factory=list)
     cone_membership: Optional[Callable] = None
     extreme_rays: list = field(default_factory=list)
+    frame: Optional[tuple] = None
+    permutations: list = field(default_factory=list)
 
     @property
     def exact(self) -> bool:
@@ -619,30 +623,24 @@ def _triple_index(d: int) -> np.ndarray:
     return idx
 
 
-def _cubic_rows(p: RecoveryProblem, K: _Kind, B_inv: tuple):
-    """The linear constraints A s = b on the cubic form S(x, y, z) =
-    B(x ∘ y, z), totally symmetric for an associative B: the unknown
-    s[idx[i, j, k]] is one entry per sorted triple i ≤ j ≤ k.  B_inv is
-    `K.inverse(p.B)`, which the caller also lifts with.
+def _cubic_rows(p: RecoveryProblem, B_inv: np.ndarray):
+    """The linear constraints A s = b of a float problem on the cubic form
+    S(x, y, z) = B(x ∘ y, z), totally symmetric for an associative B: the
+    unknown s[idx[i, j, k]] is one entry per sorted triple i ≤ j ≤ k.
+    B_inv is B⁻¹, which the caller also lifts with; float pairs have s = 1.
 
     With T[i, j, :] = B⁻ᵀ S[i, j, :] the coordinates of e_i ∘ e_j, the
     blocks are the unit law Σᵢ uᵢ S[i, j, k] = B[j, k] (row (j, k), term i);
     equivariance BᵀMB⁻ᵀ S[i, j, :] = Σ_ab M[a, i] M[b, j] S[a, b, :] (row
     (i ≤ j, k), terms m, then (a, b)); and idempotence
     Σ g_i g_j S[i, j, :] = Bᵀg (row k, terms i ≤ j).  Columns and values
-    are laid out by broadcasting; on floats one `np.bincount` accumulates
-    them into A, in input order as `np.add.at` would, and the result is
-    (A, b).  Exact inputs are integers over their scales, each row is
-    taken times the product of its scales, and the nonzero triples are
-    summed into sparse rows of Python ints, {column: value} with the
-    right-hand side in column `ncols`, zeros left out; the result is (rows,
-    ncols), the rational rows up to a positive factor each.
+    are laid out by broadcasting, and one `np.bincount` accumulates them
+    into A, in input order as `np.add.at` would; the result is (A, b).
     """
     d = p.dim
     idx = _triple_index(d)
     ncols = d * (d + 1) * (d + 2) // 6
-    dtype = object if K.exact else float
-    (s_B, Bn), (s_Bi, Bin) = p.B, B_inv
+    (_, Bn), (_, u) = p.B, p.u
     iu, ju = np.triu_indices(d)
     R = len(iu)
     rows, cols, vals, rhs = [], [], [], []
@@ -656,33 +654,21 @@ def _cubic_rows(p: RecoveryProblem, K: _Kind, B_inv: tuple):
         vals.append(np.broadcast_to(v, c.shape).ravel())
         rhs.append(b)
 
-    s_u, u = p.u
-    add(idx.transpose(1, 2, 0).reshape(d * d, d), u * s_B,
-        (Bn * s_u).ravel())
+    add(idx.transpose(1, 2, 0).reshape(d * d, d), u, Bn.ravel())
     c_m = np.broadcast_to(idx[iu, ju][:, None, :], (R, d, d))
     c_ab = np.broadcast_to(idx.reshape(d * d, d).T, (R, d, d * d))
-    for s_M, M in p.actions:
+    for _, M in p.actions:
         v_ab = -(M[:, iu].T[:, :, None] * M[:, ju].T[:, None, :])
         add(np.concatenate([c_m, c_ab], axis=-1),
-            np.concatenate([np.broadcast_to(Bn.T @ M @ Bin.T * s_M,
-                                            (R, d, d)),
-                            np.broadcast_to(v_ab.reshape(R, 1, d * d)
-                                            * (s_B * s_Bi),
+            np.concatenate([np.broadcast_to(Bn.T @ M @ B_inv.T, (R, d, d)),
+                            np.broadcast_to(v_ab.reshape(R, 1, d * d),
                                             (R, d, d * d))], axis=-1),
-            np.zeros(R * d, dtype))
-    for s_g, g in p.outcome_vectors:
-        prod = g[iu] * g[ju] * s_B
-        add(idx[iu, ju].T, np.where(iu != ju, prod * 2, prod),
-            Bn.T @ g * s_g)
+            np.zeros(R * d))
+    for _, g in p.outcome_vectors:
+        prod = g[iu] * g[ju]
+        add(idx[iu, ju].T, np.where(iu != ju, prod * 2, prod), Bn.T @ g)
     b = np.concatenate(rhs)
     rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    if K.exact:
-        keep = vals != 0
-        out = sparse_int_rows(rows[keep], cols[keep], vals[keep], len(b))
-        for row, bb in zip(out, b.tolist()):
-            if bb:
-                row[ncols] = bb
-        return out, ncols
     rows *= ncols          # flat indices in place: no index array is added
     rows += cols           # to the peak memory of the float recovery
     A = np.bincount(rows, weights=vals,
@@ -717,32 +703,122 @@ def _solve_float(A: np.ndarray, b: np.ndarray):
     return t, N
 
 
-def _linear_stage(p: RecoveryProblem) -> Optional[tuple]:
-    """The solutions of `_cubic_rows` lifted to product tensors,
-    T[i, j, :] = B⁻ᵀ S[i, j, :], stacked on a last axis: one solution, then
-    a basis of the homogeneous ones, as the pair (s, s·T), integers over
-    the least denominator when exact; None when the rows are inconsistent."""
-    K = _EXACT if p.exact else _FLOAT
-    s_Bi, Bin = B_inv = K.inverse(p.B)
-    if K.exact:
-        rows, ncols = _cubic_rows(p, K, B_inv)
-        X = _integer_readout(_eliminate(rows, ncols), ncols)
-    else:
-        s0, N = _solve_float(*_cubic_rows(p, K, B_inv))
-        X = None if s0 is None else (1.0, np.column_stack([s0, N]))
+def _triple_orbits(n: int, perms: list) -> tuple[np.ndarray, int]:
+    """(orbit, k): orbit[a, b, c], symmetric, is the column of the orbit of
+    the multiset {a, b, c} of outcomes under the permutations, the k orbits
+    numbered by their least sorted triple (`models.orbit`, as the conjugate
+    LP numbers its unknowns)."""
+    idx = _triple_index(n)
+    trip = np.array(list(itertools.combinations_with_replacement(range(n), 3)),
+                    dtype=np.intp).reshape(-1, 3)
+    images = [idx[tuple(np.asarray(g)[trip].T)].tolist() for g in perms]
+    col, k = [-1] * len(trip), 0
+    for j in range(len(trip)):
+        if col[j] < 0:
+            for t in orbit(j, list.__getitem__, images):
+                col[t] = k
+            k += 1
+    return np.array(col)[idx], k
+
+
+def _orbit_rows(p: RecoveryProblem, orbit3: np.ndarray, k: int) -> list:
+    """The distinct rows, as `_eliminate` takes them, on v(a, b, c) =
+    S(g_a, g_b, g_c), one column per orbit of `orbit3`.  With x = Σ_f c_f
+    g_f on the frame outcomes (c = Qx, Q the frame's inverse), they are:
+    per pair b ≤ c of outcomes, Σ_f (c_a)_f v(f, b, c) = v(a, b, c) for
+    each outcome a off the frame (consistency) and Σ_f (c_u)_f v(f, b, c) =
+    B(g_b, g_c) (the unit law); per idempotent g and outcome c,
+    Σ_ff' (c_g)_f (c_g)_f' v(f, f', c) = B(g, g_c).  Each is scaled to
+    integers by the scales it reads."""
+    (s_B, B), (s_u, u) = p.B, p.u
+    at, (s_q, Q), (s_v, V) = p.frame
+    n, d = V.shape
+    iu, ju = np.triu_indices(n)
+    free = np.delete(np.arange(n), at)
+    W = np.zeros((len(free) + 1, n), dtype=object)   # slot-one coefficients
+    W[:-1, at] = -(V[free] @ Q.T)
+    W[np.arange(len(free)), free] = s_q * s_v
+    W[-1, at] = Q @ u * (s_v * s_v * s_B)
+    G = np.array([g for _, g in p.outcome_vectors], dtype=object).reshape(-1, d)
+    C = np.zeros((len(G), n), dtype=object)
+    C[:, at] = G @ Q.T
+    CC = C[:, :, None] * C[:, None, :] * (s_B * s_v)
+    (r, a), (i, a1, a2) = np.nonzero(W), np.nonzero(CC)
+    m = len(W) * len(iu)
+    A = np.zeros((m + len(G) * n, k + 1), dtype=object)
+    np.add.at(A, (r[:, None] * len(iu) + np.arange(len(iu)),
+                  orbit3[a[:, None], iu, ju]), W[r, a][:, None])
+    np.add.at(A, (m + i[:, None] * n + np.arange(n), orbit3[a1, a2]),
+              CC[i, a1, a2][:, None])
+    A[m - len(iu):m, k] = (V @ B @ V.T)[iu, ju] * (s_q * s_u)
+    s_g = np.array([s for s, _ in p.outcome_vectors], dtype=object)
+    A[m:, k] = (G @ B @ V.T * (s_q * s_q * s_g[:, None])).ravel()
+    return [{j: x for j, x in enumerate(row) if x}
+            for row in dict.fromkeys(map(tuple, A.tolist()))]
+
+
+def _orbit_stage(p: RecoveryProblem) -> Optional[tuple]:
+    """`_linear_stage` of an exact problem: one unknown per orbit of outcome
+    triples, and no equivariance rows.
+
+    The outcome vectors g_a span V, so a trilinear S is fixed by v(a, b, c)
+    = S(g_a, g_b, g_c), and the symmetric v that some S gives are those
+    that meet the consistency rows; then S meets the unit law and
+    idempotence exactly when v meets their rows.  B is invariant, MᵀBM = B
+    (checked here), so BᵀMB⁻ᵀ = M⁻ᵀ and the equivariance rows of
+    `_cubic_rows` say S(Mx, My, Mz) = S(x, y, z); M maps g_a to g_π(a), so
+    that is v constant on the orbits of the permutations π.  The two
+    systems have one solution set: a unique product is the same rational
+    tensor, and a family has the same dimension.  An asymmetric B admits
+    no solution, as B(x, y) = S(u, x, y).  S is read on the frame and
+    lifted, T = S_f ×₁ Q ×₂ Q ×₃ (Q B⁻¹), so T[i, j, :] = B⁻ᵀ S[i, j, :],
+    one product per nonzero of each factor (few on classical frames)."""
+    _, B = p.B
+    if len(p.permutations) != len(p.actions):
+        raise ValueError("an exact recovery problem needs the outcome "
+                         "permutation of each action")
+    if any((M.T @ B @ M != B * (s * s)).any() for s, M in p.actions):
+        raise ValueError("the recovery form is not invariant")
+    if (B != B.T).any():
+        return None
+    at, (s_q, Q), (_, V) = p.frame
+    orbit3, k = _triple_orbits(len(V), p.permutations)
+    X = _integer_readout(_eliminate(_orbit_rows(p, orbit3, k), k), k)
     if X is None:
         return None
-    s_X, X = X
+    (s_X, X), (s_Bi, Bin) = X, _EXACT.inverse(p.B)
+    T = X[orbit3[np.ix_(at, at, at)]]
+    for M in (Q, Q, Q @ Bin):
+        out = np.zeros(T.shape, dtype=object)
+        for f, i in zip(*np.nonzero(M)):
+            out[i] += M[f, i] * T[f]
+        T = np.moveaxis(out, 0, 2)
+    return _lowest(s_X * s_q ** 3 * s_Bi, np.ascontiguousarray(T))
+
+
+def _linear_stage(p: RecoveryProblem) -> Optional[tuple]:
+    """The solutions of the recovery rows lifted to product tensors,
+    T[i, j, :] = B⁻ᵀ S[i, j, :], stacked on a last axis: one solution, then
+    a basis of the homogeneous ones, as the pair (s, s·T), integers over
+    the least denominator when exact (`_orbit_stage`); None when the rows
+    are inconsistent."""
+    if p.exact:
+        return _orbit_stage(p)
+    _, Bin = _FLOAT.inverse(p.B)
+    s0, N = _solve_float(*_cubic_rows(p, Bin))
+    if s0 is None:
+        return None
+    X = np.column_stack([s0, N])
     d = p.dim
     iu, ju = np.triu_indices(d)
     S = X[_triple_index(d)[iu, ju]]                  # (pairs, k, columns)
     R, _, c = S.shape
     Tp = Bin.T @ S.transpose(1, 0, 2).reshape(d, R * c)
     Tp = Tp.reshape(d, R, c).transpose(1, 0, 2)
-    T = K.zeros((d, d, d, c))
+    T = np.zeros((d, d, d, c))
     T[iu, ju] = Tp
     T[ju, iu] = Tp
-    return _lowest(s_Bi * s_X, T) if K.exact else (s_Bi * s_X, T)
+    return 1.0, T
 
 
 def recover_jordan_product(p: RecoveryProblem, seed: int = 42
@@ -751,18 +827,19 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42
 
     The constraints are linear in the cubic form S(x, y, z) = B(x ∘ y, z):
     commutativity and associativity of the given form make S totally
-    symmetric, so it has one unknown per sorted triple, d(d+1)(d+2)/6 in
-    all, and neither needs a row.  The rows are the unit law, equivariance
-    under the given symmetry actions, and idempotence of the supplied
-    outcome vectors (sharp extreme effects can only be primitive idempotents
-    in a compatible algebra; a problem with `outcome_vectors=[]` has no such
-    rows).  One builder, `_cubic_rows`, makes them for both kinds; only the
-    solve differs: exact problems get sparse integer rows, eliminate them
-    once and read the solutions off as integers (`linalg._integer_readout`),
-    float problems solve on the rows' Gram matrix, with an SVD only when
-    its eigenvalues do not certify full rank.  The solution is lifted to a
-    product tensor, T[i, j, :] = B⁻ᵀ S[i, j, :], by one product; an exact
-    algebra keeps the integer tensor and makes its `Fraction`s on demand.
+    symmetric, so neither needs a row.  The rows are the unit law,
+    equivariance under the given symmetry actions, and idempotence of the
+    supplied outcome vectors (sharp extreme effects can only be primitive
+    idempotents in a compatible algebra; a problem with
+    `outcome_vectors=[]` has no such rows).  A float problem has one
+    unknown per sorted triple, d(d+1)(d+2)/6 in all, and the rows of
+    `_cubic_rows`, solved on their Gram matrix, with an SVD only when its
+    eigenvalues do not certify full rank.  An exact problem has one unknown
+    per orbit of outcome triples and no equivariance rows (`_orbit_stage`,
+    which proves the solution set the same), eliminated once and read off
+    as integers (`linalg._integer_readout`).  The solution is lifted to a
+    product tensor, T[i, j, :] = B⁻ᵀ S[i, j, :]; an exact algebra keeps the
+    integer tensor and makes its `Fraction`s on demand.
 
     A positive nullity leaves a family of products that the constraints do
     not tell apart: the result then holds no algebra, rather than one picked

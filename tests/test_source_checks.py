@@ -81,6 +81,8 @@ def test_exact_stages_read_integer_pairs():
                              ("forms.py", "check_unitarity"),
                              ("forms.py", "certify_flags"),
                              ("jordan.py", "_cubic_rows"),
+                             ("jordan.py", "_orbit_rows"),
+                             ("jordan.py", "_orbit_stage"),
                              ("jordan.py", "_linear_stage")):
         used = calls_in(SRC / module, function)
         assert not used & {"scaled", "_integer_block", "integer_row",
