@@ -209,14 +209,12 @@ def conjugation_bijection(m: Model, tol: float = 1e-9) -> dict[str, str]:
     """
     if not isinstance(m.states, QuantumBackend) or m.states.field == "real":
         return {x: x for x in m.outcomes}
-    qb = m.states
-    out = {}
-    for x in m.outcomes:
-        target = qb.outcome_matrices[x].conj()
-        for y in m.outcomes:
-            if np.abs(qb.outcome_matrices[y] - target).max() <= tol:
-                out[x] = y
-                break
-        else:
+    names, qb = list(m.outcomes), m.states
+    X = np.array([qb.outcome_matrices[x] for x in names]).reshape(
+        -1, qb.dim, qb.dim)
+    # close[x, y]: |X_y - conj(X_x)| <= tol, y's first match is x's image
+    close = np.abs(X[None] - X[:, None].conj()).max(axis=(2, 3)) <= tol
+    for x, row in zip(names, close):
+        if not row.any():
             raise ValueError(f"sample not closed under conjugation at {x!r}")
-    return out
+    return {x: names[j] for x, j in zip(names, close.argmax(axis=1))}

@@ -402,8 +402,11 @@ def _recovered(model, seed, tol):
     if form is None:
         raise click.ClickException("no invariant form in good standing; "
                                    "recovery needs one")
-    prob = _recovery_problem(E, form, tol)
-    return m, jordan.recover_jordan_product(prob, seed=seed)
+    try:
+        return m, jordan.recover_jordan_product(
+            _recovery_problem(E, form, tol), seed=seed)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
 
 
 @jordan_group.command("recover")

@@ -623,82 +623,30 @@ def _triple_index(d: int) -> np.ndarray:
     return idx
 
 
-def _cubic_rows(p: RecoveryProblem, B_inv: np.ndarray):
-    """The linear constraints A s = b of a float problem on the cubic form
-    S(x, y, z) = B(x ∘ y, z), totally symmetric for an associative B: the
-    unknown s[idx[i, j, k]] is one entry per sorted triple i ≤ j ≤ k.
-    B_inv is B⁻¹, which the caller also lifts with; float pairs have s = 1.
-
-    With T[i, j, :] = B⁻ᵀ S[i, j, :] the coordinates of e_i ∘ e_j, the
-    blocks are the unit law Σᵢ uᵢ S[i, j, k] = B[j, k] (row (j, k), term i);
-    equivariance BᵀMB⁻ᵀ S[i, j, :] = Σ_ab M[a, i] M[b, j] S[a, b, :] (row
-    (i ≤ j, k), terms m, then (a, b)); and idempotence
-    Σ g_i g_j S[i, j, :] = Bᵀg (row k, terms i ≤ j).  Columns and values
-    are laid out by broadcasting, and one `np.bincount` accumulates them
-    into A, in input order as `np.add.at` would; the result is (A, b).
-    """
-    d = p.dim
-    idx = _triple_index(d)
-    ncols = d * (d + 1) * (d + 2) // 6
-    (_, Bn), (_, u) = p.B, p.u
-    iu, ju = np.triu_indices(d)
-    R = len(iu)
-    rows, cols, vals, rhs = [], [], [], []
-
-    def add(c, v, b):
-        """Append rows with right-hand side b: columns c shaped (row axes,
-        term axes), values v broadcast to that shape."""
-        n0 = sum(map(len, rhs))
-        rows.append(np.repeat(np.arange(n0, n0 + len(b)), c.size // len(b)))
-        cols.append(c.ravel())
-        vals.append(np.broadcast_to(v, c.shape).ravel())
-        rhs.append(b)
-
-    add(idx.transpose(1, 2, 0).reshape(d * d, d), u, Bn.ravel())
-    c_m = np.broadcast_to(idx[iu, ju][:, None, :], (R, d, d))
-    c_ab = np.broadcast_to(idx.reshape(d * d, d).T, (R, d, d * d))
-    for _, M in p.actions:
-        v_ab = -(M[:, iu].T[:, :, None] * M[:, ju].T[:, None, :])
-        add(np.concatenate([c_m, c_ab], axis=-1),
-            np.concatenate([np.broadcast_to(Bn.T @ M @ B_inv.T, (R, d, d)),
-                            np.broadcast_to(v_ab.reshape(R, 1, d * d),
-                                            (R, d, d * d))], axis=-1),
-            np.zeros(R * d))
-    for _, g in p.outcome_vectors:
-        prod = g[iu] * g[ju]
-        add(idx[iu, ju].T, np.where(iu != ju, prod * 2, prod), Bn.T @ g)
-    b = np.concatenate(rhs)
-    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    rows *= ncols          # flat indices in place: no index array is added
-    rows += cols           # to the peak memory of the float recovery
-    A = np.bincount(rows, weights=vals,
-                    minlength=len(b) * ncols).reshape(len(b), ncols)
-    return A, b
-
-
-def _solve_float(A: np.ndarray, b: np.ndarray):
+def _solve_float(A: np.ndarray, b: np.ndarray, floor: float = 0.0):
     """Least-squares solution and null basis (columns) of A t = b; (None,
-    None) when max|A t - b| > 1e-7.  Rank rule: s > 1e-9·s[0].  If the
-    eigenvalues of G = AᵀA have lam[0] > 1e-8·lam[-1], t solves G t = Aᵀb
-    and is refined once: the corrected semi-normal equations, as accurate
-    as an SVD solve for κ(A) up to ~1/√ε (Björck, *Numerical Methods for
-    Least Squares Problems*, 1996, §6.6).  Rounding in G and `eigvalsh`
-    moves an eigenvalue by ≲ (m + n)·n·ε·lam[-1] < 1e-9·lam[-1] even on
-    the 5120 × 816 rows of a 4-level sample, so a pass proves full rank by
-    the rule (σ_min/σ_max > ~1e-4).  Else one SVD of A (full if A is wide)
-    gives the rank, the solution and the null basis (the rest of `vt`)."""
+    None) when max|A t - b| > 1e-7.  Rank rule: s > 1e-9·max(s[0], floor),
+    `floor` the size of rows the caller solved by substitution.  If the
+    eigenvalues of G = AᵀA have lam[0] > 1e-8·max(lam[-1], floor²), t
+    solves G t = Aᵀb and is refined once: the corrected semi-normal
+    equations, as accurate as an SVD solve for κ(A) up to ~1/√ε (Björck,
+    *Numerical Methods for Least Squares Problems*, 1996, §6.6).  Rounding
+    moves an eigenvalue by ≲ (m + n)·n·ε·lam[-1] < 1e-9·lam[-1] even on the
+    4080 × 680 rows of a 4-level sample, so a pass proves full rank by the
+    rule.  Else one SVD of A (full if A is wide) gives the rank, the
+    solution and the null basis (the rest of `vt`; all of it with no rows)."""
     G = A.T @ A
     lam = np.linalg.eigvalsh(G)
-    if lam[0] > 1e-8 * lam[-1]:
+    if lam.size and lam[0] > 1e-8 * max(lam[-1], floor * floor):
         t = np.linalg.solve(G, A.T @ b)
         t += np.linalg.solve(G, A.T @ (b - A @ t))
         N = np.zeros((A.shape[1], 0))
     else:
         u, s, vt = np.linalg.svd(A, full_matrices=len(A) < A.shape[1])
-        rank = int((s > 1e-9 * s[0]).sum())
+        rank = int((s > 1e-9 * np.max(s, initial=floor)).sum())
         t = vt[:rank].T @ (u[:, :rank].T @ b / s[:rank])
         N = vt[rank:].T
-    if float(np.abs(A @ t - b).max()) > 1e-7:
+    if float(np.abs(A @ t - b).max(initial=0.0)) > 1e-7:
         return None, None
     return t, N
 
@@ -765,8 +713,8 @@ def _orbit_stage(p: RecoveryProblem) -> Optional[tuple]:
     = S(g_a, g_b, g_c), and the symmetric v that some S gives are those
     that meet the consistency rows; then S meets the unit law and
     idempotence exactly when v meets their rows.  B is invariant, MᵀBM = B
-    (checked here), so BᵀMB⁻ᵀ = M⁻ᵀ and the equivariance rows of
-    `_cubic_rows` say S(Mx, My, Mz) = S(x, y, z); M maps g_a to g_π(a), so
+    (checked here), so BᵀMB⁻ᵀ = M⁻ᵀ and the equivariance rows on the
+    cubic form say S(Mx, My, Mz) = S(x, y, z); M maps g_a to g_π(a), so
     that is v constant on the orbits of the permutations π.  The two
     systems have one solution set: a unique product is the same rational
     tensor, and a family has the same dimension.  An asymmetric B admits
@@ -796,29 +744,74 @@ def _orbit_stage(p: RecoveryProblem) -> Optional[tuple]:
     return _lowest(s_X * s_q ** 3 * s_Bi, np.ascontiguousarray(T))
 
 
-def _linear_stage(p: RecoveryProblem) -> Optional[tuple]:
-    """The solutions of the recovery rows lifted to product tensors,
-    T[i, j, :] = B⁻ᵀ S[i, j, :], stacked on a last axis: one solution, then
-    a basis of the homogeneous ones, as the pair (s, s·T), integers over
-    the least denominator when exact (`_orbit_stage`); None when the rows
-    are inconsistent."""
-    if p.exact:
-        return _orbit_stage(p)
-    _, Bin = _FLOAT.inverse(p.B)
-    s0, N = _solve_float(*_cubic_rows(p, Bin))
-    if s0 is None:
+def _complement_stage(p: RecoveryProblem) -> Optional[tuple]:
+    """`_linear_stage` of a float problem, on the unit's complement.  With
+    B = L·Lᵀ and H the Householder reflection of `qr` sending Lᵀu to ν·e₀
+    (ν = |u|_B, first row's sign set), z = P·x, P = H·Lᵀ, makes B the dot
+    product and the unit law S(u, x, y) = B(x, y) a substitution,
+    S_z(e₀, y, z) = y·z/ν; the unknowns are S_z on 1..d-1 (S'), one per
+    sorted triple.  An action with MᵀBM = B and Mu = u (checked) is
+    P·M·P⁻¹ = diag(1, R), R orthogonal, so equivariance, M_z T_z(y, z) =
+    T_z(M_z y, M_z z) with T_z = S_z, holds at y = e₀ (both sides M_z z/ν)
+    and at component 0 (both y·z/ν); the rest is Σ_m R[k, m] S'[i, j, m] =
+    Σ_ab R[a, i] R[b, j] S'[a, b, k], row (i ≤ j, k).  Idempotence of g_z =
+    (γ, h) is Σ_ab h_a h_b S'[a, b, k] = h_k (1 - 2γ/ν) at k ≥ 1 and
+    B(g, g) = B(u, g), free of S', at 0.  The rank cut counts the
+    substituted rows, of size ν.  The solutions are lifted, T = S_z ×₁ P ×₂
+    P ×₃ (P B⁻¹); the particular one must meet every row of the cubic form,
+    unit law included, within 1e-7.  An asymmetric B has no solution."""
+    (_, B), (_, u) = p.B, p.u
+    if not _FLOAT.is_zero(B - B.T):
         return None
-    X = np.column_stack([s0, N])
-    d = p.dim
-    iu, ju = np.triu_indices(d)
-    S = X[_triple_index(d)[iu, ju]]                  # (pairs, k, columns)
-    R, _, c = S.shape
-    Tp = Bin.T @ S.transpose(1, 0, 2).reshape(d, R * c)
-    Tp = Tp.reshape(d, R, c).transpose(1, 0, 2)
-    T = np.zeros((d, d, d, c))
-    T[iu, ju] = Tp
-    T[ju, iu] = Tp
-    return 1.0, T
+    if not all(_FLOAT.is_zero(M.T @ B @ M - B) for _, M in p.actions):
+        raise ValueError("the recovery form is not invariant")
+    if not all(_FLOAT.is_zero(M @ u - u) for _, M in p.actions):
+        raise ValueError("a recovery action moves the unit")
+    d, n = p.dim, p.dim - 1
+    L = np.linalg.cholesky(B)
+    H, top = np.linalg.qr((u @ L)[:, None], mode="complete")  # Householder
+    nu, P = abs(top[0, 0]), H.T @ L.T
+    P[0] *= np.sign(top[0, 0])                            # P·u = ν·e₀
+    Ms = np.array([M for _, M in p.actions]).reshape(-1, d, d)
+    R = (P @ Ms @ np.linalg.inv(P))[:, 1:, 1:]
+    h = np.array([P @ g for _, g in p.outcome_vectors]).reshape(-1, d)
+    idx, (iu, ju) = _triple_index(n), np.triu_indices(n)
+    C, c = idx[iu, ju], n * (n + 1) * (n + 2) // 6   # C[q, k]: S'[a_q, b_q, k]
+    # C is one to one in q and in k: the rows are scattered, not summed
+    ia, ip, ik, _ = np.ix_(*map(np.arange, (len(R), len(iu), n, n)))
+    A = np.zeros((len(R), len(iu), n, c))
+    A[ia, ip, ik, C[:, None, :]] = R[:, None]
+    Ri, Rj = R[:, :, iu], R[:, :, ju]                # R[a, i_p], R[b, j_p]
+    W = Ri[:, iu] * Rj[:, ju] + Ri[:, ju] * Rj[:, iu] * (iu != ju)[:, None]
+    A[ia, ip, ik, C.T] -= W.swapaxes(1, 2)[:, :, None]
+    Ag = np.zeros((len(h), n, c))
+    Ag[np.arange(len(h))[:, None, None], np.arange(n)[:, None], C.T] = (
+        h[:, 1 + iu] * h[:, 1 + ju] * np.where(iu != ju, 2.0, 1.0))[:, None]
+    A = np.concatenate([A.reshape(-1, c), Ag.reshape(-1, c)])
+    b = np.zeros(len(A))
+    b[len(A) - len(h) * n:] = (h[:, 1:] * (1 - 2 * h[:, :1] / nu)).ravel()
+    t, N = _solve_float(A, b, nu)
+    if t is None:
+        return None
+    S = np.zeros((d, d, d, N.shape[1] + 1))
+    S[1:, 1:, 1:] = np.column_stack([t, N])[idx]
+    S[0, :, :, 0] = S[:, 0, :, 0] = S[:, :, 0, 0] = np.eye(d) / nu
+    for M in (P, P, P @ _FLOAT.inverse(p.B)[1]):
+        S = np.moveaxis((M.T @ S.reshape(d, -1)).reshape(S.shape), 0, 2)
+    T, S0 = S, S[..., 0] @ B
+    rows = [np.einsum("i,ijk->jk", u, S0) - B] + [
+        T[..., 0] @ M.T @ B - np.einsum("ai,bj,abk->ijk", M, M, S0)
+        for _, M in p.actions] + [np.einsum("i,j,ijk->k", g, g, S0) - B.T @ g
+                                  for _, g in p.outcome_vectors]
+    return None if max(np.abs(e).max() for e in rows) > 1e-7 else (1.0, T)
+
+
+def _linear_stage(p: RecoveryProblem) -> Optional[tuple]:
+    """The recovery rows' solutions lifted to product tensors, T[i, j, :] =
+    B⁻ᵀ S[i, j, :], stacked on a last axis (one solution, a null basis) as
+    the pair (s, s·T): least-denominator integers (`_orbit_stage`) or
+    floats (`_complement_stage`); None when the rows are inconsistent."""
+    return _orbit_stage(p) if p.exact else _complement_stage(p)
 
 
 def recover_jordan_product(p: RecoveryProblem, seed: int = 42
@@ -831,10 +824,12 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42
     equivariance under the given symmetry actions, and idempotence of the
     supplied outcome vectors (sharp extreme effects can only be primitive
     idempotents in a compatible algebra; a problem with
-    `outcome_vectors=[]` has no such rows).  A float problem has one
-    unknown per sorted triple, d(d+1)(d+2)/6 in all, and the rows of
-    `_cubic_rows`, solved on their Gram matrix, with an SVD only when its
-    eigenvalues do not certify full rank.  An exact problem has one unknown
+    `outcome_vectors=[]` has no such rows).  A float problem is solved
+    where B is the dot product and u a multiple of e₀, so the unit law is
+    a substitution: one unknown per sorted triple of 1..d-1, (d-1)d(d+1)/6
+    in all (`_complement_stage`, which checks the solution on every row),
+    solved on their Gram matrix, with an SVD only when its eigenvalues do
+    not certify full rank.  An exact problem has one unknown
     per orbit of outcome triples and no equivariance rows (`_orbit_stage`,
     which proves the solution set the same), eliminated once and read off
     as integers (`linalg._integer_readout`).  The solution is lifted to a
@@ -855,7 +850,6 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42
     gates: dict = {}
     notes: list = []
     d = p.dim
-    K = _EXACT if p.exact else _FLOAT
     (_, B), (_, u) = p.B, p.u
     gates["form_pd"] = _positive_definite(B + B.T, 0)
     if not gates["form_pd"]:
@@ -880,7 +874,7 @@ def recover_jordan_product(p: RecoveryProblem, seed: int = 42
                  "certified by the rank of the constraint system")
 
     if p.exact:
-        J = JordanAlgebra("Recovered", d, K.unscaled(p.u), None,
+        J = JordanAlgebra("Recovered", d, _EXACT.unscaled(p.u), None,
                           True, scaled=(s_T, T[..., 0]))
         proof = J.axiom_proof()
         residual = proof.residual

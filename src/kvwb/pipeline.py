@@ -287,7 +287,10 @@ def _weak_self_duality(c: _Run):
 def _jordan_recovery(c: _Run):
     """Order-unit product recovery, with the symmetric-cone check."""
     prob = _recovery_problem(c.E, c.spin, c.tol)
-    c.res = res = jordan.recover_jordan_product(prob, seed=c.seed)
+    try:
+        c.res = res = jordan.recover_jordan_product(prob, seed=c.seed)
+    except ValueError as exc:            # an action off the form's contract
+        return FAIL, {"exact": prob.exact}, [str(exc)]
     # an algebra comes back only through every gate of the recovery;
     # the unit's interior heuristic is the one it does not enforce
     ok = res.algebra is not None and res.gates["unit_interior_heuristic"]
@@ -351,7 +354,7 @@ _STAGES = (
      _self_duality),
     ("weak-self-duality", ("spin-form",), "needs the invariant form",
      _weak_self_duality),
-    ("jordan-recovery", ("spin-form", "self-duality"),
+    ("jordan-recovery", ("spin-form", "unitarity", "self-duality"),
      "needs a self-dual cone and the invariant form", _jordan_recovery),
     ("homogeneity", ("effect-space",), "needs the effect space",
      _homogeneity),

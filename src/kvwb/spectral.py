@@ -59,7 +59,8 @@ def _groups(results: list, key=len) -> dict:
 def _degrees_and_powers(J, W: np.ndarray, tol: float = 1e-8):
     """Minimal-polynomial degree and Jordan powers u, w, w∘w, w∘(w∘w), ...
     of each row w of W: the degree is the least k with rank[u, ..., w^k] <=
-    k, cut at tol * max(1, max |entry|), from one stacked product and rank
+    k, each power scaled to a largest entry of 1 and the rank cut at tol,
+    so that w and c·w get one degree; from one stacked product and rank
     per step over the rows still open.  Returns the degrees (a LinAlgError
     for a row whose rank failed) and the powers, shaped (rows, dim + 1,
     dim), row n filled up to w^degree."""
@@ -74,9 +75,10 @@ def _degrees_and_powers(J, W: np.ndarray, tol: float = 1e-8):
         if not open_rows.size:
             break
         M = pows[open_rows, :k + 1]
-        # fmax, like max(1.0, x), passes over a NaN
-        cut = tol * np.fmax(1.0, np.abs(M).max(axis=(1, 2)))
-        ranks = _stacked(np.linalg.matrix_rank, M, cut)
+        size = np.abs(M).max(axis=2, keepdims=True)
+        with np.errstate(invalid="ignore"):        # an inf power is NaN
+            M = M / np.where(size > 0, size, 1.0)
+        ranks = _stacked(np.linalg.matrix_rank, M, np.full(len(M), tol))
         if not isinstance(ranks, np.ndarray):     # a failed row is done too
             errors.update((n, r) for n, r in zip(open_rows.tolist(), ranks)
                           if isinstance(r, Exception))

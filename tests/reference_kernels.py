@@ -106,7 +106,14 @@ the cone or space as an argument.  The last section holds the exact
 recovery over every sorted triple of coordinates, with equivariance rows
 (`cubic_rows`, `cubic_linear_stage`, and the triple accumulator
 `sparse_int_rows` that `kvwb.linalg` dropped), which the orbit rows of
-`kvwb.jordan._orbit_stage` replaced on exact problems.
+`kvwb.jordan._orbit_stage` replaced on exact problems.  After it come the
+float recovery over every sorted triple, with the unit law as rows
+(`cubic_float_stage`, on the float kind of `cubic_rows`, which is the
+`kvwb.jordan._cubic_rows` it called, bit for bit), that the unit's
+complement of `kvwb.jordan._complement_stage` replaced, and the double
+loop of `kvwb.builtins.conjugation_bijection` (`loop_conjugation_bijection`)
+that one broadcast comparison replaced.  `minimal_polynomial_degree` cuts
+each power relative to its own size, as `kvwb.spectral` now does.
 
 Slow and obviously correct; the property tests require the fast kernels to
 return exactly what these return.
@@ -662,10 +669,17 @@ def jordan_powers(J: JordanAlgebra, a, upto: int) -> list[np.ndarray]:
 
 
 def minimal_polynomial_degree(J: JordanAlgebra, a, tol: float = 1e-8) -> int:
+    """The least k with rank[u, a, ..., a^k] <= k, each power scaled to a
+    largest entry of 1 and the rank cut at tol.  The cut was tol·max(1,
+    max |entry|) until it was found to be absolute below size 1 (an element
+    of R³ near 1e-4 in size got degree 2, and 1000 times it degree 3)."""
     pows = jordan_powers(J, a, J.dim)
     for k in range(1, J.dim + 1):
         M = np.array(pows[:k + 1])
-        if np.linalg.matrix_rank(M, tol=tol * max(1.0, np.abs(M).max())) <= k:
+        size = np.abs(M).max(axis=1, keepdims=True)
+        with np.errstate(invalid="ignore"):
+            M = M / np.where(size > 0, size, 1.0)
+        if np.linalg.matrix_rank(M, tol=tol) <= k:
             return k
     return J.dim
 
@@ -2677,3 +2691,60 @@ def cubic_linear_stage(p: RecoveryProblem) -> Optional[tuple]:
     T[iu, ju] = Tp
     T[ju, iu] = Tp
     return _lowest(s_Bi * s_X, T)
+
+
+# ---------------------------------------------------------------------------
+# the float recovery over every sorted triple of coordinates, with the unit
+# law, equivariance and idempotence as rows, that the unit's complement of
+# `kvwb.jordan._complement_stage` replaced: the float branch of
+# `kvwb.jordan._linear_stage` (`cubic_float_stage`, verbatim but for
+# building its rows with `cubic_rows` above, whose float kind is the
+# `kvwb.jordan._cubic_rows` it called, bit for bit)
+
+def cubic_float_stage(p: RecoveryProblem) -> Optional[tuple]:
+    """The solutions of a float problem's `cubic_rows`, solved by
+    `kvwb.jordan._solve_float` and lifted to product tensors,
+    T[i, j, :] = B⁻ᵀ S[i, j, :], stacked on a last axis, as the pair
+    (1.0, T); None when the rows are inconsistent."""
+    from kvwb.jordan import _solve_float
+    K = _Kind("float")
+    _, Bin = B_inv = K.inverse(p.B)
+    s0, N = _solve_float(*cubic_rows(p, K, B_inv))
+    if s0 is None:
+        return None
+    X = np.column_stack([s0, N])
+    d = p.dim
+    iu, ju = np.triu_indices(d)
+    S = X[_triple_index(d)[iu, ju]]                  # (pairs, k, columns)
+    R, _, c = S.shape
+    Tp = Bin.T @ S.transpose(1, 0, 2).reshape(d, R * c)
+    Tp = Tp.reshape(d, R, c).transpose(1, 0, 2)
+    T = np.zeros((d, d, d, c))
+    T[iu, ju] = Tp
+    T[ju, iu] = Tp
+    return 1.0, T
+
+
+# ---------------------------------------------------------------------------
+# the double loop over outcome pairs of `kvwb.builtins.conjugation_bijection`
+# that one broadcast comparison replaced (verbatim, but for the name)
+
+def loop_conjugation_bijection(m: Model, tol: float = 1e-9) -> dict[str, str]:
+    """Outcome bijection sending each effect to its entrywise conjugate.
+
+    Identity for polytope and real-field models; for complex samples the
+    sample must be closed under conjugation (built-ins are by construction).
+    """
+    if not isinstance(m.states, QuantumBackend) or m.states.field == "real":
+        return {x: x for x in m.outcomes}
+    qb = m.states
+    out = {}
+    for x in m.outcomes:
+        target = qb.outcome_matrices[x].conj()
+        for y in m.outcomes:
+            if np.abs(qb.outcome_matrices[y] - target).max() <= tol:
+                out[x] = y
+                break
+        else:
+            raise ValueError(f"sample not closed under conjugation at {x!r}")
+    return out

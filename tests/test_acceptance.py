@@ -301,13 +301,15 @@ def test_criterion_9_byte_identical_reports():
 #: read off the recovered product, which changed only that stage's data and
 #: notes, and again when the float recovery moved from `lstsq` to a solve
 #: on the Gram matrix of its rows, which moved only float residuals and
-#: errors, each by under 1e-12.  LAPACK's results depend on its thread
-#: count, so the digests hold for one thread only (with two,
-#: `qutrit:complex` gives 1da55161...).
+#: errors, each by under 1e-12, and again when the float recovery moved to
+#: the unit's B-orthogonal complement, which moved only the recovery
+#: residual and the sampled gates' minima and errors, each by under 2e-14.
+#: LAPACK's results depend on its thread count, so the digests hold for one
+#: thread only (with two, `qutrit:complex` gives 643f1ace...).
 QUANTUM_REPORT_SHA256 = {
-    "qubit:real": "f7845923261e4a883eb8c532fefddc1938731d33492bd09c89276ad07d45d915",
-    "qubit:complex": "fbb492096f7697a03ae983d2e4d1e203ee6a31381d1306533e2f500d5ef0117d",
-    "qutrit:complex": "2826c32e588b6684cb9f864b33c009dc54b760bfaf3a8e4c107dfab184e369d4",
+    "qubit:real": "711aa019b60b17f4572a423091d8ab05c258f5426ad8dfab5d66746f925cd30a",
+    "qubit:complex": "233e5fcb9a82409f89a9c7f1fe2c0610ffea0fe917be32ff9be60a15d0fa4912",
+    "qutrit:complex": "295c18553acd539edfd3bd4393d81d29508bf03670705c49016bdc0d3de6604f",
 }
 
 

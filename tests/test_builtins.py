@@ -5,6 +5,7 @@ from kvwb.builtins import (builtin_names, classical, conjugation_bijection,
                            get_builtin, qubit_complex, squit, squit_klein)
 from kvwb.effectspace import build_effect_space
 from kvwb.models import validate_model
+import reference_kernels as oracle
 from reference_groups import mulclose
 
 ALL = list(builtin_names())
@@ -62,6 +63,38 @@ def test_conjugation_bijection_respects_transposition():
         M = np.asarray(qb.outcome_matrices[x])
         N = np.asarray(qb.outcome_matrices[g[x]])
         assert np.abs(M.T - N).max() < 1e-12
+
+
+NON_CLASSICAL = ["squit", "squit:klein", "qubit:real", "qubit:complex",
+                 "qutrit:complex", "gbit:3"]
+
+
+@pytest.mark.parametrize("name", NON_CLASSICAL)
+def test_conjugation_bijection_matches_the_pair_loop(name):
+    """One broadcast comparison gives the double loop's map: each outcome
+    to the first outcome, in order, within the tolerance of its conjugate."""
+    m = get_builtin(name)
+    for tol in (1e-9, 0.0, 2.0):
+        assert conjugation_bijection(m, tol) == \
+            oracle.loop_conjugation_bijection(m, tol)
+
+
+def test_conjugation_bijection_refuses_an_unpaired_complex_frame():
+    """A sample with one complex frame whose conjugate frame is missing:
+    the first of its outcomes, in order, is named."""
+    from kvwb import quantum
+    from kvwb.builtins import _quantum_model
+    rng = np.random.default_rng(3)
+    eye = np.eye(3, dtype=complex)
+    Vm = quantum.random_unitary(3, rng, "complex")
+    m = _quantum_model("unpaired", "complex", 3,
+                       [[quantum.projection(eye[:, i]) for i in range(3)],
+                        [quantum.projection(Vm[:, i]) for i in range(3)]],
+                       [["c0", "c1", "c2"], ["v0", "v1", "v2"]], None, 0)
+    for f in (conjugation_bijection, oracle.loop_conjugation_bijection):
+        with pytest.raises(ValueError, match=r"^sample not closed under "
+                           r"conjugation at 'v0'$"):
+            f(m)
 
 
 def test_qutrit_effects_span_the_full_hermitian_space():

@@ -205,6 +205,17 @@ def test_cone_selfdual_on_the_zero_cone(runner, tmp_path):
     assert blob["pairwise_min"] is None
 
 
+def test_jordan_recover_reports_an_action_off_its_contract(runner,
+                                                           monkeypatch):
+    """A recovery action that moves the unit is the command's error exit,
+    with the recovery's message, not a traceback."""
+    from test_pipeline import off_contract
+    off_contract(monkeypatch)
+    res = invoke(runner, "jordan", "recover", "qubit:complex")
+    assert res.exit_code == 1
+    assert res.output == "Error: a recovery action moves the unit\n"
+
+
 def test_jordan_subcommands(runner):
     res = invoke(runner, "jordan", "recover", "classical:2")
     assert res.exit_code == 0
@@ -554,9 +565,10 @@ def test_single_stage_commands_keep_their_bytes(runner, args):
 #: derived form of the conjugate, the spin search and the recovered product
 #: print float matrices, which must keep every bit.  The recovered product's
 #: digest was recorded again when recovery moved to the symmetric cubic
-#: form, and when the float recovery moved from `lstsq` to a solve on the
-#: Gram matrix of its rows; each time its tensor entries and residual moved
-#: by under 1e-12.
+#: form, when the float recovery moved from `lstsq` to a solve on the
+#: Gram matrix of its rows, and when it moved to the unit's B-orthogonal
+#: complement; each time its tensor entries and residual moved by under
+#: 1e-12.
 FLOAT_CLI_SHA256 = {
     ("conjugate", "qubit:real"):
         "ce70244a42c230f554adf5f8ffced15f4ce4a81ffb92e6b612c5c41de2212a7c",
@@ -567,7 +579,7 @@ FLOAT_CLI_SHA256 = {
     ("spin", "qutrit:complex"):
         "a72fc062b5727f6cc68a9e1781e3f975193c45a4a9a011986d8413903a6f041e",
     ("jordan", "recover", "qubit:complex"):
-        "cd766a93aa08738642858794c227106e00f905d3a4e35996e1c76ac76ea8299b",
+        "990509362caa1efc23c8ff338289a12d59a4ff2a974129e102d5eb17a11eb875",
 }
 
 

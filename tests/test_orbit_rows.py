@@ -130,13 +130,15 @@ def test_orbit_stage_refuses_a_form_that_is_not_invariant():
 
 
 def counted_cubic_rows(monkeypatch):
+    """The calls of `_complement_stage`, which builds and solves the float
+    cubic-form rows on the unit's complement."""
     calls = []
-    cubic_rows = jordan._cubic_rows
+    stage = jordan._complement_stage
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return cubic_rows(*args, **kwargs)
-    monkeypatch.setattr(jordan, "_cubic_rows", counted)
+        return stage(*args, **kwargs)
+    monkeypatch.setattr(jordan, "_complement_stage", counted)
     return calls
 
 
@@ -145,6 +147,7 @@ def test_exact_pipeline_builds_no_cubic_rows(monkeypatch):
     rep = run_pipeline(get_builtin("classical:5"))
     assert rep.stage("jordan-recovery").status == "pass"
     assert calls == []
+    assert not hasattr(jordan, "_cubic_rows")
 
 
 def test_float_pipeline_builds_the_cubic_rows_once(monkeypatch):

@@ -235,6 +235,49 @@ def test_a_stage_is_not_applicable_exactly_when_blocked(name, monkeypatch):
         assert (status[stage] == "not-applicable") is blocked, stage
 
 
+@pytest.mark.parametrize("name", ["classical:3", "qubit:complex"])
+def test_recovery_needs_unitarity(name, monkeypatch):
+    """A form some symmetry does not keep leaves no recovery to run: the
+    stage is not-applicable with its usual note, and so is identification."""
+    from kvwb import forms
+    monkeypatch.setattr(forms, "check_unitarity", lambda *a, **k: False)
+    rep = run(name)
+    assert rep.stage("unitarity").status == "fail"
+    stage = rep.stage("jordan-recovery")
+    assert (stage.status, stage.data, stage.notes) == (
+        "not-applicable", {},
+        ["needs a self-dual cone and the invariant form"])
+    assert rep.stage("identification").status == "not-applicable"
+
+
+def off_contract(monkeypatch):
+    """Recovery problems whose first action is sent to its negative, which
+    keeps the form and moves the unit."""
+    from kvwb import pipeline
+    problem = pipeline._recovery_problem
+
+    def moved(E, spin, tol):
+        p = problem(E, spin, tol)
+        (s, M), *rest = p.actions
+        return dataclasses.replace(p, actions=[(s, -M), *rest])
+    monkeypatch.setattr(pipeline, "_recovery_problem", moved)
+
+
+@pytest.mark.parametrize("name", ["qubit:real", "qutrit:complex"])
+def test_recovery_off_its_contract_is_a_verdict(name, monkeypatch):
+    """An action that moves the unit stops the float recovery with a
+    ValueError, which the stage reports as its failure, not a crash."""
+    off_contract(monkeypatch)
+    rep = run(name)
+    stage = rep.stage("jordan-recovery")
+    assert (stage.status, stage.data, stage.notes) == (
+        "fail", {"exact": False}, ["a recovery action moves the unit"])
+    assert rep.stage("unitarity").status == "pass"
+    assert rep.stage("homogeneity").status == "unknown"
+    assert rep.stage("identification").status == "not-applicable"
+    dumps_canonical(rep.to_json())
+
+
 def test_the_stage_table_runs_prerequisites_first():
     from kvwb.pipeline import EXPECT_TOKENS, _STAGES
     names = [name for name, _, _, _ in _STAGES]

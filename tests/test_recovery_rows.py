@@ -1,9 +1,14 @@
-"""The cubic-form recovery rows solve to the product-tensor rows' solutions.
+"""The recovery rows solve to the product-tensor rows' solutions.
 
-`kvwb.jordan._cubic_rows` parametrizes a float problem's product by the
-totally symmetric cubic form S(x, y, z) = B(x ∘ y, z), one unknown per
-sorted triple and no B-associativity rows; `_linear_stage` solves those
-rows and lifts the solutions to tensors, T[i, j, :] = B⁻ᵀ S[i, j, :].  An
+`kvwb.jordan._complement_stage` solves a float problem in coordinates where
+B is the dot product and the unit is a multiple of e₀: the unit law fixes
+every entry of the cubic form S(x, y, z) = B(x ∘ y, z) with an index 0,
+and one unknown per sorted triple of 1..d-1 is left, with the equivariance
+and idempotence rows on those.  `reference_kernels` keeps the float stage
+it replaced (`cubic_float_stage`): the cubic-form rows over every sorted
+triple, unit law included (`cubic_rows`, bit for bit the
+`kvwb.jordan._cubic_rows` that stage called), solved by `_solve_float`
+and lifted to tensors, T[i, j, :] = B⁻ᵀ S[i, j, :].  An
 exact problem from an effect space is solved over orbits of outcome triples
 instead (`_orbit_stage`, checked against the cubic rows in
 `test_orbit_rows.py`); the hand-built exact problems here have no outcome
@@ -37,9 +42,9 @@ from kvwb.builtins import get_builtin
 from kvwb.effectspace import build_effect_space
 from kvwb.forms import find_orthogonalizing_spin_form
 from kvwb import linalg
-from kvwb.jordan import (RecoveryProblem, _cubic_rows, _linear_stage,
-                         _orbit_rows, _solve_float, _triple_orbits,
-                         recover_jordan_product)
+from kvwb import jordan
+from kvwb.jordan import (RecoveryProblem, _linear_stage, _orbit_rows,
+                         _solve_float, _triple_orbits, recover_jordan_product)
 from kvwb.linalg import _Kind, solve_with_nullspace
 from kvwb.pipeline import _recovery_problem
 
@@ -103,12 +108,12 @@ def refined_solve(A, b):
 
 
 def cubic_rows(p, K):
-    """`_cubic_rows` with the inverse of B its caller passes, which must
-    equal the `np.add.at` accumulation bit for bit; on an exact problem the
-    exact cubic rows of `reference_kernels`."""
+    """The cubic rows of `reference_kernels` with the inverse of B that
+    `cubic_float_stage` passes, which on floats must equal the `np.add.at`
+    accumulation bit for bit."""
+    rows = oracle.cubic_rows(p, K, K.inverse(p.B))
     if K.exact:
-        return oracle.cubic_rows(p, K, K.inverse(p.B))
-    rows = _cubic_rows(p, K.inverse(p.B)[1])
+        return rows
     A0, b0 = oracle.cubic_rows_add_at(p, K)
     assert rows[0].tobytes() == A0.tobytes()
     assert rows[1].tobytes() == b0.tobytes()
@@ -146,7 +151,7 @@ def assert_same_solutions(p, idempotence, old=None):
         assert all(type(x) is int for x in new[1].flat)
     new = None if new is None else oracle.unscaled(new)
     if not q.exact:
-        cubic_rows(q, FLOAT)
+        assert_matches_the_cubic_stage(q)
     if old is None:
         old = old_tensors(p, idempotence)
     assert (new is None) == (old is None)
@@ -167,6 +172,20 @@ def assert_same_solutions(p, idempotence, old=None):
     kappa = max(condition(cubic_rows(q, FLOAT)[0]),
                 condition(oracle.linear_rows_float(p, idempotence)[0]))
     assert_same_float_solutions(n, o, kappa)
+
+
+def assert_matches_the_cubic_stage(p):
+    """The float `_linear_stage` against the cubic-row stage it replaced:
+    inconsistent in both, or the same nullity and tensors that agree as
+    `assert_same_float_solutions` asks, κ the condition number of the
+    cubic rows."""
+    new, old = _linear_stage(p), oracle.cubic_float_stage(p)
+    assert (new is None) == (old is None)
+    if new is None:
+        return
+    assert new[1].shape == old[1].shape               # the same nullity
+    n, o = (x[1].reshape(-1, x[1].shape[-1]) for x in (new, old))
+    assert_same_float_solutions(n, o, condition(cubic_rows(p, FLOAT)[0]))
 
 
 def assert_same_float_solutions(n, o, kappa):
@@ -229,6 +248,12 @@ def fixing_e0(M0):
          seed=1837910262)
 @example(d=4, n_actions=1, n_outcomes=1, idempotence=True, skew=False,
          seed=2599745104)
+@example(d=3, n_actions=0, n_outcomes=0, idempotence=True, skew=False,
+         seed=0)
+@example(d=4, n_actions=0, n_outcomes=2, idempotence=True, skew=False,
+         seed=1)
+@example(d=4, n_actions=2, n_outcomes=0, idempotence=True, skew=True,
+         seed=2)
 def test_float_rows_match_the_loops(d, n_actions, n_outcomes, idempotence,
                                     skew, seed):
     rng = np.random.default_rng(seed)
@@ -491,10 +516,11 @@ def test_qutrit_recovery_builds_no_full_svd(monkeypatch):
 
 def test_qutrit_recovery_makes_one_gram_solve_on_the_cubic_form(
         monkeypatch):
-    """d = 9: one solve over the 165 = 9·10·11/6 entries of the cubic form,
-    on their (165, 165) Gram matrix, whose eigenvalues certify the rank:
-    no `lstsq`, no SVD of the 1053 rows, and no system over the
-    405 = 9·9·10/2 tensor entries."""
+    """d = 9: one solve over the 120 = 8·9·10/6 entries of the cubic form
+    on the unit's complement, on their (120, 120) Gram matrix, whose
+    eigenvalues certify the rank: no `lstsq`, no SVD of the 720 rows, no
+    system over the 165 = 9·10·11/6 entries of the whole cubic form and
+    none over the 405 = 9·9·10/2 tensor entries."""
     calls = {"lstsq": [], "eigvalsh": [], "svd": []}
     zeros, arrays = np.zeros, []
 
@@ -517,15 +543,72 @@ def test_qutrit_recovery_makes_one_gram_solve_on_the_cubic_form(
     res = recover_jordan_product(p)
     assert res.algebra is not None and res.linear_solution_dim == 0
     assert calls["lstsq"] == []
-    assert [s for s in calls["eigvalsh"] if s[-1] == 165] == [(165, 165)]
-    assert [s for s in calls["svd"] if s[-1] == 165] == []
+    assert [s for s in calls["eigvalsh"] if s[-1] in (120, 165)] == [
+        (120, 120)]
+    assert [s for s in calls["svd"] if s[-1] in (120, 165)] == []
     matrices = [s for s in arrays if len(s) == 2]
-    assert not [s for s in matrices if s[1] == 405], matrices
+    assert not [s for s in matrices if s[1] in (165, 405)], matrices
+
+
+def test_qutrit_rows_are_the_unit_complement_rows(monkeypatch):
+    """The qutrit's float solve: 120 columns, and 720 rows, 2·36·8
+    equivariance rows and 18·8 idempotence rows, against the 1 053 cubic
+    rows over 165 columns, 81 of them the unit law."""
+    p = builtin_problem("qutrit:complex")
+    shapes = []
+    solve = jordan._solve_float
+
+    def spy(A, b, *args):
+        shapes.append(A.shape)
+        return solve(A, b, *args)
+    monkeypatch.setattr(jordan, "_solve_float", spy)
+    _linear_stage(p)
+    assert (len(p.actions), len(p.outcome_vectors)) == (2, 18)
+    assert shapes == [(720, 120)]
+    assert cubic_rows(p, FLOAT)[0].shape == (1053, 165)
+
+
+def test_four_level_sample_matches_the_cubic_stage():
+    """d = 16: 680 unknowns on the unit's complement, against 816."""
+    from test_forms import ququart_complex
+    m = ququart_complex()
+    E = build_effect_space(m)
+    p = _recovery_problem(E, find_orthogonalizing_spin_form(m, E).form, 1e-9)
+    assert p.dim == 16
+    assert_matches_the_cubic_stage(p)
+    assert_matches_the_cubic_stage(without_outcomes(p))
+
+
+@pytest.mark.parametrize("name", QUANTUM)
+def test_skew_form_is_inconsistent_in_both_stages(name):
+    """The unit law makes B(x, y) = S(u, x, y) symmetric, so a form with
+    an antisymmetric part has no product in either stage."""
+    p = builtin_problem(name)
+    s_B, B = p.B
+    K = np.zeros_like(B)
+    K[0, 1], K[1, 0] = 0.25, -0.25
+    skew = dataclasses.replace(p, B=(s_B, B + K))
+    assert _linear_stage(skew) is None
+    assert oracle.cubic_float_stage(skew) is None
+
+
+def test_complement_stage_refuses_an_action_off_its_contract():
+    """Every action must keep the form, MᵀBM = B, and fix the unit, Mu =
+    u, within the float zero tolerance: those make the dropped rows hold."""
+    p = builtin_problem("qutrit:complex")
+    (s, M), d = p.actions[0], p.dim
+    for action, match in (((s, 2 * M), "not invariant"),
+                          ((s, M + 1e-6 * np.eye(d)), "not invariant"),
+                          ((s, -M), "moves the unit"),
+                          ((s, -np.eye(d)), "moves the unit")):
+        with pytest.raises(ValueError, match=match):
+            _linear_stage(dataclasses.replace(p, actions=[action]))
 
 
 def test_four_level_complex_sample_passes_every_stage():
-    """The 4-level complex sample (d = 16, 816 cubic-form unknowns) through
-    the whole pipeline with one BLAS thread, inside a 2 s budget."""
+    """The 4-level complex sample (d = 16, 680 cubic-form unknowns on the
+    unit's complement) through the whole pipeline with one BLAS thread,
+    inside a 2 s budget."""
     script = (
         "import json, time\n"
         "from tests.test_forms import ququart_complex\n"

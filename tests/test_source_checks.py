@@ -80,7 +80,7 @@ def test_exact_stages_read_integer_pairs():
                              ("forms.py", "_fixed_covector_dim"),
                              ("forms.py", "check_unitarity"),
                              ("forms.py", "certify_flags"),
-                             ("jordan.py", "_cubic_rows"),
+                             ("jordan.py", "_complement_stage"),
                              ("jordan.py", "_orbit_rows"),
                              ("jordan.py", "_orbit_stage"),
                              ("jordan.py", "_linear_stage")):

@@ -305,6 +305,22 @@ def test_generic_rank_matches(k):
         assert generic_rank(J, seed=seed) == oracle.generic_rank(J, seed=seed)
 
 
+def test_degree_cut_is_scale_invariant():
+    """An element of R³ near 1e-4 in size has the degree of its multiples,
+    3 for three distinct entries, and its three entries as eigenvalues.
+    Cut at 1e-8·max(1, max |entry|), w got degree 2 and 2 eigenvalues, and
+    1000·w degree 3."""
+    J = float_twin(classical_algebra(3))
+    w = np.array([2.0997e-4, 1.9313e-4, 5.0118e-4])
+    for c in (1.0, 1e3, 1e-1, 1e6):
+        degs, _ = _degrees_and_powers(J, c * w[None])
+        assert degs == [3]
+        assert oracle.minimal_polynomial_degree(J, c * w) == 3
+        lams = _eigenvalues_many(J, c * w[None])[0]
+        assert np.abs(lams - np.sort(c * w)).max() <= 1e-9 * c
+    assert generic_rank(J) == 3
+
+
 def test_stacked_solve_falls_back_row_by_row():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((4, 3, 3))
