@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .effectspace import OrderUnitSpace, build_effect_space, min_eigenvalues
 from .forms import BilinearForm, certify_flags, check_unitarity
@@ -25,7 +26,6 @@ from .lp import (LPResult, _merge_rows, check_certificate,
                  convex_membership, solve_feasibility)
 from .models import (Model, PermutationGroup, PolytopeBackend, QuantumBackend,
                      orbit, vertex_permutation)
-from .spectral import _lstsq
 
 
 class CompositeError(ValueError):
@@ -110,6 +110,22 @@ def marginal(w: BipartiteState, side: str = "A") -> list:
     if side == "A":
         return [conditional(w, x, "A").mass for x in w.A.outcomes]
     return [conditional(w, y, "B").mass for y in w.B.outcomes]
+
+
+def _raise_lstsq(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq(A: np.ndarray, b: np.ndarray) -> tuple:
+    """The solutions and ranks of `np.linalg.lstsq(A, b, rcond=None)` for
+    stacked (or broadcast) A and vectors b, from one call of the gufunc that
+    lstsq calls, with its rcond, signature and errstate."""
+    with np.errstate(call=_raise_lstsq, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x, _, rank, _ = _umath_linalg.lstsq(
+            A, b[..., None], np.finfo(float).eps * max(A.shape[-2:]),
+            signature="ddd->ddid")
+    return x[..., 0], rank
 
 
 def _conditionals_in_cone(other: Model, vecs: list, tol: float) -> list:

@@ -23,8 +23,8 @@ import numpy as np
 from .linalg import (ONE, _eliminate, _integer_block, _integer_readout, _Kind,
                      _lowest, frac, is_positive_definite)
 from .models import orbit
-from .spectral import (_eigenvalues_many, _extreme_eigenvalues, _groups,
-                       _idempotents, _sqrt_many, _value, generic_rank)
+from .spectral import (_extreme_eigenvalues, _frames, _sqrt_many, _value,
+                       generic_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -486,37 +486,46 @@ def _sampled_cone_gates(J: JordanAlgebra, rep: SymmetricConeReport, rng,
 
     Every gate draws all its samples first, in the order a sample loop
     would, and then works on the stack with the kernels of
-    `kvwb.spectral`: gate 3's idempotents need whole minimal polynomials,
-    gate 4 only extreme eigenvalues (`spectral._extreme_eigenvalues`).
-    Gate 4 then replays the samples in order, so the report is the sample
-    loop's: the first error of a square root or of a spectral membership
-    test ends the gate with the cone-preservation failures found before
-    it, and an error that is not an ArithmeticError escapes where the loop
-    raised it.
+    `kvwb.spectral`: gate 3 pairs the squares and the Jordan frames of a
+    Lanczos run of L_w (`spectral._frames`), whose idempotents must square
+    to themselves and sum to the unit within gate 1's 1e-8; gate 4 needs
+    only extreme eigenvalues (`spectral._extreme_eigenvalues`) and replays
+    the samples in order, so the report is the sample loop's: the first
+    error of a square root or of a spectral membership test ends the gate
+    with the cone-preservation failures found before it, and an error that
+    is not an ArithmeticError escapes where the loop raised it.
     """
     d, Gf = J.dim, J.trace_gram_float
 
     # gate 3: self-duality samples — squares pair non-negatively, and the
-    # spectral idempotents of random elements pair non-negatively too
+    # Jordan frames of random elements pair non-negatively too
     T, u = J.np_tensor, J.unit_float()
     X, Y = rng.standard_normal((sample_count, 2, d)).swapaxes(0, 1).copy()
     X2 = np.einsum("ni,nj,ijk->nk", X, X, T)
     Y2 = np.einsum("ni,nj,ijk->nk", Y, Y, T)
-    Z = X2[::10] + 0.1 * u
-    spectra = [_value(s) for s in _eigenvalues_many(J, Z)]
-    pairings = {}                        # sample -> its idempotents' pairings
-    for r, at in _groups(spectra).items():
-        F = _idempotents(J, Z[at], np.array([spectra[n] for n in at]))
+    frames = [_value(f) for f in _frames(J, X2[::10] + 0.1 * u)]
+    pairings, residual = {}, 0.0    # sample -> its idempotents' pairings
+    for r in {len(f[0]) for f in frames}:
+        at = [n for n, f in enumerate(frames) if len(f[0]) == r]
+        F = np.array([frames[n][1] for n in at])
         p, q = np.triu_indices(r, 1)            # the pairs p < q in order
         # p @ Gf @ q: one vector-matrix, then one vector-vector product
         pairings.update(zip((10 * n for n in at), (
             F[:, p, None] @ Gf @ F[:, q, :, None])[..., 0, 0].tolist()))
+        F2 = np.einsum("nri,nrj,ijk->nrk", F, F, T)
+        residual = max(residual, np.abs(F2 - F).max(),
+                       np.abs(F.sum(axis=1) - u).max())
     # the minimum in the sample loop's order, which decides between equal
     # values such as 0.0 and -0.0
     squares = (X2[:, None] @ Gf @ Y2[..., None])[:, 0, 0].tolist()
     rep.min_pairing = min_pair = min(
         [np.inf] + [v for n, x in enumerate(squares)
                     for v in [x] + pairings.get(n, [])])
+    if not residual <= 1e-8:
+        rep.self_duality_ok = False
+        rep.failures.append({"gate": "self-duality-idempotents",
+                             "residual": float(residual)})
+        return
     rep.self_duality_ok = min_pair >= -tol
     if not rep.self_duality_ok:
         rep.failures.append({"gate": "self-duality", "min_pairing": min_pair})
@@ -985,7 +994,8 @@ def _simple_classes(max_dim: int):
 def identify_algebra(J: JordanAlgebra, seed: int = 42) -> list[str]:
     """Candidate catalog kinds matching (dim, rank); ambiguities all listed.
 
-    Rank is the minimal-polynomial degree of a generic element; see
+    Rank is `generic_rank`, the Krylov dimension of L_w from the unit for a
+    generic w, its number of distinct eigenvalues; see
     `algebra_candidates`.
     """
     return algebra_candidates(J.dim, generic_rank(J, seed=seed))
@@ -994,7 +1004,8 @@ def identify_algebra(J: JordanAlgebra, seed: int = 42) -> list[str]:
 def recovered_rank(res: RecoveryResult, seed: int = 42) -> int:
     """The rank of a recovered algebra: the size of the Jordan frame that
     its exact squares gate found, read without a draw, and otherwise
-    `generic_rank`, which samples."""
+    `generic_rank`, which samples and counts the distinct eigenvalues of a
+    generic element by a Lanczos run."""
     if res.frame is not None:
         return len(res.frame)
     return generic_rank(res.algebra, seed=seed)

@@ -1,19 +1,16 @@
 """Spectral kernels of a Jordan product tensor.
 
-Minimal polynomials, eigenvalues, spectral idempotents and square roots of
-elements, read off the product alone: a kernel needs of its algebra J only
-`J.dim`, the float tensor `J.np_tensor` (T[i, j] the coordinates of
-e_i ∘ e_j), the float unit `J.unit_float()` and the trace form's Cholesky
-factor `J.trace_cholesky`, so it runs on any kind, recovered ones included.
-
-The kernels work on a stack of elements, one per row.  Minimal polynomials
-and eigenvalues give each row the floats the one-element code gave it (the
-tests keep it as an oracle): each stacked numpy call they use does per row
-what its unstacked form does.  Square roots and the cone test read extreme
-eigenvalues off one symmetric eigensolve of L_w instead, which agree with
-those roots to rounding, not bit for bit.  A row that fails holds its
-exception in place of its result, so a caller can replay the rows in order
-and stop where a row-by-row loop would have stopped.
+Eigenvalues, Jordan frames, square roots and the generic rank of elements,
+read off the product alone: a kernel needs of its algebra J only `J.dim`,
+the float tensor `J.np_tensor` (T[i, j] the coordinates of e_i ∘ e_j), the
+float unit and the trace form's Gram matrix and Cholesky factor, so it
+runs on any kind, recovered ones included.  Each L_w is self-adjoint in
+the trace form: frames come from a Lanczos run of L_w from the unit
+(`_frames`), square roots and the cone test from the extreme eigenvalues
+of one symmetric eigensolve (`_extreme_eigenvalues`).  The kernels work on
+a stack of elements, one per row; a row that fails holds its exception in
+place of its result, so a caller can replay the rows in order and stop
+where a row-by-row loop would have stopped.
 """
 from __future__ import annotations
 
@@ -21,7 +18,6 @@ import itertools
 import math
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 
 def _value(result):
@@ -47,143 +43,66 @@ def _stacked(f, *stacks):
         return out
 
 
-def _groups(results: list, key=len) -> dict:
-    """Indices of the results that are not exceptions, grouped by key."""
-    out: dict = {}
-    for n, r in enumerate(results):
-        if not isinstance(r, Exception):
-            out.setdefault(key(r), []).append(n)
-    return out
+def _frames(J, W: np.ndarray) -> list:
+    """(λ, C) for each row w of W, or the error that row raises: w's
+    distinct eigenvalues λ_i, ascending, and its Jordan frame, c_i = C[i],
+    from a Lanczos run of L_w from the unit u in the trace inner product G.
 
-
-def _degrees_and_powers(J, W: np.ndarray, tol: float = 1e-8):
-    """Minimal-polynomial degree and Jordan powers u, w, w∘w, w∘(w∘w), ...
-    of each row w of W: the degree is the least k with rank[u, ..., w^k] <=
-    k, each power scaled to a largest entry of 1 and the rank cut at tol,
-    so that w and c·w get one degree; from one stacked product and rank
-    per step over the rows still open.  Returns the degrees (a LinAlgError
-    for a row whose rank failed) and the powers, shaped (rows, dim + 1,
-    dim), row n filled up to w^degree."""
+    L_w is self-adjoint under G, and by power associativity its Krylov
+    space from u is R[w] = span{c_i}, L_w c_i = λ_i c_i (Faraut & Korányi,
+    ch. II–III): the run stops after as many steps as w has distinct
+    eigenvalues, and each Ritz vector v_i gives c_i = ⟨u, v_i⟩_G v_i.  Each
+    step reorthogonalizes twice against the whole basis and is cut when
+    the new vector's G-norm is at most 1e-8 times that of L_w q_k, so w
+    and s·w get one Krylov dimension; eigenvalues closer than about
+    1e-8·|w| share one Ritz value and the sum of their idempotents.  One
+    stacked product per step and one stacked `eigh` per Krylov dimension;
+    a row gets the floats it gets alone.  A NaN or inf in w gives a
+    LinAlgError, a trace form that is not positive definite every row an
+    ArithmeticError."""
+    if J.trace_cholesky is None:
+        return [ArithmeticError("trace form not positive definite") for _ in W]
     W = np.asarray(W, float)
-    T, d = J.np_tensor, J.dim
-    pows = np.empty((len(W), d + 1, d))
-    pows[:, 0] = J.unit_float()
-    pows[:, 1] = W
-    degs, errors = np.full(len(W), d), {}
-    open_rows = np.arange(len(W))
-    for k in range(1, d + 1):
-        if not open_rows.size:
-            break
-        M = pows[open_rows, :k + 1]
-        size = np.abs(M).max(axis=2, keepdims=True)
-        with np.errstate(invalid="ignore"):        # an inf power is NaN
-            M = M / np.where(size > 0, size, 1.0)
-        ranks = _stacked(np.linalg.matrix_rank, M, np.full(len(M), tol))
-        if not isinstance(ranks, np.ndarray):     # a failed row is done too
-            errors.update((n, r) for n, r in zip(open_rows.tolist(), ranks)
-                          if isinstance(r, Exception))
-            ranks = [0 if isinstance(r, Exception) else r for r in ranks]
-        done = np.asarray(ranks) <= k
-        degs[open_rows[done]] = k
-        open_rows = open_rows[~done]
-        if open_rows.size and k < d:
-            pows[open_rows, k + 1] = np.einsum(
-                "ni,nj,ijk->nk", W[open_rows], pows[open_rows, k], T)
-    return [errors.get(n, k) for n, k in enumerate(degs.tolist())], pows
+    T, G, u = J.np_tensor, J.trace_gram_float, J.unit_float()
+    n, d = W.shape
+    Q = np.zeros((n, d, d))                 # row n's basis q_k at [n, k]
+    alpha, beta = np.zeros((n, d)), np.zeros((n, d))
+    Q[:, 0] = u / math.sqrt(u @ G @ u)
 
-
-def _raise_lstsq(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-
-def _lstsq(A: np.ndarray, b: np.ndarray) -> tuple:
-    """The solutions and ranks of `np.linalg.lstsq(A, b, rcond=None)` for
-    stacked (or broadcast) A and vectors b, from one call of the gufunc that
-    lstsq calls, with its rcond, signature and errstate."""
-    with np.errstate(call=_raise_lstsq, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        x, _, rank, _ = _umath_linalg.lstsq(
-            A, b[..., None], np.finfo(float).eps * max(A.shape[-2:]),
-            signature="ddd->ddid")
-    return x[..., 0], rank
-
-
-def _minimal_polynomials(pows: np.ndarray, degs: list) -> list:
-    """Coefficients c of each row's minimal polynomial, w^k = sum c_i w^i
-    over i < k = degs[n], as `np.linalg.lstsq(pows[n, :k].T, pows[n, k],
-    rcond=None)[0]`, one stacked fit per degree; a row keeps the exception
-    its degree holds, or holds its fit's LinAlgError."""
-    out = list(degs)
-    for k, rows in _groups(degs, int).items():
-        P = pows[rows]
-        for n, c in zip(rows, _stacked(lambda A, b: _lstsq(A, b)[0],
-                                       P[:, :k].transpose(0, 2, 1), P[:, k])):
-            out[n] = c
-    return out
-
-
-def _roots_many(coeffs: list) -> list:
-    """`np.roots` of each row's monic polynomial x^k - sum c_i x^i, or the
-    exception the row holds or raises.  As in np.roots, the trailing zero
-    coefficients are stripped, the roots of the rest are the eigenvalues of
-    its companion matrix, and one zero root is appended per stripped
-    coefficient: one stack per degree, one stacked `eigvals` per size."""
-    out = list(coeffs)
-    for k, rows in _groups(coeffs).items():
-        polys = np.ones((len(rows), k + 1))     # monic, high power first
-        polys[:, 1:] = -np.array([coeffs[n] for n in rows])[:, ::-1]
-        # the last nonzero entry; the leading 1.0 is always nonzero
-        sizes = k - np.argmax(polys[:, ::-1] != 0, axis=1)
-        for size in set(sizes.tolist()):
-            at = np.flatnonzero(sizes == size)
-            roots = [np.array([])] * len(at)
-            if size:
-                C = np.zeros((len(at), size, size))
-                C[:, np.arange(1, size), np.arange(size - 1)] = 1.0
-                C[:, 0] = -polys[at, 1:size + 1] / polys[at, :1]
-                roots = _stacked(np.linalg.eigvals, C)
-            for i, r in zip(at.tolist(), roots):
-                out[rows[i]] = r if isinstance(r, Exception) or size == k \
-                    else np.hstack((r, np.zeros(k - size, r.dtype)))
-    return out
-
-
-def _merged(roots: np.ndarray):
-    """Sorted real roots, near-coincident ones merged into one node (their
-    mean); an ArithmeticError in their place when a root is complex."""
-    if np.abs(roots.imag).max(initial=0.0) > 1e-6:
-        return ArithmeticError("complex eigenvalues in a formally real "
-                               f"algebra (imag {np.abs(roots.imag).max():.2e})")
-    lams = np.sort(roots.real)
-    # Lagrange interpolation is badly conditioned when eigenvalues are close,
-    # so nearly coincident roots are merged into one node.
-    scale = max(1.0, float(np.abs(lams).max()))
-    clusters: list[list[float]] = []
-    for l in lams:
-        if clusters and l - clusters[-1][-1] <= 1e-6 * scale:
-            clusters[-1].append(float(l))
-        else:
-            clusters.append([float(l)])
-    return np.array([sum(c) / len(c) for c in clusters])
-
-
-def _eigenvalues_many(J, W: np.ndarray) -> list:
-    """Merged eigenvalues of each row of W: the sorted roots of its minimal
-    polynomial, near-coincident ones merged into one node (their mean), or
-    the ArithmeticError or LinAlgError that row raises.  Every step is stacked;
-    only a row with a complex root or roots to merge meets `_merged`."""
-    degs, pows = _degrees_and_powers(J, W)
-    out = _roots_many(_minimal_polynomials(pows, degs))
-    for rows in _groups(out).values():
-        R = np.array([out[n] for n in rows])
-        lams = np.sort(R.real, axis=1)
-        scale = np.fmax(1.0, np.abs(lams).max(axis=1))
-        alone = ((np.abs(R.imag).max(axis=1, initial=0.0) > 1e-6)
-                 | (np.diff(lams, axis=1) <= 1e-6 * scale[:, None]).any(axis=1))
-        # a one-root node is sum([l]) / 1, and 0 + -0.0 is 0.0
-        lams += 0.0
-        for n, lam, one in zip(rows, lams, alone.tolist()):
-            out[n] = _merged(out[n]) if one else lam
+    def norms(R):                           # the G-norm of each R[n, :, 0]
+        return np.sqrt((R.transpose(0, 2, 1) @ (G @ R))[:, 0, 0])
+    dims, rows = np.full(n, d), np.arange(n)
+    with np.errstate(invalid="ignore"):       # a NaN or inf row is NaN
+        for k in range(d):
+            Qk = Q[rows, :k + 1]
+            R = np.einsum("ni,nj,ijk->nk", W[rows], Qk[:, k], T)[..., None]
+            size = norms(R)
+            for _ in range(2):
+                H = Qk @ (G @ R)            # ⟨q_j, r⟩_G for j <= k
+                R = R - Qk.transpose(0, 2, 1) @ H
+                alpha[rows, k] += H[:, k, 0]
+            b = norms(R)
+            going = b > 1e-8 * size          # a NaN row stops here
+            dims[rows[~going]] = k + 1
+            rows, R, b = rows[going], R[going], b[going]
+            if not rows.size or k + 1 == d:
+                break
+            beta[rows, k] = b
+            Q[rows, k + 1] = R[..., 0] / b[:, None]
+    Gu, out = G @ u, [None] * n
+    finite = np.isfinite(alpha).all(axis=1) & np.isfinite(beta).all(axis=1)
+    for row in np.flatnonzero(~finite).tolist():
+        out[row] = np.linalg.LinAlgError("Eigenvalues did not converge")
+    for m in set(dims[finite].tolist()):
+        at = np.flatnonzero(finite & (dims == m))
+        i = np.arange(m)
+        tri = np.zeros((len(at), m, m))
+        tri[:, i, i] = alpha[at, :m]
+        tri[:, i[1:], i[:-1]] = tri[:, i[:-1], i[1:]] = beta[at, :m - 1]
+        lams, S = np.linalg.eigh(tri)
+        V = S.transpose(0, 2, 1) @ Q[at, :m]        # Ritz vectors v_i, rows
+        for row, lam, idems in zip(at, lams, (V @ Gu)[..., None] * V):
+            out[row] = lam, idems                   # c_i = ⟨u, v_i⟩_G v_i
     return out
 
 
@@ -259,39 +178,12 @@ def _sqrt_many(J, W: np.ndarray) -> list:
 
 
 def generic_rank(J, seed: int = 42, trials: int = 5) -> int:
-    """Degree of the minimal polynomial of a generic element.
-
-    For a Euclidean Jordan algebra this is the rank; several random draws
-    guard against an unlucky non-generic sample (the max is generic).
-    """
-    rng = np.random.default_rng(seed)
-    A = np.array([rng.standard_normal(J.dim) for _ in range(trials)])
-    degs, _ = _degrees_and_powers(J, A.reshape(trials, J.dim))
-    return max((_value(k) for k in degs), default=0)
-
-
-def _idempotents(J, W: np.ndarray, reps: np.ndarray) -> np.ndarray:
-    """Spectral idempotents of each row w of W over its merged eigenvalues,
-    that row of `reps`: idempotent i of row n at [n, i].
-
-    Power associativity makes the subalgebra generated by w commutative and
-    associative, so Lagrange interpolation on Jordan powers, over the merged
-    eigenvalue nodes, produces the spectral projections; each projector is
-    then purified with f <- 3f^2 - 2f^3 (quadratic convergence to the
-    idempotent with the same spectral support)."""
-    T, u = J.np_tensor, J.unit_float()
-    out = np.empty(reps.shape + (J.dim,))
-    for i in range(reps.shape[1]):
-        f = np.tile(u, (len(W), 1))
-        for j in (j for j in range(reps.shape[1]) if j != i):
-            f = (np.einsum("ni,nj,ijk->nk", f, W - reps[:, j, None] * u, T)
-                 / (reps[:, i] - reps[:, j])[:, None])
-        for _ in range(2):
-            f2 = np.einsum("ni,nj,ijk->nk", f, f, T)
-            f3 = np.einsum("ni,nj,ijk->nk", f, f2, T)
-            f = 3.0 * f2 - 2.0 * f3
-        out[:, i] = f
-    return out
+    """The largest Krylov dimension of L_w from the unit (`_frames`) over
+    `trials` random w: the number of distinct eigenvalues of a generic
+    element, which for a Euclidean Jordan algebra is the rank; several
+    draws guard against an unlucky non-generic sample."""
+    A = np.random.default_rng(seed).standard_normal((trials, J.dim))
+    return max((len(_value(f)[0]) for f in _frames(J, A)), default=0)
 
 
 def jordan_sqrt(J, w, tol: float = 1e-9) -> np.ndarray:
@@ -302,6 +194,5 @@ def jordan_sqrt(J, w, tol: float = 1e-9) -> np.ndarray:
     The iterates stay in the associative subalgebra generated by w, where
     the recursion is the scalar one per eigenvalue, so it needs only the
     extreme eigenvalues (`_extreme_eigenvalues`), for the negativity screen
-    and the seed; they may differ from the minimal polynomial's roots, and
-    so the root from the old one, in the last bits."""
+    and the seed."""
     return _value(_sqrt_many(J, np.asarray(w, float)[None])[0])

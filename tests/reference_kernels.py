@@ -11,10 +11,11 @@ B-associativity rows, which the cubic-form rows of
 `kvwb.jordan._cubic_rows` replaced, and the one-LP-per-probe membership of
 the exact squares gate (`squares_membership`), and the
 one-element spectral functions and symmetric-cone check that the stacked
-kernels of `kvwb.jordan` (`_degrees_and_powers`, `_eigenvalues_many`,
-`_sqrt_many`) replaced, and the per-row least-squares fit and `np.roots`
-(`_merged_roots`, `_eigenvalues_many`) that the stacked fit and companion
-`eigvals` replaced, and the `Fraction` Jordan-identity residual
+kernels of `kvwb.spectral` replaced, and those stacked minimal-polynomial
+kernels themselves (`_degrees_and_powers`, `_minimal_polynomials`,
+`_roots_many`, `_merged`, `_eigenvalues_many`, `_idempotents`), which the
+Lanczos frames of `kvwb.spectral._frames` replaced, and the `Fraction`
+Jordan-identity residual
 (`_identity_residual`) that the integer gate 1 of
 `kvwb.jordan.verify_symmetric_cone` replaced (it still samples float
 tensors), and the sampled Jordan identity, squares gate
@@ -113,7 +114,7 @@ float recovery over every sorted triple, with the unit law as rows
 complement of `kvwb.jordan._complement_stage` replaced, and the double
 loop of `kvwb.builtins.conjugation_bijection` (`loop_conjugation_bijection`)
 that one broadcast comparison replaced.  `minimal_polynomial_degree` cuts
-each power relative to its own size, as `kvwb.spectral` now does.
+each power relative to its own size, as `_degrees_and_powers` did last.
 
 Slow and obviously correct; the property tests require the fast kernels to
 return exactly what these return.
@@ -149,7 +150,8 @@ from kvwb.lp import convex_membership, free_feasibility
 from kvwb.models import (Model, PermutationGroup, PolytopeBackend,
                          QuantumBackend, act_on_state, perm_inverse)
 from kvwb.serialize import frac_str
-from kvwb.spectral import _degrees_and_powers, _value
+from kvwb.composites import _lstsq
+from kvwb.spectral import _frames, _stacked, _value
 
 
 # ---------------------------------------------------------------------------
@@ -778,43 +780,6 @@ def jordan_sqrt(J: JordanAlgebra, w, tol: float = 1e-9) -> np.ndarray:
     return s
 
 
-def _merged_roots(P: np.ndarray) -> np.ndarray:
-    """Sorted roots of the monic polynomial with P[deg] = sum c_k P[k] over
-    k < deg, near-coincident ones merged into one node (their mean)."""
-    deg = len(P) - 1
-    coeffs, *_ = np.linalg.lstsq(P[:deg].T, P[deg], rcond=None)
-    poly = np.concatenate([[1.0], -coeffs[::-1]])     # monic, high power first
-    roots = np.roots(poly)
-    if np.abs(roots.imag).max(initial=0.0) > 1e-6:
-        raise ArithmeticError("complex eigenvalues in a formally real algebra "
-                              f"(imag {np.abs(roots.imag).max():.2e})")
-    lams = np.sort(roots.real)
-    # Lagrange interpolation is badly conditioned when eigenvalues are close,
-    # so nearly coincident roots are merged into one node.
-    scale = max(1.0, float(np.abs(lams).max()))
-    clusters: list[list[float]] = []
-    for l in lams:
-        if clusters and l - clusters[-1][-1] <= 1e-6 * scale:
-            clusters[-1].append(float(l))
-        else:
-            clusters.append([float(l)])
-    return np.array([sum(c) / len(c) for c in clusters])
-
-
-def _eigenvalues_many(J: JordanAlgebra, W: np.ndarray) -> list:
-    """Merged eigenvalues of each row of W (see `_eigenvalues`), or the
-    ArithmeticError or LinAlgError that row raises.  The degrees and powers
-    are stacked; the least-squares fit and the roots go row by row."""
-    degs, pows = _degrees_and_powers(J, W)
-    out = []
-    for deg, P in zip(degs, pows):
-        try:
-            out.append(_merged_roots(P[:_value(deg) + 1]))
-        except (ArithmeticError, np.linalg.LinAlgError) as e:
-            out.append(e)
-    return out
-
-
 def _random_rational_vec(rng, d) -> list:
     return [Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
             for _ in range(d)]
@@ -833,7 +798,10 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
                           seed: int = 42, tol: float = 1e-9
                           ) -> SymmetricConeReport:
     """Gate order: Jordan axioms, formal reality, self-duality samples,
-    homogeneity witnesses.  A failed axiom gate stops the later checks."""
+    homogeneity witnesses.  A failed axiom gate stops the later checks.
+    Gate 3 pairs the idempotents of `kvwb.spectral._frames` on one row at a
+    time (they were `spectral_decomposition`'s), and does not check them
+    for idempotence as the stacked gate does."""
     rep = SymmetricConeReport(ok=False, seed=seed)
     rng = np.random.default_rng(seed)
     d = J.dim
@@ -888,7 +856,8 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
         y2 = np.einsum("i,j,ijk->k", y, y, J.np_tensor)
         min_pair = min(min_pair, float(x2 @ Gf @ y2))
         if _ % 10 == 0:
-            _, idems = spectral_decomposition(J, x2 + 0.1 * J.unit_float())
+            # the Jordan frame of the stacked gate, one row at a time
+            _, idems = _value(_frames(J, (x2 + 0.1 * J.unit_float())[None])[0])
             for p, q in itertools.combinations(idems, 2):
                 min_pair = min(min_pair, float(p @ Gf @ q))
     rep.min_pairing = min_pair
@@ -923,6 +892,159 @@ def verify_symmetric_cone(J: JordanAlgebra, sample_count: int = 50,
         for f in rep.failures)
     rep.ok = bool(rep.homogeneity_ok)
     return rep
+
+
+# ---------------------------------------------------------------------------
+# the stacked minimal-polynomial kernels that `kvwb.spectral._frames`
+# replaced, verbatim: degrees and Jordan powers, one least-squares fit per
+# degree, companion `eigvals`, merged roots and Lagrange idempotents
+
+def _groups(results: list, key=len) -> dict:
+    """Indices of the results that are not exceptions, grouped by key."""
+    out: dict = {}
+    for n, r in enumerate(results):
+        if not isinstance(r, Exception):
+            out.setdefault(key(r), []).append(n)
+    return out
+
+
+def _degrees_and_powers(J, W: np.ndarray, tol: float = 1e-8):
+    """Minimal-polynomial degree and Jordan powers u, w, w∘w, w∘(w∘w), ...
+    of each row w of W: the degree is the least k with rank[u, ..., w^k] <=
+    k, each power scaled to a largest entry of 1 and the rank cut at tol,
+    so that w and c·w get one degree; from one stacked product and rank
+    per step over the rows still open.  Returns the degrees (a LinAlgError
+    for a row whose rank failed) and the powers, shaped (rows, dim + 1,
+    dim), row n filled up to w^degree."""
+    W = np.asarray(W, float)
+    T, d = J.np_tensor, J.dim
+    pows = np.empty((len(W), d + 1, d))
+    pows[:, 0] = J.unit_float()
+    pows[:, 1] = W
+    degs, errors = np.full(len(W), d), {}
+    open_rows = np.arange(len(W))
+    for k in range(1, d + 1):
+        if not open_rows.size:
+            break
+        M = pows[open_rows, :k + 1]
+        size = np.abs(M).max(axis=2, keepdims=True)
+        with np.errstate(invalid="ignore"):        # an inf power is NaN
+            M = M / np.where(size > 0, size, 1.0)
+        ranks = _stacked(np.linalg.matrix_rank, M, np.full(len(M), tol))
+        if not isinstance(ranks, np.ndarray):     # a failed row is done too
+            errors.update((n, r) for n, r in zip(open_rows.tolist(), ranks)
+                          if isinstance(r, Exception))
+            ranks = [0 if isinstance(r, Exception) else r for r in ranks]
+        done = np.asarray(ranks) <= k
+        degs[open_rows[done]] = k
+        open_rows = open_rows[~done]
+        if open_rows.size and k < d:
+            pows[open_rows, k + 1] = np.einsum(
+                "ni,nj,ijk->nk", W[open_rows], pows[open_rows, k], T)
+    return [errors.get(n, k) for n, k in enumerate(degs.tolist())], pows
+
+
+def _minimal_polynomials(pows: np.ndarray, degs: list) -> list:
+    """Coefficients c of each row's minimal polynomial, w^k = sum c_i w^i
+    over i < k = degs[n], as `np.linalg.lstsq(pows[n, :k].T, pows[n, k],
+    rcond=None)[0]`, one stacked fit per degree; a row keeps the exception
+    its degree holds, or holds its fit's LinAlgError."""
+    out = list(degs)
+    for k, rows in _groups(degs, int).items():
+        P = pows[rows]
+        for n, c in zip(rows, _stacked(lambda A, b: _lstsq(A, b)[0],
+                                       P[:, :k].transpose(0, 2, 1), P[:, k])):
+            out[n] = c
+    return out
+
+
+def _roots_many(coeffs: list) -> list:
+    """`np.roots` of each row's monic polynomial x^k - sum c_i x^i, or the
+    exception the row holds or raises.  As in np.roots, the trailing zero
+    coefficients are stripped, the roots of the rest are the eigenvalues of
+    its companion matrix, and one zero root is appended per stripped
+    coefficient: one stack per degree, one stacked `eigvals` per size."""
+    out = list(coeffs)
+    for k, rows in _groups(coeffs).items():
+        polys = np.ones((len(rows), k + 1))     # monic, high power first
+        polys[:, 1:] = -np.array([coeffs[n] for n in rows])[:, ::-1]
+        # the last nonzero entry; the leading 1.0 is always nonzero
+        sizes = k - np.argmax(polys[:, ::-1] != 0, axis=1)
+        for size in set(sizes.tolist()):
+            at = np.flatnonzero(sizes == size)
+            roots = [np.array([])] * len(at)
+            if size:
+                C = np.zeros((len(at), size, size))
+                C[:, np.arange(1, size), np.arange(size - 1)] = 1.0
+                C[:, 0] = -polys[at, 1:size + 1] / polys[at, :1]
+                roots = _stacked(np.linalg.eigvals, C)
+            for i, r in zip(at.tolist(), roots):
+                out[rows[i]] = r if isinstance(r, Exception) or size == k \
+                    else np.hstack((r, np.zeros(k - size, r.dtype)))
+    return out
+
+
+def _merged(roots: np.ndarray):
+    """Sorted real roots, near-coincident ones merged into one node (their
+    mean); an ArithmeticError in their place when a root is complex."""
+    if np.abs(roots.imag).max(initial=0.0) > 1e-6:
+        return ArithmeticError("complex eigenvalues in a formally real "
+                               f"algebra (imag {np.abs(roots.imag).max():.2e})")
+    lams = np.sort(roots.real)
+    # Lagrange interpolation is badly conditioned when eigenvalues are close,
+    # so nearly coincident roots are merged into one node.
+    scale = max(1.0, float(np.abs(lams).max()))
+    clusters: list[list[float]] = []
+    for l in lams:
+        if clusters and l - clusters[-1][-1] <= 1e-6 * scale:
+            clusters[-1].append(float(l))
+        else:
+            clusters.append([float(l)])
+    return np.array([sum(c) / len(c) for c in clusters])
+
+
+def _eigenvalues_many(J, W: np.ndarray) -> list:
+    """Merged eigenvalues of each row of W: the sorted roots of its minimal
+    polynomial, near-coincident ones merged into one node (their mean), or
+    the ArithmeticError or LinAlgError that row raises.  Every step is stacked;
+    only a row with a complex root or roots to merge meets `_merged`."""
+    degs, pows = _degrees_and_powers(J, W)
+    out = _roots_many(_minimal_polynomials(pows, degs))
+    for rows in _groups(out).values():
+        R = np.array([out[n] for n in rows])
+        lams = np.sort(R.real, axis=1)
+        scale = np.fmax(1.0, np.abs(lams).max(axis=1))
+        alone = ((np.abs(R.imag).max(axis=1, initial=0.0) > 1e-6)
+                 | (np.diff(lams, axis=1) <= 1e-6 * scale[:, None]).any(axis=1))
+        # a one-root node is sum([l]) / 1, and 0 + -0.0 is 0.0
+        lams += 0.0
+        for n, lam, one in zip(rows, lams, alone.tolist()):
+            out[n] = _merged(out[n]) if one else lam
+    return out
+
+
+def _idempotents(J, W: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """Spectral idempotents of each row w of W over its merged eigenvalues,
+    that row of `reps`: idempotent i of row n at [n, i].
+
+    Power associativity makes the subalgebra generated by w commutative and
+    associative, so Lagrange interpolation on Jordan powers, over the merged
+    eigenvalue nodes, produces the spectral projections; each projector is
+    then purified with f <- 3f^2 - 2f^3 (quadratic convergence to the
+    idempotent with the same spectral support)."""
+    T, u = J.np_tensor, J.unit_float()
+    out = np.empty(reps.shape + (J.dim,))
+    for i in range(reps.shape[1]):
+        f = np.tile(u, (len(W), 1))
+        for j in (j for j in range(reps.shape[1]) if j != i):
+            f = (np.einsum("ni,nj,ijk->nk", f, W - reps[:, j, None] * u, T)
+                 / (reps[:, i] - reps[:, j])[:, None])
+        for _ in range(2):
+            f2 = np.einsum("ni,nj,ijk->nk", f, f, T)
+            f3 = np.einsum("ni,nj,ijk->nk", f, f2, T)
+            f = 3.0 * f2 - 2.0 * f3
+        out[:, i] = f
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -303,13 +303,15 @@ def test_criterion_9_byte_identical_reports():
 #: on the Gram matrix of its rows, which moved only float residuals and
 #: errors, each by under 1e-12, and again when the float recovery moved to
 #: the unit's B-orthogonal complement, which moved only the recovery
-#: residual and the sampled gates' minima and errors, each by under 2e-14.
+#: residual and the sampled gates' minima and errors, each by under 2e-14,
+#: and again when gate 3 read its Jordan frames off a Lanczos run of L_w,
+#: which moved only `min_self_duality_pairing`, each by under 2e-15.
 #: LAPACK's results depend on its thread count, so the digests hold for one
-#: thread only (with two, `qutrit:complex` gives 643f1ace...).
+#: thread only (with two, `qutrit:complex` gives 6a560d64...).
 QUANTUM_REPORT_SHA256 = {
-    "qubit:real": "711aa019b60b17f4572a423091d8ab05c258f5426ad8dfab5d66746f925cd30a",
-    "qubit:complex": "233e5fcb9a82409f89a9c7f1fe2c0610ffea0fe917be32ff9be60a15d0fa4912",
-    "qutrit:complex": "295c18553acd539edfd3bd4393d81d29508bf03670705c49016bdc0d3de6604f",
+    "qubit:real": "d59347aaa492bf06c0c1a3cbc5d6229672b8a9425308986229114c9570a11419",
+    "qubit:complex": "b8e53d81fafce2951691b4f6ee26aa95689df1ec57f6b4785b020c4377b5b019",
+    "qutrit:complex": "8257a8768f7674d3ece78c0dc164d2cb6004d1d85274c27569440487ceb105cd",
 }
 
 

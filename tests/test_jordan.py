@@ -18,8 +18,7 @@ from kvwb.jordan import (JordanAlgebra, _reconstruct,
                          verify_symmetric_cone)
 from kvwb.linalg import frac
 from kvwb.pipeline import _recovery_problem
-from kvwb.spectral import (_degrees_and_powers, _eigenvalues_many,
-                           _idempotents, _value, generic_rank, jordan_sqrt)
+from kvwb.spectral import _frames, _value, generic_rank, jordan_sqrt
 
 CATALOG = [
     real_symmetric(2), real_symmetric(3),
@@ -31,11 +30,10 @@ CATALOG = [
 
 
 def spectral_decomposition(J, w):
-    """Eigenvalues and spectral idempotents of w, from the stacked kernels
+    """Eigenvalues and spectral idempotents of w, from the Lanczos kernel
     on a one-row stack."""
-    W = np.asarray(w, dtype=float)[None]
-    eigs = _value(_eigenvalues_many(J, W)[0])
-    return eigs, list(_idempotents(J, W, eigs[None])[0])
+    eigs, idems = _value(_frames(J, np.asarray(w, dtype=float)[None])[0])
+    return eigs, list(idems)
 
 
 def float_twin(J):
@@ -145,8 +143,8 @@ def test_jordan_sqrt_squares_back():
 
 
 def test_jordan_sqrt_needs_eigenvalues_only(monkeypatch):
-    """The root and the eigenvalue screen build no spectral idempotents,
-    and the root is the same as when they were built."""
+    """The root and the eigenvalue screen build no Jordan frame, and the
+    root is the same as when one was built."""
     J = real_symmetric(3)
     rng = np.random.default_rng(10)
     a = rng.standard_normal(J.dim)
@@ -156,11 +154,10 @@ def test_jordan_sqrt_needs_eigenvalues_only(monkeypatch):
     s = jordan_sqrt(J, w)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("spectral idempotents built")
+        raise AssertionError("Jordan frame built")
 
-    monkeypatch.setattr(spectral_module, "_idempotents", refuse)
+    monkeypatch.setattr(spectral_module, "_frames", refuse)
     assert np.array_equal(jordan_sqrt(J, w), s)
-    assert np.array_equal(_value(_eigenvalues_many(J, w[None])[0]), eigs)
     # a tensor without a structural description takes the spectral test
     recovered = JordanAlgebra("Recovered", J.dim, J.unit, J.np_tensor, False)
     assert cone_of_squares_membership(recovered, w)
@@ -174,8 +171,8 @@ def test_cone_of_squares_membership():
 
 def test_minimal_polynomial_degree():
     J = real_symmetric(3)
-    degs, _ = _degrees_and_powers(J, np.asarray(J.unit, dtype=float)[None])
-    assert degs == [1]
+    eigs, idems = _value(_frames(J, np.asarray(J.unit, dtype=float)[None])[0])
+    assert eigs.tolist() == [1.0] and len(idems) == 1
 
 
 def assert_same_algebra(J, ref):

@@ -100,6 +100,23 @@ def test_float_recovery_makes_no_lstsq():
     assert not {n for n in names if n.endswith("lstsq")}
 
 
+def test_spectral_kernels_build_no_minimal_polynomials():
+    """`kvwb.spectral` reads eigenvalues and frames off symmetric
+    eigensolves of L_w: it defines none of the minimal-polynomial kernels,
+    now oracles in `reference_kernels`, and calls no `matrix_rank`, no
+    non-Hermitian `eigvals` and no least-squares solve."""
+    tree = ast.parse((SRC / "spectral.py").read_text(encoding="utf-8"))
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert not defined & {"_degrees_and_powers", "_minimal_polynomials",
+                          "_roots_many", "_merged", "_eigenvalues_many",
+                          "_idempotents"}
+    names = {n.attr if isinstance(n, ast.Attribute) else n.id
+             for n in ast.walk(tree)
+             if isinstance(n, (ast.Attribute, ast.Name))}
+    assert not names & {"matrix_rank", "eigvals", "roots", "_umath_linalg"}
+    assert not {n for n in names if n.endswith("lstsq")}
+
+
 def test_readme_stage_table_matches_the_pipeline():
     """The README's "Stages" table lists `pipeline._STAGES` in run order:
     each stage's name, prerequisites and not-applicable note."""

@@ -3,10 +3,18 @@ one-element code they replaced.
 
 `reference_kernels` keeps the old `minimal_polynomial_degree`,
 `jordan_powers`, `_eigenvalues`, `jordan_sqrt` and `verify_symmetric_cone`,
-and the per-row fit and `np.roots` of the old `_eigenvalues_many`.  The
-minimal-polynomial kernels (degrees, powers, fits, roots, merged
-eigenvalues) and gate 3 agree with it bit for bit, signed zeros included,
-and a row that fails fails with the same exception type and message.
+and the stacked minimal-polynomial kernels (degrees, powers, fits, roots,
+merged eigenvalues), which agree with that one-element code bit for bit,
+signed zeros included, and fail where it fails with the same exception
+type and message.
+
+Gate 3 reads its Jordan frames off a Lanczos run of L_w in the trace form
+(`spectral._frames`).  A row of a stack gets the frame it gets alone, so
+gate 3 agrees bit for bit with the oracle's sample loop, which pairs the
+same frames one row at a time.  The frames are checked against the
+oracle's eigenvalues, within 1e-11·max(1, |w|∞) at scale 1 and at 1e-4
+(where the oracle's roots are well conditioned), against planted
+eigenvalues where they are close, and for idempotence.
 
 Square roots and gate 4's cone test read the least and the greatest
 eigenvalue off one symmetric eigensolve of L_w per stack
@@ -15,7 +23,7 @@ rounding, not bit for bit.  There a failing row fails with the same
 exception type as in the oracle; a root is within 1e-10·max(1, |w|) of the
 oracle's; and a report keeps every status, boolean and failure of the old
 one, its homogeneity error within 1e-10.  On an algebra whose trace form
-is not positive definite every row of the new kernel fails with one
+is not positive definite every row of the new kernels fails with one
 ArithmeticError.  The check must stop where the old sample loop stopped.
 It samples only float tensors; an exact algebra is proved, so it is
 compared on its float twin.
@@ -40,10 +48,10 @@ from kvwb.jordan import (JordanAlgebra, classical_algebra, complex_hermitian,
                          recover_jordan_product, spin_factor,
                          verify_symmetric_cone)
 from kvwb.pipeline import _recovery_problem
-from kvwb.spectral import (_degrees_and_powers, _eigenvalues_many,
-                           _extreme_eigenvalues, _minimal_polynomials,
-                           _roots_many, _sqrt_many, _stacked, generic_rank,
-                           jordan_sqrt)
+from kvwb.spectral import (_extreme_eigenvalues, _frames, _sqrt_many, _stacked,
+                           generic_rank, jordan_sqrt)
+from reference_kernels import (_degrees_and_powers, _eigenvalues_many,
+                               _minimal_polynomials, _roots_many)
 from test_jordan import assert_proved, float_twin
 
 CATALOG = [real_symmetric(1), real_symmetric(2), real_symmetric(3),
@@ -184,15 +192,14 @@ def test_degrees_and_powers_match_the_one_element_code(case):
 @given(stacks())
 def test_eigenvalues_match_the_one_element_code(case):
     J, W = case
-    for w, lams, old in zip(W, _eigenvalues_many(J, W),
-                            oracle._eigenvalues_many(J, W)):
+    for w, lams in zip(W, _eigenvalues_many(J, W)):
         assert_same(lams, outcome(oracle._eigenvalues, J, w))
-        assert_same(lams, old)
         assert_same(_eigenvalues_many(J, w[None])[0], lams)
 
 
 def square(J, s):
-    return np.einsum("i,j,ijk->k", s, s, J.np_tensor)
+    """s∘s, for an element or a stack of them."""
+    return np.einsum("...i,...j,ijk->...k", s, s, J.np_tensor)
 
 
 @settings(max_examples=80, deadline=None)
@@ -305,20 +312,111 @@ def test_generic_rank_matches(k):
         assert generic_rank(J, seed=seed) == oracle.generic_rank(J, seed=seed)
 
 
-def test_degree_cut_is_scale_invariant():
-    """An element of R³ near 1e-4 in size has the degree of its multiples,
-    3 for three distinct entries, and its three entries as eigenvalues.
-    Cut at 1e-8·max(1, max |entry|), w got degree 2 and 2 eigenvalues, and
-    1000·w degree 3."""
+def frame_residual(J, C) -> float:
+    """max |c∘c − c| over the idempotents c of a frame, and |Σ c − u|."""
+    return max(float(np.abs(square(J, C) - C).max()),
+               float(np.abs(C.sum(axis=0) - J.unit_float()).max()))
+
+
+@pytest.mark.parametrize("scale", [1e3, 1.0, 0.1, 0.01, 1e-4])
+def test_degree_cut_is_scale_invariant(scale):
+    """An element of R³ near 1e-4 in size, at every scale, has its three
+    entries as eigenvalues and the three coordinate idempotents as its
+    frame: the run is cut relative to ‖L_w q_k‖.  The minimal-polynomial
+    kernels merged roots closer than 1e-6·max(1, |λ|), absolute below size
+    1, and gave 0.01·w two eigenvalues."""
     J = float_twin(classical_algebra(3))
-    w = np.array([2.0997e-4, 1.9313e-4, 5.0118e-4])
-    for c in (1.0, 1e3, 1e-1, 1e6):
-        degs, _ = _degrees_and_powers(J, c * w[None])
-        assert degs == [3]
-        assert oracle.minimal_polynomial_degree(J, c * w) == 3
-        lams = _eigenvalues_many(J, c * w[None])[0]
-        assert np.abs(lams - np.sort(c * w)).max() <= 1e-9 * c
+    w = scale * np.array([2.0997e-4, 1.9313e-4, 5.0118e-4])
+    lams, idems = _frames(J, w[None])[0]
+    assert np.abs(lams - np.sort(w)).max() <= 1e-12 * scale
+    assert np.abs(idems - np.eye(3)[np.argsort(w)]).max() <= 1e-12
+    assert oracle.minimal_polynomial_degree(J, w) == 3
     assert generic_rank(J) == 3
+
+
+@pytest.mark.parametrize("k", range(len(KERNEL_ORACLE_ALGEBRAS)
+                                   + len(BUILTINS)))
+def test_frames_match_the_oracle(k):
+    """On the float twins of the catalog, of RealSym(2) ⊕ SpinFactor(3) and
+    on the recovered built-ins: random rows and samples of gate 3, at scale
+    1 and 1e-4.  Each row has the oracle's eigenvalues at scale 1, times
+    the scale, within 1e-11·max(1, |w|∞) times the scale, and its
+    idempotents have |c∘c − c| and |Σ c − u| at most 1e-12.  Where the
+    oracle's least gap g between eigenvalues, relative to max(1, |w|∞), is
+    under 1e-2, the bound is 1e-13 / g instead of 1e-11: its roots are off
+    by up to about 2e-14 / g (1.9e-11 on R³ at g = 7.2e-4, where the run
+    gets the eigenvalues, the entries, to 1e-15).  The oracle
+    is read at scale 1 only: its root merge is absolute below size 1."""
+    J = (KERNEL_ORACLE_ALGEBRAS[k] if k < len(KERNEL_ORACLE_ALGEBRAS)
+         else recovered(BUILTINS[k - len(KERNEL_ORACLE_ALGEBRAS)]))
+    rng = np.random.default_rng(k)
+    X = rng.standard_normal((20, J.dim))
+    W = np.concatenate([X, square(J, X) + 0.1 * J.unit_float()])
+    old = oracle._eigenvalues_many(J, W)
+    for s in (1.0, 1e-4):
+        for w, new, lams in zip(W, _frames(J, s * W), old):
+            assert len(new[0]) == len(lams)
+            size = max(1.0, float(np.abs(w).max()))
+            gap = np.diff(lams).min(initial=size) / size
+            bound = max(1e-11, 1e-13 / gap) * s * size
+            assert np.abs(new[0] - s * lams).max() <= bound
+            assert frame_residual(J, new[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("k", range(len(KERNEL_ORACLE_ALGEBRAS)))
+def test_frames_of_close_eigenvalues(k):
+    """Σ λ_i p_i over a Jordan frame p of the oracle, λ = 1, 2, ..., with
+    the last moved to a gap above the first, at scale 1 and 1e-4.  Down to
+    a gap of 1e-7 the run keeps every eigenvalue apart, within 1e-12 times
+    the scale of the planted ones; at 1e-9 it stops a step early, with one
+    Ritz value for the pair.  The oracle's roots are no reference here:
+    they are off by up to 1.5e-9 at a gap of 1e-5.  An idempotent is good
+    to about 1e-16 / gap while its eigenvalue is kept apart and to about
+    the gap once it is not, so every frame is within gate 3's 1e-8, and
+    those with a gap of 1e-3 within 1e-12."""
+    J = KERNEL_ORACLE_ALGEBRAS[k]
+    u = J.unit_float()
+    _, frame = oracle.spectral_decomposition(
+        J, oracle.jordan_powers(J, np.random.default_rng(k).standard_normal(
+            J.dim), 2)[2] + u)
+    r = len(frame)
+    for gap in (1e-3, 1e-5, 1e-7, 1e-9):
+        planted = 1.0 + np.arange(r, dtype=float)
+        planted[-1] = 1.0 + gap
+        w = sum(lam * p for lam, p in zip(planted, frame))
+        for s in (1.0, 1e-4):
+            lams, idems = _frames(J, s * w[None])[0]
+            if gap >= 1e-7 or r == 1:
+                assert np.abs(lams - s * np.sort(planted)).max() <= 1e-12 * s
+            else:
+                assert len(lams) == r - 1
+                assert abs(lams[0] - s) <= 1e-9 * s
+            assert frame_residual(J, idems) <= (1e-12 if gap >= 1e-3 else
+                                                1e-8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacks())
+def test_frames_of_the_stacks(case):
+    """A row of the stack gets the floats it gets alone, an error too; a
+    row that is not finite holds a LinAlgError, and every row on an algebra
+    that is not formally real the ArithmeticError of `_extreme_eigenvalues`.
+    Otherwise the least and the greatest eigenvalue are those of
+    `_extreme_eigenvalues` within 1e-9·max(1, |w|∞), and the idempotents
+    are within gate 3's 1e-8."""
+    J, W = case
+    for w, got, ends in zip(W, _frames(J, W), _extreme_eigenvalues(J, W)):
+        one = _frames(J, w[None])[0]
+        if isinstance(got, Exception):
+            assert_same(one, got)
+            assert type(got) is type(ends) and str(got) == str(ends)
+            continue
+        assert_same(one[0], got[0])
+        assert_same(one[1], got[1])
+        bound = 1e-9 * max(1.0, float(np.abs(w).max()))
+        assert abs(got[0][0] - ends[0]) <= bound
+        assert abs(got[0][-1] - ends[1]) <= bound
+        assert frame_residual(J, got[1]) <= 1e-8
 
 
 def test_stacked_solve_falls_back_row_by_row():
@@ -412,12 +510,12 @@ def planted(tag):
 def tagged_eigenvalues(tags, calls):
     """`reference_kernels._eigenvalues`, the eigenvalue step of the old
     check, except at the positions in `tags`: "negative" shifts the
-    eigenvalues below zero, the other tags raise `planted`.  Gate 3 makes
-    the first two calls (samples 0 and 10), then gate 4 calls it for
-    sqrt_0, membership_0, sqrt_1, membership_1, ...: position n is call
-    n + 2.  `calls` records the w of each call."""
+    eigenvalues below zero, the other tags raise `planted`.  Gate 4 calls
+    it for sqrt_0, membership_0, sqrt_1, membership_1, ...: position n is
+    call n (gate 3 reads its frames off `spectral._frames`).  `calls`
+    records the w of each call."""
     def eigenvalues(J, w):
-        tag = tags.get(len(calls) - 2)
+        tag = tags.get(len(calls))
         calls.append(w)
         if tag in (None, "negative"):
             return EIGENVALUES(J, w) - (100.0 if tag else 0.0)
@@ -466,7 +564,7 @@ def test_gate_4_failures_stop_where_the_sample_loop_stopped(tags,
     calls = []
     monkeypatch.setattr(oracle, "_eigenvalues", tagged_eigenvalues({}, calls))
     oracle.verify_symmetric_cone(J, sample_count=20)
-    assert len(calls) == 2 + 2 * 20
+    assert len(calls) == 2 * 20
     monkeypatch.setattr(oracle, "_eigenvalues",
                         tagged_eigenvalues(tags, []))
     old = outcome(oracle.verify_symmetric_cone, J, 20)
@@ -630,43 +728,72 @@ def test_gate_1_matches_the_fraction_residual(k, seed, sample_count, exact,
 
 @pytest.mark.parametrize("name", ["classical:5", "qutrit:complex"])
 def test_the_check_makes_no_per_row_fit_roots_or_product(name, monkeypatch):
-    """Gate 3 makes the one `_eigenvalues_many`, with one fit per degree;
-    gate 4 makes one stacked `eigvalsh` per stack, its square roots' and
-    then its cone test's, after gate 2's one on the trace form.  No
-    np.roots and no `JordanAlgebra.product` (gate 1 runs on float stacks);
-    the exact product of classical:5 is proved with none of them, and its
-    float twin is sampled."""
+    """Gate 3 makes the one `_frames`, with one stacked `eigh` of its five
+    generic samples' tridiagonal matrices; gate 4 makes one stacked
+    `eigvalsh` per stack, its square roots' and then its cone test's,
+    after gate 2's one on the trace form.  No least-squares fit, rank,
+    `eigvals` or np.roots, and no `JordanAlgebra.product` (gate 1 runs on
+    float stacks); the exact product of classical:5 is proved with none
+    of them, and its float twin is sampled."""
     J = recovered(name)
     assert J.exact == (name == "classical:5")
-    calls, fits, solves = [0], [], []
-    spectra, product, lstsq, eigvalsh = (
-        spectral._eigenvalues_many, JordanAlgebra.product,
-        _umath_linalg.lstsq, np.linalg.eigvalsh)
+    d, r = J.dim, generic_rank(J)
+    calls, tridiagonals, solves = [0], [], []
+    frames, eigh, eigvalsh = (spectral._frames, np.linalg.eigh,
+                              np.linalg.eigvalsh)
 
-    def count_spectra(*args):
+    def count_frames(*args):
         calls[0] += 1
-        return spectra(*args)
+        return frames(*args)
 
-    def count_fits(A, *args, **kwargs):
-        fits.append((calls[0], A.shape[-1]))
-        return lstsq(A, *args, **kwargs)
+    def count_tridiagonals(A, *args, **kwargs):
+        tridiagonals.append(np.shape(A))
+        return eigh(A, *args, **kwargs)
 
     def count_solves(A, *args, **kwargs):
         solves.append(np.shape(A))
         return eigvalsh(A, *args, **kwargs)
 
-    def refuse(*args):
-        raise AssertionError("unexpected per-row call")
+    def refuse(*args, **kwargs):
+        raise AssertionError("unexpected call")
     for module in (jordan, spectral):
-        monkeypatch.setattr(module, "_eigenvalues_many", count_spectra)
-    monkeypatch.setattr(_umath_linalg, "lstsq", count_fits)
+        monkeypatch.setattr(module, "_frames", count_frames)
+    monkeypatch.setattr(np.linalg, "eigh", count_tridiagonals)
     monkeypatch.setattr(np.linalg, "eigvalsh", count_solves)
-    monkeypatch.setattr(np, "roots", refuse)
-    monkeypatch.setattr(JordanAlgebra, "product", refuse)
+    for module, name in ((_umath_linalg, "lstsq"), (np.linalg, "lstsq"),
+                         (np.linalg, "matrix_rank"), (np.linalg, "eigvals"),
+                         (np, "roots"), (JordanAlgebra, "product")):
+        monkeypatch.setattr(module, name, refuse)
     if J.exact:
         J = sampled(J, verify_symmetric_cone(J))
-        assert calls == [0] and not fits and not solves
+        assert calls == [0] and not tridiagonals and not solves
     assert verify_symmetric_cone(J).ok
-    assert calls == [1] and fits and len(fits) == len(set(fits))
-    d = J.dim
+    assert calls == [1] and tridiagonals == [(5, r, r)]
     assert solves == [(d, d), (50, d, d), (50, d, d)]
+
+
+def test_gate_3_fails_on_a_frame_that_is_not_one(monkeypatch):
+    """Idempotents off by 1e-6 fail gate 3 with their residual, the largest
+    |c∘c − c| or |Σ c − u| over the frames, and gate 4 does not run."""
+    J = recovered("qutrit:complex")
+    shifted = []
+
+    def frames(J, W):
+        shifted[:] = spectral._frames(J, W)
+        for _, idems in shifted:
+            idems[0] += 1e-6
+        return shifted
+
+    def refuse(*args):
+        raise AssertionError("gate 4 ran")
+    monkeypatch.setattr(jordan, "_frames", frames)
+    monkeypatch.setattr(jordan, "_sqrt_many", refuse)
+    rep = verify_symmetric_cone(J, sample_count=20)
+    assert len(shifted) == 2
+    residual = max(frame_residual(J, idems) for _, idems in shifted)
+    assert 1e-7 < residual < 1e-5
+    assert rep.failures == [{"gate": "self-duality-idempotents",
+                             "residual": pytest.approx(residual, rel=1e-12)}]
+    assert rep.self_duality_ok is False and not rep.ok
+    assert rep.homogeneity_ok is None and rep.max_homogeneity_error is None
+    assert rep.min_pairing is not None
