@@ -10,9 +10,8 @@ inputs are rational; seeded, reproducible numerics otherwise.
 """
 
 from .builtins import builtin_names, conjugation_bijection, get_builtin
-from .composites import (BipartiteState, CompositeError, Conjugate,
-                         conditional, find_conjugate_state,
-                         is_isomorphism_state, make_conjugate, marginal,
+from .composites import (BipartiteState, CompositeError, conditional,
+                         find_conjugate_state, is_isomorphism_state, marginal,
                          omega_hat, product_state, spin_form_from_conjugate,
                          validate_bipartite)
 from .cones import (PolyhedralCone, cone, dual_cone, is_self_dual,
@@ -37,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BilinearForm", "BipartiteState", "CATALOG", "CompositeError",
-    "Conjugate", "JordanAlgebra", "Model", "ModelError", "OrderUnitSpace",
+    "JordanAlgebra", "Model", "ModelError", "OrderUnitSpace",
     "PermutationGroup", "PipelineReport", "PolyhedralCone", "RecoveryProblem",
     "RecoveryResult", "TestSpace", "build_effect_space", "builtin_names",
     "check_bisymmetry", "check_spin_uniqueness", "check_unitarity",
@@ -48,7 +47,7 @@ __all__ = [
     "get_builtin", "identify_algebra",
     "is_irreducible", "is_isomorphism_state", "is_self_dual", "is_sharp",
     "is_weakly_self_dual", "jordan_product", "jordan_sqrt",
-    "load_model", "make_conjugate", "marginal",
+    "load_model", "marginal",
     "model_from_json", "model_to_json", "omega_hat", "parse_frac",
     "product_state", "quaternionic_hermitian",
     "real_symmetric", "recover_jordan_product", "run_pipeline",

@@ -24,7 +24,7 @@ from .serialize import (bipartite_to_json, cone_from_json, cone_to_json,
 
 
 class LoadError(click.ClickException):
-    """A model file that is missing, not JSON, or not a valid model."""
+    """An input file that is missing, not JSON, or not valid."""
 
     exit_code = 3
 
@@ -213,31 +213,27 @@ def spin(model, seed, tol, out):
 
 @main.command()
 @model_arg
-@click.option("--no-invariance", is_flag=True,
-              help="Drop the symmetry-invariance constraints from the search.")
 @seed_opt
 @tol_opt
 @out_opt
-def conjugate(model, no_invariance, seed, tol, out):
+def conjugate(model, seed, tol, out):
     """Search for a conjugate bipartite state (uniform diagonal, conditionals
     in the cone both ways, symmetry-invariant)."""
     m = _load(model, seed)
     gamma = conjugation_bijection(m, tol=tol)
-    eta = composites.find_conjugate_state(
-        m, gamma=gamma, require_invariance=not no_invariance, tol=tol)
+    eta = composites.find_conjugate_state(m, gamma=gamma, tol=tol)
     doc = {"model": m.name, "gamma": gamma, "found": eta is not None}
     if eta is not None:
         doc["state"] = bipartite_to_json(eta)
         E = effectspace.build_effect_space(m)
         iso = composites.is_isomorphism_state(eta, E, E, tol=tol)
         doc["isomorphism_state"] = vars(iso)
-        conj = composites.conjugate_from_state(
-            m, gamma, eta, require_invariance=not no_invariance)
         try:
-            derived = composites.spin_form_from_conjugate(conj, E, tol=tol)
+            derived = composites.spin_form_from_conjugate(eta, gamma, E,
+                                                          tol=tol)
             doc["derived_form"] = form_to_json(derived)
         except composites.CompositeError as exc:
-            # a table found without invariance need not extend to a form
+            # a table may extend to no form; the state is still printed
             doc["derived_form"], doc["derived_form_error"] = None, str(exc)
     _emit(dumps_canonical(doc), out)
     if eta is None:
@@ -274,16 +270,15 @@ def _cone_inputs(source, form_path, seed, tol):
     try:
         with open(source, encoding="utf-8") as fh:
             data = json.load(fh)
-        is_file = True
     except (OSError, ValueError):
-        data, is_file = None, False
-    if is_file and "generators" in data and "outcomes" not in data:
-        K = cone_from_json(data)
-        if form_path:
-            with open(form_path, encoding="utf-8") as fh:
-                B = form_from_json(json.load(fh)).matrix
-        else:
-            B = None                     # standard dot-product pairing
+        data = None
+    if (isinstance(data, dict) and "outcomes" not in data
+            and ("generators" in data or "lineality" in data)):
+        try:
+            K = cone_from_json(data)
+        except ValueError as exc:
+            raise LoadError(f"cannot load cone file {source}: {exc}") from exc
+        B = _form_matrix(form_path, K.dim) if form_path else None
         return K, B, None, f"cone file {source}"
     m = _load(source, seed)
     E = effectspace.build_effect_space(m)
@@ -291,8 +286,7 @@ def _cone_inputs(source, form_path, seed, tol):
         return None, None, (m, E), m.name
     K = E.effect_cone
     if form_path:
-        with open(form_path, encoding="utf-8") as fh:
-            B = form_from_json(json.load(fh)).matrix
+        B = _form_matrix(form_path, K.dim)
     else:
         res = forms.find_orthogonalizing_spin_form(m, E, tol=tol)
         if res.form is None:
@@ -300,6 +294,19 @@ def _cone_inputs(source, form_path, seed, tol):
                 "no invariant form found; pass one with --form")
         B = res.form.matrix
     return K, B, None, m.name
+
+
+def _form_matrix(path, dim: int):
+    """The matrix of an exact, symmetric dim x dim form file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            B = form_from_json(json.load(fh))
+        if (B.kind, B.dim) != ("exact", dim):
+            raise ValueError(f"expected an exact {dim}x{dim} form, as the "
+                             f"cone, got {B.kind} {B.dim}x{B.dim}")
+    except (OSError, ValueError, TypeError) as exc:
+        raise LoadError(f"cannot load form {path}: {exc}") from exc
+    return B.matrix
 
 
 form_opt = click.option("--form", "form_path", default=None,

@@ -1,12 +1,12 @@
-"""Bipartite states, conjugate systems, and the derived inner product.
+"""Bipartite states, conjugates, and the derived inner product.
 
 A bipartite state is a dense joint probability table over the outcomes of
 two models, constrained so that every product test normalizes and every
-conditional lands in the cone over the partner's state space.  Conjugate
-systems pair a model with an isomorphic copy through an outcome bijection
-and a bipartite state whose diagonal is uniformly 1/rank; the table then
-induces a bilinear form on the effect space which, on irreducible models,
-reproduces the unique orthogonalizing invariant form.
+conditional lands in the cone over the partner's state space.  A conjugate
+pairs a model with an isomorphic copy through an outcome bijection gamma and
+an invariant bipartite state whose diagonal eta(x, gamma(x)) is uniformly
+1/rank; the table then induces a bilinear form on the effect space which, on
+irreducible models, reproduces the unique orthogonalizing invariant form.
 """
 from __future__ import annotations
 
@@ -364,14 +364,6 @@ def is_isomorphism_state(w: BipartiteState,
 # ---------------------------------------------------------------------------
 # conjugates
 
-@dataclass(eq=False)
-class Conjugate:
-    model: Model
-    gamma: dict[str, str]
-    eta: BipartiteState
-    notes: list = field(default_factory=list)
-
-
 def _check_gamma(m: Model, gamma: dict[str, str]) -> None:
     if set(gamma) != set(m.outcomes) or set(gamma.values()) != set(m.outcomes):
         raise CompositeError("gamma must be a bijection on the outcomes")
@@ -382,9 +374,8 @@ def _check_gamma(m: Model, gamma: dict[str, str]) -> None:
 
 
 def find_conjugate_state(m: Model, gamma: Optional[dict[str, str]] = None,
-                         require_invariance: bool = True,
                          tol: float = 1e-9) -> Optional[BipartiteState]:
-    """Search for a conjugate table: uniform diagonal 1/rank, valid joint.
+    """Search for an invariant conjugate table: uniform diagonal 1/rank.
 
     Quantum samples construct the maximally entangled table analytically
     and verify it.  Polytope models solve an exact rational feasibility LP.
@@ -394,16 +385,17 @@ def find_conjugate_state(m: Model, gamma: Optional[dict[str, str]] = None,
     polytope.  Its rows normalize every product test, tie each conditional
     to its coefficients, and set the diagonal t(x, gamma(x)) to 1/rank.
 
-    With `require_invariance`, a generator g acts on outcomes as g on the
-    first factor and as h = gamma g gamma^-1 on the second, and on vertices
-    through `act_on_state`; so it permutes the unknowns and maps the set of
-    rows onto itself.  An invariant solution is constant on each orbit of
-    the unknowns under the generators (`models.orbit`, no group is
-    enumerated), so the LP has one column per orbit, and rows that become
-    equal are merged.  Averaging any solution over the group gives an
-    invariant one, so the reduced LP is feasible exactly when some table,
-    invariant or not, exists.  Without `require_invariance` every orbit is
-    one unknown and the LP is the full one.
+    A generator g acts on outcomes as g on the first factor and as
+    h = gamma g gamma^-1 on the second, and on vertices through
+    `act_on_state`; so it permutes the unknowns and maps the set of rows
+    onto itself.  An invariant solution is constant on each orbit of the
+    unknowns under the generators (`models.orbit`, no group is enumerated),
+    so the LP has one column per orbit, and rows that become equal are
+    merged.  Averaging any solution over the group gives an invariant one,
+    so the reduced LP is feasible exactly when some table, invariant or
+    not, exists (Bödi, Herr & Joswig, Math. Program. 137, 2013).  A group
+    that is not a `PermutationGroup` has no generators to act with, and
+    every unknown is its own orbit: the LP is the full one.
 
     Both answers are certified against the full, unreduced system by exact
     substitution (`lp.check_certificate`):
@@ -461,7 +453,7 @@ def find_conjugate_state(m: Model, gamma: Optional[dict[str, str]] = None,
         rows.append(({pos[x] * nO + pos[gamma[x]]: n, nvar: 1}, n))
 
     orbit_of = list(range(nvar))
-    if require_invariance and isinstance(m.group, PermutationGroup):
+    if isinstance(m.group, PermutationGroup):
         orbit_of = _unknown_orbits(m, gamma, pos, mu0, nu0, nvar)
     ncols = max(orbit_of) + 1
 
@@ -549,32 +541,10 @@ def _entangled_eta(m: Model, gamma: dict[str, str],
     return w
 
 
-def make_conjugate(m: Model, gamma: Optional[dict[str, str]] = None,
-                   require_invariance: bool = True,
-                   tol: float = 1e-9) -> Optional[Conjugate]:
-    gamma = gamma or {x: x for x in m.outcomes}
-    eta = find_conjugate_state(m, gamma, require_invariance, tol)
-    if eta is None:
-        return None
-    return conjugate_from_state(m, gamma, eta, require_invariance)
-
-
-def conjugate_from_state(m: Model, gamma: dict[str, str], eta: BipartiteState,
-                         require_invariance: bool = True) -> Conjugate:
-    """The conjugate system of a table `find_conjugate_state` returned."""
-    notes = []
-    if isinstance(m.states, QuantumBackend):
-        notes.append("analytic maximally entangled construction")
-    elif require_invariance:
-        notes.append("invariance imposed by one LP unknown per generator "
-                     "orbit of the unknowns")
-    return Conjugate(m, gamma, eta, notes)
-
-
 # ---------------------------------------------------------------------------
 # the derived form
 
-def spin_form_from_conjugate(c: Conjugate,
+def spin_form_from_conjugate(eta: BipartiteState, gamma: dict[str, str],
                              E: Optional[OrderUnitSpace] = None,
                              tol: float = 1e-9) -> BilinearForm:
     """Bilinear form B(x,y) = eta(x, gamma(y)), extended to coordinates.
@@ -588,13 +558,13 @@ def spin_form_from_conjugate(c: Conjugate,
     `certify_flags` sets four flags on the result and `invariant` is the
     unitarity of the symmetries under it.
     """
-    m = c.model
+    m = eta.A
     E = E or build_effect_space(m)
     K = _Kind(E.kind, tol)
     outs = list(m.outcomes)
     frame = E.outcome_frame
     (s_i, Ci), (s_v, V) = frame.inverse, frame.vectors
-    s_t, T = K.scaled([[c.eta.table[(x, c.gamma[y])] for y in outs]
+    s_t, T = K.scaled([[eta.table[(x, gamma[y])] for y in outs]
                        for x in outs])
     S = Ci.T @ T[np.ix_(frame.at, frame.at)] @ Ci   # s_t·s_i² · S
     s = 2 * s_t * s_i * s_i                         # S + Sᵀ = s·B
@@ -622,8 +592,8 @@ def spin_form_from_conjugate(c: Conjugate,
 
 def _invariance_flag(E: OrderUnitSpace, B: BilinearForm,
                      tol: float = 1e-9) -> Optional[bool]:
-    """Unitarity of the symmetries under B; None when B is singular, as a
-    table found without the invariance constraints can give."""
+    """Unitarity of the symmetries under B; None when B is singular, as the
+    form of the invariant table the LP finds on squit:klein is."""
     try:
         return check_unitarity(E.actions, B, tol)
     except ValueError:

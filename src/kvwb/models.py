@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import quantum
-from .linalg import ONE, ZERO, integer_row, np_nullspace
+from .linalg import ONE, ZERO, integer_row
 from .lp import solve_feasibility
 
 Perm = tuple[int, ...]
@@ -640,11 +640,10 @@ def assess_all_candidates(m: Model, max_outcomes: int = 8) -> list[ImageCandidat
 
     A verdict is "image", or the reason the identification gives none:
     "not-a-congruence", "unequal-image-tests", "trivial-image",
-    "empty-states" (polytope), or for quantum models "no-consistent-pullback",
-    "negative-probability", "no-psd-pullback" and "psd-pullback-unknown"
-    (the grid search for a PSD pullback missed, which does not show that
-    none exists).  Quantum models use their finite sample symmetries as the
-    group and the density-matrix pullback condition for state feasibility.
+    "empty-states" (polytope), or for quantum models "psd-pullback-unknown":
+    whether some density matrix pulls back each image state is not
+    searched, so a quotient that passes is undecided, not an image.
+    Quantum models use their finite sample symmetries as the group.
     """
     labels = list(m.outcomes)
     if len(labels) > max_outcomes:
@@ -671,8 +670,7 @@ def _assess_candidate(m: Model, group: PermutationGroup, omap) -> str:
         return q
     if isinstance(m.states, PolytopeBackend):
         return "image" if _polytope_pullback_feasible(m, q) else "empty-states"
-    feasible, why = _quantum_pullback_feasible(m, q)
-    return "image" if feasible else why
+    return "psd-pullback-unknown"
 
 
 def _polytope_pullback_feasible(m: Model, q: Quotient) -> bool:
@@ -692,72 +690,3 @@ def _polytope_pullback_feasible(m: Model, q: Quotient) -> bool:
     for F in q.tests:
         rows.append(({**{yidx[y]: 1 for y in F}, ny + nv: 1}, 1))
     return solve_feasibility(rows, ny + nv).feasible
-
-
-def _quantum_pullback_feasible(m: Model, q: Quotient
-                               ) -> tuple[Optional[bool], str]:
-    """(feasible, verdict) of a density-matrix pullback for a quotient;
-    feasible is None, with the verdict "psd-pullback-unknown", when the PSD
-    search cannot decide."""
-    qb: QuantumBackend = m.states
-    yidx = {y: i for i, y in enumerate(q.labels)}
-    ny = len(q.labels)
-    sd = qb.basis.space_dim
-
-    # unknowns: beta (ny), rho coords (sd); tr(rho P_x) = beta(omap(x)); test sums = 1
-    rows, rhs = [], []
-    for x, coords in zip(m.outcomes, qb.outcome_coords(m.outcomes)):
-        coeff = np.zeros(ny + sd)
-        coeff[yidx[q.omap[x]]] = -1.0
-        coeff[ny:] = coords
-        rows.append(coeff)
-        rhs.append(0.0)
-    for F in q.tests:
-        coeff = np.zeros(ny + sd)
-        for y in F:
-            coeff[yidx[y]] = 1.0
-        rows.append(coeff)
-        rhs.append(1.0)
-    # no unit-trace row: summing the outcome equations over any source test
-    # already fixes tr(rho) to the fibre multiplicity times the test mass
-    A = np.array(rows)
-    bb = np.array(rhs)
-    sol, residual, _, _ = np.linalg.lstsq(A, bb, rcond=None)
-    if np.linalg.norm(A @ sol - bb) > 1e-9:
-        return False, "no-consistent-pullback"
-    # minimum-norm completion within the affine solution set, then a PSD check;
-    # for dim 2 the minimum-Bloch-norm point decides PSD feasibility outright
-    null = np_nullspace(A)
-    best = _min_trace_distance_psd(qb, sol, null, ny)
-    if best is None:
-        return None, "psd-pullback-unknown"
-    if best:
-        if any(b_val < -1e-9 for b_val in sol[:ny]):
-            return False, "negative-probability"
-        return True, ""
-    return False, "no-psd-pullback"
-
-
-def _min_trace_distance_psd(qb: QuantumBackend, sol: np.ndarray,
-                            null: np.ndarray, ny: int) -> Optional[bool]:
-    """Whether the affine set sol + span(null) holds a PSD density matrix.
-
-    Without null directions the one point decides.  Otherwise a 21-point
-    grid per direction, coefficients in [-1, 1], is searched: True when a
-    grid point is PSD, None (unknown) when the grid misses, since a PSD
-    point may lie off the grid.
-    """
-    import itertools as it
-    base = qb.basis.from_coords(sol[ny:])
-    if null.shape[0] == 0:
-        return bool(np.linalg.eigvalsh(base).min() >= -1e-9)
-    # coarse search over the nullspace directions (low-dimensional here)
-    dirs = [qb.basis.from_coords(n[ny:]) for n in null]
-    grid = np.linspace(-1.0, 1.0, 21)
-    best = -np.inf
-    for combo in it.product(grid, repeat=len(dirs)):
-        M = base + sum(c * D for c, D in zip(combo, dirs))
-        best = max(best, float(np.linalg.eigvalsh(M).min()))
-        if best >= -1e-9:
-            return True
-    return None

@@ -225,8 +225,7 @@ def _conjugate(c: _Run):
                  "inverse_positive": eta_iso.inverse_positive,
                  "failures": eta_iso.failures}}
     if c.spin is not None:
-        conj = composites.conjugate_from_state(m, gamma, eta)
-        derived = composites.spin_form_from_conjugate(conj, E, tol=tol)
+        derived = composites.spin_form_from_conjugate(eta, gamma, E, tol=tol)
         K = _Kind(c.spin.kind, tol)
         (s_d, D), (s_s, S) = derived.scaled, c.spin.scaled
         dev = K.unscaled((s_d * s_s, np.max(np.abs(D * s_s - S * s_d))))

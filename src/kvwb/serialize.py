@@ -32,7 +32,10 @@ def parse_frac(s) -> Fraction:
         return Fraction(s)
     if isinstance(s, float):
         raise ValueError(f"refusing binary float {s!r}; send a string")
-    return Fraction(str(s).strip())
+    try:
+        return Fraction(str(s).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -138,7 +141,7 @@ def model_to_json(m: Model) -> dict:
 
 
 def _required(obj, where: str, key: str | None = None):
-    """obj[key] for the required field at JSON path `where` of a model file,
+    """obj[key] for the required field at JSON path `where` of an input file,
     key defaulting to the last name in it; a missing one raises `ModelError`
     naming the path."""
     key = where.rpartition(".")[2] if key is None else key
@@ -283,14 +286,25 @@ def form_to_json(B) -> dict:
             if B.kind == "exact" else np.asarray(B.matrix, float).tolist()}
 
 
+def _rows(obj, where: str, width: int | None, parse) -> list:
+    """The rows at path `where`, each of `width` entries, read by `parse`."""
+    rows = [_as_list(r, f"{where}[{k}]") for k, r in enumerate(_list(obj, where))]
+    width = len(rows[0]) if width is None and rows else width
+    for k, r in enumerate(rows):
+        if len(r) != width:
+            raise ModelError(f"{where}[{k}]: expected {width} entries, "
+                             f"not {len(r)}")
+    return [[parse(v) for v in r] for r in rows]
+
+
 def form_from_json(data: dict):
+    """A form from its JSON object: a square matrix of one `kind`."""
     from .forms import BilinearForm
-    if data["kind"] == "exact":
-        M = [[parse_frac(v) for v in row] for row in data["matrix"]]
-    else:
-        M = np.array(data["matrix"], dtype=float)
+    kind = _required(data, "kind")
+    M = _rows(data, "matrix", len(_list(data, "matrix")),
+              parse_frac if kind == "exact" else float)
     flags = data.get("flags") or {}
-    return BilinearForm(M, data["kind"],
+    return BilinearForm(M, kind,
                         **{k: flags.get(k) for k in
                            ("positive_on_cone", "invariant", "normalized",
                             "orthogonalizing", "positive_definite")})
@@ -302,7 +316,10 @@ def cone_to_json(K) -> dict:
 
 
 def cone_from_json(data: dict):
+    """A cone from its JSON object: `generators` and an optional
+    `lineality`, all rows of one length."""
     from .cones import cone
-    gens = [[parse_frac(v) for v in g] for g in data["generators"]]
-    lin = [[parse_frac(v) for v in g] for g in data.get("lineality", [])]
+    gens = _rows(data, "generators", None, parse_frac)
+    lin = (_rows(data, "lineality", len(gens[0]) if gens else None,
+                 parse_frac) if "lineality" in data else [])
     return cone(gens, lin)

@@ -16,7 +16,7 @@ import numpy as np
 
 from kvwb.builtins import (builtin_names, classical, conjugation_bijection,
                            get_builtin, squit)
-from kvwb.composites import (is_isomorphism_state, make_conjugate,
+from kvwb.composites import (find_conjugate_state, is_isomorphism_state,
                              spin_form_from_conjugate, validate_bipartite)
 from kvwb.cones import cone, dual_cone, is_self_dual, \
     is_weakly_self_dual
@@ -91,24 +91,25 @@ def test_criterion_2_conjugates_recover_the_form():
     with budget(10):
         for n in range(2, 6):
             m = classical(n)
-            c = make_conjugate(m)
-            assert c.gamma == {x: x for x in m.outcomes}
+            gamma = conjugation_bijection(m)
+            assert gamma == {x: x for x in m.outcomes}
+            eta = find_conjugate_state(m, gamma)
             for x in m.outcomes:
                 for y in m.outcomes:
-                    assert c.eta.value(x, y) == (F(1, n) if x == y else F(0))
+                    assert eta.value(x, y) == (F(1, n) if x == y else F(0))
             E = build_effect_space(m)
-            derived = spin_form_from_conjugate(c, E)
+            derived = spin_form_from_conjugate(eta, gamma, E)
             spin = find_orthogonalizing_spin_form(m, E).form
             assert derived.matrix == spin.matrix
         for name in ("qubit:real", "qubit:complex"):
             m = get_builtin(name)
             gamma = conjugation_bijection(m)
-            c = make_conjugate(m, gamma)
-            assert validate_bipartite(c.eta).ok
+            eta = find_conjugate_state(m, gamma)
+            assert validate_bipartite(eta).ok
             for x in m.outcomes:
-                assert abs(c.eta.value(x, gamma[x]) - 0.5) < 1e-12
+                assert abs(eta.value(x, gamma[x]) - 0.5) < 1e-12
             E = build_effect_space(m)
-            derived = spin_form_from_conjugate(c, E)
+            derived = spin_form_from_conjugate(eta, gamma, E)
             spin = find_orthogonalizing_spin_form(m, E).form
             dev = np.abs(np.asarray(derived.matrix)
                          - np.asarray(spin.matrix)).max()

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from kvwb import composites, forms
 from kvwb.builtins import builtin_names, get_builtin
 from kvwb.cli import main
-from kvwb.composites import CompositeError, Conjugate, spin_form_from_conjugate
+from kvwb.composites import CompositeError, spin_form_from_conjugate
 from kvwb.models import Model
 from kvwb.serialize import (bipartite_from_json, dumps_canonical, form_to_json,
                             model_to_json)
@@ -112,15 +112,15 @@ def test_conjugate_command(runner):
     assert blob["isomorphism_state"]["is_iso"] is False
 
 
-def test_conjugate_no_invariance_derives_from_the_printed_state(runner):
-    # without the invariance rows the LP finds a different, singular table
-    # on squit; the derived form must be the one that table induces
-    res = invoke(runner, "conjugate", "squit", "--no-invariance")
+def test_conjugate_derives_from_the_printed_state(runner):
+    # under the Klein group the invariant table the LP finds is singular;
+    # the derived form must be the one that table induces
+    res = invoke(runner, "conjugate", "squit:klein")
     assert res.exit_code == 0
     blob = json.loads(res.output)
-    m = get_builtin("squit")
+    m = get_builtin("squit:klein")
     eta = bipartite_from_json(blob["state"], m, m)
-    derived = spin_form_from_conjugate(Conjugate(m, blob["gamma"], eta))
+    derived = spin_form_from_conjugate(eta, blob["gamma"])
     assert blob["derived_form"] == form_to_json(derived)
     assert blob["derived_form"]["flags"]["positive_definite"] is False
     assert blob["derived_form"]["flags"]["invariant"] is None
@@ -397,6 +397,75 @@ def test_reverify_of_a_malformed_model_spec_exits_3(runner, tmp_path):
     assert runner.invoke(main, ["reverify", str(rpt)]).exit_code == 3
 
 
+def test_a_zero_denominator_is_a_load_error(runner, tmp_path):
+    """A probability of "1/0" is a malformed file, exit 3, not a traceback
+    with exit 1, which `run` uses for a mismatch of failures."""
+    rpt = tmp_path / "squit.json"
+    invoke(runner, "report", "squit", "--out", str(rpt))
+    data = json.loads(rpt.read_text())
+    data["model_spec"]["states"]["extreme"][0]["x0"] = "1/0"
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(data["model_spec"]))
+    rpt.write_text(dumps_canonical(data))
+    for args in (["run", str(model)], ["reverify", str(rpt)]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 3, args
+        assert "zero denominator in '1/0'" in res.output
+        assert len(res.output.splitlines()) == 1
+
+
+ORTHANT = {"generators": [["1", "0"], ["0", "1"]]}
+IDENTITY = {"kind": "exact", "matrix": [["1", "0"], ["0", "1"]]}
+
+
+@pytest.mark.parametrize("cone_file, form_file, message", [
+    ({"generators": [["1/0", "0"]]}, None, "zero denominator in '1/0'"),
+    ({"generators": [["x", "0"]]}, None, "Invalid literal for Fraction"),
+    ({"lineality": [["1", "0"]]}, None, "generators: missing"),
+    ({"generators": [["1", "0"], ["0"]]}, None,
+     "generators[1]: expected 2 entries, not 1"),
+    ({"generators": [["1", "0"]], "lineality": [["0", "1", "0"]]}, None,
+     "lineality[0]: expected 2 entries, not 3"),
+    (ORTHANT, {"kind": "exact", "matrix": [["1", "1/0"], ["0", "1"]]},
+     "zero denominator in '1/0'"),
+    (ORTHANT, {"kind": "exact"}, "matrix: missing"),
+    (ORTHANT, {"kind": "exact", "matrix": [["1", "0"], ["0"]]},
+     "matrix[1]: expected 2 entries, not 1"),
+    (ORTHANT, {"kind": "exact", "matrix": [["1", "1"], ["0", "1"]]},
+     "bilinear form matrix must be symmetric"),
+    (ORTHANT, {"kind": "exact", "matrix": [["1"]]},
+     "expected an exact 2x2 form, as the cone, got exact 1x1"),
+    (ORTHANT, {"kind": "float", "matrix": [[1, 0], [0, 1]]},
+     "expected an exact 2x2 form, as the cone, got float 2x2"),
+], ids=["number", "literal", "no-generators", "ragged-generators",
+        "ragged-lineality", "form-number", "no-matrix", "ragged-matrix",
+        "asymmetric", "form-size", "float-form"])
+def test_a_malformed_cone_or_form_file_exits_3(runner, cone_file, form_file,
+                                               message):
+    """Each cone command names the file and what is wrong with it in one
+    line and exits 3; exit 1 is its "not self-dual" verdict."""
+    with runner.isolated_filesystem():
+        with open("cone.json", "w", encoding="utf-8") as fh:
+            json.dump(cone_file, fh)
+        with open("form.json", "w", encoding="utf-8") as fh:
+            json.dump(form_file or IDENTITY, fh)
+        bad = "form.json" if form_file else "cone.json"
+        for cmd in ("dual", "selfdual", "weak"):
+            res = runner.invoke(main, ["cone", cmd, "cone.json",
+                                       "--form", "form.json"])
+            assert res.exit_code == 3, (cmd, res.output)
+            assert res.output.startswith("Error: cannot load ")
+            assert f"{bad}: " in res.output and message in res.output
+            assert len(res.output.splitlines()) == 1
+    if form_file:     # the same form file is refused beside a model's cone
+        with runner.isolated_filesystem():
+            with open("form.json", "w", encoding="utf-8") as fh:
+                json.dump(form_file, fh)
+            res = runner.invoke(main, ["cone", "dual", "classical:2",
+                                       "--form", "form.json"])
+            assert res.exit_code == 3 and message in res.output
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("seed", None, "'seed'"),
     ("seed", "7", "seed: expected an integer, got '7'"),
@@ -441,12 +510,11 @@ def test_no_command_takes_an_enumeration_cap(runner):
         assert "--cap" not in res.output, cmd
 
 
-#: Every subcommand that takes a model, with both conjugate variants;
-#: `reverify` reads what `report` wrote, and `jordan verify` takes a
-#: catalog kind instead of a model.
+#: Every subcommand that takes a model; `reverify` reads what `report`
+#: wrote, and `jordan verify` takes a catalog kind instead of a model.
 MODEL_COMMANDS = [("run",), ("run", "--format", "md"), ("report",),
                   ("validate",), ("bisym",), ("spin",), ("conjugate",),
-                  ("conjugate", "--no-invariance"), ("image",),
+                  ("image",),
                   ("cone", "dual"), ("cone", "selfdual"), ("cone", "weak"),
                   ("jordan", "recover"), ("jordan", "identify")]
 
@@ -471,16 +539,16 @@ def test_every_command_ends_in_a_verdict_on_every_builtin(runner, tmp_path,
 
 
 def test_conjugate_reports_a_table_that_gives_no_form(runner, monkeypatch):
-    """A table found without invariance can be asymmetric, so that no form
-    extends it: the state is still printed, with a null derived form and
-    the reason, and the command exits 0, since a state was found."""
+    """A table that no form extends (here an asymmetric one) is still
+    printed, with a null derived form and the reason, and the command exits
+    0, since a state was found."""
     def asymmetric(*args, **kwargs):
         raise CompositeError("table is asymmetric and does not extend to a "
                              "symmetric form; pair ('x0','x1') fails after "
                              "averaging", witness=("x0", "x1"))
 
     monkeypatch.setattr(composites, "spin_form_from_conjugate", asymmetric)
-    res = invoke(runner, "conjugate", "squit", "--no-invariance")
+    res = invoke(runner, "conjugate", "squit")
     assert res.exit_code == 0
     blob = json.loads(res.output)
     assert blob["found"] is True and blob["state"]
@@ -499,14 +567,10 @@ CLI_SHA256 = {
         (0, "0ada15f30c1261aa5abdc036d09772e6980b81792c7f728fba07242fd74dad96"),
     ("conjugate", "classical:3"):
         (0, "55cb19b5fbc8e445784be0d19436b3d60afc161ca397aa3e90384d286412fb60"),
-    ("conjugate", "classical:3", "--no-invariance"):
-        (0, "55cb19b5fbc8e445784be0d19436b3d60afc161ca397aa3e90384d286412fb60"),
     ("spin", "squit"):
         (0, "cdd413a24618cef719db26498be2e05f9c10aa70ab5e8aaa2b3e478dd51705dc"),
     ("conjugate", "squit"):
         (0, "ba2e8b4a39dd9eda343288efacf8325159612f7a9ccbdbae2cc82d2d20d2138d"),
-    ("conjugate", "squit", "--no-invariance"):
-        (0, "de6183a6a9fa7b5792c1eac751dba6e3eb1cdff9efad599f5c66a110d05573b4"),
     # recorded again when the spin LP merged its equal positivity rows: with
     # a two-dimensional candidate space the merged LP pivots to another
     # vertex of the normalized slice
@@ -517,8 +581,6 @@ CLI_SHA256 = {
     # (test_conjugate_orbits::test_both_klein_conjugate_tables_are_valid)
     ("conjugate", "squit:klein"):
         (0, "f5922cc166f2e67b1b4d9e009e1975987ed4db9dc26d6d7e6f2f668de7378b1e"),
-    ("conjugate", "squit:klein", "--no-invariance"):
-        (0, "85a2dfd80bf7ce33385107e0a31271b919388e6af5f3cbd9d4ad7b7a2bd0934f"),
     ("cone", "dual", "classical:3"):
         (0, "e470a7348e538974385a6dde75535611d8bb2782a4b468cd386a2434d0348231"),
     ("cone", "selfdual", "classical:3"):
@@ -627,8 +689,7 @@ def test_catalog_commands_keep_their_bytes(args):
 
 #: sha256 and exit code of commands on exact models with one BLAS thread,
 #: recorded while the invariant-form checks still multiplied `Fraction`s:
-#: the flags of spin and derived forms (an indefinite, non-invariant one
-#: without the invariance constraints), pairwise minima and the dual rays
+#: the flags of spin and derived forms, pairwise minima and the dual rays
 #: outside the cone all print here.  `run classical:6` was recorded again
 #: when its recovery and symmetric-cone check became proofs.  The three `run`
 #: digests were recorded again when the homogeneity stage was read off the
@@ -648,8 +709,6 @@ FORM_CLI_SHA256 = {
         (0, "664fce34139ef435a92f3f1b19ad07168cbd685806f15625c286179565ca0aae"),
     ("conjugate", "gbit:3"):
         (0, "878fc8d12db4ef154d6d0fa098a35f1b3ca35c865d00fdbd40f4021cff7319e5"),
-    ("conjugate", "gbit:3", "--no-invariance"):
-        (0, "7e1b7e0c271ed5836a1baa04238b4a8edd5ec1822ebdc2a2ebe4dea04d5f0dc5"),
 }
 
 

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from kvwb.builtins import classical, conjugation_bijection, get_builtin, squit
-from kvwb.composites import (BipartiteState, CompositeError, Conjugate,
-                             conditional,
-                             find_conjugate_state,
-                             is_isomorphism_state, make_conjugate, marginal,
-                             omega_hat, product_state, spin_form_from_conjugate,
-                             validate_bipartite)
+from kvwb.composites import (BipartiteState, CompositeError, conditional,
+                             find_conjugate_state, is_isomorphism_state,
+                             marginal, omega_hat, product_state,
+                             spin_form_from_conjugate, validate_bipartite)
 from kvwb.effectspace import build_effect_space
 from kvwb.forms import find_orthogonalizing_spin_form
 from reference_kernels import homogeneity_report
@@ -43,38 +41,37 @@ def test_conditional_states():
 def test_classical_conjugate_is_uniform_diagonal():
     for n in range(2, 6):
         m = classical(n)
-        c = make_conjugate(m)
-        assert c.gamma == {x: x for x in m.outcomes}
+        eta = find_conjugate_state(m)
         for x in m.outcomes:
             for y in m.outcomes:
-                assert c.eta.value(x, y) == (F(1, n) if x == y else F(0))
+                assert eta.value(x, y) == (F(1, n) if x == y else F(0))
 
 
 def test_squit_conjugate_row_oracle():
-    c = make_conjugate(squit())
-    assert c.eta.row("x0") == SQUIT_ETA_X0
-    assert validate_bipartite(c.eta).ok
+    eta = find_conjugate_state(squit())
+    assert eta.row("x0") == SQUIT_ETA_X0
+    assert validate_bipartite(eta).ok
 
 
 def test_conjugate_invariance_under_group():
     m = squit()
-    c = make_conjugate(m)
+    eta = find_conjugate_state(m)
     for g in m.group.generators:
         for x in m.outcomes:
             for y in m.outcomes:
                 gx = m.outcomes[g[m.testspace.index(x)]]
                 gy = m.outcomes[g[m.testspace.index(y)]]
-                assert c.eta.value(gx, gy) == c.eta.value(x, y)
+                assert eta.value(gx, gy) == eta.value(x, y)
 
 
 def test_quantum_conjugate_diagonal_is_half():
     for name in ("qubit:real", "qubit:complex"):
         m = get_builtin(name)
         gamma = conjugation_bijection(m)
-        c = make_conjugate(m, gamma)
+        eta = find_conjugate_state(m, gamma)
         for x in m.outcomes:
-            assert abs(c.eta.value(x, gamma[x]) - 0.5) < 1e-12
-        assert validate_bipartite(c.eta).ok
+            assert abs(eta.value(x, gamma[x]) - 0.5) < 1e-12
+        assert validate_bipartite(eta).ok
 
 
 def test_qubit_gamma_flips_the_imaginary_frame():
@@ -89,8 +86,8 @@ def test_derived_form_equals_spin_form_exactly():
         m = get_builtin(name)
         E = build_effect_space(m)
         spin = find_orthogonalizing_spin_form(m, E).form
-        c = make_conjugate(m)
-        derived = spin_form_from_conjugate(c, E)
+        gamma = {x: x for x in m.outcomes}
+        derived = spin_form_from_conjugate(find_conjugate_state(m), gamma, E)
         assert derived.matrix == spin.matrix
 
 
@@ -98,8 +95,9 @@ def test_derived_form_equals_spin_form_quantum():
     m = get_builtin("qubit:complex")
     E = build_effect_space(m)
     spin = find_orthogonalizing_spin_form(m, E).form
-    c = make_conjugate(m, conjugation_bijection(m))
-    derived = spin_form_from_conjugate(c, E)
+    gamma = conjugation_bijection(m)
+    derived = spin_form_from_conjugate(find_conjugate_state(m, gamma), gamma,
+                                       E)
     dev = np.abs(np.asarray(derived.matrix) - np.asarray(spin.matrix)).max()
     assert dev < 1e-9
 
@@ -107,8 +105,7 @@ def test_derived_form_equals_spin_form_quantum():
 def test_classical_eta_is_an_isomorphism_state():
     m = classical(3)
     E = build_effect_space(m)
-    c = make_conjugate(m)
-    rep = is_isomorphism_state(c.eta, E, E)
+    rep = is_isomorphism_state(find_conjugate_state(m), E, E)
     assert rep.is_iso and rep.invertible
 
 
@@ -117,8 +114,7 @@ def test_squit_eta_is_not_an_isomorphism_state():
     cannot be positive — the certificates exhibit separated generators."""
     m = squit()
     E = build_effect_space(m)
-    c = make_conjugate(m)
-    rep = is_isomorphism_state(c.eta, E, E)
+    rep = is_isomorphism_state(find_conjugate_state(m), E, E)
     assert rep.invertible
     assert not rep.is_iso
     assert any(f["stage"] == "inverse" for f in rep.failures)
@@ -126,19 +122,19 @@ def test_squit_eta_is_not_an_isomorphism_state():
 
 def test_omega_hat_rank():
     m = classical(3)
-    c = make_conjugate(m)
-    oh = omega_hat(c.eta)
+    oh = omega_hat(find_conjugate_state(m))
     assert oh.rank() == 3
 
 
 def bumped(name, x, y):
-    """The conjugate table of a model with entry (x, y) raised a little."""
+    """(effect space, table, gamma): the conjugate table of a model with
+    entry (x, y) raised a little."""
     m = get_builtin(name)
     E = build_effect_space(m)
     gamma = conjugation_bijection(m)
     table = dict(find_conjugate_state(m, gamma).table)
     table[(x, y)] += F(1, 7) if E.kind == "exact" else 1e-3
-    return E, Conjugate(m, gamma, BipartiteState(m, m, table))
+    return E, BipartiteState(m, m, table), gamma
 
 
 SQUARES = [("squit", ("x0", "x1", "y1")), ("qubit:real", ("a0", "a1", "b1"))]
@@ -150,9 +146,9 @@ def test_table_breaking_an_effect_dependency_is_refused(name, outs):
     three outcomes frame the effect space, so the bumped entry at
     (x0, y1) is caught at that pair, by both kinds."""
     x0, _, y1 = outs
-    E, c = bumped(name, x0, y1)
-    for build in (lambda: omega_hat(c.eta, E, E),
-                  lambda: spin_form_from_conjugate(c, E)):
+    E, eta, gamma = bumped(name, x0, y1)
+    for build in (lambda: omega_hat(eta, E, E),
+                  lambda: spin_form_from_conjugate(eta, gamma, E)):
         with pytest.raises(CompositeError, match="effect dependency") as exc:
             build()
         assert exc.value.witness == (x0, y1)
@@ -161,9 +157,9 @@ def test_table_breaking_an_effect_dependency_is_refused(name, outs):
 @pytest.mark.parametrize("name, outs", SQUARES)
 def test_asymmetric_table_is_named_as_such(name, outs):
     x0, x1, _ = outs
-    E, c = bumped(name, x0, x1)
+    E, eta, gamma = bumped(name, x0, x1)
     with pytest.raises(CompositeError, match="asymmetric") as exc:
-        spin_form_from_conjugate(c, E)
+        spin_form_from_conjugate(eta, gamma, E)
     assert exc.value.witness == (x0, x1)
 
 
@@ -183,9 +179,8 @@ def test_invalid_bipartite_flagged():
 
 def test_homogeneity_on_classical():
     m = classical(3)
-    c = make_conjugate(m)
     samples = [[F(1, 3)] * 3, [F(1, 6), F(2, 6), F(3, 6)]]
-    witnesses = [c.eta] + [diag_table(m, dict(zip(m.outcomes, s)))
+    witnesses = [find_conjugate_state(m)] + [diag_table(m, dict(zip(m.outcomes, s)))
                            for s in samples]
     rep = homogeneity_report(build_effect_space(m), witnesses, samples)
     assert all(rep.witness_ok)
@@ -195,8 +190,7 @@ def test_homogeneity_on_classical():
 
 def test_homogeneity_honest_when_uncovered():
     m = classical(3)
-    c = make_conjugate(m)
-    rep = homogeneity_report(build_effect_space(m), [c.eta],
+    rep = homogeneity_report(build_effect_space(m), [find_conjugate_state(m)],
                              [[F(1, 6), F(2, 6), F(3, 6)]])
     assert not rep.verified_on_samples
     assert rep.uncovered

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
 from kvwb.builtins import builtin_names, conjugation_bijection, get_builtin
-from kvwb.composites import (_invariance_flag, conjugate_from_state,
-                             find_conjugate_state, spin_form_from_conjugate)
+from kvwb.composites import (_invariance_flag, find_conjugate_state,
+                             spin_form_from_conjugate)
 from kvwb.effectspace import build_effect_space
 from kvwb.forms import (BilinearForm, certify_flags,
                         find_orthogonalizing_spin_form)
@@ -30,14 +30,17 @@ def context(name):
     return E, find_orthogonalizing_spin_form(m, E, tol=TOL).form
 
 
-def derived_form(name, require_invariance):
+def derived_form(name, invariant):
+    """The form derived from the conjugate table of the search, or, when
+    not `invariant`, from the table of the full LP without invariance
+    constraints (`reference_kernels`)."""
     E, _ = context(name)
     m = E.model
     gamma = conjugation_bijection(m, tol=TOL)
-    eta = find_conjugate_state(m, gamma, require_invariance, tol=TOL)
+    eta = (find_conjugate_state(m, gamma, tol=TOL) if invariant else
+           ref.find_conjugate_state(m, gamma, False, tol=TOL))
     assert eta is not None, name
-    conj = conjugate_from_state(m, gamma, eta, require_invariance)
-    return spin_form_from_conjugate(conj, E, tol=TOL)
+    return spin_form_from_conjugate(eta, gamma, E, tol=TOL)
 
 
 def search_pairs(m):
@@ -84,11 +87,11 @@ def test_spin_form_flags_match_the_old_setters(name):
     assert form.flag_summary() == old_spin_flags(form.matrix, form.kind, E)
 
 
-@pytest.mark.parametrize("require_invariance", [True, False])
+@pytest.mark.parametrize("invariant", [True, False])
 @pytest.mark.parametrize("name", builtin_names())
-def test_derived_form_flags_match_the_old_setters(name, require_invariance):
+def test_derived_form_flags_match_the_old_setters(name, invariant):
     E, _ = context(name)
-    B = derived_form(name, require_invariance)
+    B = derived_form(name, invariant)
     assert B.flag_summary() == old_derived_flags(B.matrix, B.kind, E)
     if name == "squit:klein":
         assert B.invariant is None          # the derived form is singular

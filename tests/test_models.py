@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -218,33 +217,15 @@ def test_image_search_needs_a_finite_group():
             search(m)
 
 
-def qubit_pullback(base, direction):
-    """(backend, point, nullspace rows) of a one-outcome qubit pullback."""
-    qb = get_builtin("qubit:real").states
-    coords = [np.concatenate([[0.0], qb.basis.to_coords(np.diag(v))])
-              for v in (base, direction)]
-    return qb, coords[0], np.array([coords[1]])
-
-
-def test_psd_grid_miss_is_unknown_not_no():
-    """diag(1, -1.5) + c diag(0, 1) is PSD only for c >= 1.5, off the grid
-    over [-1, 1]: the search cannot say that no PSD pullback exists."""
-    qb, sol, null = qubit_pullback([1.0, -1.5], [0.0, 1.0])
-    assert models._min_trace_distance_psd(qb, sol, null, 1) is None
-    qb, sol, null = qubit_pullback([1.0, -0.5], [0.0, 1.0])
-    assert models._min_trace_distance_psd(qb, sol, null, 1) is True
-    qb, sol, _ = qubit_pullback([1.0, -0.5], [0.0, 1.0])
-    assert models._min_trace_distance_psd(qb, sol, np.zeros((0, 4)), 1) is False
-
-
-def test_unknown_psd_search_gives_its_own_verdict(monkeypatch):
+def test_unknown_psd_search_gives_its_own_verdict():
+    """No density-matrix pullback is searched for, so a quantum quotient
+    that passes the quotient checks is undecided, not an image."""
     m = get_builtin("qubit:real")
-    q = models._quotient(m, m.sample_symmetries, {x: x for x in m.outcomes})
-    assert models._quantum_pullback_feasible(m, q) == (True, "")
-    monkeypatch.setattr(models, "_min_trace_distance_psd",
-                        lambda *args: None)
-    assert models._quantum_pullback_feasible(m, q) == (
-        None, "psd-pullback-unknown")
+    identity = {x: x for x in m.outcomes}
+    assert not isinstance(models._quotient(m, m.sample_symmetries, identity),
+                          str)
+    assert models._assess_candidate(m, m.sample_symmetries, identity) == \
+        "psd-pullback-unknown"
 
 
 @pytest.mark.parametrize("name", [

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 import reference_kernels as oracle
 from kvwb.builtins import builtin_names, classical, get_builtin
-from kvwb.composites import make_conjugate
+from kvwb.composites import find_conjugate_state
 from kvwb.cones import cone
 from kvwb.effectspace import build_effect_space
 from kvwb.forms import find_orthogonalizing_spin_form
@@ -119,7 +119,7 @@ def test_round_trip_preserves_exact_vertices():
 
 def test_bipartite_round_trip():
     m = classical(3)
-    w = make_conjugate(m).eta
+    w = find_conjugate_state(m)
     data = bipartite_to_json(w)
     w2 = bipartite_from_json(data, m, m)
     assert w2.table == w.table

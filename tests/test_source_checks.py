@@ -145,3 +145,35 @@ def test_report_bytes_have_one_writer():
                     and node.name == "jsonable"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def names_in(path: Path) -> set:
+    """Every name a module defines, reads, binds or takes as a parameter or
+    keyword."""
+    out = set()
+    for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+            out.add(n.name)
+        elif isinstance(n, (ast.arg, ast.keyword)) and n.arg:
+            out.add(n.arg)
+    return out
+
+
+def test_conjugates_are_searched_on_one_path():
+    """The conjugate search has no invariance option and no pass-through
+    class, and the quantum image search fits no pullback: neither module
+    names `require_invariance` or `Conjugate`, and `models.py` no least
+    squares.  (`composites._lstsq` fits the conditionals of a quantum
+    table, which `validate_bipartite` needs.)"""
+    for module in ("composites.py", "models.py"):
+        names = names_in(SRC / module)
+        assert not names & {"require_invariance", "Conjugate",
+                            "make_conjugate", "conjugate_from_state"}, module
+    names = names_in(SRC / "models.py")
+    assert not {n for n in names if n.endswith("lstsq")}
+    assert not names & {"_quantum_pullback_feasible", "_min_trace_distance_psd"}
+    assert "--no-invariance" not in (SRC / "cli.py").read_text(encoding="utf-8")
